@@ -1,0 +1,10 @@
+"""Import paths for the benchmark's tests: the checkout's sources and the
+benchmark's own modules."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (ROOT / "src", ROOT / "bench"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
