@@ -33,6 +33,7 @@ from .geometry import (
     sample_nearest_sat_distance,
     sample_ris_position,
     sample_ris_positions,
+    sample_serving_satellite,
     sat_distance_cdf,
     sat_distance_moment,
     sat_distance_pdf,

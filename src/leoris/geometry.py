@@ -307,6 +307,15 @@ def sample_ris_distances(geom: CylinderGeometry, rng: np.random.Generator,
     return np.hypot(radial, geom.height * rng.random(size))
 
 
+def _nearest_sat_uniform(con: Constellation, rng: np.random.Generator,
+                         n: int) -> np.ndarray:
+    """Minimum of M iid U(0,1), one per sample: the nearest satellite's
+    normalized squared slant range (d^2 - h^2) / (4 r_e (r_e + h))."""
+    v = rng.random(n)
+    # 1 - V^(1/M), computed stably for large M
+    return -np.expm1(np.log1p(-v) / con.satellites)
+
+
 def sample_nearest_sat_distance(con: Constellation, rng: np.random.Generator,
                                 size: int | None = None):
     """Distance to the nearest of ``satellites`` points placed uniformly
@@ -314,21 +323,48 @@ def sample_nearest_sat_distance(con: Constellation, rng: np.random.Generator,
 
     Uses the order statistic directly: each satellite's squared distance
     is uniform on the slant-range interval, so the minimum over M of them
-    is a Beta(1, M) draw mapped back through the distance law. This is
-    distribution-exact and O(1) per sample; sample_constellation provides
-    the materialized-points path for cross-checks.
+    is a Beta(1, M) draw mapped back through the distance law (the
+    binomial-point-process contact distance). This is distribution-exact
+    and O(1) per sample; sample_serving_satellite draws the same law with
+    the satellite's position.
     """
     n = 1 if size is None else int(size)
-    v = rng.random(n)
-    # min of M iid U(0,1) = 1 - V^(1/M), computed stably for large M
-    umin = -np.expm1(np.log1p(-v) / con.satellites)
+    umin = _nearest_sat_uniform(con, rng, n)
     d = np.sqrt(con.altitude ** 2 + con._scale * umin)
     return float(d[0]) if size is None else d
 
 
+def sample_serving_satellite(con: Constellation, rng: np.random.Generator,
+                             size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions, shape (size, 3), and ranges, shape (size,), of the
+    satellite nearest the user, one independent constellation per row.
+
+    The range is the Beta(1, M) order statistic of
+    sample_nearest_sat_distance. A satellite at polar angle theta about
+    the shell center lies at squared range h^2 + 4 r_e (r_e + h) u with
+    cos(theta) = 1 - 2u, so the nearest one's polar angle follows from
+    its range, and its azimuth is uniform and independent. This is the
+    argmin over sample_constellation in law, at O(1) cost per row.
+    """
+    umin = _nearest_sat_uniform(con, rng, size)
+    azimuth = 2.0 * math.pi * rng.random(size)
+    R = con.shell_radius
+    # sin(theta) = sqrt((1 - cos)(1 + cos)), exact for small u
+    radial = 2.0 * R * np.sqrt(umin * (1.0 - umin))
+    pos = np.column_stack((radial * np.cos(azimuth),
+                           radial * np.sin(azimuth),
+                           R * (1.0 - 2.0 * umin) - con.earth_radius))
+    return pos, np.sqrt(con.altitude ** 2 + con._scale * umin)
+
+
 def sample_constellation(con: Constellation, rng: np.random.Generator) -> np.ndarray:
     """All satellite positions of one constellation draw, shape (M, 3),
-    in the user-centered frame."""
+    in the user-centered frame.
+
+    The simulator only needs the serving satellite, which
+    sample_serving_satellite draws directly; this materialized form is
+    the reference the tests check that sampler against.
+    """
     m = con.satellites
     cos_polar = 1.0 - 2.0 * rng.random(m)
     sin_polar = np.sqrt(np.maximum(1.0 - cos_polar ** 2, 0.0))

@@ -4,10 +4,12 @@ add as a nonnegative magnitude), and squares into SNR samples.
 
 Satellite distances are drawn independently per link by default, which
 is the statistical model the closed-form moments describe. The exact
-mode instead materializes one constellation per trial, serves from the
-satellite nearest the user, and measures true per-RIS slant ranges; it
+mode instead serves every link of a trial from one satellite, the one
+nearest the user, and measures true per-RIS slant ranges to it; it
 exists to quantify the shared-satellite correlation the analysis
-neglects.
+neglects. The serving satellite's position is drawn directly from its
+law (Beta(1, M) range, polar angle fixed by the range, uniform azimuth),
+so neither mode places the other M - 1 satellites.
 
 Determinism contract: identical (config, seed, workers) give
 bit-identical results. Worker streams are spawned from the root seed, and
@@ -30,10 +32,10 @@ from .fading import sample_envelope
 from .geometry import (
     Constellation,
     CylinderGeometry,
-    sample_constellation,
     sample_nearest_sat_distance,
     sample_ris_distances,
     sample_ris_positions,
+    sample_serving_satellite,
 )
 
 __all__ = [
@@ -98,43 +100,29 @@ def _simulate_chunk(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation,
     """Magnitude of the combined response for `count` trials."""
     amp = np.zeros(count)
     if exact:
-        serving = np.empty((count, 3))
-        r_user = np.empty(count)
-        for i in range(count):
-            sats = sample_constellation(con, rng)
-            dist = np.linalg.norm(sats, axis=1)
-            j = int(np.argmin(dist))
-            serving[i] = sats[j]
-            r_user[i] = dist[j]
-        for n, link in enumerate(cfg.ris):
+        serving, r_user = sample_serving_satellite(con, rng, count)
+    for n, link in enumerate(cfg.ris):
+        if exact:
             if fixed_pos is not None:
                 pos = np.broadcast_to(fixed_pos[n], (count, 3))
             else:
                 pos = sample_ris_positions(geom, rng, count)
             r_sat = np.linalg.norm(serving - pos, axis=1)
             r_ris = np.linalg.norm(pos, axis=1)
-            q = sample_envelope(link.sat_fading, rng, (count, link.elements))
-            g = sample_envelope(link.user_fading, rng, (count, link.elements))
-            amp += ((q * g).sum(axis=1)
-                    * r_sat ** (-link.sat_exponent / 2.0)
-                    * r_ris ** (-link.user_exponent / 2.0))
-        if cfg.direct.enabled:
-            u = sample_envelope(cfg.direct.fading, rng, count)
-            amp += u * r_user ** (-cfg.direct.exponent / 2.0)
-        return amp
-    for n, link in enumerate(cfg.ris):
-        r_sat = sample_nearest_sat_distance(con, rng, count)
-        if fixed_pos is not None:
-            r_ris = np.full(count, float(np.linalg.norm(fixed_pos[n])))
         else:
-            r_ris = sample_ris_distances(geom, rng, count)
+            r_sat = sample_nearest_sat_distance(con, rng, count)
+            if fixed_pos is not None:
+                r_ris = np.full(count, float(np.linalg.norm(fixed_pos[n])))
+            else:
+                r_ris = sample_ris_distances(geom, rng, count)
         q = sample_envelope(link.sat_fading, rng, (count, link.elements))
         g = sample_envelope(link.user_fading, rng, (count, link.elements))
         amp += ((q * g).sum(axis=1)
                 * r_sat ** (-link.sat_exponent / 2.0)
                 * r_ris ** (-link.user_exponent / 2.0))
     if cfg.direct.enabled:
-        r_user = sample_nearest_sat_distance(con, rng, count)
+        if not exact:
+            r_user = sample_nearest_sat_distance(con, rng, count)
         u = sample_envelope(cfg.direct.fading, rng, count)
         amp += u * r_user ** (-cfg.direct.exponent / 2.0)
     return amp

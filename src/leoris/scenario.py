@@ -169,6 +169,22 @@ def _resolve_user_exponents(node, count: int, path: str):
     return out, None, None
 
 
+def _recorded_exponent_draw(raw: dict):
+    """Sub-seed and range of an earlier exponent draw, as the resolved echo
+    records them next to the pinned values; (None, None) when absent."""
+    seed = _get(raw, "resolved.user_exponent_seed", None)
+    span = _get(raw, "resolved.user_exponent_range", None)
+    if seed is None and span is None:
+        return None, None
+    seed = _integer(raw, "resolved.user_exponent_seed", minimum=0)
+    if not (isinstance(span, list) and len(span) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in span)
+            and 2.0 <= span[0] <= span[1]):
+        raise ConfigError("resolved.user_exponent_range: expected [low, high] with "
+                          f"2 <= low <= high, got {span!r}")
+    return seed, (float(span[0]), float(span[1]))
+
+
 def parse_scenario(raw: dict) -> ScenarioConfig:
     """Validate a parsed YAML mapping and build the typed scenario."""
     if not isinstance(raw, dict):
@@ -212,6 +228,9 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
                 raise ConfigError(f"ris.sat_exponent[{i}]: must be a number >= 2, got {v!r}")
         user_exps, exponent_seed, exponent_range = _resolve_user_exponents(
             _get(raw, "ris.user_exponent"), count, "ris.user_exponent")
+        if exponent_seed is None:
+            # a resolved echo pins the values; count sweeps redraw from the seed
+            exponent_seed, exponent_range = _recorded_exponent_draw(raw)
         ris_links = tuple(
             RisLink(
                 elements=int(elements[i]),

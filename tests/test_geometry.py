@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.stats import kstest
+from scipy.stats import ks_2samp, kstest
 
 from leoris.errors import DivergentMomentError, DomainError
 from leoris.geometry import (
@@ -20,6 +20,7 @@ from leoris.geometry import (
     sample_nearest_sat_distance,
     sample_ris_position,
     sample_ris_positions,
+    sample_serving_satellite,
     sat_distance_cdf,
     sat_distance_moment,
     sat_distance_pdf,
@@ -297,6 +298,27 @@ def test_sat_sampler_matches_materialized_constellation():
     # same law: two-sample KS
     from scipy.stats import ks_2samp
     assert ks_2samp(direct, mins).pvalue > 0.01
+
+
+def test_serving_satellite_matches_materialized_argmin():
+    con = Constellation(satellites=20, altitude=1.0e6)
+    rng = np.random.default_rng(9)
+    pos, r_user = sample_serving_satellite(con, rng, 20_000)
+    ref = np.empty_like(pos)
+    for i in range(len(ref)):
+        sats = sample_constellation(con, rng)
+        ref[i] = sats[np.argmin(np.linalg.norm(sats, axis=1))]
+    assert np.allclose(np.linalg.norm(pos, axis=1), r_user, rtol=1e-12)
+    # the user range alone does not see the direction; the range excess to
+    # an off-axis RIS point does
+    ris = np.array([90.0, -40.0, 60.0])
+
+    def excess(p):
+        return np.linalg.norm(p - ris, axis=1) - np.linalg.norm(p, axis=1)
+
+    for got, want in ((pos[:, 0], ref[:, 0]), (pos[:, 2], ref[:, 2]),
+                      (excess(pos), excess(ref))):
+        assert ks_2samp(got, want).pvalue > 0.01
 
 
 def test_constellation_properties():

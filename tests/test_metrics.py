@@ -65,6 +65,20 @@ def test_capacity_frozen_oracle():
     assert capacity_quadrature(ga, 100.0) == pytest.approx(8.2775757573444507, rel=1e-9)
 
 
+@pytest.mark.parametrize("alpha,rho0,bits", [
+    (170.0, 1.0, 14.810337923364935),
+    (400.0, 1.0, 17.284113223978885),
+    (170.0, 1e10, 48.029568059720222),
+    (400.0, 1e-6, 0.21448447866603805),
+])
+def test_capacity_large_shape_oracle(alpha, rho0, bits):
+    # 30-digit quadrature split at the mode: the Gamma bulk is ~sqrt(alpha)
+    # wide at distance alpha from the origin, where the closed form overflows
+    ga = GammaApprox(alpha=alpha, beta=1.0)
+    assert capacity_quadrature(ga, rho0) == pytest.approx(bits, rel=1e-9)
+    assert ergodic_capacity(ga, rho0).bits == pytest.approx(bits, rel=1e-9)
+
+
 def test_capacity_vanishes_with_power():
     ga = GammaApprox(alpha=1.0, beta=1.0)
     res = ergodic_capacity(ga, 1e-8)

@@ -32,6 +32,16 @@ def test_bit_identical_for_same_seed_and_workers():
     assert a.abs_mean == b.abs_mean and a.abs_var == b.abs_var
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_exact_mode_bit_identical_for_same_seed(workers):
+    cfg = default_links(2)
+    opt = SimOptions(trials=5000, seed=42, workers=workers, exact_per_ris_sat_distance=True)
+    a = simulate_snr(cfg, GEOM, CON, opt)
+    b = simulate_snr(cfg, GEOM, CON, opt)
+    assert np.array_equal(a.snr_samples, b.snr_samples)
+    assert a.abs_mean == b.abs_mean and a.abs_var == b.abs_var
+
+
 def test_different_seeds_differ():
     cfg = default_links(1)
     a = simulate_snr(cfg, GEOM, CON, SimOptions(trials=1000, seed=1))

@@ -4,6 +4,7 @@ and sweep/CLI behavior on small grids."""
 import copy
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from leoris.metrics import CoverageQuery, coverage_probability, ergodic_capacity
 from leoris.channel import gamma_approx
 from leoris.runner import run_scenario, sweep
 from leoris.scenario import SweepSpec, parse_grid, parse_scenario, resolved_mapping
+
+DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
 
 BASE = {
     "constellation": {"satellites": 1000, "altitude_km": 1000.0},
@@ -209,6 +212,28 @@ def test_run_scenario_round_trip_bit_identical(tmp_path):
     first = run_scenario(_write_config(tmp_path, raw))
     second = run_scenario(first.resolved_path, out_dir=tmp_path / "b")
     assert first.paths[0].read_text() == second.paths[0].read_text()
+
+
+def test_resolved_echo_reproduces_ris_count_sweep(tmp_path):
+    # counts above the recorded list redraw exponents from the recorded
+    # sub-seed, so the echo has to carry the seed and range
+    first = run_scenario(DEFAULT_CONFIG, out_dir=tmp_path / "a", use_mc=False)
+    argv = ["--var", "N", "--grid", "4,8,12,16", "--no-mc"]
+    assert cli_main(["sweep", str(DEFAULT_CONFIG), *argv, "--out", str(tmp_path / "b")]) == 0
+    assert cli_main(["sweep", str(first.resolved_path), *argv,
+                     "--out", str(tmp_path / "c")]) == 0
+    for name in ("coverage.csv", "capacity.csv"):
+        assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "c" / name).read_bytes()
+
+
+def test_resolved_exponent_draw_validation():
+    raw = resolved_mapping(parse_scenario(copy.deepcopy(BASE)))
+    raw["resolved"]["user_exponent_range"] = [3.0, 2.0]
+    with pytest.raises(ConfigError, match="resolved.user_exponent_range"):
+        parse_scenario(copy.deepcopy(raw))
+    raw["resolved"]["user_exponent_range"] = None
+    with pytest.raises(ConfigError, match="resolved.user_exponent_range"):
+        parse_scenario(raw)
 
 
 def test_run_scenario_json_format(tmp_path):
