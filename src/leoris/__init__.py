@@ -25,13 +25,11 @@ from .fading import KappaMuParams, envelope_cdf, envelope_moment, envelope_pdf, 
 from .geometry import (
     Constellation,
     CylinderGeometry,
-    Point3D,
     ris_distance_cdf,
     ris_distance_moment,
     ris_distance_pdf,
     sample_constellation,
     sample_nearest_sat_distance,
-    sample_ris_position,
     sample_ris_positions,
     sample_serving_satellite,
     sat_distance_cdf,
@@ -55,15 +53,6 @@ from .montecarlo import (
 )
 from .runner import RunSummary, SweepTable, run_scenario, sweep
 from .scenario import ScenarioConfig, SweepSpec, load_scenario, parse_scenario
-from .specfun import (
-    AccuracyBudget,
-    digamma,
-    exp_integral_nu,
-    gauss_2f1,
-    generalized_pfq,
-    kummer_1f1,
-    ln_gamma,
-    reg_lower_inc_gamma,
-)
+from .specfun import AccuracyBudget, gauss_2f1, generalized_pfq, kummer_1f1
 
 __version__ = "0.1.0"

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import ComputationError, DomainError
 from .fading import KappaMuParams, envelope_moment
 from .geometry import Constellation, CylinderGeometry, ris_distance_moment, sat_distance_moment
-from .specfun import ln_gamma
 
 __all__ = [
     "GammaApprox",
@@ -163,7 +162,7 @@ def abs_A_pdf(x, ga: GammaApprox):
     out = np.zeros_like(arr)
     pos = arr > 0
     xp = arr[pos]
-    out[pos] = np.exp((a - 1.0) * np.log(xp) - xp / b - a * math.log(b) - ln_gamma(a))
+    out[pos] = np.exp((a - 1.0) * np.log(xp) - xp / b - a * math.log(b) - math.lgamma(a))
     zero = ~pos
     if np.any(zero):
         if a > 1.0:
@@ -191,7 +190,7 @@ def snr_pdf(x, ga: GammaApprox, rho0: float):
     out = np.zeros_like(arr)
     pos = arr > 0
     xp = arr[pos]
-    log_pref = -math.log(2.0) - a * math.log(b) - ln_gamma(a) - (a / 2.0) * math.log(rho0)
+    log_pref = -math.log(2.0) - a * math.log(b) - math.lgamma(a) - (a / 2.0) * math.log(rho0)
     out[pos] = np.exp(log_pref + (a - 2.0) / 2.0 * np.log(xp)
                       - np.sqrt(xp / (b * b * rho0)))
     zero = ~pos

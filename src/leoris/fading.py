@@ -14,11 +14,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ive as _ive
-from scipy.stats import chi2 as _chi2, ncx2 as _ncx2
+from scipy.special import chdtr as _chdtr, chndtr as _chndtr, ive as _ive
 
 from .errors import DomainError
-from .specfun import kummer_1f1, ln_gamma
+from .specfun import kummer_1f1
 
 __all__ = [
     "KappaMuParams",
@@ -55,7 +54,7 @@ def envelope_moment(t: float, p: KappaMuParams) -> float:
     if not t > 0:
         raise DomainError(f"moment order must be > 0, got {t}")
     k, m = p.kappa, p.mu
-    log_pref = ln_gamma(m + t / 2.0) - ln_gamma(m) - k * m \
+    log_pref = math.lgamma(m + t / 2.0) - math.lgamma(m) - k * m \
         - (t / 2.0) * math.log((1.0 + k) * m)
     return math.exp(log_pref) * kummer_1f1(m + t / 2.0, m, k * m)
 
@@ -99,9 +98,9 @@ def envelope_cdf(x, p: KappaMuParams):
     k, m = p.kappa, p.mu
     q = 2.0 * m * (1.0 + k) * np.square(np.clip(arr, 0.0, None))
     if k == 0.0:
-        val = _chi2.cdf(q, 2.0 * m)
+        val = _chdtr(2.0 * m, q)
     else:
-        val = _ncx2.cdf(q, 2.0 * m, 2.0 * k * m)
+        val = _chndtr(q, 2.0 * m, 2.0 * k * m)
     return val if np.ndim(x) else float(val)
 
 

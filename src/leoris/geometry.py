@@ -2,6 +2,10 @@
 shell, their fractional moments, and the samplers the link simulator draws
 from.
 
+The nearest-satellite law is the exact contact distance of M satellites
+placed uniformly on the shell (a binomial point process); the closed-form
+moments and the samplers use this one law.
+
 Geometry conventions: the user sits at the origin, which is the center of
 the deployment cylinder's base. The satellite shell is the sphere of
 radius ``earth_radius + altitude`` centered at ``(0, 0, -earth_radius)``.
@@ -12,20 +16,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
+from scipy.special import xlog1py as _xlog1py
 
 from .errors import DivergentMomentError, DomainError
-from .specfun import exp_integral_nu, gauss_2f1
+from .specfun import gauss_2f1
 
 EARTH_RADIUS_M = 6_371_000.0
-
-
-class Point3D(NamedTuple):
-    x: float
-    y: float
-    z: float
+# Gauss-Legendre rule on [0, 1] for the nearest-satellite moments
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
+_GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
+# the moment integral ends at u = 50 / M, where (1 - u)^M < e^-50
+_SAT_TAIL = 50.0
 
 
 @dataclass(frozen=True)
@@ -220,59 +223,59 @@ def ris_distance_moment(t: int, eps: float, geom: CylinderGeometry) -> float:
     return 2.0 * total / R0 ** 2
 
 
+def _sat_fraction(arr: np.ndarray, con: Constellation) -> np.ndarray:
+    """Normalized squared slant range u = (x^2 - h^2) / (4 r_e (r_e + h)),
+    clipped to [0, 1] and exactly 1 from the far edge of the shell on."""
+    u = np.clip((arr ** 2 - con.altitude ** 2) / con._scale, 0.0, 1.0)
+    return np.where(arr >= con.max_distance, 1.0, u)
+
+
 def sat_distance_pdf(x, con: Constellation):
-    """Density of the user-to-nearest-satellite distance (exponential
-    approximation of the min over the shell population)."""
+    """Density of the distance to the nearest of M satellites placed
+    uniformly on the shell: M (1 - u)^(M-1) * 2x / S, with
+    u = (x^2 - h^2) / S and S = 4 r_e (r_e + h)."""
     scalar = np.ndim(x) == 0
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     M = con.satellites
-    scale = con._scale
-    lo, hi = con.altitude, con.max_distance
-    inside = (arr >= lo) & (arr <= hi)
+    inside = (arr >= con.altitude) & (arr <= con.max_distance)
     val = np.zeros_like(arr)
     xi = arr[inside]
-    val[inside] = (M * xi / (2.0 * con.earth_radius * con.shell_radius)
-                   * np.exp(-M * (xi ** 2 - lo ** 2) / scale))
+    val[inside] = (M * np.exp(_xlog1py(M - 1, -_sat_fraction(xi, con)))
+                   * 2.0 * xi / con._scale)
     return float(val[0]) if scalar else val
 
 
 def sat_distance_cdf(x, con: Constellation):
-    """Distribution matching sat_distance_pdf. Its total mass is
-    1 - exp(-M); the deficit is the void probability of the approximating
-    law and is numerically zero for populated constellations."""
+    """Distribution matching sat_distance_pdf: 1 - (1 - u)^M, which is 0
+    at the altitude and 1 at the far edge of the shell."""
     scalar = np.ndim(x) == 0
     arr = np.atleast_1d(np.asarray(x, dtype=float))
-    lo = con.altitude
-    u = np.clip((arr ** 2 - lo ** 2) / con._scale, 0.0, 1.0)
-    val = -np.expm1(-con.satellites * u)
-    val = np.where(arr < lo, 0.0, val)
+    val = -np.expm1(_xlog1py(con.satellites, -_sat_fraction(arr, con)))
     return float(val[0]) if scalar else val
 
 
 def sat_distance_moment(t: int, eta: float, con: Constellation) -> float:
     """E[R^{-t*eta/2}] of the nearest-satellite distance.
 
-    Evaluated through exponentially scaled generalized exponential
-    integrals of order t*eta/4 so the far-edge term (argument ~ M) never
-    overflows the unscaled prefactor.
+    With s = t*eta/2 and c = h^2 / S the moment is
+    h^-s * int_0^1 M (1 - u)^(M-1) (1 + u/c)^(-s/2) du. In y = ln(1 + u/c)
+    the power factor becomes a plain exponential, and the range ends at
+    u = min(1, 50/M), beyond which the law holds less than e^-50 of its
+    mass. A fixed 48-point Gauss-Legendre rule in y is then accurate to
+    about 1e-13 relative for M up to 1e6 and altitudes from 200 km to
+    geostationary.
     """
     if t not in (1, 2):
         raise DomainError(f"moment order t must be 1 or 2, got {t}")
-    if eta < 0:
+    if not eta >= 0:
         raise DomainError(f"path-loss exponent must be >= 0, got {eta}")
     M = con.satellites
-    scale = con._scale
-    lo, hi = con.altitude, con.max_distance
-    order = t * eta / 4.0
-    u1 = M * lo ** 2 / scale
-    u2 = M * hi ** 2 / scale
-    first = lo ** (2.0 - t * eta / 2.0) * exp_integral_nu(order, u1, scaled=True)
-    gap = u2 - u1
-    if gap < 700.0:
-        second = hi ** (2.0 - t * eta / 2.0) * exp_integral_nu(order, u2, scaled=True) * math.exp(-gap)
-    else:
-        second = 0.0
-    return M / scale * (first - second)
+    s = t * eta / 2.0
+    c = con.altitude ** 2 / con._scale
+    span = math.log1p(min(1.0, _SAT_TAIL / M) / c)
+    y = span * _GL_NODES
+    f = np.exp(_xlog1py(M - 1, -c * np.expm1(y)) + (1.0 - 0.5 * s) * y)
+    return M * c * con.altitude ** (-s) * span * float(_GL_WEIGHTS @ f)
 
 
 def sample_ris_positions(geom: CylinderGeometry, rng: np.random.Generator,
@@ -284,12 +287,6 @@ def sample_ris_positions(geom: CylinderGeometry, rng: np.random.Generator,
     angle = 2.0 * math.pi * rng.random(size)
     z = geom.height * rng.random(size) if geom.height > 0 else np.zeros(size)
     return np.column_stack((radial * np.cos(angle), radial * np.sin(angle), z))
-
-
-def sample_ris_position(geom: CylinderGeometry, rng: np.random.Generator) -> Point3D:
-    """One uniform RIS position."""
-    pos = sample_ris_positions(geom, rng, 1)[0]
-    return Point3D(float(pos[0]), float(pos[1]), float(pos[2]))
 
 
 def sample_ris_distances(geom: CylinderGeometry, rng: np.random.Generator,

@@ -10,22 +10,21 @@ against the quadrature oracle, and the oracle wins on disagreement.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from scipy.integrate import quad as _quad
-from scipy.special import gammaincinv as _gammaincinv, gammainccinv as _gammainccinv
+from scipy.special import (
+    digamma as _digamma,
+    gammaincc as _gammaincc,
+    gammainccinv as _gammainccinv,
+    gammaincinv as _gammaincinv,
+)
 
 from .channel import GammaApprox
 from .errors import ConvergenceError, DomainError
-from .specfun import (
-    AccuracyBudget,
-    DEFAULT_BUDGET,
-    digamma,
-    generalized_pfq,
-    ln_gamma,
-    reg_lower_inc_gamma,
-)
+from .specfun import AccuracyBudget, DEFAULT_BUDGET, _pfq_series
 
 __all__ = [
     "CoverageQuery",
@@ -37,6 +36,9 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _POLE_WINDOW = 1e-4
+_EPS = sys.float_info.epsilon
+# largest rounding-error bound the closed form may carry, relative to its value
+_CLOSED_FORM_RTOL = 1e-7
 # Gamma mass left outside the quadrature range on each side
 _QUANTILE_TAIL = 1e-30
 
@@ -49,7 +51,7 @@ class CoverageQuery:
     rho0: float
 
     def __post_init__(self) -> None:
-        if self.rho_th < 0:
+        if not self.rho_th >= 0:
             raise DomainError(f"rho_th must be >= 0, got {self.rho_th}")
         if not self.rho0 > 0:
             raise DomainError(f"rho0 must be > 0, got {self.rho0}")
@@ -71,42 +73,45 @@ def coverage_probability(q: CoverageQuery, ga: GammaApprox) -> float:
     if q.rho_th == 0.0:
         return 1.0
     arg = math.sqrt(q.rho_th / q.rho0) / ga.beta
-    return min(1.0, max(0.0, 1.0 - reg_lower_inc_gamma(ga.alpha, arg)))
+    return float(_gammaincc(ga.alpha, arg))
 
 
 def _capacity_closed_nats(alpha: float, z: float, budget: AccuracyBudget) -> float:
     """Closed-form E[ln(1 + y^2/z)] for y ~ Gamma(alpha, 1), z > 0.
 
-    Raises ConvergenceError when a power term would overflow or the
-    hypergeometric series cancel catastrophically.
+    Each hypergeometric series carries a rounding error of about machine
+    epsilon times its largest term, which grows quickly with z. Raises
+    ConvergenceError at the form's poles (integer shapes), when a power
+    term would overflow, or when the summed rounding-error bound exceeds
+    1e-7 of the result.
     """
+    if alpha == round(alpha):
+        raise ConvergenceError(f"capacity closed form has a pole at shape {alpha}")
     arg = -0.25 * z
     lz = math.log(z)
-    lga = ln_gamma(alpha)
+    lga = math.lgamma(alpha)
     half = math.pi * alpha / 2.0
-
     e1 = 0.5 * alpha * lz - lga
-    if e1 > 700.0:
-        raise ConvergenceError("capacity closed form overflows; use quadrature")
-    t1 = (math.pi / alpha) / math.sin(half) * math.exp(e1) \
-        * generalized_pfq([alpha / 2.0], [0.5, 1.0 + alpha / 2.0], arg, budget)
-
-    t2 = z / ((alpha - 1.0) * (alpha - 2.0)) \
-        * generalized_pfq([1.0, 1.0], [2.0, 1.5 - alpha / 2.0, 2.0 - alpha / 2.0],
-                          arg, budget)
-
-    t3 = -(lz - 2.0 * digamma(alpha))
-
     e4 = 0.5 * (1.0 + alpha) * lz - lga
-    if e4 > 700.0:
+    if max(e1, e4) > 700.0:
         raise ConvergenceError("capacity closed form overflows; use quadrature")
-    t4 = -math.pi / (1.0 + alpha) / math.cos(half) * math.exp(e4) \
-        * generalized_pfq([0.5 + alpha / 2.0], [1.5, 1.5 + alpha / 2.0], arg, budget)
 
+    def term(pref: float, num: tuple, den: tuple) -> tuple[float, float]:
+        """pref * pFq(num; den; -z/4) and its rounding-error scale."""
+        value, peak = _pfq_series(num, den, arg, budget)
+        return pref * value, abs(pref) * peak
+
+    t1, r1 = term((math.pi / alpha) / math.sin(half) * math.exp(e1),
+                  (alpha / 2.0,), (0.5, 1.0 + alpha / 2.0))
+    t2, r2 = term(z / ((alpha - 1.0) * (alpha - 2.0)),
+                  (1.0, 1.0), (2.0, 1.5 - alpha / 2.0, 2.0 - alpha / 2.0))
+    t3 = -(lz - 2.0 * float(_digamma(alpha)))
+    t4, r4 = term(-math.pi / (1.0 + alpha) / math.cos(half) * math.exp(e4),
+                  (0.5 + alpha / 2.0,), (1.5, 1.5 + alpha / 2.0))
     total = t1 + t2 + t3 + t4
-    scale = max(abs(t1), abs(t2), abs(t3), abs(t4))
-    if not math.isfinite(total) or (scale > 0 and abs(total) * 1e9 < scale):
-        raise ConvergenceError("capacity closed form cancelled catastrophically")
+    error = _EPS * (r1 + r2 + abs(t3) + r4)
+    if not math.isfinite(total) or error > _CLOSED_FORM_RTOL * abs(total):
+        raise ConvergenceError("capacity closed form lost too many digits to cancellation")
     return total
 
 
@@ -123,7 +128,7 @@ def capacity_quadrature(ga: GammaApprox, rho0: float) -> float:
         raise DomainError(f"rho0 must be > 0, got {rho0}")
     a = ga.alpha
     c = ga.beta * ga.beta * rho0
-    lga = ln_gamma(a)
+    lga = math.lgamma(a)
     hi = float(_gammainccinv(a, _QUANTILE_TAIL))
 
     def integrand(y: float) -> float:

@@ -98,12 +98,24 @@ def _get(mapping: dict, path: str, default=_SENTINEL):
     return node
 
 
+def _finite(val, path: str) -> float:
+    """A YAML number as a finite float; NaN, +-inf and integers beyond the
+    float range are rejected."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ConfigError(f"{path}: expected a number, got {val!r}")
+    try:
+        v = float(val)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise ConfigError(f"{path}: expected a finite number, got {v}")
+    return v
+
+
 def _number(mapping: dict, path: str, *, default=None, minimum=None,
             strict_min=None, maximum=None) -> float:
     val = _get(mapping, path) if default is None else _get(mapping, path, default)
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {val!r}")
-    v = float(val)
+    v = _finite(val, path)
     if minimum is not None and v < minimum:
         raise ConfigError(f"{path}: must be >= {minimum}, got {v}")
     if strict_min is not None and v <= strict_min:
@@ -138,6 +150,14 @@ def _per_ris_values(raw, count: int, path: str):
     return [raw] * count, True
 
 
+def _exponent(value, path: str) -> float:
+    """A path-loss exponent: a finite number >= 2."""
+    v = _finite(value, path)
+    if v < 2.0:
+        raise ConfigError(f"{path}: path-loss exponent must be >= 2, got {v}")
+    return v
+
+
 def _fading_params(node, path: str) -> KappaMuParams:
     if not isinstance(node, dict):
         raise ConfigError(f"{path}: expected a mapping with kappa and mu")
@@ -159,14 +179,7 @@ def _resolve_user_exponents(node, count: int, path: str):
         values = (low + (high - low) * rng.random(count)).tolist()
         return values, seed, (low, high)
     values, _ = _per_ris_values(node, count, path)
-    out = []
-    for i, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"{path}[{i}]: expected a number, got {v!r}")
-        if v < 2.0:
-            raise ConfigError(f"{path}[{i}]: path-loss exponent must be >= 2, got {v}")
-        out.append(float(v))
-    return out, None, None
+    return [_exponent(v, f"{path}[{i}]") for i, v in enumerate(values)], None, None
 
 
 def _recorded_exponent_draw(raw: dict):
@@ -179,7 +192,7 @@ def _recorded_exponent_draw(raw: dict):
     seed = _integer(raw, "resolved.user_exponent_seed", minimum=0)
     if not (isinstance(span, list) and len(span) == 2
             and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in span)
-            and 2.0 <= span[0] <= span[1]):
+            and 2.0 <= span[0] <= span[1] and math.isfinite(span[1])):
         raise ConfigError("resolved.user_exponent_range: expected [low, high] with "
                           f"2 <= low <= high, got {span!r}")
     return seed, (float(span[0]), float(span[1]))
@@ -221,11 +234,8 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
         sat_fadings, _ = _per_ris_values(sat_fading_raw, count, "ris.sat_fading")
         user_fading_raw = _get(raw, "ris.user_fading")
         user_fadings, _ = _per_ris_values(user_fading_raw, count, "ris.user_fading")
-        sat_exp_raw = _get(raw, "ris.sat_exponent")
-        sat_exps, _ = _per_ris_values(sat_exp_raw, count, "ris.sat_exponent")
-        for i, v in enumerate(sat_exps):
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or v < 2.0:
-                raise ConfigError(f"ris.sat_exponent[{i}]: must be a number >= 2, got {v!r}")
+        sat_exps, _ = _per_ris_values(_get(raw, "ris.sat_exponent"), count, "ris.sat_exponent")
+        sat_exps = [_exponent(v, f"ris.sat_exponent[{i}]") for i, v in enumerate(sat_exps)]
         user_exps, exponent_seed, exponent_range = _resolve_user_exponents(
             _get(raw, "ris.user_exponent"), count, "ris.user_exponent")
         if exponent_seed is None:
@@ -236,8 +246,8 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
                 elements=int(elements[i]),
                 sat_fading=_fading_params(sat_fadings[i], f"ris.sat_fading[{i}]"),
                 user_fading=_fading_params(user_fadings[i], f"ris.user_fading[{i}]"),
-                sat_exponent=float(sat_exps[i]),
-                user_exponent=float(user_exps[i]),
+                sat_exponent=sat_exps[i],
+                user_exponent=user_exps[i],
             )
             for i in range(count)
         )
@@ -324,9 +334,7 @@ def parse_grid(node, path: str) -> tuple[float, ...]:
     if isinstance(node, list):
         out = []
         for i, v in enumerate(node):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ConfigError(f"{path}[{i}]: expected a number, got {v!r}")
-            out.append(float(v))
+            out.append(_finite(v, f"{path}[{i}]"))
         if not out:
             raise ConfigError(f"{path}: grid must not be empty")
         return tuple(out)
@@ -337,6 +345,8 @@ def parse_grid(node, path: str) -> tuple[float, ...]:
 def _validate_grid(variable: str, grid: tuple[float, ...], path: str) -> None:
     if not grid:
         raise ConfigError(f"{path}: grid must not be empty")
+    if not all(math.isfinite(v) for v in grid):
+        raise ConfigError(f"{path}: grid values must be finite, got {grid}")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ConfigError(f"{path}: grid must be sorted ascending")
     if variable in ("N", "L"):

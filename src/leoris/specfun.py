@@ -1,12 +1,15 @@
-"""Special-function kernel used by the closed-form link statistics.
+"""Hypergeometric kernel used by the closed-form link statistics.
 
 Everything here is plain float64 with stated tolerances. Series follow a
 single truncation rule: stop once the next term has been below
 ``rel_tol * |partial sum|`` for 3 consecutive terms, and give up past
 ``max_terms``. The Gauss hypergeometric function is delegated to scipy's
 transformation-based implementation because the naive series is useless
-for the large negative arguments produced by tall deployment cylinders;
-all other routines are self-contained.
+for the large negative arguments produced by tall deployment cylinders.
+The confluent function stays a series here: scipy's ``hyp1f1`` overflows
+to inf for ``a = -1/2`` at large ``b`` and negative arguments, inside the
+validated fading domain. Incomplete gamma, digamma and log-gamma come
+straight from ``scipy.special`` and ``math`` at their call sites.
 """
 
 from __future__ import annotations
@@ -14,13 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad as _quad
 from scipy.special import hyp2f1 as _scipy_hyp2f1
 
 from .errors import ConvergenceError, DomainError
-
-_FPMIN = 1e-300
-_EPS = 2.220446049250313e-16
 
 
 @dataclass(frozen=True)
@@ -40,96 +39,13 @@ class AccuracyBudget:
 DEFAULT_BUDGET = AccuracyBudget()
 
 
-def ln_gamma(x: float) -> float:
-    """Natural log of the Gamma function for x > 0."""
-    if not x > 0:
-        raise DomainError(f"ln_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
-def digamma(x: float) -> float:
-    """Logarithmic derivative of the Gamma function for x > 0.
-
-    Recurrence shifts the argument above 8, then an asymptotic expansion
-    with Bernoulli coefficients through 1/x^14 gives < 1e-12 relative
-    error.
-    """
-    if not x > 0:
-        raise DomainError(f"digamma requires x > 0, got {x}")
-    acc = 0.0
-    while x < 8.0:
-        acc -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    tail = inv2 * (
-        1.0 / 12.0
-        - inv2 * (
-            1.0 / 120.0
-            - inv2 * (
-                1.0 / 252.0
-                - inv2 * (
-                    1.0 / 240.0
-                    - inv2 * (
-                        1.0 / 132.0
-                        - inv2 * (691.0 / 32760.0 - inv2 / 12.0)
-                    )
-                )
-            )
-        )
-    )
-    return acc + math.log(x) - 0.5 / x - tail
-
-
-def reg_lower_inc_gamma(a: float, x: float) -> float:
-    """Regularized lower incomplete Gamma P(a, x) = gamma(a, x) / Gamma(a).
-
-    Power series for x < a + 1, Lentz continued fraction for the upper
-    tail otherwise.
-    """
-    if not a > 0:
-        raise DomainError(f"reg_lower_inc_gamma requires a > 0, got a={a}")
-    if x < 0:
-        raise DomainError(f"reg_lower_inc_gamma requires x >= 0, got x={x}")
-    if x == 0.0:
-        return 0.0
-    log_pref = a * math.log(x) - x - math.lgamma(a)
-    if x < a + 1.0:
-        ap = a
-        total = 1.0 / a
-        delta = total
-        for _ in range(10_000):
-            ap += 1.0
-            delta *= x / ap
-            total += delta
-            if abs(delta) < abs(total) * _EPS:
-                return min(1.0, total * math.exp(log_pref))
-        raise ConvergenceError("incomplete gamma series did not converge")
-    b = x + 1.0 - a
-    c = 1.0 / _FPMIN
-    d = 1.0 / b
-    h = d
-    for i in range(1, 10_000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return max(0.0, 1.0 - math.exp(log_pref) * h)
-    raise ConvergenceError("incomplete gamma continued fraction did not converge")
-
-
 def _pfq_series(num: tuple[float, ...], den: tuple[float, ...], x: float,
-                budget: AccuracyBudget) -> float:
+                budget: AccuracyBudget) -> tuple[float, float]:
     """Generalized hypergeometric series with the shared stopping rule.
 
-    Raises ConvergenceError when the term budget runs out or when
+    Returns the sum and the largest term magnitude; the sum's rounding
+    error is about machine epsilon times that peak. Raises
+    ConvergenceError when the term budget runs out or when
     alternating-term cancellation has destroyed more than ~10 digits.
     """
     term = 1.0
@@ -155,7 +71,7 @@ def _pfq_series(num: tuple[float, ...], den: tuple[float, ...], x: float,
                         "hypergeometric series lost too much precision to "
                         f"cancellation (peak term {peak:.3e}, sum {total:.3e})"
                     )
-                return total
+                return total, peak
         else:
             below = 0
     raise ConvergenceError(
@@ -180,8 +96,8 @@ def kummer_1f1(a: float, b: float, x: float,
     if x == 0.0:
         return 1.0
     if x < 0.0:
-        return math.exp(x) * _pfq_series((b - a,), (b,), -x, budget)
-    return _pfq_series((a,), (b,), x, budget)
+        return math.exp(x) * _pfq_series((b - a,), (b,), -x, budget)[0]
+    return _pfq_series((a,), (b,), x, budget)[0]
 
 
 def gauss_2f1(a: float, b: float, c: float, z: float,
@@ -221,120 +137,4 @@ def generalized_pfq(num: list[float], den: list[float], x: float,
         raise DomainError(f"generalized_pfq with p={p} > q+1={qn + 1} diverges for x != 0")
     if p == qn + 1 and abs(x) >= 1.0:
         raise DomainError(f"generalized_pfq with p=q+1 requires |x| < 1, got x={x}")
-    return _pfq_series(tuple(num), tuple(den), x, budget)
-
-
-def _upper_cf_scaled(s: float, x: float) -> float:
-    """Continued fraction for e^x Gamma(s, x) / x^s, valid for x >= ~1, x > s."""
-    b = x + 1.0 - s
-    c = 1.0 / _FPMIN
-    d = 1.0 / b
-    h = d
-    for i in range(1, 10_000):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h
-    raise ConvergenceError("upper incomplete gamma continued fraction did not converge")
-
-
-def _lower_series(s: float, x: float) -> float:
-    """Series for gamma(s, x) / (x^s e^{-x}); requires s not near a
-    non-positive integer."""
-    ap = s
-    total = 1.0 / s
-    delta = total
-    for _ in range(10_000):
-        ap += 1.0
-        delta *= x / ap
-        total += delta
-        if abs(delta) < abs(total) * _EPS:
-            return total
-    raise ConvergenceError("lower incomplete gamma series did not converge")
-
-
-def upper_inc_gamma_scaled(s: float, x: float) -> float:
-    """e^x * Gamma(s, x) for real s (any sign) and x > 0.
-
-    The exponential scaling keeps satellite-link moments finite when the
-    argument reaches ~1e3. Accuracy degrades near non-positive integer s
-    (the recurrence divides by s); exp_integral_nu routes those orders
-    elsewhere.
-    """
-    if not x > 0:
-        raise DomainError(f"upper_inc_gamma_scaled requires x > 0, got {x}")
-    if x >= max(1.0, s + 2.0):
-        return x ** s * _upper_cf_scaled(s, x)
-    if s >= 1e-3:
-        if math.lgamma(s) + x > 700.0:
-            raise ConvergenceError("upper_inc_gamma_scaled overflow: s too large for series path")
-        return math.exp(x) * math.gamma(s) - x ** s * _lower_series(s, x)
-    shift = math.ceil(0.5 - s)
-    val = math.exp(x) * math.gamma(s + shift) - x ** (s + shift) * _lower_series(s + shift, x)
-    for j in range(shift - 1, -1, -1):
-        sj = s + j
-        val = (val - x ** sj) / sj
-    return val
-
-
-def _exp_integral_int_small_x(n: int, x: float) -> float:
-    """E_n(x) for integer n >= 1 and 0 < x < ~1.5, unscaled."""
-    e1 = -0.5772156649015329 - math.log(x)
-    term = 1.0
-    for k in range(1, 10_000):
-        term *= -x / k
-        delta = -term / k
-        e1 += delta
-        if abs(delta) < abs(e1) * _EPS:
-            break
-    val = e1
-    emx = math.exp(-x)
-    for m in range(1, n):
-        val = (emx - x * val) / m
-    return val
-
-
-def _exp_integral_quad_scaled(nu: float, x: float) -> float:
-    """Adaptive-quadrature fallback for e^x E_nu(x)."""
-    val, _ = _quad(lambda w: math.exp(-x * w) * (1.0 + w) ** (-nu), 0.0, math.inf,
-                   epsabs=1e-13, epsrel=1e-12, limit=200)
-    return val
-
-
-def exp_integral_nu(nu: float, x: float, scaled: bool = False) -> float:
-    """Generalized exponential integral E_nu(x) = int_1^inf e^{-xt} t^{-nu} dt.
-
-    Fractional orders evaluate through e^x E_nu(x) = x^{-s} * e^x Gamma(s, x)
-    with s = 1 - nu. Orders within 1e-3 of a positive integer (where that
-    relation is ill-conditioned) use exact integer recurrences when the
-    order is an integer and adaptive quadrature otherwise.
-
-    With scaled=True the return value is e^x E_nu(x), which stays
-    representable for arguments ~1e3 where the plain value underflows.
-    """
-    if not x > 0:
-        raise DomainError(f"exp_integral_nu requires x > 0, got {x}")
-    if nu == 0.0:
-        return 1.0 / x if scaled else math.exp(-x) / x
-    s = 1.0 - nu
-    if x >= max(1.0, s + 2.0):
-        val = _upper_cf_scaled(s, x)
-        return val if scaled else math.exp(-x) * val
-    nearest = round(nu)
-    if nu == nearest and nearest >= 1:
-        val = _exp_integral_int_small_x(int(nearest), x)
-        return math.exp(x) * val if scaled else val
-    if nearest >= 1 and abs(nu - nearest) < 1e-3:
-        val = _exp_integral_quad_scaled(nu, x)
-        return val if scaled else math.exp(-x) * val
-    val = x ** (-s) * upper_inc_gamma_scaled(s, x)
-    return val if scaled else math.exp(-x) * val
+    return _pfq_series(tuple(num), tuple(den), x, budget)[0]

@@ -1,12 +1,13 @@
 """Shared scenario fixtures: the recorded default configuration used by
 the acceptance suite and several module tests."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from leoris.channel import DirectPath, LinkConfig, RisLink
 from leoris.fading import KappaMuParams
-from leoris.geometry import Constellation, CylinderGeometry
+from leoris.geometry import EARTH_RADIUS_M, Constellation, CylinderGeometry
 
 # Recorded draw of the per-RIS user-hop exponents (sub-seed 370899, [2, 3)).
 EXPONENT_SEED = 370899
@@ -45,3 +46,20 @@ def default_geometry() -> CylinderGeometry:
 @pytest.fixture
 def default_constellation() -> Constellation:
     return Constellation(satellites=1000, altitude=1.0e6)
+
+
+def sat_moment_mpmath(m: int, h: float, s: float) -> float:
+    """E[d^-s] of the distance to the nearest of m satellites at altitude h:
+    20-digit quadrature of h^-s * m (1 - u)^(m-1) (1 + u/c)^(-s/2) over
+    u in [0, 1], c = h^2 / (4 r_e (r_e + h)), with breakpoints spaced
+    geometrically from the smaller of the two scales c and 1/m."""
+    with mp.workdps(20):
+        c = mp.mpf(h) ** 2 / (4.0 * EARTH_RADIUS_M * (EARTH_RADIUS_M + h))
+        pts = [mp.mpf(0)]
+        u = min(c, mp.mpf(1) / m) / 8
+        while u < 1:
+            pts.append(u)
+            u *= 8
+        pts.append(mp.mpf(1))
+        val = mp.quad(lambda v: m * (1 - v) ** (m - 1) * (1 + v / c) ** (-mp.mpf(s) / 2), pts)
+        return float(mp.mpf(h) ** (-s) * val)

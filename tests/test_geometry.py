@@ -8,17 +8,16 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import ks_2samp, kstest
 
+from conftest import sat_moment_mpmath
 from leoris.errors import DivergentMomentError, DomainError
 from leoris.geometry import (
     Constellation,
     CylinderGeometry,
-    Point3D,
     ris_distance_cdf,
     ris_distance_moment,
     ris_distance_pdf,
     sample_constellation,
     sample_nearest_sat_distance,
-    sample_ris_position,
     sample_ris_positions,
     sample_serving_satellite,
     sat_distance_cdf,
@@ -194,13 +193,22 @@ def test_sat_pdf_support():
 
 
 def test_sat_pdf_total_mass():
-    # integral of the density over its support has the closed value 1 - e^-M
+    # the nearest of M satellites always exists: the density has unit mass
     con = Constellation(satellites=5, altitude=1.0e6)
     val, _ = quad(lambda x: sat_distance_pdf(x, con), con.altitude, con.max_distance,
                   limit=300, epsabs=1e-12)
-    assert val == pytest.approx(1.0 - math.exp(-con.satellites), rel=1e-9)
-    assert sat_distance_cdf(con.max_distance, con) == pytest.approx(
-        1.0 - math.exp(-con.satellites), rel=1e-12)
+    assert val == pytest.approx(1.0, rel=1e-9)
+    assert sat_distance_cdf(con.max_distance, con) == 1.0
+
+
+def test_sat_cdf_limits():
+    for m in (1, 2, 10, 1000, 1_000_000):
+        for h in (2.0e5, 1.0e6, 3.5786e7, 1234567.89):
+            con = Constellation(satellites=m, altitude=h)
+            assert sat_distance_cdf(con.max_distance, con) == 1.0
+            assert sat_distance_cdf(con.max_distance * 2.0, con) == 1.0
+            assert sat_distance_cdf(con.altitude, con) == 0.0
+            assert sat_distance_cdf(0.5 * con.altitude, con) == 0.0
 
 
 def test_sat_moment_against_quadrature():
@@ -222,8 +230,57 @@ def test_sat_moment_small_population():
 
 def test_sat_moment_zero_exponent_is_total_mass():
     con = Constellation(satellites=4, altitude=1.0e6)
-    assert sat_distance_moment(1, 0.0, con) == pytest.approx(
-        1.0 - math.exp(-con.satellites), rel=1e-10)
+    assert sat_distance_moment(1, 0.0, con) == pytest.approx(1.0, rel=1e-10)
+
+
+def test_sat_moment_domain():
+    for eta in (-1.0, math.nan):
+        with pytest.raises(DomainError):
+            sat_distance_moment(1, eta, CON)
+    with pytest.raises(DomainError):
+        sat_distance_moment(3, 2.0, CON)
+
+
+SAT_GRID_M = (1, 10, 100, 1000, 1_000_000)
+SAT_GRID_ALTITUDES = (2.0e5, 1.0e6, 3.5786e7)
+
+
+def test_sat_moment_against_mpmath_exact_density():
+    for m in SAT_GRID_M:
+        for h in SAT_GRID_ALTITUDES:
+            con = Constellation(satellites=m, altitude=h)
+            for s in (1, 2, 5, 8):
+                t, eta = (1, 2.0 * s) if s % 2 else (2, float(s))
+                got = sat_distance_moment(t, eta, con)
+                assert got == pytest.approx(sat_moment_mpmath(m, h, s), rel=1e-12), (m, h, s)
+
+
+def test_sat_moment_single_satellite_closed_form():
+    # M = 1: d^2 is uniform on [h^2, h^2 + S], so
+    # E[d^-s] = 2 ((h^2 + S)^(1 - s/2) - h^(2 - s)) / (S (2 - s))
+    for h in SAT_GRID_ALTITUDES:
+        con = Constellation(satellites=1, altitude=h)
+        scale = 4.0 * con.earth_radius * con.shell_radius
+        for s in (1.0, 1.3, 5.0, 8.0):
+            want = 2.0 * ((h * h + scale) ** (1.0 - s / 2.0) - h ** (2.0 - s)) \
+                / (scale * (2.0 - s))
+            assert sat_distance_moment(2, s, con) == pytest.approx(want, rel=1e-12), (h, s)
+        # s = 2 is the log limit
+        assert sat_distance_moment(2, 2.0, con) == pytest.approx(
+            math.log1p(scale / h ** 2) / scale, rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 10])
+def test_sat_sampler_matches_exact_law_small_population(m):
+    con = Constellation(satellites=m, altitude=1.0e6)
+    rng = np.random.default_rng(100 + m)
+    d = sample_nearest_sat_distance(con, rng, 400_000)
+    assert kstest(d, lambda x: sat_distance_cdf(x, con)).pvalue > 0.01
+    for t, eta in ((1, 2.0), (2, 2.0), (2, 2.5)):
+        sample = d ** (-t * eta / 2.0)
+        stderr = float(sample.std()) / math.sqrt(sample.size)
+        assert abs(sat_distance_moment(t, eta, con) - float(sample.mean())) <= 4.0 * stderr, \
+            (m, t, eta)
 
 
 def test_sat_moment_against_sampler():
@@ -238,9 +295,6 @@ def test_ris_sampler_flat_region():
     rng = np.random.default_rng(1)
     pos = sample_ris_positions(geom, rng, 1000)
     assert np.all(pos[:, 2] == 0.0)
-    point = sample_ris_position(geom, rng)
-    assert isinstance(point, Point3D)
-    assert point.z == 0.0
 
 
 def test_ris_sampler_radial_mean():

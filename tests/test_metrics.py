@@ -139,6 +139,20 @@ def test_capacity_cancellation_falls_back_to_quadrature():
     assert res.bits == pytest.approx(capacity_quadrature(ga, 1e-10), rel=1e-9)
 
 
+def test_capacity_low_snr_partial_cancellation():
+    # at beta^2 rho0 between 1e-3 and 0.1 the series lose 6-12 digits to
+    # alternating terms without tripping a plain cancellation test; the
+    # closed form must either stay accurate or hand over to quadrature
+    worst = 0.0
+    for a in np.linspace(2.6, 40.6, 20):
+        ga = GammaApprox(alpha=float(a), beta=1.0)
+        for z in np.geomspace(10.0, 1000.0, 20):
+            got = ergodic_capacity(ga, 1.0 / z).bits
+            want = capacity_quadrature(ga, 1.0 / z)
+            worst = max(worst, abs(got - want) / want)
+    assert worst <= 1e-6
+
+
 def test_capacity_result_is_floatable():
     res = CapacityResult(1.5, False)
     assert float(res) == 1.5

@@ -100,6 +100,55 @@ def test_validation_diagnostics_name_the_field(path, value, fragment):
         parse_scenario(_variant(**{path: value}))
 
 
+def _numeric_fields(node, prefix=""):
+    """Dotted paths of every numeric leaf of a parsed YAML mapping."""
+    for key, value in node.items():
+        path = f"{prefix}{key}"
+        if isinstance(value, dict):
+            yield from _numeric_fields(value, path + ".")
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield path
+
+
+DEFAULT_RAW = yaml.safe_load(DEFAULT_CONFIG.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("bad", [".nan", ".inf", "-.inf"])
+@pytest.mark.parametrize("path", list(_numeric_fields(DEFAULT_RAW)))
+def test_non_finite_numbers_are_rejected(path, bad):
+    raw = copy.deepcopy(DEFAULT_RAW)
+    node = raw
+    *parents, leaf = path.split(".")
+    for part in parents:
+        node = node[part]
+    node[leaf] = yaml.safe_load(bad)
+    with pytest.raises(ConfigError, match=leaf):
+        parse_scenario(raw)
+
+
+@pytest.mark.parametrize("path,value", [
+    ("ris.sat_exponent", [2.0, float("nan"), 2.4]),
+    ("ris.user_exponent", [2.1, 2.5, float("inf")]),
+    ("sweep.grid", [0.0, float("nan")]),
+    # integers beyond the float range are infinite once converted
+    ("power.symbol_energy_w", 10 ** 400),
+    ("ris.user_exponent", [2.1, 2.5, 10 ** 400]),
+    ("sweep.grid", [0.0, 10 ** 400]),
+])
+def test_non_finite_entries_are_rejected(path, value):
+    with pytest.raises(ConfigError, match=path.replace(".", r"\.")):
+        parse_scenario(_variant(**{path: value}))
+
+
+def test_cli_rejects_infinite_power(tmp_path, capsys):
+    raw = copy.deepcopy(DEFAULT_RAW)
+    raw["power"]["symbol_energy_w"] = float("inf")
+    path = tmp_path / "inf.yaml"
+    path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    assert cli_main(["run", str(path), "--no-mc", "--out", str(tmp_path / "o")]) == 2
+    assert "power.symbol_energy_w" in capsys.readouterr().err
+
+
 def test_missing_required_field():
     raw = copy.deepcopy(BASE)
     del raw["power"]
