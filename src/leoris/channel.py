@@ -98,41 +98,38 @@ class LinkConfig:
             raise DomainError(f"transmit_snr must be > 0, got {self.transmit_snr}")
 
 
-def _per_ris_mean(link: RisLink, geom: CylinderGeometry, con: Constellation) -> float:
-    m1 = envelope_moment(1.0, link.sat_fading) * envelope_moment(1.0, link.user_fading)
-    return (link.elements * m1
-            * sat_distance_moment(1, link.sat_exponent, con)
-            * ris_distance_moment(1, link.user_exponent, geom))
+def _path_moments(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation,
+                  with_second: bool):
+    """(mean, second moment) of each path's magnitude, RIS paths first and
+    the direct path last; the second moment is None unless asked for,
+    since it may diverge where the mean is finite.
 
-
-def mean_abs_A(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation) -> float:
-    """Mean magnitude of the combined channel response."""
-    total = sum(_per_ris_mean(link, geom, con) for link in cfg.ris)
-    if cfg.direct.enabled:
-        total += (envelope_moment(1.0, cfg.direct.fading)
-                  * sat_distance_moment(1, cfg.direct.exponent, con))
-    return total
-
-
-def var_abs_A(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation) -> float:
-    """Variance of the combined channel response magnitude.
-
-    Per-path second moments use the unit-power normalization
+    Second moments use the unit-power normalization
     E[|q|^2] = E[|g|^2] = E[|u|^2] = 1, so the element-sum second moment
     reduces to L + (L^2 - L) * (first-moment product)^2.
     """
-    total = 0.0
     for link in cfg.ris:
         L = link.elements
         m1 = envelope_moment(1.0, link.sat_fading) * envelope_moment(1.0, link.user_fading)
-        second = (L + (L * L - L) * m1 * m1) \
-            * sat_distance_moment(2, link.sat_exponent, con) \
-            * ris_distance_moment(2, link.user_exponent, geom)
-        total += second - _per_ris_mean(link, geom, con) ** 2
+        mean = (L * m1
+                * sat_distance_moment(1, link.sat_exponent, con)
+                * ris_distance_moment(1, link.user_exponent, geom))
+        if not with_second:
+            yield mean, None
+            continue
+        yield mean, ((L + (L * L - L) * m1 * m1)
+                     * sat_distance_moment(2, link.sat_exponent, con)
+                     * ris_distance_moment(2, link.user_exponent, geom))
     if cfg.direct.enabled:
-        mean_direct = (envelope_moment(1.0, cfg.direct.fading)
-                       * sat_distance_moment(1, cfg.direct.exponent, con))
-        total += sat_distance_moment(2, cfg.direct.exponent, con) - mean_direct ** 2
+        mean = (envelope_moment(1.0, cfg.direct.fading)
+                * sat_distance_moment(1, cfg.direct.exponent, con))
+        yield mean, sat_distance_moment(2, cfg.direct.exponent, con) if with_second else None
+
+
+def _variance(paths) -> float:
+    total = 0.0
+    for mean, second in paths:
+        total += second - mean ** 2
     if not total > 0.0 or not math.isfinite(total):
         raise ComputationError(
             f"variance of the combined response came out non-positive ({total}); "
@@ -141,15 +138,26 @@ def var_abs_A(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation) -> fl
     return total
 
 
+def mean_abs_A(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation) -> float:
+    """Mean magnitude of the combined channel response."""
+    return sum(mean for mean, _ in _path_moments(cfg, geom, con, with_second=False))
+
+
+def var_abs_A(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation) -> float:
+    """Variance of the combined channel response magnitude."""
+    return _variance(_path_moments(cfg, geom, con, with_second=True))
+
+
 def gamma_approx(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation) -> GammaApprox:
     """Two-moment Gamma fit of the combined response magnitude."""
-    mean = mean_abs_A(cfg, geom, con)
+    paths = list(_path_moments(cfg, geom, con, with_second=True))
+    mean = sum(m for m, _ in paths)
     if not mean > 0.0:
         raise ComputationError(
             "mean of the combined response is not positive; the configuration "
             "has no active signal path"
         )
-    return GammaApprox.from_moments(mean, var_abs_A(cfg, geom, con))
+    return GammaApprox.from_moments(mean, _variance(paths))
 
 
 def abs_A_pdf(x, ga: GammaApprox):

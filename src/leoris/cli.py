@@ -3,12 +3,14 @@
     leoris run <config> [--out DIR] [--format csv|json] [--mc | --no-mc]
                         [--seed S] [--workers W]
     leoris sweep <config> --var {rho_th,rho0,N,L,R0,H} --grid SPEC
-                        [--mc] [--seed S] [--workers W]
+                        [--mc | --no-mc] [--seed S] [--workers W]
                         [--format csv|json] [--out DIR]
 
 Grid specs are either comma lists ("0,10,20,40") or start:stop:points
-("0:40:10"). Threshold and transmit-SNR grids are in dB; N and L are
-counts; R0 and H are meters.
+("0:40:10"), validated like a scenario's grid. Threshold and
+transmit-SNR grids are in dB; N and L are counts; R0 and H are meters.
+Every option except --out overrides the scenario, so the resolved echo
+written next to the tables records the run that ran.
 """
 
 from __future__ import annotations
@@ -59,19 +61,21 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_scenario(args.config)
-        if args.seed is not None or args.workers is not None:
-            mc = cfg.mc
-            if args.seed is not None:
-                mc = dataclasses.replace(mc, seed=args.seed)
-            if args.workers is not None:
-                mc = dataclasses.replace(mc, workers=args.workers)
-            cfg = dataclasses.replace(cfg, mc=mc)
-        spec = None
+        mc = cfg.mc
+        if args.seed is not None:
+            mc = dataclasses.replace(mc, seed=args.seed)
+        if args.workers is not None:
+            mc = dataclasses.replace(mc, workers=args.workers)
+        cfg = dataclasses.replace(cfg, mc=mc)
+        if args.mc is not None:
+            cfg = dataclasses.replace(cfg, mc_enabled=args.mc)
+        if args.format is not None:
+            cfg = dataclasses.replace(
+                cfg, output=dataclasses.replace(cfg.output, format=args.format))
         if args.command == "sweep":
-            grid = parse_grid(args.grid, "--grid")
-            spec = SweepSpec(variable=args.var, grid=grid)
-        summary = run_scenario(cfg, out_dir=args.out, fmt=args.format,
-                               use_mc=args.mc, spec=spec)
+            grid = parse_grid(args.grid, args.var, "--grid")
+            cfg = dataclasses.replace(cfg, sweep=SweepSpec(variable=args.var, grid=grid))
+        summary = run_scenario(cfg, out_dir=args.out)
     except DivergentMomentError as exc:
         print(f"error: divergent configuration: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,7 @@ from scipy.special import (
 
 from .channel import GammaApprox
 from .errors import ConvergenceError, DomainError
-from .specfun import AccuracyBudget, DEFAULT_BUDGET, _pfq_series
+from .specfun import DEFAULT_BUDGET, _pfq_series
 
 __all__ = [
     "CoverageQuery",
@@ -76,7 +76,7 @@ def coverage_probability(q: CoverageQuery, ga: GammaApprox) -> float:
     return float(_gammaincc(ga.alpha, arg))
 
 
-def _capacity_closed_nats(alpha: float, z: float, budget: AccuracyBudget) -> float:
+def _capacity_closed_nats(alpha: float, z: float) -> float:
     """Closed-form E[ln(1 + y^2/z)] for y ~ Gamma(alpha, 1), z > 0.
 
     Each hypergeometric series carries a rounding error of about machine
@@ -98,7 +98,7 @@ def _capacity_closed_nats(alpha: float, z: float, budget: AccuracyBudget) -> flo
 
     def term(pref: float, num: tuple, den: tuple) -> tuple[float, float]:
         """pref * pFq(num; den; -z/4) and its rounding-error scale."""
-        value, peak = _pfq_series(num, den, arg, budget)
+        value, peak = _pfq_series(num, den, arg, DEFAULT_BUDGET)
         return pref * value, abs(pref) * peak
 
     t1, r1 = term((math.pi / alpha) / math.sin(half) * math.exp(e1),
@@ -152,8 +152,7 @@ def capacity_quadrature(ga: GammaApprox, rho0: float) -> float:
     return val / _LN2
 
 
-def ergodic_capacity(ga: GammaApprox, rho0: float,
-                     budget: AccuracyBudget = DEFAULT_BUDGET) -> CapacityResult:
+def ergodic_capacity(ga: GammaApprox, rho0: float) -> CapacityResult:
     """Ergodic capacity in bits/s/Hz.
 
     Closed form when the shape is away from the joint poles at positive
@@ -169,8 +168,8 @@ def ergodic_capacity(ga: GammaApprox, rho0: float,
     nearest = round(alpha)
     if nearest >= 1 and abs(alpha - nearest) < _POLE_WINDOW:
         try:
-            hi = _capacity_closed_nats(alpha + _POLE_WINDOW, z, budget)
-            lo = _capacity_closed_nats(alpha - _POLE_WINDOW, z, budget)
+            hi = _capacity_closed_nats(alpha + _POLE_WINDOW, z)
+            lo = _capacity_closed_nats(alpha - _POLE_WINDOW, z)
             value = 0.5 * (hi + lo) / _LN2
         except ConvergenceError:
             return CapacityResult(capacity_quadrature(ga, rho0), True)
@@ -180,7 +179,7 @@ def ergodic_capacity(ga: GammaApprox, rho0: float,
             return CapacityResult(oracle, True)
         return CapacityResult(value, False)
     try:
-        value = _capacity_closed_nats(alpha, z, budget) / _LN2
+        value = _capacity_closed_nats(alpha, z) / _LN2
     except ConvergenceError:
         return CapacityResult(capacity_quadrature(ga, rho0), True)
     if value < 0.0:

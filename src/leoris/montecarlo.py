@@ -19,6 +19,7 @@ in a process pool yields the same output.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -177,16 +178,18 @@ def simulate_snr(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation,
     if opt.fixed_ris_positions and cfg.ris:
         fixed_pos = sample_ris_positions(geom, np.random.default_rng(geo_root), len(cfg.ris))
     workers = opt.workers
-    counts = [opt.trials // workers + (1 if i < opt.trials % workers else 0)
-              for i in range(workers)]
-    worker_seeds = sim_root.spawn(workers)
-    args = [(cfg, geom, con, counts[i], worker_seeds[i],
-             opt.exact_per_ris_sat_distance, fixed_pos, opt.keep_samples)
-            for i in range(workers) if counts[i] > 0]
-    if len(args) <= 1:
+    # partition i holds trials // workers trials, plus one for i < trials % workers;
+    # partitions past the trial count would be empty
+    partitions = min(workers, opt.trials)
+    worker_seeds = sim_root.spawn(partitions)
+    args = [(cfg, geom, con, opt.trials // workers + (i < opt.trials % workers),
+             worker_seeds[i], opt.exact_per_ris_sat_distance, fixed_pos, opt.keep_samples)
+            for i in range(partitions)]
+    pool_size = min(partitions, os.cpu_count() or 1)
+    if pool_size <= 1:
         parts = [_run_partition(*a) for a in args]
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(args))) as pool:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             parts = list(pool.map(_run_partition_star, args))
     moments = (0, 0.0, 0.0)
     for _, m in parts:

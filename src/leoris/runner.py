@@ -4,9 +4,15 @@ schema-stable tables.
 
 Table schema (fixed): sweep_value, analytic_metric, mc_metric, mc_stderr,
 alpha, beta. One table per metric; Monte Carlo columns are empty when
-simulation is off. Threshold sweeps reuse a single simulation across the
-grid, and transmit-SNR sweeps reuse one set of response samples rescaled
-per point, since the response statistics do not depend on either knob.
+simulation is off.
+
+A sweep is one loop over the grid of a ScenarioConfig, with one reuse
+rule: a point refits the Gamma model, and re-simulates, only when its
+links or geometry differ from the previous point's. Threshold and
+transmit-SNR sweeps thus fit and simulate once; a transmit-SNR point
+rescales the simulated samples. Point i's simulation draws from child i
+of SeedSequence(monte_carlo.seed). Everything a run depends on is in the
+config, so the resolved echo written next to the tables reproduces them.
 """
 
 from __future__ import annotations
@@ -20,11 +26,11 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .channel import GammaApprox, LinkConfig, gamma_approx
+from .channel import LinkConfig, gamma_approx
 from .errors import ConfigError
 from .metrics import CoverageQuery, coverage_probability, ergodic_capacity
-from .montecarlo import Estimate, empirical_capacity, empirical_coverage, simulate_snr
-from .scenario import ScenarioConfig, SweepSpec, db_to_linear, load_scenario, resolved_mapping
+from .montecarlo import empirical_capacity, empirical_coverage, simulate_snr
+from .scenario import ScenarioConfig, db_to_linear, load_scenario, resolved_mapping
 
 __all__ = ["SweepTable", "RunSummary", "sweep", "run_scenario", "write_table"]
 
@@ -98,70 +104,40 @@ def _point_inputs(cfg: ScenarioConfig, variable: str, value: float):
     return links, geom, rho0, rho_th
 
 
-def _metrics_for(variable: str) -> tuple[str, ...]:
-    if variable == "rho_th":
-        return ("coverage",)
-    if variable == "rho0":
-        return ("capacity",)
-    return ("coverage", "capacity")
+# metric tables per sweep variable; every other variable reports both
+_METRICS = {"rho_th": ("coverage",), "rho0": ("capacity",)}
 
 
-def sweep(cfg: ScenarioConfig, spec: SweepSpec | None = None,
-          use_mc: bool | None = None) -> list[SweepTable]:
-    """Evaluate the scenario's metrics over the sweep grid.
-
-    Deterministic for a fixed scenario: per-point simulations use streams
-    spawned from the Monte Carlo seed in grid order.
-    """
-    spec = spec or cfg.sweep
-    use_mc = cfg.mc_enabled if use_mc is None else use_mc
-    variable, grid = spec.variable, spec.grid
-    metrics = _metrics_for(variable)
+def sweep(cfg: ScenarioConfig) -> list[SweepTable]:
+    """Evaluate the scenario's metrics over its sweep grid, refitting and
+    re-simulating only where the links or geometry change."""
+    variable, grid = cfg.sweep.variable, cfg.sweep.grid
+    metrics = _METRICS.get(variable, ("coverage", "capacity"))
     rows: dict[str, list[tuple]] = {m: [] for m in metrics}
-
-    if variable in ("rho_th", "rho0"):
-        ga = gamma_approx(cfg.links, cfg.geometry, cfg.constellation)
-        shared = None
-        if use_mc:
-            # response statistics don't depend on the swept knob: simulate once
-            sim_links = dataclasses.replace(cfg.links, transmit_snr=1.0)
-            shared = simulate_snr(sim_links, cfg.geometry, cfg.constellation, cfg.mc)
-        for value in grid:
-            _, _, rho0, rho_th = _point_inputs(cfg, variable, value)
-            mc_cov = mc_cap = None
-            if shared is not None:
-                scaled = dataclasses.replace(shared, snr_samples=shared.snr_samples * rho0)
-                mc_cov = empirical_coverage(scaled, rho_th)
-                mc_cap = empirical_capacity(scaled)
-            if "coverage" in metrics:
-                pc = coverage_probability(CoverageQuery(rho_th=rho_th, rho0=rho0), ga)
-                rows["coverage"].append(_row(value, pc, mc_cov, ga))
-            if "capacity" in metrics:
-                cap = ergodic_capacity(ga, rho0).bits
-                rows["capacity"].append(_row(value, cap, mc_cap, ga))
-    else:
-        seeds = np.random.SeedSequence(cfg.mc.seed).spawn(len(grid))
-        for i, value in enumerate(grid):
-            links, geom, rho0, rho_th = _point_inputs(cfg, variable, value)
+    state = ga = sim = None
+    for i, value in enumerate(grid):
+        links, geom, rho0, rho_th = _point_inputs(cfg, variable, value)
+        if (links, geom) != state:
+            state = (links, geom)
             ga = gamma_approx(links, geom, cfg.constellation)
-            mc_cov = mc_cap = None
-            if use_mc:
-                opts = dataclasses.replace(cfg.mc, seed=int(seeds[i].generate_state(1)[0]))
-                res = simulate_snr(links, geom, cfg.constellation, opts)
-                mc_cov = empirical_coverage(res, rho_th)
-                mc_cap = empirical_capacity(res)
-            rows["coverage"].append(
-                _row(value, coverage_probability(CoverageQuery(rho_th=rho_th, rho0=rho0), ga),
-                     mc_cov, ga))
-            rows["capacity"].append(_row(value, ergodic_capacity(ga, rho0).bits, mc_cap, ga))
-
+            if cfg.mc_enabled:
+                # child i of SeedSequence(cfg.mc.seed)
+                child = np.random.SeedSequence(cfg.mc.seed, spawn_key=(i,))
+                opts = dataclasses.replace(cfg.mc, seed=int(child.generate_state(1)[0]))
+                sim = simulate_snr(links, geom, cfg.constellation, opts)
+        scaled = sim
+        if sim is not None and rho0 != links.transmit_snr:
+            scaled = dataclasses.replace(
+                sim, snr_samples=sim.snr_samples * (rho0 / links.transmit_snr))
+        for metric in metrics:
+            if metric == "coverage":
+                analytic = coverage_probability(CoverageQuery(rho_th=rho_th, rho0=rho0), ga)
+                mc = empirical_coverage(scaled, rho_th) if scaled is not None else None
+            else:
+                analytic = ergodic_capacity(ga, rho0).bits
+                mc = empirical_capacity(scaled) if scaled is not None else None
+            rows[metric].append((value, analytic, *(mc or (None, None)), ga.alpha, ga.beta))
     return [SweepTable(variable=variable, metric=m, rows=tuple(rows[m])) for m in metrics]
-
-
-def _row(value: float, analytic: float, mc: Estimate | None, ga: GammaApprox) -> tuple:
-    if mc is None:
-        return (value, analytic, None, None, ga.alpha, ga.beta)
-    return (value, analytic, mc.value, mc.stderr, ga.alpha, ga.beta)
 
 
 def _fmt(v) -> str:
@@ -190,16 +166,14 @@ def write_table(table: SweepTable, directory: Path, fmt: str) -> Path:
     return path
 
 
-def run_scenario(source: str | Path | ScenarioConfig, out_dir: str | Path | None = None,
-                 fmt: str | None = None, use_mc: bool | None = None,
-                 spec: SweepSpec | None = None) -> RunSummary:
+def run_scenario(source: str | Path | ScenarioConfig,
+                 out_dir: str | Path | None = None) -> RunSummary:
     """Run a scenario file (or parsed config): sweep, write one table per
     metric plus the resolved-config echo, return what was written."""
     cfg = source if isinstance(source, ScenarioConfig) else load_scenario(source)
     directory = Path(out_dir) if out_dir is not None else Path(cfg.output.directory)
-    fmt = fmt or cfg.output.format
-    tables = sweep(cfg, spec=spec, use_mc=use_mc)
-    paths = tuple(write_table(t, directory, fmt) for t in tables)
+    tables = sweep(cfg)
+    paths = tuple(write_table(t, directory, cfg.output.format) for t in tables)
     resolved_path = directory / "resolved.yaml"
     resolved_path.write_text(
         yaml.safe_dump(resolved_mapping(cfg), sort_keys=False), encoding="utf-8")

@@ -38,6 +38,10 @@ __all__ = [
 ]
 
 SWEEP_VARIABLES = ("rho_th", "rho0", "N", "L", "R0", "H")
+# caps on the counts that size memory: RISs, elements per RIS, grid points
+MAX_RIS = 10_000
+MAX_ELEMENTS = 10_000
+MAX_GRID_POINTS = 1_000_000
 
 
 def db_to_linear(db: float) -> float:
@@ -106,7 +110,8 @@ def _finite(val, path: str) -> float:
     try:
         v = float(val)
     except OverflowError:
-        v = math.inf
+        raise ConfigError(f"{path}: expected a finite number, got an integer beyond "
+                          "the float range") from None
     if not math.isfinite(v):
         raise ConfigError(f"{path}: expected a finite number, got {v}")
     return v
@@ -125,12 +130,15 @@ def _number(mapping: dict, path: str, *, default=None, minimum=None,
     return v
 
 
-def _integer(mapping: dict, path: str, *, default=None, minimum=None) -> int:
+def _integer(mapping: dict, path: str, *, default=None, minimum=None, maximum=None) -> int:
     val = _get(mapping, path) if default is None else _get(mapping, path, default)
     if isinstance(val, bool) or not isinstance(val, int):
         raise ConfigError(f"{path}: expected an integer, got {val!r}")
+    _finite(val, path)
     if minimum is not None and val < minimum:
         raise ConfigError(f"{path}: must be >= {minimum}, got {val}")
+    if maximum is not None and val > maximum:
+        raise ConfigError(f"{path}: must be <= {maximum}, got {val}")
     return val
 
 
@@ -220,7 +228,7 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
     except Exception as exc:
         raise ConfigError(f"geometry: {exc}") from exc
 
-    count = _integer(raw, "ris.count", minimum=0)
+    count = _integer(raw, "ris.count", minimum=0, maximum=MAX_RIS)
     exponent_seed = None
     exponent_range = None
     ris_links: tuple[RisLink, ...] = ()
@@ -228,8 +236,9 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
         elements_raw = _get(raw, "ris.elements")
         elements, _ = _per_ris_values(elements_raw, count, "ris.elements")
         for i, e in enumerate(elements):
-            if isinstance(e, bool) or not isinstance(e, int) or e < 1:
-                raise ConfigError(f"ris.elements[{i}]: expected an integer >= 1, got {e!r}")
+            if isinstance(e, bool) or not isinstance(e, int) or not 1 <= e <= MAX_ELEMENTS:
+                raise ConfigError(f"ris.elements[{i}]: expected an integer in "
+                                  f"[1, {MAX_ELEMENTS}], got {e!r}")
         sat_fading_raw = _get(raw, "ris.sat_fading")
         sat_fadings, _ = _per_ris_values(sat_fading_raw, count, "ris.sat_fading")
         user_fading_raw = _get(raw, "ris.user_fading")
@@ -275,8 +284,7 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
     if variable not in SWEEP_VARIABLES:
         raise ConfigError(
             f"sweep.variable: must be one of {', '.join(SWEEP_VARIABLES)}, got {variable!r}")
-    grid = parse_grid(_get(raw, "sweep.grid"), "sweep.grid")
-    _validate_grid(variable, grid, "sweep.grid")
+    grid = parse_grid(_get(raw, "sweep.grid"), variable, "sweep.grid")
 
     mc_enabled = _boolean(raw, "monte_carlo.enabled", False)
     mc = SimOptions(
@@ -308,9 +316,11 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
     )
 
 
-def parse_grid(node, path: str) -> tuple[float, ...]:
-    """Grid spec: explicit list, or {start, stop, points} for a linspace,
-    or the CLI string forms 'a,b,c' and 'start:stop:points'."""
+def parse_grid(node, variable: str, path: str) -> tuple[float, ...]:
+    """Grid of a sweep over ``variable``: explicit list, or {start, stop,
+    points} for a linspace, or the CLI string forms 'a,b,c' and
+    'start:stop:points'. Values must be finite, sorted ascending and in
+    the variable's domain."""
     if isinstance(node, str):
         if ":" in node:
             bits = node.split(":")
@@ -323,38 +333,35 @@ def parse_grid(node, path: str) -> tuple[float, ...]:
             node = {"start": start, "stop": stop, "points": points}
         else:
             try:
-                return tuple(float(v) for v in node.split(","))
+                node = [float(v) for v in node.split(",")]
             except ValueError as exc:
                 raise ConfigError(f"{path}: {exc}") from exc
     if isinstance(node, dict):
-        start = _number(node, "start")
-        stop = _number(node, "stop")
-        points = _integer(node, "points", minimum=1)
-        return tuple(np.linspace(start, stop, points).tolist())
-    if isinstance(node, list):
-        out = []
-        for i, v in enumerate(node):
-            out.append(_finite(v, f"{path}[{i}]"))
-        if not out:
-            raise ConfigError(f"{path}: grid must not be empty")
-        return tuple(out)
-    raise ConfigError(f"{path}: expected a list, a start/stop/points mapping, "
-                      f"or a grid string, got {node!r}")
-
-
-def _validate_grid(variable: str, grid: tuple[float, ...], path: str) -> None:
+        try:
+            start, stop = _number(node, "start"), _number(node, "stop")
+            points = _integer(node, "points", minimum=1, maximum=MAX_GRID_POINTS)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}.{exc}") from None
+        grid = tuple(np.linspace(start, stop, points).tolist())
+    elif isinstance(node, list):
+        grid = tuple(_finite(v, f"{path}[{i}]") for i, v in enumerate(node))
+    else:
+        raise ConfigError(f"{path}: expected a list, a start/stop/points mapping, "
+                          f"or a grid string, got {node!r}")
     if not grid:
         raise ConfigError(f"{path}: grid must not be empty")
-    if not all(math.isfinite(v) for v in grid):
-        raise ConfigError(f"{path}: grid values must be finite, got {grid}")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ConfigError(f"{path}: grid must be sorted ascending")
     if variable in ("N", "L"):
+        cap = MAX_RIS if variable == "N" else MAX_ELEMENTS
         for v in grid:
             if v != int(v) or v < (0 if variable == "N" else 1):
                 raise ConfigError(f"{path}: {variable} grid needs nonnegative integers, got {v}")
+            if v > cap:
+                raise ConfigError(f"{path}: {variable} grid values must be <= {cap}, got {v}")
     if variable in ("R0", "H") and any(v < 0 or (variable == "R0" and v == 0) for v in grid):
         raise ConfigError(f"{path}: {variable} grid values must be positive")
+    return grid
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
@@ -362,7 +369,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     text = Path(path).read_text(encoding="utf-8")
     try:
         raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: integers past 4300 digits
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     return parse_scenario(raw)
 

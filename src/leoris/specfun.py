@@ -100,16 +100,13 @@ def kummer_1f1(a: float, b: float, x: float,
     return _pfq_series((a,), (b,), x, budget)[0]
 
 
-def gauss_2f1(a: float, b: float, c: float, z: float,
-              budget: AccuracyBudget = DEFAULT_BUDGET) -> float:
+def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     """Gauss hypergeometric 2F1(a, b; c; z) for real z < 1.
 
     Delegates to scipy's implementation, which applies the Pfaff/Euler
     transformation network internally; arbitrarily large negative z is
-    fine. The budget argument is kept for interface symmetry (the
-    transformation-based evaluation is far inside the default budget).
+    fine.
     """
-    del budget
     if _is_nonpositive_int(c):
         raise DomainError(f"gauss_2f1 pole: c={c} is a non-positive integer")
     if z >= 1.0:

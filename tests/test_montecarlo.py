@@ -12,6 +12,7 @@ from leoris.errors import ComputationError, DomainError
 from leoris.fading import KappaMuParams
 from leoris.geometry import Constellation, CylinderGeometry
 from leoris.metrics import CoverageQuery, coverage_probability
+from leoris import montecarlo
 from leoris.montecarlo import (
     SimOptions,
     SimResult,
@@ -67,6 +68,39 @@ def test_trial_partition_covers_all_trials():
     assert res.trials == 1003
     assert res.snr_samples.shape == (1003,)
     assert res.workers == 4
+
+
+def test_pool_never_outgrows_the_partitions_or_the_cpus(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Runs the partitions in this process and records the pool size."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+    cfg = default_links(1)
+    opt = SimOptions(trials=20, seed=0, workers=1000)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+    pooled = simulate_snr(cfg, GEOM, CON, opt)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 1)
+    serial = simulate_snr(cfg, GEOM, CON, opt)
+    # one trial per partition either way, from the same spawned streams
+    fewer = simulate_snr(cfg, GEOM, CON, dataclasses.replace(opt, workers=20))
+    assert sizes == [3]
+    assert np.array_equal(pooled.snr_samples, serial.snr_samples)
+    assert np.array_equal(pooled.snr_samples, fewer.snr_samples)
+    assert pooled.workers == 1000 and pooled.trials == 20
 
 
 def test_no_path_gives_zero_snr():

@@ -3,6 +3,7 @@ and sweep/CLI behavior on small grids."""
 
 import copy
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -14,8 +15,18 @@ from leoris.cli import main as cli_main
 from leoris.errors import ConfigError
 from leoris.metrics import CoverageQuery, coverage_probability, ergodic_capacity
 from leoris.channel import gamma_approx
+from leoris import runner
 from leoris.runner import run_scenario, sweep
-from leoris.scenario import SweepSpec, parse_grid, parse_scenario, resolved_mapping
+from leoris.scenario import (
+    MAX_ELEMENTS,
+    MAX_GRID_POINTS,
+    MAX_RIS,
+    SweepSpec,
+    load_scenario,
+    parse_grid,
+    parse_scenario,
+    resolved_mapping,
+)
 
 DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
 
@@ -149,6 +160,38 @@ def test_cli_rejects_infinite_power(tmp_path, capsys):
     assert "power.symbol_energy_w" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path,value,fragment", [
+    ("ris.count", 10 ** 400, "ris.count"),
+    ("ris.count", MAX_RIS + 1, "ris.count"),
+    ("constellation.satellites", 10 ** 400, "constellation.satellites"),
+    ("sweep.grid", {"start": 0.0, "stop": 1.0, "points": 10 ** 400}, "sweep.grid.points"),
+    ("sweep.grid", {"start": 0.0, "stop": 1.0, "points": MAX_GRID_POINTS + 1},
+     "sweep.grid.points"),
+    ("sweep", {"variable": "N", "grid": [4, MAX_RIS + 1]}, "sweep.grid"),
+    ("ris.elements", 10 ** 200, "ris.elements"),
+    ("ris.elements", MAX_ELEMENTS + 1, "ris.elements"),
+    ("sweep", {"variable": "L", "grid": [4, 1e200]}, "sweep.grid"),
+])
+def test_counts_beyond_their_caps_are_rejected(path, value, fragment):
+    with pytest.raises(ConfigError, match=fragment.replace(".", r"\.")):
+        parse_scenario(_variant(**{path: value}))
+
+
+def test_cli_rejects_huge_ris_count(tmp_path, capsys):
+    path = _write_config(tmp_path, _variant(**{"ris.count": 10 ** 400}))
+    assert cli_main(["run", str(path), "--no-mc", "--out", str(tmp_path / "o")]) == 2
+    assert "ris.count" in capsys.readouterr().err
+
+
+def test_integer_too_long_to_read(tmp_path):
+    text = DEFAULT_CONFIG.read_text(encoding="utf-8")
+    path = tmp_path / "long.yaml"
+    path.write_text(text.replace("satellites: 1000", "satellites: " + "1" * 5000),
+                    encoding="utf-8")
+    with pytest.raises(ConfigError, match="invalid YAML"):
+        load_scenario(path)
+
+
 def test_missing_required_field():
     raw = copy.deepcopy(BASE)
     del raw["power"]
@@ -171,19 +214,27 @@ def test_per_ris_lists():
 
 
 def test_grid_parsing_forms():
-    assert parse_grid([1, 2, 3], "g") == (1.0, 2.0, 3.0)
-    assert parse_grid({"start": 0.0, "stop": 10.0, "points": 3}, "g") == (0.0, 5.0, 10.0)
-    assert parse_grid("1,2,4", "g") == (1.0, 2.0, 4.0)
-    assert parse_grid("0:10:3", "g") == (0.0, 5.0, 10.0)
+    assert parse_grid([1, 2, 3], "rho_th", "g") == (1.0, 2.0, 3.0)
+    assert parse_grid({"start": 0.0, "stop": 10.0, "points": 3}, "rho_th", "g") == (0.0, 5.0, 10.0)
+    assert parse_grid("1,2,4", "rho_th", "g") == (1.0, 2.0, 4.0)
+    assert parse_grid("0:10:3", "rho_th", "g") == (0.0, 5.0, 10.0)
     with pytest.raises(ConfigError):
-        parse_grid("1:2", "g")
+        parse_grid("1:2", "rho_th", "g")
     with pytest.raises(ConfigError):
-        parse_grid({"start": 0.0}, "g")
+        parse_grid({"start": 0.0}, "rho_th", "g")
+
+
+def _sweep_config(variable=None, grid=None, mc=False):
+    """BASE as a config, sweeping ``variable`` over ``grid`` when given."""
+    cfg = parse_scenario(copy.deepcopy(BASE))
+    if variable is not None:
+        cfg = dataclasses.replace(cfg, sweep=SweepSpec(variable, grid))
+    return dataclasses.replace(cfg, mc_enabled=mc)
 
 
 def test_sweep_rho_th_matches_direct_metric_calls():
-    cfg = parse_scenario(copy.deepcopy(BASE))
-    tables = sweep(cfg, use_mc=False)
+    cfg = _sweep_config()
+    tables = sweep(cfg)
     assert len(tables) == 1
     table = tables[0]
     ga = gamma_approx(cfg.links, cfg.geometry, cfg.constellation)
@@ -196,14 +247,13 @@ def test_sweep_rho_th_matches_direct_metric_calls():
 
 
 def test_sweep_singleton_grid():
-    cfg = parse_scenario(copy.deepcopy(BASE))
-    tables = sweep(cfg, spec=SweepSpec("rho_th", (20.0,)), use_mc=False)
+    tables = sweep(_sweep_config("rho_th", (20.0,)))
     assert len(tables[0].rows) == 1
 
 
 def test_sweep_rho0_capacity():
-    cfg = parse_scenario(copy.deepcopy(BASE))
-    tables = sweep(cfg, spec=SweepSpec("rho0", (100.0, 120.0, 140.0)), use_mc=False)
+    cfg = _sweep_config("rho0", (100.0, 120.0, 140.0))
+    tables = sweep(cfg)
     table = tables[0]
     assert table.metric == "capacity"
     ga = gamma_approx(cfg.links, cfg.geometry, cfg.constellation)
@@ -215,16 +265,15 @@ def test_sweep_rho0_capacity():
 
 
 def test_sweep_geometry_variables_trend():
-    cfg = parse_scenario(copy.deepcopy(BASE))
     for var in ("R0", "H"):
-        tables = sweep(cfg, spec=SweepSpec(var, (60.0, 120.0, 240.0)), use_mc=False)
+        tables = sweep(_sweep_config(var, (60.0, 120.0, 240.0)))
         caps = [row[1] for t in tables if t.metric == "capacity" for row in t.rows]
         assert caps[0] > caps[1] > caps[2], var
 
 
 def test_sweep_ris_count_uses_prefix_draws():
-    cfg = parse_scenario(copy.deepcopy(BASE))
-    tables = sweep(cfg, spec=SweepSpec("N", (1.0, 2.0, 3.0, 6.0)), use_mc=False)
+    cfg = _sweep_config("N", (1.0, 2.0, 3.0, 6.0))
+    tables = sweep(cfg)
     cov = {row[0]: row[1] for row in tables[0].rows}
     assert cov[1.0] < cov[2.0] < cov[3.0] < cov[6.0]
     # the smaller counts reuse the recorded draw's prefix
@@ -233,6 +282,38 @@ def test_sweep_ris_count_uses_prefix_draws():
     want = coverage_probability(
         CoverageQuery(10.0 ** (cfg.coverage_threshold_db / 10.0), cfg.rho0), ga)
     assert cov[2.0] == pytest.approx(want, rel=1e-12)
+
+
+def test_point_draws_from_its_child_seed():
+    # a single simulated point draws from child 0 whatever the variable
+    by_count = sweep(_sweep_config("N", (3.0,), mc=True))
+    by_threshold = sweep(_sweep_config("rho_th", (20.0,), mc=True))
+    assert by_count[0].rows[0][2:4] == by_threshold[0].rows[0][2:4]
+
+
+@pytest.mark.parametrize("variable,grid,calls", [
+    ("rho_th", (0.0, 20.0, 40.0), 1),
+    ("rho0", (100.0, 120.0), 1),
+    ("N", (1.0, 2.0, 3.0), 3),
+    # an adjacent repeat reuses the previous point's fit and simulation
+    ("N", (2.0, 2.0, 3.0), 2),
+])
+def test_fit_and_simulation_once_per_link_state(monkeypatch, variable, grid, calls):
+    counts = {"gamma_approx": 0, "simulate_snr": 0}
+    for name in counts:
+        def counting(*args, _name=name, _fn=getattr(runner, name)):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(runner, name, counting)
+    sweep(_sweep_config(variable, grid, mc=True))
+    assert counts == {"gamma_approx": calls, "simulate_snr": calls}
+
+
+def test_transmit_snr_sweep_rescales_the_simulation():
+    db = parse_scenario(copy.deepcopy(BASE)).rho0_db
+    (table,) = sweep(_sweep_config("rho0", (db, db + 10.0), mc=True))
+    low, high = (row[2] for row in table.rows)
+    assert low < high
 
 
 def _write_config(tmp_path, raw):
@@ -266,7 +347,8 @@ def test_run_scenario_round_trip_bit_identical(tmp_path):
 def test_resolved_echo_reproduces_ris_count_sweep(tmp_path):
     # counts above the recorded list redraw exponents from the recorded
     # sub-seed, so the echo has to carry the seed and range
-    first = run_scenario(DEFAULT_CONFIG, out_dir=tmp_path / "a", use_mc=False)
+    cfg = dataclasses.replace(load_scenario(DEFAULT_CONFIG), mc_enabled=False)
+    first = run_scenario(cfg, out_dir=tmp_path / "a")
     argv = ["--var", "N", "--grid", "4,8,12,16", "--no-mc"]
     assert cli_main(["sweep", str(DEFAULT_CONFIG), *argv, "--out", str(tmp_path / "b")]) == 0
     assert cli_main(["sweep", str(first.resolved_path), *argv,
@@ -305,6 +387,27 @@ def test_cli_run_and_sweep(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "o2" / "coverage.json").exists()
     assert (tmp_path / "o2" / "capacity.json").exists()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("var,grid", [("N", "2.5"), ("L", "2.5"), ("N", "8,4")])
+def test_cli_grid_is_validated_like_a_config_grid(tmp_path, capsys, var, grid):
+    path = _write_config(tmp_path, _variant())
+    code = cli_main(["sweep", str(path), "--var", var, "--grid", grid, "--no-mc",
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "--grid" in capsys.readouterr().err
+
+
+def test_cli_sweep_echo_reproduces_the_run(tmp_path, capsys):
+    # --var/--grid, --no-mc and --format land in the echo, so re-running
+    # it without options writes the same tables
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert cli_main(["sweep", str(DEFAULT_CONFIG), "--var", "N", "--grid", "4,8", "--no-mc",
+                     "--format", "json", "--out", str(a)]) == 0
+    assert cli_main(["run", str(a / "resolved.yaml"), "--out", str(b)]) == 0
+    for name in ("coverage.json", "capacity.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
     capsys.readouterr()
 
 
