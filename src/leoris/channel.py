@@ -10,6 +10,7 @@ moment fit used by the coverage and capacity expressions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -107,23 +108,29 @@ def _path_moments(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation,
     Second moments use the unit-power normalization
     E[|q|^2] = E[|g|^2] = E[|u|^2] = 1, so the element-sum second moment
     reduces to L + (L^2 - L) * (first-moment product)^2.
+
+    RISs usually share their fading laws and satellite-hop exponent, so
+    each distinct envelope and satellite-distance moment is evaluated
+    once per call; the RIS-distance moment depends on each RIS's own
+    exponent.
     """
+    envelope = functools.cache(envelope_moment)
+    sat_moment = functools.cache(lambda order, exponent: sat_distance_moment(order, exponent, con))
     for link in cfg.ris:
         L = link.elements
-        m1 = envelope_moment(1.0, link.sat_fading) * envelope_moment(1.0, link.user_fading)
+        m1 = envelope(1.0, link.sat_fading) * envelope(1.0, link.user_fading)
         mean = (L * m1
-                * sat_distance_moment(1, link.sat_exponent, con)
+                * sat_moment(1, link.sat_exponent)
                 * ris_distance_moment(1, link.user_exponent, geom))
         if not with_second:
             yield mean, None
             continue
         yield mean, ((L + (L * L - L) * m1 * m1)
-                     * sat_distance_moment(2, link.sat_exponent, con)
+                     * sat_moment(2, link.sat_exponent)
                      * ris_distance_moment(2, link.user_exponent, geom))
     if cfg.direct.enabled:
-        mean = (envelope_moment(1.0, cfg.direct.fading)
-                * sat_distance_moment(1, cfg.direct.exponent, con))
-        yield mean, sat_distance_moment(2, cfg.direct.exponent, con) if with_second else None
+        mean = envelope(1.0, cfg.direct.fading) * sat_moment(1, cfg.direct.exponent)
+        yield mean, sat_moment(2, cfg.direct.exponent) if with_second else None
 
 
 def _variance(paths) -> float:

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtr as _chdtr, chndtr as _chndtr, ive as _ive
 
-from .errors import DomainError
-from .specfun import kummer_1f1
+from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "KappaMuParams",
@@ -45,18 +44,78 @@ class KappaMuParams:
             raise DomainError(f"mu must be > 0, got {self.mu}")
 
 
+# B_2k / (2k (2k - 1)), k = 1..7: Stirling series of ln Gamma
+_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0,
+             -691.0 / 360360.0, 1.0 / 156.0)
+# the mixture sum stops once the terms left, bounded by a geometric
+# series, fall below this share of the sum
+_TAIL = 1e-17
+_MAX_TERMS = 100_000
+
+
+def _log_gamma_ratio(a: float, s: float) -> float:
+    """ln(Gamma(a + s) / (Gamma(a) a^s)) for a > 0, s > 0.
+
+    Below a = 10 the lgamma difference is accurate; above, the difference
+    of two Stirling series, with the leading terms folded into log1p, keeps
+    the accuracy that lgamma differences lose in proportion to a ln a.
+    """
+    if a < 10.0:
+        return math.lgamma(a + s) - math.lgamma(a) - s * math.log(a)
+    series = sum(c * ((a + s) ** (1 - 2 * k) - a ** (1 - 2 * k))
+                 for k, c in enumerate(_STIRLING, 1))
+    return (a + s - 0.5) * math.log1p(s / a) - s + series
+
+
 def envelope_moment(t: float, p: KappaMuParams) -> float:
     """E[|h|^t] of the unit-power envelope.
 
-    Gamma-ratio prefactor assembled in log space; t = 2 returns exactly 1
-    up to the confluent-series tolerance.
+    (1 + kappa) mu |h|^2 is a Poisson(kappa mu) mixture of Gamma(mu + j)
+    laws, so with lam = kappa mu and s = t / 2
+
+        E[|h|^t] = sum_j Pois(j; lam) Gamma(mu + j + s) / Gamma(mu + j)
+                   / ((1 + kappa) mu)^s.
+
+    Every term is positive, so nothing cancels at any kappa or mu. The
+    sum runs outward from the Poisson mode j0 = floor(lam) with weights
+    relative to the mode's, normalized by their own sum, and the mode's
+    Gamma ratio comes from a Stirling difference. Raises
+    ConvergenceError past 100 000 terms (lam beyond about 1e8).
     """
     if not t > 0:
         raise DomainError(f"moment order must be > 0, got {t}")
     k, m = p.kappa, p.mu
-    log_pref = math.lgamma(m + t / 2.0) - math.lgamma(m) - k * m \
-        - (t / 2.0) * math.log((1.0 + k) * m)
-    return math.exp(log_pref) * kummer_1f1(m + t / 2.0, m, k * m)
+    lam, s = k * m, t / 2.0
+    j0 = math.floor(lam)
+    # (sum of w_j r_j, sum of w_j) with w the Poisson weight and r the
+    # Gamma ratio, both relative to the mode's
+    num = den = 1.0
+    terms = 0
+    for step in (1, -1):
+        w = r = 1.0
+        j = j0
+        while step == 1 or j > 0:
+            if step == 1:
+                dw, dr = lam / (j + 1), (m + j + s) / (m + j)
+            else:
+                dw, dr = j / lam, (m + j - 1) / (m + j - 1 + s)
+            w *= dw
+            r *= dr
+            j += step
+            num += w * r
+            den += w
+            # this term over the last; the ratios only shrink away from the
+            # mode, so the terms left sum to less than w r ratio / (1 - ratio)
+            ratio = dw * dr
+            if ratio < 1.0 and w * r * ratio < _TAIL * (1.0 - ratio) * num:
+                break
+            terms += 1
+            if terms > _MAX_TERMS:
+                raise ConvergenceError(
+                    f"envelope moment needs more than {_MAX_TERMS} mixture terms "
+                    f"at kappa * mu = {lam:.6g}")
+    return math.exp(_log_gamma_ratio(m + j0, s)
+                    + s * math.log1p((j0 - lam) / (m + lam))) * (num / den)
 
 
 def envelope_pdf(x, p: KappaMuParams):

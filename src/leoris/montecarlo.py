@@ -11,6 +11,13 @@ neglects. The serving satellite's position is drawn directly from its
 law (Beta(1, M) range, polar angle fixed by the range, uniform azimuth),
 so neither mode places the other M - 1 satellites.
 
+One simulation can serve several nested configurations at once (an
+RIS-count or element-count sweep): each nested configuration keeps a
+prefix of the RIS list, each of its RISs possibly with fewer elements,
+and reads its amplitude from the same draws, summing the leading
+elements of each RIS it holds. The full configuration's draws and
+arithmetic are those of a simulation without nested configurations.
+
 Determinism contract: identical (config, seed, workers) give
 bit-identical results. Worker streams are spawned from the root seed, and
 the merge is in fixed worker order, so running the partitions serially or
@@ -22,7 +29,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -44,12 +51,14 @@ __all__ = [
     "SimResult",
     "Estimate",
     "simulate_snr",
+    "is_nested",
     "empirical_coverage",
     "empirical_capacity",
 ]
 
 _CHUNK = 65536
-_MAX_KEPT_SAMPLES = 250_000_000
+# kept SNR samples, summed over the configurations of one simulation
+MAX_KEPT_SAMPLES = 250_000_000
 
 
 @dataclass(frozen=True)
@@ -71,7 +80,8 @@ class SimOptions:
 @dataclass
 class SimResult:
     """SNR samples (when kept) plus streaming moments of the combined
-    response magnitude."""
+    response magnitude; ``nested`` holds the results of the nested
+    configurations simulated from the same draws, in the order given."""
 
     snr_samples: np.ndarray | None
     seed: int
@@ -80,6 +90,7 @@ class SimResult:
     workers: int
     abs_mean: float
     abs_var: float
+    nested: tuple["SimResult", ...] = ()
 
 
 class Estimate(NamedTuple):
@@ -87,19 +98,44 @@ class Estimate(NamedTuple):
     stderr: float
 
 
-def _chunk_cap(cfg: LinkConfig, con: Constellation, exact: bool) -> int:
+def is_nested(sub: LinkConfig, links: LinkConfig) -> bool:
+    """Whether one simulation of ``links`` can also serve ``sub``: a prefix
+    of its RIS list in which each RIS is the same except that it may have
+    fewer elements, with the same direct path and transmit SNR."""
+    return (sub.direct == links.direct and sub.transmit_snr == links.transmit_snr
+            and len(sub.ris) <= len(links.ris)
+            and all(s.elements <= f.elements and replace(s, elements=f.elements) == f
+                    for s, f in zip(sub.ris, links.ris)))
+
+
+def _row_plan(configs: tuple[LinkConfig, ...]) -> list[tuple[tuple[int, np.ndarray], ...]]:
+    """For each RIS of the last (full) configuration, the pairs (element
+    count, indices of the amplitude rows that sum that many of its
+    elements)."""
+    plan = []
+    for n in range(len(configs[-1].ris)):
+        rows: dict[int, list[int]] = {}
+        for r, c in enumerate(configs):
+            if n < len(c.ris):
+                rows.setdefault(c.ris[n].elements, []).append(r)
+        plan.append(tuple((count, np.array(idx)) for count, idx in sorted(rows.items())))
+    return plan
+
+
+def _chunk_cap(cfg: LinkConfig, con: Constellation, exact: bool, rows: int) -> int:
     max_elems = max((link.elements for link in cfg.ris), default=1)
-    cap = min(_CHUNK, max(1024, 8_000_000 // max_elems))
+    cap = min(_CHUNK, max(1024, 8_000_000 // (max_elems * rows)))
     if exact:
         cap = min(cap, max(64, 2_000_000 // con.satellites))
     return cap
 
 
-def _simulate_chunk(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation,
-                    rng: np.random.Generator, count: int, exact: bool,
+def _simulate_chunk(cfg: LinkConfig, plan, rows: int, geom: CylinderGeometry,
+                    con: Constellation, rng: np.random.Generator, count: int, exact: bool,
                     fixed_pos: np.ndarray | None) -> np.ndarray:
-    """Magnitude of the combined response for `count` trials."""
-    amp = np.zeros(count)
+    """Magnitude of the combined response for `count` trials, one row per
+    configuration of the plan (the full configuration last)."""
+    amp = np.zeros((rows, count))
     if exact:
         serving, r_user = sample_serving_satellite(con, rng, count)
     for n, link in enumerate(cfg.ris):
@@ -117,10 +153,19 @@ def _simulate_chunk(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation,
             else:
                 r_ris = sample_ris_distances(geom, rng, count)
         q = sample_envelope(link.sat_fading, rng, (count, link.elements))
-        g = sample_envelope(link.user_fading, rng, (count, link.elements))
-        amp += ((q * g).sum(axis=1)
-                * r_sat ** (-link.sat_exponent / 2.0)
-                * r_ris ** (-link.user_exponent / 2.0))
+        q *= sample_envelope(link.user_fading, rng, (count, link.elements))
+        sat_gain = r_sat ** (-link.sat_exponent / 2.0)
+        ris_gain = r_ris ** (-link.user_exponent / 2.0)
+        # smaller element counts extend a running sum (the plan is sorted
+        # by count); the full count sums q whole, as without nesting
+        head, summed = 0.0, 0
+        for elements, idx in plan[n]:
+            if elements < link.elements:
+                head = head + q[:, summed:elements].sum(axis=1)
+                summed, total = elements, head
+            else:
+                total = q.sum(axis=1)
+            amp[idx] += total * sat_gain * ris_gain
     if cfg.direct.enabled:
         if not exact:
             r_user = sample_nearest_sat_distance(con, rng, count)
@@ -144,32 +189,49 @@ def _merge_moments(state: tuple[int, float, float],
     return total, mean, m2
 
 
-def _run_partition(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation,
-                   count: int, seed_seq: np.random.SeedSequence, exact: bool,
-                   fixed_pos, keep: bool):
+def _run_partition(configs: tuple[LinkConfig, ...], geom: CylinderGeometry,
+                   con: Constellation, count: int, seed_seq: np.random.SeedSequence,
+                   exact: bool, fixed_pos, keep: bool):
+    cfg, rows, plan = configs[-1], len(configs), _row_plan(configs)
     rng = np.random.default_rng(seed_seq)
-    samples = np.empty(count) if keep else None
-    moments = (0, 0.0, 0.0)
-    cap = _chunk_cap(cfg, con, exact)
+    samples = np.empty((rows, count)) if keep else None
+    moments = [(0, 0.0, 0.0)] * rows
+    cap = _chunk_cap(cfg, con, exact, rows)
     done = 0
     while done < count:
         c = min(cap, count - done)
-        amp = _simulate_chunk(cfg, geom, con, rng, c, exact, fixed_pos)
+        amp = _simulate_chunk(cfg, plan, rows, geom, con, rng, c, exact, fixed_pos)
         if keep:
-            samples[done:done + c] = cfg.transmit_snr * amp * amp
-        mb = float(amp.mean())
-        moments = _merge_moments(moments, (c, mb, float(((amp - mb) ** 2).sum())))
+            samples[:, done:done + c] = cfg.transmit_snr * amp * amp
+        for r, row in enumerate(amp):
+            mb = float(row.mean())
+            moments[r] = _merge_moments(moments[r], (c, mb, float(((row - mb) ** 2).sum())))
         done += c
     return samples, moments
 
 
 def simulate_snr(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation,
-                 opt: SimOptions) -> SimResult:
-    """Simulate the received SNR over opt.trials independent trials."""
-    if opt.keep_samples and opt.trials > _MAX_KEPT_SAMPLES:
+                 opt: SimOptions, *, nested: tuple[LinkConfig, ...] = ()) -> SimResult:
+    """Simulate the received SNR over opt.trials independent trials.
+
+    Each configuration in ``nested`` must pass ``is_nested(sub, cfg)``; it
+    is simulated from the same draws and its result is in the returned
+    ``nested``. The full configuration's samples are those of a call
+    without ``nested`` whenever both calls cut the trials into the same
+    chunks (chunks shrink with the number of configurations once they
+    hold more than 8e6 elements).
+    """
+    for sub in nested:
+        if not is_nested(sub, cfg):
+            raise DomainError(
+                "nested configurations must keep a prefix of the RIS list, each RIS "
+                "the same up to fewer elements, and the same direct path and transmit SNR"
+            )
+    rows = len(nested) + 1
+    if opt.keep_samples and opt.trials * rows > MAX_KEPT_SAMPLES:
         raise ComputationError(
-            f"{opt.trials} retained samples would exceed the memory budget; "
-            "lower trials or set keep_samples=False"
+            f"{opt.trials} retained samples for each of {rows} configurations would "
+            "exceed the memory budget; lower trials or set keep_samples=False"
         )
     start = time.perf_counter()
     root = np.random.SeedSequence(opt.seed)
@@ -182,7 +244,7 @@ def simulate_snr(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation,
     # partitions past the trial count would be empty
     partitions = min(workers, opt.trials)
     worker_seeds = sim_root.spawn(partitions)
-    args = [(cfg, geom, con, opt.trials // workers + (i < opt.trials % workers),
+    args = [((*nested, cfg), geom, con, opt.trials // workers + (i < opt.trials % workers),
              worker_seeds[i], opt.exact_per_ris_sat_distance, fixed_pos, opt.keep_samples)
             for i in range(partitions)]
     pool_size = min(partitions, os.cpu_count() or 1)
@@ -191,23 +253,28 @@ def simulate_snr(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation,
     else:
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             parts = list(pool.map(_run_partition_star, args))
-    moments = (0, 0.0, 0.0)
-    for _, m in parts:
-        moments = _merge_moments(moments, m)
+    samples = None
     if opt.keep_samples:
-        samples = np.concatenate([p[0] for p in parts]) if parts else np.empty(0)
-    else:
-        samples = None
-    n, mean, m2 = moments
-    return SimResult(
-        snr_samples=samples,
-        seed=opt.seed,
-        trials=opt.trials,
-        elapsed=time.perf_counter() - start,
-        workers=workers,
-        abs_mean=mean,
-        abs_var=m2 / n if n else 0.0,
-    )
+        samples = parts[0][0] if len(parts) == 1 else np.concatenate([p[0] for p in parts], axis=1)
+    elapsed = time.perf_counter() - start
+
+    def result(r: int, sub: tuple[SimResult, ...] = ()) -> SimResult:
+        moments = (0, 0.0, 0.0)
+        for _, m in parts:
+            moments = _merge_moments(moments, m[r])
+        n, mean, m2 = moments
+        return SimResult(
+            snr_samples=None if samples is None else samples[r],
+            seed=opt.seed,
+            trials=opt.trials,
+            elapsed=elapsed,
+            workers=workers,
+            abs_mean=mean,
+            abs_var=m2 / n if n else 0.0,
+            nested=sub,
+        )
+
+    return result(rows - 1, tuple(result(r) for r in range(rows - 1)))
 
 
 def _run_partition_star(args):

@@ -6,13 +6,20 @@ Table schema (fixed): sweep_value, analytic_metric, mc_metric, mc_stderr,
 alpha, beta. One table per metric; Monte Carlo columns are empty when
 simulation is off.
 
-A sweep is one loop over the grid of a ScenarioConfig, with one reuse
-rule: a point refits the Gamma model, and re-simulates, only when its
-links or geometry differ from the previous point's. Threshold and
-transmit-SNR sweeps thus fit and simulate once; a transmit-SNR point
-rescales the simulated samples. Point i's simulation draws from child i
-of SeedSequence(monte_carlo.seed). Everything a run depends on is in the
-config, so the resolved echo written next to the tables reproduces them.
+A sweep is one loop over the grid of a ScenarioConfig. Consecutive
+points with the same links and geometry form a run, which fits the
+Gamma model once; threshold and transmit-SNR sweeps are a single run,
+and a transmit-SNR point rescales the simulated samples. Consecutive
+runs whose links nest (montecarlo.is_nested: each run's RIS list is a
+prefix of the next run's, each RIS the same up to fewer elements) on the
+same geometry share one simulation, made on the last run's links; that
+is every point of an RIS-count or element-count sweep, whose grids are
+ascending. A shared simulation keeps trials samples per run, so runs are
+grouped only while their samples fit in montecarlo.MAX_KEPT_SAMPLES. A
+group's simulation draws from child i of SeedSequence(monte_carlo.seed),
+where i is the index of the group's first point. Everything a run
+depends on is in the config, so the resolved echo written next to the
+tables reproduces them.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator, NamedTuple
 
 import numpy as np
 import yaml
@@ -29,7 +37,15 @@ import yaml
 from .channel import LinkConfig, gamma_approx
 from .errors import ConfigError
 from .metrics import CoverageQuery, coverage_probability, ergodic_capacity
-from .montecarlo import empirical_capacity, empirical_coverage, simulate_snr
+from .geometry import CylinderGeometry
+from .montecarlo import (
+    MAX_KEPT_SAMPLES,
+    SimResult,
+    empirical_capacity,
+    empirical_coverage,
+    is_nested,
+    simulate_snr,
+)
 from .scenario import ScenarioConfig, db_to_linear, load_scenario, resolved_mapping
 
 __all__ = ["SweepTable", "RunSummary", "sweep", "run_scenario", "write_table"]
@@ -104,39 +120,87 @@ def _point_inputs(cfg: ScenarioConfig, variable: str, value: float):
     return links, geom, rho0, rho_th
 
 
+class _Run(NamedTuple):
+    """Consecutive grid points that share links and geometry."""
+
+    first: int  # index of the first point in the grid
+    links: LinkConfig
+    geometry: CylinderGeometry
+    points: list[tuple[float, float, float]]  # (sweep value, rho0, rho_th)
+
+
+def _runs(cfg: ScenarioConfig) -> Iterator[_Run]:
+    run = None
+    for i, value in enumerate(cfg.sweep.grid):
+        links, geom, rho0, rho_th = _point_inputs(cfg, cfg.sweep.variable, value)
+        if run is None or (links, geom) != (run.links, run.geometry):
+            if run is not None:
+                yield run
+            run = _Run(i, links, geom, [])
+        run.points.append((value, rho0, rho_th))
+    yield run
+
+
+def _groups(cfg: ScenarioConfig, runs: Iterator[_Run]) -> Iterator[list[_Run]]:
+    """Consecutive runs that one simulation can serve: same geometry, each
+    run's links nested in the next run's, and trials samples per run
+    within MAX_KEPT_SAMPLES."""
+    most = max(1, MAX_KEPT_SAMPLES // cfg.mc.trials)
+    group: list[_Run] = []
+    for run in runs:
+        if group and (len(group) == most or run.geometry != group[-1].geometry
+                      or not is_nested(group[-1].links, run.links)):
+            yield group
+            group = []
+        group.append(run)
+    yield group
+
+
+def _simulate(cfg: ScenarioConfig, group: list[_Run]) -> tuple[SimResult, ...]:
+    """One simulation on the last run's links with the others nested, from
+    child (index of the group's first point) of SeedSequence(cfg.mc.seed);
+    returns each run's result."""
+    child = np.random.SeedSequence(cfg.mc.seed, spawn_key=(group[0].first,))
+    opts = dataclasses.replace(cfg.mc, seed=int(child.generate_state(1)[0]))
+    last = group[-1]
+    sim = simulate_snr(last.links, last.geometry, cfg.constellation, opts,
+                       nested=tuple(run.links for run in group[:-1]))
+    return (*sim.nested, sim)
+
+
 # metric tables per sweep variable; every other variable reports both
 _METRICS = {"rho_th": ("coverage",), "rho0": ("capacity",)}
 
 
+def _row(metric: str, value: float, rho0: float, rho_th: float, ga, sim) -> tuple:
+    """One table row; ``sim`` is simulated at rho0, or None."""
+    if metric == "coverage":
+        analytic = coverage_probability(CoverageQuery(rho_th=rho_th, rho0=rho0), ga)
+        mc = empirical_coverage(sim, rho_th) if sim is not None else None
+    else:
+        analytic = ergodic_capacity(ga, rho0).bits
+        mc = empirical_capacity(sim) if sim is not None else None
+    return (value, analytic, *(mc or (None, None)), ga.alpha, ga.beta)
+
+
 def sweep(cfg: ScenarioConfig) -> list[SweepTable]:
-    """Evaluate the scenario's metrics over its sweep grid, refitting and
-    re-simulating only where the links or geometry change."""
-    variable, grid = cfg.sweep.variable, cfg.sweep.grid
+    """Evaluate the scenario's metrics over its sweep grid, fitting once
+    per run of equal links and geometry and simulating once per group of
+    nested runs."""
+    variable = cfg.sweep.variable
     metrics = _METRICS.get(variable, ("coverage", "capacity"))
     rows: dict[str, list[tuple]] = {m: [] for m in metrics}
-    state = ga = sim = None
-    for i, value in enumerate(grid):
-        links, geom, rho0, rho_th = _point_inputs(cfg, variable, value)
-        if (links, geom) != state:
-            state = (links, geom)
-            ga = gamma_approx(links, geom, cfg.constellation)
-            if cfg.mc_enabled:
-                # child i of SeedSequence(cfg.mc.seed)
-                child = np.random.SeedSequence(cfg.mc.seed, spawn_key=(i,))
-                opts = dataclasses.replace(cfg.mc, seed=int(child.generate_state(1)[0]))
-                sim = simulate_snr(links, geom, cfg.constellation, opts)
-        scaled = sim
-        if sim is not None and rho0 != links.transmit_snr:
-            scaled = dataclasses.replace(
-                sim, snr_samples=sim.snr_samples * (rho0 / links.transmit_snr))
-        for metric in metrics:
-            if metric == "coverage":
-                analytic = coverage_probability(CoverageQuery(rho_th=rho_th, rho0=rho0), ga)
-                mc = empirical_coverage(scaled, rho_th) if scaled is not None else None
-            else:
-                analytic = ergodic_capacity(ga, rho0).bits
-                mc = empirical_capacity(scaled) if scaled is not None else None
-            rows[metric].append((value, analytic, *(mc or (None, None)), ga.alpha, ga.beta))
+    for group in _groups(cfg, _runs(cfg)):
+        fits = [gamma_approx(run.links, run.geometry, cfg.constellation) for run in group]
+        sims = _simulate(cfg, group) if cfg.mc_enabled else (None,) * len(group)
+        for run, ga, sim in zip(group, fits, sims):
+            for value, rho0, rho_th in run.points:
+                scaled = sim
+                if sim is not None and rho0 != run.links.transmit_snr:
+                    scaled = dataclasses.replace(
+                        sim, snr_samples=sim.snr_samples * (rho0 / run.links.transmit_snr))
+                for metric in metrics:
+                    rows[metric].append(_row(metric, value, rho0, rho_th, ga, scaled))
     return [SweepTable(variable=variable, metric=m, rows=tuple(rows[m])) for m in metrics]
 
 

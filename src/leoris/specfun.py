@@ -7,9 +7,11 @@ single truncation rule: stop once the next term has been below
 transformation-based implementation because the naive series is useless
 for the large negative arguments produced by tall deployment cylinders.
 The confluent function stays a series here: scipy's ``hyp1f1`` overflows
-to inf for ``a = -1/2`` at large ``b`` and negative arguments, inside the
-validated fading domain. Incomplete gamma, digamma and log-gamma come
-straight from ``scipy.special`` and ``math`` at their call sites.
+to inf for ``a = -1/2`` at large ``b`` and negative arguments. The fading
+moments do not use it (they sum an all-positive Poisson mixture, which
+does not cancel at strong line of sight). Incomplete gamma, digamma and
+log-gamma come straight from ``scipy.special`` and ``math`` at their call
+sites.
 """
 
 from __future__ import annotations

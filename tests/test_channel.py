@@ -3,12 +3,14 @@ fit round-trip, scaling behavior, and light Monte Carlo cross-checks
 (the full-size ones run in the acceptance suite)."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from conftest import default_links
+from leoris import channel
 from leoris.channel import (
     DirectPath,
     GammaApprox,
@@ -24,6 +26,7 @@ from leoris.errors import ComputationError, DivergentMomentError, DomainError
 from leoris.fading import KappaMuParams
 from leoris.geometry import Constellation, CylinderGeometry, ris_distance_moment, sat_distance_moment
 from leoris.montecarlo import SimOptions, simulate_snr
+from leoris.scenario import load_scenario
 
 GEOM = CylinderGeometry(120.0, 120.0)
 CON = Constellation(1000, 1.0e6)
@@ -80,6 +83,29 @@ def test_gamma_fit_requires_signal_path():
     cfg = LinkConfig(ris=(), direct=DirectPath(enabled=False))
     with pytest.raises(ComputationError):
         gamma_approx(cfg, GEOM, CON)
+
+
+def test_each_distinct_moment_evaluated_once(monkeypatch):
+    cfg = load_scenario(Path(__file__).resolve().parents[1] / "configs" / "default.yaml")
+    args = (cfg.links, cfg.geometry, cfg.constellation)
+    want = gamma_approx(*args)
+    counts = {}
+    for name in ("envelope_moment", "sat_distance_moment", "ris_distance_moment"):
+        def counting(*a, _name=name, _fn=getattr(channel, name)):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _fn(*a)
+        monkeypatch.setattr(channel, name, counting)
+    got = gamma_approx(*args)
+    # three fading laws; orders 1 and 2 at one satellite-hop exponent; a
+    # drawn user-hop exponent per RIS at both orders
+    n = len(cfg.links.ris)
+    assert counts == {"envelope_moment": 3, "sat_distance_moment": 2,
+                      "ris_distance_moment": 2 * n}
+    assert got == want
+    # the memo changes no product or sum
+    monkeypatch.setattr(channel.functools, "cache", lambda fn: fn)
+    assert gamma_approx(*args) == want
+    assert counts["envelope_moment"] == 3 + 2 * n + 1
 
 
 def test_mean_strictly_increases_with_ris_count():

@@ -7,13 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import iv
 from scipy.stats import kstest
 
-from leoris.errors import DomainError
+from leoris.errors import ConvergenceError, DomainError
 from leoris.fading import (
     KappaMuParams,
     envelope_cdf,
@@ -57,6 +58,39 @@ def test_moment_matches_pdf_quadrature(kappa, mu, t):
     want, _ = quad(lambda x: x ** t * envelope_pdf(x, p), 0.0, np.inf,
                    epsabs=1e-13, epsrel=1e-12, limit=200)
     assert envelope_moment(t, p) == pytest.approx(want, rel=1e-8)
+
+
+def _moment_mpmath(t, kappa, mu):
+    """E[|h|^t] from the confluent form at 40 digits, where its
+    e^(-kappa mu) 1F1(...; kappa mu) cancellation is harmless."""
+    with mp.workdps(40):
+        k, m, s = mp.mpf(kappa), mp.mpf(mu), mp.mpf(t) / 2
+        return float(mp.gamma(m + s) / mp.gamma(m) * mp.exp(-k * m)
+                     * mp.hyp1f1(m + s, m, k * m) / ((1 + k) * m) ** s)
+
+
+# strong line of sight: NaN (150, 5) or ConvergenceError (200, 5), (10, 80)
+# from the confluent series evaluated in double precision
+@pytest.mark.parametrize("kappa,mu", [(150.0, 5.0), (200.0, 5.0), (10.0, 80.0)])
+@pytest.mark.parametrize("t", [1.0, 2.0])
+def test_high_line_of_sight_moments_match_mpmath(kappa, mu, t):
+    got = envelope_moment(t, KappaMuParams(kappa, mu))
+    assert got == pytest.approx(_moment_mpmath(t, kappa, mu), rel=1e-12)
+
+
+def test_moments_match_mpmath_on_a_kappa_mu_grid():
+    for kappa in (0.0, 1e-3, 0.5, 3.0, 20.0, 100.0, 1000.0):
+        for mu in (0.1, 0.5, 1.0, 2.5, 10.0, 60.0, 300.0):
+            for t in (0.5, 1.0, 3.0):
+                p = KappaMuParams(kappa, mu)
+                assert envelope_moment(t, p) == pytest.approx(
+                    _moment_mpmath(t, kappa, mu), rel=1e-12), (t, kappa, mu)
+                assert envelope_moment(2.0, p) == pytest.approx(1.0, rel=1e-13), (kappa, mu)
+
+
+def test_moment_past_the_term_budget_raises():
+    with pytest.raises(ConvergenceError):
+        envelope_moment(1.0, KappaMuParams(1e12, 1.0))
 
 
 def test_pdf_normalization():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import default_links
-from leoris.channel import DirectPath, LinkConfig, RisLink, gamma_approx
+from leoris.channel import DirectPath, LinkConfig, RisLink, gamma_approx, mean_abs_A
 from leoris.errors import ComputationError, DomainError
 from leoris.fading import KappaMuParams
 from leoris.geometry import Constellation, CylinderGeometry
@@ -250,3 +250,91 @@ def test_coverage_matches_closed_form_randomized_scenarios():
             want = coverage_probability(CoverageQuery(rho_th, cfg.transmit_snr), ga)
             assert abs(want - est.value) <= max(0.02, 3.0 * est.stderr), \
                 (case, th_db, want, est.value)
+
+
+def _nested_grid(variable):
+    """(full links, nested links) of an RIS-count or element-count grid."""
+    if variable == "N":
+        return default_links(16), tuple(default_links(n) for n in (1, 4, 8))
+    return default_links(4, 40), tuple(default_links(4, e) for e in (5, 10, 20))
+
+
+@pytest.mark.parametrize("variable", ["N", "L"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_nested_means_match_their_closed_forms(variable, workers):
+    full, nested = _nested_grid(variable)
+    res = simulate_snr(full, GEOM, CON, SimOptions(trials=20_000, seed=17, workers=workers),
+                       nested=nested)
+    assert len(res.nested) == len(nested)
+    for sub, sim in zip((*nested, full), (*res.nested, res)):
+        want = mean_abs_A(sub, GEOM, CON)
+        assert abs(sim.abs_mean - want) <= 5.0 * np.sqrt(sim.abs_var / sim.trials), \
+            (len(sub.ris), sub.ris[0].elements)
+        # each row's samples are the ones its moments were taken from
+        amp = np.sqrt(sim.snr_samples / sub.transmit_snr)
+        assert sim.abs_mean == pytest.approx(float(amp.mean()), rel=1e-12)
+        assert sim.trials == 20_000
+    assert all(sim.nested == () for sim in res.nested)
+
+
+@pytest.mark.parametrize("variable", ["N", "L"])
+@pytest.mark.parametrize("exact", [False, True])
+def test_nesting_leaves_the_full_configuration_unchanged(variable, exact):
+    full, nested = _nested_grid(variable)
+    opt = SimOptions(trials=3000, seed=8, workers=2, exact_per_ris_sat_distance=exact)
+    alone = simulate_snr(full, GEOM, CON, opt)
+    shared = simulate_snr(full, GEOM, CON, opt, nested=nested)
+    again = simulate_snr(full, GEOM, CON, opt, nested=nested)
+    assert np.array_equal(shared.snr_samples, alone.snr_samples)
+    assert (shared.abs_mean, shared.abs_var) == (alone.abs_mean, alone.abs_var)
+    for a, b in zip((*shared.nested, shared), (*again.nested, again)):
+        assert np.array_equal(a.snr_samples, b.snr_samples)
+        assert (a.abs_mean, a.abs_var) == (b.abs_mean, b.abs_var)
+
+
+def test_nested_copy_of_the_full_configuration_reads_the_same_row():
+    cfg = default_links(3)
+    res = simulate_snr(cfg, GEOM, CON, SimOptions(trials=2000, seed=4), nested=(cfg,))
+    assert np.array_equal(res.nested[0].snr_samples, res.snr_samples)
+
+
+def test_exact_mode_nested_means_match_their_closed_forms():
+    full, nested = _nested_grid("N")
+    res = simulate_snr(full, GEOM, CON, SimOptions(trials=10_000, seed=23,
+                                                   exact_per_ris_sat_distance=True),
+                       nested=nested)
+    for sub, sim in zip(nested, res.nested):
+        want = mean_abs_A(sub, GEOM, CON)
+        assert abs(sim.abs_mean - want) <= 5.0 * np.sqrt(sim.abs_var / sim.trials)
+
+
+def _other_fading(cfg):
+    return dataclasses.replace(cfg, ris=(dataclasses.replace(
+        cfg.ris[0], user_fading=KappaMuParams(0.0, 1.0)),) + cfg.ris[1:])
+
+
+@pytest.mark.parametrize("make_sub", [
+    _other_fading,
+    lambda cfg: default_links(4),  # more RISs
+    lambda cfg: default_links(3, elements=21),  # more elements
+    lambda cfg: dataclasses.replace(default_links(2), ris=default_links(3).ris[1:]),
+    lambda cfg: default_links(2, direct=False),
+    lambda cfg: dataclasses.replace(default_links(2), transmit_snr=1.0),
+])
+def test_non_nested_configurations_are_rejected(make_sub):
+    cfg = default_links(3)
+    sub = make_sub(cfg)
+    assert not montecarlo.is_nested(sub, cfg)
+    with pytest.raises(DomainError):
+        simulate_snr(cfg, GEOM, CON, SimOptions(trials=100, seed=0), nested=(sub,))
+
+
+def test_kept_samples_of_all_configurations_stay_within_the_budget(monkeypatch):
+    monkeypatch.setattr(montecarlo, "MAX_KEPT_SAMPLES", 1000)
+    cfg = default_links(2)
+    opt = SimOptions(trials=600, seed=0)
+    simulate_snr(cfg, GEOM, CON, opt)
+    with pytest.raises(ComputationError):
+        simulate_snr(cfg, GEOM, CON, opt, nested=(default_links(1),))
+    simulate_snr(cfg, GEOM, CON, dataclasses.replace(opt, keep_samples=False),
+                 nested=(default_links(1),))

@@ -14,6 +14,7 @@ import yaml
 from leoris.cli import main as cli_main
 from leoris.errors import ConfigError
 from leoris.metrics import CoverageQuery, coverage_probability, ergodic_capacity
+from leoris.montecarlo import empirical_coverage, simulate_snr
 from leoris.channel import gamma_approx
 from leoris import runner
 from leoris.runner import run_scenario, sweep
@@ -291,22 +292,78 @@ def test_point_draws_from_its_child_seed():
     assert by_count[0].rows[0][2:4] == by_threshold[0].rows[0][2:4]
 
 
-@pytest.mark.parametrize("variable,grid,calls", [
-    ("rho_th", (0.0, 20.0, 40.0), 1),
-    ("rho0", (100.0, 120.0), 1),
-    ("N", (1.0, 2.0, 3.0), 3),
-    # an adjacent repeat reuses the previous point's fit and simulation
-    ("N", (2.0, 2.0, 3.0), 2),
+@pytest.mark.parametrize("variable,grid,fits,simulations", [
+    ("rho_th", (0.0, 20.0, 40.0), 1, 1),
+    ("rho0", (100.0, 120.0), 1, 1),
+    # nested counts share one simulation of the largest
+    ("N", (1.0, 2.0, 3.0), 3, 1),
+    # an adjacent repeat reuses the previous point's fit
+    ("N", (2.0, 2.0, 3.0), 2, 1),
+    ("L", (5.0, 10.0, 20.0), 3, 1),
+    ("R0", (60.0, 120.0), 2, 2),
 ])
-def test_fit_and_simulation_once_per_link_state(monkeypatch, variable, grid, calls):
+def test_fit_and_simulation_once_per_link_state(monkeypatch, variable, grid, fits,
+                                                simulations):
     counts = {"gamma_approx": 0, "simulate_snr": 0}
     for name in counts:
-        def counting(*args, _name=name, _fn=getattr(runner, name)):
+        def counting(*args, _name=name, _fn=getattr(runner, name), **kwargs):
             counts[_name] += 1
-            return _fn(*args)
+            return _fn(*args, **kwargs)
         monkeypatch.setattr(runner, name, counting)
     sweep(_sweep_config(variable, grid, mc=True))
-    assert counts == {"gamma_approx": calls, "simulate_snr": calls}
+    assert counts == {"gamma_approx": fits, "simulate_snr": simulations}
+
+
+@pytest.mark.parametrize("variable,grid", [("N", (1.0, 2.0, 3.0)), ("L", (5.0, 10.0, 20.0))])
+def test_count_sweep_reads_every_point_from_one_simulation(variable, grid):
+    cfg = _sweep_config(variable, grid, mc=True)
+    (coverage, _) = sweep(cfg)
+    # one simulation of the last point's links from child 0, the smaller
+    # points nested in it
+    links = [runner._point_inputs(cfg, variable, v)[0] for v in grid]
+    seed = int(np.random.SeedSequence(cfg.mc.seed, spawn_key=(0,)).generate_state(1)[0])
+    sim = simulate_snr(links[-1], cfg.geometry, cfg.constellation,
+                       dataclasses.replace(cfg.mc, seed=seed), nested=tuple(links[:-1]))
+    rho_th = 10.0 ** (cfg.coverage_threshold_db / 10.0)
+    for row, res in zip(coverage.rows, (*sim.nested, sim)):
+        assert row[2:4] == tuple(empirical_coverage(res, rho_th))
+    # the last point reads what a one-point sweep of it reads
+    (alone, _) = sweep(_sweep_config(variable, grid[-1:], mc=True))
+    assert coverage.rows[-1] == alone.rows[0]
+
+
+def test_count_sweep_splits_where_samples_exceed_the_budget(monkeypatch):
+    cfg = _sweep_config("N", (1.0, 2.0, 3.0), mc=True)
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append((args[3].seed, len(kwargs["nested"])))
+        return simulate_snr(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "simulate_snr", recording)
+    monkeypatch.setattr(runner, "MAX_KEPT_SAMPLES", 2 * cfg.mc.trials)
+    (coverage, _) = sweep(cfg)
+    # points 0-1 share child 0's simulation; point 2 starts a group: child 2
+    child = [int(np.random.SeedSequence(cfg.mc.seed, spawn_key=(i,)).generate_state(1)[0])
+             for i in (0, 2)]
+    assert calls == [(child[0], 1), (child[1], 0)]
+    links = runner._with_count(cfg, 3)
+    sim = simulate_snr(links, cfg.geometry, cfg.constellation,
+                       dataclasses.replace(cfg.mc, seed=child[1]))
+    rho_th = 10.0 ** (cfg.coverage_threshold_db / 10.0)
+    assert coverage.rows[2][2:4] == tuple(empirical_coverage(sim, rho_th))
+
+
+@pytest.mark.parametrize("variable,grid", [("N", [2, 4]), ("L", [10, 20])])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_shared_simulation_reproduces_through_the_echo(tmp_path, variable, grid, workers):
+    raw = _variant(**{"sweep.variable": variable, "sweep.grid": grid,
+                      "monte_carlo.enabled": True, "monte_carlo.workers": workers})
+    first = run_scenario(parse_scenario(raw), out_dir=tmp_path / "a")
+    again = run_scenario(parse_scenario(raw), out_dir=tmp_path / "b")
+    echo = run_scenario(first.resolved_path, out_dir=tmp_path / "c")
+    for a, b, c in zip(first.paths, again.paths, echo.paths):
+        assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
 
 def test_transmit_snr_sweep_rescales_the_simulation():
