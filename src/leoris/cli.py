@@ -38,7 +38,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"),
                        help="output format (default: from the scenario)")
         p.add_argument("--seed", type=int, help="override the Monte Carlo seed")
-        p.add_argument("--workers", type=int, help="override the worker count")
+        p.add_argument("--workers", type=int,
+                       help="override the number of simulation threads; the same "
+                            "config and seed give identical output at any count")
         p.add_argument("--mc", dest="mc", action="store_true", default=None,
                        help="run the Monte Carlo cross-check")
         p.add_argument("--no-mc", dest="mc", action="store_false",

@@ -178,5 +178,7 @@ def sample_envelope(p: KappaMuParams, rng: np.random.Generator,
         w = rng.chisquare(2.0 * m, shape)
     else:
         w = rng.noncentral_chisquare(2.0 * m, 2.0 * k * m, shape)
-    env = np.sqrt(w / (2.0 * m * (1.0 + k)))
-    return float(env) if size is None else env
+    # in place: no scaled copy or root beside the draw
+    w /= 2.0 * m * (1.0 + k)
+    np.sqrt(w, out=w)
+    return float(w) if size is None else w

@@ -18,18 +18,21 @@ and reads its amplitude from the same draws, summing the leading
 elements of each RIS it holds. The full configuration's draws and
 arithmetic are those of a simulation without nested configurations.
 
-Determinism contract: identical (config, seed, workers) give
-bit-identical results. Worker streams are spawned from the root seed, and
-the merge is in fixed worker order, so running the partitions serially or
-in a process pool yields the same output.
+Determinism contract: identical (config, seed) give bit-identical
+results at any worker count. Trials are cut into fixed blocks of _BLOCK
+trials (only the last may be short); block b draws from child b of the
+simulation seed, writes its samples into its own slice of the output and
+returns its moments, which merge in block order. Workers are threads that
+run blocks, so the worker count only sets the speed.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -56,7 +59,11 @@ __all__ = [
     "empirical_capacity",
 ]
 
-_CHUNK = 65536
+_BLOCK = 4096
+# elements in one fading array of a chunk
+_CHUNK_ELEMENTS = 8_000_000
+# per-row (count, mean, M2) of no trials
+_NO_MOMENTS = (0, None, None)
 # kept SNR samples, summed over the configurations of one simulation
 MAX_KEPT_SAMPLES = 250_000_000
 
@@ -122,12 +129,11 @@ def _row_plan(configs: tuple[LinkConfig, ...]) -> list[tuple[tuple[int, np.ndarr
     return plan
 
 
-def _chunk_cap(cfg: LinkConfig, con: Constellation, exact: bool, rows: int) -> int:
+def _chunk_cap(cfg: LinkConfig) -> int:
+    """Trials per chunk of a block: the whole block unless the full
+    configuration's largest fading array would pass _CHUNK_ELEMENTS."""
     max_elems = max((link.elements for link in cfg.ris), default=1)
-    cap = min(_CHUNK, max(1024, 8_000_000 // (max_elems * rows)))
-    if exact:
-        cap = min(cap, max(64, 2_000_000 // con.satellites))
-    return cap
+    return max(1, min(_BLOCK, _CHUNK_ELEMENTS // max_elems))
 
 
 def _simulate_chunk(cfg: LinkConfig, plan, rows: int, geom: CylinderGeometry,
@@ -174,40 +180,16 @@ def _simulate_chunk(cfg: LinkConfig, plan, rows: int, geom: CylinderGeometry,
     return amp
 
 
-def _merge_moments(state: tuple[int, float, float],
-                   other: tuple[int, float, float]) -> tuple[int, float, float]:
+def _merge_moments(state: tuple[int, np.ndarray, np.ndarray],
+                   other: tuple[int, np.ndarray, np.ndarray]):
+    """Chan et al.'s pairwise merge of per-row (count, mean, M2)."""
     n0, mean0, m20 = state
     n1, mean1, m21 = other
-    if n1 == 0:
-        return state
     if n0 == 0:
         return other
     total = n0 + n1
     delta = mean1 - mean0
-    mean = mean0 + delta * n1 / total
-    m2 = m20 + m21 + delta * delta * n0 * n1 / total
-    return total, mean, m2
-
-
-def _run_partition(configs: tuple[LinkConfig, ...], geom: CylinderGeometry,
-                   con: Constellation, count: int, seed_seq: np.random.SeedSequence,
-                   exact: bool, fixed_pos, keep: bool):
-    cfg, rows, plan = configs[-1], len(configs), _row_plan(configs)
-    rng = np.random.default_rng(seed_seq)
-    samples = np.empty((rows, count)) if keep else None
-    moments = [(0, 0.0, 0.0)] * rows
-    cap = _chunk_cap(cfg, con, exact, rows)
-    done = 0
-    while done < count:
-        c = min(cap, count - done)
-        amp = _simulate_chunk(cfg, plan, rows, geom, con, rng, c, exact, fixed_pos)
-        if keep:
-            samples[:, done:done + c] = cfg.transmit_snr * amp * amp
-        for r, row in enumerate(amp):
-            mb = float(row.mean())
-            moments[r] = _merge_moments(moments[r], (c, mb, float(((row - mb) ** 2).sum())))
-        done += c
-    return samples, moments
+    return total, mean0 + delta * n1 / total, m20 + m21 + delta * delta * n0 * n1 / total
 
 
 def simulate_snr(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation,
@@ -216,10 +198,8 @@ def simulate_snr(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation,
 
     Each configuration in ``nested`` must pass ``is_nested(sub, cfg)``; it
     is simulated from the same draws and its result is in the returned
-    ``nested``. The full configuration's samples are those of a call
-    without ``nested`` whenever both calls cut the trials into the same
-    chunks (chunks shrink with the number of configurations once they
-    hold more than 8e6 elements).
+    ``nested``. The full configuration's samples and moments are those of
+    a call without ``nested``, at any worker count.
     """
     for sub in nested:
         if not is_nested(sub, cfg):
@@ -239,46 +219,49 @@ def simulate_snr(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation,
     fixed_pos = None
     if opt.fixed_ris_positions and cfg.ris:
         fixed_pos = sample_ris_positions(geom, np.random.default_rng(geo_root), len(cfg.ris))
-    workers = opt.workers
-    # partition i holds trials // workers trials, plus one for i < trials % workers;
-    # partitions past the trial count would be empty
-    partitions = min(workers, opt.trials)
-    worker_seeds = sim_root.spawn(partitions)
-    args = [((*nested, cfg), geom, con, opt.trials // workers + (i < opt.trials % workers),
-             worker_seeds[i], opt.exact_per_ris_sat_distance, fixed_pos, opt.keep_samples)
-            for i in range(partitions)]
-    pool_size = min(partitions, os.cpu_count() or 1)
+    plan, cap, exact = _row_plan((*nested, cfg)), _chunk_cap(cfg), opt.exact_per_ris_sat_distance
+    samples = np.empty((rows, opt.trials)) if opt.keep_samples else None
+
+    def run_block(b: int):
+        # child b of sim_root, as sim_root.spawn(blocks)[b] would give it
+        rng = np.random.default_rng(np.random.SeedSequence(
+            sim_root.entropy, spawn_key=(*sim_root.spawn_key, b), pool_size=sim_root.pool_size))
+        moments = _NO_MOMENTS
+        lo, hi = b * _BLOCK, min(opt.trials, (b + 1) * _BLOCK)
+        while lo < hi:
+            c = min(cap, hi - lo)
+            amp = _simulate_chunk(cfg, plan, rows, geom, con, rng, c, exact, fixed_pos)
+            mb = amp.mean(axis=1)
+            moments = _merge_moments(moments, (c, mb, ((amp - mb[:, None]) ** 2).sum(axis=1)))
+            if samples is not None:
+                out = samples[:, lo:lo + c]
+                np.multiply(amp, cfg.transmit_snr, out=out)
+                out *= amp
+            lo += c
+        return moments
+
+    blocks = -(-opt.trials // _BLOCK)
+    pool_size = min(opt.workers, blocks, os.cpu_count() or 1)
     if pool_size <= 1:
-        parts = [_run_partition(*a) for a in args]
+        n, mean, m2 = reduce(_merge_moments, map(run_block, range(blocks)), _NO_MOMENTS)
     else:
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            parts = list(pool.map(_run_partition_star, args))
-    samples = None
-    if opt.keep_samples:
-        samples = parts[0][0] if len(parts) == 1 else np.concatenate([p[0] for p in parts], axis=1)
+        with ThreadPoolExecutor(max_workers=pool_size) as pool:
+            n, mean, m2 = reduce(_merge_moments, pool.map(run_block, range(blocks)), _NO_MOMENTS)
     elapsed = time.perf_counter() - start
 
     def result(r: int, sub: tuple[SimResult, ...] = ()) -> SimResult:
-        moments = (0, 0.0, 0.0)
-        for _, m in parts:
-            moments = _merge_moments(moments, m[r])
-        n, mean, m2 = moments
         return SimResult(
             snr_samples=None if samples is None else samples[r],
             seed=opt.seed,
             trials=opt.trials,
             elapsed=elapsed,
-            workers=workers,
-            abs_mean=mean,
-            abs_var=m2 / n if n else 0.0,
+            workers=opt.workers,
+            abs_mean=float(mean[r]),
+            abs_var=float(m2[r] / n),
             nested=sub,
         )
 
     return result(rows - 1, tuple(result(r) for r in range(rows - 1)))
-
-
-def _run_partition_star(args):
-    return _run_partition(*args)
 
 
 def _require_samples(res: SimResult) -> np.ndarray:

@@ -154,6 +154,23 @@ def test_sampler_first_moment_consistency():
     assert float(draws.mean()) == pytest.approx(envelope_moment(1.0, p), rel=5e-3)
 
 
+@pytest.mark.parametrize("kappa,mu", [(0.0, 1.5), (2.0, 0.75)])
+@pytest.mark.parametrize("size", [None, 7, (5, 3)])
+def test_sampler_scales_in_place_with_the_same_bits(kappa, mu, size):
+    """In-place scaling gives the bits of sqrt(w / (2 mu (1 + kappa)))."""
+    p = KappaMuParams(kappa, mu)
+    got = sample_envelope(p, np.random.default_rng(15), size)
+    rng = np.random.default_rng(15)
+    shape = () if size is None else size
+    w = (rng.chisquare(2.0 * mu, shape) if kappa == 0.0
+         else rng.noncentral_chisquare(2.0 * mu, 2.0 * kappa * mu, shape))
+    want = np.sqrt(w / (2.0 * mu * (1.0 + kappa)))
+    if size is None:
+        assert type(got) is float and got == float(want)
+    else:
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
 def test_sampler_unit_power():
     rng = np.random.default_rng(12)
     draws = sample_envelope(KappaMuParams(3.0, 3.0), rng, 1_000_000)

@@ -50,16 +50,16 @@ def test_different_seeds_differ():
     assert not np.array_equal(a.snr_samples, b.snr_samples)
 
 
-def test_worker_counts_agree_statistically():
+def test_worker_counts_agree_exactly_and_with_the_closed_form():
     cfg = default_links(4)
     ga = gamma_approx(cfg, GEOM, CON)
     q = CoverageQuery(rho_th=100.0, rho0=cfg.transmit_snr)
     want = coverage_probability(q, ga)
-    for workers in (1, 4):
-        res = simulate_snr(cfg, GEOM, CON,
-                           SimOptions(trials=40_000, seed=3, workers=workers))
-        est = empirical_coverage(res, 100.0)
-        assert abs(est.value - want) <= max(0.02, 3.0 * est.stderr) + 0.01
+    one, four = (simulate_snr(cfg, GEOM, CON, SimOptions(trials=40_000, seed=3, workers=w))
+                 for w in (1, 4))
+    assert np.array_equal(one.snr_samples, four.snr_samples)
+    est = empirical_coverage(four, 100.0)
+    assert abs(est.value - want) <= max(0.02, 3.0 * est.stderr) + 0.01
 
 
 def test_trial_partition_covers_all_trials():
@@ -70,11 +70,53 @@ def test_trial_partition_covers_all_trials():
     assert res.workers == 4
 
 
-def test_pool_never_outgrows_the_partitions_or_the_cpus(monkeypatch):
+_MODES = {
+    "independent": ({}, ()),
+    "exact": ({"exact_per_ris_sat_distance": True}, ()),
+    "nested": ({}, (default_links(1), default_links(2, elements=5))),
+    "summary_only": ({"keep_samples": False}, (default_links(1),)),
+}
+
+
+@pytest.mark.parametrize("trials", [1, 4095, 4096, 4097, 3 * montecarlo._BLOCK + 5])
+@pytest.mark.parametrize("mode", sorted(_MODES))
+def test_worker_counts_give_identical_bits(monkeypatch, mode, trials):
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+    kwargs, nested = _MODES[mode]
+    cfg = default_links(2)
+    runs = [simulate_snr(cfg, GEOM, CON, SimOptions(trials=trials, seed=21, workers=w, **kwargs),
+                         nested=nested)
+            for w in (1, 2, 3)]
+    for res in runs[1:]:
+        assert len(res.nested) == len(nested)
+        for a, b in zip((*runs[0].nested, runs[0]), (*res.nested, res)):
+            assert (a.abs_mean, a.abs_var) == (b.abs_mean, b.abs_var)
+            if a.snr_samples is None:
+                assert b.snr_samples is None
+            else:
+                assert np.array_equal(a.snr_samples, b.snr_samples)
+
+
+def test_block_b_draws_from_child_b_of_the_simulation_seed():
+    cfg = default_links(2)
+    res = simulate_snr(cfg, GEOM, CON,
+                       SimOptions(trials=2 * montecarlo._BLOCK + 3, seed=12, workers=2))
+    sim_root = np.random.SeedSequence(12).spawn(2)[0]
+    amp = montecarlo._simulate_chunk(cfg, montecarlo._row_plan((cfg,)), 1, GEOM, CON,
+                                     np.random.default_rng(sim_root.spawn(3)[2]), 3,
+                                     False, None)[0]
+    assert np.array_equal(res.snr_samples[-3:], cfg.transmit_snr * amp * amp)
+    # whole blocks do not depend on the trial count: a run of whole blocks
+    # is a prefix of any longer one
+    short = simulate_snr(cfg, GEOM, CON, SimOptions(trials=montecarlo._BLOCK, seed=12))
+    assert np.array_equal(short.snr_samples, res.snr_samples[:montecarlo._BLOCK])
+
+
+def test_thread_pool_never_outgrows_the_blocks_or_the_cpus(monkeypatch):
     sizes = []
 
     class RecordingPool:
-        """Runs the partitions in this process and records the pool size."""
+        """Runs the blocks in this thread and records the pool size."""
 
         def __init__(self, max_workers):
             sizes.append(max_workers)
@@ -88,19 +130,47 @@ def test_pool_never_outgrows_the_partitions_or_the_cpus(monkeypatch):
         def map(self, fn, args):
             return map(fn, args)
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
     cfg = default_links(1)
-    opt = SimOptions(trials=20, seed=0, workers=1000)
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
-    pooled = simulate_snr(cfg, GEOM, CON, opt)
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 1)
-    serial = simulate_snr(cfg, GEOM, CON, opt)
-    # one trial per partition either way, from the same spawned streams
-    fewer = simulate_snr(cfg, GEOM, CON, dataclasses.replace(opt, workers=20))
-    assert sizes == [3]
-    assert np.array_equal(pooled.snr_samples, serial.snr_samples)
-    assert np.array_equal(pooled.snr_samples, fewer.snr_samples)
-    assert pooled.workers == 1000 and pooled.trials == 20
+    opt = SimOptions(trials=3 * montecarlo._BLOCK, seed=0, workers=1000)
+    runs = []
+    for cpus, workers in ((8, 1000), (2, 1000), (None, 1000), (8, 1)):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        runs.append(simulate_snr(cfg, GEOM, CON, dataclasses.replace(opt, workers=workers)))
+    # three blocks cap the first pool, two CPUs the second; one CPU or
+    # one worker runs the blocks inline
+    assert sizes == [3, 2]
+    for res in runs[1:]:
+        assert np.array_equal(res.snr_samples, runs[0].snr_samples)
+    assert runs[0].workers == 1000 and runs[0].trials == 3 * montecarlo._BLOCK
+
+
+def test_chunks_depend_on_neither_the_constellation_nor_the_nesting(monkeypatch):
+    sizes = []
+    simulate_chunk = montecarlo._simulate_chunk
+
+    def recording(cfg, plan, rows, geom, con, rng, count, *args):
+        sizes.append(count)
+        return simulate_chunk(cfg, plan, rows, geom, con, rng, count, *args)
+
+    monkeypatch.setattr(montecarlo, "_simulate_chunk", recording)
+    cfg = default_links(2)
+    opt = SimOptions(trials=9000, seed=2, exact_per_ris_sat_distance=True)
+    for satellites in (1000, 1_000_000):
+        sizes.clear()
+        simulate_snr(cfg, GEOM, Constellation(satellites, 1.0e6), opt)
+        assert sizes == [4096, 4096, 808], satellites
+    # a small element budget splits each block the same way with or
+    # without nested rows, so the full row keeps its bits
+    monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 20 * 1500)
+    nested = tuple(default_links(2, elements=e) for e in range(1, 20))
+    runs = []
+    for sub in ((), nested):
+        sizes.clear()
+        runs.append(simulate_snr(cfg, GEOM, CON, opt, nested=sub))
+        assert sizes == [1500, 1500, 1096] * 2 + [808]
+    assert np.array_equal(runs[0].snr_samples, runs[1].snr_samples)
+    assert (runs[0].abs_mean, runs[0].abs_var) == (runs[1].abs_mean, runs[1].abs_var)
 
 
 def test_no_path_gives_zero_snr():
@@ -175,9 +245,9 @@ def test_fixed_ris_positions_mode():
     a = simulate_snr(cfg, GEOM, CON, opt)
     b = simulate_snr(cfg, GEOM, CON, opt)
     assert np.array_equal(a.snr_samples, b.snr_samples)
-    # one deployment: per-worker streams see the same distances
+    # one deployment, drawn apart from the blocks: any worker count reads it
     c = simulate_snr(cfg, GEOM, CON, dataclasses.replace(opt, workers=2))
-    assert c.trials == 2000
+    assert np.array_equal(c.snr_samples, a.snr_samples)
 
 
 def test_exact_satellite_mode_runs_and_agrees_loosely():
