@@ -28,7 +28,6 @@ from .geometry import (
     ris_distance_cdf,
     ris_distance_moment,
     ris_distance_pdf,
-    sample_constellation,
     sample_nearest_sat_distance,
     sample_ris_positions,
     sample_serving_satellite,
@@ -53,6 +52,5 @@ from .montecarlo import (
 )
 from .runner import RunSummary, SweepTable, run_scenario, sweep
 from .scenario import ScenarioConfig, SweepSpec, load_scenario, parse_scenario
-from .specfun import AccuracyBudget, gauss_2f1, generalized_pfq, kummer_1f1
 
 __version__ = "0.1.0"

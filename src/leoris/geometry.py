@@ -18,10 +18,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlog1py as _xlog1py
+from scipy.special import hyp2f1 as _hyp2f1, xlog1py as _xlog1py
 
-from .errors import DivergentMomentError, DomainError
-from .specfun import gauss_2f1
+from .errors import ConvergenceError, DivergentMomentError, DomainError
 
 EARTH_RADIUS_M = 6_371_000.0
 # Gauss-Legendre rule on [0, 1] for the nearest-satellite moments
@@ -174,11 +173,20 @@ def _power_integral(a: float, b: float, p: float) -> float:
 
 def _sqrt_weighted_integral(x: float, R0: float, s: float) -> float:
     """int_{R0}^{x} r^{1-s} sqrt(r^2 - R0^2) dr via an Euler-type
-    hypergeometric reduction."""
+    hypergeometric reduction.
+
+    The 2F1 argument -w/R0^2 grows large and negative for tall regions,
+    where the plain series is useless; scipy's hyp2f1 applies its
+    transformations there.
+    """
     w = x * x - R0 * R0
     if w <= 0.0:
         return 0.0
-    return w ** 1.5 / (3.0 * R0 ** s) * gauss_2f1(s / 2.0, 1.5, 2.5, -w / (R0 * R0))
+    z = -w / (R0 * R0)
+    f = float(_hyp2f1(s / 2.0, 1.5, 2.5, z))
+    if not math.isfinite(f):
+        raise ConvergenceError(f"2F1({s / 2.0}, 1.5; 2.5; {z}) did not evaluate finitely")
+    return w ** 1.5 / (3.0 * R0 ** s) * f
 
 
 def ris_distance_moment(t: int, eps: float, geom: CylinderGeometry) -> float:
@@ -340,8 +348,7 @@ def sample_serving_satellite(con: Constellation, rng: np.random.Generator,
     sample_nearest_sat_distance. A satellite at polar angle theta about
     the shell center lies at squared range h^2 + 4 r_e (r_e + h) u with
     cos(theta) = 1 - 2u, so the nearest one's polar angle follows from
-    its range, and its azimuth is uniform and independent. This is the
-    argmin over sample_constellation in law, at O(1) cost per row.
+    its range, and its azimuth is uniform and independent.
     """
     umin = _nearest_sat_uniform(con, rng, size)
     azimuth = 2.0 * math.pi * rng.random(size)
@@ -353,21 +360,3 @@ def sample_serving_satellite(con: Constellation, rng: np.random.Generator,
                            R * (1.0 - 2.0 * umin) - con.earth_radius))
     return pos, np.sqrt(con.altitude ** 2 + con._scale * umin)
 
-
-def sample_constellation(con: Constellation, rng: np.random.Generator) -> np.ndarray:
-    """All satellite positions of one constellation draw, shape (M, 3),
-    in the user-centered frame.
-
-    The simulator only needs the serving satellite, which
-    sample_serving_satellite draws directly; this materialized form is
-    the reference the tests check that sampler against.
-    """
-    m = con.satellites
-    cos_polar = 1.0 - 2.0 * rng.random(m)
-    sin_polar = np.sqrt(np.maximum(1.0 - cos_polar ** 2, 0.0))
-    azimuth = 2.0 * math.pi * rng.random(m)
-    R = con.shell_radius
-    pos = np.column_stack((R * sin_polar * np.cos(azimuth),
-                           R * sin_polar * np.sin(azimuth),
-                           R * cos_polar - con.earth_radius))
-    return pos

@@ -24,7 +24,6 @@ from scipy.special import (
 
 from .channel import GammaApprox
 from .errors import ConvergenceError, DomainError
-from .specfun import DEFAULT_BUDGET, _pfq_series
 
 __all__ = [
     "CoverageQuery",
@@ -41,6 +40,10 @@ _EPS = sys.float_info.epsilon
 _CLOSED_FORM_RTOL = 1e-7
 # Gamma mass left outside the quadrature range on each side
 _QUANTILE_TAIL = 1e-30
+# hypergeometric series: stop once 3 terms in a row fall below this share
+# of the partial sum, give up after this many terms
+_SERIES_RTOL = 1e-12
+_SERIES_MAX_TERMS = 10_000
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,46 @@ def coverage_probability(q: CoverageQuery, ga: GammaApprox) -> float:
     return float(_gammaincc(ga.alpha, arg))
 
 
+def _pfq_series(num: tuple[float, ...], den: tuple[float, ...],
+                x: float) -> tuple[float, float]:
+    """Generalized hypergeometric series pFq(num; den; x).
+
+    Returns the sum and the largest term magnitude; the sum's rounding
+    error is about machine epsilon times that peak. Raises
+    ConvergenceError when the term budget runs out or when
+    alternating-term cancellation has destroyed more than ~10 digits.
+    """
+    term = 1.0
+    total = 1.0
+    peak = 1.0
+    below = 0
+    for k in range(_SERIES_MAX_TERMS):
+        ratio = x / (k + 1.0)
+        for p in num:
+            ratio *= p + k
+        for q in den:
+            ratio /= q + k
+        term *= ratio
+        total += term
+        mag = abs(term)
+        if mag > peak:
+            peak = mag
+        if mag < _SERIES_RTOL * abs(total):
+            below += 1
+            if below >= 3:
+                if abs(total) * 1e10 < peak:
+                    raise ConvergenceError(
+                        "hypergeometric series lost too much precision to "
+                        f"cancellation (peak term {peak:.3e}, sum {total:.3e})"
+                    )
+                return total, peak
+        else:
+            below = 0
+    raise ConvergenceError(
+        f"hypergeometric series did not converge within {_SERIES_MAX_TERMS} terms"
+    )
+
+
 def _capacity_closed_nats(alpha: float, z: float) -> float:
     """Closed-form E[ln(1 + y^2/z)] for y ~ Gamma(alpha, 1), z > 0.
 
@@ -98,7 +141,7 @@ def _capacity_closed_nats(alpha: float, z: float) -> float:
 
     def term(pref: float, num: tuple, den: tuple) -> tuple[float, float]:
         """pref * pFq(num; den; -z/4) and its rounding-error scale."""
-        value, peak = _pfq_series(num, den, arg, DEFAULT_BUDGET)
+        value, peak = _pfq_series(num, den, arg)
         return pref * value, abs(pref) * peak
 
     t1, r1 = term((math.pi / alpha) / math.sin(half) * math.exp(e1),

@@ -80,6 +80,8 @@ class SimOptions:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         if self.workers < 1:
             raise DomainError(f"workers must be >= 1, got {self.workers}")
 

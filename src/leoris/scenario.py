@@ -52,6 +52,17 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
+def _linear(db: float, path: str, convert=db_to_linear) -> float:
+    """``convert(db)``, which must be a finite positive ratio."""
+    try:
+        value = convert(db)
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise ConfigError(f"{path}: {db:g} is outside the range of finite positive linear values")
+    return value
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     variable: str
@@ -272,10 +283,14 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
 
     symbol_energy = _number(raw, "power.symbol_energy_w", strict_min=0.0)
     noise_dbm = _number(raw, "power.noise_dbm")
-    rho0 = symbol_energy / dbm_to_watts(noise_dbm)
+    rho0 = symbol_energy / _linear(noise_dbm, "power.noise_dbm", dbm_to_watts)
+    if not 0.0 < rho0 < math.inf:
+        raise ConfigError(f"power.symbol_energy_w: transmit SNR {rho0} at noise "
+                          f"{noise_dbm:g} dBm is not a finite positive ratio")
     links = LinkConfig(ris=ris_links, direct=direct, transmit_snr=rho0)
 
     coverage_threshold_db = _number(raw, "metrics.coverage_threshold_db", default=20.0)
+    _linear(coverage_threshold_db, "metrics.coverage_threshold_db")
 
     sweep_node = _get(raw, "sweep")
     if not isinstance(sweep_node, dict):
@@ -361,6 +376,9 @@ def parse_grid(node, variable: str, path: str) -> tuple[float, ...]:
                 raise ConfigError(f"{path}: {variable} grid values must be <= {cap}, got {v}")
     if variable in ("R0", "H") and any(v < 0 or (variable == "R0" and v == 0) for v in grid):
         raise ConfigError(f"{path}: {variable} grid values must be positive")
+    if variable in ("rho_th", "rho0"):
+        for i, v in enumerate(grid):
+            _linear(v, f"{path}[{i}]")
     return grid
 
 

@@ -1,13 +1,18 @@
 """Shared scenario fixtures: the recorded default configuration used by
-the acceptance suite and several module tests."""
+the acceptance suite and several module tests, and reference forms the
+tests check the package against."""
+
+import math
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from leoris.channel import DirectPath, LinkConfig, RisLink
+from leoris.errors import ConvergenceError
 from leoris.fading import KappaMuParams
 from leoris.geometry import EARTH_RADIUS_M, Constellation, CylinderGeometry
+from leoris.metrics import _capacity_closed_nats
 
 # Recorded draw of the per-RIS user-hop exponents (sub-seed 370899, [2, 3)).
 EXPONENT_SEED = 370899
@@ -63,3 +68,56 @@ def sat_moment_mpmath(m: int, h: float, s: float) -> float:
         pts.append(mp.mpf(1))
         val = mp.quad(lambda v: m * (1 - v) ** (m - 1) * (1 + v / c) ** (-mp.mpf(s) / 2), pts)
         return float(mp.mpf(h) ** (-s) * val)
+
+
+def sample_constellation(con: Constellation, rng: np.random.Generator) -> np.ndarray:
+    """All satellite positions of one constellation draw, shape (M, 3),
+    in the user-centered frame: the materialized reference the serving-
+    satellite samplers are checked against."""
+    m = con.satellites
+    cos_polar = 1.0 - 2.0 * rng.random(m)
+    sin_polar = np.sqrt(np.maximum(1.0 - cos_polar ** 2, 0.0))
+    azimuth = 2.0 * math.pi * rng.random(m)
+    R = con.shell_radius
+    return np.column_stack((R * sin_polar * np.cos(azimuth),
+                            R * sin_polar * np.sin(azimuth),
+                            R * cos_polar - con.earth_radius))
+
+
+def capacity_series_point(rng: np.random.Generator) -> tuple[float, float, list]:
+    """A log-uniform (shape, z) at which the capacity closed form returns
+    a value rather than raising, with the (num, den) parameters of its
+    three series, which it sums at -z/4. z runs to 1e4, past the largest
+    z (about 1e3) the form accepts."""
+    while True:
+        alpha, z = 10.0 ** rng.uniform(-2, 2), 10.0 ** rng.uniform(-14, 4)
+        try:
+            _capacity_closed_nats(alpha, z)
+        except ConvergenceError:
+            continue
+        return alpha, z, [((alpha / 2,), (0.5, 1 + alpha / 2)),
+                          ((1.0, 1.0), (2.0, 1.5 - alpha / 2, 2 - alpha / 2)),
+                          ((0.5 + alpha / 2,), (1.5, 1.5 + alpha / 2))]
+
+
+def envelope_moment_mpmath(t: float, kappa: float, mu: float) -> float:
+    """E[|h|^t] from the confluent form at 40 digits, where its
+    e^(-kappa mu) 1F1(...; kappa mu) cancellation is harmless."""
+    with mp.workdps(40):
+        k, m, s = mp.mpf(kappa), mp.mpf(mu), mp.mpf(t) / 2
+        return float(mp.gamma(m + s) / mp.gamma(m) * mp.exp(-k * m)
+                     * mp.hyp1f1(m + s, m, k * m) / ((1 + k) * m) ** s)
+
+
+def sqrt_weighted_point(rng: np.random.Generator) -> tuple[float, float, float]:
+    """(x, R0, s) of a 3D region's 2F1 reduction: x = R0 (1 + d) spans its
+    heights and diagonals, s = t * eps / 2 lies in [1, 3)."""
+    R0 = 10.0 ** rng.uniform(0, 3)
+    return R0 * (1.0 + 10.0 ** rng.uniform(-3, 3)), R0, rng.uniform(1.0, 3.0)
+
+
+def sqrt_weighted_mpmath(x: float, R0: float, s: float) -> float:
+    """30-digit quadrature of r^(1-s) sqrt(r^2 - R0^2) over [R0, x]."""
+    with mp.workdps(30):
+        return float(mp.quad(lambda r: r ** (1 - s) * mp.sqrt((r - R0) * (r + R0)),
+                             [R0, min(2 * R0, x), x]))

@@ -15,7 +15,15 @@ from scipy.integrate import quad
 from scipy.special import digamma, gammainc
 from scipy.stats import kstest
 
-from conftest import RHO0_DEFAULT, default_links, sat_moment_mpmath
+from conftest import (
+    RHO0_DEFAULT,
+    capacity_series_point,
+    default_links,
+    envelope_moment_mpmath,
+    sat_moment_mpmath,
+    sqrt_weighted_mpmath,
+    sqrt_weighted_point,
+)
 from leoris.channel import (
     DirectPath,
     GammaApprox,
@@ -25,10 +33,11 @@ from leoris.channel import (
     mean_abs_A,
     var_abs_A,
 )
-from leoris.fading import KappaMuParams, envelope_pdf
+from leoris.fading import KappaMuParams, envelope_moment, envelope_pdf
 from leoris.geometry import (
     Constellation,
     CylinderGeometry,
+    _sqrt_weighted_integral,
     ris_distance_cdf,
     ris_distance_moment,
     ris_distance_pdf,
@@ -38,9 +47,14 @@ from leoris.geometry import (
     sat_distance_moment,
     sat_distance_pdf,
 )
-from leoris.metrics import CoverageQuery, capacity_quadrature, coverage_probability, ergodic_capacity
+from leoris.metrics import (
+    CoverageQuery,
+    _pfq_series,
+    capacity_quadrature,
+    coverage_probability,
+    ergodic_capacity,
+)
 from leoris.montecarlo import SimOptions, empirical_coverage, simulate_snr
-from leoris.specfun import gauss_2f1, generalized_pfq, kummer_1f1
 
 mp.mp.dps = 30
 
@@ -326,10 +340,10 @@ def test_criterion_7_parameter_trends_and_exponent_swap():
 
 
 def test_criterion_8_special_function_battery():
-    """Every kernel routine, and each math/scipy routine the closed forms
-    call in place of one, matches its arbitrary-precision oracle to 1e-8
-    relative on 100+ random in-domain points; the listed identities hold
-    to 1e-9."""
+    """Every special function the closed forms call (the capacity series,
+    the RIS-moment 2F1 reduction, the envelope moment, and the math/scipy
+    routines) matches its arbitrary-precision oracle to 1e-8 relative on
+    120 random in-domain points; the listed identities hold to 1e-9."""
     rng = np.random.default_rng(88)
     altitudes = (2.0e5, 1.0e6, 3.5786e7)
     worst = 0.0
@@ -347,28 +361,28 @@ def test_criterion_8_special_function_battery():
         check(float(digamma(a)), mp.digamma(a))
         x = 10.0 ** rng.uniform(-2, 2)
         check(float(gammainc(a, x)), mp.gammainc(a, 0, x, regularized=True))
-        p, b, arg = rng.uniform(0.2, 8.0), rng.uniform(0.2, 8.0), rng.uniform(-20, 20)
-        check(kummer_1f1(p, b, arg), mp.hyp1f1(p, b, arg))
-        h = (rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0), rng.uniform(3.2, 6.0),
-             rng.uniform(-80.0, 0.9))
-        check(gauss_2f1(*h), mp.hyp2f1(*h))
+        k, m, t = 10.0 ** rng.uniform(-3, 2), 10.0 ** rng.uniform(-1, 2), rng.uniform(0.5, 4.0)
+        check(envelope_moment(t, KappaMuParams(k, m)), envelope_moment_mpmath(t, k, m))
+        point = sqrt_weighted_point(rng)
+        check(_sqrt_weighted_integral(*point), sqrt_weighted_mpmath(*point))
         eta, m = rng.uniform(2.0, 8.0), int(10.0 ** rng.uniform(0, 6))
         t, alt = 1 + i % 2, altitudes[i % 3]
         check(sat_distance_moment(t, eta, Constellation(m, alt)),
               sat_moment_mpmath(m, alt, t * eta / 2.0))
-        num = [rng.uniform(0.3, 3.0)]
-        den = [rng.uniform(0.4, 3.0), rng.uniform(0.4, 3.0)]
-        z = rng.uniform(-3.0, 3.0)
-        check(generalized_pfq(num, den, z), mp.hyper(num, den, z))
+        _, z, shapes = capacity_series_point(rng)
+        for num, den in shapes:
+            check(_pfq_series(num, den, -0.25 * z)[0], mp.hyper(num, den, -0.25 * z))
 
     worst_id = 0.0
-    for x in np.linspace(-20.0, 20.0, 81):
-        for a in (0.7, 2.4):
-            worst_id = max(worst_id, abs(kummer_1f1(a, a, float(x)) - math.exp(x))
-                           / math.exp(x))
-    for z in np.linspace(-50.0, 0.9, 103):
-        worst_id = max(worst_id, abs(gauss_2f1(1.0, 1.6, 1.6, float(z)) - 1 / (1 - z))
-                       * abs(1 - z))
+    R0 = 120.0
+    for u in np.linspace(-3.0, 3.0, 81):
+        x = R0 * (1.0 + 10.0 ** u)
+        with mp.workdps(30):
+            sw = mp.sqrt(mp.mpf(x) ** 2 - R0 ** 2)
+            exact = {1.0: (x * sw - R0 ** 2 * mp.log((x + sw) / R0)) / 2,
+                     2.0: sw - R0 * mp.acos(R0 / mp.mpf(x))}
+        for s, want in exact.items():
+            worst_id = max(worst_id, abs(_sqrt_weighted_integral(x, R0, s) / float(want) - 1))
     for j in range(100):
         # one satellite: d^2 is uniform on [h^2, h^2 + S], so
         # E[d^-s] = 2 ((h^2 + S)^(1 - s/2) - h^(2 - s)) / (S (2 - s))

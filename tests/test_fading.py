@@ -14,6 +14,7 @@ from scipy.integrate import quad
 from scipy.special import iv
 from scipy.stats import kstest
 
+from conftest import envelope_moment_mpmath
 from leoris.errors import ConvergenceError, DomainError
 from leoris.fading import (
     KappaMuParams,
@@ -60,22 +61,13 @@ def test_moment_matches_pdf_quadrature(kappa, mu, t):
     assert envelope_moment(t, p) == pytest.approx(want, rel=1e-8)
 
 
-def _moment_mpmath(t, kappa, mu):
-    """E[|h|^t] from the confluent form at 40 digits, where its
-    e^(-kappa mu) 1F1(...; kappa mu) cancellation is harmless."""
-    with mp.workdps(40):
-        k, m, s = mp.mpf(kappa), mp.mpf(mu), mp.mpf(t) / 2
-        return float(mp.gamma(m + s) / mp.gamma(m) * mp.exp(-k * m)
-                     * mp.hyp1f1(m + s, m, k * m) / ((1 + k) * m) ** s)
-
-
 # strong line of sight: NaN (150, 5) or ConvergenceError (200, 5), (10, 80)
 # from the confluent series evaluated in double precision
 @pytest.mark.parametrize("kappa,mu", [(150.0, 5.0), (200.0, 5.0), (10.0, 80.0)])
 @pytest.mark.parametrize("t", [1.0, 2.0])
 def test_high_line_of_sight_moments_match_mpmath(kappa, mu, t):
     got = envelope_moment(t, KappaMuParams(kappa, mu))
-    assert got == pytest.approx(_moment_mpmath(t, kappa, mu), rel=1e-12)
+    assert got == pytest.approx(envelope_moment_mpmath(t, kappa, mu), rel=1e-12)
 
 
 def test_moments_match_mpmath_on_a_kappa_mu_grid():
@@ -84,7 +76,7 @@ def test_moments_match_mpmath_on_a_kappa_mu_grid():
             for t in (0.5, 1.0, 3.0):
                 p = KappaMuParams(kappa, mu)
                 assert envelope_moment(t, p) == pytest.approx(
-                    _moment_mpmath(t, kappa, mu), rel=1e-12), (t, kappa, mu)
+                    envelope_moment_mpmath(t, kappa, mu), rel=1e-12), (t, kappa, mu)
                 assert envelope_moment(2.0, p) == pytest.approx(1.0, rel=1e-13), (kappa, mu)
 
 

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import ks_2samp, kstest
 
-from conftest import sat_moment_mpmath
+from conftest import sample_constellation, sat_moment_mpmath
 from leoris.errors import DivergentMomentError, DomainError
 from leoris.geometry import (
     Constellation,
@@ -16,7 +16,6 @@ from leoris.geometry import (
     ris_distance_cdf,
     ris_distance_moment,
     ris_distance_pdf,
-    sample_constellation,
     sample_nearest_sat_distance,
     sample_ris_positions,
     sample_serving_satellite,

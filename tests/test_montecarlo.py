@@ -237,6 +237,8 @@ def test_options_validation():
         SimOptions(trials=0)
     with pytest.raises(DomainError):
         SimOptions(trials=10, workers=0)
+    with pytest.raises(DomainError, match="seed"):
+        SimOptions(trials=10, seed=-1)
 
 
 def test_fixed_ris_positions_mode():

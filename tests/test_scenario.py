@@ -468,6 +468,30 @@ def test_cli_sweep_echo_reproduces_the_run(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv,updates,field", [
+    (["run", "--seed", "-1"], {}, "seed"),
+    (["sweep", "--var", "rho_th", "--grid", "0,4000"], {}, "--grid"),
+    (["sweep", "--var", "rho0", "--grid=0,4000"], {}, "--grid"),
+    (["run"], {"metrics": {"coverage_threshold_db": 4000}}, "metrics.coverage_threshold_db"),
+    (["run"], {"power": {"noise_dbm": 5000}}, "power.noise_dbm"),
+    (["run"], {"power": {"noise_dbm": -5000}}, "power.noise_dbm"),
+    # finite energy over finite noise, but an infinite transmit SNR
+    (["run"], {"power": {"symbol_energy_w": 1.0e300}}, "power.symbol_energy_w"),
+])
+def test_cli_rejects_out_of_range_values(tmp_path, capsys, argv, updates, field):
+    # a negative seed, or a dB value or transmit SNR with no finite
+    # positive linear value: exit 2, one error line, nothing written
+    raw = copy.deepcopy(DEFAULT_RAW)
+    for section, values in updates.items():
+        raw[section].update(values)
+    path = _write_config(tmp_path, raw)
+    out = tmp_path / "o"
+    assert cli_main([argv[0], str(path), *argv[1:], "--no-mc", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
+    assert not out.exists()
+
+
 def test_cli_reports_config_errors(tmp_path, capsys):
     path = _write_config(tmp_path, _variant(**{"ris.sat_exponent": 1.0}))
     code = cli_main(["run", str(path)])

@@ -1,8 +1,10 @@
-"""Special-function kernel: identity checks, frozen independent-oracle
-values, and randomized comparisons against mpmath.
+"""Special functions the closed forms call: identity checks, frozen
+independent-oracle values, and randomized comparisons against mpmath.
 
-Log-gamma, digamma and the incomplete Gamma come from ``math`` and
-``scipy.special``; their tests pin those routines at the points the
+The capacity series ``metrics._pfq_series`` and the RIS-moment 2F1
+reduction ``geometry._sqrt_weighted_integral`` live next to their only
+callers. Log-gamma, digamma and the incomplete Gamma come from ``math``
+and ``scipy.special``; their tests pin those routines at the points the
 closed forms use them, and check that the parameter boundaries keep
 their arguments in domain."""
 
@@ -15,16 +17,13 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import digamma, gammainc
 
+from conftest import capacity_series_point, sqrt_weighted_mpmath, sqrt_weighted_point
+from leoris import geometry, metrics
 from leoris.channel import GammaApprox
 from leoris.errors import ConvergenceError, DomainError
 from leoris.fading import KappaMuParams
-from leoris.metrics import CoverageQuery, coverage_probability
-from leoris.specfun import (
-    AccuracyBudget,
-    gauss_2f1,
-    generalized_pfq,
-    kummer_1f1,
-)
+from leoris.geometry import _sqrt_weighted_integral
+from leoris.metrics import CoverageQuery, _pfq_series, coverage_probability
 
 mp.mp.dps = 30
 
@@ -85,72 +84,49 @@ def test_reg_lower_inc_gamma_limits():
         CoverageQuery(rho_th=1.0, rho0=math.nan)
 
 
-def test_kummer_known_values():
-    assert kummer_1f1(1.0, 1.0, 1.0) == pytest.approx(math.e, rel=1e-13)
-    assert kummer_1f1(2.3, 0.7, 0.0) == 1.0
+def test_pfq_series_known_values():
+    assert _pfq_series((1.3, 0.4), (2.2, 0.9), 0.0) == (1.0, 1.0)
     # frozen arbitrary-precision oracle
-    assert kummer_1f1(2.5, 2.0, 3.0) == pytest.approx(32.405859273008158, rel=1e-12)
-
-
-def test_kummer_exponential_identity():
-    for x in np.linspace(-20.0, 20.0, 41):
-        for a in (0.5, 1.7, 4.2):
-            assert kummer_1f1(a, a, float(x)) == pytest.approx(math.exp(x), rel=1e-9)
-
-
-def test_kummer_pole():
-    with pytest.raises(DomainError):
-        kummer_1f1(1.0, 0.0, 1.0)
-    with pytest.raises(DomainError):
-        kummer_1f1(1.0, -3.0, 1.0)
-
-
-def test_kummer_budget_exhaustion():
-    with pytest.raises(ConvergenceError):
-        kummer_1f1(2.0, 1.0, 400.0, AccuracyBudget(rel_tol=1e-12, max_terms=20))
-
-
-def test_gauss_2f1_known_values():
-    assert gauss_2f1(1.4, 0.9, 0.9, 0.0) == 1.0
-    # frozen oracle: Euler transform + series
-    assert gauss_2f1(1.0, 1.75, 2.5, -4.0) == pytest.approx(0.29013246789642371, rel=1e-12)
-
-
-def test_gauss_2f1_geometric_identity():
-    for z in np.linspace(-50.0, 0.9, 60):
-        for b in (0.8, 1.9, 3.4):
-            assert gauss_2f1(1.0, b, b, float(z)) == pytest.approx(1.0 / (1.0 - z), rel=1e-9)
-
-
-def test_gauss_2f1_domain():
-    with pytest.raises(DomainError):
-        gauss_2f1(1.0, 1.0, -2.0, 0.5)
-    with pytest.raises(DomainError):
-        gauss_2f1(1.0, 1.0, 2.0, 1.0)
-
-
-def test_generalized_pfq_values():
-    assert generalized_pfq([1.3, 0.4], [2.2, 0.9], 0.0) == 1.0
-    # frozen arbitrary-precision oracle
-    assert generalized_pfq([1.0, 1.0], [2.0, 1.2, 1.7], -0.05) == pytest.approx(
+    assert _pfq_series((1.0, 1.0), (2.0, 1.2, 1.7), -0.05)[0] == pytest.approx(
         0.9878136511616127, rel=1e-12)
 
 
-def test_generalized_pfq_parameter_cancellation():
+def test_pfq_series_parameter_cancellation():
     # 1F2(a; a, 1; x) == 0F1(; 1; x)
     for x in (-0.4, 0.3, 1.7):
-        lhs = generalized_pfq([1.8], [1.8, 1.0], x)
-        rhs = generalized_pfq([], [1.0], x)
+        lhs = _pfq_series((1.8,), (1.8, 1.0), x)[0]
+        rhs = _pfq_series((), (1.0,), x)[0]
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-def test_generalized_pfq_domain():
-    with pytest.raises(DomainError):
-        generalized_pfq([1.0], [-2.0], 0.5)
-    with pytest.raises(DomainError):
-        generalized_pfq([1.0, 1.0, 1.0], [0.5], 0.5)  # p > q+1
-    with pytest.raises(DomainError):
-        generalized_pfq([1.0, 1.0], [0.5], 1.5)  # p == q+1 needs |x| < 1
+def test_pfq_series_term_budget(monkeypatch):
+    monkeypatch.setattr(metrics, "_SERIES_MAX_TERMS", 20)
+    with pytest.raises(ConvergenceError, match="within 20 terms"):
+        _pfq_series((2.0,), (1.0,), 400.0)
+
+
+def test_pfq_series_cancellation_raises():
+    # 0F1(; 1; -x^2/4) = J0(x): at x = 100 the terms peak near 1e42
+    # around a sum of order 0.02
+    with pytest.raises(ConvergenceError, match="cancellation"):
+        _pfq_series((), (1.0,), -2500.0)
+
+
+def test_sqrt_weighted_integral_elementary_antiderivatives():
+    R0 = 120.0
+    for x in R0 * (1.0 + np.geomspace(1e-3, 1e3, 60)):
+        w = x * x - R0 * R0
+        s1 = 0.5 * (x * math.sqrt(w) - R0 ** 2 * math.log((x + math.sqrt(w)) / R0))
+        s2 = math.sqrt(w) - R0 * math.acos(R0 / x)
+        assert _sqrt_weighted_integral(x, R0, 1.0) == pytest.approx(s1, rel=1e-9)
+        assert _sqrt_weighted_integral(x, R0, 2.0) == pytest.approx(s2, rel=1e-9)
+    assert _sqrt_weighted_integral(R0, R0, 1.5) == 0.0
+
+
+def test_sqrt_weighted_integral_rejects_non_finite(monkeypatch):
+    monkeypatch.setattr(geometry, "_hyp2f1", lambda a, b, c, z: math.inf)
+    with pytest.raises(ConvergenceError):
+        _sqrt_weighted_integral(300.0, 120.0, 2.0)
 
 
 def test_digamma_values():
@@ -166,15 +142,12 @@ def test_digamma_values():
      lambda a: mp.digamma(a)),
     ("reg_lower_inc_gamma", lambda r: (10.0 ** r.uniform(-1, 1.5), 10.0 ** r.uniform(-2, 2)),
      lambda a, x: mp.gammainc(a, 0, x, regularized=True)),
-    ("kummer_1f1", lambda r: (r.uniform(0.2, 8.0), r.uniform(0.2, 8.0), r.uniform(-20, 20)),
-     lambda a, b, x: mp.hyp1f1(a, b, x)),
-    ("gauss_2f1", lambda r: (r.uniform(0.2, 3.0), r.uniform(0.2, 3.0),
-                             r.uniform(3.2, 6.0), r.uniform(-80.0, 0.9)),
-     lambda a, b, c, z: mp.hyp2f1(a, b, c, z)),
+    ("sqrt_weighted_integral", sqrt_weighted_point,
+     sqrt_weighted_mpmath),
 ])
 def test_random_points_against_mpmath(fn, sample, oracle):
     func = {"ln_gamma": math.lgamma, "digamma": digamma, "reg_lower_inc_gamma": gammainc,
-            "kummer_1f1": kummer_1f1, "gauss_2f1": gauss_2f1}[fn]
+            "sqrt_weighted_integral": _sqrt_weighted_integral}[fn]
     rng = np.random.default_rng(zlib.crc32(fn.encode()))
     for _ in range(120):
         args = sample(rng)
@@ -186,18 +159,8 @@ def test_random_points_against_mpmath(fn, sample, oracle):
 def test_pfq_random_points_against_mpmath():
     rng = np.random.default_rng(314)
     for _ in range(120):
-        p = rng.integers(0, 3)
-        q = rng.integers(p, 4) if p > 0 else rng.integers(1, 4)
-        num = [float(rng.uniform(0.2, 4.0)) for _ in range(p)]
-        den = [float(rng.uniform(0.4, 4.0)) for _ in range(q)]
-        x = float(rng.uniform(-3.0, 3.0))
-        got = generalized_pfq(num, den, x)
-        want = float(mp.hyper([mp.mpf(v) for v in num], [mp.mpf(v) for v in den], x))
-        assert got == pytest.approx(want, rel=1e-8), (num, den, x)
-
-
-def test_budget_validation():
-    with pytest.raises(DomainError):
-        AccuracyBudget(rel_tol=0.0)
-    with pytest.raises(DomainError):
-        AccuracyBudget(max_terms=0)
+        _, z, shapes = capacity_series_point(rng)
+        for num, den in shapes:
+            got = _pfq_series(num, den, -0.25 * z)[0]
+            want = float(mp.hyper(num, den, -0.25 * z))
+            assert got == pytest.approx(want, rel=1e-8), (num, den, z)
