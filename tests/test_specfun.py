@@ -112,6 +112,19 @@ def test_pfq_series_cancellation_raises():
         _pfq_series((), (1.0,), -2500.0)
 
 
+def test_gauss_2f1_known_values():
+    # the 2F1 that the RIS-moment reduction calls
+    assert geometry._hyp2f1(1.4, 0.9, 0.9, 0.0) == 1.0
+    # frozen oracle: Euler transform + series
+    assert geometry._hyp2f1(1.0, 1.75, 2.5, -4.0) == pytest.approx(0.29013246789642371, rel=1e-12)
+
+
+def test_gauss_2f1_geometric_identity():
+    for z in np.linspace(-50.0, 0.9, 60):
+        for b in (0.8, 1.9, 3.4):
+            assert geometry._hyp2f1(1.0, b, b, float(z)) == pytest.approx(1.0 / (1.0 - z), rel=1e-9)
+
+
 def test_sqrt_weighted_integral_elementary_antiderivatives():
     R0 = 120.0
     for x in R0 * (1.0 + np.geomspace(1e-3, 1e3, 60)):
