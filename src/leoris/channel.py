@@ -6,6 +6,12 @@ aligned sum over reflecting elements, damped by both hop distances) plus
 an optional direct satellite-user path. Means and variances follow from
 independence of fading and positions; the Gamma shape/scale pair is the
 moment fit used by the coverage and capacity expressions.
+
+Each path's moments split into a link factor (element count, fading
+laws, satellite-hop exponent and constellation) and a geometry factor
+(the RIS-distance moment). Link factors do not depend on the RIS region
+or the user-hop exponent, so they are kept in a bounded process-wide
+memo that every RIS and every sweep point with the same link shares.
 """
 
 from __future__ import annotations
@@ -31,6 +37,9 @@ __all__ = [
     "abs_A_pdf",
     "snr_pdf",
 ]
+
+# entries kept by each link-factor memo; a sweep needs one per distinct link
+_MEMO_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -99,6 +108,33 @@ class LinkConfig:
             raise DomainError(f"transmit_snr must be > 0, got {self.transmit_snr}")
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _sat_hop_factor(exponent: float, con: Constellation) -> tuple[float, float]:
+    """Orders 1 and 2 of the satellite-distance moment, shared by the RIS
+    and direct link factors."""
+    return sat_distance_moment(1, exponent, con), sat_distance_moment(2, exponent, con)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _ris_link_factor(elements: int, sat_fading: KappaMuParams, user_fading: KappaMuParams,
+                     sat_exponent: float, con: Constellation) -> tuple[float, float]:
+    """(L m1 E[d_sat^-eta/2], (L + (L^2 - L) m1^2) E[d_sat^-eta]) of one RIS,
+    with m1 the product of both hops' first envelope moments: everything
+    in its path moments except the RIS-distance factor."""
+    L = elements
+    m1 = envelope_moment(1.0, sat_fading) * envelope_moment(1.0, user_fading)
+    s1, s2 = _sat_hop_factor(sat_exponent, con)
+    return L * m1 * s1, (L + (L * L - L) * m1 * m1) * s2
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _direct_link_factor(fading: KappaMuParams, exponent: float,
+                        con: Constellation) -> tuple[float, float]:
+    """(mean, second moment) of the direct path's magnitude."""
+    s1, s2 = _sat_hop_factor(exponent, con)
+    return envelope_moment(1.0, fading) * s1, s2
+
+
 def _path_moments(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation,
                   with_second: bool):
     """(mean, second moment) of each path's magnitude, RIS paths first and
@@ -109,28 +145,23 @@ def _path_moments(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation,
     E[|q|^2] = E[|g|^2] = E[|u|^2] = 1, so the element-sum second moment
     reduces to L + (L^2 - L) * (first-moment product)^2.
 
-    RISs usually share their fading laws and satellite-hop exponent, so
-    each distinct envelope and satellite-distance moment is evaluated
-    once per call; the RIS-distance moment depends on each RIS's own
-    exponent.
+    A RIS path's moment is its link factor (elements, fading laws,
+    satellite hop; always finite) times its geometry factor, the
+    RIS-distance moment at the RIS's own user-hop exponent. Link factors
+    come from a bounded process-wide memo, so RISs with equal links and
+    sweep points with equal links share one evaluation.
     """
-    envelope = functools.cache(envelope_moment)
-    sat_moment = functools.cache(lambda order, exponent: sat_distance_moment(order, exponent, con))
     for link in cfg.ris:
-        L = link.elements
-        m1 = envelope(1.0, link.sat_fading) * envelope(1.0, link.user_fading)
-        mean = (L * m1
-                * sat_moment(1, link.sat_exponent)
-                * ris_distance_moment(1, link.user_exponent, geom))
+        first, second = _ris_link_factor(link.elements, link.sat_fading, link.user_fading,
+                                         link.sat_exponent, con)
+        mean = first * ris_distance_moment(1, link.user_exponent, geom)
         if not with_second:
             yield mean, None
             continue
-        yield mean, ((L + (L * L - L) * m1 * m1)
-                     * sat_moment(2, link.sat_exponent)
-                     * ris_distance_moment(2, link.user_exponent, geom))
+        yield mean, second * ris_distance_moment(2, link.user_exponent, geom)
     if cfg.direct.enabled:
-        mean = envelope(1.0, cfg.direct.fading) * sat_moment(1, cfg.direct.exponent)
-        yield mean, sat_moment(2, cfg.direct.exponent) if with_second else None
+        mean, second = _direct_link_factor(cfg.direct.fading, cfg.direct.exponent, con)
+        yield mean, second if with_second else None
 
 
 def _variance(paths) -> float:

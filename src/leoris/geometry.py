@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import hyp2f1 as _hyp2f1, xlog1py as _xlog1py
 
-from .errors import ConvergenceError, DivergentMomentError, DomainError
+from .errors import ComputationError, ConvergenceError, DivergentMomentError, DomainError
 
 EARTH_RADIUS_M = 6_371_000.0
 # Gauss-Legendre rule on [0, 1] for the nearest-satellite moments
@@ -196,26 +196,38 @@ def ris_distance_moment(t: int, eps: float, geom: CylinderGeometry) -> float:
     the removable denominators of the closed-form expression (at
     t*eps = 4 and t*eps = 6) hit their log limits exactly. Divergent
     requests (non-integrable at r=0) raise DivergentMomentError naming
-    the exponent.
+    the exponent; a moment the float range cannot carry (from extreme
+    region sizes) raises ComputationError.
     """
     if t not in (1, 2):
         raise DomainError(f"moment order t must be 1 or 2, got {t}")
     if eps < 0:
         raise DomainError(f"path-loss exponent must be >= 0, got {eps}")
-    R0, H, c = geom.base_radius, geom.height, geom.inner_radius
     s = t * eps / 2.0
+    try:
+        value = _ris_moment(s, geom)
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise ComputationError(f"moment E[R^-{s:g}] leaves the float range for {geom}")
+    return value
+
+
+def _ris_moment(s: float, geom: CylinderGeometry) -> float:
+    """E[R^-s] of the user-to-RIS distance; see ris_distance_moment."""
+    R0, H, c = geom.base_radius, geom.height, geom.inner_radius
     if H == 0.0:
         if c == 0.0:
             if s >= 2.0:
                 raise DivergentMomentError(
-                    f"moment E[R^-{t * eps / 2:g}] diverges on a flat disk: "
-                    f"t*eps = {t * eps:g} >= 4 requires an inner radius"
+                    f"moment E[R^-{s:g}] diverges on a flat disk: "
+                    f"t*eps = {2.0 * s:g} >= 4 requires an inner radius"
                 )
             return 2.0 * R0 ** (-s) / (2.0 - s)
         return 2.0 * _power_integral(c, R0, 1.0 - s) / (R0 ** 2 - c ** 2)
     if s >= 3.0:
         raise DivergentMomentError(
-            f"moment E[R^-{s:g}] diverges for a 3D region: t*eps = {t * eps:g} >= 6"
+            f"moment E[R^-{s:g}] diverges for a 3D region: t*eps = {2.0 * s:g} >= 6"
         )
     lo, hi = min(H, R0), max(H, R0)
     psi3 = geom.max_distance
@@ -271,7 +283,8 @@ def sat_distance_moment(t: int, eta: float, con: Constellation) -> float:
     u = min(1, 50/M), beyond which the law holds less than e^-50 of its
     mass. A fixed 48-point Gauss-Legendre rule in y is then accurate to
     about 1e-13 relative for M up to 1e6 and altitudes from 200 km to
-    geostationary.
+    geostationary. A moment the float range cannot carry (from extreme
+    altitudes) raises ComputationError.
     """
     if t not in (1, 2):
         raise DomainError(f"moment order t must be 1 or 2, got {t}")
@@ -279,11 +292,17 @@ def sat_distance_moment(t: int, eta: float, con: Constellation) -> float:
         raise DomainError(f"path-loss exponent must be >= 0, got {eta}")
     M = con.satellites
     s = t * eta / 2.0
-    c = con.altitude ** 2 / con._scale
-    span = math.log1p(min(1.0, _SAT_TAIL / M) / c)
-    y = span * _GL_NODES
-    f = np.exp(_xlog1py(M - 1, -c * np.expm1(y)) + (1.0 - 0.5 * s) * y)
-    return M * c * con.altitude ** (-s) * span * float(_GL_WEIGHTS @ f)
+    try:
+        c = con.altitude ** 2 / con._scale
+        span = math.log1p(min(1.0, _SAT_TAIL / M) / c)
+        y = span * _GL_NODES
+        f = np.exp(_xlog1py(M - 1, -c * np.expm1(y)) + (1.0 - 0.5 * s) * y)
+        value = M * c * con.altitude ** (-s) * span * float(_GL_WEIGHTS @ f)
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise ComputationError(f"moment E[R^-{s:g}] leaves the float range for {con}")
+    return value
 
 
 def sample_ris_positions(geom: CylinderGeometry, rng: np.random.Generator,

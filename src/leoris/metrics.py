@@ -87,11 +87,16 @@ def _pfq_series(num: tuple[float, ...], den: tuple[float, ...],
     error is about machine epsilon times that peak. Raises
     ConvergenceError when the term budget runs out or when
     alternating-term cancellation has destroyed more than ~10 digits.
+
+    Small terms count toward the stop only from the first step at which
+    every q + k is positive: until then a denominator near zero can make
+    the terms grow again after a run of small ones.
     """
     term = 1.0
     total = 1.0
     peak = 1.0
     below = 0
+    settled = max([0, *(math.floor(-q) + 1 for q in den)])
     for k in range(_SERIES_MAX_TERMS):
         ratio = x / (k + 1.0)
         for p in num:
@@ -103,7 +108,7 @@ def _pfq_series(num: tuple[float, ...], den: tuple[float, ...],
         mag = abs(term)
         if mag > peak:
             peak = mag
-        if mag < _SERIES_RTOL * abs(total):
+        if mag < _SERIES_RTOL * abs(total) and k >= settled:
             below += 1
             if below >= 3:
                 if abs(total) * 1e10 < peak:

@@ -8,6 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from leoris import channel
 from leoris.channel import DirectPath, LinkConfig, RisLink
 from leoris.errors import ConvergenceError
 from leoris.fading import KappaMuParams
@@ -41,6 +42,15 @@ def default_links(n: int, elements: int = 20, rho0: float = RHO0_DEFAULT,
         direct=DirectPath(enabled=direct, fading=KappaMuParams(0.0, 1.0), exponent=2.0),
         transmit_snr=rho0,
     )
+
+
+# the bounded process-wide memos behind the Gamma fit's link factors
+LINK_MEMOS = ("_sat_hop_factor", "_ris_link_factor", "_direct_link_factor")
+
+
+def clear_link_memos() -> None:
+    for name in LINK_MEMOS:
+        getattr(channel, name).cache_clear()
 
 
 @pytest.fixture

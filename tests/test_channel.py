@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import default_links
+from conftest import LINK_MEMOS, clear_link_memos, default_links
 from leoris import channel
 from leoris.channel import (
     DirectPath,
@@ -88,24 +88,63 @@ def test_gamma_fit_requires_signal_path():
 def test_each_distinct_moment_evaluated_once(monkeypatch):
     cfg = load_scenario(Path(__file__).resolve().parents[1] / "configs" / "default.yaml")
     args = (cfg.links, cfg.geometry, cfg.constellation)
-    want = gamma_approx(*args)
     counts = {}
     for name in ("envelope_moment", "sat_distance_moment", "ris_distance_moment"):
         def counting(*a, _name=name, _fn=getattr(channel, name)):
             counts[_name] = counts.get(_name, 0) + 1
             return _fn(*a)
         monkeypatch.setattr(channel, name, counting)
-    got = gamma_approx(*args)
+    n = len(cfg.links.ris)
+    clear_link_memos()
+    cold = gamma_approx(*args)
     # three fading laws; orders 1 and 2 at one satellite-hop exponent; a
     # drawn user-hop exponent per RIS at both orders
-    n = len(cfg.links.ris)
     assert counts == {"envelope_moment": 3, "sat_distance_moment": 2,
                       "ris_distance_moment": 2 * n}
-    assert got == want
+    counts.clear()
+    warm = gamma_approx(*args)
+    # link factors come from the memo; only the geometry factors are evaluated
+    assert counts == {"ris_distance_moment": 2 * n}
+    assert warm == cold
     # the memo changes no product or sum
-    monkeypatch.setattr(channel.functools, "cache", lambda fn: fn)
-    assert gamma_approx(*args) == want
-    assert counts["envelope_moment"] == 3 + 2 * n + 1
+    for name in LINK_MEMOS:
+        monkeypatch.setattr(channel, name, getattr(channel, name).__wrapped__)
+    counts.clear()
+    reference = gamma_approx(*args)
+    assert counts["envelope_moment"] == 2 * n + 1
+    assert counts["sat_distance_moment"] == 2 * n + 2
+    assert (reference.alpha, reference.beta) == (cold.alpha, cold.beta)
+
+
+def test_link_memos_hold_no_stale_entries():
+    sat, user, direct = KappaMuParams(1.0, 2.0), KappaMuParams(3.0, 3.0), KappaMuParams(0.0, 1.0)
+
+    def case(elements=20, sat_fading=sat, user_fading=user, sat_exponent=2.0,
+             direct_fading=direct, direct_exponent=2.0, satellites=1000, altitude=1.0e6):
+        links = LinkConfig(
+            ris=(RisLink(elements, sat_fading, user_fading, sat_exponent, 2.5),
+                 RisLink(elements, sat_fading, user_fading, sat_exponent, 2.8)),
+            direct=DirectPath(True, direct_fading, direct_exponent))
+        return links, GEOM, Constellation(satellites, altitude)
+
+    # each case differs from the first in exactly one field a memo key holds
+    cases = [case(), case(elements=21), case(sat_fading=KappaMuParams(1.5, 2.0)),
+             case(user_fading=KappaMuParams(3.0, 2.5)), case(sat_exponent=2.2),
+             case(direct_fading=KappaMuParams(0.5, 1.0)), case(direct_exponent=2.4),
+             case(satellites=1200), case(altitude=1.1e6)]
+    cold = []
+    for args in cases:
+        clear_link_memos()
+        cold.append(gamma_approx(*args))
+    assert len(set(cold)) == len(cases)
+    clear_link_memos()
+    for _ in range(2):
+        for i in (*range(len(cases)), *reversed(range(len(cases)))):
+            assert gamma_approx(*cases[i]) == cold[i]
+            assert gamma_approx(*cases[0]) == cold[0]
+    for name in LINK_MEMOS:
+        maxsize = getattr(channel, name).cache_parameters()["maxsize"]
+        assert maxsize is not None and maxsize > 0
 
 
 def test_mean_strictly_increases_with_ris_count():

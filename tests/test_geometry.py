@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from scipy.stats import ks_2samp, kstest
 
 from conftest import sample_constellation, sat_moment_mpmath
-from leoris.errors import DivergentMomentError, DomainError
+from leoris.errors import ComputationError, DivergentMomentError, DomainError
 from leoris.geometry import (
     Constellation,
     CylinderGeometry,
@@ -176,6 +176,26 @@ def test_moment_divergence_errors():
         ris_distance_moment(2, 3.0, CylinderGeometry(10.0, 5.0))
     # annulus keeps the same moment finite
     assert ris_distance_moment(2, 3.0, CylinderGeometry(10.0, 0.0, inner_radius=1.0)) > 0
+
+
+@pytest.mark.parametrize("t, eps, geom", [
+    (2, 4.0, CylinderGeometry(1.0, 0.0, inner_radius=4.6565400157479707e-237)),
+    (1, 3.0, CylinderGeometry(1.0e-250, 0.0)),
+    (1, 2.0, CylinderGeometry(1.0e-200, 1.0e-200)),
+    (1, 2.0, CylinderGeometry(1.0e-200, 0.0, inner_radius=1.0e-201)),
+])
+def test_moment_beyond_float_range_raises(t, eps, geom):
+    # finite moments of extreme regions overflow or divide by an
+    # underflowed R0^2; they must raise the package's error, not
+    # OverflowError or ZeroDivisionError
+    with pytest.raises(ComputationError):
+        ris_distance_moment(t, eps, geom)
+
+
+@pytest.mark.parametrize("altitude", [1.0e-200, 1.0e200])
+def test_sat_moment_beyond_float_range_raises(altitude):
+    with pytest.raises(ComputationError):
+        sat_distance_moment(2, 3.0, Constellation(1000, altitude))
 
 
 def test_moment_order_validation():

@@ -153,6 +153,18 @@ def test_capacity_low_snr_partial_cancellation():
     assert worst <= 1e-6
 
 
+@pytest.mark.parametrize("alpha, z", [(65.66, 443.1), (67.775, 495.2), (63.31, 431.7),
+                                      (59.228, 294.9)])
+def test_capacity_series_runs_past_negative_denominators(alpha, z):
+    # the second series has denominators 1.5 - alpha/2 + k and 2 - alpha/2 + k;
+    # its terms shrink, then grow again near k = alpha/2 - 1.5, so a stop
+    # before every denominator turns positive loses the tail unflagged
+    ga = GammaApprox(alpha=alpha, beta=1.0 / math.sqrt(z))
+    res = ergodic_capacity(ga, 1.0)
+    assert not res.fallback
+    assert res.bits == pytest.approx(capacity_quadrature(ga, 1.0), rel=1e-7)
+
+
 def test_capacity_result_is_floatable():
     res = CapacityResult(1.5, False)
     assert float(res) == 1.5
