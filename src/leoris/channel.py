@@ -10,12 +10,15 @@ moment fit used by the coverage and capacity expressions.
 Each path's moments split into a link factor (element count, fading
 laws, satellite-hop exponent and constellation) and a geometry factor
 (the RIS-distance moment). Link factors do not depend on the RIS region
-or the user-hop exponent, so they are kept in a bounded process-wide
-memo that every RIS and every sweep point with the same link shares.
+or the user-hop exponent, so they are kept in bounded memos that every
+RIS of one fit, and every fit inside one ``_shared_link_factors`` block
+(a sweep), share. The memos are emptied when the fit, or the block,
+ends, so no fit sees entries another call left behind.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, field
@@ -37,9 +40,6 @@ __all__ = [
     "abs_A_pdf",
     "snr_pdf",
 ]
-
-# entries kept by each link-factor memo; a sweep needs one per distinct link
-_MEMO_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -108,14 +108,14 @@ class LinkConfig:
             raise DomainError(f"transmit_snr must be > 0, got {self.transmit_snr}")
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
+@functools.lru_cache(maxsize=1024)
 def _sat_hop_factor(exponent: float, con: Constellation) -> tuple[float, float]:
     """Orders 1 and 2 of the satellite-distance moment, shared by the RIS
     and direct link factors."""
     return sat_distance_moment(1, exponent, con), sat_distance_moment(2, exponent, con)
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
+@functools.lru_cache(maxsize=1024)
 def _ris_link_factor(elements: int, sat_fading: KappaMuParams, user_fading: KappaMuParams,
                      sat_exponent: float, con: Constellation) -> tuple[float, float]:
     """(L m1 E[d_sat^-eta/2], (L + (L^2 - L) m1^2) E[d_sat^-eta]) of one RIS,
@@ -127,12 +127,31 @@ def _ris_link_factor(elements: int, sat_fading: KappaMuParams, user_fading: Kapp
     return L * m1 * s1, (L + (L * L - L) * m1 * m1) * s2
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
-def _direct_link_factor(fading: KappaMuParams, exponent: float,
-                        con: Constellation) -> tuple[float, float]:
+@functools.lru_cache(maxsize=1024)
+def _direct_link_factor(fading: KappaMuParams, exponent: float, con: Constellation):
     """(mean, second moment) of the direct path's magnitude."""
     s1, s2 = _sat_hop_factor(exponent, con)
     return envelope_moment(1.0, fading) * s1, s2
+
+
+_LINK_MEMOS = (_sat_hop_factor, _ris_link_factor, _direct_link_factor)
+_open_blocks = 0
+
+
+@contextlib.contextmanager
+def _shared_link_factors():
+    """Keep the link-factor memos across every fit made inside the block;
+    the outermost block empties them when it exits. The count of open
+    blocks is not locked: fits are made on one thread."""
+    global _open_blocks
+    _open_blocks += 1
+    try:
+        yield
+    finally:
+        _open_blocks -= 1
+        if not _open_blocks:
+            for memo in _LINK_MEMOS:
+                memo.cache_clear()
 
 
 def _path_moments(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation,
@@ -148,20 +167,22 @@ def _path_moments(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation,
     A RIS path's moment is its link factor (elements, fading laws,
     satellite hop; always finite) times its geometry factor, the
     RIS-distance moment at the RIS's own user-hop exponent. Link factors
-    come from a bounded process-wide memo, so RISs with equal links and
-    sweep points with equal links share one evaluation.
+    come from bounded memos, so RISs with equal links share one
+    evaluation, and so do the fits of one ``_shared_link_factors`` block;
+    outside such a block the memos are emptied when the paths run out.
     """
-    for link in cfg.ris:
-        first, second = _ris_link_factor(link.elements, link.sat_fading, link.user_fading,
-                                         link.sat_exponent, con)
-        mean = first * ris_distance_moment(1, link.user_exponent, geom)
-        if not with_second:
-            yield mean, None
-            continue
-        yield mean, second * ris_distance_moment(2, link.user_exponent, geom)
-    if cfg.direct.enabled:
-        mean, second = _direct_link_factor(cfg.direct.fading, cfg.direct.exponent, con)
-        yield mean, second if with_second else None
+    with _shared_link_factors():
+        for link in cfg.ris:
+            first, second = _ris_link_factor(link.elements, link.sat_fading, link.user_fading,
+                                             link.sat_exponent, con)
+            mean = first * ris_distance_moment(1, link.user_exponent, geom)
+            if not with_second:
+                yield mean, None
+                continue
+            yield mean, second * ris_distance_moment(2, link.user_exponent, geom)
+        if cfg.direct.enabled:
+            mean, second = _direct_link_factor(cfg.direct.fading, cfg.direct.exponent, con)
+            yield mean, second if with_second else None
 
 
 def _variance(paths) -> float:

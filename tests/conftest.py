@@ -49,8 +49,8 @@ LINK_MEMOS = ("_sat_hop_factor", "_ris_link_factor", "_direct_link_factor")
 
 
 def clear_link_memos() -> None:
-    for name in LINK_MEMOS:
-        getattr(channel, name).cache_clear()
+    for memo in channel._LINK_MEMOS:
+        memo.cache_clear()
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 fit round-trip, scaling behavior, and light Monte Carlo cross-checks
 (the full-size ones run in the acceptance suite)."""
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -26,10 +27,12 @@ from leoris.errors import ComputationError, DivergentMomentError, DomainError
 from leoris.fading import KappaMuParams
 from leoris.geometry import Constellation, CylinderGeometry, ris_distance_moment, sat_distance_moment
 from leoris.montecarlo import SimOptions, simulate_snr
-from leoris.scenario import load_scenario
+from leoris.runner import sweep
+from leoris.scenario import SweepSpec, load_scenario
 
 GEOM = CylinderGeometry(120.0, 120.0)
 CON = Constellation(1000, 1.0e6)
+DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
 
 
 def _direct_only(rho0=1.0) -> LinkConfig:
@@ -85,27 +88,42 @@ def test_gamma_fit_requires_signal_path():
         gamma_approx(cfg, GEOM, CON)
 
 
-def test_each_distinct_moment_evaluated_once(monkeypatch):
-    cfg = load_scenario(Path(__file__).resolve().parents[1] / "configs" / "default.yaml")
-    args = (cfg.links, cfg.geometry, cfg.constellation)
+def _count_moments(monkeypatch) -> dict:
+    """Count the moment evaluations channel makes, by function name."""
     counts = {}
     for name in ("envelope_moment", "sat_distance_moment", "ris_distance_moment"):
         def counting(*a, _name=name, _fn=getattr(channel, name)):
             counts[_name] = counts.get(_name, 0) + 1
             return _fn(*a)
         monkeypatch.setattr(channel, name, counting)
+    return counts
+
+
+def test_each_distinct_moment_evaluated_once(monkeypatch):
+    cfg = load_scenario(DEFAULT_CONFIG)
+    args = (cfg.links, cfg.geometry, cfg.constellation)
+    counts = _count_moments(monkeypatch)
     n = len(cfg.links.ris)
-    clear_link_memos()
-    cold = gamma_approx(*args)
     # three fading laws; orders 1 and 2 at one satellite-hop exponent; a
     # drawn user-hop exponent per RIS at both orders
-    assert counts == {"envelope_moment": 3, "sat_distance_moment": 2,
-                      "ris_distance_moment": 2 * n}
-    counts.clear()
-    warm = gamma_approx(*args)
-    # link factors come from the memo; only the geometry factors are evaluated
+    cold_counts = {"envelope_moment": 3, "sat_distance_moment": 2, "ris_distance_moment": 2 * n}
+    clear_link_memos()
+    with channel._shared_link_factors():
+        cold = gamma_approx(*args)
+        assert counts == cold_counts
+        counts.clear()
+        warm = gamma_approx(*args)
+    # inside one block the link factors come from the memo; only the
+    # geometry factors are evaluated
     assert counts == {"ris_distance_moment": 2 * n}
     assert warm == cold
+    # the block empties the memos, and a fit outside any block leaves
+    # nothing behind, so the next one starts cold again
+    for repeat in range(2):
+        assert all(getattr(channel, name).cache_info().currsize == 0 for name in LINK_MEMOS)
+        counts.clear()
+        assert gamma_approx(*args) == cold
+        assert counts == cold_counts
     # the memo changes no product or sum
     for name in LINK_MEMOS:
         monkeypatch.setattr(channel, name, getattr(channel, name).__wrapped__)
@@ -114,6 +132,26 @@ def test_each_distinct_moment_evaluated_once(monkeypatch):
     assert counts["envelope_moment"] == 2 * n + 1
     assert counts["sat_distance_moment"] == 2 * n + 2
     assert (reference.alpha, reference.beta) == (cold.alpha, cold.beta)
+
+
+def test_a_sweep_shares_link_factors_and_leaves_the_memos_empty(monkeypatch):
+    cfg = load_scenario(DEFAULT_CONFIG)
+    grid = (60.0, 120.0, 300.0)
+    cfg = dataclasses.replace(cfg, sweep=SweepSpec("R0", grid), mc_enabled=False)
+    counts = _count_moments(monkeypatch)
+    clear_link_memos()
+    tables = sweep(cfg)
+    n = len(cfg.links.ris)
+    # one link-factor evaluation for the whole sweep, geometry per point
+    assert counts == {"envelope_moment": 3, "sat_distance_moment": 2,
+                      "ris_distance_moment": 2 * n * len(grid)}
+    assert all(getattr(channel, name).cache_info().currsize == 0 for name in LINK_MEMOS)
+    # a fit after the sweep is cold, and the sweep's fits equal cold ones
+    counts.clear()
+    geom = dataclasses.replace(cfg.geometry, base_radius=grid[-1])
+    ga = gamma_approx(cfg.links, geom, cfg.constellation)
+    assert counts["envelope_moment"] == 3
+    assert tables[0].rows[-1][-2:] == (ga.alpha, ga.beta)
 
 
 def test_link_memos_hold_no_stale_entries():
@@ -137,11 +175,13 @@ def test_link_memos_hold_no_stale_entries():
         clear_link_memos()
         cold.append(gamma_approx(*args))
     assert len(set(cold)) == len(cases)
-    clear_link_memos()
-    for _ in range(2):
-        for i in (*range(len(cases)), *reversed(range(len(cases)))):
-            assert gamma_approx(*cases[i]) == cold[i]
-            assert gamma_approx(*cases[0]) == cold[0]
+    with channel._shared_link_factors():
+        for _ in range(2):
+            for i in (*range(len(cases)), *reversed(range(len(cases)))):
+                assert gamma_approx(*cases[i]) == cold[i]
+                assert gamma_approx(*cases[0]) == cold[0]
+        # one RIS entry per case, except the two that change only the direct path
+        assert channel._ris_link_factor.cache_info().currsize == len(cases) - 2
     for name in LINK_MEMOS:
         maxsize = getattr(channel, name).cache_parameters()["maxsize"]
         assert maxsize is not None and maxsize > 0

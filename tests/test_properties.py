@@ -5,9 +5,11 @@ under a fixed derandomized seed so every run sees the same examples."""
 
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import clear_link_memos
+from leoris import channel
 from leoris.channel import DirectPath, LinkConfig, RisLink, gamma_approx
 from leoris.errors import LeorisError
 from leoris.fading import KappaMuParams
@@ -51,9 +53,17 @@ def _fit(args):
         return type(exc)
 
 
+@pytest.fixture(scope="module")
+def shared_link_factors():
+    """One link-factor block around every example, as a sweep holds one
+    around its points."""
+    with channel._shared_link_factors():
+        yield
+
+
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(link_configs(), geometries(), constellations)
-def test_memoized_fit_matches_cold_fit(links, geom, con):
+def test_memoized_fit_matches_cold_fit(shared_link_factors, links, geom, con):
     args = (links, geom, con)
     # the memos still hold entries from earlier examples here
     memoized = _fit(args)
