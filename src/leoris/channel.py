@@ -8,18 +8,14 @@ independence of fading and positions; the Gamma shape/scale pair is the
 moment fit used by the coverage and capacity expressions.
 
 Each path's moments split into a link factor (element count, fading
-laws, satellite-hop exponent and constellation) and a geometry factor
-(the RIS-distance moment). Link factors do not depend on the RIS region
-or the user-hop exponent, so they are kept in bounded memos that every
-RIS of one fit, and every fit inside one ``_shared_link_factors`` block
-(a sweep), share. The memos are emptied when the fit, or the block,
-ends, so no fit sees entries another call left behind.
+laws, satellite hop) and a geometry factor (the RIS-distance moment).
+Link factors do not depend on the RIS region or the user-hop exponent,
+so they go into a dict that the RISs of one fit share, and that a caller
+may share across fits, as a sweep does across its points.
 """
 
 from __future__ import annotations
 
-import contextlib
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -108,54 +104,26 @@ class LinkConfig:
             raise DomainError(f"transmit_snr must be > 0, got {self.transmit_snr}")
 
 
-@functools.lru_cache(maxsize=1024)
-def _sat_hop_factor(exponent: float, con: Constellation) -> tuple[float, float]:
-    """Orders 1 and 2 of the satellite-distance moment, shared by the RIS
-    and direct link factors."""
-    return sat_distance_moment(1, exponent, con), sat_distance_moment(2, exponent, con)
-
-
-@functools.lru_cache(maxsize=1024)
-def _ris_link_factor(elements: int, sat_fading: KappaMuParams, user_fading: KappaMuParams,
-                     sat_exponent: float, con: Constellation) -> tuple[float, float]:
-    """(L m1 E[d_sat^-eta/2], (L + (L^2 - L) m1^2) E[d_sat^-eta]) of one RIS,
-    with m1 the product of both hops' first envelope moments: everything
-    in its path moments except the RIS-distance factor."""
-    L = elements
-    m1 = envelope_moment(1.0, sat_fading) * envelope_moment(1.0, user_fading)
-    s1, s2 = _sat_hop_factor(sat_exponent, con)
-    return L * m1 * s1, (L + (L * L - L) * m1 * m1) * s2
-
-
-@functools.lru_cache(maxsize=1024)
-def _direct_link_factor(fading: KappaMuParams, exponent: float, con: Constellation):
-    """(mean, second moment) of the direct path's magnitude."""
-    s1, s2 = _sat_hop_factor(exponent, con)
-    return envelope_moment(1.0, fading) * s1, s2
-
-
-_LINK_MEMOS = (_sat_hop_factor, _ris_link_factor, _direct_link_factor)
-_open_blocks = 0
-
-
-@contextlib.contextmanager
-def _shared_link_factors():
-    """Keep the link-factor memos across every fit made inside the block;
-    the outermost block empties them when it exits. The count of open
-    blocks is not locked: fits are made on one thread."""
-    global _open_blocks
-    _open_blocks += 1
-    try:
-        yield
-    finally:
-        _open_blocks -= 1
-        if not _open_blocks:
-            for memo in _LINK_MEMOS:
-                memo.cache_clear()
+def _link_factor(memo: dict, elements: int, fadings: tuple, exponent: float,
+                 con: Constellation) -> tuple[float, float]:
+    """(L m1 E[d_sat^-eta/2], (L + (L^2 - L) m1^2) E[d_sat^-eta]) of one
+    path, m1 the product of its hops' first envelope moments (the direct
+    path: L = 1, one hop), from ``memo`` or added to it under every field
+    it reads; RIS and direct paths share the satellite-hop entry."""
+    key = (elements, fadings, exponent, con)
+    factor = memo.get(key)
+    if factor is None:
+        hop = memo.get((exponent, con))
+        if hop is None:
+            hop = memo[exponent, con] = (sat_distance_moment(1, exponent, con),
+                                         sat_distance_moment(2, exponent, con))
+        L, m1 = elements, math.prod(envelope_moment(1.0, f) for f in fadings)
+        factor = memo[key] = L * m1 * hop[0], (L + (L * L - L) * m1 * m1) * hop[1]
+    return factor
 
 
 def _path_moments(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation,
-                  with_second: bool):
+                  with_second: bool, memo: dict):
     """(mean, second moment) of each path's magnitude, RIS paths first and
     the direct path last; the second moment is None unless asked for,
     since it may diverge where the mean is finite.
@@ -164,25 +132,21 @@ def _path_moments(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation,
     E[|q|^2] = E[|g|^2] = E[|u|^2] = 1, so the element-sum second moment
     reduces to L + (L^2 - L) * (first-moment product)^2.
 
-    A RIS path's moment is its link factor (elements, fading laws,
-    satellite hop; always finite) times its geometry factor, the
-    RIS-distance moment at the RIS's own user-hop exponent. Link factors
-    come from bounded memos, so RISs with equal links share one
-    evaluation, and so do the fits of one ``_shared_link_factors`` block;
-    outside such a block the memos are emptied when the paths run out.
+    A RIS path's moment is its link factor (always finite), from the
+    caller's ``memo`` dict, times the RIS-distance moment at its own
+    user-hop exponent.
     """
-    with _shared_link_factors():
-        for link in cfg.ris:
-            first, second = _ris_link_factor(link.elements, link.sat_fading, link.user_fading,
-                                             link.sat_exponent, con)
-            mean = first * ris_distance_moment(1, link.user_exponent, geom)
-            if not with_second:
-                yield mean, None
-                continue
-            yield mean, second * ris_distance_moment(2, link.user_exponent, geom)
-        if cfg.direct.enabled:
-            mean, second = _direct_link_factor(cfg.direct.fading, cfg.direct.exponent, con)
-            yield mean, second if with_second else None
+    for link in cfg.ris:
+        first, second = _link_factor(memo, link.elements, (link.sat_fading, link.user_fading),
+                                     link.sat_exponent, con)
+        mean = first * ris_distance_moment(1, link.user_exponent, geom)
+        if not with_second:
+            yield mean, None
+            continue
+        yield mean, second * ris_distance_moment(2, link.user_exponent, geom)
+    if cfg.direct.enabled:
+        mean, second = _link_factor(memo, 1, (cfg.direct.fading,), cfg.direct.exponent, con)
+        yield mean, second if with_second else None
 
 
 def _variance(paths) -> float:
@@ -199,17 +163,20 @@ def _variance(paths) -> float:
 
 def mean_abs_A(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation) -> float:
     """Mean magnitude of the combined channel response."""
-    return sum(mean for mean, _ in _path_moments(cfg, geom, con, with_second=False))
+    return sum(mean for mean, _ in _path_moments(cfg, geom, con, with_second=False, memo={}))
 
 
 def var_abs_A(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation) -> float:
     """Variance of the combined channel response magnitude."""
-    return _variance(_path_moments(cfg, geom, con, with_second=True))
+    return _variance(_path_moments(cfg, geom, con, with_second=True, memo={}))
 
 
-def gamma_approx(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation) -> GammaApprox:
-    """Two-moment Gamma fit of the combined response magnitude."""
-    paths = list(_path_moments(cfg, geom, con, with_second=True))
+def gamma_approx(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation, *,
+                 memo: dict | None = None) -> GammaApprox:
+    """Two-moment Gamma fit of the combined response magnitude. Fits that
+    are given the same ``memo`` dict share their link factors."""
+    paths = list(_path_moments(cfg, geom, con, with_second=True,
+                               memo={} if memo is None else memo))
     mean = sum(m for m, _ in paths)
     if not mean > 0.0:
         raise ComputationError(
@@ -219,26 +186,26 @@ def gamma_approx(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation) ->
     return GammaApprox.from_moments(mean, _variance(paths))
 
 
-def abs_A_pdf(x, ga: GammaApprox):
-    """Gamma density of the combined response magnitude."""
+def _density(x, what: str, log_density, at_zero):
+    """exp(log_density(x)) where x > 0 and at_zero() where x = 0, for a
+    scalar or array x >= 0."""
     scalar = np.ndim(x) == 0
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(arr < 0):
-        raise DomainError("magnitude must be >= 0")
-    a, b = ga.alpha, ga.beta
-    out = np.zeros_like(arr)
+        raise DomainError(f"{what} must be >= 0")
     pos = arr > 0
-    xp = arr[pos]
-    out[pos] = np.exp((a - 1.0) * np.log(xp) - xp / b - a * math.log(b) - math.lgamma(a))
-    zero = ~pos
-    if np.any(zero):
-        if a > 1.0:
-            out[zero] = 0.0
-        elif a == 1.0:
-            out[zero] = 1.0 / b
-        else:
-            out[zero] = np.inf
+    out = np.full_like(arr, 0.0 if pos.all() else at_zero())
+    out[pos] = np.exp(log_density(arr[pos]))
     return float(out[0]) if scalar else out
+
+
+def abs_A_pdf(x, ga: GammaApprox):
+    """Gamma density of the combined response magnitude."""
+    a, b = ga.alpha, ga.beta
+    return _density(
+        x, "magnitude",
+        lambda xp: (a - 1.0) * np.log(xp) - xp / b - a * math.log(b) - math.lgamma(a),
+        lambda: 0.0 if a > 1.0 else 1.0 / b if a == 1.0 else math.inf)
 
 
 def snr_pdf(x, ga: GammaApprox, rho0: float):
@@ -249,23 +216,9 @@ def snr_pdf(x, ga: GammaApprox, rho0: float):
     """
     if not rho0 > 0:
         raise DomainError(f"rho0 must be > 0, got {rho0}")
-    scalar = np.ndim(x) == 0
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(arr < 0):
-        raise DomainError("SNR must be >= 0")
     a, b = ga.alpha, ga.beta
-    out = np.zeros_like(arr)
-    pos = arr > 0
-    xp = arr[pos]
     log_pref = -math.log(2.0) - a * math.log(b) - math.lgamma(a) - (a / 2.0) * math.log(rho0)
-    out[pos] = np.exp(log_pref + (a - 2.0) / 2.0 * np.log(xp)
-                      - np.sqrt(xp / (b * b * rho0)))
-    zero = ~pos
-    if np.any(zero):
-        if a > 2.0:
-            out[zero] = 0.0
-        elif a == 2.0:
-            out[zero] = math.exp(log_pref)
-        else:
-            out[zero] = np.inf
-    return float(out[0]) if scalar else out
+    return _density(
+        x, "SNR",
+        lambda xp: log_pref + (a - 2.0) / 2.0 * np.log(xp) - np.sqrt(xp / (b * b * rho0)),
+        lambda: 0.0 if a > 2.0 else math.exp(log_pref) if a == 2.0 else math.inf)

@@ -34,7 +34,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 import yaml
 
-from .channel import LinkConfig, _shared_link_factors, gamma_approx
+from .channel import LinkConfig, gamma_approx
 from .errors import ConfigError
 from .metrics import CoverageQuery, coverage_probability, ergodic_capacity
 from .geometry import CylinderGeometry
@@ -185,24 +185,25 @@ def _row(metric: str, value: float, rho0: float, rho_th: float, ga, sim) -> tupl
 
 def sweep(cfg: ScenarioConfig) -> list[SweepTable]:
     """Evaluate the scenario's metrics over its sweep grid, fitting once
-    per run of equal links and geometry (every fit shares the link-factor
-    memos, emptied on return) and simulating once per group of nested
+    per run of equal links and geometry (every fit shares one link-factor
+    memo, dropped on return) and simulating once per group of nested
     runs."""
     variable = cfg.sweep.variable
     metrics = _METRICS.get(variable, ("coverage", "capacity"))
     rows: dict[str, list[tuple]] = {m: [] for m in metrics}
-    with _shared_link_factors():
-        for group in _groups(cfg, _runs(cfg)):
-            fits = [gamma_approx(run.links, run.geometry, cfg.constellation) for run in group]
-            sims = _simulate(cfg, group) if cfg.mc_enabled else (None,) * len(group)
-            for run, ga, sim in zip(group, fits, sims):
-                for value, rho0, rho_th in run.points:
-                    scaled = sim
-                    if sim is not None and rho0 != run.links.transmit_snr:
-                        scaled = dataclasses.replace(
-                            sim, snr_samples=sim.snr_samples * (rho0 / run.links.transmit_snr))
-                    for metric in metrics:
-                        rows[metric].append(_row(metric, value, rho0, rho_th, ga, scaled))
+    memo: dict = {}
+    for group in _groups(cfg, _runs(cfg)):
+        fits = [gamma_approx(run.links, run.geometry, cfg.constellation, memo=memo)
+                for run in group]
+        sims = _simulate(cfg, group) if cfg.mc_enabled else (None,) * len(group)
+        for run, ga, sim in zip(group, fits, sims):
+            for value, rho0, rho_th in run.points:
+                scaled = sim
+                if sim is not None and rho0 != run.links.transmit_snr:
+                    scaled = dataclasses.replace(
+                        sim, snr_samples=sim.snr_samples * (rho0 / run.links.transmit_snr))
+                for metric in metrics:
+                    rows[metric].append(_row(metric, value, rho0, rho_th, ga, scaled))
     return [SweepTable(variable=variable, metric=m, rows=tuple(rows[m])) for m in metrics]
 
 

@@ -165,8 +165,8 @@ def _per_ris_values(raw, count: int, path: str):
     if isinstance(raw, list):
         if len(raw) != count:
             raise ConfigError(f"{path}: list length {len(raw)} != ris.count {count}")
-        return list(raw), False
-    return [raw] * count, True
+        return list(raw)
+    return [raw] * count
 
 
 def _exponent(value, path: str) -> float:
@@ -177,12 +177,15 @@ def _exponent(value, path: str) -> float:
     return v
 
 
-def _fading_params(node, path: str) -> KappaMuParams:
+def _fading_params(node, path: str, laws: dict) -> KappaMuParams:
+    """The law at node, as the object ``laws`` holds for an equal law, so
+    RISs with equal laws share one object and compare by identity."""
     if not isinstance(node, dict):
         raise ConfigError(f"{path}: expected a mapping with kappa and mu")
     kappa = _number(node, "kappa", minimum=0.0)
     mu = _number(node, "mu", strict_min=0.0)
-    return KappaMuParams(kappa=kappa, mu=mu)
+    law = KappaMuParams(kappa=kappa, mu=mu)
+    return laws.setdefault(law, law)
 
 
 def _resolve_user_exponents(node, count: int, path: str):
@@ -197,7 +200,7 @@ def _resolve_user_exponents(node, count: int, path: str):
         rng = np.random.default_rng(seed)
         values = (low + (high - low) * rng.random(count)).tolist()
         return values, seed, (low, high)
-    values, _ = _per_ris_values(node, count, path)
+    values = _per_ris_values(node, count, path)
     return [_exponent(v, f"{path}[{i}]") for i, v in enumerate(values)], None, None
 
 
@@ -245,27 +248,28 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
     ris_links: tuple[RisLink, ...] = ()
     if count > 0:
         elements_raw = _get(raw, "ris.elements")
-        elements, _ = _per_ris_values(elements_raw, count, "ris.elements")
+        elements = _per_ris_values(elements_raw, count, "ris.elements")
         for i, e in enumerate(elements):
             if isinstance(e, bool) or not isinstance(e, int) or not 1 <= e <= MAX_ELEMENTS:
                 raise ConfigError(f"ris.elements[{i}]: expected an integer in "
                                   f"[1, {MAX_ELEMENTS}], got {e!r}")
         sat_fading_raw = _get(raw, "ris.sat_fading")
-        sat_fadings, _ = _per_ris_values(sat_fading_raw, count, "ris.sat_fading")
+        sat_fadings = _per_ris_values(sat_fading_raw, count, "ris.sat_fading")
         user_fading_raw = _get(raw, "ris.user_fading")
-        user_fadings, _ = _per_ris_values(user_fading_raw, count, "ris.user_fading")
-        sat_exps, _ = _per_ris_values(_get(raw, "ris.sat_exponent"), count, "ris.sat_exponent")
+        user_fadings = _per_ris_values(user_fading_raw, count, "ris.user_fading")
+        sat_exps = _per_ris_values(_get(raw, "ris.sat_exponent"), count, "ris.sat_exponent")
         sat_exps = [_exponent(v, f"ris.sat_exponent[{i}]") for i, v in enumerate(sat_exps)]
         user_exps, exponent_seed, exponent_range = _resolve_user_exponents(
             _get(raw, "ris.user_exponent"), count, "ris.user_exponent")
         if exponent_seed is None:
             # a resolved echo pins the values; count sweeps redraw from the seed
             exponent_seed, exponent_range = _recorded_exponent_draw(raw)
+        laws: dict[KappaMuParams, KappaMuParams] = {}
         ris_links = tuple(
             RisLink(
                 elements=int(elements[i]),
-                sat_fading=_fading_params(sat_fadings[i], f"ris.sat_fading[{i}]"),
-                user_fading=_fading_params(user_fadings[i], f"ris.user_fading[{i}]"),
+                sat_fading=_fading_params(sat_fadings[i], f"ris.sat_fading[{i}]", laws),
+                user_fading=_fading_params(user_fadings[i], f"ris.user_fading[{i}]", laws),
                 sat_exponent=sat_exps[i],
                 user_exponent=user_exps[i],
             )

@@ -4,13 +4,15 @@ fit round-trip, scaling behavior, and light Monte Carlo cross-checks
 
 import dataclasses
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import LINK_MEMOS, clear_link_memos, default_links
+from conftest import default_links
 from leoris import channel
 from leoris.channel import (
     DirectPath,
@@ -24,7 +26,7 @@ from leoris.channel import (
     var_abs_A,
 )
 from leoris.errors import ComputationError, DivergentMomentError, DomainError
-from leoris.fading import KappaMuParams
+from leoris.fading import KappaMuParams, envelope_moment
 from leoris.geometry import Constellation, CylinderGeometry, ris_distance_moment, sat_distance_moment
 from leoris.montecarlo import SimOptions, simulate_snr
 from leoris.runner import sweep
@@ -99,39 +101,50 @@ def _count_moments(monkeypatch) -> dict:
     return counts
 
 
+def _by_hand(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation) -> GammaApprox:
+    """The Gamma fit without any memo, in the fit's association order."""
+    paths = []
+    for link in cfg.ris:
+        L = link.elements
+        m1 = envelope_moment(1.0, link.sat_fading) * envelope_moment(1.0, link.user_fading)
+        paths.append((L * m1 * sat_distance_moment(1, link.sat_exponent, con)
+                      * ris_distance_moment(1, link.user_exponent, geom),
+                      (L + (L * L - L) * m1 * m1) * sat_distance_moment(2, link.sat_exponent, con)
+                      * ris_distance_moment(2, link.user_exponent, geom)))
+    d = cfg.direct
+    if d.enabled:
+        paths.append((envelope_moment(1.0, d.fading) * sat_distance_moment(1, d.exponent, con),
+                      sat_distance_moment(2, d.exponent, con)))
+    variance = 0.0
+    for mean, second in paths:
+        variance += second - mean ** 2
+    return GammaApprox.from_moments(sum(m for m, _ in paths), variance)
+
+
 def test_each_distinct_moment_evaluated_once(monkeypatch):
     cfg = load_scenario(DEFAULT_CONFIG)
     args = (cfg.links, cfg.geometry, cfg.constellation)
+    reference = _by_hand(*args)
     counts = _count_moments(monkeypatch)
     n = len(cfg.links.ris)
     # three fading laws; orders 1 and 2 at one satellite-hop exponent; a
     # drawn user-hop exponent per RIS at both orders
     cold_counts = {"envelope_moment": 3, "sat_distance_moment": 2, "ris_distance_moment": 2 * n}
-    clear_link_memos()
-    with channel._shared_link_factors():
-        cold = gamma_approx(*args)
-        assert counts == cold_counts
-        counts.clear()
-        warm = gamma_approx(*args)
-    # inside one block the link factors come from the memo; only the
+    memo = {}
+    cold = gamma_approx(*args, memo=memo)
+    assert counts == cold_counts
+    # a fit given the same dict takes its link factors from it; only the
     # geometry factors are evaluated
-    assert counts == {"ris_distance_moment": 2 * n}
-    assert warm == cold
-    # the block empties the memos, and a fit outside any block leaves
-    # nothing behind, so the next one starts cold again
-    for repeat in range(2):
-        assert all(getattr(channel, name).cache_info().currsize == 0 for name in LINK_MEMOS)
-        counts.clear()
-        assert gamma_approx(*args) == cold
-        assert counts == cold_counts
-    # the memo changes no product or sum
-    for name in LINK_MEMOS:
-        monkeypatch.setattr(channel, name, getattr(channel, name).__wrapped__)
     counts.clear()
-    reference = gamma_approx(*args)
-    assert counts["envelope_moment"] == 2 * n + 1
-    assert counts["sat_distance_moment"] == 2 * n + 2
-    assert (reference.alpha, reference.beta) == (cold.alpha, cold.beta)
+    warm = gamma_approx(*args, memo=memo)
+    assert counts == {"ris_distance_moment": 2 * n}
+    # a fit given no dict starts cold
+    counts.clear()
+    alone = gamma_approx(*args)
+    assert counts == cold_counts
+    # the memo changes no product or sum
+    for ga in (cold, warm, alone):
+        assert (ga.alpha, ga.beta) == (reference.alpha, reference.beta)
 
 
 def test_a_sweep_shares_link_factors_and_leaves_the_memos_empty(monkeypatch):
@@ -139,19 +152,33 @@ def test_a_sweep_shares_link_factors_and_leaves_the_memos_empty(monkeypatch):
     grid = (60.0, 120.0, 300.0)
     cfg = dataclasses.replace(cfg, sweep=SweepSpec("R0", grid), mc_enabled=False)
     counts = _count_moments(monkeypatch)
-    clear_link_memos()
     tables = sweep(cfg)
     n = len(cfg.links.ris)
     # one link-factor evaluation for the whole sweep, geometry per point
     assert counts == {"envelope_moment": 3, "sat_distance_moment": 2,
                       "ris_distance_moment": 2 * n * len(grid)}
-    assert all(getattr(channel, name).cache_info().currsize == 0 for name in LINK_MEMOS)
-    # a fit after the sweep is cold, and the sweep's fits equal cold ones
+    # the sweep keeps no memo: a fit after it is cold, and the sweep's
+    # fits equal cold ones
     counts.clear()
     geom = dataclasses.replace(cfg.geometry, base_radius=grid[-1])
     ga = gamma_approx(cfg.links, geom, cfg.constellation)
     assert counts["envelope_moment"] == 3
     assert tables[0].rows[-1][-2:] == (ga.alpha, ga.beta)
+
+
+def test_sweeps_on_two_threads_match_one_alone():
+    cfg = load_scenario(DEFAULT_CONFIG)
+    cfgs = [dataclasses.replace(cfg, sweep=SweepSpec("R0", tuple(grid)), mc_enabled=False)
+            for grid in (np.linspace(60.0, 300.0, 200), np.linspace(30.0, 600.0, 200))]
+    alone = [sweep(c) for c in cfgs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            together = list(pool.map(sweep, cfgs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert together == alone
 
 
 def test_link_memos_hold_no_stale_entries():
@@ -170,21 +197,17 @@ def test_link_memos_hold_no_stale_entries():
              case(user_fading=KappaMuParams(3.0, 2.5)), case(sat_exponent=2.2),
              case(direct_fading=KappaMuParams(0.5, 1.0)), case(direct_exponent=2.4),
              case(satellites=1200), case(altitude=1.1e6)]
-    cold = []
-    for args in cases:
-        clear_link_memos()
-        cold.append(gamma_approx(*args))
+    cold = [gamma_approx(*args) for args in cases]
     assert len(set(cold)) == len(cases)
-    with channel._shared_link_factors():
-        for _ in range(2):
-            for i in (*range(len(cases)), *reversed(range(len(cases)))):
-                assert gamma_approx(*cases[i]) == cold[i]
-                assert gamma_approx(*cases[0]) == cold[0]
-        # one RIS entry per case, except the two that change only the direct path
-        assert channel._ris_link_factor.cache_info().currsize == len(cases) - 2
-    for name in LINK_MEMOS:
-        maxsize = getattr(channel, name).cache_parameters()["maxsize"]
-        assert maxsize is not None and maxsize > 0
+    memo = {}
+    sizes = []
+    for _ in range(2):
+        for i in (*range(len(cases)), *reversed(range(len(cases)))):
+            assert gamma_approx(*cases[i], memo=memo) == cold[i]
+            assert gamma_approx(*cases[0], memo=memo) == cold[0]
+        sizes.append(len(memo))
+    # the second round finds every entry the first one added
+    assert sizes[0] == sizes[1]
 
 
 def test_mean_strictly_increases_with_ris_count():

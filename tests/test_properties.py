@@ -5,11 +5,8 @@ under a fixed derandomized seed so every run sees the same examples."""
 
 import math
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import clear_link_memos
-from leoris import channel
 from leoris.channel import DirectPath, LinkConfig, RisLink, gamma_approx
 from leoris.errors import LeorisError
 from leoris.fading import KappaMuParams
@@ -45,32 +42,28 @@ constellations = st.builds(Constellation, satellites=st.integers(1, 100_000),
                            altitude=st.floats(2.0e5, 3.6e7))
 
 
-def _fit(args):
+# one link-factor memo for every example, as a sweep shares one across
+# its points
+MEMO: dict = {}
+
+
+def _fit(args, memo=None):
     """The Gamma fit, or the type of the package error it raised."""
     try:
-        return gamma_approx(*args)
+        return gamma_approx(*args, memo=memo)
     except LeorisError as exc:
         return type(exc)
 
 
-@pytest.fixture(scope="module")
-def shared_link_factors():
-    """One link-factor block around every example, as a sweep holds one
-    around its points."""
-    with channel._shared_link_factors():
-        yield
-
-
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(link_configs(), geometries(), constellations)
-def test_memoized_fit_matches_cold_fit(shared_link_factors, links, geom, con):
+def test_memoized_fit_matches_cold_fit(links, geom, con):
     args = (links, geom, con)
-    # the memos still hold entries from earlier examples here
-    memoized = _fit(args)
-    clear_link_memos()
+    # the memo still holds entries from earlier examples here
+    memoized = _fit(args, MEMO)
     cold = _fit(args)
     assert memoized == cold
-    assert _fit(args) == cold
+    assert _fit(args, MEMO) == cold
     if isinstance(cold, type):
         return
     assert math.isfinite(cold.alpha) and math.isfinite(cold.beta)

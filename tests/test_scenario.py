@@ -214,6 +214,21 @@ def test_per_ris_lists():
         parse_scenario(bad)
 
 
+def test_equal_fading_laws_are_one_object(tmp_path):
+    # the template form and the per-RIS lists the resolved echo writes
+    # both give every RIS the same law objects, so link-factor memo keys
+    # match by identity
+    cfg = load_scenario(DEFAULT_CONFIG)
+    echo = tmp_path / "resolved.yaml"
+    echo.write_text(yaml.safe_dump(resolved_mapping(cfg), sort_keys=False), encoding="utf-8")
+    for parsed in (cfg, load_scenario(echo)):
+        first, *rest = parsed.links.ris
+        assert rest
+        for link in rest:
+            assert link.sat_fading is first.sat_fading
+            assert link.user_fading is first.user_fading
+
+
 def test_grid_parsing_forms():
     assert parse_grid([1, 2, 3], "rho_th", "g") == (1.0, 2.0, 3.0)
     assert parse_grid({"start": 0.0, "stop": 10.0, "points": 3}, "rho_th", "g") == (0.0, 5.0, 10.0)
