@@ -188,11 +188,11 @@ def gamma_approx(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation, *,
 
 def _density(x, what: str, log_density, at_zero):
     """exp(log_density(x)) where x > 0 and at_zero() where x = 0, for a
-    scalar or array x >= 0."""
+    scalar or array x >= 0; NaN raises like a negative value."""
     scalar = np.ndim(x) == 0
     arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(arr < 0):
-        raise DomainError(f"{what} must be >= 0")
+    if not np.all(arr >= 0):
+        raise DomainError(f"{what} must be >= 0 and not NaN")
     pos = arr > 0
     out = np.full_like(arr, 0.0 if pos.all() else at_zero())
     out[pos] = np.exp(log_density(arr[pos]))

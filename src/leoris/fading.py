@@ -122,8 +122,8 @@ def envelope_pdf(x, p: KappaMuParams):
     """Density of the unit-power envelope on x >= 0."""
     scalar = np.ndim(x) == 0
     arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(arr < 0):
-        raise DomainError("envelope value must be >= 0")
+    if not np.all(arr >= 0):
+        raise DomainError("envelope value must be >= 0 and not NaN")
     k, m = p.kappa, p.mu
     out = np.zeros_like(arr)
     pos = arr > 0
@@ -154,6 +154,8 @@ def envelope_cdf(x, p: KappaMuParams):
     """Distribution of the unit-power envelope, via the noncentral
     chi-square law of the squared envelope."""
     arr = np.asarray(x, dtype=float)
+    if np.isnan(arr).any():
+        raise DomainError("envelope value must not be NaN")
     k, m = p.kappa, p.mu
     q = 2.0 * m * (1.0 + k) * np.square(np.clip(arr, 0.0, None))
     if k == 0.0:

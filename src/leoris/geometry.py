@@ -96,10 +96,17 @@ class Constellation:
         return 4.0 * self.earth_radius * self.shell_radius
 
 
+def _check_not_nan(x) -> np.ndarray:
+    arr = np.asarray(x, dtype=float)
+    if np.isnan(arr).any():
+        raise DomainError("distance must not be NaN")
+    return arr
+
+
 def _check_nonnegative(r) -> np.ndarray:
     arr = np.asarray(r, dtype=float)
-    if np.any(arr < 0):
-        raise DomainError("distance must be >= 0")
+    if not np.all(arr >= 0):
+        raise DomainError("distance must be >= 0 and not NaN")
     return arr
 
 
@@ -255,7 +262,7 @@ def sat_distance_pdf(x, con: Constellation):
     uniformly on the shell: M (1 - u)^(M-1) * 2x / S, with
     u = (x^2 - h^2) / S and S = 4 r_e (r_e + h)."""
     scalar = np.ndim(x) == 0
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    arr = np.atleast_1d(_check_not_nan(x))
     M = con.satellites
     inside = (arr >= con.altitude) & (arr <= con.max_distance)
     val = np.zeros_like(arr)
@@ -269,7 +276,7 @@ def sat_distance_cdf(x, con: Constellation):
     """Distribution matching sat_distance_pdf: 1 - (1 - u)^M, which is 0
     at the altitude and 1 at the far edge of the shell."""
     scalar = np.ndim(x) == 0
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    arr = np.atleast_1d(_check_not_nan(x))
     val = -np.expm1(_xlog1py(con.satellites, -_sat_fraction(arr, con)))
     return float(val[0]) if scalar else val
 

@@ -5,6 +5,8 @@ generalized hypergeometric functions whose individual terms are singular
 at every positive integer shape (the singularities cancel jointly);
 near-integer shapes are handled by symmetric perturbation, cross-checked
 against the quadrature oracle, and the oracle wins on disagreement.
+The oracle imports scipy.integrate on its first call, so importing the
+package loads only scipy.special from scipy.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from scipy.integrate import quad as _quad
 from scipy.special import (
     digamma as _digamma,
     gammaincc as _gammaincc,
@@ -172,6 +173,10 @@ def capacity_quadrature(ga: GammaApprox, rho0: float) -> float:
     origin) is found at every shape. The sub-unit-shape case substitutes
     away the endpoint singularity first.
     """
+    # scipy.integrate loads scipy.optimize, linalg and sparse with it, so
+    # it is imported on the first quadrature, not with the package
+    from scipy.integrate import quad
+
     if not rho0 > 0:
         raise DomainError(f"rho0 must be > 0, got {rho0}")
     a = ga.alpha
@@ -183,7 +188,7 @@ def capacity_quadrature(ga: GammaApprox, rho0: float) -> float:
         return math.log1p(c * y * y) * math.exp((a - 1.0) * math.log(y) - y - lga)
 
     def integrate(f, lo: float, up: float) -> float:
-        val, _ = _quad(f, lo, up, epsabs=1e-11, epsrel=1e-11, limit=300)
+        val, _ = quad(f, lo, up, epsabs=1e-11, epsrel=1e-11, limit=300)
         return val
 
     if a >= 1.0:

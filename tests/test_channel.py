@@ -26,8 +26,17 @@ from leoris.channel import (
     var_abs_A,
 )
 from leoris.errors import ComputationError, DivergentMomentError, DomainError
-from leoris.fading import KappaMuParams, envelope_moment
-from leoris.geometry import Constellation, CylinderGeometry, ris_distance_moment, sat_distance_moment
+from leoris.fading import KappaMuParams, envelope_cdf, envelope_moment, envelope_pdf
+from leoris.geometry import (
+    Constellation,
+    CylinderGeometry,
+    ris_distance_cdf,
+    ris_distance_moment,
+    ris_distance_pdf,
+    sat_distance_cdf,
+    sat_distance_moment,
+    sat_distance_pdf,
+)
 from leoris.montecarlo import SimOptions, simulate_snr
 from leoris.runner import sweep
 from leoris.scenario import SweepSpec, load_scenario
@@ -270,6 +279,26 @@ def test_snr_pdf_domain():
         snr_pdf(1.0, ga, 0.0)
     with pytest.raises(DomainError):
         snr_pdf(-1.0, ga, 1.0)
+
+
+@pytest.mark.parametrize("f, valid", [
+    pytest.param(lambda x: abs_A_pdf(x, GammaApprox(0.5, 1.0)), 0.5, id="abs_A_pdf-alpha<1"),
+    pytest.param(lambda x: abs_A_pdf(x, GammaApprox(2.0, 1.0)), 0.5, id="abs_A_pdf-alpha>1"),
+    pytest.param(lambda x: snr_pdf(x, GammaApprox(0.5, 1.0), 1.0), 0.5, id="snr_pdf"),
+    pytest.param(lambda x: envelope_pdf(x, KappaMuParams(1.0, 2.0)), 0.5, id="envelope_pdf"),
+    pytest.param(lambda x: envelope_cdf(x, KappaMuParams(1.0, 2.0)), 0.5, id="envelope_cdf"),
+    pytest.param(lambda x: ris_distance_pdf(x, GEOM), 50.0, id="ris_distance_pdf"),
+    pytest.param(lambda x: ris_distance_cdf(x, GEOM), 50.0, id="ris_distance_cdf"),
+    pytest.param(lambda x: sat_distance_pdf(x, CON), 1.2e6, id="sat_distance_pdf"),
+    pytest.param(lambda x: sat_distance_cdf(x, CON), 1.2e6, id="sat_distance_cdf"),
+])
+def test_densities_and_cdfs_reject_nan(f, valid):
+    # NaN compares false both ways, so it must not pass as a value at 0
+    with pytest.raises(DomainError):
+        f(math.nan)
+    with pytest.raises(DomainError):
+        f(np.array([valid, math.nan]))
+    assert f(np.array([valid, 2.0 * valid])).tolist() == [f(valid), f(2.0 * valid)]
 
 
 def test_moments_against_light_simulation(default_geometry, default_constellation):

@@ -2,10 +2,6 @@
 density, and exactness of the sampler."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -194,14 +190,3 @@ def test_sampler_scalar_draw():
 def test_moment_domain():
     with pytest.raises(DomainError):
         envelope_moment(0.0, KappaMuParams(1.0, 1.0))
-
-
-def test_import_leaves_scipy_stats_unloaded():
-    # envelope_cdf takes its chi-square laws from scipy.special, so
-    # importing the package does not load scipy.stats
-    import leoris
-    env = dict(os.environ, PYTHONPATH=str(Path(leoris.__file__).resolve().parents[1]))
-    code = "import sys, leoris; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"

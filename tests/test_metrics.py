@@ -1,7 +1,13 @@
 """Coverage and capacity: limits, identities, monotonicity, pole handling
 and agreement between the closed form and the quadrature oracle."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,3 +181,45 @@ def test_capacity_domain():
         ergodic_capacity(GA, 0.0)
     with pytest.raises(DomainError):
         capacity_quadrature(GA, -1.0)
+
+
+IMPORT_PROBE = textwrap.dedent("""
+    import dataclasses, json, sys
+    from leoris import GammaApprox, SweepSpec, ergodic_capacity, load_scenario, sweep
+
+    HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse",
+             "scipy.stats")
+
+    def loaded(names):
+        return [m for m in names if m in sys.modules]
+
+    report = {"eager": loaded(("numpy", "scipy.special", "yaml"))}
+    cfg = load_scenario(sys.argv[1])
+    sweep(dataclasses.replace(cfg, sweep=SweepSpec("R0", (60.0, 120.0, 300.0)),
+                              mc_enabled=False))
+    # two 4096-trial blocks, so the simulation runs on two worker threads
+    sweep(dataclasses.replace(cfg, sweep=SweepSpec("N", (4.0, 8.0)), mc_enabled=True,
+                              mc=dataclasses.replace(cfg.mc, trials=5000, workers=2)))
+    report["after_sweeps"] = loaded(HEAVY)
+    # inside the pole window, so the quadrature oracle always runs
+    cap = ergodic_capacity(GammaApprox(3.0 + 5e-5, 0.42), 100.0)
+    report["capacity"] = cap.bits
+    report["after_quadrature"] = loaded(HEAVY)
+    print(json.dumps(report))
+""")
+
+
+def test_sweeps_leave_the_quadrature_stack_unloaded():
+    # scipy.integrate drags in scipy.optimize, linalg and sparse; only the
+    # quadrature oracle needs it, and no sweep below reaches quadrature
+    import leoris
+    root = Path(leoris.__file__).resolve().parents[1]
+    config = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
+    env = dict(os.environ, PYTHONPATH=str(root))
+    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(config)], env=env,
+                         capture_output=True, text=True, check=True)
+    report = json.loads(out.stdout)
+    assert report["eager"] == ["numpy", "scipy.special", "yaml"]
+    assert report["after_sweeps"] == []
+    assert math.isfinite(report["capacity"]) and report["capacity"] > 0.0
+    assert "scipy.integrate" in report["after_quadrature"]
