@@ -9,6 +9,7 @@ from .channel import (
     RisLink,
     abs_A_pdf,
     gamma_approx,
+    gamma_fits,
     mean_abs_A,
     snr_pdf,
     var_abs_A,

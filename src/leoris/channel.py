@@ -9,21 +9,31 @@ moment fit used by the coverage and capacity expressions.
 
 Each path's moments split into a link factor (element count, fading
 laws, satellite hop) and a geometry factor (the RIS-distance moment).
-Link factors do not depend on the RIS region or the user-hop exponent,
-so they go into a dict that the RISs of one fit share, and that a caller
-may share across fits, as a sweep does across its points.
+Fits are made in batches (gamma_fits), as a sweep fits all its points:
+link factors do not depend on the RIS region or the user-hop exponent,
+so each distinct one is computed once per batch, and every geometry
+factor of the batch comes from one array evaluation of the RIS-distance
+kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ComputationError, DomainError
+from .errors import ComputationError, DomainError, LeorisError
 from .fading import KappaMuParams, envelope_moment
-from .geometry import Constellation, CylinderGeometry, ris_distance_moment, sat_distance_moment
+from .geometry import (
+    Constellation,
+    CylinderGeometry,
+    _checked_ris_moment,
+    _ris_moment,
+    _ris_moment_order,
+    sat_distance_moment,
+)
 
 __all__ = [
     "GammaApprox",
@@ -33,6 +43,7 @@ __all__ = [
     "mean_abs_A",
     "var_abs_A",
     "gamma_approx",
+    "gamma_fits",
     "abs_A_pdf",
     "snr_pdf",
 ]
@@ -104,49 +115,131 @@ class LinkConfig:
             raise DomainError(f"transmit_snr must be > 0, got {self.transmit_snr}")
 
 
-def _link_factor(memo: dict, elements: int, fadings: tuple, exponent: float,
+# one kernel call covers at most this many paths; it bounds a batch's
+# arrays for grids of large RIS counts
+_CHUNK_PATHS = 1 << 16
+
+
+def _link_factor(factors: dict, elements: int, fadings: tuple, exponent: float,
                  con: Constellation) -> tuple[float, float]:
     """(L m1 E[d_sat^-eta/2], (L + (L^2 - L) m1^2) E[d_sat^-eta]) of one
     path, m1 the product of its hops' first envelope moments (the direct
-    path: L = 1, one hop), from ``memo`` or added to it under every field
-    it reads; RIS and direct paths share the satellite-hop entry."""
-    key = (elements, fadings, exponent, con)
-    factor = memo.get(key)
+    path: L = 1, one hop), from ``factors`` or added to it; RIS and direct
+    paths share the satellite-hop entry. One dict serves one constellation."""
+    key = (elements, fadings, exponent)
+    factor = factors.get(key)
     if factor is None:
-        hop = memo.get((exponent, con))
+        hop = factors.get(exponent)
         if hop is None:
-            hop = memo[exponent, con] = (sat_distance_moment(1, exponent, con),
-                                         sat_distance_moment(2, exponent, con))
+            hop = factors[exponent] = (sat_distance_moment(1, exponent, con),
+                                       sat_distance_moment(2, exponent, con))
         L, m1 = elements, math.prod(envelope_moment(1.0, f) for f in fadings)
-        factor = memo[key] = L * m1 * hop[0], (L + (L * L - L) * m1 * m1) * hop[1]
+        factor = factors[key] = L * m1 * hop[0], (L + (L * L - L) * m1 * m1) * hop[1]
     return factor
 
 
-def _path_moments(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation,
-                  with_second: bool, memo: dict):
-    """(mean, second moment) of each path's magnitude, RIS paths first and
-    the direct path last; the second moment is None unless asked for,
+def _path_links(cfg: LinkConfig):
+    """(elements, fading laws, satellite-hop exponent) of each path, RIS
+    paths first and the direct path last."""
+    for link in cfg.ris:
+        yield link.elements, (link.sat_fading, link.user_fading), link.sat_exponent
+    if cfg.direct.enabled:
+        yield 1, (cfg.direct.fading,), cfg.direct.exponent
+
+
+def _link_rows(cfg: LinkConfig, con: Constellation, factors: dict) -> np.ndarray:
+    """One row per path of ``cfg``: its two link factors, then its user-hop
+    exponent and 1 for a RIS path, or 0 and 0 for the direct path. A link
+    factor that raises reads NaN; _raise_first_error raises it again in
+    path order."""
+    rows = []
+    for i, spec in enumerate(_path_links(cfg)):
+        try:
+            first, second = _link_factor(factors, *spec, con)
+        except LeorisError:
+            first = second = math.nan
+        ris = i < len(cfg.ris)
+        rows.append((first, second, cfg.ris[i].user_exponent if ris else 0.0, float(ris)))
+    return np.array(rows, dtype=float).reshape(-1, 4)
+
+
+def _raise_first_error(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation,
+                       factors: dict, moments: list[np.ndarray]) -> None:
+    """Raise the first error of the fit of (cfg, geom), walking its paths
+    in order: a path's link factor, then its RIS-distance moment at each
+    order; ``moments[t - 1]`` holds the kernel's values at order t, in
+    path order."""
+    for i, spec in enumerate(_path_links(cfg)):
+        _link_factor(factors, *spec, con)
+        if i < len(cfg.ris):
+            for t, values in enumerate(moments, start=1):
+                s = _ris_moment_order(t, cfg.ris[i].user_exponent)
+                _checked_ris_moment(s, geom, float(values[i]))
+
+
+def _batch_paths(pairs: Sequence[tuple[LinkConfig, CylinderGeometry]], con: Constellation,
+                 orders: tuple[int, ...]):
+    """For each (links, geometry) pair in order, the list of its paths'
+    (mean, second moment) of the magnitude, RIS paths first and the direct
+    path last; the second moment is None unless order 2 is asked for,
     since it may diverge where the mean is finite.
 
     Second moments use the unit-power normalization
     E[|q|^2] = E[|g|^2] = E[|u|^2] = 1, so the element-sum second moment
     reduces to L + (L^2 - L) * (first-moment product)^2.
 
-    A RIS path's moment is its link factor (always finite), from the
-    caller's ``memo`` dict, times the RIS-distance moment at its own
-    user-hop exponent.
+    A RIS path's moment is its link factor (always finite) times the
+    RIS-distance moment at its own user-hop exponent. Link factors are
+    computed once per distinct (elements, fading laws, satellite-hop
+    exponent) and kept for the whole batch. The RIS-distance moments of
+    up to _CHUNK_PATHS paths come from one kernel call over their
+    distinct (s, R0, H, c). A pair with a failing path raises, when its
+    turn comes, what ris_distance_moment or the link factor raises for
+    its first failing path.
     """
-    for link in cfg.ris:
-        first, second = _link_factor(memo, link.elements, (link.sat_fading, link.user_fading),
-                                     link.sat_exponent, con)
-        mean = first * ris_distance_moment(1, link.user_exponent, geom)
-        if not with_second:
-            yield mean, None
-            continue
-        yield mean, second * ris_distance_moment(2, link.user_exponent, geom)
-    if cfg.direct.enabled:
-        mean, second = _link_factor(memo, 1, (cfg.direct.fading,), cfg.direct.exponent, con)
-        yield mean, second if with_second else None
+    factors: dict = {}
+    widest = 1 + max((len(cfg.ris) for cfg, _ in pairs), default=0)
+    step = max(1, _CHUNK_PATHS // widest)
+    for start in range(0, len(pairs), step):
+        yield from _chunk_paths(pairs[start:start + step], con, orders, factors)
+
+
+def _chunk_paths(pairs, con: Constellation, orders: tuple[int, ...], factors: dict):
+    """_batch_paths for pairs whose RIS-distance moments share one kernel call."""
+    # rows by links identity: the pairs keep every links object alive
+    rows = {}
+    for cfg, _ in pairs:
+        if id(cfg) not in rows:
+            rows[id(cfg)] = _link_rows(cfg, con, factors)
+    per_pair = [rows[id(cfg)] for cfg, _ in pairs]
+    sizes = np.array([len(r) for r in per_pair], dtype=np.intp)
+    first, second, eps, ris = np.concatenate(per_pair).reshape(-1, 4).T
+    regions = np.array([(g.base_radius, g.height, g.inner_radius) for _, g in pairs])
+    R0, H, c = np.repeat(regions.reshape(-1, 3), sizes, axis=0).T
+    ris = ris == 1.0
+    valid = ris & (eps >= 0.0)
+    keys = np.concatenate([np.column_stack((t * eps[valid] / 2.0, R0[valid], H[valid], c[valid]))
+                           for t in orders])
+    # each key row as one 32-byte record, so one sort finds the distinct ones
+    distinct, where = np.unique(keys.view(np.dtype((np.void, keys.itemsize * 4))).ravel(),
+                                return_inverse=True)
+    columns = distinct.view(float).reshape(-1, 4).T.copy()
+    values = _ris_moment(*columns)[where].reshape(len(orders), -1)
+    # per order and path: the RIS-distance moment, 1 on the direct path,
+    # NaN for a RIS exponent the moment's check rejects
+    moments = np.tile(np.where(ris, np.nan, 1.0), (len(orders), 1))
+    moments[:, valid] = values
+    failed = ~np.isfinite(first) | ~np.isfinite(moments).all(axis=0)
+    owner = np.repeat(np.arange(len(pairs)), sizes)
+    bad = np.bincount(owner[failed], minlength=len(pairs)) > 0
+    means = (first * moments[0]).tolist()
+    seconds = (second * moments[1]).tolist() if len(orders) > 1 else [None] * len(means)
+    end = 0
+    for (cfg, geom), size, raises in zip(pairs, sizes.tolist(), bad.tolist()):
+        start, end = end, end + size
+        if raises:
+            _raise_first_error(cfg, geom, con, factors, list(moments[:, start:end]))
+        yield list(zip(means[start:end], seconds[start:end]))
 
 
 def _variance(paths) -> float:
@@ -163,27 +256,41 @@ def _variance(paths) -> float:
 
 def mean_abs_A(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation) -> float:
     """Mean magnitude of the combined channel response."""
-    return sum(mean for mean, _ in _path_moments(cfg, geom, con, with_second=False, memo={}))
+    (paths,) = _batch_paths([(cfg, geom)], con, (1,))
+    return sum(mean for mean, _ in paths)
 
 
 def var_abs_A(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation) -> float:
     """Variance of the combined channel response magnitude."""
-    return _variance(_path_moments(cfg, geom, con, with_second=True, memo={}))
+    (paths,) = _batch_paths([(cfg, geom)], con, (1, 2))
+    return _variance(paths)
 
 
-def gamma_approx(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation, *,
-                 memo: dict | None = None) -> GammaApprox:
-    """Two-moment Gamma fit of the combined response magnitude. Fits that
-    are given the same ``memo`` dict share their link factors."""
-    paths = list(_path_moments(cfg, geom, con, with_second=True,
-                               memo={} if memo is None else memo))
-    mean = sum(m for m, _ in paths)
-    if not mean > 0.0:
-        raise ComputationError(
-            "mean of the combined response is not positive; the configuration "
-            "has no active signal path"
-        )
-    return GammaApprox.from_moments(mean, _variance(paths))
+def gamma_fits(pairs: Sequence[tuple[LinkConfig, CylinderGeometry]],
+               con: Constellation) -> list[GammaApprox]:
+    """Two-moment Gamma fits of the combined response magnitude, one per
+    (links, geometry) pair, all under one constellation.
+
+    The batch shares its link factors and evaluates its RIS-distance
+    moments in array passes (see _batch_paths), so a sweep fits all its
+    points in one call. Each fit is checked in pair order: the first pair
+    that cannot be fitted raises what gamma_approx raises for it alone.
+    """
+    fits = []
+    for paths in _batch_paths(pairs, con, (1, 2)):
+        mean = sum(m for m, _ in paths)
+        if not mean > 0.0:
+            raise ComputationError(
+                "mean of the combined response is not positive; the configuration "
+                "has no active signal path"
+            )
+        fits.append(GammaApprox.from_moments(mean, _variance(paths)))
+    return fits
+
+
+def gamma_approx(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation) -> GammaApprox:
+    """Two-moment Gamma fit of the combined response magnitude."""
+    return gamma_fits([(cfg, geom)], con)[0]
 
 
 def _density(x, what: str, log_density, at_zero):

@@ -169,85 +169,160 @@ def ris_distance_cdf(r, geom: CylinderGeometry):
     return float(out[0]) if scalar else out
 
 
-def _power_integral(a: float, b: float, p: float) -> float:
-    """int_a^b r^p dr for 0 < a <= b, continuous through p = -1."""
-    if b <= a:
-        return 0.0
-    y = (p + 1.0) * math.log(b / a)
-    phi = math.expm1(y) / y if y != 0.0 else 1.0
-    return a ** (p + 1.0) * math.log(b / a) * phi
+def _power_integral(a, b, p) -> np.ndarray:
+    """int_a^b r^p dr elementwise for a > 0, continuous through p = -1;
+    0 where b <= a."""
+    a, b, p = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, p)))
+    out = np.zeros(a.shape)
+    m = b > a
+    a, b, p = a[m], b[m], p[m]
+    log_ratio = np.log(b / a)
+    y = (p + 1.0) * log_ratio
+    with np.errstate(over="raise"):
+        phi = np.divide(np.expm1(y), y, out=np.ones_like(y), where=y != 0.0)
+    out[m] = _pow(a, p + 1.0) * log_ratio * phi
+    return out
 
 
-def _sqrt_weighted_integral(x: float, R0: float, s: float) -> float:
-    """int_{R0}^{x} r^{1-s} sqrt(r^2 - R0^2) dr via an Euler-type
-    hypergeometric reduction.
+def _sqrt_weighted_integral(x, R0, s) -> np.ndarray:
+    """int_{R0}^{x} r^{1-s} sqrt(r^2 - R0^2) dr elementwise, via an
+    Euler-type hypergeometric reduction; 0 where x <= R0. Raises
+    ConvergenceError where the 2F1 does not evaluate finitely.
 
     The 2F1 argument -w/R0^2 grows large and negative for tall regions,
     where the plain series is useless; scipy's hyp2f1 applies its
     transformations there.
     """
+    x, R0, s = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, R0, s)))
+    out = np.zeros(x.shape)
     w = x * x - R0 * R0
-    if w <= 0.0:
-        return 0.0
+    m = ~(w <= 0.0)  # NaN w (from overflowed squares) goes on to fail the 2F1
+    w, R0, s = w[m], R0[m], s[m]
     z = -w / (R0 * R0)
-    f = float(_hyp2f1(s / 2.0, 1.5, 2.5, z))
-    if not math.isfinite(f):
-        raise ConvergenceError(f"2F1({s / 2.0}, 1.5; 2.5; {z}) did not evaluate finitely")
-    return w ** 1.5 / (3.0 * R0 ** s) * f
+    # flags raised inside the 2F1 evaluation are its own business
+    with np.errstate(all="ignore"):
+        f = _hyp2f1(s / 2.0, 1.5, 2.5, z)
+    bad = np.flatnonzero(~np.isfinite(f))
+    if bad.size:
+        i = bad[0]
+        raise ConvergenceError(f"2F1({s[i] / 2.0}, 1.5; 2.5; {z[i]}) did not evaluate finitely")
+    out[m] = _pow(w, 1.5) / (3.0 * _pow(R0, s)) * f
+    return out
+
+
+def _ris_moment(s, R0, H, c) -> np.ndarray:
+    """E[R^-s] of the user-to-RIS distance, elementwise over broadcastable
+    arrays of s and of the region's base radius R0, height H and inner
+    radius c.
+
+    Assembled from the per-branch antiderivatives of the distance law
+    (flat disk, flat annulus, and a 3D region with H <= R0 or H > R0), so
+    the removable denominators of the closed-form expression (at
+    t*eps = 4 and t*eps = 6) hit their log limits exactly. NaN where the
+    moment diverges. A moment whose evaluation overflows a power or
+    divides by zero (extreme region sizes) reads inf, even where later
+    steps would have made it finite again, and so does one whose 2F1
+    fails; _checked_ris_moment turns each into its error.
+    """
+    args = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float))
+                                 for v in (s, R0, H, c)))
+    return _guarded_ris_moment(*(a.ravel() for a in args)).reshape(args[0].shape)
+
+
+def _guarded_ris_moment(*args: np.ndarray) -> np.ndarray:
+    """_ris_moment_values with inf for each element whose evaluation
+    raises, found by halving the arrays."""
+    try:
+        return _ris_moment_values(*args)
+    except (FloatingPointError, ConvergenceError):
+        if args[0].size == 1:
+            return np.array([math.inf])
+    half = args[0].size // 2
+    return np.concatenate([_guarded_ris_moment(*(a[:half] for a in args)),
+                           _guarded_ris_moment(*(a[half:] for a in args))])
+
+
+def _pow(x, y) -> np.ndarray:
+    """x ** y, raising FloatingPointError where it overflows or divides by
+    zero, as Python's float power does."""
+    with np.errstate(over="raise", divide="raise"):
+        return x ** y
+
+
+def _ris_moment_values(s, R0, H, c) -> np.ndarray:
+    """_ris_moment on broadcast 1-d arrays. Arithmetic follows Python's
+    float rules: a product or quotient that overflows is inf, while a
+    power or expm1 that overflows, or a division by zero, raises
+    FloatingPointError."""
+    out = np.full(s.shape, np.nan)
+    with np.errstate(over="ignore", divide="raise", invalid="ignore", under="ignore"):
+        disk = (H == 0.0) & (c == 0.0) & (s < 2.0)
+        sd, rd = s[disk], R0[disk]
+        out[disk] = 2.0 * _pow(rd, -sd) / (2.0 - sd)
+        annulus = (H == 0.0) & (c > 0.0)
+        sa, ra, ca = s[annulus], R0[annulus], c[annulus]
+        out[annulus] = (2.0 * _power_integral(ca, ra, 1.0 - sa)
+                        / (_pow(ra, 2) - _pow(ca, 2)))
+        solid = (H > 0.0) & (s < 3.0)
+        s, R0, H = s[solid], R0[solid], H[solid]
+        lo, hi = np.minimum(H, R0), np.maximum(H, R0)
+        psi3 = np.hypot(R0, H)
+        total = _pow(lo, 3.0 - s) / ((3.0 - s) * H)
+        tall = H > R0
+        j_mid = _sqrt_weighted_integral(H[tall], R0[tall], s[tall])
+        total[tall] += (_power_integral(R0[tall], H[tall], 2.0 - s[tall]) - j_mid) / H[tall]
+        total[~tall] += _power_integral(H[~tall], R0[~tall], 1.0 - s[~tall])
+        total += _power_integral(hi, psi3, 1.0 - s)
+        j_top = _sqrt_weighted_integral(psi3, R0, s)
+        j_top[tall] -= j_mid
+        total -= j_top / H
+        out[solid] = 2.0 * total / _pow(R0, 2)
+    return out
+
+
+def _ris_moment_order(t: int, eps: float) -> float:
+    """The exponent s = t*eps/2 of E[R^-s], after checking t and eps."""
+    if t not in (1, 2):
+        raise DomainError(f"moment order t must be 1 or 2, got {t}")
+    if not eps >= 0:
+        raise DomainError(f"path-loss exponent must be >= 0, got {eps}")
+    return t * eps / 2.0
+
+
+def _checked_ris_moment(s: float, geom: CylinderGeometry, value: float) -> float:
+    """``value``, the kernel's E[R^-s] on ``geom``, or the error it stands
+    for: DivergentMomentError naming the exponent where the moment is not
+    integrable at r = 0, ComputationError where it leaves the float range."""
+    if geom.height == 0.0 and geom.inner_radius == 0.0 and s >= 2.0:
+        raise DivergentMomentError(
+            f"moment E[R^-{s:g}] diverges on a flat disk: "
+            f"t*eps = {2.0 * s:g} >= 4 requires an inner radius"
+        )
+    if geom.height > 0.0 and s >= 3.0:
+        raise DivergentMomentError(
+            f"moment E[R^-{s:g}] diverges for a 3D region: t*eps = {2.0 * s:g} >= 6"
+        )
+    if not math.isfinite(value):
+        try:  # a 2F1 that does not evaluate finitely raises its own error
+            _ris_moment_values(*(np.array([v]) for v in (s, geom.base_radius, geom.height,
+                                                         geom.inner_radius)))
+        except FloatingPointError:
+            pass
+        raise ComputationError(f"moment E[R^-{s:g}] leaves the float range for {geom}")
+    return value
 
 
 def ris_distance_moment(t: int, eps: float, geom: CylinderGeometry) -> float:
     """E[R^{-t*eps/2}] of the user-to-RIS distance.
 
-    Assembled from the per-branch antiderivatives of the distance law so
-    the removable denominators of the closed-form expression (at
-    t*eps = 4 and t*eps = 6) hit their log limits exactly. Divergent
-    requests (non-integrable at r=0) raise DivergentMomentError naming
-    the exponent; a moment the float range cannot carry (from extreme
-    region sizes) raises ComputationError.
+    Evaluated by the elementwise kernel the batched Gamma fits share.
+    Divergent requests (non-integrable at r=0) raise DivergentMomentError
+    naming the exponent; a moment the float range cannot carry (from
+    extreme region sizes) raises ComputationError.
     """
-    if t not in (1, 2):
-        raise DomainError(f"moment order t must be 1 or 2, got {t}")
-    if eps < 0:
-        raise DomainError(f"path-loss exponent must be >= 0, got {eps}")
-    s = t * eps / 2.0
-    try:
-        value = _ris_moment(s, geom)
-    except (OverflowError, ZeroDivisionError):
-        value = math.inf
-    if not math.isfinite(value):
-        raise ComputationError(f"moment E[R^-{s:g}] leaves the float range for {geom}")
-    return value
-
-
-def _ris_moment(s: float, geom: CylinderGeometry) -> float:
-    """E[R^-s] of the user-to-RIS distance; see ris_distance_moment."""
-    R0, H, c = geom.base_radius, geom.height, geom.inner_radius
-    if H == 0.0:
-        if c == 0.0:
-            if s >= 2.0:
-                raise DivergentMomentError(
-                    f"moment E[R^-{s:g}] diverges on a flat disk: "
-                    f"t*eps = {2.0 * s:g} >= 4 requires an inner radius"
-                )
-            return 2.0 * R0 ** (-s) / (2.0 - s)
-        return 2.0 * _power_integral(c, R0, 1.0 - s) / (R0 ** 2 - c ** 2)
-    if s >= 3.0:
-        raise DivergentMomentError(
-            f"moment E[R^-{s:g}] diverges for a 3D region: t*eps = {2.0 * s:g} >= 6"
-        )
-    lo, hi = min(H, R0), max(H, R0)
-    psi3 = geom.max_distance
-    total = lo ** (3.0 - s) / ((3.0 - s) * H)
-    if H <= R0:
-        total += _power_integral(H, R0, 1.0 - s)
-        j_mid = 0.0
-    else:
-        j_mid = _sqrt_weighted_integral(H, R0, s)
-        total += (_power_integral(R0, H, 2.0 - s) - j_mid) / H
-    total += _power_integral(hi, psi3, 1.0 - s)
-    total -= (_sqrt_weighted_integral(psi3, R0, s) - j_mid) / H
-    return 2.0 * total / R0 ** 2
+    s = _ris_moment_order(t, eps)
+    value = _ris_moment(s, geom.base_radius, geom.height, geom.inner_radius)
+    return _checked_ris_moment(s, geom, float(value[0]))
 
 
 def _sat_fraction(arr: np.ndarray, con: Constellation) -> np.ndarray:

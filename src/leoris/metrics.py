@@ -202,7 +202,9 @@ def capacity_quadrature(ga: GammaApprox, rho0: float) -> float:
             return math.log1p(c * y * y) * math.exp(-y - lga) / a
 
         val = integrate(head, 0.0, 1.0) + integrate(integrand, 1.0, hi)
-    return val / _LN2
+    # the integrand is nonnegative; quad's roundoff can leave a tiny
+    # negative sum where the capacity is near zero
+    return max(val, 0.0) / _LN2
 
 
 def ergodic_capacity(ga: GammaApprox, rho0: float) -> CapacityResult:

@@ -7,9 +7,10 @@ alpha, beta. One table per metric; Monte Carlo columns are empty when
 simulation is off.
 
 A sweep is one loop over the grid of a ScenarioConfig. Consecutive
-points with the same links and geometry form a run, which fits the
-Gamma model once; threshold and transmit-SNR sweeps are a single run,
-and a transmit-SNR point rescales the simulated samples. Consecutive
+points with the same links and geometry form a run, which has one Gamma
+fit; the sweep fits all its runs in one batch (channel.gamma_fits)
+before it simulates. Threshold and transmit-SNR sweeps are a single
+run, and a transmit-SNR point rescales the simulated samples. Consecutive
 runs whose links nest (montecarlo.is_nested: each run's RIS list is a
 prefix of the next run's, each RIS the same up to fewer elements) on the
 same geometry share one simulation, made on the last run's links; that
@@ -29,12 +30,14 @@ import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 import yaml
 
-from .channel import LinkConfig, gamma_approx
+# gamma_approx stays importable here for callers that trace the fit by
+# module attribute, as the benchmark does
+from .channel import LinkConfig, gamma_approx, gamma_fits  # noqa: F401
 from .errors import ConfigError
 from .metrics import CoverageQuery, coverage_probability, ergodic_capacity
 from .geometry import CylinderGeometry
@@ -49,6 +52,9 @@ from .montecarlo import (
 from .scenario import ScenarioConfig, db_to_linear, load_scenario, resolved_mapping
 
 __all__ = ["SweepTable", "RunSummary", "sweep", "run_scenario", "write_table"]
+
+# libyaml's emitter where PyYAML was built with it; both write the same bytes
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 HEADER = ("sweep_value", "analytic_metric", "mc_metric", "mc_stderr", "alpha", "beta")
 
@@ -141,7 +147,7 @@ def _runs(cfg: ScenarioConfig) -> Iterator[_Run]:
     yield run
 
 
-def _groups(cfg: ScenarioConfig, runs: Iterator[_Run]) -> Iterator[list[_Run]]:
+def _groups(cfg: ScenarioConfig, runs: Iterable[_Run]) -> Iterator[list[_Run]]:
     """Consecutive runs that one simulation can serve: same geometry, each
     run's links nested in the next run's, and trials samples per run
     within MAX_KEPT_SAMPLES."""
@@ -184,17 +190,16 @@ def _row(metric: str, value: float, rho0: float, rho_th: float, ga, sim) -> tupl
 
 
 def sweep(cfg: ScenarioConfig) -> list[SweepTable]:
-    """Evaluate the scenario's metrics over its sweep grid, fitting once
-    per run of equal links and geometry (every fit shares one link-factor
-    memo, dropped on return) and simulating once per group of nested
-    runs."""
+    """Evaluate the scenario's metrics over its sweep grid, fitting every
+    run of equal links and geometry in one batch before any simulation
+    (so the first point that cannot be fitted raises first), and
+    simulating once per group of nested runs."""
     variable = cfg.sweep.variable
     metrics = _METRICS.get(variable, ("coverage", "capacity"))
     rows: dict[str, list[tuple]] = {m: [] for m in metrics}
-    memo: dict = {}
-    for group in _groups(cfg, _runs(cfg)):
-        fits = [gamma_approx(run.links, run.geometry, cfg.constellation, memo=memo)
-                for run in group]
+    runs = list(_runs(cfg))
+    fits = iter(gamma_fits([(run.links, run.geometry) for run in runs], cfg.constellation))
+    for group in _groups(cfg, runs):
         sims = _simulate(cfg, group) if cfg.mc_enabled else (None,) * len(group)
         for run, ga, sim in zip(group, fits, sims):
             for value, rho0, rho_th in run.points:
@@ -243,5 +248,5 @@ def run_scenario(source: str | Path | ScenarioConfig,
     paths = tuple(write_table(t, directory, cfg.output.format) for t in tables)
     resolved_path = directory / "resolved.yaml"
     resolved_path.write_text(
-        yaml.safe_dump(resolved_mapping(cfg), sort_keys=False), encoding="utf-8")
+        yaml.dump(resolved_mapping(cfg), Dumper=_DUMPER, sort_keys=False), encoding="utf-8")
     return RunSummary(tables=tuple(tables), paths=paths, resolved_path=resolved_path)

@@ -13,7 +13,7 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import default_links
-from leoris import channel
+from leoris import channel, runner
 from leoris.channel import (
     DirectPath,
     GammaApprox,
@@ -100,18 +100,28 @@ def test_gamma_fit_requires_signal_path():
 
 
 def _count_moments(monkeypatch) -> dict:
-    """Count the moment evaluations channel makes, by function name."""
+    """Count the moment evaluations channel makes: calls of the envelope
+    and satellite-distance moments, and calls of the RIS-distance kernel
+    with the number of moments each evaluates."""
     counts = {}
-    for name in ("envelope_moment", "sat_distance_moment", "ris_distance_moment"):
+    for name in ("envelope_moment", "sat_distance_moment"):
         def counting(*a, _name=name, _fn=getattr(channel, name)):
             counts[_name] = counts.get(_name, 0) + 1
             return _fn(*a)
         monkeypatch.setattr(channel, name, counting)
+
+    def kernel(s, *region, _fn=channel._ris_moment):
+        counts["ris_kernel_calls"] = counts.get("ris_kernel_calls", 0) + 1
+        counts["ris_moments"] = counts.get("ris_moments", 0) + np.size(s)
+        return _fn(s, *region)
+
+    monkeypatch.setattr(channel, "_ris_moment", kernel)
     return counts
 
 
 def _by_hand(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation) -> GammaApprox:
-    """The Gamma fit without any memo, in the fit's association order."""
+    """The Gamma fit from the public moments, one at a time, in the fit's
+    association order."""
     paths = []
     for link in cfg.ris:
         L = link.elements
@@ -137,42 +147,48 @@ def test_each_distinct_moment_evaluated_once(monkeypatch):
     counts = _count_moments(monkeypatch)
     n = len(cfg.links.ris)
     # three fading laws; orders 1 and 2 at one satellite-hop exponent; a
-    # drawn user-hop exponent per RIS at both orders
-    cold_counts = {"envelope_moment": 3, "sat_distance_moment": 2, "ris_distance_moment": 2 * n}
-    memo = {}
-    cold = gamma_approx(*args, memo=memo)
-    assert counts == cold_counts
-    # a fit given the same dict takes its link factors from it; only the
-    # geometry factors are evaluated
-    counts.clear()
-    warm = gamma_approx(*args, memo=memo)
-    assert counts == {"ris_distance_moment": 2 * n}
-    # a fit given no dict starts cold
-    counts.clear()
+    # drawn user-hop exponent per RIS at both orders, in one kernel call
+    once = {"envelope_moment": 3, "sat_distance_moment": 2,
+            "ris_kernel_calls": 1, "ris_moments": 2 * n}
     alone = gamma_approx(*args)
-    assert counts == cold_counts
-    # the memo changes no product or sum
-    for ga in (cold, warm, alone):
+    assert counts == once
+    # a batch of the same point twice evaluates each moment once
+    counts.clear()
+    twice = channel.gamma_fits([args[:2], args[:2]], cfg.constellation)
+    assert counts == once
+    # a later call starts cold
+    counts.clear()
+    again = gamma_approx(*args)
+    assert counts == once
+    # the batch changes no product or sum
+    for ga in (alone, *twice, again):
         assert (ga.alpha, ga.beta) == (reference.alpha, reference.beta)
+    # the mean alone needs the order-1 moments only
+    counts.clear()
+    mean_abs_A(*args)
+    assert counts == {**once, "ris_moments": n}
 
 
-def test_a_sweep_shares_link_factors_and_leaves_the_memos_empty(monkeypatch):
+@pytest.mark.parametrize("variable,grid,ris_moments", [
+    # every point has its own region: 2 orders x 8 RISs per point
+    ("R0", (60.0, 120.0, 300.0), 2 * 8 * 3),
+    # the counts' exponent draws share their prefix: the 16-RIS point
+    # holds every moment the smaller counts need (80 without the dedupe)
+    ("N", (4.0, 8.0, 12.0, 16.0), 2 * 16),
+], ids=["R0", "N"])
+def test_a_sweep_fits_every_point_in_one_batch(monkeypatch, variable, grid, ris_moments):
     cfg = load_scenario(DEFAULT_CONFIG)
-    grid = (60.0, 120.0, 300.0)
-    cfg = dataclasses.replace(cfg, sweep=SweepSpec("R0", grid), mc_enabled=False)
+    cfg = dataclasses.replace(cfg, sweep=SweepSpec(variable, grid), mc_enabled=False)
     counts = _count_moments(monkeypatch)
     tables = sweep(cfg)
-    n = len(cfg.links.ris)
-    # one link-factor evaluation for the whole sweep, geometry per point
+    # one link-factor evaluation and one kernel call for the whole sweep
     assert counts == {"envelope_moment": 3, "sat_distance_moment": 2,
-                      "ris_distance_moment": 2 * n * len(grid)}
-    # the sweep keeps no memo: a fit after it is cold, and the sweep's
-    # fits equal cold ones
-    counts.clear()
-    geom = dataclasses.replace(cfg.geometry, base_radius=grid[-1])
-    ga = gamma_approx(cfg.links, geom, cfg.constellation)
-    assert counts["envelope_moment"] == 3
-    assert tables[0].rows[-1][-2:] == (ga.alpha, ga.beta)
+                      "ris_kernel_calls": 1, "ris_moments": ris_moments}
+    # the sweep's fits equal single fits of its points
+    for value, row in zip(grid, tables[0].rows):
+        links, geom, _, _ = runner._point_inputs(cfg, variable, value)
+        ga = gamma_approx(links, geom, cfg.constellation)
+        assert row[-2:] == (ga.alpha, ga.beta)
 
 
 def test_sweeps_on_two_threads_match_one_alone():
@@ -190,33 +206,38 @@ def test_sweeps_on_two_threads_match_one_alone():
     assert together == alone
 
 
-def test_link_memos_hold_no_stale_entries():
+def test_link_memos_hold_no_stale_entries(monkeypatch):
     sat, user, direct = KappaMuParams(1.0, 2.0), KappaMuParams(3.0, 3.0), KappaMuParams(0.0, 1.0)
 
     def case(elements=20, sat_fading=sat, user_fading=user, sat_exponent=2.0,
-             direct_fading=direct, direct_exponent=2.0, satellites=1000, altitude=1.0e6):
+             direct_fading=direct, direct_exponent=2.0):
         links = LinkConfig(
             ris=(RisLink(elements, sat_fading, user_fading, sat_exponent, 2.5),
                  RisLink(elements, sat_fading, user_fading, sat_exponent, 2.8)),
             direct=DirectPath(True, direct_fading, direct_exponent))
-        return links, GEOM, Constellation(satellites, altitude)
+        return links, GEOM
 
-    # each case differs from the first in exactly one field a memo key holds
+    # each case differs from the first in exactly one field a link-factor
+    # key holds; a batch has one constellation, so that is not among them
     cases = [case(), case(elements=21), case(sat_fading=KappaMuParams(1.5, 2.0)),
              case(user_fading=KappaMuParams(3.0, 2.5)), case(sat_exponent=2.2),
-             case(direct_fading=KappaMuParams(0.5, 1.0)), case(direct_exponent=2.4),
-             case(satellites=1200), case(altitude=1.1e6)]
-    cold = [gamma_approx(*args) for args in cases]
+             case(direct_fading=KappaMuParams(0.5, 1.0)), case(direct_exponent=2.4)]
+    cold = [gamma_approx(*args, CON) for args in cases]
     assert len(set(cold)) == len(cases)
-    memo = {}
-    sizes = []
-    for _ in range(2):
-        for i in (*range(len(cases)), *reversed(range(len(cases)))):
-            assert gamma_approx(*cases[i], memo=memo) == cold[i]
-            assert gamma_approx(*cases[0], memo=memo) == cold[0]
-        sizes.append(len(memo))
-    # the second round finds every entry the first one added
-    assert sizes[0] == sizes[1]
+    order = [j for _ in range(2)
+             for i in (*range(len(cases)), *reversed(range(len(cases)))) for j in (i, 0)]
+    counts = _count_moments(monkeypatch)
+    # the batch also runs in chunks of a few paths, which share the link
+    # factors but not the kernel call
+    for chunk_paths in (channel._CHUNK_PATHS, 7):
+        monkeypatch.setattr(channel, "_CHUNK_PATHS", chunk_paths)
+        counts.clear()
+        fits = channel.gamma_fits([cases[j] for j in order], CON)
+        assert fits == [cold[j] for j in order]
+        # one envelope moment per hop of each distinct link factor (5 RIS
+        # keys, 3 direct keys), one pair of satellite moments per exponent
+        assert counts["envelope_moment"] == 5 * 2 + 3
+        assert counts["sat_distance_moment"] == 3 * 2
 
 
 def test_mean_strictly_increases_with_ris_count():

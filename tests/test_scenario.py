@@ -12,7 +12,7 @@ import pytest
 import yaml
 
 from leoris.cli import main as cli_main
-from leoris.errors import ConfigError
+from leoris.errors import ComputationError, ConfigError, ConvergenceError, DivergentMomentError
 from leoris.metrics import CoverageQuery, coverage_probability, ergodic_capacity
 from leoris.montecarlo import empirical_coverage, simulate_snr
 from leoris.channel import gamma_approx
@@ -92,6 +92,17 @@ def test_resolved_mapping_round_trips():
         [l.user_exponent for l in cfg.links.ris]
     assert cfg2.rho0 == cfg.rho0
     assert yaml.safe_load(yaml.safe_dump(echo)) == echo
+
+
+@pytest.mark.parametrize("scenario", [
+    DEFAULT_CONFIG, DEFAULT_CONFIG.parents[1] / "bench" / "workloads" / "analytic_sweep.yaml"])
+def test_libyaml_and_python_dumpers_write_the_same_echo(scenario):
+    if not hasattr(yaml, "CSafeDumper"):
+        pytest.skip("PyYAML was built without libyaml")
+    echo = resolved_mapping(load_scenario(scenario))
+    fast = yaml.dump(echo, Dumper=yaml.CSafeDumper, sort_keys=False)
+    assert fast == yaml.dump(echo, Dumper=yaml.SafeDumper, sort_keys=False)
+    assert runner._DUMPER is yaml.CSafeDumper
 
 
 @pytest.mark.parametrize("path,value,fragment", [
@@ -216,7 +227,7 @@ def test_per_ris_lists():
 
 def test_equal_fading_laws_are_one_object(tmp_path):
     # the template form and the per-RIS lists the resolved echo writes
-    # both give every RIS the same law objects, so link-factor memo keys
+    # both give every RIS the same law objects, so link-factor dict keys
     # match by identity
     cfg = load_scenario(DEFAULT_CONFIG)
     echo = tmp_path / "resolved.yaml"
@@ -319,14 +330,58 @@ def test_point_draws_from_its_child_seed():
 ])
 def test_fit_and_simulation_once_per_link_state(monkeypatch, variable, grid, fits,
                                                 simulations):
-    counts = {"gamma_approx": 0, "simulate_snr": 0}
-    for name in counts:
-        def counting(*args, _name=name, _fn=getattr(runner, name), **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(runner, name, counting)
+    counts = {"gamma_fits": 0, "fits": 0, "simulate_snr": 0}
+
+    def batch(pairs, con, _fn=runner.gamma_fits):
+        counts["gamma_fits"] += 1
+        counts["fits"] += len(pairs)
+        return _fn(pairs, con)
+
+    def simulate(*args, _fn=runner.simulate_snr, **kwargs):
+        counts["simulate_snr"] += 1
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "gamma_fits", batch)
+    monkeypatch.setattr(runner, "simulate_snr", simulate)
     sweep(_sweep_config(variable, grid, mc=True))
-    assert counts == {"gamma_approx": fits, "simulate_snr": simulations}
+    # every fit of the sweep in one batch
+    assert counts == {"gamma_fits": 1, "fits": fits, "simulate_snr": simulations}
+
+
+# first failing point, its error, and the message the per-point fits
+# raised before sweeps fitted in one batch
+_SWEEP_ERRORS = [
+    ("H", (0.0, 60.0, 1.0e160), 0, DivergentMomentError,
+     "moment E[R^-2.04666] diverges on a flat disk: t*eps = 4.09332 >= 4 requires an "
+     "inner radius"),
+    ("H", (60.0, 120.0, 1.0e160), 2, ComputationError,
+     "moment E[R^-1.02333] leaves the float range for CylinderGeometry(base_radius=120.0, "
+     "height=1e+160, inner_radius=0.0)"),
+    ("R0", (1.0e-160, 60.0), 0, ComputationError,
+     "moment E[R^-1.02333] leaves the float range for CylinderGeometry(base_radius=1e-160, "
+     "height=120.0, inner_radius=0.0)"),
+    ("R0", (60.0, 120.0, 1.0e155, 1.0e160), 2, ConvergenceError,
+     "2F1(0.5116647208709957, 1.5; 2.5; nan) did not evaluate finitely"),
+]
+
+
+@pytest.mark.parametrize("variable,grid,bad,error,message", _SWEEP_ERRORS)
+def test_sweep_raises_the_first_failing_point_before_any_output(
+        monkeypatch, tmp_path, variable, grid, bad, error, message):
+    cfg = dataclasses.replace(load_scenario(DEFAULT_CONFIG), sweep=SweepSpec(variable, grid))
+    # the failing point alone raises the same
+    links, geom, _, _ = runner._point_inputs(cfg, variable, grid[bad])
+    with pytest.raises(error) as alone:
+        gamma_approx(links, geom, cfg.constellation)
+    assert str(alone.value) == message
+    simulations = []
+    monkeypatch.setattr(runner, "simulate_snr", lambda *a, **k: simulations.append(a))
+    out = tmp_path / "out"
+    with pytest.raises(error) as swept:
+        run_scenario(cfg, out_dir=out)
+    assert str(swept.value) == message
+    # every fit comes before the first simulation and the first table
+    assert simulations == [] and not out.exists()
 
 
 @pytest.mark.parametrize("variable,grid", [("N", (1.0, 2.0, 3.0)), ("L", (5.0, 10.0, 20.0))])
