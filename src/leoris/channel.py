@@ -79,6 +79,11 @@ class GammaApprox:
         return cls(alpha=mean * mean / variance, beta=variance / mean)
 
 
+def _check_exponent(name: str, value: float) -> None:
+    if not 0 <= value < math.inf:
+        raise DomainError(f"{name} must be finite and >= 0, got {value}")
+
+
 @dataclass(frozen=True)
 class RisLink:
     """One RIS: element count, per-hop fading, per-hop path-loss exponents."""
@@ -92,6 +97,8 @@ class RisLink:
     def __post_init__(self) -> None:
         if self.elements < 1:
             raise DomainError(f"elements must be >= 1, got {self.elements}")
+        _check_exponent("sat_exponent", self.sat_exponent)
+        _check_exponent("user_exponent", self.user_exponent)
 
 
 @dataclass(frozen=True)
@@ -99,6 +106,9 @@ class DirectPath:
     enabled: bool = True
     fading: KappaMuParams = field(default_factory=lambda: KappaMuParams(0.0, 1.0))
     exponent: float = 2.0
+
+    def __post_init__(self) -> None:
+        _check_exponent("exponent", self.exponent)
 
 
 @dataclass(frozen=True)
@@ -193,9 +203,11 @@ def _batch_paths(pairs: Sequence[tuple[LinkConfig, CylinderGeometry]], con: Cons
     computed once per distinct (elements, fading laws, satellite-hop
     exponent) and kept for the whole batch. The RIS-distance moments of
     up to _CHUNK_PATHS paths come from one kernel call over their
-    distinct (s, R0, H, c). A pair with a failing path raises, when its
-    turn comes, what ris_distance_moment or the link factor raises for
-    its first failing path.
+    distinct (s, R0, H, c); the kernel reads NaN exactly where
+    ris_distance_moment raises, so a finite moment is a valid one. A pair
+    with a failing path raises, when its turn comes, what
+    ris_distance_moment or the link factor raises for its first failing
+    path.
     """
     factors: dict = {}
     widest = 1 + max((len(cfg.ris) for cfg, _ in pairs), default=0)
@@ -217,18 +229,16 @@ def _chunk_paths(pairs, con: Constellation, orders: tuple[int, ...], factors: di
     regions = np.array([(g.base_radius, g.height, g.inner_radius) for _, g in pairs])
     R0, H, c = np.repeat(regions.reshape(-1, 3), sizes, axis=0).T
     ris = ris == 1.0
-    valid = ris & (eps >= 0.0)
-    keys = np.concatenate([np.column_stack((t * eps[valid] / 2.0, R0[valid], H[valid], c[valid]))
+    keys = np.concatenate([np.column_stack((t * eps[ris] / 2.0, R0[ris], H[ris], c[ris]))
                            for t in orders])
     # each key row as one 32-byte record, so one sort finds the distinct ones
     distinct, where = np.unique(keys.view(np.dtype((np.void, keys.itemsize * 4))).ravel(),
                                 return_inverse=True)
     columns = distinct.view(float).reshape(-1, 4).T.copy()
     values = _ris_moment(*columns)[where].reshape(len(orders), -1)
-    # per order and path: the RIS-distance moment, 1 on the direct path,
-    # NaN for a RIS exponent the moment's check rejects
-    moments = np.tile(np.where(ris, np.nan, 1.0), (len(orders), 1))
-    moments[:, valid] = values
+    # per order and path: the RIS-distance moment, 1 on the direct path
+    moments = np.ones((len(orders), len(ris)))
+    moments[:, ris] = values
     failed = ~np.isfinite(first) | ~np.isfinite(moments).all(axis=0)
     owner = np.repeat(np.arange(len(pairs)), sizes)
     bad = np.bincount(owner[failed], minlength=len(pairs)) > 0

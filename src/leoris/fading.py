@@ -38,10 +38,10 @@ class KappaMuParams:
     mu: float
 
     def __post_init__(self) -> None:
-        if self.kappa < 0:
-            raise DomainError(f"kappa must be >= 0, got {self.kappa}")
-        if not self.mu > 0:
-            raise DomainError(f"mu must be > 0, got {self.mu}")
+        if not 0 <= self.kappa < math.inf:
+            raise DomainError(f"kappa must be finite and >= 0, got {self.kappa}")
+        if not 0 < self.mu < math.inf:
+            raise DomainError(f"mu must be finite and > 0, got {self.mu}")
 
 
 # B_2k / (2k (2k - 1)), k = 1..7: Stirling series of ln Gamma

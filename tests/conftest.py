@@ -121,3 +121,21 @@ def sqrt_weighted_mpmath(x: float, R0: float, s: float) -> float:
     with mp.workdps(30):
         return float(mp.quad(lambda r: r ** (1 - s) * mp.sqrt((r - R0) * (r + R0)),
                              [R0, min(2 * R0, x), x]))
+
+
+def ris_moment_mpmath(s: float, geom: CylinderGeometry) -> float:
+    """E[R^-s] of a 3D region at 60 digits: with h = H/R0 and a = 1 - s/2,
+    [h 2F1(-a, 1/2; 3/2; -h^2) - h^(2a+1) / (2a+1)] / (a h) R0^-s, the
+    integral over heights of the disk moment ((R0^2 + z^2)^a - z^(2a)) / (2a).
+    At s = 2 it takes the a -> 0 limit,
+    [h ln(1 + h^2) + 2 atan(h) - 2 h ln(h)] / h."""
+    with mp.workdps(60):
+        s, R0 = mp.mpf(s), mp.mpf(geom.base_radius)
+        h = mp.mpf(geom.height) / R0
+        if s == 2:
+            unit = (h * mp.log(1 + h * h) + 2 * mp.atan(h) - 2 * h * mp.log(h)) / h
+        else:
+            a = 1 - s / 2
+            unit = (h * mp.hyp2f1(-a, 0.5, 1.5, -h * h)
+                    - h ** (2 * a + 1) / (2 * a + 1)) / (a * h)
+        return float(unit * R0 ** -s)

@@ -322,6 +322,28 @@ def test_densities_and_cdfs_reject_nan(f, valid):
     assert f(np.array([valid, 2.0 * valid])).tolist() == [f(valid), f(2.0 * valid)]
 
 
+_LAW = KappaMuParams(0.0, 1.0)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda v: CylinderGeometry(v, 1.0), id="CylinderGeometry.base_radius"),
+    pytest.param(lambda v: CylinderGeometry(1.0, v), id="CylinderGeometry.height"),
+    pytest.param(lambda v: CylinderGeometry(1.0, 0.0, v), id="CylinderGeometry.inner_radius"),
+    pytest.param(lambda v: Constellation(10, v), id="Constellation.altitude"),
+    pytest.param(lambda v: Constellation(10, 5.0e5, v), id="Constellation.earth_radius"),
+    pytest.param(lambda v: KappaMuParams(v, 1.0), id="KappaMuParams.kappa"),
+    pytest.param(lambda v: KappaMuParams(1.0, v), id="KappaMuParams.mu"),
+    pytest.param(lambda v: RisLink(4, _LAW, _LAW, v, 2.0), id="RisLink.sat_exponent"),
+    pytest.param(lambda v: RisLink(4, _LAW, _LAW, 2.0, v), id="RisLink.user_exponent"),
+    pytest.param(lambda v: DirectPath(True, _LAW, v), id="DirectPath.exponent"),
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+def test_constructors_reject_non_finite_and_negative_parameters(build, value):
+    # a NaN or infinite field would pass into every density, moment and draw
+    with pytest.raises(DomainError):
+        build(value)
+
+
 def test_moments_against_light_simulation(default_geometry, default_constellation):
     # 2e5-trial sanity check; the 1e6-trial validation lives in acceptance
     cfg = default_links(4)

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import ks_2samp, kstest
 
-from conftest import sample_constellation, sat_moment_mpmath
+from conftest import ris_moment_mpmath, sample_constellation, sat_moment_mpmath
 from leoris.errors import ComputationError, DivergentMomentError, DomainError
 from leoris.geometry import (
     Constellation,
@@ -181,15 +181,52 @@ def test_moment_divergence_errors():
 @pytest.mark.parametrize("t, eps, geom", [
     (2, 4.0, CylinderGeometry(1.0, 0.0, inner_radius=4.6565400157479707e-237)),
     (1, 3.0, CylinderGeometry(1.0e-250, 0.0)),
-    (1, 2.0, CylinderGeometry(1.0e-200, 1.0e-200)),
-    (1, 2.0, CylinderGeometry(1.0e-200, 0.0, inner_radius=1.0e-201)),
 ])
 def test_moment_beyond_float_range_raises(t, eps, geom):
-    # finite moments of extreme regions overflow or divide by an
-    # underflowed R0^2; they must raise the package's error, not
-    # OverflowError or ZeroDivisionError
-    with pytest.raises(ComputationError):
+    # finite moments above the largest float must raise the package's
+    # error, not OverflowError or return inf
+    with pytest.raises(ComputationError, match="leaves the float range"):
         ris_distance_moment(t, eps, geom)
+
+
+@pytest.mark.parametrize("geom, want", [
+    pytest.param(CylinderGeometry(1.0e-200, 1.0e-200),
+                 1.0e200 * ris_moment_mpmath(1.0, CylinderGeometry(1.0, 1.0)), id="cylinder"),
+    # 2 (1 - k) / (1 - k^2) R0^-1 at k = 0.1
+    pytest.param(CylinderGeometry(1.0e-200, 0.0, inner_radius=1.0e-201), 2.0e200 / 1.1,
+                 id="annulus"),
+])
+def test_moment_of_a_tiny_region_follows_the_scale_law(geom, want):
+    # E[R^-1] scales as 1/R0: about 1e200 here, which a float carries
+    assert ris_distance_moment(1, 2.0, geom) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("s, base, height", [
+    *((s, base, height) for s in (0.05, 0.5, 1.0, 2.0, 2.5, 2.9)
+      for base, height in ((120.0, 120.0), (1.0e-3, 1.0e-6), (10.0, 400.0), (1.0e20, 3.0e20))),
+    # about 4.5e187 and 1.4e-150
+    (1.25, 1.0e-150, 1.0e-150), (1.25, 1.0e120, 1.0e120),
+])
+def test_3d_moment_against_the_hypergeometric_reference(s, base, height):
+    # the tall-region terms of the kernel cancel: 1e-12 lost at H/R0 = 40
+    geom = CylinderGeometry(base, height)
+    assert ris_distance_moment(2, s, geom) == pytest.approx(ris_moment_mpmath(s, geom),
+                                                            rel=1e-11)
+
+
+def test_regions_past_the_aspect_bound_raise():
+    # H/R0 = 7e7: the tall-region terms cancel to a negative moment
+    # (-0.28; the true value is 0.0576)
+    geom = CylinderGeometry(0.011609384182580543, 819609.2490891134)
+    with pytest.raises(ComputationError, match="height/base_radius above 1000"):
+        ris_distance_moment(1, 0.4572502450639151, geom)
+
+
+@pytest.mark.parametrize("s", [0.05, 1.0, 2.5])
+def test_moment_at_the_aspect_bound_matches_mpmath(s):
+    geom = CylinderGeometry(1.0, 1000.0)
+    assert ris_distance_moment(2, s, geom) == pytest.approx(ris_moment_mpmath(s, geom),
+                                                            rel=1e-9)
 
 
 @pytest.mark.parametrize("altitude", [1.0e-200, 1.0e200])

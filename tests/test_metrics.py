@@ -119,17 +119,18 @@ def test_capacity_closed_form_vs_quadrature_grid():
 
 @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0, 4.0, 7.0, 30.0])
 def test_capacity_at_integer_poles(alpha):
-    # joint poles of the closed form are removable; perturbed evaluation
-    # must agree with the oracle
-    ga = GammaApprox(alpha=alpha, beta=1.0)
-    for rho0 in (3.0, 1e4, 1e10):
-        res = ergodic_capacity(ga, rho0)
-        want = capacity_quadrature(ga, rho0)
-        assert res.bits == pytest.approx(want, rel=2e-3, abs=1e-9)
+    # the closed form's terms are singular at integer shapes; there, and
+    # within 1e-4 of one, capacity is the oracle's value, flagged
+    for shape in (alpha - 9e-5, alpha, alpha + 9e-5):
+        ga = GammaApprox(alpha=shape, beta=1.0)
+        for rho0 in (3.0, 1e4, 1e10):
+            res = ergodic_capacity(ga, rho0)
+            assert res.fallback
+            assert res.bits == capacity_quadrature(ga, rho0)
 
 
 def test_capacity_exponential_magnitude_limit():
-    # alpha=1 (exponential |A|) goes through the perturbation path and
+    # alpha=1 (exponential |A|) sits on a pole of the closed form and
     # must match quadrature tightly
     ga = GammaApprox(alpha=1.0, beta=0.8)
     res = ergodic_capacity(ga, 200.0)

@@ -6,7 +6,9 @@ hypothesis under a fixed derandomized seed so every run sees the same
 examples."""
 
 import math
+import sys
 
+import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
@@ -19,9 +21,9 @@ from leoris.channel import (
     gamma_approx,
     gamma_fits,
 )
-from leoris.errors import LeorisError
+from leoris.errors import ComputationError, DivergentMomentError, LeorisError
 from leoris.fading import KappaMuParams, envelope_moment
-from leoris.geometry import Constellation, CylinderGeometry
+from leoris.geometry import Constellation, CylinderGeometry, ris_distance_moment
 from leoris.metrics import CoverageQuery, coverage_probability, ergodic_capacity
 from leoris.scenario import SWEEP_VARIABLES, parse_scenario, resolved_mapping
 
@@ -160,6 +162,32 @@ def raw_scenarios(draw):
                         "fixed_ris_positions": draw(st.booleans())},
         "output": {"directory": "out", "format": draw(st.sampled_from(("csv", "json")))},
     }
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.floats(0.0, 3.0), st.sampled_from(("3d", "flat", "annulus")), st.floats(-1.0, 1.0),
+       st.floats(0.01, 0.99), st.floats(-300.0, 300.0), st.sampled_from((1, 2)),
+       st.floats(0.0, 5.99))
+def test_ris_moment_follows_the_scale_law(log_base, kind, log_aspect, hole, log_scale, t, eps):
+    # E[R^-s] of the region scaled by lam is lam^-s times the region's
+    base = 10.0 ** log_base
+    geom = CylinderGeometry(base, base * 10.0 ** log_aspect if kind == "3d" else 0.0,
+                            base * hole if kind == "annulus" else 0.0)
+    lam = 10.0 ** log_scale
+    scaled = CylinderGeometry(lam * geom.base_radius, lam * geom.height, lam * geom.inner_radius)
+    try:
+        moment = ris_distance_moment(t, eps, geom)
+    except DivergentMomentError:
+        with pytest.raises(DivergentMomentError):
+            ris_distance_moment(t, eps, scaled)
+        return
+    log_want = math.log(moment) - t * eps / 2.0 * math.log(lam)
+    if math.log(sys.float_info.min) <= log_want < math.log(sys.float_info.max):
+        assert ris_distance_moment(t, eps, scaled) == pytest.approx(math.exp(log_want),
+                                                                    rel=1e-11)
+    else:
+        with pytest.raises(ComputationError, match="leaves the float range"):
+            ris_distance_moment(t, eps, scaled)
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)

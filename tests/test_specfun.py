@@ -20,9 +20,9 @@ from scipy.special import digamma, gammainc
 from conftest import capacity_series_point, sqrt_weighted_mpmath, sqrt_weighted_point
 from leoris import geometry, metrics
 from leoris.channel import GammaApprox
-from leoris.errors import ConvergenceError, DomainError
+from leoris.errors import ComputationError, ConvergenceError, DomainError
 from leoris.fading import KappaMuParams
-from leoris.geometry import _sqrt_weighted_integral
+from leoris.geometry import CylinderGeometry, _sqrt_weighted_integral, ris_distance_moment
 from leoris.metrics import CoverageQuery, _pfq_series, coverage_probability
 
 mp.mp.dps = 30
@@ -136,10 +136,10 @@ def test_sqrt_weighted_integral_elementary_antiderivatives():
     assert _sqrt_weighted_integral(R0, R0, 1.5) == 0.0
 
 
-def test_sqrt_weighted_integral_rejects_non_finite(monkeypatch):
+def test_non_finite_2f1_makes_the_moment_raise(monkeypatch):
     monkeypatch.setattr(geometry, "_hyp2f1", lambda a, b, c, z: math.inf)
-    with pytest.raises(ConvergenceError):
-        _sqrt_weighted_integral(300.0, 120.0, 2.0)
+    with pytest.raises(ComputationError, match="leaves the float range"):
+        ris_distance_moment(1, 2.0, CylinderGeometry(120.0, 300.0))
 
 
 def test_digamma_values():
