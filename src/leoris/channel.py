@@ -13,7 +13,8 @@ Fits are made in batches (gamma_fits), as a sweep fits all its points:
 link factors do not depend on the RIS region or the user-hop exponent,
 so each distinct one is computed once per batch, and every geometry
 factor of the batch comes from one array evaluation of the RIS-distance
-kernel.
+kernel. One ordered pass over the pairs then sums each pair's mean and
+variance and raises its first error where it occurs.
 """
 
 from __future__ import annotations
@@ -24,14 +25,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ComputationError, DomainError, LeorisError
+from .errors import ComputationError, DomainError
 from .fading import KappaMuParams, envelope_moment
 from .geometry import (
     Constellation,
     CylinderGeometry,
     _checked_ris_moment,
+    _moment_exponent,
     _ris_moment,
-    _ris_moment_order,
     sat_distance_moment,
 )
 
@@ -157,41 +158,11 @@ def _path_links(cfg: LinkConfig):
         yield 1, (cfg.direct.fading,), cfg.direct.exponent
 
 
-def _link_rows(cfg: LinkConfig, con: Constellation, factors: dict) -> np.ndarray:
-    """One row per path of ``cfg``: its two link factors, then its user-hop
-    exponent and 1 for a RIS path, or 0 and 0 for the direct path. A link
-    factor that raises reads NaN; _raise_first_error raises it again in
-    path order."""
-    rows = []
-    for i, spec in enumerate(_path_links(cfg)):
-        try:
-            first, second = _link_factor(factors, *spec, con)
-        except LeorisError:
-            first = second = math.nan
-        ris = i < len(cfg.ris)
-        rows.append((first, second, cfg.ris[i].user_exponent if ris else 0.0, float(ris)))
-    return np.array(rows, dtype=float).reshape(-1, 4)
-
-
-def _raise_first_error(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation,
-                       factors: dict, moments: list[np.ndarray]) -> None:
-    """Raise the first error of the fit of (cfg, geom), walking its paths
-    in order: a path's link factor, then its RIS-distance moment at each
-    order; ``moments[t - 1]`` holds the kernel's values at order t, in
-    path order."""
-    for i, spec in enumerate(_path_links(cfg)):
-        _link_factor(factors, *spec, con)
-        if i < len(cfg.ris):
-            for t, values in enumerate(moments, start=1):
-                s = _ris_moment_order(t, cfg.ris[i].user_exponent)
-                _checked_ris_moment(s, geom, float(values[i]))
-
-
-def _batch_paths(pairs: Sequence[tuple[LinkConfig, CylinderGeometry]], con: Constellation,
-                 orders: tuple[int, ...]):
-    """For each (links, geometry) pair in order, the list of its paths'
-    (mean, second moment) of the magnitude, RIS paths first and the direct
-    path last; the second moment is None unless order 2 is asked for,
+def _batch_moments(pairs: Sequence[tuple[LinkConfig, CylinderGeometry]], con: Constellation,
+                   orders: tuple[int, ...]):
+    """For each (links, geometry) pair in order, the (mean, variance) of
+    the magnitude, summed over its paths in order (RIS paths first, the
+    direct path last); the variance is None unless order 2 is asked for,
     since it may diverge where the mean is finite.
 
     Second moments use the unit-power normalization
@@ -204,76 +175,74 @@ def _batch_paths(pairs: Sequence[tuple[LinkConfig, CylinderGeometry]], con: Cons
     exponent) and kept for the whole batch. The RIS-distance moments of
     up to _CHUNK_PATHS paths come from one kernel call over their
     distinct (s, R0, H, c); the kernel reads NaN exactly where
-    ris_distance_moment raises, so a finite moment is a valid one. A pair
-    with a failing path raises, when its turn comes, what
-    ris_distance_moment or the link factor raises for its first failing
-    path.
+    ris_distance_moment raises, so a finite moment is a valid one.
+
+    The pairs are then walked in order. A links object's link factors are
+    taken when its first pair comes up, so their errors raise there; a
+    pair's non-finite RIS-distance moment raises, in path order, what
+    ris_distance_moment raises for it.
     """
     factors: dict = {}
     widest = 1 + max((len(cfg.ris) for cfg, _ in pairs), default=0)
     step = max(1, _CHUNK_PATHS // widest)
     for start in range(0, len(pairs), step):
-        yield from _chunk_paths(pairs[start:start + step], con, orders, factors)
+        yield from _chunk_moments(pairs[start:start + step], con, orders, factors)
 
 
-def _chunk_paths(pairs, con: Constellation, orders: tuple[int, ...], factors: dict):
-    """_batch_paths for pairs whose RIS-distance moments share one kernel call."""
-    # rows by links identity: the pairs keep every links object alive
-    rows = {}
-    for cfg, _ in pairs:
-        if id(cfg) not in rows:
-            rows[id(cfg)] = _link_rows(cfg, con, factors)
-    per_pair = [rows[id(cfg)] for cfg, _ in pairs]
-    sizes = np.array([len(r) for r in per_pair], dtype=np.intp)
-    first, second, eps, ris = np.concatenate(per_pair).reshape(-1, 4).T
+def _chunk_moments(pairs, con: Constellation, orders: tuple[int, ...], factors: dict):
+    """_batch_moments for pairs whose RIS-distance moments share one kernel call."""
+    eps = np.array([link.user_exponent for cfg, _ in pairs for link in cfg.ris])
     regions = np.array([(g.base_radius, g.height, g.inner_radius) for _, g in pairs])
-    R0, H, c = np.repeat(regions.reshape(-1, 3), sizes, axis=0).T
-    ris = ris == 1.0
-    keys = np.concatenate([np.column_stack((t * eps[ris] / 2.0, R0[ris], H[ris], c[ris]))
-                           for t in orders])
+    R0, H, c = np.repeat(regions.reshape(-1, 3), [len(cfg.ris) for cfg, _ in pairs], axis=0).T
+    keys = np.concatenate([np.column_stack((t * eps / 2.0, R0, H, c)) for t in orders])
     # each key row as one 32-byte record, so one sort finds the distinct ones
     distinct, where = np.unique(keys.view(np.dtype((np.void, keys.itemsize * 4))).ravel(),
                                 return_inverse=True)
     columns = distinct.view(float).reshape(-1, 4).T.copy()
-    values = _ris_moment(*columns)[where].reshape(len(orders), -1)
-    # per order and path: the RIS-distance moment, 1 on the direct path
-    moments = np.ones((len(orders), len(ris)))
-    moments[:, ris] = values
-    failed = ~np.isfinite(first) | ~np.isfinite(moments).all(axis=0)
-    owner = np.repeat(np.arange(len(pairs)), sizes)
-    bad = np.bincount(owner[failed], minlength=len(pairs)) > 0
-    means = (first * moments[0]).tolist()
-    seconds = (second * moments[1]).tolist() if len(orders) > 1 else [None] * len(means)
-    end = 0
-    for (cfg, geom), size, raises in zip(pairs, sizes.tolist(), bad.tolist()):
-        start, end = end, end + size
-        if raises:
-            _raise_first_error(cfg, geom, con, factors, list(moments[:, start:end]))
-        yield list(zip(means[start:end], seconds[start:end]))
+    # per RIS path, in pair and path order: its RIS-distance moment at each order
+    ris_moments = iter(_ris_moment(*columns)[where].reshape(len(orders), -1).T.tolist())
+    direct, both = [1.0] * len(orders), len(orders) > 1
+    # link factors by links identity: the pairs keep every links object alive
+    paths_of = {}
+    for cfg, geom in pairs:
+        paths = paths_of.get(id(cfg))
+        if paths is None:
+            paths = paths_of[id(cfg)] = [_link_factor(factors, *spec, con)
+                                         for spec in _path_links(cfg)]
+        ris, mean, variance = len(cfg.ris), 0.0, 0.0
+        for i, (first, second) in enumerate(paths):
+            moments = next(ris_moments) if i < ris else direct
+            # the kernel's moments are normal floats or NaN
+            if math.isnan(sum(moments)):
+                for t, value in zip(orders, moments):
+                    _checked_ris_moment(_moment_exponent(t, cfg.ris[i].user_exponent),
+                                        geom, value)
+            m = first * moments[0]
+            mean += m
+            if both:
+                variance += second * moments[1] - m ** 2
+        yield mean, variance if both else None
 
 
-def _variance(paths) -> float:
-    total = 0.0
-    for mean, second in paths:
-        total += second - mean ** 2
-    if not total > 0.0 or not math.isfinite(total):
+def _checked_variance(variance: float) -> float:
+    if not variance > 0.0 or not math.isfinite(variance):
         raise ComputationError(
-            f"variance of the combined response came out non-positive ({total}); "
+            f"variance of the combined response came out non-positive ({variance}); "
             "check for a degenerate configuration or catastrophic cancellation"
         )
-    return total
+    return variance
 
 
 def mean_abs_A(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation) -> float:
     """Mean magnitude of the combined channel response."""
-    (paths,) = _batch_paths([(cfg, geom)], con, (1,))
-    return sum(mean for mean, _ in paths)
+    ((mean, _),) = _batch_moments([(cfg, geom)], con, (1,))
+    return mean
 
 
 def var_abs_A(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation) -> float:
     """Variance of the combined channel response magnitude."""
-    (paths,) = _batch_paths([(cfg, geom)], con, (1, 2))
-    return _variance(paths)
+    ((_, variance),) = _batch_moments([(cfg, geom)], con, (1, 2))
+    return _checked_variance(variance)
 
 
 def gamma_fits(pairs: Sequence[tuple[LinkConfig, CylinderGeometry]],
@@ -282,19 +251,18 @@ def gamma_fits(pairs: Sequence[tuple[LinkConfig, CylinderGeometry]],
     (links, geometry) pair, all under one constellation.
 
     The batch shares its link factors and evaluates its RIS-distance
-    moments in array passes (see _batch_paths), so a sweep fits all its
+    moments in array passes (see _batch_moments), so a sweep fits all its
     points in one call. Each fit is checked in pair order: the first pair
     that cannot be fitted raises what gamma_approx raises for it alone.
     """
     fits = []
-    for paths in _batch_paths(pairs, con, (1, 2)):
-        mean = sum(m for m, _ in paths)
+    for mean, variance in _batch_moments(pairs, con, (1, 2)):
         if not mean > 0.0:
             raise ComputationError(
                 "mean of the combined response is not positive; the configuration "
                 "has no active signal path"
             )
-        fits.append(GammaApprox.from_moments(mean, _variance(paths)))
+        fits.append(GammaApprox.from_moments(mean, _checked_variance(variance)))
     return fits
 
 

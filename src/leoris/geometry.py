@@ -232,7 +232,7 @@ def _ris_moment(s, R0, H, c) -> np.ndarray:
     t*eps = 4 and t*eps = 6) hit their log limits exactly.
 
     NaN where the moment diverges, where h exceeds _MAX_ASPECT, where a
-    nonzero h or k is below the normal floats, and where the result is
+    nonzero h is below the normal floats, and where the result is
     not a normal float (it leaves the float range, or a 2F1 does not
     evaluate finitely); _checked_ris_moment names the error.
     """
@@ -243,15 +243,17 @@ def _ris_moment(s, R0, H, c) -> np.ndarray:
         log_unit = np.full(s.shape, np.nan)
         disk = (H == 0.0) & (c == 0.0) & (s < 2.0)
         log_unit[disk] = np.log(2.0 / (2.0 - s[disk]))
-        # an h or k below the normal floats has lost its digits
-        annulus = (H == 0.0) & (k >= _TINY)
+        annulus = (H == 0.0) & (c > 0.0)
         # 2 int_k^1 r^(1-s) dr / (1 - k^2) in logarithms, as k^(2-s) may
-        # overflow where the scaled moment does not
+        # overflow where the scaled moment does not. ln(1/k) from c and R0
+        # where k is below the normal floats; elsewhere from k, as their
+        # logarithms cancel where k nears 1
         sa, ka = s[annulus], k[annulus]
-        log_ratio = -np.log(ka)
+        log_ratio = np.where(ka >= _TINY, -np.log(ka), np.log(R0[annulus]) - np.log(c[annulus]))
         y = (2.0 - sa) * log_ratio
         log_unit[annulus] = (np.log(2.0 * log_ratio * _expm1_ratio(-np.abs(y))
                                     / ((1.0 - ka) * (1.0 + ka))) + np.maximum(-y, 0.0))
+        # an h below the normal floats has lost its digits
         solid = (h >= _TINY) & (h <= _MAX_ASPECT) & (s < 3.0)
         ss, hs = s[solid], h[solid]
         hi, psi3 = np.maximum(hs, 1.0), np.hypot(1.0, hs)
@@ -270,8 +272,9 @@ def _ris_moment(s, R0, H, c) -> np.ndarray:
         return np.where((value >= _TINY) & (value < np.inf), value, np.nan)
 
 
-def _ris_moment_order(t: int, eps: float) -> float:
-    """The exponent s = t*eps/2 of E[R^-s], after checking t and eps."""
+def _moment_exponent(t: int, eps: float) -> float:
+    """The exponent s = t*eps/2 of a distance moment E[R^-s], after
+    checking t and eps."""
     if t not in (1, 2):
         raise DomainError(f"moment order t must be 1 or 2, got {t}")
     if not eps >= 0:
@@ -283,8 +286,9 @@ def _checked_ris_moment(s: float, geom: CylinderGeometry, value: float) -> float
     """``value``, the kernel's E[R^-s] on ``geom``, where it is finite;
     otherwise the error behind its NaN: DivergentMomentError naming the
     exponent where the moment is not integrable at r = 0, ComputationError
-    where the region is taller than _MAX_ASPECT base radii or the moment
-    leaves the float range."""
+    where the region is taller than _MAX_ASPECT base radii, where its
+    height is a nonzero fraction of its base radius below the normal
+    floats, or where the moment leaves the float range."""
     if math.isfinite(value):
         return value
     if geom.height == 0.0 and geom.inner_radius == 0.0 and s >= 2.0:
@@ -301,6 +305,11 @@ def _checked_ris_moment(s: float, geom: CylinderGeometry, value: float) -> float
             f"moment E[R^-{s:g}] is not evaluated for height/base_radius above "
             f"{_MAX_ASPECT:g}, where its terms cancel: {geom}"
         )
+    if geom.height > 0.0 and geom.height / geom.base_radius < _TINY:
+        raise ComputationError(
+            f"moment E[R^-{s:g}] is not evaluated for height/base_radius below "
+            f"{_TINY:.2g}, where the ratio has lost its digits: {geom}"
+        )
     raise ComputationError(f"moment E[R^-{s:g}] leaves the float range for {geom}")
 
 
@@ -312,10 +321,11 @@ def ris_distance_moment(t: int, eps: float, geom: CylinderGeometry) -> float:
     does not depend on the length scale. Divergent requests
     (non-integrable at r=0) raise DivergentMomentError naming the
     exponent. A region taller than 1000 base radii, where the kernel's
-    terms cancel, or a moment that is not a normal float raises
-    ComputationError.
+    terms cancel, one whose height is a nonzero fraction of its base
+    radius below the normal floats, or a moment that is not a normal
+    float raises ComputationError.
     """
-    s = _ris_moment_order(t, eps)
+    s = _moment_exponent(t, eps)
     value = _ris_moment(s, geom.base_radius, geom.height, geom.inner_radius)
     return _checked_ris_moment(s, geom, float(value[0]))
 
@@ -363,12 +373,8 @@ def sat_distance_moment(t: int, eta: float, con: Constellation) -> float:
     geostationary. A moment the float range cannot carry (from extreme
     altitudes) raises ComputationError.
     """
-    if t not in (1, 2):
-        raise DomainError(f"moment order t must be 1 or 2, got {t}")
-    if not eta >= 0:
-        raise DomainError(f"path-loss exponent must be >= 0, got {eta}")
+    s = _moment_exponent(t, eta)
     M = con.satellites
-    s = t * eta / 2.0
     try:
         c = con.altitude ** 2 / con._scale
         span = math.log1p(min(1.0, _SAT_TAIL / M) / c)

@@ -49,7 +49,8 @@ from .montecarlo import (
     is_nested,
     simulate_snr,
 )
-from .scenario import ScenarioConfig, db_to_linear, load_scenario, resolved_mapping
+from .scenario import (ScenarioConfig, db_to_linear, load_scenario, resolved_mapping,
+                       user_exponent_draws)
 
 __all__ = ["SweepTable", "RunSummary", "sweep", "run_scenario", "write_table"]
 
@@ -87,13 +88,10 @@ def _with_count(cfg: ScenarioConfig, n: int) -> LinkConfig:
     template = links.ris[-1]
     extra = tuple(template for _ in range(n - len(links.ris)))
     if cfg.exponent_seed is not None and cfg.exponent_range is not None:
-        # same sub-seed as resolution: draws for n RISs share their prefix
-        # with every smaller count
-        low, high = cfg.exponent_range
-        rng = np.random.default_rng(cfg.exponent_seed)
-        draws = low + (high - low) * rng.random(n)
-        ris = tuple(dataclasses.replace(link, user_exponent=float(draws[i]))
-                    for i, link in enumerate(links.ris + extra))
+        # same draw as resolution, so the drawn exponents keep their prefix
+        draws = user_exponent_draws(cfg.exponent_seed, cfg.exponent_range, n)
+        ris = tuple(dataclasses.replace(link, user_exponent=e)
+                    for link, e in zip(links.ris + extra, draws))
     else:
         ris = links.ris + extra
     return dataclasses.replace(links, ris=ris)

@@ -188,6 +188,14 @@ def _fading_params(node, path: str, laws: dict) -> KappaMuParams:
     return laws.setdefault(law, law)
 
 
+def user_exponent_draws(seed: int, span: tuple[float, float], count: int) -> list[float]:
+    """``count`` user-hop exponents drawn uniformly from ``span`` = (low,
+    high) with ``seed``; the draws for n RISs share their prefix with
+    every smaller count."""
+    low, high = span
+    return (low + (high - low) * np.random.default_rng(seed).random(count)).tolist()
+
+
 def _resolve_user_exponents(node, count: int, path: str):
     """Explicit value(s), or a {low, high, seed} range drawn once.
 
@@ -197,9 +205,7 @@ def _resolve_user_exponents(node, count: int, path: str):
         low = _number(node, "low", minimum=2.0)
         high = _number(node, "high", minimum=low)
         seed = _integer(node, "seed", minimum=0)
-        rng = np.random.default_rng(seed)
-        values = (low + (high - low) * rng.random(count)).tolist()
-        return values, seed, (low, high)
+        return user_exponent_draws(seed, (low, high), count), seed, (low, high)
     values = _per_ris_values(node, count, path)
     return [_exponent(v, f"{path}[{i}]") for i, v in enumerate(values)], None, None
 

@@ -25,7 +25,7 @@ from leoris.channel import (
     snr_pdf,
     var_abs_A,
 )
-from leoris.errors import ComputationError, DivergentMomentError, DomainError
+from leoris.errors import ComputationError, ConvergenceError, DivergentMomentError, DomainError
 from leoris.fading import KappaMuParams, envelope_cdf, envelope_moment, envelope_pdf
 from leoris.geometry import (
     Constellation,
@@ -238,6 +238,24 @@ def test_link_memos_hold_no_stale_entries(monkeypatch):
         # keys, 3 direct keys), one pair of satellite moments per exponent
         assert counts["envelope_moment"] == 5 * 2 + 3
         assert counts["sat_distance_moment"] == 3 * 2
+
+
+def test_batch_raises_the_first_error_in_pair_and_path_order():
+    rayleigh = KappaMuParams(0.0, 1.0)
+    # order 2 of E[R^-1.25] diverges on a flat disk
+    divergent = RisLink(4, rayleigh, rayleigh, 2.0, 2.5)
+    # the user-hop envelope moment does not converge
+    unconverged = RisLink(4, rayleigh, KappaMuParams(1.0e12, 1.0), 2.0, 2.0)
+    flat = CylinderGeometry(50.0, 0.0)
+    a = (LinkConfig(ris=(divergent,)), flat)
+    b = (LinkConfig(ris=(unconverged,)), flat)
+    with pytest.raises(DivergentMomentError):
+        channel.gamma_fits([a, b], CON)
+    with pytest.raises(ConvergenceError):
+        channel.gamma_fits([b, a], CON)
+    # within a pair, every link factor comes before the RIS-distance moments
+    with pytest.raises(ConvergenceError):
+        gamma_approx(LinkConfig(ris=(divergent, unconverged)), flat, CON)
 
 
 def test_mean_strictly_increases_with_ris_count():

@@ -189,6 +189,25 @@ def test_moment_beyond_float_range_raises(t, eps, geom):
         ris_distance_moment(t, eps, geom)
 
 
+@pytest.mark.parametrize("s", [0.5, 1.0, 2.0, 2.5, 2.9])
+def test_annulus_moment_where_the_inner_ratio_underflows(s):
+    # c/R0 = 1e-322 is below the normal floats; ln(R0/c) still carries it
+    R0, c = 100.0, 1.0e-320
+    geom = CylinderGeometry(R0, 0.0, inner_radius=c)
+    if s == 2.0:
+        want = 2.0 * (math.log(R0) - math.log(c)) / R0 ** 2
+    else:
+        want = 2.0 * (R0 ** (2.0 - s) - c ** (2.0 - s)) / ((2.0 - s) * (R0 ** 2 - c ** 2))
+    assert ris_distance_moment(2, s, geom) == pytest.approx(want, rel=1e-13)
+
+
+def test_moment_of_a_region_whose_aspect_underflows_names_the_cause():
+    # H/R0 = 9e-449 reads 0, so the region's shape is lost
+    geom = CylinderGeometry(1.2211413786287862e+244, 1.1124625734051282e-204)
+    with pytest.raises(ComputationError, match="height/base_radius below 2.2e-308"):
+        ris_distance_moment(1, 1.4712256239495947, geom)
+
+
 @pytest.mark.parametrize("geom, want", [
     pytest.param(CylinderGeometry(1.0e-200, 1.0e-200),
                  1.0e200 * ris_moment_mpmath(1.0, CylinderGeometry(1.0, 1.0)), id="cylinder"),
