@@ -40,7 +40,9 @@ from .metrics import (
     CapacityResult,
     CoverageQuery,
     capacity_quadrature,
+    coverage_probabilities,
     coverage_probability,
+    ergodic_capacities,
     ergodic_capacity,
 )
 from .montecarlo import (

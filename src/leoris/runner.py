@@ -8,8 +8,11 @@ simulation is off.
 
 A sweep is one loop over the grid of a ScenarioConfig. Consecutive
 points with the same links and geometry form a run, which has one Gamma
-fit; the sweep fits all its runs in one batch (channel.gamma_fits)
-before it simulates. Threshold and transmit-SNR sweeps are a single
+fit; the sweep fits all its runs in one batch (channel.gamma_fits),
+then evaluates each analytic column over every point in one array pass
+(metrics.coverage_probabilities, metrics.ergodic_capacities, which runs
+the capacity quadrature only on the points it flags), all before it
+simulates. Threshold and transmit-SNR sweeps are a single
 run, and a transmit-SNR point rescales the simulated samples. Consecutive
 runs whose links nest (montecarlo.is_nested: each run's RIS list is a
 prefix of the next run's, each RIS the same up to fewer elements) on the
@@ -39,7 +42,7 @@ import yaml
 # module attribute, as the benchmark does
 from .channel import LinkConfig, gamma_approx, gamma_fits  # noqa: F401
 from .errors import ConfigError
-from .metrics import CoverageQuery, coverage_probability, ergodic_capacity
+from .metrics import coverage_probabilities, ergodic_capacities
 from .geometry import CylinderGeometry
 from .montecarlo import (
     MAX_KEPT_SAMPLES,
@@ -176,37 +179,51 @@ def _simulate(cfg: ScenarioConfig, group: list[_Run]) -> tuple[SimResult, ...]:
 _METRICS = {"rho_th": ("coverage",), "rho0": ("capacity",)}
 
 
-def _row(metric: str, value: float, rho0: float, rho_th: float, ga, sim) -> tuple:
-    """One table row; ``sim`` is simulated at rho0, or None."""
-    if metric == "coverage":
-        analytic = coverage_probability(CoverageQuery(rho_th=rho_th, rho0=rho0), ga)
-        mc = empirical_coverage(sim, rho_th) if sim is not None else None
+def _row(metric: str, value: float, analytic: float, rho_th: float, ga, sim) -> tuple:
+    """One table row; ``sim`` is simulated at the point's rho0, or None."""
+    if sim is None:
+        mc = None
+    elif metric == "coverage":
+        mc = empirical_coverage(sim, rho_th)
     else:
-        analytic = ergodic_capacity(ga, rho0).bits
-        mc = empirical_capacity(sim) if sim is not None else None
+        mc = empirical_capacity(sim)
     return (value, analytic, *(mc or (None, None)), ga.alpha, ga.beta)
 
 
+def _analytic(metric: str, models: list, rho0: tuple, rho_th: tuple) -> list[float]:
+    """The metric at every point of the sweep, in one batch call."""
+    if metric == "coverage":
+        return coverage_probabilities(models, rho_th, rho0).tolist()
+    return ergodic_capacities(models, rho0)[0].tolist()
+
+
 def sweep(cfg: ScenarioConfig) -> list[SweepTable]:
-    """Evaluate the scenario's metrics over its sweep grid, fitting every
-    run of equal links and geometry in one batch before any simulation
-    (so the first point that cannot be fitted raises first), and
-    simulating once per group of nested runs."""
+    """Evaluate the scenario's metrics over its sweep grid: fit every run of
+    equal links and geometry in one batch, evaluate each metric at every
+    point in one batch, all before any simulation (so the first point
+    that cannot be fitted raises first), then simulate once per group of
+    nested runs."""
     variable = cfg.sweep.variable
     metrics = _METRICS.get(variable, ("coverage", "capacity"))
-    rows: dict[str, list[tuple]] = {m: [] for m in metrics}
     runs = list(_runs(cfg))
-    fits = iter(gamma_fits([(run.links, run.geometry) for run in runs], cfg.constellation))
+    fits = gamma_fits([(run.links, run.geometry) for run in runs], cfg.constellation)
+    models = [ga for run, ga in zip(runs, fits) for _ in run.points]
+    _, rho0s, rho_ths = zip(*(point for run in runs for point in run.points))
+    analytic = {m: _analytic(m, models, rho0s, rho_ths) for m in metrics}
+    rows: dict[str, list[tuple]] = {m: [] for m in metrics}
+    i = 0  # index of the point in the grid
     for group in _groups(cfg, runs):
         sims = _simulate(cfg, group) if cfg.mc_enabled else (None,) * len(group)
-        for run, ga, sim in zip(group, fits, sims):
+        for run, sim in zip(group, sims):
             for value, rho0, rho_th in run.points:
                 scaled = sim
                 if sim is not None and rho0 != run.links.transmit_snr:
                     scaled = dataclasses.replace(
                         sim, snr_samples=sim.snr_samples * (rho0 / run.links.transmit_snr))
                 for metric in metrics:
-                    rows[metric].append(_row(metric, value, rho0, rho_th, ga, scaled))
+                    rows[metric].append(
+                        _row(metric, value, analytic[metric][i], rho_th, models[i], scaled))
+                i += 1
     return [SweepTable(variable=variable, metric=m, rows=tuple(rows[m])) for m in metrics]
 
 

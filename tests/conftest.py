@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from leoris.channel import DirectPath, LinkConfig, RisLink
-from leoris.errors import ConvergenceError
 from leoris.fading import KappaMuParams
 from leoris.geometry import EARTH_RADIUS_M, Constellation, CylinderGeometry
 from leoris.metrics import _capacity_closed_nats
@@ -85,19 +84,45 @@ def sample_constellation(con: Constellation, rng: np.random.Generator) -> np.nda
 
 
 def capacity_series_point(rng: np.random.Generator) -> tuple[float, float, list]:
-    """A log-uniform (shape, z) at which the capacity closed form returns
-    a value rather than raising, with the (num, den) parameters of its
+    """A log-uniform (shape, z) at which the capacity closed form gives a
+    valid value, with the (num, den) parameters of its
     three series, which it sums at -z/4. z runs to 1e4, past the largest
     z (about 1e3) the form accepts."""
     while True:
         alpha, z = 10.0 ** rng.uniform(-2, 2), 10.0 ** rng.uniform(-14, 4)
-        try:
-            _capacity_closed_nats(alpha, z)
-        except ConvergenceError:
+        if not _capacity_closed_nats(np.array([alpha]), np.array([z]))[1][0]:
             continue
         return alpha, z, [((alpha / 2,), (0.5, 1 + alpha / 2)),
                           ((1.0, 1.0), (2.0, 1.5 - alpha / 2, 2 - alpha / 2)),
                           ((0.5 + alpha / 2,), (1.5, 1.5 + alpha / 2))]
+
+
+def pfq_series_loop(num: tuple, den: tuple, x: float, max_terms: int = 10_000,
+                    rtol: float = 1e-12) -> tuple[float, float, str]:
+    """pFq(num; den; x) summed term by term in Python floats, the reference
+    for the package's array kernel: the sum, the largest term magnitude and
+    "summed", "out of terms" or "cancelled". It stops once 3 terms in a row
+    fall below rtol of the sum, counting only from the first k at which
+    every den + k is positive."""
+    term = total = peak = 1.0
+    below = 0
+    settled = max([0, *(math.floor(-q) + 1 for q in den)])
+    for k in range(max_terms):
+        ratio = x / (k + 1.0)
+        for p in num:
+            ratio *= p + k
+        for q in den:
+            ratio /= q + k
+        term *= ratio
+        total += term
+        peak = max(peak, abs(term))
+        if abs(term) < rtol * abs(total) and k >= settled:
+            below += 1
+            if below >= 3:
+                return total, peak, "cancelled" if abs(total) * 1e10 < peak else "summed"
+        else:
+            below = 0
+    return total, peak, "out of terms"
 
 
 def envelope_moment_mpmath(t: float, kappa: float, mu: float) -> float:

@@ -14,12 +14,14 @@ import pytest
 from scipy.special import gammainc
 
 from leoris.channel import GammaApprox
-from leoris.errors import DomainError
+from leoris.errors import ComputationError, DomainError
 from leoris.metrics import (
     CapacityResult,
     CoverageQuery,
     capacity_quadrature,
+    coverage_probabilities,
     coverage_probability,
+    ergodic_capacities,
     ergodic_capacity,
 )
 
@@ -170,6 +172,37 @@ def test_capacity_series_runs_past_negative_denominators(alpha, z):
     res = ergodic_capacity(ga, 1.0)
     assert not res.fallback
     assert res.bits == pytest.approx(capacity_quadrature(ga, 1.0), rel=1e-7)
+
+
+@pytest.mark.parametrize("alpha,beta", [(2.5, 1e200), (2.5, 1e-200), (3.0, 1e200)])
+def test_capacity_raises_where_beta_squared_rho0_leaves_the_float_range(alpha, beta):
+    # beta^2 rho0 overflows to inf or underflows to 0: the closed form would
+    # take log(0) or divide by zero, and the quadrature integrate log(inf)
+    ga = GammaApprox(alpha=alpha, beta=beta)
+    for call in (lambda: ergodic_capacity(ga, 1.0),
+                 lambda: ergodic_capacities([GA, ga], [100.0, 1.0]),
+                 lambda: capacity_quadrature(ga, 1.0)):
+        with pytest.raises(ComputationError, match="leaves the float range"):
+            call()
+
+
+def test_capacity_at_a_subnormal_gain_falls_back_to_quadrature():
+    # beta^2 rho0 = 1e-310 is subnormal, so z = 1 / (beta^2 rho0) overflows;
+    # capacity is then ~ E[c y^2] / ln 2 = c alpha (alpha + 1) / ln 2
+    ga = GammaApprox(alpha=2.5, beta=1e-155)
+    res = ergodic_capacity(ga, 1.0)
+    assert res.fallback
+    assert res.bits == capacity_quadrature(ga, 1.0)
+    assert res.bits == pytest.approx(1e-310 * 2.5 * 3.5 / math.log(2.0), rel=1e-6)
+
+
+def test_batches_validate_their_snrs():
+    with pytest.raises(DomainError, match="rho0 must be > 0, got 0.0"):
+        ergodic_capacities([GA, GA], [1.0, 0.0])
+    with pytest.raises(DomainError, match="rho_th must be >= 0, got -1.0"):
+        coverage_probabilities([GA, GA], [1.0, -1.0], [1.0, 1.0])
+    with pytest.raises(DomainError, match="rho0 must be > 0, got nan"):
+        coverage_probabilities([GA], [1.0], [math.nan])
 
 
 def test_capacity_result_is_floatable():

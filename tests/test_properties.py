@@ -7,12 +7,13 @@ examples."""
 
 import math
 import sys
+from unittest import mock
 
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from leoris import runner
+from leoris import metrics, runner
 from leoris.channel import (
     DirectPath,
     GammaApprox,
@@ -24,7 +25,13 @@ from leoris.channel import (
 from leoris.errors import ComputationError, DivergentMomentError, LeorisError
 from leoris.fading import KappaMuParams, envelope_moment
 from leoris.geometry import Constellation, CylinderGeometry, ris_distance_moment
-from leoris.metrics import CoverageQuery, coverage_probability, ergodic_capacity
+from leoris.metrics import (
+    CoverageQuery,
+    coverage_probabilities,
+    coverage_probability,
+    ergodic_capacities,
+    ergodic_capacity,
+)
 from leoris.scenario import SWEEP_VARIABLES, parse_scenario, resolved_mapping
 
 exponents = st.floats(2.0, 4.0)
@@ -215,6 +222,41 @@ def test_capacity_grows_with_transmit_snr(ga, rho0):
     lo = ergodic_capacity(ga, rho0).bits
     hi = ergodic_capacity(ga, 2.0 * rho0).bits
     assert math.isfinite(lo) and 0.0 <= lo <= hi
+
+
+# (shape, beta^2 rho0) pairs that reach each path of the capacity: the
+# closed form, the pole window, the overflow of its power terms (e4 > 700),
+# series that cancel, and series whose terms overflow, so their sums run
+# out of terms
+capacity_paths = st.one_of(
+    st.tuples(_log_uniform(1.0e-2, 2.0e2), _log_uniform(1.0e-3, 1.0e6)),
+    st.tuples(st.builds(lambda n, d: n + d, st.integers(1, 20), st.floats(-9e-5, 9e-5)),
+              _log_uniform(1.0e-3, 1.0e6)),
+    st.tuples(st.floats(100.0, 200.0), _log_uniform(1.0e-12, 1.0e-10)),
+    st.tuples(_log_uniform(1.0e-2, 10.0), _log_uniform(1.0e-5, 1.0e-4)),
+    st.tuples(_log_uniform(1.0e-2, 10.0), _log_uniform(1.0e-9, 1.0e-7)),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.lists(st.tuples(capacity_paths, _log_uniform(1.0e-3, 1.0e1),
+                          st.one_of(st.just(0.0), _log_uniform(1.0e-3, 1.0e9))),
+                min_size=1, max_size=6),
+       st.sampled_from((40, metrics._SERIES_MAX_TERMS)))
+def test_batch_metrics_match_batches_of_one(points, budget):
+    # every element of a batch reads what it reads alone, whichever path
+    # its neighbours take; a 40-term budget makes ordinary series run out
+    models = [GammaApprox(alpha, beta) for (alpha, _), beta, _ in points]
+    rho0 = [gain / (beta * beta) for (_, gain), beta, _ in points]
+    rho_th = [th for *_, th in points]
+    with mock.patch.object(metrics, "_SERIES_MAX_TERMS", budget):
+        bits, fallback = ergodic_capacities(models, rho0)
+        singles = [ergodic_capacity(ga, r) for ga, r in zip(models, rho0)]
+    assert bits.tolist() == [res.bits for res in singles]
+    assert fallback.tolist() == [res.fallback for res in singles]
+    covered = coverage_probabilities(models, rho_th, rho0)
+    assert covered.tolist() == [coverage_probability(CoverageQuery(th, r), ga)
+                                for ga, th, r in zip(models, rho_th, rho0)]
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)

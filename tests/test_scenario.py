@@ -291,6 +291,25 @@ def test_sweep_rho0_capacity():
     assert caps == sorted(caps)
 
 
+@pytest.mark.parametrize("variable,grid", [("R0", (60.0, 90.0, 120.0, 300.0)),
+                                           # the low SNRs take the quadrature
+                                           ("rho0", (60.0, 100.0, 120.0, 140.0))])
+def test_sweep_analytic_cells_equal_per_point_calls(variable, grid):
+    # the sweep evaluates each metric for all its points in one batch; every
+    # cell is bit for bit what the single-point functions give at its point
+    cfg = _sweep_config(variable, grid)
+    for table in sweep(cfg):
+        assert [row[0] for row in table.rows] == list(grid)
+        for value, analytic, *_ in table.rows:
+            links, geom, rho0, rho_th = runner._point_inputs(cfg, variable, value)
+            ga = gamma_approx(links, geom, cfg.constellation)
+            if table.metric == "coverage":
+                want = coverage_probability(CoverageQuery(rho_th, rho0), ga)
+            else:
+                want = ergodic_capacity(ga, rho0).bits
+            assert analytic == want, (table.metric, value)
+
+
 def test_sweep_geometry_variables_trend():
     for var in ("R0", "H"):
         tables = sweep(_sweep_config(var, (60.0, 120.0, 240.0)))

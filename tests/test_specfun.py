@@ -17,7 +17,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import digamma, gammainc
 
-from conftest import capacity_series_point, sqrt_weighted_mpmath, sqrt_weighted_point
+from conftest import (capacity_series_point, pfq_series_loop, sqrt_weighted_mpmath,
+                      sqrt_weighted_point)
 from leoris import geometry, metrics
 from leoris.channel import GammaApprox
 from leoris.errors import ComputationError, ConvergenceError, DomainError
@@ -110,6 +111,44 @@ def test_pfq_series_cancellation_raises():
     # around a sum of order 0.02
     with pytest.raises(ConvergenceError, match="cancellation"):
         _pfq_series((), (1.0,), -2500.0)
+
+
+def test_pfq_batch_marks_failed_series_without_raising():
+    # a cancelling series, one that runs out of terms and two that converge,
+    # padded to one parameter shape; each converged sum is its single call's
+    num = np.array([[1.0], [2.0], [1.3], [1.0]])
+    den = np.array([[1.0, 1.0], [1.0, 1.0], [2.2, 0.9], [2.0, 1.2]])
+    x = np.array([-2500.0, 1e9, 0.7, -0.05])
+    total, peak, status = metrics._pfq_batch(num, den, x)
+    assert status.tolist() == [metrics._CANCELLED, metrics._OUT_OF_TERMS,
+                               metrics._SUMMED, metrics._SUMMED]
+    for i in (2, 3):
+        assert (total[i], peak[i]) == _pfq_series(tuple(num[i]), tuple(den[i]), x[i])
+
+
+def test_pfq_batch_matches_the_term_by_term_loop():
+    # the three capacity series at log-uniform shapes and arguments, from
+    # quick sums through cancelling ones to terms that overflow; every
+    # element ends as the loop ends, and a summed one carries its bits
+    rng = np.random.default_rng(2718)
+    alpha, z = 10.0 ** rng.uniform(-2, 2.3, 300), 10.0 ** rng.uniform(-14, 7, 300)
+    a2, ones = alpha / 2.0, np.ones(300)
+    shapes = [((a2,), (0.5 * ones, 1.0 + a2)),
+              ((ones, ones), (2.0 * ones, 1.5 - a2, 2.0 - a2)),
+              ((0.5 + a2,), (1.5 * ones, 1.5 + a2))]
+    names = {metrics._SUMMED: "summed", metrics._OUT_OF_TERMS: "out of terms",
+             metrics._CANCELLED: "cancelled"}
+    ends = set()
+    for num, den in shapes:
+        num, den = np.column_stack(num), np.column_stack(den)
+        total, peak, status = metrics._pfq_batch(num, den, -0.25 * z)
+        for i in range(300):
+            want = pfq_series_loop(num[i].tolist(), den[i].tolist(), -0.25 * z[i].item())
+            assert names[status[i]] == want[2], (num[i], den[i], z[i])
+            if want[2] != "out of terms":
+                assert (total[i], peak[i]) == want[:2], (num[i], den[i], z[i])
+            ends.add(want[2])
+    assert ends == {"summed", "out of terms", "cancelled"}
 
 
 def test_gauss_2f1_known_values():
