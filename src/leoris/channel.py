@@ -58,10 +58,10 @@ class GammaApprox:
     beta: float
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise DomainError(f"alpha must be > 0, got {self.alpha}")
-        if not self.beta > 0:
-            raise DomainError(f"beta must be > 0, got {self.beta}")
+        if not 0 < self.alpha < math.inf:
+            raise DomainError(f"alpha must be finite and > 0, got {self.alpha}")
+        if not 0 < self.beta < math.inf:
+            raise DomainError(f"beta must be finite and > 0, got {self.beta}")
 
     @property
     def mean(self) -> float:

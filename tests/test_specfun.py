@@ -44,6 +44,10 @@ def test_ln_gamma_domain():
             KappaMuParams(kappa=1.0, mu=bad)
         with pytest.raises(DomainError):
             GammaApprox(alpha=bad, beta=1.0)
+    # an infinite shape or scale has no log-gamma or SNR gain either
+    for alpha, beta in ((math.inf, 1.0), (1.0, math.inf)):
+        with pytest.raises(DomainError, match="must be finite and > 0"):
+            GammaApprox(alpha=alpha, beta=beta)
 
 
 def test_reg_lower_inc_gamma_values():
