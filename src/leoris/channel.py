@@ -13,14 +13,17 @@ Fits are made in batches (gamma_fits), as a sweep fits all its points:
 link factors do not depend on the RIS region or the user-hop exponent,
 so each distinct one is computed once per batch, and every geometry
 factor of the batch comes from one array evaluation of the RIS-distance
-kernel. One ordered pass over the pairs then sums each pair's mean and
-variance and raises its first error where it occurs.
+kernel. The batch is then held as (pair x path) columns of link factors
+and moments; each pair's mean and variance is summed column by column
+in path order, so every fit has the bits of a walk over its paths, and
+the first pair that cannot be fitted raises in pair and path order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -160,10 +163,11 @@ def _path_links(cfg: LinkConfig):
 
 def _batch_moments(pairs: Sequence[tuple[LinkConfig, CylinderGeometry]], con: Constellation,
                    orders: tuple[int, ...]):
-    """For each (links, geometry) pair in order, the (mean, variance) of
-    the magnitude, summed over its paths in order (RIS paths first, the
-    direct path last); the variance is None unless order 2 is asked for,
-    since it may diverge where the mean is finite.
+    """Arrays of the (mean, variance) of the magnitude for the (links,
+    geometry) pairs in order, one chunk of pairs at a time, each summed
+    over its pair's paths in order (RIS paths first, the direct path
+    last); the variance is None unless order 2 is asked for, since it may
+    diverge where the mean is finite.
 
     Second moments use the unit-power normalization
     E[|q|^2] = E[|g|^2] = E[|u|^2] = 1, so the element-sum second moment
@@ -177,10 +181,12 @@ def _batch_moments(pairs: Sequence[tuple[LinkConfig, CylinderGeometry]], con: Co
     distinct (s, R0, H, c); the kernel reads NaN exactly where
     ris_distance_moment raises, so a finite moment is a valid one.
 
-    The pairs are then walked in order. A links object's link factors are
-    taken when its first pair comes up, so their errors raise there; a
-    pair's non-finite RIS-distance moment raises, in path order, what
-    ris_distance_moment raises for it.
+    Errors keep pair and path order: a chunk yields the pairs before its
+    first failing one and raises that pair's error when resumed, so a
+    consumer that checks each yielded pair first raises the batch's first
+    error. A links object's link factors are taken when its first pair
+    comes up; a pair's non-finite RIS-distance moment raises, in path
+    order, what ris_distance_moment raises for it.
     """
     factors: dict = {}
     widest = 1 + max((len(cfg.ris) for cfg, _ in pairs), default=0)
@@ -189,39 +195,83 @@ def _batch_moments(pairs: Sequence[tuple[LinkConfig, CylinderGeometry]], con: Co
         yield from _chunk_moments(pairs[start:start + step], con, orders, factors)
 
 
+def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``keys`` and the index of each row among them."""
+    order = np.lexsort(keys.T)
+    ordered = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    where = np.empty(len(keys), dtype=np.intp)
+    where[order] = np.cumsum(new) - 1
+    return ordered[new], where
+
+
 def _chunk_moments(pairs, con: Constellation, orders: tuple[int, ...], factors: dict):
-    """_batch_moments for pairs whose RIS-distance moments share one kernel call."""
-    eps = np.array([link.user_exponent for cfg, _ in pairs for link in cfg.ris])
+    """_batch_moments for pairs whose RIS-distance moments share one kernel
+    call, as columns over (pair x path) padded with zero link factors."""
+    # link factors by links identity (the pairs keep every links object
+    # alive), in the order the pairs first use them
+    index, links, which, failure = {}, [], [], None
+    for p, (cfg, _) in enumerate(pairs):
+        i = index.get(id(cfg))
+        if i is None:
+            try:
+                paths = [_link_factor(factors, *spec, con) for spec in _path_links(cfg)]
+            except Exception as exc:  # re-raised after the pairs before it, in pair order
+                pairs, failure = pairs[:p], exc
+                break
+            i = index[id(cfg)] = len(links)
+            links.append((cfg, paths))
+        which.append(i)
+    # per links object, padded to the widest: its paths' link factors and
+    # its RIS paths' user-hop exponents
+    width = max((len(paths) for _, paths in links), default=0)
+    pad = [(0.0, 0.0)] * width
+    factor_table = np.array([paths + pad[len(paths):] for _, paths in links])
+    factor_table = factor_table.reshape(len(links), width, 2)
+    eps = np.array([[r.user_exponent for r in cfg.ris] + [0.0] * (width - len(cfg.ris))
+                    for cfg, _ in links]).reshape(len(links), width)
+    which = np.array(which, dtype=np.intp)
+    # RIS paths in pair and path order, and the kernel key of each at each order
+    ris = np.arange(width) < np.array([len(cfg.ris) for cfg, _ in links], dtype=int)[which, None]
+    pair_of, path_of = np.nonzero(ris)
     regions = np.array([(g.base_radius, g.height, g.inner_radius) for _, g in pairs])
-    R0, H, c = np.repeat(regions.reshape(-1, 3), [len(cfg.ris) for cfg, _ in pairs], axis=0).T
-    keys = np.concatenate([np.column_stack((t * eps / 2.0, R0, H, c)) for t in orders])
-    # each key row as one 32-byte record, so one sort finds the distinct ones
-    distinct, where = np.unique(keys.view(np.dtype((np.void, keys.itemsize * 4))).ravel(),
-                                return_inverse=True)
-    columns = distinct.view(float).reshape(-1, 4).T.copy()
-    # per RIS path, in pair and path order: its RIS-distance moment at each order
-    ris_moments = iter(_ris_moment(*columns)[where].reshape(len(orders), -1).T.tolist())
-    direct, both = [1.0] * len(orders), len(orders) > 1
-    # link factors by links identity: the pairs keep every links object alive
-    paths_of = {}
-    for cfg, geom in pairs:
-        paths = paths_of.get(id(cfg))
-        if paths is None:
-            paths = paths_of[id(cfg)] = [_link_factor(factors, *spec, con)
-                                         for spec in _path_links(cfg)]
-        ris, mean, variance = len(cfg.ris), 0.0, 0.0
-        for i, (first, second) in enumerate(paths):
-            moments = next(ris_moments) if i < ris else direct
-            # the kernel's moments are normal floats or NaN
-            if math.isnan(sum(moments)):
-                for t, value in zip(orders, moments):
-                    _checked_ris_moment(_moment_exponent(t, cfg.ris[i].user_exponent),
-                                        geom, value)
-            m = first * moments[0]
-            mean += m
-            if both:
-                variance += second * moments[1] - m ** 2
-        yield mean, variance if both else None
+    R0, H, c = regions.reshape(-1, 3)[pair_of].T
+    user_eps = eps[which[pair_of], path_of]
+    distinct, where = _distinct_rows(
+        np.concatenate([np.column_stack((t * user_eps / 2.0, R0, H, c)) for t in orders]))
+    ris_moments = _ris_moment(*distinct.T.copy())[where].reshape(len(orders), -1)
+    # the kernel's moments are normal floats or NaN
+    failed = np.isnan(ris_moments).any(axis=0)
+    stop = int(pair_of[failed.argmax()]) if failed.any() else len(pairs)
+    moments = np.ones((len(orders), len(pairs), width))
+    moments[:, ris] = ris_moments
+    factor = factor_table[which[:stop]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = factor[..., 0] * moments[0, :stop]
+        mean = np.zeros(stop)
+        for column in m.T:
+            mean += column
+        variance = None
+        if len(orders) > 1:
+            # squared as a Python float squares (libm pow, which may round
+            # differently from m * m); inf where that overflows
+            square = m * m
+            finite = np.isfinite(square)
+            square[finite] = np.fromiter(map(pow, m[finite].tolist(), repeat(2)),
+                                         dtype=float, count=int(finite.sum()))
+            variance = np.zeros(stop)
+            for column in (factor[..., 1] * moments[1, :stop] - square).T:
+                variance += column
+    yield mean, variance
+    if stop < len(pairs):
+        cell = failed.argmax()
+        cfg, geom = pairs[stop]
+        for t, value in zip(orders, ris_moments[:, cell].tolist()):
+            _checked_ris_moment(_moment_exponent(t, cfg.ris[path_of[cell]].user_exponent),
+                                geom, value)
+    if failure is not None:
+        raise failure
 
 
 def _checked_variance(variance: float) -> float:
@@ -236,13 +286,13 @@ def _checked_variance(variance: float) -> float:
 def mean_abs_A(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation) -> float:
     """Mean magnitude of the combined channel response."""
     ((mean, _),) = _batch_moments([(cfg, geom)], con, (1,))
-    return mean
+    return float(mean[0])
 
 
 def var_abs_A(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation) -> float:
     """Variance of the combined channel response magnitude."""
     ((_, variance),) = _batch_moments([(cfg, geom)], con, (1, 2))
-    return _checked_variance(variance)
+    return _checked_variance(float(variance[0]))
 
 
 def gamma_fits(pairs: Sequence[tuple[LinkConfig, CylinderGeometry]],
@@ -256,13 +306,14 @@ def gamma_fits(pairs: Sequence[tuple[LinkConfig, CylinderGeometry]],
     that cannot be fitted raises what gamma_approx raises for it alone.
     """
     fits = []
-    for mean, variance in _batch_moments(pairs, con, (1, 2)):
-        if not mean > 0.0:
-            raise ComputationError(
-                "mean of the combined response is not positive; the configuration "
-                "has no active signal path"
-            )
-        fits.append(GammaApprox.from_moments(mean, _checked_variance(variance)))
+    for means, variances in _batch_moments(pairs, con, (1, 2)):
+        for mean, variance in zip(means.tolist(), variances.tolist()):
+            if not mean > 0.0:
+                raise ComputationError(
+                    "mean of the combined response is not positive; the configuration "
+                    "has no active signal path"
+                )
+            fits.append(GammaApprox.from_moments(mean, _checked_variance(variance)))
     return fits
 
 

@@ -8,27 +8,28 @@ simulation is off.
 
 A sweep is one loop over the grid of a ScenarioConfig. Consecutive
 points with the same links and geometry form a run, which has one Gamma
-fit; the sweep fits all its runs in one batch (channel.gamma_fits),
-then evaluates each analytic column over every point in one array pass
+fit; the sweep fits all its runs in one batch (channel.gamma_fits), then
+evaluates each analytic column over every point in one array pass
 (metrics.coverage_probabilities, metrics.ergodic_capacities, which runs
 the capacity quadrature only on the points it flags), all before it
-simulates. Threshold and transmit-SNR sweeps are a single
-run, and a transmit-SNR point rescales the simulated samples. Consecutive
-runs whose links nest (montecarlo.is_nested: each run's RIS list is a
-prefix of the next run's, each RIS the same up to fewer elements) on the
-same geometry share one simulation, made on the last run's links; that
-is every point of an RIS-count or element-count sweep, whose grids are
-ascending. A shared simulation keeps trials samples per run, so runs are
-grouped only while their samples fit in montecarlo.MAX_KEPT_SAMPLES. A
-group's simulation draws from child i of SeedSequence(monte_carlo.seed),
-where i is the index of the group's first point. Everything a run
-depends on is in the config, so the resolved echo written next to the
-tables reproduces them.
+simulates. A table's rows are its columns zipped, and a CSV table is
+written with one format string per row and one write. Threshold and
+transmit-SNR sweeps are a single run, and a transmit-SNR point rescales
+the simulated samples. Consecutive runs whose links nest
+(montecarlo.is_nested: each run's RIS list is a prefix of the next
+run's, each RIS the same up to fewer elements) on the same geometry
+share one simulation, made on the last run's links; that is every point
+of an RIS-count or element-count sweep, whose grids are ascending. A
+shared simulation keeps trials samples per run, so runs are grouped only
+while their samples fit in montecarlo.MAX_KEPT_SAMPLES. A group's
+simulation draws from child i of SeedSequence(monte_carlo.seed), where i
+is the index of the group's first point. Everything a run depends on is
+in the config, so the resolved echo written next to the tables
+reproduces them.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 from dataclasses import dataclass
@@ -119,9 +120,9 @@ def _point_inputs(cfg: ScenarioConfig, variable: str, value: float):
     elif variable == "L":
         links = _with_elements(links, int(value))
     elif variable == "R0":
-        geom = dataclasses.replace(geom, base_radius=float(value))
+        geom = CylinderGeometry(float(value), geom.height, geom.inner_radius)
     elif variable == "H":
-        geom = dataclasses.replace(geom, height=float(value))
+        geom = CylinderGeometry(geom.base_radius, float(value), geom.inner_radius)
     else:
         raise ConfigError(f"unknown sweep variable {variable!r}")
     return links, geom, rho0, rho_th
@@ -179,17 +180,6 @@ def _simulate(cfg: ScenarioConfig, group: list[_Run]) -> tuple[SimResult, ...]:
 _METRICS = {"rho_th": ("coverage",), "rho0": ("capacity",)}
 
 
-def _row(metric: str, value: float, analytic: float, rho_th: float, ga, sim) -> tuple:
-    """One table row; ``sim`` is simulated at the point's rho0, or None."""
-    if sim is None:
-        mc = None
-    elif metric == "coverage":
-        mc = empirical_coverage(sim, rho_th)
-    else:
-        mc = empirical_capacity(sim)
-    return (value, analytic, *(mc or (None, None)), ga.alpha, ga.beta)
-
-
 def _analytic(metric: str, models: list, rho0: tuple, rho_th: tuple) -> list[float]:
     """The metric at every point of the sweep, in one batch call."""
     if metric == "coverage":
@@ -210,40 +200,51 @@ def sweep(cfg: ScenarioConfig) -> list[SweepTable]:
     models = [ga for run, ga in zip(runs, fits) for _ in run.points]
     _, rho0s, rho_ths = zip(*(point for run in runs for point in run.points))
     analytic = {m: _analytic(m, models, rho0s, rho_ths) for m in metrics}
-    rows: dict[str, list[tuple]] = {m: [] for m in metrics}
-    i = 0  # index of the point in the grid
-    for group in _groups(cfg, runs):
-        sims = _simulate(cfg, group) if cfg.mc_enabled else (None,) * len(group)
-        for run, sim in zip(group, sims):
-            for value, rho0, rho_th in run.points:
-                scaled = sim
-                if sim is not None and rho0 != run.links.transmit_snr:
-                    scaled = dataclasses.replace(
+    # (estimate, stderr) of every simulated point per metric, in grid order
+    mc: dict[str, list] = {m: [] for m in metrics}
+    for group in _groups(cfg, runs) if cfg.mc_enabled else ():
+        for run, sim in zip(group, _simulate(cfg, group)):
+            for _, rho0, rho_th in run.points:
+                at_rho0 = sim
+                if rho0 != run.links.transmit_snr:
+                    at_rho0 = dataclasses.replace(
                         sim, snr_samples=sim.snr_samples * (rho0 / run.links.transmit_snr))
-                for metric in metrics:
-                    rows[metric].append(
-                        _row(metric, value, analytic[metric][i], rho_th, models[i], scaled))
-                i += 1
-    return [SweepTable(variable=variable, metric=m, rows=tuple(rows[m])) for m in metrics]
+                for m in metrics:
+                    mc[m].append(empirical_coverage(at_rho0, rho_th) if m == "coverage"
+                                 else empirical_capacity(at_rho0))
+    values = cfg.sweep.grid
+    alphas, betas = [ga.alpha for ga in models], [ga.beta for ga in models]
+    tables = []
+    for m in metrics:
+        estimates, stderrs = zip(*mc[m]) if mc[m] else ((None,) * len(values),) * 2
+        rows = tuple(zip(values, analytic[m], estimates, stderrs, alphas, betas))
+        tables.append(SweepTable(variable=variable, metric=m, rows=rows))
+    return tables
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
+def _csv_line(row: tuple) -> str:
+    """The format string of a CSV line with ``row``'s cell types, as
+    csv.writer writes the cells' strings: an empty cell for None, .17g for
+    a float, str() otherwise, CRLF at the end. Cells are numbers or None,
+    none of which csv.writer quotes."""
+    cells = ("" if v is None else f"{{{i}:.17g}}" if isinstance(v, float) else f"{{{i}}}"
+             for i, v in enumerate(row))
+    return ",".join(cells) + "\r\n"
 
 
 def write_table(table: SweepTable, directory: Path, fmt: str) -> Path:
     directory.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
         path = directory / f"{table.metric}.csv"
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(HEADER)
-            for row in table.rows:
-                writer.writerow([_fmt(v) for v in row])
+        formats = {}  # the format string of each row's cell types
+        lines = [",".join(HEADER) + "\r\n"]
+        for row in table.rows:
+            kinds = tuple(map(type, row))
+            line = formats.get(kinds)
+            if line is None:
+                line = formats[kinds] = _csv_line(row)
+            lines.append(line.format(*row))
+        path.write_text("".join(lines), encoding="utf-8", newline="")
     elif fmt == "json":
         path = directory / f"{table.metric}.json"
         payload = [dict(zip(HEADER, row)) for row in table.rows]

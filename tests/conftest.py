@@ -8,9 +8,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from leoris.channel import DirectPath, LinkConfig, RisLink
-from leoris.fading import KappaMuParams
-from leoris.geometry import EARTH_RADIUS_M, Constellation, CylinderGeometry
+from leoris.channel import DirectPath, GammaApprox, LinkConfig, RisLink
+from leoris.fading import KappaMuParams, envelope_moment
+from leoris.geometry import (EARTH_RADIUS_M, Constellation, CylinderGeometry,
+                             ris_distance_moment, sat_distance_moment)
 from leoris.metrics import _capacity_closed_nats
 
 # Recorded draw of the per-RIS user-hop exponents (sub-seed 370899, [2, 3)).
@@ -50,6 +51,30 @@ def default_geometry() -> CylinderGeometry:
 @pytest.fixture
 def default_constellation() -> Constellation:
     return Constellation(satellites=1000, altitude=1.0e6)
+
+
+def gamma_fit_walk(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation) -> GammaApprox:
+    """The Gamma fit as one walk over the pair's paths in order (RIS paths
+    first, the direct path last), each path's moments from the public
+    envelope, satellite-distance and RIS-distance moments in the fit's
+    association order: the reference the batched fit must equal to the bit."""
+    paths = []
+    for link in cfg.ris:
+        L = link.elements
+        m1 = envelope_moment(1.0, link.sat_fading) * envelope_moment(1.0, link.user_fading)
+        paths.append((L * m1 * sat_distance_moment(1, link.sat_exponent, con)
+                      * ris_distance_moment(1, link.user_exponent, geom),
+                      (L + (L * L - L) * m1 * m1) * sat_distance_moment(2, link.sat_exponent, con)
+                      * ris_distance_moment(2, link.user_exponent, geom)))
+    d = cfg.direct
+    if d.enabled:
+        paths.append((envelope_moment(1.0, d.fading) * sat_distance_moment(1, d.exponent, con),
+                      sat_distance_moment(2, d.exponent, con)))
+    mean = variance = 0.0
+    for first, second in paths:
+        mean += first
+        variance += second - first ** 2
+    return GammaApprox.from_moments(mean, variance)
 
 
 def sat_moment_mpmath(m: int, h: float, s: float) -> float:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import default_links
+from conftest import default_links, gamma_fit_walk
 from leoris import channel, runner
 from leoris.channel import (
     DirectPath,
@@ -119,31 +119,10 @@ def _count_moments(monkeypatch) -> dict:
     return counts
 
 
-def _by_hand(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation) -> GammaApprox:
-    """The Gamma fit from the public moments, one at a time, in the fit's
-    association order."""
-    paths = []
-    for link in cfg.ris:
-        L = link.elements
-        m1 = envelope_moment(1.0, link.sat_fading) * envelope_moment(1.0, link.user_fading)
-        paths.append((L * m1 * sat_distance_moment(1, link.sat_exponent, con)
-                      * ris_distance_moment(1, link.user_exponent, geom),
-                      (L + (L * L - L) * m1 * m1) * sat_distance_moment(2, link.sat_exponent, con)
-                      * ris_distance_moment(2, link.user_exponent, geom)))
-    d = cfg.direct
-    if d.enabled:
-        paths.append((envelope_moment(1.0, d.fading) * sat_distance_moment(1, d.exponent, con),
-                      sat_distance_moment(2, d.exponent, con)))
-    variance = 0.0
-    for mean, second in paths:
-        variance += second - mean ** 2
-    return GammaApprox.from_moments(sum(m for m, _ in paths), variance)
-
-
 def test_each_distinct_moment_evaluated_once(monkeypatch):
     cfg = load_scenario(DEFAULT_CONFIG)
     args = (cfg.links, cfg.geometry, cfg.constellation)
-    reference = _by_hand(*args)
+    reference = gamma_fit_walk(*args)
     counts = _count_moments(monkeypatch)
     n = len(cfg.links.ris)
     # three fading laws; orders 1 and 2 at one satellite-hop exponent; a
@@ -189,6 +168,45 @@ def test_a_sweep_fits_every_point_in_one_batch(monkeypatch, variable, grid, ris_
         links, geom, _, _ = runner._point_inputs(cfg, variable, value)
         ga = gamma_approx(links, geom, cfg.constellation)
         assert row[-2:] == (ga.alpha, ga.beta)
+
+
+def _mixed_pairs(rng: np.random.Generator, n: int) -> list:
+    """Pairs with 0-3 RISs, the direct path on and off, and a flat disk,
+    an annulus or a 3D region, at exponents whose moments are finite."""
+    laws = [KappaMuParams(0.0, 1.0), KappaMuParams(1.0, 2.0), KappaMuParams(3.0, 3.0)]
+    pairs = []
+    for _ in range(n):
+        R0 = float(10.0 ** rng.uniform(0.0, 3.0))
+        region = rng.integers(3)
+        geom = (CylinderGeometry(R0, 0.0) if region == 0
+                else CylinderGeometry(R0, 0.0, R0 * rng.uniform(0.01, 0.9)) if region == 1
+                else CylinderGeometry(R0, R0 * 10.0 ** rng.uniform(-2.0, 2.0)))
+        ris = tuple(RisLink(int(rng.integers(1, 64)), laws[rng.integers(3)],
+                            laws[rng.integers(3)], float(rng.uniform(2.0, 3.0)),
+                            float(rng.uniform(0.0, 1.95)))
+                    for _ in range(rng.integers(4)))
+        direct = DirectPath(not ris or bool(rng.integers(2)), laws[rng.integers(3)],
+                            float(rng.uniform(2.0, 3.0)))
+        pairs.append((LinkConfig(ris=ris, direct=direct), geom))
+    return pairs
+
+
+def _sweep_pairs(variable: str, grid) -> list:
+    cfg = load_scenario(DEFAULT_CONFIG)
+    return [runner._point_inputs(cfg, variable, value)[:2] for value in grid]
+
+
+@pytest.mark.parametrize("pairs", [
+    # both sides of H = R0 = 120, where the kernel changes branch
+    _sweep_pairs("H", (*np.geomspace(1.0, 1.0e4, 100).tolist(), 119.5, 120.0, 120.5)),
+    _sweep_pairs("L", range(1, 1000, 9)),
+    _mixed_pairs(np.random.default_rng(15), 1000),
+], ids=["H", "L", "mixed"])
+def test_batch_fits_equal_the_per_pair_walk_to_the_bit(pairs):
+    con = load_scenario(DEFAULT_CONFIG).constellation
+    fits = channel.gamma_fits(pairs, con)
+    walk = [gamma_fit_walk(links, geom, con) for links, geom in pairs]
+    assert [(ga.alpha, ga.beta) for ga in fits] == [(ga.alpha, ga.beta) for ga in walk]
 
 
 def test_sweeps_on_two_threads_match_one_alone():

@@ -87,6 +87,56 @@ def test_capacity_large_shape_oracle(alpha, rho0, bits):
     assert ergodic_capacity(ga, rho0).bits == pytest.approx(bits, rel=1e-9)
 
 
+# 40-digit mpmath quadratures of E[log2(1 + rho0 beta^2 y^2)], y ~
+# Gamma(1e7, 1), split at the mode and at multiples of the bulk's width
+@pytest.mark.filterwarnings("ignore:The occurrence of roundoff error")
+@pytest.mark.parametrize("rho0,bits", [
+    (3e-6, 4.328079063356807e-06),
+    (3.0, 1.999999945898942),
+    (3e6, 21.516531406674236),
+])
+def test_capacity_quadrature_agrees_with_mpmath_at_its_largest_shape(rho0, bits):
+    ga = GammaApprox(alpha=1e7, beta=1e-7)
+    assert capacity_quadrature(ga, rho0) == pytest.approx(bits, rel=1e-7)
+    # an integer shape: the closed form hands over to the quadrature
+    assert ergodic_capacity(ga, rho0) == (capacity_quadrature(ga, rho0), True)
+
+
+@pytest.mark.parametrize("alpha,beta,rho0", [
+    (1e10, 1e-10, 3.0),
+    (1e15 + 0.5, 1.0 / (1e15 + 0.5), 3.0),
+    (1e17, 1e-17, 3.0),
+    (1e20, 1e-20, 1.0),
+    (1e306, 1e-160, 1.0),
+])
+def test_capacity_raises_above_the_largest_verified_shape(alpha, beta, rho0):
+    # the quadrature's log density has lost its digits (4e-4 off at 1e11,
+    # 1.7% at 1e13, 51 bits for a true 2 at 1e15); the closed form has
+    # given up on every shape above about 2e4
+    ga = GammaApprox(alpha, beta)
+    with pytest.raises(ComputationError, match="shapes above"):
+        capacity_quadrature(ga, rho0)
+    with pytest.raises(ComputationError, match="shapes above"):
+        ergodic_capacity(ga, rho0)
+
+
+@pytest.mark.parametrize("alpha", [1e10, 1e17, 1e20])
+def test_coverage_at_huge_shapes_at_the_mean(alpha):
+    # Q(a, a) = 1/2 - 1/(3 sqrt(2 pi a)) + O(a^-3/2)
+    ga = GammaApprox(alpha, 1.0 / alpha)
+    want = 0.5 - 1.0 / (3.0 * math.sqrt(2.0 * math.pi * alpha))
+    assert coverage_probability(CoverageQuery(1.0, 1.0), ga) == pytest.approx(want, abs=1e-9)
+
+
+def test_coverage_raises_where_the_gamma_tail_does_not_evaluate():
+    # scipy's gammaincc reads NaN here, where the tail is 1
+    ga = GammaApprox(1e306, 1e-160)
+    with pytest.raises(ComputationError, match="Gamma tail"):
+        coverage_probability(CoverageQuery(1.0, 1.0), ga)
+    with pytest.raises(ComputationError, match="Gamma tail"):
+        coverage_probabilities([GA, ga], [1.0, 1.0], [1.0, 1.0])
+
+
 def test_capacity_vanishes_with_power():
     ga = GammaApprox(alpha=1.0, beta=1.0)
     res = ergodic_capacity(ga, 1e-8)

@@ -524,6 +524,31 @@ def test_run_scenario_json_format(tmp_path):
     assert payload[0]["analytic_metric"] == summary.tables[0].rows[0][1]
 
 
+def test_table_writer_bytes_are_pinned(tmp_path):
+    # a float sweep value, an integer-valued float, empty and filled Monte
+    # Carlo cells: CSV as csv.writer writes the cells (CRLF, .17g floats,
+    # empty None cells), JSON as json.dumps writes the rows
+    table = runner.SweepTable("R0", "coverage", rows=(
+        (0.1, 2.0, None, None, 1.0 / 3.0, 1e-300),
+        (120.0, 0.5, 0.25, 1.5e-3, 15.56868219659185, 2.0 ** -60),
+    ))
+    assert runner.write_table(table, tmp_path, "csv").read_bytes() == (
+        b"sweep_value,analytic_metric,mc_metric,mc_stderr,alpha,beta\r\n"
+        b"0.10000000000000001,2,,,0.33333333333333331,1e-300\r\n"
+        b"120,0.5,0.25,0.0015,15.568682196591849,8.6736173798840355e-19\r\n")
+    assert runner.write_table(table, tmp_path, "json").read_bytes() == (
+        b'[\n  {\n    "sweep_value": 0.1,\n    "analytic_metric": 2.0,\n'
+        b'    "mc_metric": null,\n    "mc_stderr": null,\n'
+        b'    "alpha": 0.3333333333333333,\n    "beta": 1e-300\n  },\n'
+        b'  {\n    "sweep_value": 120.0,\n    "analytic_metric": 0.5,\n'
+        b'    "mc_metric": 0.25,\n    "mc_stderr": 0.0015,\n'
+        b'    "alpha": 15.56868219659185,\n    "beta": 8.673617379884035e-19\n  }\n]\n')
+    # the CSV reads back through the csv module to the same cells
+    with (tmp_path / "coverage.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [tuple(float(v) if v else None for v in row) for row in rows] == list(table.rows)
+
+
 def test_cli_run_and_sweep(tmp_path, capsys):
     path = _write_config(tmp_path, _variant())
     code = cli_main(["run", str(path), "--out", str(tmp_path / "o1"), "--no-mc"])
