@@ -20,10 +20,11 @@ arithmetic are those of a simulation without nested configurations.
 
 Determinism contract: identical (config, seed) give bit-identical
 results at any worker count. Trials are cut into fixed blocks of _BLOCK
-trials (only the last may be short); block b draws from child b of the
-simulation seed, writes its samples into its own slice of the output and
-returns its moments, which merge in block order. Workers are threads that
-run blocks, so the worker count only sets the speed.
+trials (only the last may be short); block b draws from
+SeedSequence(seed, spawn_key=(0, b)), writes its samples into its own
+slice of the output and returns its moments, which merge in block order.
+Workers are threads that run blocks, so the worker count only sets the
+speed.
 """
 
 from __future__ import annotations
@@ -66,6 +67,8 @@ _CHUNK_ELEMENTS = 8_000_000
 _NO_MOMENTS = (0, None, None)
 # kept SNR samples, summed over the configurations of one simulation
 MAX_KEPT_SAMPLES = 250_000_000
+# fewest trials the empirical estimators accept
+MIN_EMPIRICAL_TRIALS = 100
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,6 @@ class SimOptions:
     seed: int = 0
     workers: int = 1
     exact_per_ris_sat_distance: bool = False
-    fixed_ris_positions: bool = False
     keep_samples: bool = True
 
     def __post_init__(self) -> None:
@@ -139,8 +141,8 @@ def _chunk_cap(cfg: LinkConfig) -> int:
 
 
 def _simulate_chunk(cfg: LinkConfig, plan, rows: int, geom: CylinderGeometry,
-                    con: Constellation, rng: np.random.Generator, count: int, exact: bool,
-                    fixed_pos: np.ndarray | None) -> np.ndarray:
+                    con: Constellation, rng: np.random.Generator, count: int,
+                    exact: bool) -> np.ndarray:
     """Magnitude of the combined response for `count` trials, one row per
     configuration of the plan (the full configuration last)."""
     amp = np.zeros((rows, count))
@@ -148,18 +150,12 @@ def _simulate_chunk(cfg: LinkConfig, plan, rows: int, geom: CylinderGeometry,
         serving, r_user = sample_serving_satellite(con, rng, count)
     for n, link in enumerate(cfg.ris):
         if exact:
-            if fixed_pos is not None:
-                pos = np.broadcast_to(fixed_pos[n], (count, 3))
-            else:
-                pos = sample_ris_positions(geom, rng, count)
+            pos = sample_ris_positions(geom, rng, count)
             r_sat = np.linalg.norm(serving - pos, axis=1)
             r_ris = np.linalg.norm(pos, axis=1)
         else:
             r_sat = sample_nearest_sat_distance(con, rng, count)
-            if fixed_pos is not None:
-                r_ris = np.full(count, float(np.linalg.norm(fixed_pos[n])))
-            else:
-                r_ris = sample_ris_distances(geom, rng, count)
+            r_ris = sample_ris_distances(geom, rng, count)
         q = sample_envelope(link.sat_fading, rng, (count, link.elements))
         q *= sample_envelope(link.user_fading, rng, (count, link.elements))
         sat_gain = r_sat ** (-link.sat_exponent / 2.0)
@@ -216,23 +212,17 @@ def simulate_snr(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation,
             "exceed the memory budget; lower trials or set keep_samples=False"
         )
     start = time.perf_counter()
-    root = np.random.SeedSequence(opt.seed)
-    sim_root, geo_root = root.spawn(2)
-    fixed_pos = None
-    if opt.fixed_ris_positions and cfg.ris:
-        fixed_pos = sample_ris_positions(geom, np.random.default_rng(geo_root), len(cfg.ris))
     plan, cap, exact = _row_plan((*nested, cfg)), _chunk_cap(cfg), opt.exact_per_ris_sat_distance
     samples = np.empty((rows, opt.trials)) if opt.keep_samples else None
 
     def run_block(b: int):
-        # child b of sim_root, as sim_root.spawn(blocks)[b] would give it
-        rng = np.random.default_rng(np.random.SeedSequence(
-            sim_root.entropy, spawn_key=(*sim_root.spawn_key, b), pool_size=sim_root.pool_size))
+        # child b of SeedSequence(opt.seed).spawn(1)[0], without holding every block's
+        rng = np.random.default_rng(np.random.SeedSequence(opt.seed, spawn_key=(0, b)))
         moments = _NO_MOMENTS
         lo, hi = b * _BLOCK, min(opt.trials, (b + 1) * _BLOCK)
         while lo < hi:
             c = min(cap, hi - lo)
-            amp = _simulate_chunk(cfg, plan, rows, geom, con, rng, c, exact, fixed_pos)
+            amp = _simulate_chunk(cfg, plan, rows, geom, con, rng, c, exact)
             mb = amp.mean(axis=1)
             moments = _merge_moments(moments, (c, mb, ((amp - mb[:, None]) ** 2).sum(axis=1)))
             if samples is not None:
@@ -269,8 +259,9 @@ def simulate_snr(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation,
 def _require_samples(res: SimResult) -> np.ndarray:
     if res.snr_samples is None:
         raise DomainError("SimResult carries no samples (run with keep_samples=True)")
-    if res.trials < 100:
-        raise DomainError(f"need at least 100 trials for empirical metrics, got {res.trials}")
+    if res.trials < MIN_EMPIRICAL_TRIALS:
+        raise DomainError(f"need at least {MIN_EMPIRICAL_TRIALS} trials for empirical "
+                          f"metrics, got {res.trials}")
     return res.snr_samples
 
 

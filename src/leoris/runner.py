@@ -47,6 +47,7 @@ from .metrics import coverage_probabilities, ergodic_capacities
 from .geometry import CylinderGeometry
 from .montecarlo import (
     MAX_KEPT_SAMPLES,
+    MIN_EMPIRICAL_TRIALS,
     SimResult,
     empirical_capacity,
     empirical_coverage,
@@ -192,7 +193,11 @@ def sweep(cfg: ScenarioConfig) -> list[SweepTable]:
     equal links and geometry in one batch, evaluate each metric at every
     point in one batch, all before any simulation (so the first point
     that cannot be fitted raises first), then simulate once per group of
-    nested runs."""
+    nested runs. Too few trials for the empirical metrics raise before
+    anything is fitted."""
+    if cfg.mc_enabled and cfg.mc.trials < MIN_EMPIRICAL_TRIALS:
+        raise ConfigError(f"monte_carlo.trials: need at least {MIN_EMPIRICAL_TRIALS} trials "
+                          f"for the Monte Carlo metrics, got {cfg.mc.trials}")
     variable = cfg.sweep.variable
     metrics = _METRICS.get(variable, ("coverage", "capacity"))
     runs = list(_runs(cfg))

@@ -317,8 +317,11 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
         seed=_integer(raw, "monte_carlo.seed", default=0, minimum=0),
         workers=_integer(raw, "monte_carlo.workers", default=1, minimum=1),
         exact_per_ris_sat_distance=_boolean(raw, "monte_carlo.exact_per_ris_sat_distance", False),
-        fixed_ris_positions=_boolean(raw, "monte_carlo.fixed_ris_positions", False),
     )
+    # echoes written while the mode existed record false, and still load
+    if _boolean(raw, "monte_carlo.fixed_ris_positions", False):
+        raise ConfigError("monte_carlo.fixed_ris_positions: removed; RIS positions are "
+                          "drawn per trial, as the closed forms average over them")
 
     fmt = _get(raw, "output.format", "csv")
     if fmt not in ("csv", "json"):
@@ -447,7 +450,6 @@ def resolved_mapping(cfg: ScenarioConfig) -> dict:
             "seed": cfg.mc.seed,
             "workers": cfg.mc.workers,
             "exact_per_ris_sat_distance": cfg.mc.exact_per_ris_sat_distance,
-            "fixed_ris_positions": cfg.mc.fixed_ris_positions,
         },
         "output": {"directory": cfg.output.directory, "format": cfg.output.format},
         "resolved": {

@@ -104,7 +104,7 @@ def test_block_b_draws_from_child_b_of_the_simulation_seed():
     sim_root = np.random.SeedSequence(12).spawn(2)[0]
     amp = montecarlo._simulate_chunk(cfg, montecarlo._row_plan((cfg,)), 1, GEOM, CON,
                                      np.random.default_rng(sim_root.spawn(3)[2]), 3,
-                                     False, None)[0]
+                                     False)[0]
     assert np.array_equal(res.snr_samples[-3:], cfg.transmit_snr * amp * amp)
     # whole blocks do not depend on the trial count: a run of whole blocks
     # is a prefix of any longer one
@@ -239,17 +239,6 @@ def test_options_validation():
         SimOptions(trials=10, workers=0)
     with pytest.raises(DomainError, match="seed"):
         SimOptions(trials=10, seed=-1)
-
-
-def test_fixed_ris_positions_mode():
-    cfg = default_links(3)
-    opt = SimOptions(trials=2000, seed=5, fixed_ris_positions=True)
-    a = simulate_snr(cfg, GEOM, CON, opt)
-    b = simulate_snr(cfg, GEOM, CON, opt)
-    assert np.array_equal(a.snr_samples, b.snr_samples)
-    # one deployment, drawn apart from the blocks: any worker count reads it
-    c = simulate_snr(cfg, GEOM, CON, dataclasses.replace(opt, workers=2))
-    assert np.array_equal(c.snr_samples, a.snr_samples)
 
 
 def test_exact_satellite_mode_runs_and_agrees_loosely():

@@ -165,8 +165,7 @@ def raw_scenarios(draw):
         "monte_carlo": {"enabled": draw(st.booleans()), "trials": draw(st.integers(1, 10 ** 6)),
                         "seed": draw(st.integers(0, 2 ** 32)),
                         "workers": draw(st.integers(1, 4)),
-                        "exact_per_ris_sat_distance": draw(st.booleans()),
-                        "fixed_ris_positions": draw(st.booleans())},
+                        "exact_per_ris_sat_distance": draw(st.booleans())},
         "output": {"directory": "out", "format": draw(st.sampled_from(("csv", "json")))},
     }
 

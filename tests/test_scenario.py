@@ -94,6 +94,15 @@ def test_resolved_mapping_round_trips():
     assert yaml.safe_load(yaml.safe_dump(echo)) == echo
 
 
+def test_fixed_ris_positions_key_is_removed():
+    # echoes written while the fixed-deployment mode existed record false
+    cfg = parse_scenario(_variant(**{"monte_carlo.fixed_ris_positions": False}))
+    assert cfg == parse_scenario(copy.deepcopy(BASE))
+    assert "fixed_ris_positions" not in resolved_mapping(cfg)["monte_carlo"]
+    with pytest.raises(ConfigError, match=r"monte_carlo\.fixed_ris_positions"):
+        parse_scenario(_variant(**{"monte_carlo.fixed_ris_positions": True}))
+
+
 @pytest.mark.parametrize("scenario", [
     DEFAULT_CONFIG, DEFAULT_CONFIG.parents[1] / "bench" / "workloads" / "analytic_sweep.yaml"])
 def test_libyaml_and_python_dumpers_write_the_same_echo(scenario):
@@ -605,6 +614,26 @@ def test_cli_rejects_out_of_range_values(tmp_path, capsys, argv, updates, field)
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
     assert not out.exists()
+
+
+def test_too_few_trials_fail_before_any_fit_or_output(monkeypatch, tmp_path, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(runner, "gamma_fits", fail)
+    monkeypatch.setattr(runner, "simulate_snr", fail)
+    # simulation is off in the file and switched on from the command line
+    path = _write_config(tmp_path, _variant(**{"monte_carlo.trials": 99}))
+    out = tmp_path / "o"
+    assert cli_main(["run", str(path), "--mc", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "monte_carlo.trials" in err[0] and "99" in err[0]
+    assert not out.exists()
+    monkeypatch.undo()
+    assert cli_main(["run", str(path), "--no-mc", "--out", str(out)]) == 0
+    path = _write_config(tmp_path, _variant(**{"monte_carlo.trials": 100}))
+    assert cli_main(["run", str(path), "--mc", "--out", str(out)]) == 0
+    capsys.readouterr()
 
 
 def test_cli_reports_config_errors(tmp_path, capsys):
