@@ -101,10 +101,11 @@ def test_block_b_draws_from_child_b_of_the_simulation_seed():
     cfg = default_links(2)
     res = simulate_snr(cfg, GEOM, CON,
                        SimOptions(trials=2 * montecarlo._BLOCK + 3, seed=12, workers=2))
+    # block 2 draws from SFC64 seeded by child 2 of child 0 of the seed
     sim_root = np.random.SeedSequence(12).spawn(2)[0]
+    rng = np.random.Generator(np.random.SFC64(sim_root.spawn(3)[2]))
     amp = montecarlo._simulate_chunk(cfg, montecarlo._row_plan((cfg,)), 1, GEOM, CON,
-                                     np.random.default_rng(sim_root.spawn(3)[2]), 3,
-                                     False)[0]
+                                     rng, 3, False)[0]
     assert np.array_equal(res.snr_samples[-3:], cfg.transmit_snr * amp * amp)
     # whole blocks do not depend on the trial count: a run of whole blocks
     # is a prefix of any longer one
@@ -239,6 +240,21 @@ def test_options_validation():
         SimOptions(trials=10, workers=0)
     with pytest.raises(DomainError, match="seed"):
         SimOptions(trials=10, seed=-1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("trials", 1000.0), ("trials", True), ("seed", 1.5), ("seed", True),
+    ("workers", 2.0), ("workers", "2"), ("seed", None),
+])
+def test_options_reject_non_integer_fields(field, value):
+    with pytest.raises(DomainError, match=f"{field} must be an integer"):
+        SimOptions(**{"trials": 1000, field: value})
+
+
+def test_options_accept_numpy_integers_as_python_ints():
+    opt = SimOptions(trials=np.int64(500), seed=np.uint32(7), workers=np.int8(2))
+    assert (opt.trials, opt.seed, opt.workers) == (500, 7, 2)
+    assert all(type(v) is int for v in (opt.trials, opt.seed, opt.workers))
 
 
 def test_exact_satellite_mode_runs_and_agrees_loosely():
