@@ -13,10 +13,11 @@ Fits are made in batches (gamma_fits), as a sweep fits all its points:
 link factors do not depend on the RIS region or the user-hop exponent,
 so each distinct one is computed once per batch, and every geometry
 factor of the batch comes from one array evaluation of the RIS-distance
-kernel. The batch is then held as (pair x path) columns of link factors
-and moments; each pair's mean and variance is summed column by column
-in path order, so every fit has the bits of a walk over its paths, and
-the first pair that cannot be fitted raises in pair and path order.
+kernel. The batch is held as (pair x path) columns summed in path order,
+so every fit has the bits of a walk over its paths. A pair whose link
+factor raised or whose RIS-distance moment is not finite comes out NaN;
+the first pair that is NaN or cannot be fitted then raises, in pair
+order, what it raises alone.
 """
 
 from __future__ import annotations
@@ -28,14 +29,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ComputationError, DomainError
+from .errors import ComputationError, DomainError, checked_integer
 from .fading import KappaMuParams, envelope_moment
 from .geometry import (
     Constellation,
     CylinderGeometry,
-    _checked_ris_moment,
-    _moment_exponent,
     _ris_moment,
+    ris_distance_moment,
     sat_distance_moment,
 )
 
@@ -99,6 +99,7 @@ class RisLink:
     user_exponent: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "elements", checked_integer("elements", self.elements))
         if self.elements < 1:
             raise DomainError(f"elements must be >= 1, got {self.elements}")
         _check_exponent("sat_exponent", self.sat_exponent)
@@ -152,47 +153,14 @@ def _link_factor(factors: dict, elements: int, fadings: tuple, exponent: float,
     return factor
 
 
-def _path_links(cfg: LinkConfig):
+def _path_links(cfg: LinkConfig) -> list[tuple]:
     """(elements, fading laws, satellite-hop exponent) of each path, RIS
     paths first and the direct path last."""
-    for link in cfg.ris:
-        yield link.elements, (link.sat_fading, link.user_fading), link.sat_exponent
+    paths = [(link.elements, (link.sat_fading, link.user_fading), link.sat_exponent)
+             for link in cfg.ris]
     if cfg.direct.enabled:
-        yield 1, (cfg.direct.fading,), cfg.direct.exponent
-
-
-def _batch_moments(pairs: Sequence[tuple[LinkConfig, CylinderGeometry]], con: Constellation,
-                   orders: tuple[int, ...]):
-    """Arrays of the (mean, variance) of the magnitude for the (links,
-    geometry) pairs in order, one chunk of pairs at a time, each summed
-    over its pair's paths in order (RIS paths first, the direct path
-    last); the variance is None unless order 2 is asked for, since it may
-    diverge where the mean is finite.
-
-    Second moments use the unit-power normalization
-    E[|q|^2] = E[|g|^2] = E[|u|^2] = 1, so the element-sum second moment
-    reduces to L + (L^2 - L) * (first-moment product)^2.
-
-    A RIS path's moment is its link factor (always finite) times the
-    RIS-distance moment at its own user-hop exponent. Link factors are
-    computed once per distinct (elements, fading laws, satellite-hop
-    exponent) and kept for the whole batch. The RIS-distance moments of
-    up to _CHUNK_PATHS paths come from one kernel call over their
-    distinct (s, R0, H, c); the kernel reads NaN exactly where
-    ris_distance_moment raises, so a finite moment is a valid one.
-
-    Errors keep pair and path order: a chunk yields the pairs before its
-    first failing one and raises that pair's error when resumed, so a
-    consumer that checks each yielded pair first raises the batch's first
-    error. A links object's link factors are taken when its first pair
-    comes up; a pair's non-finite RIS-distance moment raises, in path
-    order, what ris_distance_moment raises for it.
-    """
-    factors: dict = {}
-    widest = 1 + max((len(cfg.ris) for cfg, _ in pairs), default=0)
-    step = max(1, _CHUNK_PATHS // widest)
-    for start in range(0, len(pairs), step):
-        yield from _chunk_moments(pairs[start:start + step], con, orders, factors)
+        paths.append((1, (cfg.direct.fading,), cfg.direct.exponent))
+    return paths
 
 
 def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -206,20 +174,24 @@ def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[new], where
 
 
-def _chunk_moments(pairs, con: Constellation, orders: tuple[int, ...], factors: dict):
-    """_batch_moments for pairs whose RIS-distance moments share one kernel
-    call, as columns over (pair x path) padded with zero link factors."""
+def _chunk_moments(pairs, con: Constellation, orders: tuple[int, ...],
+                   factors: dict) -> np.ndarray:
+    """Rows of the magnitude's mean and, if order 2 is asked for, its
+    variance over pairs whose RIS-distance moments share one kernel call,
+    summed over (pair x path) columns padded with zero link factors; NaN
+    for a pair whose link factors raised or whose RIS-distance moment is
+    not finite (the kernel reads NaN exactly where ris_distance_moment raises)."""
     # link factors by links identity (the pairs keep every links object
     # alive), in the order the pairs first use them
-    index, links, which, failure = {}, [], [], None
-    for p, (cfg, _) in enumerate(pairs):
+    index, links, which = {}, [], []
+    for cfg, _ in pairs:
         i = index.get(id(cfg))
         if i is None:
+            specs = _path_links(cfg)
             try:
-                paths = [_link_factor(factors, *spec, con) for spec in _path_links(cfg)]
-            except Exception as exc:  # re-raised after the pairs before it, in pair order
-                pairs, failure = pairs[:p], exc
-                break
+                paths = [_link_factor(factors, *spec, con) for spec in specs]
+            except (ArithmeticError, ValueError):  # as are the package's errors
+                paths = [(math.nan, math.nan)] * len(specs)  # raised again in pair order
             i = index[id(cfg)] = len(links)
             links.append((cfg, paths))
         which.append(i)
@@ -240,38 +212,64 @@ def _chunk_moments(pairs, con: Constellation, orders: tuple[int, ...], factors: 
     user_eps = eps[which[pair_of], path_of]
     distinct, where = _distinct_rows(
         np.concatenate([np.column_stack((t * user_eps / 2.0, R0, H, c)) for t in orders]))
-    ris_moments = _ris_moment(*distinct.T.copy())[where].reshape(len(orders), -1)
-    # the kernel's moments are normal floats or NaN
-    failed = np.isnan(ris_moments).any(axis=0)
-    stop = int(pair_of[failed.argmax()]) if failed.any() else len(pairs)
     moments = np.ones((len(orders), len(pairs), width))
-    moments[:, ris] = ris_moments
-    factor = factor_table[which[:stop]]
+    moments[:, ris] = _ris_moment(*distinct.T.copy())[where].reshape(len(orders), -1)
+    factor = factor_table[which]
     with np.errstate(over="ignore", invalid="ignore"):
-        m = factor[..., 0] * moments[0, :stop]
-        mean = np.zeros(stop)
+        m = factor[..., 0] * moments[0]
+        mean = np.zeros(len(pairs))
         for column in m.T:
             mean += column
-        variance = None
-        if len(orders) > 1:
-            # squared as a Python float squares (libm pow, which may round
-            # differently from m * m); inf where that overflows
-            square = m * m
-            finite = np.isfinite(square)
-            square[finite] = np.fromiter(map(pow, m[finite].tolist(), repeat(2)),
-                                         dtype=float, count=int(finite.sum()))
-            variance = np.zeros(stop)
-            for column in (factor[..., 1] * moments[1, :stop] - square).T:
-                variance += column
-    yield mean, variance
-    if stop < len(pairs):
-        cell = failed.argmax()
-        cfg, geom = pairs[stop]
-        for t, value in zip(orders, ris_moments[:, cell].tolist()):
-            _checked_ris_moment(_moment_exponent(t, cfg.ris[path_of[cell]].user_exponent),
-                                geom, value)
-    if failure is not None:
-        raise failure
+        if len(orders) == 1:
+            return mean[None]
+        # squared as a Python float squares (libm pow, which may round
+        # differently from m * m); inf where that overflows
+        square = m * m
+        finite = np.isfinite(square)
+        square[finite] = np.fromiter(map(pow, m[finite].tolist(), repeat(2)),
+                                     dtype=float, count=int(finite.sum()))
+        variance = np.zeros(len(pairs))
+        for column in (factor[..., 1] * moments[1] - square).T:
+            variance += column
+    return np.array([mean, variance])
+
+
+def _checked_moments(pairs: Sequence[tuple[LinkConfig, CylinderGeometry]],
+                     con: Constellation, orders: tuple[int, ...], fit) -> list:
+    """fit(mean) of the magnitude for each (links, geometry) pair in order,
+    or fit(mean, variance) if order 2 is asked for (it may diverge where
+    the mean is finite), each summed over the pair's paths in order (RIS
+    paths first, the direct path last). Second moments use the unit-power
+    normalization E[|q|^2] = E[|g|^2] = E[|u|^2] = 1, so the element-sum
+    second moment reduces to L + (L^2 - L) * (first-moment product)^2.
+
+    A RIS path's moment is its link factor times the RIS-distance moment
+    at its own user-hop exponent. Link factors are computed once per
+    distinct (elements, fading laws, satellite-hop exponent) per batch;
+    the RIS-distance moments of up to _CHUNK_PATHS paths come from one
+    kernel call over their distinct (s, R0, H, c).
+
+    A pair whose moments come out NaN first raises what they raise alone:
+    its link factors in path order, then its RIS-distance moments by path
+    and order. Then fit checks it, so the first pair that cannot be
+    computed or fitted raises its own error.
+    """
+    factors: dict = {}
+    widest = 1 + max((len(cfg.ris) for cfg, _ in pairs), default=0)
+    step = max(1, _CHUNK_PATHS // widest)
+    fits = []
+    for start in range(0, len(pairs), step):
+        chunk = pairs[start:start + step]
+        columns = _chunk_moments(chunk, con, orders, factors)
+        for (cfg, geom), moments in zip(chunk, columns.T.tolist()):
+            if any(map(math.isnan, moments)):
+                for spec in _path_links(cfg):
+                    _link_factor({}, *spec, con)
+                for link in cfg.ris:
+                    for t in orders:
+                        ris_distance_moment(t, link.user_exponent, geom)
+            fits.append(fit(*moments))
+    return fits
 
 
 def _checked_variance(variance: float) -> float:
@@ -283,16 +281,24 @@ def _checked_variance(variance: float) -> float:
     return variance
 
 
+def _gamma_fit(mean: float, variance: float) -> GammaApprox:
+    if not mean > 0.0:
+        raise ComputationError(
+            "mean of the combined response is not positive; the configuration "
+            "has no active signal path"
+        )
+    return GammaApprox.from_moments(mean, _checked_variance(variance))
+
+
 def mean_abs_A(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation) -> float:
     """Mean magnitude of the combined channel response."""
-    ((mean, _),) = _batch_moments([(cfg, geom)], con, (1,))
-    return float(mean[0])
+    return _checked_moments([(cfg, geom)], con, (1,), float)[0]
 
 
 def var_abs_A(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation) -> float:
     """Variance of the combined channel response magnitude."""
-    ((_, variance),) = _batch_moments([(cfg, geom)], con, (1, 2))
-    return _checked_variance(float(variance[0]))
+    return _checked_moments([(cfg, geom)], con, (1, 2),
+                            lambda _, variance: _checked_variance(variance))[0]
 
 
 def gamma_fits(pairs: Sequence[tuple[LinkConfig, CylinderGeometry]],
@@ -301,20 +307,11 @@ def gamma_fits(pairs: Sequence[tuple[LinkConfig, CylinderGeometry]],
     (links, geometry) pair, all under one constellation.
 
     The batch shares its link factors and evaluates its RIS-distance
-    moments in array passes (see _batch_moments), so a sweep fits all its
-    points in one call. Each fit is checked in pair order: the first pair
-    that cannot be fitted raises what gamma_approx raises for it alone.
+    moments in array passes (see _checked_moments), so a sweep fits all
+    its points in one call. The first pair that cannot be fitted raises
+    what gamma_approx raises for it alone.
     """
-    fits = []
-    for means, variances in _batch_moments(pairs, con, (1, 2)):
-        for mean, variance in zip(means.tolist(), variances.tolist()):
-            if not mean > 0.0:
-                raise ComputationError(
-                    "mean of the combined response is not positive; the configuration "
-                    "has no active signal path"
-                )
-            fits.append(GammaApprox.from_moments(mean, _checked_variance(variance)))
-    return fits
+    return _checked_moments(pairs, con, (1, 2), _gamma_fit)
 
 
 def gamma_approx(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation) -> GammaApprox:
@@ -323,15 +320,17 @@ def gamma_approx(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation) ->
 
 
 def _density(x, what: str, log_density, at_zero):
-    """exp(log_density(x)) where x > 0 and at_zero() where x = 0, for a
-    scalar or array x >= 0; NaN raises like a negative value."""
+    """exp(log_density(x)) where 0 < x < inf, at_zero() where x = 0 and 0
+    at +inf, for a scalar or array x >= 0; NaN raises like a negative value."""
     scalar = np.ndim(x) == 0
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(arr >= 0):
         raise DomainError(f"{what} must be >= 0 and not NaN")
-    pos = arr > 0
-    out = np.full_like(arr, 0.0 if pos.all() else at_zero())
-    out[pos] = np.exp(log_density(arr[pos]))
+    out = np.zeros_like(arr)
+    if not arr.all():
+        out[arr == 0] = at_zero()
+    inner = (arr > 0) & (arr < np.inf)
+    out[inner] = np.exp(log_density(arr[inner]))
     return float(out[0]) if scalar else out
 
 

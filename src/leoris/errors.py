@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check its
+public types share."""
+
+import numbers
 
 
 class LeorisError(Exception):
@@ -26,3 +29,10 @@ class ComputationError(LeorisError, ArithmeticError):
 class ConfigError(LeorisError, ValueError):
     """A scenario configuration failed validation. The message names the
     offending field."""
+
+
+def checked_integer(name: str, value) -> int:
+    """``value`` as a Python int (which cannot wrap) if it is a non-bool integer."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return int(value)

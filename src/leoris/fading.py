@@ -82,8 +82,8 @@ def envelope_moment(t: float, p: KappaMuParams) -> float:
     Gamma ratio comes from a Stirling difference. Raises
     ConvergenceError past 100 000 terms (lam beyond about 1e8).
     """
-    if not t > 0:
-        raise DomainError(f"moment order must be > 0, got {t}")
+    if not 0 < t < math.inf:
+        raise DomainError(f"moment order must be finite and > 0, got {t}")
     k, m = p.kappa, p.mu
     lam, s = k * m, t / 2.0
     j0 = math.floor(lam)
@@ -126,7 +126,8 @@ def envelope_pdf(x, p: KappaMuParams):
         raise DomainError("envelope value must be >= 0 and not NaN")
     k, m = p.kappa, p.mu
     out = np.zeros_like(arr)
-    pos = arr > 0
+    # the density is 0 at +inf, where its factors are inf * 0
+    pos = (arr > 0) & (arr < np.inf)
     xp = arr[pos]
     if k == 0.0:
         # Nakagami-m with unit power
@@ -144,7 +145,7 @@ def envelope_pdf(x, p: KappaMuParams):
         coeff0 = (2.0 * m * (1.0 + k) ** ((m + 1.0) / 2.0) / k ** ((m - 1.0) / 2.0)
                   * math.exp(-m * k) * (b / 2.0) ** (m - 1.0) / math.gamma(m))
     # x -> 0 limit: f ~ coeff0 * x^(2 mu - 1)
-    zero = ~pos
+    zero = arr == 0
     if np.any(zero):
         out[zero] = coeff0 * np.power(arr[zero], 2.0 * m - 1.0)
     return float(out[0]) if scalar else out
@@ -172,14 +173,10 @@ def sample_envelope(p: KappaMuParams, rng: np.random.Generator,
     The squared envelope is chi-square (2*mu degrees of freedom,
     noncentrality 2*kappa*mu) scaled to unit mean; for non-integer 2*mu
     the Poisson-mixture definition of the noncentral chi-square applies
-    and numpy implements it directly.
+    and numpy implements it directly (at kappa = 0 with its central draw).
     """
     k, m = p.kappa, p.mu
-    shape = () if size is None else size
-    if k == 0.0:
-        w = rng.chisquare(2.0 * m, shape)
-    else:
-        w = rng.noncentral_chisquare(2.0 * m, 2.0 * k * m, shape)
+    w = rng.noncentral_chisquare(2.0 * m, 2.0 * k * m, () if size is None else size)
     # in place: no scaled copy or root beside the draw
     w /= 2.0 * m * (1.0 + k)
     np.sqrt(w, out=w)

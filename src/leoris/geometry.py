@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import hyp2f1 as _hyp2f1, xlog1py as _xlog1py
 
-from .errors import ComputationError, DivergentMomentError, DomainError
+from .errors import ComputationError, DivergentMomentError, DomainError, checked_integer
 
 EARTH_RADIUS_M = 6_371_000.0
 # Gauss-Legendre rule on [0, 1] for the nearest-satellite moments
@@ -78,6 +78,7 @@ class Constellation:
     earth_radius: float = EARTH_RADIUS_M
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "satellites", checked_integer("satellites", self.satellites))
         if self.satellites < 1:
             raise DomainError(f"satellites must be >= 1, got {self.satellites}")
         if not 0 < self.altitude < math.inf:
@@ -234,7 +235,7 @@ def _ris_moment(s, R0, H, c) -> np.ndarray:
     NaN where the moment diverges, where h exceeds _MAX_ASPECT, where a
     nonzero h is below the normal floats, and where the result is
     not a normal float (it leaves the float range, or a 2F1 does not
-    evaluate finitely); _checked_ris_moment names the error.
+    evaluate finitely); ris_distance_moment names the error.
     """
     with np.errstate(all="ignore"):
         s, R0, H, c = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float))
@@ -282,13 +283,20 @@ def _moment_exponent(t: int, eps: float) -> float:
     return t * eps / 2.0
 
 
-def _checked_ris_moment(s: float, geom: CylinderGeometry, value: float) -> float:
-    """``value``, the kernel's E[R^-s] on ``geom``, where it is finite;
-    otherwise the error behind its NaN: DivergentMomentError naming the
-    exponent where the moment is not integrable at r = 0, ComputationError
-    where the region is taller than _MAX_ASPECT base radii, where its
-    height is a nonzero fraction of its base radius below the normal
-    floats, or where the moment leaves the float range."""
+def ris_distance_moment(t: int, eps: float, geom: CylinderGeometry) -> float:
+    """E[R^{-t*eps/2}] of the user-to-RIS distance.
+
+    Evaluated by the elementwise kernel the batched Gamma fits share, at
+    unit base radius and scaled back by R0^(-t*eps/2), so its accuracy
+    does not depend on the length scale. Divergent requests
+    (non-integrable at r=0) raise DivergentMomentError naming the
+    exponent. A region taller than 1000 base radii, where the kernel's
+    terms cancel, one whose height is a nonzero fraction of its base
+    radius below the normal floats, or a moment that is not a normal
+    float raises ComputationError.
+    """
+    s = _moment_exponent(t, eps)
+    value = float(_ris_moment(s, geom.base_radius, geom.height, geom.inner_radius)[0])
     if math.isfinite(value):
         return value
     if geom.height == 0.0 and geom.inner_radius == 0.0 and s >= 2.0:
@@ -311,23 +319,6 @@ def _checked_ris_moment(s: float, geom: CylinderGeometry, value: float) -> float
             f"{_TINY:.2g}, where the ratio has lost its digits: {geom}"
         )
     raise ComputationError(f"moment E[R^-{s:g}] leaves the float range for {geom}")
-
-
-def ris_distance_moment(t: int, eps: float, geom: CylinderGeometry) -> float:
-    """E[R^{-t*eps/2}] of the user-to-RIS distance.
-
-    Evaluated by the elementwise kernel the batched Gamma fits share, at
-    unit base radius and scaled back by R0^(-t*eps/2), so its accuracy
-    does not depend on the length scale. Divergent requests
-    (non-integrable at r=0) raise DivergentMomentError naming the
-    exponent. A region taller than 1000 base radii, where the kernel's
-    terms cancel, one whose height is a nonzero fraction of its base
-    radius below the normal floats, or a moment that is not a normal
-    float raises ComputationError.
-    """
-    s = _moment_exponent(t, eps)
-    value = _ris_moment(s, geom.base_radius, geom.height, geom.inner_radius)
-    return _checked_ris_moment(s, geom, float(value[0]))
 
 
 def _sat_fraction(arr: np.ndarray, con: Constellation) -> np.ndarray:

@@ -29,7 +29,6 @@ speed. The scenario's exponent draw stays on numpy's default_rng (PCG64).
 
 from __future__ import annotations
 
-import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -40,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import LinkConfig
-from .errors import ComputationError, DomainError
+from .errors import ComputationError, DomainError, checked_integer
 from .fading import sample_envelope
 from .geometry import (
     Constellation,
@@ -82,10 +81,12 @@ class SimOptions:
 
     def __post_init__(self) -> None:
         for name in ("trials", "seed", "workers"):
+            object.__setattr__(self, name, checked_integer(name, getattr(self, name)))
+        for name in ("exact_per_ris_sat_distance", "keep_samples"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))  # a Python int cannot wrap
+            if not isinstance(value, (bool, np.bool_)):
+                raise DomainError(f"{name} must be a bool, got {value!r}")
+            object.__setattr__(self, name, bool(value))
         if self.trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
@@ -276,7 +277,7 @@ def _require_samples(res: SimResult) -> np.ndarray:
 def empirical_coverage(res: SimResult, rho_th: float) -> Estimate:
     """Fraction of SNR samples above the threshold, with binomial stderr."""
     samples = _require_samples(res)
-    if rho_th < 0:
+    if not rho_th >= 0:
         raise DomainError(f"rho_th must be >= 0, got {rho_th}")
     p = float(np.mean(samples > rho_th))
     return Estimate(p, float(np.sqrt(p * (1.0 - p) / samples.size)))

@@ -4,6 +4,7 @@ fit round-trip, scaling behavior, and light Monte Carlo cross-checks
 
 import dataclasses
 import math
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -276,6 +277,65 @@ def test_batch_raises_the_first_error_in_pair_and_path_order():
         gamma_approx(LinkConfig(ris=(divergent, unconverged)), flat, CON)
 
 
+def test_pathless_links_have_zero_mean_and_no_variance():
+    # the mean alone is not fitted, so a configuration without a signal
+    # path reads 0; its variance is the degenerate 0 the fit rejects
+    cfg = LinkConfig(ris=(), direct=DirectPath(enabled=False))
+    assert mean_abs_A(cfg, GEOM, CON) == 0.0
+    with pytest.raises(ComputationError, match=r"variance .* non-positive \(0\.0\)"):
+        var_abs_A(cfg, GEOM, CON)
+
+
+def _failing_pairs() -> list:
+    """Pairs that cannot be fitted: a flat disk whose second path's order-2
+    moment and third path's order-1 moment diverge, an envelope moment
+    that does not converge (kappa mu = 1e12), both in one pair (the link
+    factor raises first), a region too tall for the kernel, and links
+    with no path."""
+    rayleigh = KappaMuParams(0.0, 1.0)
+    finite = RisLink(4, rayleigh, rayleigh, 2.0, 1.0)
+    divergent = RisLink(4, rayleigh, rayleigh, 2.0, 2.5)
+    steep = RisLink(4, rayleigh, rayleigh, 2.0, 4.5)
+    unconverged = RisLink(4, rayleigh, KappaMuParams(1.0e12, 1.0), 2.0, 2.0)
+    # a second law, so that its message tells the two pairs apart
+    later = RisLink(4, rayleigh, KappaMuParams(2.0e12, 1.0), 2.0, 2.0)
+    flat = CylinderGeometry(50.0, 0.0)
+    return [(LinkConfig(ris=(finite, divergent, steep)), flat),
+            (LinkConfig(ris=(unconverged,), direct=DirectPath(enabled=False)), GEOM),
+            (LinkConfig(ris=(divergent, later)), flat),
+            (LinkConfig(ris=(finite,)), CylinderGeometry(1.0, 2.0e3)),
+            (LinkConfig(ris=(), direct=DirectPath(enabled=False)), GEOM)]
+
+
+def _error(call, *args):
+    with pytest.raises(Exception) as info:
+        call(*args)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("chunk_paths", [channel._CHUNK_PATHS, 7])
+def test_batch_raises_what_its_first_failing_pair_raises_alone(monkeypatch, chunk_paths):
+    monkeypatch.setattr(channel, "_CHUNK_PATHS", chunk_paths)
+    failing = _failing_pairs()
+    alone = [_error(gamma_approx, *pair, CON) for pair in failing]
+    # alone, a pair raises its link factors' errors first, then its
+    # RIS-distance moments' by path and then by order
+    patterns = [(DivergentMomentError, r"E\[R\^-2\.5\]"), (ConvergenceError, r"= 1e\+12"),
+                (ConvergenceError, r"= 2e\+12"), (ComputationError, "above 1000"),
+                (ComputationError, "no active signal path")]
+    for (kind, message), (want, pattern) in zip(alone, patterns, strict=True):
+        assert kind is want and re.search(pattern, message)
+    rng = np.random.default_rng(18)
+    for _ in range(20):
+        pairs = _mixed_pairs(rng, 40)
+        # one to three failing pairs, possibly repeated, at random positions
+        picks = rng.integers(len(failing), size=rng.integers(1, 4)).tolist()
+        for i in picks:
+            pairs.insert(int(rng.integers(len(pairs) + 1)), failing[i])
+        first = next(i for pair in pairs for i, bad in enumerate(failing) if pair is bad)
+        assert _error(channel.gamma_fits, pairs, CON) == alone[first]
+
+
 def test_mean_strictly_increases_with_ris_count():
     means = [mean_abs_A(default_links(n), GEOM, CON) for n in (1, 2, 4, 8)]
     assert all(b > a for a, b in zip(means, means[1:]))
@@ -358,6 +418,21 @@ def test_densities_and_cdfs_reject_nan(f, valid):
     assert f(np.array([valid, 2.0 * valid])).tolist() == [f(valid), f(2.0 * valid)]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("f", [
+    pytest.param(lambda x: abs_A_pdf(x, GammaApprox(3.0, 1.0)), id="abs_A_pdf"),
+    pytest.param(lambda x: snr_pdf(x, GammaApprox(3.0, 1.0), 2.0), id="snr_pdf"),
+    pytest.param(lambda x: envelope_pdf(x, KappaMuParams(0.0, 1.5)), id="envelope_pdf-kappa=0"),
+    pytest.param(lambda x: envelope_pdf(x, KappaMuParams(1.0, 2.0)), id="envelope_pdf-kappa>0"),
+    pytest.param(lambda x: ris_distance_pdf(x, GEOM), id="ris_distance_pdf"),
+    pytest.param(lambda x: sat_distance_pdf(x, CON), id="sat_distance_pdf"),
+])
+def test_densities_vanish_at_infinity(f):
+    # inf * 0 in a density's factors would read NaN, with a RuntimeWarning
+    assert f(math.inf) == 0.0
+    assert f(np.array([0.0, 0.5, math.inf]))[2] == 0.0
+
+
 _LAW = KappaMuParams(0.0, 1.0)
 
 
@@ -378,6 +453,22 @@ def test_constructors_reject_non_finite_and_negative_parameters(build, value):
     # a NaN or infinite field would pass into every density, moment and draw
     with pytest.raises(DomainError):
         build(value)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda v: Constellation(v, 1.0e6), id="Constellation.satellites"),
+    pytest.param(lambda v: RisLink(v, _LAW, _LAW, 2.0, 2.0), id="RisLink.elements"),
+])
+@pytest.mark.parametrize("value", [1000.5, 2.0, True, "4", None])
+def test_counts_reject_non_integers(build, value):
+    # a fractional count would fit silently and fail, or not, in the simulator
+    with pytest.raises(DomainError, match="must be an integer"):
+        build(value)
+
+
+def test_counts_store_numpy_integers_as_python_ints():
+    assert type(Constellation(np.int64(1000), 1.0e6).satellites) is int
+    assert type(RisLink(np.uint8(16), _LAW, _LAW, 2.0, 2.0).elements) is int
 
 
 def test_moments_against_light_simulation(default_geometry, default_constellation):

@@ -190,3 +190,9 @@ def test_sampler_scalar_draw():
 def test_moment_domain():
     with pytest.raises(DomainError):
         envelope_moment(0.0, KappaMuParams(1.0, 1.0))
+
+
+def test_moment_rejects_an_infinite_order():
+    # up front, not after the term budget as a ConvergenceError
+    with pytest.raises(DomainError, match="finite"):
+        envelope_moment(math.inf, KappaMuParams(1.0, 1.0))

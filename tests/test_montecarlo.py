@@ -220,6 +220,12 @@ def test_welford_summary_matches_samples():
     assert res.abs_var == pytest.approx(float(amp.var()), rel=1e-10)
 
 
+def test_coverage_rejects_a_nan_threshold():
+    res = simulate_snr(default_links(1), GEOM, CON, SimOptions(trials=500, seed=0))
+    with pytest.raises(DomainError, match="rho_th"):
+        empirical_coverage(res, float("nan"))
+
+
 def test_minimum_trials_for_estimators():
     cfg = default_links(1)
     res = simulate_snr(cfg, GEOM, CON, SimOptions(trials=50, seed=0))
@@ -249,6 +255,21 @@ def test_options_validation():
 def test_options_reject_non_integer_fields(field, value):
     with pytest.raises(DomainError, match=f"{field} must be an integer"):
         SimOptions(**{"trials": 1000, field: value})
+
+
+@pytest.mark.parametrize("field", ["exact_per_ris_sat_distance", "keep_samples"])
+@pytest.mark.parametrize("value", ["no", 0, 1, None, 1.0])
+def test_options_reject_non_bool_flags(field, value):
+    # a truthy string would otherwise switch the flag on
+    with pytest.raises(DomainError, match=f"{field} must be a bool"):
+        SimOptions(**{"trials": 1000, field: value})
+
+
+def test_options_store_numpy_bools_as_python_bools():
+    opt = SimOptions(trials=1000, exact_per_ris_sat_distance=np.bool_(True),
+                     keep_samples=np.bool_(False))
+    assert (opt.exact_per_ris_sat_distance, opt.keep_samples) == (True, False)
+    assert all(type(v) is bool for v in (opt.exact_per_ris_sat_distance, opt.keep_samples))
 
 
 def test_options_accept_numpy_integers_as_python_ints():
