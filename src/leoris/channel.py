@@ -5,7 +5,8 @@ The combined response is a sum of per-RIS terms (each a coherently
 aligned sum over reflecting elements, damped by both hop distances) plus
 an optional direct satellite-user path. Means and variances follow from
 independence of fading and positions; the Gamma shape/scale pair is the
-moment fit used by the coverage and capacity expressions.
+moment fit used by the coverage and capacity expressions, whose densities
+are evaluated in logarithms (errors.density).
 
 Each path's moments split into a link factor (element count, fading
 laws, satellite hop) and a geometry factor (the RIS-distance moment).
@@ -29,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ComputationError, DomainError, checked_integer
+from .errors import ComputationError, DomainError, checked_integer, density, pointwise
 from .fading import KappaMuParams, envelope_moment
 from .geometry import (
     Constellation,
@@ -319,30 +320,15 @@ def gamma_approx(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation) ->
     return gamma_fits([(cfg, geom)], con)[0]
 
 
-def _density(x, what: str, log_density, at_zero):
-    """exp(log_density(x)) where 0 < x < inf, at_zero() where x = 0 and 0
-    at +inf, for a scalar or array x >= 0; NaN raises like a negative value."""
-    scalar = np.ndim(x) == 0
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all(arr >= 0):
-        raise DomainError(f"{what} must be >= 0 and not NaN")
-    out = np.zeros_like(arr)
-    if not arr.all():
-        out[arr == 0] = at_zero()
-    inner = (arr > 0) & (arr < np.inf)
-    out[inner] = np.exp(log_density(arr[inner]))
-    return float(out[0]) if scalar else out
-
-
+@pointwise("magnitude")
 def abs_A_pdf(x, ga: GammaApprox):
     """Gamma density of the combined response magnitude."""
     a, b = ga.alpha, ga.beta
-    return _density(
-        x, "magnitude",
-        lambda xp: (a - 1.0) * np.log(xp) - xp / b - a * math.log(b) - math.lgamma(a),
-        lambda: 0.0 if a > 1.0 else 1.0 / b if a == 1.0 else math.inf)
+    log_coeff = -a * math.log(b) - math.lgamma(a)
+    return density(x, lambda xp: (a - 1.0) * np.log(xp) - xp / b + log_coeff, log_coeff, a - 1.0)
 
 
+@pointwise("SNR")
 def snr_pdf(x, ga: GammaApprox, rho0: float):
     """Density of the received SNR under the Gamma model.
 
@@ -353,7 +339,5 @@ def snr_pdf(x, ga: GammaApprox, rho0: float):
         raise DomainError(f"rho0 must be > 0, got {rho0}")
     a, b = ga.alpha, ga.beta
     log_pref = -math.log(2.0) - a * math.log(b) - math.lgamma(a) - (a / 2.0) * math.log(rho0)
-    return _density(
-        x, "SNR",
-        lambda xp: log_pref + (a - 2.0) / 2.0 * np.log(xp) - np.sqrt(xp / (b * b * rho0)),
-        lambda: 0.0 if a > 2.0 else math.exp(log_pref) if a == 2.0 else math.inf)
+    return density(x, lambda xp: log_pref + (a - 2.0) / 2.0 * np.log(xp)
+                   - np.sqrt(xp / (b * b * rho0)), log_pref, (a - 2.0) / 2.0)

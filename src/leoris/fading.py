@@ -5,7 +5,7 @@ The family covers Rayleigh (kappa=0, mu=1), Rice (kappa=k, mu=1),
 Nakagami-m (kappa=0, mu=m) and the one-sided Gaussian (kappa=0, mu=0.5)
 as special cases. The squared envelope is a scaled noncentral chi-square
 with 2*mu degrees of freedom and noncentrality 2*kappa*mu, which is what
-both the density and the sampler are built on.
+the density (in logarithms), the distribution and the sampler build on.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtr as _chdtr, chndtr as _chndtr, ive as _ive
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, density, pointwise
 
 __all__ = [
     "KappaMuParams",
@@ -51,6 +51,8 @@ _STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0
 # series, fall below this share of the sum
 _TAIL = 1e-17
 _MAX_TERMS = 100_000
+# exp() of a log density below this rounds to 0, times any factor <= 1
+_LOG_UNDERFLOW = math.log(np.nextafter(0.0, 1.0)) - 1.0
 
 
 def _log_gamma_ratio(a: float, s: float) -> float:
@@ -118,52 +120,47 @@ def envelope_moment(t: float, p: KappaMuParams) -> float:
                     + s * math.log1p((j0 - lam) / (m + lam))) * (num / den)
 
 
+@pointwise("envelope value")
 def envelope_pdf(x, p: KappaMuParams):
-    """Density of the unit-power envelope on x >= 0."""
-    scalar = np.ndim(x) == 0
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all(arr >= 0):
-        raise DomainError("envelope value must be >= 0 and not NaN")
+    """Density of the unit-power envelope on x >= 0, in logarithms; its
+    leading term at x -> 0 is 2 (mu (1 + kappa))^mu e^(-kappa mu)
+    x^(2 mu - 1) / Gamma(mu) at every kappa.
+
+    For kappa > 0 the scaled Bessel factor ive(mu - 1, b x), at most 1
+    from b x = 1 on, is read only where it can lift the density above
+    underflow. That keeps it off scipy's ive past an argument of about
+    1e9, where ive is NaN, for every law whose kappa * mu is below 5e8.
+    """
     k, m = p.kappa, p.mu
-    out = np.zeros_like(arr)
-    # the density is 0 at +inf, where its factors are inf * 0
-    pos = (arr > 0) & (arr < np.inf)
-    xp = arr[pos]
+    log_coeff = math.log(2.0) + m * (math.log(m) + math.log1p(k)) - m * k - math.lgamma(m)
     if k == 0.0:
         # Nakagami-m with unit power
-        out[pos] = (2.0 * m ** m / math.gamma(m)) * xp ** (2.0 * m - 1.0) \
-            * np.exp(-m * xp * xp)
-        coeff0 = 2.0 * m ** m / math.gamma(m)
-    else:
-        b = 2.0 * m * math.sqrt(k * (1.0 + k))
+        return density(x, lambda xp: log_coeff + (2.0 * m - 1.0) * np.log(xp) - m * xp * xp,
+                       log_coeff, 2.0 * m - 1.0)
+    b = 2.0 * m * math.sqrt(k * (1.0 + k))
+    log_c = math.log(2.0 * m) + (m + 1.0) / 2.0 * math.log1p(k) - (m - 1.0) / 2.0 * math.log(k)
+
+    def log_density(xp):
         # exponent is -mu*(sqrt(kappa) - sqrt(1+kappa)*x)^2 once the
         # scaled Bessel's e^{|bx|} is folded in
-        expo = -m * (math.sqrt(k) - math.sqrt(1.0 + k) * xp) ** 2
-        out[pos] = (2.0 * m * (1.0 + k) ** ((m + 1.0) / 2.0)
-                    / (k ** ((m - 1.0) / 2.0))) * xp ** m \
-            * np.exp(expo) * _ive(m - 1.0, b * xp)
-        coeff0 = (2.0 * m * (1.0 + k) ** ((m + 1.0) / 2.0) / k ** ((m - 1.0) / 2.0)
-                  * math.exp(-m * k) * (b / 2.0) ** (m - 1.0) / math.gamma(m))
-    # x -> 0 limit: f ~ coeff0 * x^(2 mu - 1)
-    zero = arr == 0
-    if np.any(zero):
-        out[zero] = coeff0 * np.power(arr[zero], 2.0 * m - 1.0)
-    return float(out[0]) if scalar else out
+        out = log_c + m * np.log(xp) - m * (math.sqrt(k) - math.sqrt(1.0 + k) * xp) ** 2
+        z = b * xp
+        read = (out > _LOG_UNDERFLOW) | (z < 1.0)
+        out[read] += np.log(_ive(m - 1.0, z[read]))
+        out[~read] = -np.inf
+        return out
+    return density(x, log_density, log_coeff, 2.0 * m - 1.0)
 
 
+@pointwise("envelope value", nonnegative=False)
 def envelope_cdf(x, p: KappaMuParams):
     """Distribution of the unit-power envelope, via the noncentral
-    chi-square law of the squared envelope."""
-    arr = np.asarray(x, dtype=float)
-    if np.isnan(arr).any():
-        raise DomainError("envelope value must not be NaN")
+    chi-square law of the squared envelope; 0 for x <= 0."""
     k, m = p.kappa, p.mu
-    q = 2.0 * m * (1.0 + k) * np.square(np.clip(arr, 0.0, None))
-    if k == 0.0:
-        val = _chdtr(2.0 * m, q)
-    else:
-        val = _chndtr(q, 2.0 * m, 2.0 * k * m)
-    return val if np.ndim(x) else float(val)
+    # q overflows to inf only where the distribution is 1
+    with np.errstate(over="ignore"):
+        q = 2.0 * m * (1.0 + k) * np.square(np.clip(x, 0.0, None))
+    return _chdtr(2.0 * m, q) if k == 0.0 else _chndtr(q, 2.0 * m, 2.0 * k * m)
 
 
 def sample_envelope(p: KappaMuParams, rng: np.random.Generator,

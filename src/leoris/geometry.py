@@ -4,7 +4,8 @@ from.
 
 The nearest-satellite law is the exact contact distance of M satellites
 placed uniformly on the shell (a binomial point process); the closed-form
-moments and the samplers use this one law.
+moments and the samplers use this one law. Its density and distribution
+take any real distance and read 0 below the altitude.
 
 Geometry conventions: the user sits at the origin, which is the center of
 the deployment cylinder's base. The satellite shell is the sphere of
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import hyp2f1 as _hyp2f1, xlog1py as _xlog1py
 
-from .errors import ComputationError, DivergentMomentError, DomainError, checked_integer
+from .errors import ComputationError, DivergentMomentError, DomainError, checked_integer, pointwise
 
 EARTH_RADIUS_M = 6_371_000.0
 # Gauss-Legendre rule on [0, 1] for the nearest-satellite moments
@@ -105,20 +106,7 @@ class Constellation:
         return 4.0 * self.earth_radius * self.shell_radius
 
 
-def _check_not_nan(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if np.isnan(arr).any():
-        raise DomainError("distance must not be NaN")
-    return arr
-
-
-def _check_nonnegative(r) -> np.ndarray:
-    arr = np.asarray(r, dtype=float)
-    if not np.all(arr >= 0):
-        raise DomainError("distance must be >= 0 and not NaN")
-    return arr
-
-
+@pointwise("distance")
 def ris_distance_pdf(r, geom: CylinderGeometry):
     """Density of the user-to-RIS distance for a uniformly placed RIS.
 
@@ -126,56 +114,49 @@ def ris_distance_pdf(r, geom: CylinderGeometry):
     sqrt(R0^2 + H^2); collapses to the flat-disk (or annulus) law
     2r / (R0^2 - c^2) when the region has zero height.
     """
-    scalar = np.ndim(r) == 0
-    arr = np.atleast_1d(_check_nonnegative(r))
     R0, H, c = geom.base_radius, geom.height, geom.inner_radius
     if H == 0.0:
-        out = np.where((arr >= c) & (arr <= R0), 2.0 * arr / (R0 ** 2 - c ** 2), 0.0)
-        return float(out[0]) if scalar else out
+        return 2.0 * np.where((r >= c) & (r <= R0), r, 0.0) / (R0 ** 2 - c ** 2)
     lo, hi = min(H, R0), max(H, R0)
-    psi3 = geom.max_distance
-    out = np.zeros_like(arr)
-    core = arr < lo
-    out[core] = 2.0 * arr[core] ** 2 / (R0 ** 2 * H)
-    mid = (arr >= lo) & (arr < hi)
+    out = np.zeros_like(r)
+    core = r < lo
+    out[core] = 2.0 * r[core] ** 2 / (R0 ** 2 * H)
+    mid = (r >= lo) & (r < hi)
     if H <= R0:
-        out[mid] = 2.0 * arr[mid] / R0 ** 2
+        out[mid] = 2.0 * r[mid] / R0 ** 2
     else:
-        rm = arr[mid]
+        rm = r[mid]
         out[mid] = (2.0 * rm / (R0 ** 2 * H)) * (rm - np.sqrt(rm ** 2 - R0 ** 2))
-    cap = (arr >= hi) & (arr <= psi3)
-    rc = arr[cap]
+    cap = (r >= hi) & (r <= geom.max_distance)
+    rc = r[cap]
     out[cap] = (2.0 * rc / R0 ** 2) * (1.0 - np.sqrt(np.maximum(rc ** 2 - R0 ** 2, 0.0)) / H)
-    return float(out[0]) if scalar else out
+    return out
 
 
+@pointwise("distance")
 def ris_distance_cdf(r, geom: CylinderGeometry):
     """Distribution function matching ris_distance_pdf; continuous at the
-    branch points, 0 at r=0 and 1 at the diagonal of the region."""
-    scalar = np.ndim(r) == 0
-    arr = np.atleast_1d(_check_nonnegative(r))
+    branch points, 0 at r=0 and 1 from the diagonal of the region on."""
     R0, H, c = geom.base_radius, geom.height, geom.inner_radius
     if H == 0.0:
-        out = np.clip((arr ** 2 - c ** 2) / (R0 ** 2 - c ** 2), 0.0, 1.0)
-        return float(out[0]) if scalar else out
+        return np.clip((np.minimum(r, R0) ** 2 - c ** 2) / (R0 ** 2 - c ** 2), 0.0, 1.0)
     lo, hi = min(H, R0), max(H, R0)
-    psi3 = geom.max_distance
-    out = np.ones_like(arr)
-    core = arr < lo
-    out[core] = 2.0 * arr[core] ** 3 / (3.0 * R0 ** 2 * H)
-    mid = (arr >= lo) & (arr < hi)
+    out = np.ones_like(r)
+    core = r < lo
+    out[core] = 2.0 * r[core] ** 3 / (3.0 * R0 ** 2 * H)
+    mid = (r >= lo) & (r < hi)
     if H <= R0:
-        out[mid] = arr[mid] ** 2 / R0 ** 2 - H ** 2 / (3.0 * R0 ** 2)
+        out[mid] = r[mid] ** 2 / R0 ** 2 - H ** 2 / (3.0 * R0 ** 2)
     else:
-        rm = arr[mid]
+        rm = r[mid]
         p2 = np.sqrt(rm ** 2 - R0 ** 2)
         out[mid] = (p2 + 2.0 * rm ** 3 / (3.0 * R0 ** 2)
                     - p2 * (2.0 * rm ** 2 + R0 ** 2) / (3.0 * R0 ** 2)) / H
-    cap = (arr >= hi) & (arr < psi3)
-    rc = arr[cap]
+    cap = (r >= hi) & (r < geom.max_distance)
+    rc = r[cap]
     p2 = np.sqrt(np.maximum(rc ** 2 - R0 ** 2, 0.0))
     out[cap] = rc ** 2 / R0 ** 2 - H ** 2 / (3.0 * R0 ** 2) - 2.0 * p2 ** 3 / (3.0 * R0 ** 2 * H)
-    return float(out[0]) if scalar else out
+    return out
 
 
 def _expm1_ratio(y) -> np.ndarray:
@@ -322,34 +303,33 @@ def ris_distance_moment(t: int, eps: float, geom: CylinderGeometry) -> float:
 
 
 def _sat_fraction(arr: np.ndarray, con: Constellation) -> np.ndarray:
-    """Normalized squared slant range u = (x^2 - h^2) / (4 r_e (r_e + h)),
-    clipped to [0, 1] and exactly 1 from the far edge of the shell on."""
-    u = np.clip((arr ** 2 - con.altitude ** 2) / con._scale, 0.0, 1.0)
+    """Normalized squared slant range u = (x^2 - h^2) / (4 r_e (r_e + h)):
+    0 up to the altitude (negative x included), 1 from the far edge of the
+    shell on, and in [0, 1] between."""
+    x = np.clip(arr, con.altitude, con.max_distance)
+    u = np.clip((x ** 2 - con.altitude ** 2) / con._scale, 0.0, 1.0)
     return np.where(arr >= con.max_distance, 1.0, u)
 
 
+@pointwise("distance", nonnegative=False)
 def sat_distance_pdf(x, con: Constellation):
     """Density of the distance to the nearest of M satellites placed
     uniformly on the shell: M (1 - u)^(M-1) * 2x / S, with
     u = (x^2 - h^2) / S and S = 4 r_e (r_e + h)."""
-    scalar = np.ndim(x) == 0
-    arr = np.atleast_1d(_check_not_nan(x))
     M = con.satellites
-    inside = (arr >= con.altitude) & (arr <= con.max_distance)
-    val = np.zeros_like(arr)
-    xi = arr[inside]
+    inside = (x >= con.altitude) & (x <= con.max_distance)
+    val = np.zeros_like(x)
+    xi = x[inside]
     val[inside] = (M * np.exp(_xlog1py(M - 1, -_sat_fraction(xi, con)))
                    * 2.0 * xi / con._scale)
-    return float(val[0]) if scalar else val
+    return val
 
 
+@pointwise("distance", nonnegative=False)
 def sat_distance_cdf(x, con: Constellation):
     """Distribution matching sat_distance_pdf: 1 - (1 - u)^M, which is 0
-    at the altitude and 1 at the far edge of the shell."""
-    scalar = np.ndim(x) == 0
-    arr = np.atleast_1d(_check_not_nan(x))
-    val = -np.expm1(_xlog1py(con.satellites, -_sat_fraction(arr, con)))
-    return float(val[0]) if scalar else val
+    up to the altitude and 1 from the far edge of the shell on."""
+    return -np.expm1(_xlog1py(con.satellites, -_sat_fraction(x, con)))
 
 
 def sat_distance_moment(t: int, eta: float, con: Constellation) -> float:

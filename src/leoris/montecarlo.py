@@ -284,8 +284,9 @@ def empirical_coverage(res: SimResult, rho_th: float) -> Estimate:
 
 
 def empirical_capacity(res: SimResult) -> Estimate:
-    """Sample mean of log2(1 + SNR), with its standard error."""
+    """Sample mean of log2(1 + SNR), with its standard error; log1p keeps
+    the rates of SNRs far below 1, which 1 + SNR rounds away."""
     samples = _require_samples(res)
-    rates = np.log2(1.0 + samples)
+    rates = np.log1p(samples) / np.log(2.0)
     return Estimate(float(rates.mean()),
                     float(rates.std(ddof=1) / np.sqrt(rates.size)))

@@ -44,6 +44,7 @@ from leoris.scenario import SweepSpec, load_scenario
 
 GEOM = CylinderGeometry(120.0, 120.0)
 CON = Constellation(1000, 1.0e6)
+FLAT = CylinderGeometry(120.0, 0.0)
 DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
 
 
@@ -398,39 +399,167 @@ def test_snr_pdf_domain():
         snr_pdf(-1.0, ga, 1.0)
 
 
-@pytest.mark.parametrize("f, valid", [
-    pytest.param(lambda x: abs_A_pdf(x, GammaApprox(0.5, 1.0)), 0.5, id="abs_A_pdf-alpha<1"),
-    pytest.param(lambda x: abs_A_pdf(x, GammaApprox(2.0, 1.0)), 0.5, id="abs_A_pdf-alpha>1"),
-    pytest.param(lambda x: snr_pdf(x, GammaApprox(0.5, 1.0), 1.0), 0.5, id="snr_pdf"),
-    pytest.param(lambda x: envelope_pdf(x, KappaMuParams(1.0, 2.0)), 0.5, id="envelope_pdf"),
-    pytest.param(lambda x: envelope_cdf(x, KappaMuParams(1.0, 2.0)), 0.5, id="envelope_cdf"),
-    pytest.param(lambda x: ris_distance_pdf(x, GEOM), 50.0, id="ris_distance_pdf"),
-    pytest.param(lambda x: ris_distance_cdf(x, GEOM), 50.0, id="ris_distance_cdf"),
-    pytest.param(lambda x: sat_distance_pdf(x, CON), 1.2e6, id="sat_distance_pdf"),
-    pytest.param(lambda x: sat_distance_cdf(x, CON), 1.2e6, id="sat_distance_cdf"),
+# below: None where negative inputs raise, else the value at -inf and at
+# -valid; above: the value from 1e20 to +inf
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("f, valid, below, above", [
+    pytest.param(lambda x: abs_A_pdf(x, GammaApprox(0.5, 1.0)), 0.5, None, 0.0,
+                 id="abs_A_pdf-alpha<1"),
+    pytest.param(lambda x: abs_A_pdf(x, GammaApprox(2.0, 1.0)), 0.5, None, 0.0,
+                 id="abs_A_pdf-alpha>1"),
+    pytest.param(lambda x: snr_pdf(x, GammaApprox(0.5, 1.0), 1.0), 0.5, None, 0.0, id="snr_pdf"),
+    pytest.param(lambda x: envelope_pdf(x, KappaMuParams(1.0, 2.0)), 0.5, None, 0.0,
+                 id="envelope_pdf"),
+    pytest.param(lambda x: envelope_cdf(x, KappaMuParams(1.0, 2.0)), 0.5, 0.0, 1.0,
+                 id="envelope_cdf"),
+    pytest.param(lambda x: envelope_cdf(x, KappaMuParams(0.0, 0.3)), 0.5, 0.0, 1.0,
+                 id="envelope_cdf-kappa=0"),
+    pytest.param(lambda x: ris_distance_pdf(x, GEOM), 50.0, None, 0.0, id="ris_distance_pdf"),
+    pytest.param(lambda x: ris_distance_cdf(x, GEOM), 50.0, None, 1.0, id="ris_distance_cdf"),
+    pytest.param(lambda x: ris_distance_cdf(x, FLAT), 50.0, None, 1.0, id="ris_distance_cdf-flat"),
+    pytest.param(lambda x: sat_distance_pdf(x, CON), 1.2e6, 0.0, 0.0, id="sat_distance_pdf"),
+    pytest.param(lambda x: sat_distance_cdf(x, CON), 1.2e6, 0.0, 1.0, id="sat_distance_cdf"),
+    pytest.param(lambda x: sat_distance_cdf(x, CON), 1.5e6, 0.0, 1.0,
+                 id="sat_distance_cdf-far"),
 ])
-def test_densities_and_cdfs_reject_nan(f, valid):
+def test_densities_and_cdfs_reject_nan(f, valid, below, above):
     # NaN compares false both ways, so it must not pass as a value at 0
     with pytest.raises(DomainError):
         f(math.nan)
     with pytest.raises(DomainError):
         f(np.array([valid, math.nan]))
     assert f(np.array([valid, 2.0 * valid])).tolist() == [f(valid), f(2.0 * valid)]
+    # a CDF is 0 below its support, negative values included, where it
+    # takes them at all
+    for x in (-math.inf, -valid):
+        if below is None:
+            with pytest.raises(DomainError):
+                f(x)
+        else:
+            assert f(x) == below
+    far = [1e20, 1e100, 1e308, math.inf]
+    assert [f(x) for x in far] == f(np.array(far)).tolist() == [above] * 4
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("f", [
-    pytest.param(lambda x: abs_A_pdf(x, GammaApprox(3.0, 1.0)), id="abs_A_pdf"),
-    pytest.param(lambda x: snr_pdf(x, GammaApprox(3.0, 1.0), 2.0), id="snr_pdf"),
-    pytest.param(lambda x: envelope_pdf(x, KappaMuParams(0.0, 1.5)), id="envelope_pdf-kappa=0"),
-    pytest.param(lambda x: envelope_pdf(x, KappaMuParams(1.0, 2.0)), id="envelope_pdf-kappa>0"),
-    pytest.param(lambda x: ris_distance_pdf(x, GEOM), id="ris_distance_pdf"),
-    pytest.param(lambda x: sat_distance_pdf(x, CON), id="sat_distance_pdf"),
+@pytest.mark.parametrize("f, at_zero", [
+    pytest.param(lambda x: abs_A_pdf(x, GammaApprox(3.0, 1.0)), 0.0, id="abs_A_pdf"),
+    pytest.param(lambda x: snr_pdf(x, GammaApprox(3.0, 1.0), 2.0), 0.0, id="snr_pdf"),
+    pytest.param(lambda x: snr_pdf(x, GammaApprox(3.0, 1.0), 1e-300), 0.0,
+                 id="snr_pdf-rho0=1e-300"),
+    pytest.param(lambda x: envelope_pdf(x, KappaMuParams(0.0, 1.5)), 0.0, id="envelope_pdf-kappa=0"),
+    pytest.param(lambda x: envelope_pdf(x, KappaMuParams(1.0, 2.0)), 0.0, id="envelope_pdf-kappa>0"),
+    pytest.param(lambda x: envelope_pdf(x, KappaMuParams(2.0, 3.0)), 0.0,
+                 id="envelope_pdf-kappa=2-mu=3"),
+    pytest.param(lambda x: envelope_pdf(x, KappaMuParams(0.0, 3.0)), 0.0,
+                 id="envelope_pdf-kappa=0-mu=3"),
+    pytest.param(lambda x: envelope_pdf(x, KappaMuParams(0.0, 0.3)), math.inf,
+                 id="envelope_pdf-mu=0.3"),
+    pytest.param(lambda x: ris_distance_pdf(x, GEOM), 0.0, id="ris_distance_pdf"),
+    pytest.param(lambda x: ris_distance_pdf(x, FLAT), 0.0, id="ris_distance_pdf-flat"),
+    pytest.param(lambda x: sat_distance_pdf(x, CON), 0.0, id="sat_distance_pdf"),
 ])
-def test_densities_vanish_at_infinity(f):
-    # inf * 0 in a density's factors would read NaN, with a RuntimeWarning
+def test_densities_vanish_at_infinity(f, at_zero):
+    # inf * 0 in a density's factors would read NaN, and a power factor that
+    # overflows at a large finite x would meet an exponential that
+    # underflows; both with a RuntimeWarning
     assert f(math.inf) == 0.0
     assert f(np.array([0.0, 0.5, math.inf]))[2] == 0.0
+    far = [1e20, 1e100, 1e308]
+    assert [f(x) for x in far] == f(np.array(far)).tolist() == [0.0] * 3
+    assert f(0.0) == at_zero
+
+
+# values of the earlier implementation, which multiplied each density's
+# factors where it now adds their logarithms, at points where it read a
+# normal float
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("f, xs, expected", [
+    pytest.param(lambda x: envelope_pdf(x, KappaMuParams(0.0, 0.3)),
+                 [1e-05, 0.3, 1.0, 1.7, 3.0],
+                 [46.587279436513214, 0.7339946539613591, 0.3451270545959508, 0.15832681134317653, 0.020175473993042845],
+                 id='envelope_pdf-mu=0.3'),
+    pytest.param(lambda x: envelope_pdf(x, KappaMuParams(0.0, 3.0)),
+                 [1e-05, 0.3, 1.0, 1.7, 3.0],
+                 [2.699999999190001e-24, 0.050085328623440936, 1.3442508459323266, 0.06580747280167086, 1.2331588565312926e-08],
+                 id='envelope_pdf-mu=3'),
+    pytest.param(lambda x: envelope_pdf(x, KappaMuParams(2.0, 3.0)),
+                 [1e-05, 0.3, 1.0, 1.7, 3.0],
+                 [1.8070103384160925e-25, 0.00780873058024069, 1.8184757369060476, 0.008720103194528865, 9.717655449262004e-18],
+                 id='envelope_pdf-kappa=2-mu=3'),
+    pytest.param(lambda x: envelope_pdf(x, KappaMuParams(1e4, 0.1)),
+                 [0.3, 0.9, 1.0, 1.01, 1.1],
+                 [4.6260517420470824e-212, 0.0008523861214863947, 17.839233610538436, 16.061279841546575, 0.0007710854025279756],
+                 id='envelope_pdf-kappa=1e4-mu=0.1'),
+    pytest.param(lambda x: envelope_cdf(x, KappaMuParams(0.0, 3.0)),
+                 [1e-05, 0.3, 1.0, 1.7, 3.0],
+                 [4.4999999989874466e-30, 0.002682859623618155, 0.5768099188731566, 0.9918883434423771, 0.9999999992622849],
+                 id='envelope_cdf-mu=3'),
+    pytest.param(lambda x: envelope_cdf(x, KappaMuParams(2.0, 3.0)),
+                 [1e-05, 0.3, 1.0, 1.7, 3.0],
+                 [3.0116838966825144e-31, 0.0003493928737184082, 0.5484345864119253, 0.9994383789171266, 1.0],
+                 id='envelope_cdf-kappa=2-mu=3'),
+    pytest.param(lambda x: ris_distance_pdf(x, GEOM),
+                 [10.0, 50.0, 119.0, 150.0, 169.0],
+                 [0.00011574074074074075, 0.0028935185185185184, 0.016390046296296295, 0.005208333333333333, 0.00019560185185185116],
+                 id='ris_distance_pdf'),
+    pytest.param(lambda x: ris_distance_pdf(x, CylinderGeometry(60.0, 200.0)),
+                 [10.0, 59.0, 100.0, 199.0, 205.0],
+                 [0.0002777777777777778, 0.009669444444444444, 0.005555555555555556, 0.005119112028294256, 0.0022647045638306993],
+                 id='ris_distance_pdf-tall'),
+    pytest.param(lambda x: ris_distance_pdf(x, CylinderGeometry(120.0, 0.0, 30.0)),
+                 [31.0, 50.0, 119.0],
+                 [0.0045925925925925926, 0.007407407407407408, 0.01762962962962963],
+                 id='ris_distance_pdf-annulus'),
+    pytest.param(lambda x: ris_distance_cdf(x, GEOM),
+                 [10.0, 50.0, 119.0, 150.0, 169.0],
+                 [0.00038580246913580245, 0.04822530864197531, 0.6501385030864197, 0.9479166666666667, 0.9999309413580248],
+                 id='ris_distance_cdf'),
+    pytest.param(lambda x: ris_distance_cdf(x, CylinderGeometry(60.0, 200.0)),
+                 [10.0, 59.0, 100.0, 199.0, 205.0],
+                 [0.000925925925925926, 0.19016574074074075, 0.45185185185185206, 0.9720320806208065, 0.9956646713255202],
+                 id='ris_distance_cdf-tall'),
+    pytest.param(lambda x: ris_distance_cdf(x, CylinderGeometry(120.0, 0.0, 30.0)),
+                 [31.0, 50.0, 119.0],
+                 [0.004518518518518519, 0.11851851851851852, 0.9822962962962963],
+                 id='ris_distance_cdf-annulus'),
+    pytest.param(lambda x: sat_distance_pdf(x, CON),
+                 [1000001.0, 1200000.0, 1500000.0, 3000000.0],
+                 [1.0647111519129919e-05, 1.2273166215411947e-06, 2.0255910355409073e-08, 4.185398239186626e-24],
+                 id='sat_distance_pdf'),
+    pytest.param(lambda x: sat_distance_pdf(x, Constellation(1, 5.0e5)),
+                 [600000.0, 3000000.0, 13000000.0],
+                 [6.8532046532985466e-09, 3.426602326649273e-08, 1.484861008214685e-07],
+                 id='sat_distance_pdf-one'),
+    pytest.param(lambda x: sat_distance_cdf(x, CON),
+                 [1000001.0, 1200000.0, 1500000.0, 3000000.0],
+                 [1.0647162820137669e-05, 0.904165715951401, 0.9987401325835433, 1.0],
+                 id='sat_distance_cdf'),
+    pytest.param(lambda x: sat_distance_cdf(x, Constellation(1, 5.0e5)),
+                 [600000.0, 3000000.0, 13000000.0],
+                 [0.0006282104265523668, 0.0499712839303019, 0.9637319043701081],
+                 id='sat_distance_cdf-one'),
+    pytest.param(lambda x: abs_A_pdf(x, GammaApprox(0.5, 1.0)),
+                 [1e-05, 0.5, 1.0, 5.0],
+                 [178.41062750008157, 0.48394144903828656, 0.20755374871029728, 0.0017000733205040685],
+                 id='abs_A_pdf-alpha<1'),
+    pytest.param(lambda x: abs_A_pdf(x, GammaApprox(15.5, 1.3e-7)),
+                 [1e-06, 2e-06, 4e-06],
+                 [73844.08697440992, 780771.3673655423, 3767.0835090091487],
+                 id='abs_A_pdf-fitted'),
+    pytest.param(lambda x: snr_pdf(x, GammaApprox(3.0, 1.0), 2.0),
+                 [1e-05, 0.5, 10.0, 100.0],
+                 [0.00027888419543817446, 0.03790816623203961, 0.02987328838384897, 0.0007507049565537106],
+                 id='snr_pdf'),
+    pytest.param(lambda x: snr_pdf(x, GammaApprox(0.5, 1.0), 10.0),
+                 [1e-05, 0.5, 10.0, 100.0],
+                 [891.1704419006971, 0.21333217754624595, 0.01037768743551486, 0.000212341719533361],
+                 id='snr_pdf-alpha<1'),
+])
+def test_densities_and_cdfs_match_pinned_values(f, xs, expected):
+    values = f(np.array(xs))
+    assert values.tolist() == [f(x) for x in xs]
+    assert values == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 _LAW = KappaMuParams(0.0, 1.0)

@@ -2,6 +2,7 @@
 the statistical contracts of the empirical estimators."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -199,6 +200,13 @@ def test_capacity_of_constant_samples():
                     elapsed=0.0, workers=1, abs_mean=0.0, abs_var=0.0)
     assert empirical_capacity(res).value == pytest.approx(2.0)
     assert empirical_capacity(res).stderr == 0.0
+
+
+def test_capacity_keeps_snrs_far_below_one():
+    # 1 + 1e-20 rounds to 1, so log2(1 + SNR) would read 0
+    res = SimResult(snr_samples=np.full(1000, 1e-20), seed=0, trials=1000,
+                    elapsed=0.0, workers=1, abs_mean=0.0, abs_var=0.0)
+    assert empirical_capacity(res).value == pytest.approx(1e-20 / math.log(2.0), rel=1e-12, abs=0.0)
 
 
 def test_summary_only_mode():
