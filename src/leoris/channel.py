@@ -13,12 +13,12 @@ laws, satellite hop) and a geometry factor (the RIS-distance moment).
 Fits are made in batches (gamma_fits), as a sweep fits all its points:
 link factors do not depend on the RIS region or the user-hop exponent,
 so each distinct one is computed once per batch, and every geometry
-factor of the batch comes from one array evaluation of the RIS-distance
-kernel. The batch is held as (pair x path) columns summed in path order,
-so every fit has the bits of a walk over its paths. A pair whose link
-factor raised or whose RIS-distance moment is not finite comes out NaN;
-the first pair that is NaN or cannot be fitted then raises, in pair
-order, what it raises alone.
+factor of the batch, each RIS path at each order, comes from one
+elementwise evaluation of the RIS-distance kernel. The batch is held as
+(pair x path) columns summed in path order, so every fit has the bits
+of a walk over its paths. A pair whose link factor raised or whose
+RIS-distance moment is not finite comes out NaN; the first pair that is
+NaN or cannot be fitted then raises, in pair order, what it raises alone.
 """
 
 from __future__ import annotations
@@ -164,17 +164,6 @@ def _path_links(cfg: LinkConfig) -> list[tuple]:
     return paths
 
 
-def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of ``keys`` and the index of each row among them."""
-    order = np.lexsort(keys.T)
-    ordered = keys[order]
-    new = np.ones(len(keys), dtype=bool)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    where = np.empty(len(keys), dtype=np.intp)
-    where[order] = np.cumsum(new) - 1
-    return ordered[new], where
-
-
 def _chunk_moments(pairs, con: Constellation, orders: tuple[int, ...],
                    factors: dict) -> np.ndarray:
     """Rows of the magnitude's mean and, if order 2 is asked for, its
@@ -205,16 +194,14 @@ def _chunk_moments(pairs, con: Constellation, orders: tuple[int, ...],
     eps = np.array([[r.user_exponent for r in cfg.ris] + [0.0] * (width - len(cfg.ris))
                     for cfg, _ in links]).reshape(len(links), width)
     which = np.array(which, dtype=np.intp)
-    # RIS paths in pair and path order, and the kernel key of each at each order
+    # RIS paths in pair and path order; the kernel takes each at each order
     ris = np.arange(width) < np.array([len(cfg.ris) for cfg, _ in links], dtype=int)[which, None]
     pair_of, path_of = np.nonzero(ris)
     regions = np.array([(g.base_radius, g.height, g.inner_radius) for _, g in pairs])
     R0, H, c = regions.reshape(-1, 3)[pair_of].T
-    user_eps = eps[which[pair_of], path_of]
-    distinct, where = _distinct_rows(
-        np.concatenate([np.column_stack((t * user_eps / 2.0, R0, H, c)) for t in orders]))
+    s = np.multiply.outer(orders, eps[which[pair_of], path_of]) / 2.0
     moments = np.ones((len(orders), len(pairs), width))
-    moments[:, ris] = _ris_moment(*distinct.T.copy())[where].reshape(len(orders), -1)
+    moments[:, ris] = _ris_moment(s, R0, H, c)
     factor = factor_table[which]
     with np.errstate(over="ignore", invalid="ignore"):
         m = factor[..., 0] * moments[0]
@@ -247,8 +234,8 @@ def _checked_moments(pairs: Sequence[tuple[LinkConfig, CylinderGeometry]],
     A RIS path's moment is its link factor times the RIS-distance moment
     at its own user-hop exponent. Link factors are computed once per
     distinct (elements, fading laws, satellite-hop exponent) per batch;
-    the RIS-distance moments of up to _CHUNK_PATHS paths come from one
-    kernel call over their distinct (s, R0, H, c).
+    the RIS-distance moments of up to _CHUNK_PATHS paths, at every order,
+    come from one kernel call.
 
     A pair whose moments come out NaN first raises what they raise alone:
     its link factors in path order, then its RIS-distance moments by path

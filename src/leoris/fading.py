@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtr as _chdtr, chndtr as _chndtr, ive as _ive
 
-from .errors import ConvergenceError, DomainError, density, pointwise
+from .errors import ComputationError, ConvergenceError, DomainError, density, pointwise
 
 __all__ = [
     "KappaMuParams",
@@ -129,7 +129,8 @@ def envelope_pdf(x, p: KappaMuParams):
     For kappa > 0 the scaled Bessel factor ive(mu - 1, b x), at most 1
     from b x = 1 on, is read only where it can lift the density above
     underflow. That keeps it off scipy's ive past an argument of about
-    1e9, where ive is NaN, for every law whose kappa * mu is below 5e8.
+    1e9, where ive is NaN, for every law whose kappa * mu is below 5e8;
+    a larger law that needs ive there raises ComputationError.
     """
     k, m = p.kappa, p.mu
     log_coeff = math.log(2.0) + m * (math.log(m) + math.log1p(k)) - m * k - math.lgamma(m)
@@ -146,7 +147,11 @@ def envelope_pdf(x, p: KappaMuParams):
         out = log_c + m * np.log(xp) - m * (math.sqrt(k) - math.sqrt(1.0 + k) * xp) ** 2
         z = b * xp
         read = (out > _LOG_UNDERFLOW) | (z < 1.0)
-        out[read] += np.log(_ive(m - 1.0, z[read]))
+        bessel = _ive(m - 1.0, z[read])
+        if np.isnan(bessel).any():
+            raise ComputationError(f"envelope density of kappa = {k:.6g}, mu = {m:.6g} needs "
+                                   "the scaled Bessel function where scipy reads NaN")
+        out[read] += np.log(bessel)
         out[~read] = -np.inf
         return out
     return density(x, log_density, log_coeff, 2.0 * m - 1.0)

@@ -193,11 +193,11 @@ def sweep(cfg: ScenarioConfig) -> list[SweepTable]:
     equal links and geometry in one batch, evaluate each metric at every
     point in one batch, all before any simulation (so the first point
     that cannot be fitted raises first), then simulate once per group of
-    nested runs. Too few trials for the empirical metrics raise before
-    anything is fitted."""
-    if cfg.mc_enabled and cfg.mc.trials < MIN_EMPIRICAL_TRIALS:
-        raise ConfigError(f"monte_carlo.trials: need at least {MIN_EMPIRICAL_TRIALS} trials "
-                          f"for the Monte Carlo metrics, got {cfg.mc.trials}")
+    nested runs. Too few trials for the empirical metrics, or more than
+    one configuration's samples can keep, raise before anything is fitted."""
+    if cfg.mc_enabled and not MIN_EMPIRICAL_TRIALS <= cfg.mc.trials <= MAX_KEPT_SAMPLES:
+        raise ConfigError(f"monte_carlo.trials: the Monte Carlo metrics need between "
+                          f"{MIN_EMPIRICAL_TRIALS} and {MAX_KEPT_SAMPLES}, got {cfg.mc.trials}")
     variable = cfg.sweep.variable
     metrics = _METRICS.get(variable, ("coverage", "capacity"))
     runs = list(_runs(cfg))

@@ -141,6 +141,14 @@ def _number(mapping: dict, path: str, *, default=None, minimum=None,
     return v
 
 
+def _meters(mapping: dict, path: str, **limits) -> float:
+    """A positive length in km as a finite number of meters."""
+    km = _number(mapping, path, strict_min=0.0, **limits)
+    if not km * 1000.0 < math.inf:
+        raise ConfigError(f"{path}: {km:g} km is beyond the float range in meters")
+    return km * 1000.0
+
+
 def _integer(mapping: dict, path: str, *, default=None, minimum=None, maximum=None) -> int:
     val = _get(mapping, path) if default is None else _get(mapping, path, default)
     if isinstance(val, bool) or not isinstance(val, int):
@@ -233,9 +241,8 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
 
     con = Constellation(
         satellites=_integer(raw, "constellation.satellites", minimum=1),
-        altitude=_number(raw, "constellation.altitude_km", strict_min=0.0) * 1000.0,
-        earth_radius=_number(raw, "constellation.earth_radius_km",
-                             default=6371.0, strict_min=0.0) * 1000.0,
+        altitude=_meters(raw, "constellation.altitude_km"),
+        earth_radius=_meters(raw, "constellation.earth_radius_km", default=6371.0),
     )
     try:
         geom = CylinderGeometry(

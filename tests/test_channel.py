@@ -133,10 +133,11 @@ def test_each_distinct_moment_evaluated_once(monkeypatch):
             "ris_kernel_calls": 1, "ris_moments": 2 * n}
     alone = gamma_approx(*args)
     assert counts == once
-    # a batch of the same point twice evaluates each moment once
+    # a batch of the same point twice evaluates each link factor once and
+    # every RIS-distance moment of both points in the one kernel call
     counts.clear()
     twice = channel.gamma_fits([args[:2], args[:2]], cfg.constellation)
-    assert counts == once
+    assert counts == {**once, "ris_moments": 4 * n}
     # a later call starts cold
     counts.clear()
     again = gamma_approx(*args)
@@ -150,20 +151,24 @@ def test_each_distinct_moment_evaluated_once(monkeypatch):
     assert counts == {**once, "ris_moments": n}
 
 
-@pytest.mark.parametrize("variable,grid,ris_moments", [
+@pytest.mark.parametrize("variable,grid,envelope_moments,ris_moments", [
     # every point has its own region: 2 orders x 8 RISs per point
-    ("R0", (60.0, 120.0, 300.0), 2 * 8 * 3),
-    # the counts' exponent draws share their prefix: the 16-RIS point
-    # holds every moment the smaller counts need (80 without the dedupe)
-    ("N", (4.0, 8.0, 12.0, 16.0), 2 * 16),
-], ids=["R0", "N"])
-def test_a_sweep_fits_every_point_in_one_batch(monkeypatch, variable, grid, ris_moments):
+    ("R0", (60.0, 120.0, 300.0), 3, 2 * 8 * 3),
+    # the counts' exponent draws share their prefix, yet every point's
+    # RIS moments are evaluated: 2 orders x (4 + 8 + 12 + 16) RISs
+    ("N", (4.0, 8.0, 12.0, 16.0), 3, 2 * 40),
+    # every point shares all its RIS-distance keys; each element count
+    # is its own RIS link factor (two hops), the direct path one more
+    ("L", (5.0, 10.0, 20.0), 2 * 3 + 1, 2 * 8 * 3),
+], ids=["R0", "N", "L"])
+def test_a_sweep_fits_every_point_in_one_batch(monkeypatch, variable, grid, envelope_moments,
+                                               ris_moments):
     cfg = load_scenario(DEFAULT_CONFIG)
     cfg = dataclasses.replace(cfg, sweep=SweepSpec(variable, grid), mc_enabled=False)
     counts = _count_moments(monkeypatch)
     tables = sweep(cfg)
-    # one link-factor evaluation and one kernel call for the whole sweep
-    assert counts == {"envelope_moment": 3, "sat_distance_moment": 2,
+    # link factors once per distinct key and one kernel call for the whole sweep
+    assert counts == {"envelope_moment": envelope_moments, "sat_distance_moment": 2,
                       "ris_kernel_calls": 1, "ris_moments": ris_moments}
     # the sweep's fits equal single fits of its points
     for value, row in zip(grid, tables[0].rows):

@@ -11,7 +11,7 @@ from scipy.special import iv
 from scipy.stats import kstest
 
 from conftest import envelope_moment_mpmath
-from leoris.errors import ConvergenceError, DomainError
+from leoris.errors import ComputationError, ConvergenceError, DomainError
 from leoris.fading import (
     KappaMuParams,
     envelope_cdf,
@@ -120,6 +120,17 @@ def test_pdf_large_argument_stable():
     p = KappaMuParams(10.0, 10.0)
     val = envelope_pdf(50.0, p)
     assert np.isfinite(val) and val >= 0.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x", [1.0, np.array([0.5, 1.0, 2.0])], ids=["scalar", "array"])
+def test_pdf_past_the_bessel_range_raises_naming_the_law(x):
+    # near its peak this law needs ive(1, b x) at b x of about 1.2e9,
+    # where scipy's ive reads NaN
+    with pytest.raises(ComputationError, match="kappa = 3e\\+08, mu = 2"):
+        envelope_pdf(x, KappaMuParams(3e8, 2.0))
+    # away from the peak the density underflows and ive is not read
+    assert envelope_pdf(np.array([0.5, 2.0]), KappaMuParams(3e8, 2.0)).tolist() == [0.0, 0.0]
 
 
 def test_cdf_matches_pdf():

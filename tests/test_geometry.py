@@ -13,6 +13,7 @@ from leoris.errors import ComputationError, DivergentMomentError, DomainError
 from leoris.geometry import (
     Constellation,
     CylinderGeometry,
+    _ris_moment,
     ris_distance_cdf,
     ris_distance_moment,
     ris_distance_pdf,
@@ -246,6 +247,35 @@ def test_moment_at_the_aspect_bound_matches_mpmath(s):
     geom = CylinderGeometry(1.0, 1000.0)
     assert ris_distance_moment(2, s, geom) == pytest.approx(ris_moment_mpmath(s, geom),
                                                             rel=1e-9)
+
+
+def test_ris_moment_kernel_is_elementwise_over_a_mixed_batch():
+    # the batched Gamma fits pass every RIS path at every order to one
+    # kernel call, so each key must read in a batch what it reads alone
+    rng = np.random.default_rng(20)
+    n = 400
+    s = rng.choice([0.0, 0.5, 1.0, 2.0, 2.5, 2.9, 3.0, 3.5], n) + rng.choice([0.0, 1e-3], n)
+    R0 = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    # flat disk, annulus, 3D, too tall, height below the normal floats
+    kind = rng.integers(5, size=n)
+    H = np.select([kind == 2, kind == 3, kind == 4],
+                  [R0 * 10.0 ** rng.uniform(-2.0, 2.0, n), R0 * 10.0 ** rng.uniform(3.01, 6.0, n),
+                   R0 * 1e-310], 0.0)
+    c = np.where(kind == 1, R0 * rng.uniform(1e-3, 0.99, n), 0.0)
+    # shuffled, with repeated keys
+    rows = rng.permutation(np.concatenate((np.arange(n), rng.integers(n, size=50))))
+    keys, kind = np.column_stack((s, R0, H, c))[rows], kind[rows]
+    alone = np.array([_ris_moment(*key)[0] for key in keys])
+    nan = np.isnan(alone)
+    divergent = ((kind == 0) & (keys[:, 0] >= 2.0)) | ((kind == 2) & (keys[:, 0] >= 3.0))
+    assert nan[divergent | (kind >= 3)].all() and not nan[~divergent & (kind < 3)].any()
+    batch = _ris_moment(*keys.T)
+    np.testing.assert_array_equal(batch.view(np.int64), alone.view(np.int64))
+    # the layout the fits use: orders on one axis, paths on the other
+    orders = _ris_moment(np.multiply.outer((1, 2), keys[:, 0]) / 2.0, *keys[:, 1:].T)
+    for t, row in zip((1, 2), orders):
+        want = np.array([_ris_moment(t * key[0] / 2.0, *key[1:])[0] for key in keys])
+        np.testing.assert_array_equal(row.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("altitude", [1.0e-200, 1.0e200])

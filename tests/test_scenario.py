@@ -14,7 +14,7 @@ import yaml
 from leoris.cli import main as cli_main
 from leoris.errors import ComputationError, ConfigError, DivergentMomentError
 from leoris.metrics import CoverageQuery, coverage_probability, ergodic_capacity
-from leoris.montecarlo import empirical_coverage, simulate_snr
+from leoris.montecarlo import MAX_KEPT_SAMPLES, empirical_coverage, simulate_snr
 from leoris.channel import gamma_approx
 from leoris import runner
 from leoris.runner import run_scenario, sweep
@@ -166,6 +166,9 @@ def test_non_finite_numbers_are_rejected(path, bad):
     ("power.symbol_energy_w", 10 ** 400),
     ("ris.user_exponent", [2.1, 2.5, 10 ** 400]),
     ("sweep.grid", [0.0, 10 ** 400]),
+    # finite in km, infinite in meters
+    ("constellation.altitude_km", 1e306),
+    ("constellation.earth_radius_km", 1e306),
 ])
 def test_non_finite_entries_are_rejected(path, value):
     with pytest.raises(ConfigError, match=path.replace(".", r"\.")):
@@ -623,13 +626,18 @@ def test_too_few_trials_fail_before_any_fit_or_output(monkeypatch, tmp_path, cap
     monkeypatch.setattr(runner, "gamma_fits", fail)
     monkeypatch.setattr(runner, "simulate_snr", fail)
     # simulation is off in the file and switched on from the command line
-    path = _write_config(tmp_path, _variant(**{"monte_carlo.trials": 99}))
     out = tmp_path / "o"
-    assert cli_main(["run", str(path), "--mc", "--out", str(out)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "monte_carlo.trials" in err[0] and "99" in err[0]
-    assert not out.exists()
+    # too few for the empirical metrics, and more samples than a
+    # simulation keeps for one configuration
+    for trials, bound in ((99, "100"), (MAX_KEPT_SAMPLES + 1, str(MAX_KEPT_SAMPLES))):
+        path = _write_config(tmp_path, _variant(**{"monte_carlo.trials": trials}))
+        assert cli_main(["run", str(path), "--mc", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "monte_carlo.trials" in err[0] and str(trials) in err[0]
+        assert bound in err[0]
+        assert not out.exists()
     monkeypatch.undo()
+    path = _write_config(tmp_path, _variant(**{"monte_carlo.trials": 99}))
     assert cli_main(["run", str(path), "--no-mc", "--out", str(out)]) == 0
     path = _write_config(tmp_path, _variant(**{"monte_carlo.trials": 100}))
     assert cli_main(["run", str(path), "--mc", "--out", str(out)]) == 0
