@@ -6,11 +6,11 @@
                         [--mc | --no-mc] [--seed S] [--workers W]
                         [--format csv|json] [--out DIR]
 
-Grid specs are either comma lists ("0,10,20,40") or start:stop:points
-("0:40:10"), validated like a scenario's grid. Threshold and
-transmit-SNR grids are in dB; N and L are counts; R0 and H are meters.
-Every option except --out overrides the scenario, so the resolved echo
-written next to the tables records the run that ran.
+Grid specs are comma lists ("0,10,20,40") or start:stop:points ("0:40:10"),
+each point checked by its --var's setter in scenario.VARIABLES before
+anything runs. Threshold and transmit-SNR grids are in dB; N and L are
+counts; R0 and H are meters. Every option except --out overrides the
+scenario, so the resolved echo written next to the tables records the run.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import sys
 
 from .errors import DivergentMomentError, LeorisError
 from .runner import run_scenario
-from .scenario import SWEEP_VARIABLES, SweepSpec, load_scenario, parse_grid
+from .scenario import SWEEP_VARIABLES, SweepSpec, load_scenario, parse_grid, sweep_points
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,8 +75,8 @@ def main(argv: list[str] | None = None) -> int:
             cfg = dataclasses.replace(
                 cfg, output=dataclasses.replace(cfg.output, format=args.format))
         if args.command == "sweep":
-            grid = parse_grid(args.grid, args.var, "--grid")
-            cfg = dataclasses.replace(cfg, sweep=SweepSpec(variable=args.var, grid=grid))
+            cfg = dataclasses.replace(cfg, sweep=SweepSpec(args.var, parse_grid(args.grid, "--grid")))
+            sweep_points(cfg, "--grid")
         summary = run_scenario(cfg, out_dir=args.out)
     except DivergentMomentError as exc:
         print(f"error: divergent configuration: {exc}", file=sys.stderr)

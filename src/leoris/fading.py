@@ -69,6 +69,19 @@ def _log_gamma_ratio(a: float, s: float) -> float:
     return (a + s - 0.5) * math.log1p(s / a) - s + series
 
 
+def _square_excess(x: np.ndarray) -> np.ndarray:
+    """y - ln(1 + y), y = x^2 - 1, for x > 0. Near x = 1 the difference
+    cancels, so where |u| < 0.2, u = y / (2 + y), it is the atanh series
+    2 u^2 (1 / (1 - u) - u (1/3 + u^2/5 + ... + u^22/25)), to 1e-17."""
+    y = (x - 1.0) * (x + 1.0)
+    out = y - 2.0 * np.log(x)
+    near = (y > -1.0 / 3.0) & (y < 0.5)
+    u = y[near] / (y[near] + 2.0)
+    tail = np.polynomial.polynomial.polyval(u * u, 1.0 / np.arange(3.0, 27.0, 2.0))
+    out[near] = 2.0 * u * u * (1.0 / (1.0 - u) - u * tail)
+    return out
+
+
 def envelope_moment(t: float, p: KappaMuParams) -> float:
     """E[|h|^t] of the unit-power envelope.
 
@@ -135,8 +148,16 @@ def envelope_pdf(x, p: KappaMuParams):
     k, m = p.kappa, p.mu
     log_coeff = math.log(2.0) + m * (math.log(m) + math.log1p(k)) - m * k - math.lgamma(m)
     if k == 0.0:
-        # Nakagami-m with unit power
-        return density(x, lambda xp: log_coeff + (2.0 * m - 1.0) * np.log(xp) - m * xp * xp,
+        # Nakagami-m with unit power. From mu = 10 on, where ln Gamma(mu)
+        # cancels against mu ln mu, its log is ln 2 + (ln mu - ln 2 pi) / 2
+        # - S(mu) - ln x - mu (y - ln(1 + y)), y = x^2 - 1, with S(mu) the
+        # Stirling series ln Gamma(mu) - (mu - 1/2) ln mu + mu - ln(2 pi) / 2
+        if m < 10.0:
+            return density(x, lambda xp: log_coeff + (2.0 * m - 1.0) * np.log(xp) - m * xp * xp,
+                           log_coeff, 2.0 * m - 1.0)
+        log_c = math.log(2.0 * math.sqrt(m / (2.0 * math.pi))) - sum(
+            c * m ** (1 - 2 * j) for j, c in enumerate(_STIRLING, 1))
+        return density(x, lambda xp: log_c - np.log(xp) - m * _square_excess(xp),
                        log_coeff, 2.0 * m - 1.0)
     b = 2.0 * m * math.sqrt(k * (1.0 + k))
     log_c = math.log(2.0 * m) + (m + 1.0) / 2.0 * math.log1p(k) - (m - 1.0) / 2.0 * math.log(k)

@@ -6,26 +6,21 @@ Table schema (fixed): sweep_value, analytic_metric, mc_metric, mc_stderr,
 alpha, beta. One table per metric; Monte Carlo columns are empty when
 simulation is off.
 
-A sweep is one loop over the grid of a ScenarioConfig. Consecutive
-points with the same links and geometry form a run, which has one Gamma
-fit; the sweep fits all its runs in one batch (channel.gamma_fits), then
-evaluates each analytic column over every point in one array pass
-(metrics.coverage_probabilities, metrics.ergodic_capacities, which runs
-the capacity quadrature only on the points it flags), all before it
-simulates. A table's rows are its columns zipped, and a CSV table is
-written with one format string per row and one write. Threshold and
-transmit-SNR sweeps are a single run, and a transmit-SNR point rescales
-the simulated samples. Consecutive runs whose links nest
-(montecarlo.is_nested: each run's RIS list is a prefix of the next
-run's, each RIS the same up to fewer elements) on the same geometry
-share one simulation, made on the last run's links; that is every point
-of an RIS-count or element-count sweep, whose grids are ascending. A
-shared simulation keeps trials samples per run, so runs are grouped only
-while their samples fit in montecarlo.MAX_KEPT_SAMPLES. A group's
-simulation draws from child i of SeedSequence(monte_carlo.seed), where i
-is the index of the group's first point. Everything a run depends on is
-in the config, so the resolved echo written next to the tables
-reproduces them.
+A sweep is one loop over the grid. scenario.VARIABLES says what its
+variable means: the tables to write, and each point's (links, geometry,
+rho0, rho_th) through scenario.sweep_points; nothing here branches on a
+variable's name. Consecutive points with equal links and geometry form a
+run with one Gamma fit. All runs are fitted in one batch
+(channel.gamma_fits), and each analytic column is evaluated over every
+point in one array pass (metrics.coverage_probabilities,
+metrics.ergodic_capacities), before any simulation. Threshold and
+transmit-SNR points keep the base links, so those sweeps are one run; a
+transmit-SNR point rescales the simulated samples. Consecutive runs on
+one geometry whose links nest (montecarlo.is_nested), as in every
+ascending N or L sweep, share one simulation of the last run's links
+while their kept samples fit in montecarlo.MAX_KEPT_SAMPLES. A group's
+simulation draws from child i of SeedSequence(monte_carlo.seed), i the
+index of its first point, so the resolved echo reproduces the tables.
 """
 
 from __future__ import annotations
@@ -54,8 +49,7 @@ from .montecarlo import (
     is_nested,
     simulate_snr,
 )
-from .scenario import (ScenarioConfig, db_to_linear, load_scenario, resolved_mapping,
-                       user_exponent_draws)
+from .scenario import VARIABLES, ScenarioConfig, load_scenario, resolved_mapping, sweep_points
 
 __all__ = ["SweepTable", "RunSummary", "sweep", "run_scenario", "write_table"]
 
@@ -83,52 +77,6 @@ class RunSummary:
     resolved_path: Path | None
 
 
-def _with_count(cfg: ScenarioConfig, n: int) -> LinkConfig:
-    """LinkConfig with the RIS list truncated or template-extended to n."""
-    links = cfg.links
-    if n <= len(links.ris):
-        return dataclasses.replace(links, ris=links.ris[:n])
-    if not links.ris:
-        raise ConfigError("sweep.grid: cannot grow the RIS list from an empty template")
-    template = links.ris[-1]
-    extra = tuple(template for _ in range(n - len(links.ris)))
-    if cfg.exponent_seed is not None and cfg.exponent_range is not None:
-        # same draw as resolution, so the drawn exponents keep their prefix
-        draws = user_exponent_draws(cfg.exponent_seed, cfg.exponent_range, n)
-        ris = tuple(dataclasses.replace(link, user_exponent=e)
-                    for link, e in zip(links.ris + extra, draws))
-    else:
-        ris = links.ris + extra
-    return dataclasses.replace(links, ris=ris)
-
-
-def _with_elements(links: LinkConfig, elements: int) -> LinkConfig:
-    return dataclasses.replace(
-        links, ris=tuple(dataclasses.replace(r, elements=elements) for r in links.ris))
-
-
-def _point_inputs(cfg: ScenarioConfig, variable: str, value: float):
-    """(links, geometry, rho0_linear, rho_th_linear) at one sweep point."""
-    links, geom = cfg.links, cfg.geometry
-    rho0 = cfg.rho0
-    rho_th = db_to_linear(cfg.coverage_threshold_db)
-    if variable == "rho_th":
-        rho_th = db_to_linear(value)
-    elif variable == "rho0":
-        rho0 = db_to_linear(value)
-    elif variable == "N":
-        links = _with_count(cfg, int(value))
-    elif variable == "L":
-        links = _with_elements(links, int(value))
-    elif variable == "R0":
-        geom = CylinderGeometry(float(value), geom.height, geom.inner_radius)
-    elif variable == "H":
-        geom = CylinderGeometry(geom.base_radius, float(value), geom.inner_radius)
-    else:
-        raise ConfigError(f"unknown sweep variable {variable!r}")
-    return links, geom, rho0, rho_th
-
-
 class _Run(NamedTuple):
     """Consecutive grid points that share links and geometry."""
 
@@ -140,8 +88,8 @@ class _Run(NamedTuple):
 
 def _runs(cfg: ScenarioConfig) -> Iterator[_Run]:
     run = None
-    for i, value in enumerate(cfg.sweep.grid):
-        links, geom, rho0, rho_th = _point_inputs(cfg, cfg.sweep.variable, value)
+    for i, (value, (links, geom, rho0, rho_th)) in enumerate(zip(cfg.sweep.grid,
+                                                                 sweep_points(cfg))):
         if run is None or (links, geom) != (run.links, run.geometry):
             if run is not None:
                 yield run
@@ -177,10 +125,6 @@ def _simulate(cfg: ScenarioConfig, group: list[_Run]) -> tuple[SimResult, ...]:
     return (*sim.nested, sim)
 
 
-# metric tables per sweep variable; every other variable reports both
-_METRICS = {"rho_th": ("coverage",), "rho0": ("capacity",)}
-
-
 def _analytic(metric: str, models: list, rho0: tuple, rho_th: tuple) -> list[float]:
     """The metric at every point of the sweep, in one batch call."""
     if metric == "coverage":
@@ -198,9 +142,9 @@ def sweep(cfg: ScenarioConfig) -> list[SweepTable]:
     if cfg.mc_enabled and not MIN_EMPIRICAL_TRIALS <= cfg.mc.trials <= MAX_KEPT_SAMPLES:
         raise ConfigError(f"monte_carlo.trials: the Monte Carlo metrics need between "
                           f"{MIN_EMPIRICAL_TRIALS} and {MAX_KEPT_SAMPLES}, got {cfg.mc.trials}")
-    variable = cfg.sweep.variable
-    metrics = _METRICS.get(variable, ("coverage", "capacity"))
     runs = list(_runs(cfg))
+    variable = cfg.sweep.variable
+    metrics = VARIABLES[variable].metrics
     fits = gamma_fits([(run.links, run.geometry) for run in runs], cfg.constellation)
     models = [ga for run, ga in zip(runs, fits) for _ in run.points]
     _, rho0s, rho_ths = zip(*(point for run in runs for point in run.points))

@@ -7,24 +7,29 @@ Monte Carlo options. Randomized per-RIS exponents are drawn once at
 resolution time from a recorded sub-seed; the resolved echo pins the drawn
 values so a re-run reproduces the outputs bit for bit.
 
+A sweep variable is one entry of VARIABLES: the field a grid point
+replaces, the tables its sweep writes, and a setter of the point's inputs
+through that field's validators, which parse_scenario runs on every point.
+
 Kilometers and dBm appear only here; everything downstream runs on meters
 and linear ratios.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 import yaml
 
 from .channel import DirectPath, LinkConfig, RisLink
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .fading import KappaMuParams
-from .geometry import Constellation, CylinderGeometry
+from .geometry import _MAX_ASPECT, _TINY, Constellation, CylinderGeometry
 from .montecarlo import SimOptions
 
 __all__ = [
@@ -34,10 +39,11 @@ __all__ = [
     "load_scenario",
     "parse_scenario",
     "resolved_mapping",
+    "sweep_points",
+    "VARIABLES",
     "SWEEP_VARIABLES",
 ]
 
-SWEEP_VARIABLES = ("rho_th", "rho0", "N", "L", "R0", "H")
 # caps on the counts that size memory: RISs, elements per RIS, grid points
 MAX_RIS = 10_000
 MAX_ELEMENTS = 10_000
@@ -98,6 +104,10 @@ class ScenarioConfig:
     def rho0_db(self) -> float:
         return 10.0 * math.log10(self.rho0)
 
+    @property
+    def rho_th(self) -> float:
+        return db_to_linear(self.coverage_threshold_db)
+
 
 _SENTINEL = object()
 
@@ -113,9 +123,9 @@ def _get(mapping: dict, path: str, default=_SENTINEL):
     return node
 
 
-def _finite(val, path: str) -> float:
-    """A YAML number as a finite float; NaN, +-inf and integers beyond the
-    float range are rejected."""
+def _finite(val, path: str, *, minimum=None, strict_min=None, maximum=None) -> float:
+    """A YAML number as a finite float within the limits given; NaN, +-inf
+    and integers beyond the float range are rejected."""
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {val!r}")
     try:
@@ -125,20 +135,18 @@ def _finite(val, path: str) -> float:
                           "the float range") from None
     if not math.isfinite(v):
         raise ConfigError(f"{path}: expected a finite number, got {v}")
-    return v
-
-
-def _number(mapping: dict, path: str, *, default=None, minimum=None,
-            strict_min=None, maximum=None) -> float:
-    val = _get(mapping, path) if default is None else _get(mapping, path, default)
-    v = _finite(val, path)
     if minimum is not None and v < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}, got {v}")
+        raise ConfigError(f"{path}: must be >= {minimum}, got {val}")
     if strict_min is not None and v <= strict_min:
-        raise ConfigError(f"{path}: must be > {strict_min}, got {v}")
+        raise ConfigError(f"{path}: must be > {strict_min}, got {val}")
     if maximum is not None and v > maximum:
-        raise ConfigError(f"{path}: must be <= {maximum}, got {v}")
+        raise ConfigError(f"{path}: must be <= {maximum}, got {val}")
     return v
+
+
+def _number(mapping: dict, path: str, *, default=None, **limits) -> float:
+    val = _get(mapping, path) if default is None else _get(mapping, path, default)
+    return _finite(val, path, **limits)
 
 
 def _meters(mapping: dict, path: str, **limits) -> float:
@@ -149,16 +157,30 @@ def _meters(mapping: dict, path: str, **limits) -> float:
     return km * 1000.0
 
 
-def _integer(mapping: dict, path: str, *, default=None, minimum=None, maximum=None) -> int:
-    val = _get(mapping, path) if default is None else _get(mapping, path, default)
+def _count(val, path: str, **limits) -> int:
+    """A non-bool integer within the limits given."""
     if isinstance(val, bool) or not isinstance(val, int):
         raise ConfigError(f"{path}: expected an integer, got {val!r}")
-    _finite(val, path)
-    if minimum is not None and val < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}, got {val}")
-    if maximum is not None and val > maximum:
-        raise ConfigError(f"{path}: must be <= {maximum}, got {val}")
+    _finite(val, path, **limits)
     return val
+
+
+def _integer(mapping: dict, path: str, *, default=None, **limits) -> int:
+    return _count(_get(mapping, path) if default is None else _get(mapping, path, default),
+                  path, **limits)
+
+
+def _region(base_radius: float, height: float, inner_radius: float) -> CylinderGeometry:
+    """The RIS deployment region, 0 or _TINY to _MAX_ASPECT base radii tall,
+    the heights its distance moments are evaluated at (geometry.py)."""
+    try:
+        geom = CylinderGeometry(base_radius, height, inner_radius)
+    except DomainError as exc:
+        raise ConfigError(f"geometry: {exc}") from None
+    if height > 0.0 and not _TINY <= height / base_radius <= _MAX_ASPECT:
+        raise ConfigError(f"geometry.height_m: must be 0 or from {_TINY:.3g} to {_MAX_ASPECT:g} "
+                          f"times geometry.base_radius_m {base_radius:g}, got {height:g}")
+    return geom
 
 
 def _boolean(mapping: dict, path: str, default: bool) -> bool:
@@ -168,21 +190,13 @@ def _boolean(mapping: dict, path: str, default: bool) -> bool:
     return val
 
 
-def _per_ris_values(raw, count: int, path: str):
-    """Expand a scalar template or validate an explicit per-RIS list."""
-    if isinstance(raw, list):
-        if len(raw) != count:
-            raise ConfigError(f"{path}: list length {len(raw)} != ris.count {count}")
-        return list(raw)
-    return [raw] * count
-
-
-def _exponent(value, path: str) -> float:
-    """A path-loss exponent: a finite number >= 2."""
-    v = _finite(value, path)
-    if v < 2.0:
-        raise ConfigError(f"{path}: path-loss exponent must be >= 2, got {v}")
-    return v
+def _per_ris(node, count: int, path: str, check) -> list:
+    """check(value, path[i]) of each RIS's value, from a scalar template or
+    an explicit per-RIS list."""
+    if isinstance(node, list) and len(node) != count:
+        raise ConfigError(f"{path}: list length {len(node)} != ris.count {count}")
+    values = node if isinstance(node, list) else [node] * count
+    return [check(v, f"{path}[{i}]") for i, v in enumerate(values)]
 
 
 def _fading_params(node, path: str, laws: dict) -> KappaMuParams:
@@ -214,8 +228,7 @@ def _resolve_user_exponents(node, count: int, path: str):
         high = _number(node, "high", minimum=low)
         seed = _integer(node, "seed", minimum=0)
         return user_exponent_draws(seed, (low, high), count), seed, (low, high)
-    values = _per_ris_values(node, count, path)
-    return [_exponent(v, f"{path}[{i}]") for i, v in enumerate(values)], None, None
+    return _per_ris(node, count, path, lambda v, p: _finite(v, p, minimum=2.0)), None, None
 
 
 def _recorded_exponent_draw(raw: dict):
@@ -244,50 +257,29 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
         altitude=_meters(raw, "constellation.altitude_km"),
         earth_radius=_meters(raw, "constellation.earth_radius_km", default=6371.0),
     )
-    try:
-        geom = CylinderGeometry(
-            base_radius=_number(raw, "geometry.base_radius_m", strict_min=0.0),
-            height=_number(raw, "geometry.height_m", default=0.0, minimum=0.0),
-            inner_radius=_number(raw, "geometry.inner_radius_m", default=0.0, minimum=0.0),
-        )
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"geometry: {exc}") from exc
+    geom = _region(_number(raw, "geometry.base_radius_m", strict_min=0.0),
+                   _number(raw, "geometry.height_m", default=0.0, minimum=0.0),
+                   _number(raw, "geometry.inner_radius_m", default=0.0, minimum=0.0))
 
     count = _integer(raw, "ris.count", minimum=0, maximum=MAX_RIS)
     exponent_seed = None
     exponent_range = None
     ris_links: tuple[RisLink, ...] = ()
     if count > 0:
-        elements_raw = _get(raw, "ris.elements")
-        elements = _per_ris_values(elements_raw, count, "ris.elements")
-        for i, e in enumerate(elements):
-            if isinstance(e, bool) or not isinstance(e, int) or not 1 <= e <= MAX_ELEMENTS:
-                raise ConfigError(f"ris.elements[{i}]: expected an integer in "
-                                  f"[1, {MAX_ELEMENTS}], got {e!r}")
-        sat_fading_raw = _get(raw, "ris.sat_fading")
-        sat_fadings = _per_ris_values(sat_fading_raw, count, "ris.sat_fading")
-        user_fading_raw = _get(raw, "ris.user_fading")
-        user_fadings = _per_ris_values(user_fading_raw, count, "ris.user_fading")
-        sat_exps = _per_ris_values(_get(raw, "ris.sat_exponent"), count, "ris.sat_exponent")
-        sat_exps = [_exponent(v, f"ris.sat_exponent[{i}]") for i, v in enumerate(sat_exps)]
+        elements = _per_ris(_get(raw, "ris.elements"), count, "ris.elements",
+                            lambda v, p: _count(v, p, minimum=1, maximum=MAX_ELEMENTS))
+        laws: dict[KappaMuParams, KappaMuParams] = {}
+        sat_fadings, user_fadings = (
+            _per_ris(_get(raw, path), count, path, lambda v, p: _fading_params(v, p, laws))
+            for path in ("ris.sat_fading", "ris.user_fading"))
+        sat_exps = _per_ris(_get(raw, "ris.sat_exponent"), count, "ris.sat_exponent",
+                            lambda v, p: _finite(v, p, minimum=2.0))
         user_exps, exponent_seed, exponent_range = _resolve_user_exponents(
             _get(raw, "ris.user_exponent"), count, "ris.user_exponent")
         if exponent_seed is None:
             # a resolved echo pins the values; count sweeps redraw from the seed
             exponent_seed, exponent_range = _recorded_exponent_draw(raw)
-        laws: dict[KappaMuParams, KappaMuParams] = {}
-        ris_links = tuple(
-            RisLink(
-                elements=int(elements[i]),
-                sat_fading=_fading_params(sat_fadings[i], f"ris.sat_fading[{i}]", laws),
-                user_fading=_fading_params(user_fadings[i], f"ris.user_fading[{i}]", laws),
-                sat_exponent=sat_exps[i],
-                user_exponent=user_exps[i],
-            )
-            for i in range(count)
-        )
+        ris_links = tuple(map(RisLink, elements, sat_fadings, user_fadings, sat_exps, user_exps))
 
     direct = DirectPath(
         enabled=_boolean(raw, "direct_path.enabled", True),
@@ -312,11 +304,7 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
     sweep_node = _get(raw, "sweep")
     if not isinstance(sweep_node, dict):
         raise ConfigError("sweep: expected a mapping with variable and grid")
-    variable = _get(raw, "sweep.variable")
-    if variable not in SWEEP_VARIABLES:
-        raise ConfigError(
-            f"sweep.variable: must be one of {', '.join(SWEEP_VARIABLES)}, got {variable!r}")
-    grid = parse_grid(_get(raw, "sweep.grid"), variable, "sweep.grid")
+    spec = SweepSpec(_get(raw, "sweep.variable"), parse_grid(_get(raw, "sweep.grid"), "sweep.grid"))
 
     mc_enabled = _boolean(raw, "monte_carlo.enabled", False)
     mc = SimOptions(
@@ -335,42 +323,38 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
         raise ConfigError(f"output.format: must be csv or json, got {fmt!r}")
     output = OutputSpec(directory=str(_get(raw, "output.directory", "out")), format=fmt)
 
-    return ScenarioConfig(
+    cfg = ScenarioConfig(
         constellation=con,
         geometry=geom,
         links=links,
         symbol_energy_w=symbol_energy,
         noise_dbm=noise_dbm,
         coverage_threshold_db=coverage_threshold_db,
-        sweep=SweepSpec(variable=variable, grid=grid),
+        sweep=spec,
         mc_enabled=mc_enabled,
         mc=mc,
         output=output,
         exponent_seed=exponent_seed,
         exponent_range=exponent_range,
     )
+    sweep_points(cfg)
+    return cfg
 
 
-def parse_grid(node, variable: str, path: str) -> tuple[float, ...]:
-    """Grid of a sweep over ``variable``: explicit list, or {start, stop,
-    points} for a linspace, or the CLI string forms 'a,b,c' and
-    'start:stop:points'. Values must be finite, sorted ascending and in
-    the variable's domain."""
+def parse_grid(node, path: str) -> tuple[float, ...]:
+    """A sweep grid: explicit list, or {start, stop, points} for a
+    linspace, or the CLI string forms 'a,b,c' and 'start:stop:points'.
+    Values must be finite and sorted ascending, 1 to MAX_GRID_POINTS of
+    them; sweep_points checks each against its variable's field."""
     if isinstance(node, str):
-        if ":" in node:
-            bits = node.split(":")
-            if len(bits) != 3:
-                raise ConfigError(f"{path}: expected start:stop:points, got {node!r}")
-            try:
-                start, stop, points = float(bits[0]), float(bits[1]), int(bits[2])
-            except ValueError as exc:
-                raise ConfigError(f"{path}: {exc}") from exc
-            node = {"start": start, "stop": stop, "points": points}
-        else:
-            try:
-                node = [float(v) for v in node.split(",")]
-            except ValueError as exc:
-                raise ConfigError(f"{path}: {exc}") from exc
+        bits = node.split(":")
+        if len(bits) not in (1, 3):
+            raise ConfigError(f"{path}: expected start:stop:points, got {node!r}")
+        try:
+            node = ([float(v) for v in node.split(",")] if len(bits) == 1 else
+                    {"start": float(bits[0]), "stop": float(bits[1]), "points": int(bits[2])})
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
     if isinstance(node, dict):
         try:
             start, stop = _number(node, "start"), _number(node, "stop")
@@ -383,23 +367,74 @@ def parse_grid(node, variable: str, path: str) -> tuple[float, ...]:
     else:
         raise ConfigError(f"{path}: expected a list, a start/stop/points mapping, "
                           f"or a grid string, got {node!r}")
-    if not grid:
-        raise ConfigError(f"{path}: grid must not be empty")
+    if not 0 < len(grid) <= MAX_GRID_POINTS:
+        raise ConfigError(f"{path}: grid must have 1 to {MAX_GRID_POINTS} points, got {len(grid)}")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ConfigError(f"{path}: grid must be sorted ascending")
-    if variable in ("N", "L"):
-        cap = MAX_RIS if variable == "N" else MAX_ELEMENTS
-        for v in grid:
-            if v != int(v) or v < (0 if variable == "N" else 1):
-                raise ConfigError(f"{path}: {variable} grid needs nonnegative integers, got {v}")
-            if v > cap:
-                raise ConfigError(f"{path}: {variable} grid values must be <= {cap}, got {v}")
-    if variable in ("R0", "H") and any(v < 0 or (variable == "R0" and v == 0) for v in grid):
-        raise ConfigError(f"{path}: {variable} grid values must be positive")
-    if variable in ("rho_th", "rho0"):
-        for i, v in enumerate(grid):
-            _linear(v, f"{path}[{i}]")
     return grid
+
+
+def _ris_count(cfg: ScenarioConfig, value: float):
+    """The RIS list cut, or extended with copies of its last RIS, to the
+    point's count; extending redraws a drawn user-hop exponent from the
+    recorded seed, whose draws keep their prefix."""
+    n = _count(int(value) if value == int(value) else value, "ris.count", minimum=0,
+               maximum=MAX_RIS)
+    ris = cfg.links.ris
+    if n > len(ris):
+        if not ris:
+            raise ConfigError(f"ris.count: an empty RIS list has no RIS to copy up to {n}")
+        ris += (ris[-1],) * (n - len(ris))
+        if cfg.exponent_seed is not None and cfg.exponent_range is not None:
+            draws = user_exponent_draws(cfg.exponent_seed, cfg.exponent_range, n)
+            ris = tuple(dataclasses.replace(link, user_exponent=e) for link, e in zip(ris, draws))
+    return dataclasses.replace(cfg.links, ris=ris[:n]), cfg.geometry, cfg.rho0, cfg.rho_th
+
+
+def _ris_elements(cfg: ScenarioConfig, value: float):
+    elements = _count(int(value) if value == int(value) else value, "ris.elements", minimum=1,
+                      maximum=MAX_ELEMENTS)
+    ris = tuple(dataclasses.replace(link, elements=elements) for link in cfg.links.ris)
+    return dataclasses.replace(cfg.links, ris=ris), cfg.geometry, cfg.rho0, cfg.rho_th
+
+
+# a sweep variable: the scenario field a grid point replaces, the tables
+# its sweep writes, and point(cfg, value), the point's (links, geometry,
+# rho0, rho_th) through the validators the file parser runs on the field
+SweepVariable = NamedTuple("SweepVariable", [("field", str), ("metrics", tuple),
+                                             ("point", Callable)])
+_BOTH = ("coverage", "capacity")
+VARIABLES = {
+    "rho_th": SweepVariable("metrics.coverage_threshold_db", ("coverage",), lambda cfg, v: (
+        cfg.links, cfg.geometry, cfg.rho0, _linear(v, "metrics.coverage_threshold_db"))),
+    "rho0": SweepVariable("resolved.transmit_snr_db", ("capacity",), lambda cfg, v: (
+        cfg.links, cfg.geometry, _linear(v, "resolved.transmit_snr_db"), cfg.rho_th)),
+    "N": SweepVariable("ris.count", _BOTH, _ris_count),
+    "L": SweepVariable("ris.elements", _BOTH, _ris_elements),
+    "R0": SweepVariable("geometry.base_radius_m", _BOTH, lambda cfg, v: (
+        cfg.links, _region(float(v), cfg.geometry.height, cfg.geometry.inner_radius),
+        cfg.rho0, cfg.rho_th)),
+    "H": SweepVariable("geometry.height_m", _BOTH, lambda cfg, v: (
+        cfg.links, _region(cfg.geometry.base_radius, float(v), cfg.geometry.inner_radius),
+        cfg.rho0, cfg.rho_th)),
+}
+SWEEP_VARIABLES = tuple(VARIABLES)
+
+
+def sweep_points(cfg: ScenarioConfig, path: str = "sweep.grid") -> list[tuple]:
+    """(links, geometry, rho0, rho_th) at each point of the sweep, from its
+    variable's setter. A point the setter rejects raises ConfigError
+    naming ``path``[index] and the field."""
+    if cfg.sweep.variable not in VARIABLES:
+        raise ConfigError(f"sweep.variable: must be one of {', '.join(SWEEP_VARIABLES)}, "
+                          f"got {cfg.sweep.variable!r}")
+    point, points = VARIABLES[cfg.sweep.variable].point, []
+    for i, value in enumerate(cfg.sweep.grid):
+        try:
+            points.append(point(cfg, value))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}[{i}]: {exc}") from None
+    return points
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:

@@ -14,7 +14,7 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import default_links, gamma_fit_walk
-from leoris import channel, runner
+from leoris import channel
 from leoris.channel import (
     DirectPath,
     GammaApprox,
@@ -40,7 +40,7 @@ from leoris.geometry import (
 )
 from leoris.montecarlo import SimOptions, simulate_snr
 from leoris.runner import sweep
-from leoris.scenario import SweepSpec, load_scenario
+from leoris.scenario import VARIABLES, SweepSpec, load_scenario
 
 GEOM = CylinderGeometry(120.0, 120.0)
 CON = Constellation(1000, 1.0e6)
@@ -172,7 +172,7 @@ def test_a_sweep_fits_every_point_in_one_batch(monkeypatch, variable, grid, enve
                       "ris_kernel_calls": 1, "ris_moments": ris_moments}
     # the sweep's fits equal single fits of its points
     for value, row in zip(grid, tables[0].rows):
-        links, geom, _, _ = runner._point_inputs(cfg, variable, value)
+        links, geom, _, _ = VARIABLES[variable].point(cfg, value)
         ga = gamma_approx(links, geom, cfg.constellation)
         assert row[-2:] == (ga.alpha, ga.beta)
 
@@ -200,7 +200,7 @@ def _mixed_pairs(rng: np.random.Generator, n: int) -> list:
 
 def _sweep_pairs(variable: str, grid) -> list:
     cfg = load_scenario(DEFAULT_CONFIG)
-    return [runner._point_inputs(cfg, variable, value)[:2] for value in grid]
+    return [VARIABLES[variable].point(cfg, value)[:2] for value in grid]
 
 
 @pytest.mark.parametrize("pairs", [

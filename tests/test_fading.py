@@ -107,6 +107,22 @@ def test_pdf_nakagami_reduction():
     assert np.max(np.abs(envelope_pdf(GRID, p) - want)) < 1e-10
 
 
+def _nakagami_pdf_mpmath(x: float, mu: float) -> float:
+    # at the same float x; the digits track mu's size, as its terms cancel
+    with mp.workdps(int(math.log10(mu)) + 40):
+        x, m = mp.mpf(x), mp.mpf(mu)
+        return float(2 * mp.exp(m * mp.log(m) - mp.loggamma(m) - m * x * x) * x ** (2 * m - 1))
+
+
+@pytest.mark.parametrize("mu", [10.0, 1e4, 1e6, 1e10, 1e100, 1e300])
+def test_pdf_nakagami_matches_mpmath_at_large_mu(mu):
+    # at the peak and two standard deviations each side, where those
+    # differ from 1 as floats; the density at 1e300 is about 8e149
+    for x in {1.0, 1.0 + 2.0 / math.sqrt(mu), 1.0 - 2.0 / math.sqrt(mu)}:
+        assert envelope_pdf(x, KappaMuParams(0.0, mu)) == pytest.approx(
+            _nakagami_pdf_mpmath(x, mu), rel=1e-12), x
+
+
 def test_pdf_rice_reduction():
     k = 2.3
     p = KappaMuParams(k, 1.0)

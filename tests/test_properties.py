@@ -5,8 +5,10 @@ SNRs and fading laws for the metrics and the envelope moment, drawn with
 hypothesis under a fixed derandomized seed so every run sees the same
 examples."""
 
+import copy
 import math
 import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -22,7 +24,7 @@ from leoris.channel import (
     gamma_approx,
     gamma_fits,
 )
-from leoris.errors import ComputationError, DivergentMomentError, LeorisError
+from leoris.errors import ComputationError, ConfigError, DivergentMomentError, LeorisError
 from leoris.fading import KappaMuParams, envelope_moment
 from leoris.geometry import Constellation, CylinderGeometry, ris_distance_moment
 from leoris.metrics import (
@@ -32,7 +34,7 @@ from leoris.metrics import (
     ergodic_capacities,
     ergodic_capacity,
 )
-from leoris.scenario import SWEEP_VARIABLES, parse_scenario, resolved_mapping
+from leoris.scenario import SWEEP_VARIABLES, VARIABLES, parse_scenario, resolved_mapping
 
 exponents = st.floats(2.0, 4.0)
 fading = st.builds(KappaMuParams, kappa=st.floats(0.0, 1.0e3), mu=st.floats(1.0e-2, 1.0e2))
@@ -199,10 +201,62 @@ def test_ris_moment_follows_the_scale_law(log_base, kind, log_aspect, hole, log_
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(raw_scenarios())
 def test_resolved_echo_round_trips(raw):
-    cfg = parse_scenario(raw)
+    try:
+        cfg = parse_scenario(raw)
+    except ConfigError as exc:
+        # the draws reach grid points their setters reject (H grids on
+        # annuli, R0 at or below the inner radius, N grown from no RIS) and
+        # regions taller than the aspect bound
+        assert "sweep.grid[" in str(exc) or "to 1000 times geometry.base_radius_m" in str(exc)
+        return
     # through the text the runner writes
     text = yaml.dump(resolved_mapping(cfg), Dumper=runner._DUMPER, sort_keys=False)
     assert parse_scenario(yaml.safe_load(text)) == cfg
+
+
+DEFAULT_RAW = yaml.safe_load(
+    (Path(__file__).resolve().parents[1] / "configs" / "default.yaml").read_text(encoding="utf-8"))
+_REGIONS = {"3d": {"base_radius_m": 120.0, "height_m": 120.0, "inner_radius_m": 0.0},
+            "flat": {"base_radius_m": 120.0, "height_m": 0.0, "inner_radius_m": 0.0},
+            "annulus": {"base_radius_m": 120.0, "height_m": 0.0, "inner_radius_m": 10.0}}
+# values on both sides of every bound: signs, zero, whole and fractional
+# counts past the caps, dB past the float range, lengths from subnormal
+# to past the aspect bound
+grid_values = st.one_of(
+    st.just(0.0), st.integers(-20_000, 20_000).map(float), st.floats(-5_000.0, 5_000.0),
+    st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from((-1.0, 1.0)),
+              st.floats(-320.0, 308.0)))
+
+
+def _parse_error(raw):
+    try:
+        parse_scenario(raw)
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.sampled_from(("R0", "H", "L", "rho_th")), st.sampled_from(sorted(_REGIONS)),
+       grid_values)
+def test_a_grid_point_is_rejected_as_a_file_setting_its_field_is(variable, region, value):
+    base = copy.deepcopy(DEFAULT_RAW)
+    base["geometry"] = dict(_REGIONS[region])
+    by_grid = copy.deepcopy(base)
+    by_grid["sweep"] = {"variable": variable, "grid": [value]}
+    by_file = base
+    section, key = VARIABLES[variable].field.split(".")
+    # a file writes a count as an integer; the grid holds it as a float
+    whole = variable == "L" and value == int(value)
+    by_file[section][key] = int(value) if whole else value
+    file_error, grid_error = _parse_error(by_file), _parse_error(by_grid)
+    assert (file_error is None) == (grid_error is None)
+    if file_error is not None:
+        # both name the field (a region's errors by its attribute name),
+        # the grid's after the point's index
+        name = key.removesuffix("_m")
+        assert name in file_error and name in grid_error
+        assert grid_error.startswith("sweep.grid[0]: ")
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)

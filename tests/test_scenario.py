@@ -4,6 +4,7 @@ and sweep/CLI behavior on small grids."""
 import copy
 import csv
 import dataclasses
+import itertools
 import json
 from pathlib import Path
 
@@ -22,11 +23,13 @@ from leoris.scenario import (
     MAX_ELEMENTS,
     MAX_GRID_POINTS,
     MAX_RIS,
+    VARIABLES,
     SweepSpec,
     load_scenario,
     parse_grid,
     parse_scenario,
     resolved_mapping,
+    sweep_points,
 )
 
 DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
@@ -253,14 +256,14 @@ def test_equal_fading_laws_are_one_object(tmp_path):
 
 
 def test_grid_parsing_forms():
-    assert parse_grid([1, 2, 3], "rho_th", "g") == (1.0, 2.0, 3.0)
-    assert parse_grid({"start": 0.0, "stop": 10.0, "points": 3}, "rho_th", "g") == (0.0, 5.0, 10.0)
-    assert parse_grid("1,2,4", "rho_th", "g") == (1.0, 2.0, 4.0)
-    assert parse_grid("0:10:3", "rho_th", "g") == (0.0, 5.0, 10.0)
+    assert parse_grid([1, 2, 3], "g") == (1.0, 2.0, 3.0)
+    assert parse_grid({"start": 0.0, "stop": 10.0, "points": 3}, "g") == (0.0, 5.0, 10.0)
+    assert parse_grid("1,2,4", "g") == (1.0, 2.0, 4.0)
+    assert parse_grid("0:10:3", "g") == (0.0, 5.0, 10.0)
     with pytest.raises(ConfigError):
-        parse_grid("1:2", "rho_th", "g")
+        parse_grid("1:2", "g")
     with pytest.raises(ConfigError):
-        parse_grid({"start": 0.0}, "rho_th", "g")
+        parse_grid({"start": 0.0}, "g")
 
 
 def _sweep_config(variable=None, grid=None, mc=False):
@@ -313,7 +316,7 @@ def test_sweep_analytic_cells_equal_per_point_calls(variable, grid):
     for table in sweep(cfg):
         assert [row[0] for row in table.rows] == list(grid)
         for value, analytic, *_ in table.rows:
-            links, geom, rho0, rho_th = runner._point_inputs(cfg, variable, value)
+            links, geom, rho0, rho_th = VARIABLES[variable].point(cfg, value)
             ga = gamma_approx(links, geom, cfg.constellation)
             if table.metric == "coverage":
                 want = coverage_probability(CoverageQuery(rho_th, rho0), ga)
@@ -379,17 +382,18 @@ def test_fit_and_simulation_once_per_link_state(monkeypatch, variable, grid, fit
     assert counts == {"gamma_fits": 1, "fits": fits, "simulate_snr": simulations}
 
 
-# first failing point, its error, and the message its single fit raises
-_ASPECT = ("moment E[R^-1.02333] is not evaluated for height/base_radius above 1000, where "
-           "its terms cancel: ")
+# first failing point, its error, and the message its setter or, past
+# that, its single fit raises
+_ASPECT = ("geometry.height_m: must be 0 or from 2.23e-308 to 1000 times "
+           "geometry.base_radius_m ")
 _SWEEP_ERRORS = [
-    ("H", (0.0, 60.0, 1.0e160), 0, DivergentMomentError,
+    ("H", (0.0, 60.0, 120.0), 0, DivergentMomentError,
      "moment E[R^-2.04666] diverges on a flat disk: t*eps = 4.09332 >= 4 requires an "
      "inner radius"),
-    ("H", (60.0, 120.0, 1.0e160), 2, ComputationError,
-     _ASPECT + "CylinderGeometry(base_radius=120.0, height=1e+160, inner_radius=0.0)"),
-    ("R0", (1.0e-160, 60.0), 0, ComputationError,
-     _ASPECT + "CylinderGeometry(base_radius=1e-160, height=120.0, inner_radius=0.0)"),
+    ("H", (60.0, 120.0, 1.0e160), 2, ConfigError,
+     "sweep.grid[2]: " + _ASPECT + "120, got 1e+160"),
+    ("R0", (1.0e-160, 60.0), 0, ConfigError,
+     "sweep.grid[0]: " + _ASPECT + "1e-160, got 120"),
     # the order-2 moment at R0 = 1e300 underflows
     ("R0", (60.0, 120.0, 1.0e100, 1.0e300), 3, ComputationError,
      "moment E[R^-2.04666] leaves the float range for CylinderGeometry(base_radius=1e+300, "
@@ -402,10 +406,15 @@ def test_sweep_raises_the_first_failing_point_before_any_output(
         monkeypatch, tmp_path, variable, grid, bad, error, message):
     cfg = dataclasses.replace(load_scenario(DEFAULT_CONFIG), sweep=SweepSpec(variable, grid))
     # the failing point alone raises the same
-    links, geom, _, _ = runner._point_inputs(cfg, variable, grid[bad])
     with pytest.raises(error) as alone:
+        links, geom, _, _ = list(itertools.islice(sweep_points(cfg), bad + 1))[-1]
         gamma_approx(links, geom, cfg.constellation)
     assert str(alone.value) == message
+    # a point its setter rejects does not load either
+    if error is ConfigError:
+        with pytest.raises(ConfigError) as loaded:
+            parse_scenario(resolved_mapping(cfg))
+        assert str(loaded.value) == message
     simulations = []
     monkeypatch.setattr(runner, "simulate_snr", lambda *a, **k: simulations.append(a))
     out = tmp_path / "out"
@@ -422,7 +431,7 @@ def test_count_sweep_reads_every_point_from_one_simulation(variable, grid):
     (coverage, _) = sweep(cfg)
     # one simulation of the last point's links from child 0, the smaller
     # points nested in it
-    links = [runner._point_inputs(cfg, variable, v)[0] for v in grid]
+    links = [VARIABLES[variable].point(cfg, v)[0] for v in grid]
     seed = int(np.random.SeedSequence(cfg.mc.seed, spawn_key=(0,)).generate_state(1)[0])
     sim = simulate_snr(links[-1], cfg.geometry, cfg.constellation,
                        dataclasses.replace(cfg.mc, seed=seed), nested=tuple(links[:-1]))
@@ -449,7 +458,7 @@ def test_count_sweep_splits_where_samples_exceed_the_budget(monkeypatch):
     child = [int(np.random.SeedSequence(cfg.mc.seed, spawn_key=(i,)).generate_state(1)[0])
              for i in (0, 2)]
     assert calls == [(child[0], 1), (child[1], 0)]
-    links = runner._with_count(cfg, 3)
+    links = VARIABLES["N"].point(cfg, 3.0)[0]
     sim = simulate_snr(links, cfg.geometry, cfg.constellation,
                        dataclasses.replace(cfg.mc, seed=child[1]))
     rho_th = 10.0 ** (cfg.coverage_threshold_db / 10.0)
