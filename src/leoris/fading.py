@@ -3,9 +3,10 @@ power, with matching exact samplers.
 
 The family covers Rayleigh (kappa=0, mu=1), Rice (kappa=k, mu=1),
 Nakagami-m (kappa=0, mu=m) and the one-sided Gaussian (kappa=0, mu=0.5)
-as special cases. The squared envelope is a scaled noncentral chi-square
-with 2*mu degrees of freedom and noncentrality 2*kappa*mu, which is what
-the density (in logarithms), the distribution and the sampler build on.
+as special cases. The power W = 2*mu*(1 + kappa)*|h|^2 is noncentral
+chi-square with 2*mu degrees of freedom and noncentrality 2*kappa*mu, which
+is what the density (in logarithms), the distribution and the samplers of
+W and of the envelope build on.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ __all__ = [
     "envelope_pdf",
     "envelope_cdf",
     "sample_envelope",
+    "sample_power",
 ]
 
 
@@ -43,6 +45,11 @@ class KappaMuParams:
         if not 0 < self.mu < math.inf:
             raise DomainError(f"mu must be finite and > 0, got {self.mu}")
 
+    @property
+    def power_scale(self) -> float:
+        """2 mu (1 + kappa), the mean of the power W = 2 mu (1 + kappa) |h|^2."""
+        return 2.0 * self.mu * (1.0 + self.kappa)
+
 
 # B_2k / (2k (2k - 1)), k = 1..7: Stirling series of ln Gamma
 _STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0,
@@ -53,6 +60,8 @@ _TAIL = 1e-17
 _MAX_TERMS = 100_000
 # exp() of a log density below this rounds to 0, times any factor <= 1
 _LOG_UNDERFLOW = math.log(np.nextafter(0.0, 1.0)) - 1.0
+# elements per slice of a power draw's normals (128 KiB of scratch)
+_SLICE = 16_384
 
 
 def _log_gamma_ratio(a: float, s: float) -> float:
@@ -185,22 +194,47 @@ def envelope_cdf(x, p: KappaMuParams):
     k, m = p.kappa, p.mu
     # q overflows to inf only where the distribution is 1
     with np.errstate(over="ignore"):
-        q = 2.0 * m * (1.0 + k) * np.square(np.clip(x, 0.0, None))
+        q = p.power_scale * np.square(np.clip(x, 0.0, None))
     return _chdtr(2.0 * m, q) if k == 0.0 else _chndtr(q, 2.0 * m, 2.0 * k * m)
+
+
+def sample_power(p: KappaMuParams, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Exact draws of the power W = 2 mu (1 + kappa) |h|^2 into ``out``, a
+    C-contiguous float64 array of any shape, which is returned.
+
+    numpy's per-element noncentral chi-square recipe, vectorized, so the
+    law is numpy's: W = 2 Gamma(mu) at kappa = 0; 2 Gamma(mu - 1/2) +
+    (Z + sqrt(2 kappa mu))^2 for 2 mu > 1, every gamma drawn before every
+    normal; else numpy's Poisson mixture. Normals and mixture draws go
+    through slices of _SLICE elements, so no second array of out's size is
+    held, and the bits do not depend on the slice.
+    """
+    if out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise DomainError("sample_power needs a C-contiguous float64 output array")
+    k, m = p.kappa, p.mu
+    if k == 0.0 or m > 0.5:
+        rng.standard_gamma(m if k == 0.0 else m - 0.5, out=out)
+        out *= 2.0
+        if k == 0.0:
+            return out
+    flat, shift = out.reshape(-1), math.sqrt(2.0 * k * m)
+    for lo in range(0, flat.size, _SLICE):
+        part = flat[lo:lo + _SLICE]
+        if m > 0.5:
+            z = rng.standard_normal(part.size)
+            z += shift
+            part += np.square(z, out=z)
+        else:
+            part[...] = rng.noncentral_chisquare(2.0 * m, 2.0 * k * m, part.size)
+    return out
 
 
 def sample_envelope(p: KappaMuParams, rng: np.random.Generator,
                     size: int | tuple[int, ...] | None = None):
-    """Exact draws of the unit-power envelope.
-
-    The squared envelope is chi-square (2*mu degrees of freedom,
-    noncentrality 2*kappa*mu) scaled to unit mean; for non-integer 2*mu
-    the Poisson-mixture definition of the noncentral chi-square applies
-    and numpy implements it directly (at kappa = 0 with its central draw).
-    """
-    k, m = p.kappa, p.mu
-    w = rng.noncentral_chisquare(2.0 * m, 2.0 * k * m, () if size is None else size)
+    """Exact draws of the unit-power envelope, sqrt(W / (2 mu (1 + kappa)))
+    with W from sample_power; a float for ``size=None``."""
+    w = sample_power(p, rng, np.empty(() if size is None else size))
     # in place: no scaled copy or root beside the draw
-    w /= 2.0 * m * (1.0 + k)
+    w /= p.power_scale
     np.sqrt(w, out=w)
     return float(w) if size is None else w

@@ -2,6 +2,11 @@
 combines the paths coherently (optimal element phases make every term
 add as a nonnegative magnitude), and squares into SNR samples.
 
+Each RIS element's amplitude is sqrt(W_sat W_user), one root of its two
+hops' powers (fading.sample_power); the unit-power scale
+1 / sqrt(c_sat c_user), c = 2 mu (1 + kappa), joins the per-trial
+distance gain. The direct path draws its envelope (sample_envelope).
+
 Satellite distances are drawn independently per link by default, which
 is the statistical model the closed-form moments describe. The exact
 mode instead serves every link of a trial from one satellite, the one
@@ -29,6 +34,7 @@ speed. The scenario's exponent draw stays on numpy's default_rng (PCG64).
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -40,7 +46,7 @@ import numpy as np
 
 from .channel import LinkConfig
 from .errors import ComputationError, DomainError, checked_integer
-from .fading import sample_envelope
+from .fading import sample_envelope, sample_power
 from .geometry import (
     Constellation,
     CylinderGeometry,
@@ -61,7 +67,9 @@ __all__ = [
 ]
 
 _BLOCK = 4096
-# elements in one fading array of a chunk
+# elements in one fading array of a chunk; a chunk holds two, the
+# satellite-hop and user-hop powers of its largest RIS, and the power
+# draw a scratch of fading._SLICE normals
 _CHUNK_ELEMENTS = 8_000_000
 # per-row (count, mean, M2) of no trials
 _NO_MOMENTS = (0, None, None)
@@ -153,6 +161,8 @@ def _simulate_chunk(cfg: LinkConfig, plan, rows: int, geom: CylinderGeometry,
     """Magnitude of the combined response for `count` trials, one row per
     configuration of the plan (the full configuration last)."""
     amp = np.zeros((rows, count))
+    # both hops' powers, sized for the largest RIS
+    powers = np.empty((2, count * max((link.elements for link in cfg.ris), default=0)))
     if exact:
         serving, r_user = sample_serving_satellite(con, rng, count)
     for n, link in enumerate(cfg.ris):
@@ -163,10 +173,13 @@ def _simulate_chunk(cfg: LinkConfig, plan, rows: int, geom: CylinderGeometry,
         else:
             r_sat = sample_nearest_sat_distance(con, rng, count)
             r_ris = sample_ris_distances(geom, rng, count)
-        q = sample_envelope(link.sat_fading, rng, (count, link.elements))
-        q *= sample_envelope(link.user_fading, rng, (count, link.elements))
-        sat_gain = r_sat ** (-link.sat_exponent / 2.0)
-        ris_gain = r_ris ** (-link.user_exponent / 2.0)
+        sat, user = (buf[:count * link.elements].reshape(count, link.elements) for buf in powers)
+        # one root per element; the unit-power scale joins the per-trial gain
+        q = sample_power(link.sat_fading, rng, sat)
+        q *= sample_power(link.user_fading, rng, user)
+        np.sqrt(q, out=q)
+        gain = r_sat ** (-link.sat_exponent / 2.0) * r_ris ** (-link.user_exponent / 2.0)
+        gain /= math.sqrt(link.sat_fading.power_scale * link.user_fading.power_scale)
         # smaller element counts extend a running sum (the plan is sorted
         # by count); the full count sums q whole, as without nesting
         head, summed = 0.0, 0
@@ -176,7 +189,7 @@ def _simulate_chunk(cfg: LinkConfig, plan, rows: int, geom: CylinderGeometry,
                 summed, total = elements, head
             else:
                 total = q.sum(axis=1)
-            amp[idx] += total * sat_gain * ris_gain
+            amp[idx] += total * gain
     if cfg.direct.enabled:
         if not exact:
             r_user = sample_nearest_sat_distance(con, rng, count)

@@ -296,7 +296,7 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
     if not 0.0 < rho0 < math.inf:
         raise ConfigError(f"power.symbol_energy_w: transmit SNR {rho0} at noise "
                           f"{noise_dbm:g} dBm is not a finite positive ratio")
-    links = LinkConfig(ris=ris_links, direct=direct, transmit_snr=rho0)
+    links = _with_signal_path(LinkConfig(ris=ris_links, direct=direct, transmit_snr=rho0))
 
     coverage_threshold_db = _number(raw, "metrics.coverage_threshold_db", default=20.0)
     _linear(coverage_threshold_db, "metrics.coverage_threshold_db")
@@ -374,6 +374,13 @@ def parse_grid(node, path: str) -> tuple[float, ...]:
     return grid
 
 
+def _with_signal_path(links: LinkConfig) -> LinkConfig:
+    """``links``, which must hold a RIS or an enabled direct path."""
+    if not links.ris and not links.direct.enabled:
+        raise ConfigError("ris.count: 0 leaves no signal path with direct_path.enabled false")
+    return links
+
+
 def _ris_count(cfg: ScenarioConfig, value: float):
     """The RIS list cut, or extended with copies of its last RIS, to the
     point's count; extending redraws a drawn user-hop exponent from the
@@ -388,7 +395,8 @@ def _ris_count(cfg: ScenarioConfig, value: float):
         if cfg.exponent_seed is not None and cfg.exponent_range is not None:
             draws = user_exponent_draws(cfg.exponent_seed, cfg.exponent_range, n)
             ris = tuple(dataclasses.replace(link, user_exponent=e) for link, e in zip(ris, draws))
-    return dataclasses.replace(cfg.links, ris=ris[:n]), cfg.geometry, cfg.rho0, cfg.rho_th
+    return (_with_signal_path(dataclasses.replace(cfg.links, ris=ris[:n])), cfg.geometry,
+            cfg.rho0, cfg.rho_th)
 
 
 def _ris_elements(cfg: ScenarioConfig, value: float):

@@ -11,6 +11,7 @@ from scipy.special import iv
 from scipy.stats import kstest
 
 from conftest import envelope_moment_mpmath
+from leoris import fading
 from leoris.errors import ComputationError, ConvergenceError, DomainError
 from leoris.fading import (
     KappaMuParams,
@@ -18,6 +19,7 @@ from leoris.fading import (
     envelope_moment,
     envelope_pdf,
     sample_envelope,
+    sample_power,
 )
 
 GRID = np.linspace(1e-3, 4.0, 800)
@@ -169,16 +171,29 @@ def test_sampler_first_moment_consistency():
     assert float(draws.mean()) == pytest.approx(envelope_moment(1.0, p), rel=5e-3)
 
 
-@pytest.mark.parametrize("kappa,mu", [(0.0, 1.5), (2.0, 0.75)])
-@pytest.mark.parametrize("size", [None, 7, (5, 3)])
+# one law per branch of sample_power: kappa = 0 (2 mu above and below 1),
+# 2 mu > 1, the 2 mu = 1 boundary, 2 mu < 1, and strong line of sight
+_BRANCHES = [(0.0, 1.0), (0.0, 0.3), (1.0, 2.0), (3.0, 3.0), (0.6, 0.75), (2.0, 0.5),
+             (1.5, 0.3), (50.0, 7.5)]
+
+
+@pytest.mark.parametrize("kappa,mu", [(0.0, 1.5), (2.0, 0.75), (2.0, 0.5), (1.5, 0.3)])
+@pytest.mark.parametrize("size", [None, 7, (5, 3), fading._SLICE + 3])
 def test_sampler_scales_in_place_with_the_same_bits(kappa, mu, size):
-    """In-place scaling gives the bits of sqrt(w / (2 mu (1 + kappa)))."""
+    """In-place scaling gives the bits of sqrt(W / (2 mu (1 + kappa))), W
+    drawn from the same generator by numpy's per-element noncentral
+    chi-square recipe, vectorized: every gamma, then every normal."""
     p = KappaMuParams(kappa, mu)
     got = sample_envelope(p, np.random.default_rng(15), size)
     rng = np.random.default_rng(15)
     shape = () if size is None else size
-    w = (rng.chisquare(2.0 * mu, shape) if kappa == 0.0
-         else rng.noncentral_chisquare(2.0 * mu, 2.0 * kappa * mu, shape))
+    if kappa == 0.0:
+        w = 2.0 * rng.standard_gamma(mu, shape)
+    elif 2.0 * mu > 1.0:
+        w = 2.0 * rng.standard_gamma(mu - 0.5, shape)
+        w = w + (rng.standard_normal(shape) + math.sqrt(2.0 * kappa * mu)) ** 2
+    else:
+        w = rng.noncentral_chisquare(2.0 * mu, 2.0 * kappa * mu, shape)
     want = np.sqrt(w / (2.0 * mu * (1.0 + kappa)))
     if size is None:
         assert type(got) is float and got == float(want)
@@ -186,13 +201,24 @@ def test_sampler_scales_in_place_with_the_same_bits(kappa, mu, size):
         assert got.shape == want.shape and np.array_equal(got, want)
 
 
-def test_sampler_unit_power():
+def test_sample_power_fills_its_buffer_and_rejects_a_strided_one():
+    p = KappaMuParams(3.0, 3.0)
+    out = np.empty((4, 5))
+    assert sample_power(p, np.random.default_rng(3), out) is out
+    w = np.sqrt(out / p.power_scale)
+    assert np.array_equal(w, sample_envelope(p, np.random.default_rng(3), (4, 5)))
+    with pytest.raises(DomainError, match="C-contiguous"):
+        sample_power(p, np.random.default_rng(3), np.empty((4, 10))[:, ::2])
+
+
+@pytest.mark.parametrize("kappa,mu", _BRANCHES)
+def test_sampler_unit_power(kappa, mu):
     rng = np.random.default_rng(12)
-    draws = sample_envelope(KappaMuParams(3.0, 3.0), rng, 1_000_000)
+    draws = sample_envelope(KappaMuParams(kappa, mu), rng, 1_000_000)
     assert float((draws ** 2).mean()) == pytest.approx(1.0, abs=5e-3)
 
 
-@pytest.mark.parametrize("kappa,mu", [(0.0, 1.0), (1.0, 2.0), (3.0, 3.0), (0.6, 0.75)])
+@pytest.mark.parametrize("kappa,mu", _BRANCHES)
 def test_sampler_ks_against_cdf(kappa, mu):
     p = KappaMuParams(kappa, mu)
     rng = np.random.default_rng(13)
@@ -201,7 +227,7 @@ def test_sampler_ks_against_cdf(kappa, mu):
 
 
 def test_sampler_non_integer_two_mu():
-    # Poisson-mixture path: fractional cluster count still unit power
+    # fractional cluster count still unit power
     p = KappaMuParams(1.3, 1.26)
     rng = np.random.default_rng(14)
     draws = sample_envelope(p, rng, 400_000)

@@ -10,8 +10,13 @@ import pytest
 from conftest import default_links
 from leoris.channel import DirectPath, LinkConfig, RisLink, gamma_approx, mean_abs_A
 from leoris.errors import ComputationError, DomainError
-from leoris.fading import KappaMuParams
-from leoris.geometry import Constellation, CylinderGeometry
+from leoris.fading import KappaMuParams, sample_power
+from leoris.geometry import (
+    Constellation,
+    CylinderGeometry,
+    sample_nearest_sat_distance,
+    sample_ris_distances,
+)
 from leoris.metrics import CoverageQuery, coverage_probability
 from leoris import montecarlo
 from leoris.montecarlo import (
@@ -112,6 +117,27 @@ def test_block_b_draws_from_child_b_of_the_simulation_seed():
     # is a prefix of any longer one
     short = simulate_snr(cfg, GEOM, CON, SimOptions(trials=montecarlo._BLOCK, seed=12))
     assert np.array_equal(short.snr_samples, res.snr_samples[:montecarlo._BLOCK])
+
+
+def test_chunk_ris_term_is_the_root_of_the_two_hop_powers_times_the_gains():
+    # per element sqrt(W_sat W_user) / sqrt(c_sat c_user), c = 2 mu (1 + kappa),
+    # summed over the elements and scaled by the per-trial distance gains,
+    # every variate drawn from the chunk's generator in this order
+    cfg = default_links(1, direct=False)
+    link, count = cfg.ris[0], 37
+    amp = montecarlo._simulate_chunk(cfg, montecarlo._row_plan((cfg,)), 1, GEOM, CON,
+                                     np.random.Generator(np.random.SFC64(4)), count, False)
+    rng = np.random.Generator(np.random.SFC64(4))
+    r_sat = sample_nearest_sat_distance(CON, rng, count)
+    r_ris = sample_ris_distances(GEOM, rng, count)
+    w_sat, w_user = (sample_power(law, rng, np.empty((count, link.elements)))
+                     for law in (link.sat_fading, link.user_fading))
+    c_sat, c_user = (2.0 * law.mu * (1.0 + law.kappa)
+                     for law in (link.sat_fading, link.user_fading))
+    gain = r_sat ** (-link.sat_exponent / 2.0) * r_ris ** (-link.user_exponent / 2.0)
+    gain /= math.sqrt(c_sat * c_user)
+    assert amp.shape == (1, count)
+    assert np.array_equal(amp[0], np.sqrt(w_sat * w_user).sum(axis=1) * gain)
 
 
 def test_thread_pool_never_outgrows_the_blocks_or_the_cpus(monkeypatch):

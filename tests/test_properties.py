@@ -205,9 +205,11 @@ def test_resolved_echo_round_trips(raw):
         cfg = parse_scenario(raw)
     except ConfigError as exc:
         # the draws reach grid points their setters reject (H grids on
-        # annuli, R0 at or below the inner radius, N grown from no RIS) and
-        # regions taller than the aspect bound
-        assert "sweep.grid[" in str(exc) or "to 1000 times geometry.base_radius_m" in str(exc)
+        # annuli, R0 at or below the inner radius, N grown from no RIS),
+        # regions taller than the aspect bound and scenarios with no RIS
+        # and no direct path
+        assert ("sweep.grid[" in str(exc) or "to 1000 times geometry.base_radius_m" in str(exc)
+                or str(exc) == "ris.count: 0 leaves no signal path with direct_path.enabled false")
         return
     # through the text the runner writes
     text = yaml.dump(resolved_mapping(cfg), Dumper=runner._DUMPER, sort_keys=False)

@@ -204,6 +204,23 @@ def test_counts_beyond_their_caps_are_rejected(path, value, fragment):
         parse_scenario(_variant(**{path: value}))
 
 
+def test_a_scenario_with_no_signal_path_is_rejected_at_parse_time(tmp_path, capsys):
+    # no RIS and no direct path, in the file or at an N grid point
+    message = "ris.count: 0 leaves no signal path with direct_path.enabled false"
+    with pytest.raises(ConfigError) as empty:
+        parse_scenario(_variant(**{"ris.count": 0, "direct_path.enabled": False}))
+    assert str(empty.value) == message
+    with pytest.raises(ConfigError) as swept:
+        parse_scenario(_variant(**{"direct_path.enabled": False,
+                                   "sweep": {"variable": "N", "grid": [0, 2]}}))
+    assert str(swept.value) == "sweep.grid[0]: " + message
+    path = _write_config(tmp_path, _variant(**{"direct_path.enabled": False}))
+    assert cli_main(["sweep", str(path), "--var", "N", "--grid", "0,2", "--no-mc",
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: --grid[0]: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_rejects_huge_ris_count(tmp_path, capsys):
     path = _write_config(tmp_path, _variant(**{"ris.count": 10 ** 400}))
     assert cli_main(["run", str(path), "--no-mc", "--out", str(tmp_path / "o")]) == 2
