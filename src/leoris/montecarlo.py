@@ -67,9 +67,8 @@ __all__ = [
 ]
 
 _BLOCK = 4096
-# elements in one fading array of a chunk; a chunk holds two, the
-# satellite-hop and user-hop powers of its largest RIS, and the power
-# draw a scratch of fading._SLICE normals
+# elements in one fading array of a chunk; a chunk holds two (both hops'
+# powers of its largest RIS) and, while it draws, fading._SLICE normals
 _CHUNK_ELEMENTS = 8_000_000
 # per-row (count, mean, M2) of no trials
 _NO_MOMENTS = (0, None, None)
