@@ -45,14 +45,7 @@ from .metrics import (
     ergodic_capacities,
     ergodic_capacity,
 )
-from .montecarlo import (
-    Estimate,
-    SimOptions,
-    SimResult,
-    empirical_capacity,
-    empirical_coverage,
-    simulate_snr,
-)
+from .montecarlo import Estimate, SimOptions, SimResult, simulate_snr
 from .runner import RunSummary, SweepTable, run_scenario, sweep
 from .scenario import ScenarioConfig, SweepSpec, load_scenario, parse_scenario
 

@@ -19,7 +19,7 @@ import argparse
 import dataclasses
 import sys
 
-from .errors import DivergentMomentError, LeorisError
+from .errors import LeorisError
 from .runner import run_scenario
 from .scenario import SWEEP_VARIABLES, SweepSpec, load_scenario, parse_grid, sweep_points
 
@@ -78,9 +78,6 @@ def main(argv: list[str] | None = None) -> int:
             cfg = dataclasses.replace(cfg, sweep=SweepSpec(args.var, parse_grid(args.grid, "--grid")))
             sweep_points(cfg, "--grid")
         summary = run_scenario(cfg, out_dir=args.out)
-    except DivergentMomentError as exc:
-        print(f"error: divergent configuration: {exc}", file=sys.stderr)
-        return 2
     except LeorisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -31,7 +31,7 @@ from scipy.special import (
 )
 
 from .channel import GammaApprox
-from .errors import ComputationError, ConvergenceError, DomainError
+from .errors import ComputationError, DomainError
 
 __all__ = [
     "CoverageQuery",
@@ -204,27 +204,6 @@ def _pfq_batch(num: np.ndarray, den: np.ndarray,
             k0 += width
             size *= 2
     return total, peak, status
-
-
-def _pfq_series(num: tuple[float, ...], den: tuple[float, ...],
-                x: float) -> tuple[float, float]:
-    """Generalized hypergeometric series pFq(num; den; x): the series
-    kernel on a batch of one.
-
-    Returns the sum and the largest term magnitude. Raises
-    ConvergenceError when the term budget runs out or when
-    alternating-term cancellation has destroyed more than ~10 digits.
-    """
-    total, peak, status = _pfq_batch(np.array([num], dtype=float),
-                                     np.array([den], dtype=float), np.array([x]))
-    if status[0] == _OUT_OF_TERMS:
-        raise ConvergenceError(
-            f"hypergeometric series did not converge within {_SERIES_MAX_TERMS} terms")
-    if status[0] == _CANCELLED:
-        raise ConvergenceError(
-            "hypergeometric series lost too much precision to "
-            f"cancellation (peak term {peak[0]:.3e}, sum {total[0]:.3e})")
-    return float(total[0]), float(peak[0])
 
 
 def _each(fn, x: np.ndarray) -> np.ndarray:

@@ -22,14 +22,22 @@ prefix of the RIS list, each of its RISs possibly with fewer elements,
 and reads its amplitude from the same draws, summing the leading
 elements of each RIS it holds. The full configuration's draws and
 arithmetic are those of a simulation without nested configurations.
+Only the full configuration keeps its SNR samples; every configuration
+(row) keeps the moments of its amplitude.
+
+A sweep point is tallied inside the simulation, on its row at its
+transmit SNR rho0: each block counts the point's SNRs above its
+threshold and takes the (count, mean, M2) of log2(1 + SNR) once per
+distinct (row, rho0), so extra memory per block is O(points + block).
 
 Determinism contract: identical (config, seed) give bit-identical
 results at any worker count. Trials are cut into fixed blocks of _BLOCK
 trials (only the last may be short); block b draws from SFC64 seeded by
 SeedSequence(seed, spawn_key=(0, b)), writes its samples into its own
-slice of the output and returns its moments, which merge in block order.
-Workers are threads that run blocks, so the worker count only sets the
-speed. The scenario's exponent draw stays on numpy's default_rng (PCG64).
+slice of the output and returns its moments and counts, which merge in
+block order. Workers are threads that run blocks, so the worker count
+only sets the speed. The scenario's exponent draw stays on numpy's
+default_rng (PCG64).
 """
 
 from __future__ import annotations
@@ -62,8 +70,6 @@ __all__ = [
     "Estimate",
     "simulate_snr",
     "is_nested",
-    "empirical_coverage",
-    "empirical_capacity",
 ]
 
 _BLOCK = 4096
@@ -72,10 +78,11 @@ _BLOCK = 4096
 _CHUNK_ELEMENTS = 8_000_000
 # per-row (count, mean, M2) of no trials
 _NO_MOMENTS = (0, None, None)
-# kept SNR samples, summed over the configurations of one simulation
+# kept SNR samples of one simulation: its trials
 MAX_KEPT_SAMPLES = 250_000_000
-# fewest trials the empirical estimators accept
+# fewest trials a simulation that tallies sweep points accepts
 MIN_EMPIRICAL_TRIALS = 100
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -84,16 +91,14 @@ class SimOptions:
     seed: int = 0
     workers: int = 1
     exact_per_ris_sat_distance: bool = False
-    keep_samples: bool = True
 
     def __post_init__(self) -> None:
         for name in ("trials", "seed", "workers"):
             object.__setattr__(self, name, checked_integer(name, getattr(self, name)))
-        for name in ("exact_per_ris_sat_distance", "keep_samples"):
-            value = getattr(self, name)
-            if not isinstance(value, (bool, np.bool_)):
-                raise DomainError(f"{name} must be a bool, got {value!r}")
-            object.__setattr__(self, name, bool(value))
+        value = self.exact_per_ris_sat_distance
+        if not isinstance(value, (bool, np.bool_)):
+            raise DomainError(f"exact_per_ris_sat_distance must be a bool, got {value!r}")
+        object.__setattr__(self, "exact_per_ris_sat_distance", bool(value))
         if self.trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
@@ -102,11 +107,18 @@ class SimOptions:
             raise DomainError(f"workers must be >= 1, got {self.workers}")
 
 
+class Estimate(NamedTuple):
+    value: float
+    stderr: float
+
+
 @dataclass
 class SimResult:
-    """SNR samples (when kept) plus streaming moments of the combined
-    response magnitude; ``nested`` holds the results of the nested
-    configurations simulated from the same draws, in the order given."""
+    """Streaming moments of the combined response magnitude, the full
+    configuration's SNR samples (None on a nested result), and per sweep
+    point its coverage and capacity estimates; ``nested`` holds the
+    results of the nested configurations simulated from the same draws,
+    in the order given."""
 
     snr_samples: np.ndarray | None
     seed: int
@@ -116,11 +128,8 @@ class SimResult:
     abs_mean: float
     abs_var: float
     nested: tuple["SimResult", ...] = ()
-
-
-class Estimate(NamedTuple):
-    value: float
-    stderr: float
+    coverage: tuple[Estimate, ...] = ()
+    capacity: tuple[Estimate, ...] = ()
 
 
 def is_nested(sub: LinkConfig, links: LinkConfig) -> bool:
@@ -209,14 +218,42 @@ def _merge_moments(state: tuple[int, np.ndarray, np.ndarray],
     return total, mean0 + delta * n1 / total, m20 + m21 + delta * delta * n0 * n1 / total
 
 
+def _chunk_moments(amp: np.ndarray, taps: list, above: np.ndarray):
+    """(count, mean, M2) of each row of ``amp``, then of log2(1 + SNR) of
+    each tap: a distinct (row, rho0) with its points' thresholds and
+    indices. Adds each point's count of SNRs above its threshold into
+    ``above``."""
+    rows, count = amp.shape
+    mean, m2 = np.empty(rows + len(taps)), np.empty(rows + len(taps))
+    mean[:rows] = amp.mean(axis=1)
+    m2[:rows] = ((amp - mean[:rows, None]) ** 2).sum(axis=1)
+    for k, (r, rho0, thresholds, idx) in enumerate(taps, start=rows):
+        snr = amp[r] * rho0
+        snr *= amp[r]
+        snr.sort()
+        above[idx] += snr.size - np.searchsorted(snr, thresholds, side="right")
+        # log1p keeps the rates of SNRs far below 1, which 1 + SNR rounds away
+        rate = np.log1p(snr, out=snr)
+        rate /= _LN2
+        mean[k] = rate.mean()
+        m2[k] = ((rate - mean[k]) ** 2).sum()
+    return count, mean, m2
+
+
 def simulate_snr(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation,
-                 opt: SimOptions, *, nested: tuple[LinkConfig, ...] = ()) -> SimResult:
+                 opt: SimOptions, *, nested: tuple[LinkConfig, ...] = (),
+                 points=()) -> SimResult:
     """Simulate the received SNR over opt.trials independent trials.
 
     Each configuration in ``nested`` must pass ``is_nested(sub, cfg)``; it
     is simulated from the same draws and its result is in the returned
     ``nested``. The full configuration's samples and moments are those of
     a call without ``nested``, at any worker count.
+
+    ``points`` are (row, rho0, rho_th) triples, row indexing (*nested,
+    cfg). The result's ``coverage`` and ``capacity`` hold, per point and
+    with its standard error, the fraction of the row's SNRs at transmit
+    SNR rho0 above rho_th and the mean of their log2(1 + SNR).
     """
     for sub in nested:
         if not is_nested(sub, cfg):
@@ -225,80 +262,64 @@ def simulate_snr(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation,
                 "the same up to fewer elements, and the same direct path and transmit SNR"
             )
     rows = len(nested) + 1
-    if opt.keep_samples and opt.trials * rows > MAX_KEPT_SAMPLES:
-        raise ComputationError(
-            f"{opt.trials} retained samples for each of {rows} configurations would "
-            "exceed the memory budget; lower trials or set keep_samples=False"
-        )
+    if opt.trials > MAX_KEPT_SAMPLES:
+        raise ComputationError(f"{opt.trials} retained samples would exceed the memory "
+                               f"budget of {MAX_KEPT_SAMPLES}; lower trials")
+    if points and opt.trials < MIN_EMPIRICAL_TRIALS:
+        raise DomainError(f"need at least {MIN_EMPIRICAL_TRIALS} trials to tally sweep "
+                          f"points, got {opt.trials}")
+    groups: dict[tuple[int, float], list[int]] = {}
+    for i, (r, rho0, rho_th) in enumerate(points):
+        if not (0 <= r < rows and 0.0 < rho0 < math.inf and rho_th >= 0.0):
+            raise DomainError(f"a point needs 0 <= row < {rows}, 0 < rho0 < inf and "
+                              f"rho_th >= 0, got {(r, rho0, rho_th)}")
+        groups.setdefault((r, rho0), []).append(i)
+    taps = [(r, rho0, np.array([points[i][2] for i in idx], dtype=float), np.array(idx))
+            for (r, rho0), idx in groups.items()]
     start = time.perf_counter()
     plan, cap, exact = _row_plan((*nested, cfg)), _chunk_cap(cfg), opt.exact_per_ris_sat_distance
-    samples = np.empty((rows, opt.trials)) if opt.keep_samples else None
+    samples = np.empty(opt.trials)
 
     def run_block(b: int):
         # SFC64 (cheaper per draw than PCG64) on child b of
         # SeedSequence(opt.seed).spawn(1)[0], without holding every block's
         seq = np.random.SeedSequence(opt.seed, spawn_key=(0, b))
         rng = np.random.Generator(np.random.SFC64(seq))
-        moments = _NO_MOMENTS
+        moments, above = _NO_MOMENTS, np.zeros(len(points), dtype=np.int64)
         lo, hi = b * _BLOCK, min(opt.trials, (b + 1) * _BLOCK)
         while lo < hi:
             c = min(cap, hi - lo)
             amp = _simulate_chunk(cfg, plan, rows, geom, con, rng, c, exact)
-            mb = amp.mean(axis=1)
-            moments = _merge_moments(moments, (c, mb, ((amp - mb[:, None]) ** 2).sum(axis=1)))
-            if samples is not None:
-                out = samples[:, lo:lo + c]
-                np.multiply(amp, cfg.transmit_snr, out=out)
-                out *= amp
+            moments = _merge_moments(moments, _chunk_moments(amp, taps, above))
+            out = samples[lo:lo + c]
+            np.multiply(amp[-1], cfg.transmit_snr, out=out)
+            out *= amp[-1]
             lo += c
-        return moments
+        return moments, above
+
+    def merge(state, other):
+        return _merge_moments(state[0], other[0]), state[1] + other[1]
 
     blocks = -(-opt.trials // _BLOCK)
     pool_size = min(opt.workers, blocks, os.cpu_count() or 1)
     if pool_size <= 1:
-        n, mean, m2 = reduce(_merge_moments, map(run_block, range(blocks)), _NO_MOMENTS)
+        (n, mean, m2), above = reduce(merge, map(run_block, range(blocks)), (_NO_MOMENTS, 0))
     else:
         with ThreadPoolExecutor(max_workers=pool_size) as pool:
-            n, mean, m2 = reduce(_merge_moments, pool.map(run_block, range(blocks)), _NO_MOMENTS)
+            (n, mean, m2), above = reduce(merge, pool.map(run_block, range(blocks)),
+                                          (_NO_MOMENTS, 0))
     elapsed = time.perf_counter() - start
+    coverage, capacity = [None] * len(points), [None] * len(points)
+    for k, (*_, idx) in enumerate(taps):
+        rate = Estimate(float(mean[rows + k]), math.sqrt(m2[rows + k] / (n - 1)) / math.sqrt(n))
+        for i in idx.tolist():
+            p = int(above[i]) / n
+            coverage[i], capacity[i] = Estimate(p, math.sqrt(p * (1.0 - p) / n)), rate
 
-    def result(r: int, sub: tuple[SimResult, ...] = ()) -> SimResult:
-        return SimResult(
-            snr_samples=None if samples is None else samples[r],
-            seed=opt.seed,
-            trials=opt.trials,
-            elapsed=elapsed,
-            workers=opt.workers,
-            abs_mean=float(mean[r]),
-            abs_var=float(m2[r] / n),
-            nested=sub,
-        )
+    def result(r: int) -> SimResult:
+        return SimResult(snr_samples=None, seed=opt.seed, trials=opt.trials, elapsed=elapsed,
+                         workers=opt.workers, abs_mean=float(mean[r]), abs_var=float(m2[r] / n))
 
-    return result(rows - 1, tuple(result(r) for r in range(rows - 1)))
-
-
-def _require_samples(res: SimResult) -> np.ndarray:
-    if res.snr_samples is None:
-        raise DomainError("SimResult carries no samples (run with keep_samples=True)")
-    if res.trials < MIN_EMPIRICAL_TRIALS:
-        raise DomainError(f"need at least {MIN_EMPIRICAL_TRIALS} trials for empirical "
-                          f"metrics, got {res.trials}")
-    return res.snr_samples
-
-
-def empirical_coverage(res: SimResult, rho_th: float) -> Estimate:
-    """Fraction of SNR samples above the threshold, with binomial stderr."""
-    samples = _require_samples(res)
-    if not rho_th >= 0:
-        raise DomainError(f"rho_th must be >= 0, got {rho_th}")
-    p = float(np.mean(samples > rho_th))
-    return Estimate(p, float(np.sqrt(p * (1.0 - p) / samples.size)))
-
-
-def empirical_capacity(res: SimResult) -> Estimate:
-    """Sample mean of log2(1 + SNR), with its standard error; log1p keeps
-    the rates of SNRs far below 1, which 1 + SNR rounds away."""
-    samples = _require_samples(res)
-    rates = np.log1p(samples) / np.log(2.0)
-    return Estimate(float(rates.mean()),
-                    float(rates.std(ddof=1) / np.sqrt(rates.size)))
+    return replace(result(rows - 1), snr_samples=samples,
+                   nested=tuple(map(result, range(rows - 1))),
+                   coverage=tuple(coverage), capacity=tuple(capacity))

@@ -14,13 +14,13 @@ run with one Gamma fit. All runs are fitted in one batch
 (channel.gamma_fits), and each analytic column is evaluated over every
 point in one array pass (metrics.coverage_probabilities,
 metrics.ergodic_capacities), before any simulation. Threshold and
-transmit-SNR points keep the base links, so those sweeps are one run; a
-transmit-SNR point rescales the simulated samples. Consecutive runs on
-one geometry whose links nest (montecarlo.is_nested), as in every
-ascending N or L sweep, share one simulation of the last run's links
-while their kept samples fit in montecarlo.MAX_KEPT_SAMPLES. A group's
-simulation draws from child i of SeedSequence(monte_carlo.seed), i the
-index of its first point, so the resolved echo reproduces the tables.
+transmit-SNR points keep the base links, so those sweeps are one run.
+Consecutive runs on one geometry whose links nest (montecarlo.is_nested),
+as in every ascending N or L sweep, share one simulation of the last
+run's links, which tallies each point's coverage and capacity on its
+run's row at the point's rho0 and rho_th. A group's simulation draws
+from child i of SeedSequence(monte_carlo.seed), i the index of its first
+point, so the resolved echo reproduces the tables.
 """
 
 from __future__ import annotations
@@ -40,15 +40,7 @@ from .channel import LinkConfig, gamma_approx, gamma_fits  # noqa: F401
 from .errors import ConfigError
 from .metrics import coverage_probabilities, ergodic_capacities
 from .geometry import CylinderGeometry
-from .montecarlo import (
-    MAX_KEPT_SAMPLES,
-    MIN_EMPIRICAL_TRIALS,
-    SimResult,
-    empirical_capacity,
-    empirical_coverage,
-    is_nested,
-    simulate_snr,
-)
+from .montecarlo import MAX_KEPT_SAMPLES, MIN_EMPIRICAL_TRIALS, SimResult, is_nested, simulate_snr
 from .scenario import VARIABLES, ScenarioConfig, load_scenario, resolved_mapping, sweep_points
 
 __all__ = ["SweepTable", "RunSummary", "sweep", "run_scenario", "write_table"]
@@ -98,14 +90,12 @@ def _runs(cfg: ScenarioConfig) -> Iterator[_Run]:
     yield run
 
 
-def _groups(cfg: ScenarioConfig, runs: Iterable[_Run]) -> Iterator[list[_Run]]:
+def _groups(runs: Iterable[_Run]) -> Iterator[list[_Run]]:
     """Consecutive runs that one simulation can serve: same geometry, each
-    run's links nested in the next run's, and trials samples per run
-    within MAX_KEPT_SAMPLES."""
-    most = max(1, MAX_KEPT_SAMPLES // cfg.mc.trials)
+    run's links nested in the next run's."""
     group: list[_Run] = []
     for run in runs:
-        if group and (len(group) == most or run.geometry != group[-1].geometry
+        if group and (run.geometry != group[-1].geometry
                       or not is_nested(group[-1].links, run.links)):
             yield group
             group = []
@@ -113,16 +103,17 @@ def _groups(cfg: ScenarioConfig, runs: Iterable[_Run]) -> Iterator[list[_Run]]:
     yield group
 
 
-def _simulate(cfg: ScenarioConfig, group: list[_Run]) -> tuple[SimResult, ...]:
+def _simulate(cfg: ScenarioConfig, group: list[_Run]) -> SimResult:
     """One simulation on the last run's links with the others nested, from
-    child (index of the group's first point) of SeedSequence(cfg.mc.seed);
-    returns each run's result."""
+    child (index of the group's first point) of SeedSequence(cfg.mc.seed),
+    tallying each point of the group on its run's row."""
     child = np.random.SeedSequence(cfg.mc.seed, spawn_key=(group[0].first,))
     opts = dataclasses.replace(cfg.mc, seed=int(child.generate_state(1)[0]))
     last = group[-1]
-    sim = simulate_snr(last.links, last.geometry, cfg.constellation, opts,
-                       nested=tuple(run.links for run in group[:-1]))
-    return (*sim.nested, sim)
+    return simulate_snr(last.links, last.geometry, cfg.constellation, opts,
+                        nested=tuple(run.links for run in group[:-1]),
+                        points=[(row, rho0, rho_th) for row, run in enumerate(group)
+                                for _, rho0, rho_th in run.points])
 
 
 def _analytic(metric: str, models: list, rho0: tuple, rho_th: tuple) -> list[float]:
@@ -137,8 +128,8 @@ def sweep(cfg: ScenarioConfig) -> list[SweepTable]:
     equal links and geometry in one batch, evaluate each metric at every
     point in one batch, all before any simulation (so the first point
     that cannot be fitted raises first), then simulate once per group of
-    nested runs. Too few trials for the empirical metrics, or more than
-    one configuration's samples can keep, raise before anything is fitted."""
+    nested runs. Too few trials for the Monte Carlo metrics, or more than
+    a simulation keeps samples of, raise before anything is fitted."""
     if cfg.mc_enabled and not MIN_EMPIRICAL_TRIALS <= cfg.mc.trials <= MAX_KEPT_SAMPLES:
         raise ConfigError(f"monte_carlo.trials: the Monte Carlo metrics need between "
                           f"{MIN_EMPIRICAL_TRIALS} and {MAX_KEPT_SAMPLES}, got {cfg.mc.trials}")
@@ -149,18 +140,13 @@ def sweep(cfg: ScenarioConfig) -> list[SweepTable]:
     models = [ga for run, ga in zip(runs, fits) for _ in run.points]
     _, rho0s, rho_ths = zip(*(point for run in runs for point in run.points))
     analytic = {m: _analytic(m, models, rho0s, rho_ths) for m in metrics}
-    # (estimate, stderr) of every simulated point per metric, in grid order
+    # (estimate, stderr) of every simulated point per metric, in grid order;
+    # SimResult names its per-point estimates after the metrics
     mc: dict[str, list] = {m: [] for m in metrics}
-    for group in _groups(cfg, runs) if cfg.mc_enabled else ():
-        for run, sim in zip(group, _simulate(cfg, group)):
-            for _, rho0, rho_th in run.points:
-                at_rho0 = sim
-                if rho0 != run.links.transmit_snr:
-                    at_rho0 = dataclasses.replace(
-                        sim, snr_samples=sim.snr_samples * (rho0 / run.links.transmit_snr))
-                for m in metrics:
-                    mc[m].append(empirical_coverage(at_rho0, rho_th) if m == "coverage"
-                                 else empirical_capacity(at_rho0))
+    for group in _groups(runs) if cfg.mc_enabled else ():
+        sim = _simulate(cfg, group)
+        for m in metrics:
+            mc[m].extend(getattr(sim, m))
     values = cfg.sweep.grid
     alphas, betas = [ga.alpha for ga in models], [ga.beta for ga in models]
     tables = []

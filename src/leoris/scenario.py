@@ -10,6 +10,8 @@ values so a re-run reproduces the outputs bit for bit.
 A sweep variable is one entry of VARIABLES: the field a grid point
 replaces, the tables its sweep writes, and a setter of the point's inputs
 through that field's validators, which parse_scenario runs on every point.
+Every point is also checked for a finite variance of |A|, whose
+RIS-distance moments diverge on some regions and exponents.
 
 Kilometers and dBm appear only here; everything downstream runs on meters
 and linear ratios.
@@ -429,10 +431,26 @@ VARIABLES = {
 SWEEP_VARIABLES = tuple(VARIABLES)
 
 
+def _finite_variance(links: LinkConfig, geom: CylinderGeometry) -> None:
+    """Reject the point whose variance of |A| diverges: its E[R^-eps]
+    needs an inner radius on a flat disk (eps >= 2 always) and eps < 3 in
+    a 3D region."""
+    if links.ris and geom.height == 0.0 and geom.inner_radius == 0.0:
+        raise ConfigError("geometry.height_m: 0 with no inner radius is divergent: the "
+                          "variance of |A| needs E[R^-eps], which diverges on a flat disk for "
+                          "every user_exponent eps >= 2; set geometry.inner_radius_m > 0")
+    if geom.height > 0.0:
+        for i, link in enumerate(links.ris):
+            if link.user_exponent >= 3.0:
+                raise ConfigError(f"ris.user_exponent[{i}]: {link.user_exponent:g} is divergent "
+                                  "in a 3D region: the variance of |A| needs E[R^-eps], "
+                                  "which diverges there for eps >= 3")
+
+
 def sweep_points(cfg: ScenarioConfig, path: str = "sweep.grid") -> list[tuple]:
     """(links, geometry, rho0, rho_th) at each point of the sweep, from its
-    variable's setter. A point the setter rejects raises ConfigError
-    naming ``path``[index] and the field."""
+    variable's setter. A point the setter rejects, or whose variance of
+    |A| diverges, raises ConfigError naming ``path``[index] and the field."""
     if cfg.sweep.variable not in VARIABLES:
         raise ConfigError(f"sweep.variable: must be one of {', '.join(SWEEP_VARIABLES)}, "
                           f"got {cfg.sweep.variable!r}")
@@ -440,6 +458,7 @@ def sweep_points(cfg: ScenarioConfig, path: str = "sweep.grid") -> list[tuple]:
     for i, value in enumerate(cfg.sweep.grid):
         try:
             points.append(point(cfg, value))
+            _finite_variance(*points[-1][:2])
         except ConfigError as exc:
             raise ConfigError(f"{path}[{i}]: {exc}") from None
     return points

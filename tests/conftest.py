@@ -12,7 +12,7 @@ from leoris.channel import DirectPath, GammaApprox, LinkConfig, RisLink
 from leoris.fading import KappaMuParams, envelope_moment
 from leoris.geometry import (EARTH_RADIUS_M, Constellation, CylinderGeometry,
                              ris_distance_moment, sat_distance_moment)
-from leoris.metrics import _capacity_closed_nats
+from leoris.metrics import _capacity_closed_nats, _pfq_batch
 
 # Recorded draw of the per-RIS user-hop exponents (sub-seed 370899, [2, 3)).
 EXPONENT_SEED = 370899
@@ -120,6 +120,14 @@ def capacity_series_point(rng: np.random.Generator) -> tuple[float, float, list]
         return alpha, z, [((alpha / 2,), (0.5, 1 + alpha / 2)),
                           ((1.0, 1.0), (2.0, 1.5 - alpha / 2, 2 - alpha / 2)),
                           ((0.5 + alpha / 2,), (1.5, 1.5 + alpha / 2))]
+
+
+def pfq_one(num: tuple, den: tuple, x: float) -> tuple[float, float, int]:
+    """metrics._pfq_batch on a batch of one: the sum, the largest term
+    magnitude and the status."""
+    total, peak, status = _pfq_batch(np.array([num], dtype=float), np.array([den], dtype=float),
+                                     np.array([x], dtype=float))
+    return float(total[0]), float(peak[0]), int(status[0])
 
 
 def pfq_series_loop(num: tuple, den: tuple, x: float, max_terms: int = 10_000,

@@ -20,6 +20,7 @@ from conftest import (
     capacity_series_point,
     default_links,
     envelope_moment_mpmath,
+    pfq_one,
     sat_moment_mpmath,
     sqrt_weighted_mpmath,
     sqrt_weighted_point,
@@ -48,13 +49,13 @@ from leoris.geometry import (
     sat_distance_pdf,
 )
 from leoris.metrics import (
+    _SUMMED,
     CoverageQuery,
-    _pfq_series,
     capacity_quadrature,
     coverage_probability,
     ergodic_capacity,
 )
-from leoris.montecarlo import SimOptions, empirical_coverage, simulate_snr
+from leoris.montecarlo import SimOptions, simulate_snr
 
 mp.mp.dps = 30
 
@@ -76,11 +77,11 @@ def test_criterion_1_coverage_closed_form_vs_simulation():
     for n, seed in ((4, 101), (8, 102)):
         cfg = default_links(n)
         ga = gamma_approx(cfg, GEOM, CON)
-        res = simulate_snr(cfg, GEOM, CON, SimOptions(trials=100_000, seed=seed))
-        for th_db in THRESHOLD_GRID_DB:
-            rho_th = 10.0 ** (th_db / 10.0)
+        thresholds = 10.0 ** (THRESHOLD_GRID_DB / 10.0)
+        res = simulate_snr(cfg, GEOM, CON, SimOptions(trials=100_000, seed=seed),
+                           points=[(0, RHO0_DEFAULT, rho_th) for rho_th in thresholds])
+        for th_db, rho_th, est in zip(THRESHOLD_GRID_DB, thresholds, res.coverage):
             analytic = coverage_probability(CoverageQuery(rho_th, RHO0_DEFAULT), ga)
-            est = empirical_coverage(res, rho_th)
             gap = abs(analytic - est.value)
             margin = max(0.02, 3.0 * est.stderr)
             slack = min(slack, margin - gap)
@@ -233,8 +234,7 @@ def test_criterion_5_response_moments_vs_simulation():
     simulations run on two worker threads and give a one-worker run's bits."""
     worst_mean = worst_var = 0.0
     for cfg, geom, con, seed in _criterion5_scenarios():
-        res = simulate_snr(cfg, geom, con, SimOptions(trials=1_000_000, seed=seed, workers=2,
-                                                      keep_samples=False))
+        res = simulate_snr(cfg, geom, con, SimOptions(trials=1_000_000, seed=seed, workers=2))
         mean_rel = abs(res.abs_mean - mean_abs_A(cfg, geom, con)) / mean_abs_A(cfg, geom, con)
         var_rel = abs(res.abs_var - var_abs_A(cfg, geom, con)) / var_abs_A(cfg, geom, con)
         worst_mean = max(worst_mean, mean_rel)
@@ -371,7 +371,9 @@ def test_criterion_8_special_function_battery():
               sat_moment_mpmath(m, alt, t * eta / 2.0))
         _, z, shapes = capacity_series_point(rng)
         for num, den in shapes:
-            check(_pfq_series(num, den, -0.25 * z)[0], mp.hyper(num, den, -0.25 * z))
+            total, _, status = pfq_one(num, den, -0.25 * z)
+            assert status == _SUMMED, (num, den, z)
+            check(total, mp.hyper(num, den, -0.25 * z))
 
     worst_id = 0.0
     R0 = 120.0

@@ -1,8 +1,9 @@
 """Link simulator: determinism, worker invariance, degenerate cases and
-the statistical contracts of the empirical estimators."""
+the statistical contracts of the per-point coverage and capacity tallies."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,13 +20,7 @@ from leoris.geometry import (
 )
 from leoris.metrics import CoverageQuery, coverage_probability
 from leoris import montecarlo
-from leoris.montecarlo import (
-    SimOptions,
-    SimResult,
-    empirical_capacity,
-    empirical_coverage,
-    simulate_snr,
-)
+from leoris.montecarlo import SimOptions, simulate_snr
 
 GEOM = CylinderGeometry(120.0, 120.0)
 CON = Constellation(1000, 1.0e6)
@@ -61,10 +56,12 @@ def test_worker_counts_agree_exactly_and_with_the_closed_form():
     ga = gamma_approx(cfg, GEOM, CON)
     q = CoverageQuery(rho_th=100.0, rho0=cfg.transmit_snr)
     want = coverage_probability(q, ga)
-    one, four = (simulate_snr(cfg, GEOM, CON, SimOptions(trials=40_000, seed=3, workers=w))
+    one, four = (simulate_snr(cfg, GEOM, CON, SimOptions(trials=40_000, seed=3, workers=w),
+                              points=((0, cfg.transmit_snr, 100.0),))
                  for w in (1, 4))
     assert np.array_equal(one.snr_samples, four.snr_samples)
-    est = empirical_coverage(four, 100.0)
+    assert (one.coverage, one.capacity) == (four.coverage, four.capacity)
+    est = four.coverage[0]
     assert abs(est.value - want) <= max(0.02, 3.0 * est.stderr) + 0.01
 
 
@@ -76,11 +73,14 @@ def test_trial_partition_covers_all_trials():
     assert res.workers == 4
 
 
+# summary_only: a nested row, read through its moments and tallies alone
 _MODES = {
-    "independent": ({}, ()),
-    "exact": ({"exact_per_ris_sat_distance": True}, ()),
-    "nested": ({}, (default_links(1), default_links(2, elements=5))),
-    "summary_only": ({"keep_samples": False}, (default_links(1),)),
+    "independent": ({}, (), ()),
+    "exact": ({"exact_per_ris_sat_distance": True}, (), ()),
+    "nested": ({}, (default_links(1), default_links(2, elements=5)), ()),
+    "summary_only": ({}, (default_links(1),),
+                     [(r, rho0, th) for r in (0, 1) for rho0 in (1e14, 1e10)
+                      for th in (1.0, 100.0)]),
 }
 
 
@@ -88,19 +88,21 @@ _MODES = {
 @pytest.mark.parametrize("mode", sorted(_MODES))
 def test_worker_counts_give_identical_bits(monkeypatch, mode, trials):
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
-    kwargs, nested = _MODES[mode]
+    kwargs, nested, points = _MODES[mode]
+    if points and trials < montecarlo.MIN_EMPIRICAL_TRIALS:
+        points = ()
     cfg = default_links(2)
     runs = [simulate_snr(cfg, GEOM, CON, SimOptions(trials=trials, seed=21, workers=w, **kwargs),
-                         nested=nested)
+                         nested=nested, points=points)
             for w in (1, 2, 3)]
     for res in runs[1:]:
         assert len(res.nested) == len(nested)
+        assert (res.coverage, res.capacity) == (runs[0].coverage, runs[0].capacity)
+        assert len(res.coverage) == len(points)
+        assert np.array_equal(res.snr_samples, runs[0].snr_samples)
         for a, b in zip((*runs[0].nested, runs[0]), (*res.nested, res)):
             assert (a.abs_mean, a.abs_var) == (b.abs_mean, b.abs_var)
-            if a.snr_samples is None:
-                assert b.snr_samples is None
-            else:
-                assert np.array_equal(a.snr_samples, b.snr_samples)
+        assert all(sub.snr_samples is None for sub in res.nested)
 
 
 def test_block_b_draws_from_child_b_of_the_simulation_seed():
@@ -203,47 +205,100 @@ def test_chunks_depend_on_neither_the_constellation_nor_the_nesting(monkeypatch)
 
 def test_no_path_gives_zero_snr():
     cfg = LinkConfig(ris=(), direct=DirectPath(enabled=False), transmit_snr=1e14)
-    res = simulate_snr(cfg, GEOM, CON, SimOptions(trials=500, seed=0))
+    res = simulate_snr(cfg, GEOM, CON, SimOptions(trials=500, seed=0),
+                       points=((0, cfg.transmit_snr, 0.0),))
     assert np.all(res.snr_samples == 0.0)
-    assert empirical_capacity(res).value == 0.0
+    assert res.capacity[0].value == 0.0
+    assert res.coverage[0].value == 0.0
 
 
 def test_coverage_zero_threshold_with_active_path():
     cfg = default_links(1)
-    res = simulate_snr(cfg, GEOM, CON, SimOptions(trials=500, seed=0))
-    assert empirical_coverage(res, 0.0).value == 1.0
+    res = simulate_snr(cfg, GEOM, CON, SimOptions(trials=500, seed=0),
+                       points=((0, cfg.transmit_snr, 0.0),))
+    assert res.coverage[0].value == 1.0
 
 
 def test_coverage_above_max_sample_is_zero():
     cfg = default_links(1)
-    res = simulate_snr(cfg, GEOM, CON, SimOptions(trials=500, seed=0))
-    top = float(res.snr_samples.max())
-    assert empirical_coverage(res, top * 1.001).value == 0.0
+    opt = SimOptions(trials=500, seed=0)
+    top = float(simulate_snr(cfg, GEOM, CON, opt).snr_samples.max())
+    res = simulate_snr(cfg, GEOM, CON, opt,
+                       points=((0, cfg.transmit_snr, top), (0, cfg.transmit_snr, top * 1.001)))
+    assert res.coverage[0].value == res.coverage[1].value == 0.0
+
+
+def _tally_one(amplitude: float, count: int = 1000):
+    """The capacity Estimate of ``count`` equal amplitudes at rho0 = 1."""
+    amp, above = np.full((1, count), amplitude), np.zeros(1, dtype=np.int64)
+    _, mean, m2 = montecarlo._chunk_moments(amp, [(0, 1.0, np.array([0.0]), np.array([0]))],
+                                            above)
+    assert above.tolist() == [count]
+    return mean[1], math.sqrt(m2[1] / (count - 1)) / math.sqrt(count)
 
 
 def test_capacity_of_constant_samples():
-    res = SimResult(snr_samples=np.full(1000, 3.0), seed=0, trials=1000,
-                    elapsed=0.0, workers=1, abs_mean=0.0, abs_var=0.0)
-    assert empirical_capacity(res).value == pytest.approx(2.0)
-    assert empirical_capacity(res).stderr == 0.0
+    value, stderr = _tally_one(math.sqrt(3.0))
+    assert value == pytest.approx(2.0)
+    assert stderr == 0.0
 
 
 def test_capacity_keeps_snrs_far_below_one():
     # 1 + 1e-20 rounds to 1, so log2(1 + SNR) would read 0
-    res = SimResult(snr_samples=np.full(1000, 1e-20), seed=0, trials=1000,
-                    elapsed=0.0, workers=1, abs_mean=0.0, abs_var=0.0)
-    assert empirical_capacity(res).value == pytest.approx(1e-20 / math.log(2.0), rel=1e-12, abs=0.0)
+    value, _ = _tally_one(1e-10)
+    assert value == pytest.approx(1e-20 / math.log(2.0), rel=1e-12, abs=0.0)
 
 
-def test_summary_only_mode():
-    cfg = default_links(2)
-    kept = simulate_snr(cfg, GEOM, CON, SimOptions(trials=4000, seed=9))
-    slim = simulate_snr(cfg, GEOM, CON, SimOptions(trials=4000, seed=9, keep_samples=False))
-    assert slim.snr_samples is None
-    assert slim.abs_mean == kept.abs_mean
-    assert slim.abs_var == kept.abs_var
-    with pytest.raises(DomainError):
-        empirical_coverage(slim, 1.0)
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("exact", [False, True])
+def test_tallies_match_the_estimators_of_each_rows_samples(workers, exact):
+    # one block: its SNRs are those block 0's generator gives _simulate_chunk
+    full, nested = default_links(3), (default_links(1), default_links(2, elements=5))
+    trials, seed = 3000, 5
+    points = [(r, rho0, th) for r in range(3) for rho0 in (1e14, 1e9)
+              for th in (0.0, 1.0, 100.0, 1e4, 1e300)]
+    res = simulate_snr(full, GEOM, CON, SimOptions(trials=trials, seed=seed, workers=workers,
+                                                   exact_per_ris_sat_distance=exact),
+                       nested=nested, points=points)
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(0, 0))))
+    amp = montecarlo._simulate_chunk(full, montecarlo._row_plan((*nested, full)), 3, GEOM, CON,
+                                     rng, trials, exact)
+    assert np.array_equal(res.snr_samples, full.transmit_snr * amp[-1] * amp[-1])
+    for (r, rho0, th), coverage, capacity in zip(points, res.coverage, res.capacity):
+        snr = amp[r] * rho0 * amp[r]
+        p = float(np.mean(snr > th))
+        assert coverage == (p, math.sqrt(p * (1.0 - p) / trials))
+        rates = np.log1p(snr) / math.log(2.0)
+        assert capacity.value == pytest.approx(float(rates.mean()), rel=1e-12)
+        assert capacity.stderr == pytest.approx(float(rates.std(ddof=1)) / math.sqrt(trials),
+                                                rel=1e-9)
+
+
+def test_a_simulation_keeps_trials_samples_however_many_rows_it_serves():
+    full = default_links(64, elements=2)
+    nested = tuple(default_links(n, elements=2) for n in range(1, 64))
+    res = simulate_snr(full, GEOM, CON, SimOptions(trials=500, seed=0), nested=nested,
+                       points=[(r, full.transmit_snr, 100.0) for r in range(64)])
+    assert res.snr_samples.shape == (500,)
+    assert len(res.nested) == 63 and all(sub.snr_samples is None for sub in res.nested)
+    assert len(res.coverage) == len(res.capacity) == 64
+    assert all(sub.coverage == sub.capacity == () for sub in res.nested)
+
+
+def test_tallies_add_memory_per_point_not_per_point_and_trial():
+    # 2000 points of one block: a (points, block) array of SNRs would take
+    # 2000 * 4096 * 8 bytes = 65 MB
+    cfg = default_links(1)
+    points = [(0, rho0, 1.0) for rho0 in np.geomspace(1e10, 1e14, 2000).tolist()]
+    opt = SimOptions(trials=montecarlo._BLOCK, seed=0)
+    tracemalloc.start()
+    try:
+        res = simulate_snr(cfg, GEOM, CON, opt, points=points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(res.coverage) == 2000
+    assert peak < 8_000_000
 
 
 def test_welford_summary_matches_samples():
@@ -255,16 +310,18 @@ def test_welford_summary_matches_samples():
 
 
 def test_coverage_rejects_a_nan_threshold():
-    res = simulate_snr(default_links(1), GEOM, CON, SimOptions(trials=500, seed=0))
+    cfg = default_links(1)
     with pytest.raises(DomainError, match="rho_th"):
-        empirical_coverage(res, float("nan"))
+        simulate_snr(cfg, GEOM, CON, SimOptions(trials=500, seed=0),
+                     points=((0, cfg.transmit_snr, float("nan")),))
 
 
 def test_minimum_trials_for_estimators():
     cfg = default_links(1)
-    res = simulate_snr(cfg, GEOM, CON, SimOptions(trials=50, seed=0))
-    with pytest.raises(DomainError):
-        empirical_coverage(res, 1.0)
+    point = (0, cfg.transmit_snr, 1.0)
+    with pytest.raises(DomainError, match="at least 100 trials"):
+        simulate_snr(cfg, GEOM, CON, SimOptions(trials=50, seed=0), points=(point,))
+    simulate_snr(cfg, GEOM, CON, SimOptions(trials=100, seed=0), points=(point,))
 
 
 def test_resource_guard():
@@ -291,7 +348,7 @@ def test_options_reject_non_integer_fields(field, value):
         SimOptions(**{"trials": 1000, field: value})
 
 
-@pytest.mark.parametrize("field", ["exact_per_ris_sat_distance", "keep_samples"])
+@pytest.mark.parametrize("field", ["exact_per_ris_sat_distance"])
 @pytest.mark.parametrize("value", ["no", 0, 1, None, 1.0])
 def test_options_reject_non_bool_flags(field, value):
     # a truthy string would otherwise switch the flag on
@@ -300,10 +357,9 @@ def test_options_reject_non_bool_flags(field, value):
 
 
 def test_options_store_numpy_bools_as_python_bools():
-    opt = SimOptions(trials=1000, exact_per_ris_sat_distance=np.bool_(True),
-                     keep_samples=np.bool_(False))
-    assert (opt.exact_per_ris_sat_distance, opt.keep_samples) == (True, False)
-    assert all(type(v) is bool for v in (opt.exact_per_ris_sat_distance, opt.keep_samples))
+    for value in (True, False):
+        opt = SimOptions(trials=1000, exact_per_ris_sat_distance=np.bool_(value))
+        assert opt.exact_per_ris_sat_distance is value
 
 
 def test_options_accept_numpy_integers_as_python_ints():
@@ -329,20 +385,23 @@ def test_direct_only_gamma_fit_coverage_gap():
     cfg = LinkConfig(ris=(), direct=DirectPath(True, KappaMuParams(0.0, 1.0), 2.0),
                      transmit_snr=1e14)
     ga = gamma_approx(cfg, GEOM, CON)
-    res = simulate_snr(cfg, GEOM, CON, SimOptions(trials=100_000, seed=31))
+    queries = [CoverageQuery(rho_th=10.0 ** (th_db / 10.0), rho0=cfg.transmit_snr)
+               for th_db in np.linspace(0.0, 40.0, 10)]
+    res = simulate_snr(cfg, GEOM, CON, SimOptions(trials=100_000, seed=31),
+                       points=[(0, q.rho0, q.rho_th) for q in queries])
     worst = 0.0
-    for th_db in np.linspace(0.0, 40.0, 10):
-        q = CoverageQuery(rho_th=10.0 ** (th_db / 10.0), rho0=cfg.transmit_snr)
-        est = empirical_coverage(res, q.rho_th)
+    for q, est in zip(queries, res.coverage):
         worst = max(worst, abs(coverage_probability(q, ga) - est.value))
     assert worst < 0.03
 
 
 def test_empirical_coverage_domain():
     cfg = default_links(1)
-    res = simulate_snr(cfg, GEOM, CON, SimOptions(trials=500, seed=0))
-    with pytest.raises(DomainError):
-        empirical_coverage(res, -1.0)
+    opt = SimOptions(trials=500, seed=0)
+    for point in ((0, cfg.transmit_snr, -1.0), (0, 0.0, 1.0), (0, math.inf, 1.0),
+                  (1, cfg.transmit_snr, 1.0), (-1, cfg.transmit_snr, 1.0)):
+        with pytest.raises(DomainError):
+            simulate_snr(cfg, GEOM, CON, opt, points=(point,))
 
 
 def test_coverage_matches_closed_form_randomized_scenarios():
@@ -375,10 +434,10 @@ def test_coverage_matches_closed_form_randomized_scenarios():
             transmit_snr=1e14,
         )
         ga = gamma_approx(cfg, geom, CON)
-        res = simulate_snr(cfg, geom, CON, SimOptions(trials=40_000, seed=900 + case))
-        for th_db in np.linspace(0.0, 40.0, 10):
-            rho_th = 10.0 ** (th_db / 10.0)
-            est = empirical_coverage(res, rho_th)
+        thresholds = [10.0 ** (th_db / 10.0) for th_db in np.linspace(0.0, 40.0, 10)]
+        res = simulate_snr(cfg, geom, CON, SimOptions(trials=40_000, seed=900 + case),
+                           points=[(0, cfg.transmit_snr, th) for th in thresholds])
+        for th_db, rho_th, est in zip(np.linspace(0.0, 40.0, 10), thresholds, res.coverage):
             want = coverage_probability(CoverageQuery(rho_th, cfg.transmit_snr), ga)
             assert abs(want - est.value) <= max(0.02, 3.0 * est.stderr), \
                 (case, th_db, want, est.value)
@@ -402,10 +461,10 @@ def test_nested_means_match_their_closed_forms(variable, workers):
         want = mean_abs_A(sub, GEOM, CON)
         assert abs(sim.abs_mean - want) <= 5.0 * np.sqrt(sim.abs_var / sim.trials), \
             (len(sub.ris), sub.ris[0].elements)
-        # each row's samples are the ones its moments were taken from
-        amp = np.sqrt(sim.snr_samples / sub.transmit_snr)
-        assert sim.abs_mean == pytest.approx(float(amp.mean()), rel=1e-12)
         assert sim.trials == 20_000
+    # the full row's samples are the ones its moments were taken from
+    amp = np.sqrt(res.snr_samples / full.transmit_snr)
+    assert res.abs_mean == pytest.approx(float(amp.mean()), rel=1e-12)
     assert all(sim.nested == () for sim in res.nested)
 
 
@@ -414,20 +473,26 @@ def test_nested_means_match_their_closed_forms(variable, workers):
 def test_nesting_leaves_the_full_configuration_unchanged(variable, exact):
     full, nested = _nested_grid(variable)
     opt = SimOptions(trials=3000, seed=8, workers=2, exact_per_ris_sat_distance=exact)
-    alone = simulate_snr(full, GEOM, CON, opt)
-    shared = simulate_snr(full, GEOM, CON, opt, nested=nested)
-    again = simulate_snr(full, GEOM, CON, opt, nested=nested)
+    points = [(r, full.transmit_snr, 100.0) for r in range(len(nested) + 1)]
+    alone = simulate_snr(full, GEOM, CON, opt, points=[(0, *points[-1][1:])])
+    shared = simulate_snr(full, GEOM, CON, opt, nested=nested, points=points)
+    again = simulate_snr(full, GEOM, CON, opt, nested=nested, points=points)
     assert np.array_equal(shared.snr_samples, alone.snr_samples)
+    assert np.array_equal(shared.snr_samples, again.snr_samples)
     assert (shared.abs_mean, shared.abs_var) == (alone.abs_mean, alone.abs_var)
+    assert (shared.coverage[-1], shared.capacity[-1]) == (alone.coverage[0], alone.capacity[0])
+    assert (shared.coverage, shared.capacity) == (again.coverage, again.capacity)
     for a, b in zip((*shared.nested, shared), (*again.nested, again)):
-        assert np.array_equal(a.snr_samples, b.snr_samples)
         assert (a.abs_mean, a.abs_var) == (b.abs_mean, b.abs_var)
 
 
 def test_nested_copy_of_the_full_configuration_reads_the_same_row():
     cfg = default_links(3)
-    res = simulate_snr(cfg, GEOM, CON, SimOptions(trials=2000, seed=4), nested=(cfg,))
-    assert np.array_equal(res.nested[0].snr_samples, res.snr_samples)
+    points = [(r, cfg.transmit_snr, th) for r in (0, 1) for th in (1.0, 100.0)]
+    res = simulate_snr(cfg, GEOM, CON, SimOptions(trials=2000, seed=4), nested=(cfg,),
+                       points=points)
+    assert (res.nested[0].abs_mean, res.nested[0].abs_var) == (res.abs_mean, res.abs_var)
+    assert res.coverage[:2] == res.coverage[2:] and res.capacity[:2] == res.capacity[2:]
 
 
 def test_exact_mode_nested_means_match_their_closed_forms():
@@ -462,11 +527,11 @@ def test_non_nested_configurations_are_rejected(make_sub):
 
 
 def test_kept_samples_of_all_configurations_stay_within_the_budget(monkeypatch):
+    # only the full configuration keeps samples, so nested rows cost none
     monkeypatch.setattr(montecarlo, "MAX_KEPT_SAMPLES", 1000)
     cfg = default_links(2)
-    opt = SimOptions(trials=600, seed=0)
-    simulate_snr(cfg, GEOM, CON, opt)
+    opt = SimOptions(trials=1000, seed=0)
+    res = simulate_snr(cfg, GEOM, CON, opt, nested=(default_links(1),))
+    assert res.snr_samples.size == 1000 and res.nested[0].snr_samples is None
     with pytest.raises(ComputationError):
-        simulate_snr(cfg, GEOM, CON, opt, nested=(default_links(1),))
-    simulate_snr(cfg, GEOM, CON, dataclasses.replace(opt, keep_samples=False),
-                 nested=(default_links(1),))
+        simulate_snr(cfg, GEOM, CON, dataclasses.replace(opt, trials=1001))

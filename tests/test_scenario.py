@@ -13,9 +13,9 @@ import pytest
 import yaml
 
 from leoris.cli import main as cli_main
-from leoris.errors import ComputationError, ConfigError, DivergentMomentError
+from leoris.errors import ComputationError, ConfigError
 from leoris.metrics import CoverageQuery, coverage_probability, ergodic_capacity
-from leoris.montecarlo import MAX_KEPT_SAMPLES, empirical_coverage, simulate_snr
+from leoris.montecarlo import MAX_KEPT_SAMPLES, simulate_snr
 from leoris.channel import gamma_approx
 from leoris import runner
 from leoris.runner import run_scenario, sweep
@@ -30,6 +30,7 @@ from leoris.scenario import (
     parse_scenario,
     resolved_mapping,
     sweep_points,
+    user_exponent_draws,
 )
 
 DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
@@ -404,9 +405,10 @@ def test_fit_and_simulation_once_per_link_state(monkeypatch, variable, grid, fit
 _ASPECT = ("geometry.height_m: must be 0 or from 2.23e-308 to 1000 times "
            "geometry.base_radius_m ")
 _SWEEP_ERRORS = [
-    ("H", (0.0, 60.0, 120.0), 0, DivergentMomentError,
-     "moment E[R^-2.04666] diverges on a flat disk: t*eps = 4.09332 >= 4 requires an "
-     "inner radius"),
+    ("H", (0.0, 60.0, 120.0), 0, ConfigError,
+     "sweep.grid[0]: geometry.height_m: 0 with no inner radius is divergent: the variance "
+     "of |A| needs E[R^-eps], which diverges on a flat disk for every user_exponent "
+     "eps >= 2; set geometry.inner_radius_m > 0"),
     ("H", (60.0, 120.0, 1.0e160), 2, ConfigError,
      "sweep.grid[2]: " + _ASPECT + "120, got 1e+160"),
     ("R0", (1.0e-160, 60.0), 0, ConfigError,
@@ -450,36 +452,14 @@ def test_count_sweep_reads_every_point_from_one_simulation(variable, grid):
     # points nested in it
     links = [VARIABLES[variable].point(cfg, v)[0] for v in grid]
     seed = int(np.random.SeedSequence(cfg.mc.seed, spawn_key=(0,)).generate_state(1)[0])
-    sim = simulate_snr(links[-1], cfg.geometry, cfg.constellation,
-                       dataclasses.replace(cfg.mc, seed=seed), nested=tuple(links[:-1]))
     rho_th = 10.0 ** (cfg.coverage_threshold_db / 10.0)
-    for row, res in zip(coverage.rows, (*sim.nested, sim)):
-        assert row[2:4] == tuple(empirical_coverage(res, rho_th))
+    sim = simulate_snr(links[-1], cfg.geometry, cfg.constellation,
+                       dataclasses.replace(cfg.mc, seed=seed), nested=tuple(links[:-1]),
+                       points=[(r, cfg.rho0, rho_th) for r in range(len(grid))])
+    assert [row[2:4] for row in coverage.rows] == [tuple(est) for est in sim.coverage]
     # the last point reads what a one-point sweep of it reads
     (alone, _) = sweep(_sweep_config(variable, grid[-1:], mc=True))
     assert coverage.rows[-1] == alone.rows[0]
-
-
-def test_count_sweep_splits_where_samples_exceed_the_budget(monkeypatch):
-    cfg = _sweep_config("N", (1.0, 2.0, 3.0), mc=True)
-    calls = []
-
-    def recording(*args, **kwargs):
-        calls.append((args[3].seed, len(kwargs["nested"])))
-        return simulate_snr(*args, **kwargs)
-
-    monkeypatch.setattr(runner, "simulate_snr", recording)
-    monkeypatch.setattr(runner, "MAX_KEPT_SAMPLES", 2 * cfg.mc.trials)
-    (coverage, _) = sweep(cfg)
-    # points 0-1 share child 0's simulation; point 2 starts a group: child 2
-    child = [int(np.random.SeedSequence(cfg.mc.seed, spawn_key=(i,)).generate_state(1)[0])
-             for i in (0, 2)]
-    assert calls == [(child[0], 1), (child[1], 0)]
-    links = VARIABLES["N"].point(cfg, 3.0)[0]
-    sim = simulate_snr(links, cfg.geometry, cfg.constellation,
-                       dataclasses.replace(cfg.mc, seed=child[1]))
-    rho_th = 10.0 ** (cfg.coverage_threshold_db / 10.0)
-    assert coverage.rows[2][2:4] == tuple(empirical_coverage(sim, rho_th))
 
 
 @pytest.mark.parametrize("variable,grid", [("N", [2, 4]), ("L", [10, 20])])
@@ -630,6 +610,11 @@ def test_cli_sweep_echo_reproduces_the_run(tmp_path, capsys):
     (["run"], {"power": {"noise_dbm": -5000}}, "power.noise_dbm"),
     # finite energy over finite noise, but an infinite transmit SNR
     (["run"], {"power": {"symbol_energy_w": 1.0e300}}, "power.symbol_energy_w"),
+    # the variance of |A| diverges: a flat disk with no inner radius, an
+    # exponent of 3 or more in 3D
+    (["run"], {"geometry": {"height_m": 0.0}}, "sweep.grid[0]: geometry.height_m"),
+    (["run"], {"ris": {"user_exponent": 3.5}}, "sweep.grid[0]: ris.user_exponent[0]"),
+    (["sweep", "--var", "H", "--grid", "0,60"], {}, "--grid[0]: geometry.height_m"),
 ])
 def test_cli_rejects_out_of_range_values(tmp_path, capsys, argv, updates, field):
     # a negative seed, or a dB value or transmit SNR with no finite
@@ -685,6 +670,29 @@ def test_cli_reports_divergent_moments(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "divergent" in err and "inner radius" in err
+
+
+def test_divergent_variance_is_rejected_at_parse_time():
+    # an annulus, and a flat disk with the direct path alone, load
+    parse_scenario(_variant(**{"geometry.height_m": 0.0, "geometry.inner_radius_m": 10.0}))
+    parse_scenario(_variant(**{"geometry.height_m": 0.0, "ris.count": 0}))
+    with pytest.raises(ConfigError, match=r"^sweep\.grid\[0\]: geometry\.height_m: 0 "):
+        parse_scenario(_variant(**{"geometry.height_m": 0.0}))
+    # in 3D the exponent bound is strict
+    parse_scenario(_variant(**{"ris.user_exponent": 2.999}))
+    with pytest.raises(ConfigError,
+                       match=r"^sweep\.grid\[0\]: ris\.user_exponent\[2\]: 3 is divergent"):
+        parse_scenario(_variant(**{"ris.user_exponent": [2.5, 2.5, 3.0]}))
+    # a count sweep fails at the first count whose drawn exponents reach 3
+    span, seed = (2.0, 3.5), 11
+    draws = user_exponent_draws(seed, span, 12)
+    first = next(i for i, e in enumerate(draws) if e >= 3.0)
+    raw = _variant(**{"ris.user_exponent": {"low": span[0], "high": span[1], "seed": seed},
+                      "ris.count": 1, "sweep.variable": "N",
+                      "sweep.grid": list(range(1, 13))})
+    with pytest.raises(ConfigError) as exc:
+        parse_scenario(raw)
+    assert str(exc.value).startswith(f"sweep.grid[{first}]: ris.user_exponent[{first}]: ")
 
 
 def test_cli_yaml_parse_error(tmp_path, capsys):

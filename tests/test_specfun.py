@@ -1,7 +1,7 @@
 """Special functions the closed forms call: identity checks, frozen
 independent-oracle values, and randomized comparisons against mpmath.
 
-The capacity series ``metrics._pfq_series`` and the RIS-moment 2F1
+The capacity series kernel ``metrics._pfq_batch`` and the RIS-moment 2F1
 reduction ``geometry._sqrt_weighted_integral`` live next to their only
 callers. Log-gamma, digamma and the incomplete Gamma come from ``math``
 and ``scipy.special``; their tests pin those routines at the points the
@@ -17,14 +17,14 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import digamma, gammainc
 
-from conftest import (capacity_series_point, pfq_series_loop, sqrt_weighted_mpmath,
+from conftest import (capacity_series_point, pfq_one, pfq_series_loop, sqrt_weighted_mpmath,
                       sqrt_weighted_point)
 from leoris import geometry, metrics
 from leoris.channel import GammaApprox
-from leoris.errors import ComputationError, ConvergenceError, DomainError
+from leoris.errors import ComputationError, DomainError
 from leoris.fading import KappaMuParams
 from leoris.geometry import CylinderGeometry, _sqrt_weighted_integral, ris_distance_moment
-from leoris.metrics import CoverageQuery, _pfq_series, coverage_probability
+from leoris.metrics import _SUMMED, CoverageQuery, coverage_probability
 
 mp.mp.dps = 30
 
@@ -90,34 +90,29 @@ def test_reg_lower_inc_gamma_limits():
 
 
 def test_pfq_series_known_values():
-    assert _pfq_series((1.3, 0.4), (2.2, 0.9), 0.0) == (1.0, 1.0)
+    assert pfq_one((1.3, 0.4), (2.2, 0.9), 0.0) == (1.0, 1.0, _SUMMED)
     # frozen arbitrary-precision oracle
-    assert _pfq_series((1.0, 1.0), (2.0, 1.2, 1.7), -0.05)[0] == pytest.approx(
-        0.9878136511616127, rel=1e-12)
+    total, _, status = pfq_one((1.0, 1.0), (2.0, 1.2, 1.7), -0.05)
+    assert status == _SUMMED
+    assert total == pytest.approx(0.9878136511616127, rel=1e-12)
 
 
 def test_pfq_series_parameter_cancellation():
     # 1F2(a; a, 1; x) == 0F1(; 1; x)
     for x in (-0.4, 0.3, 1.7):
-        lhs = _pfq_series((1.8,), (1.8, 1.0), x)[0]
-        rhs = _pfq_series((), (1.0,), x)[0]
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+        lhs, rhs = pfq_one((1.8,), (1.8, 1.0), x), pfq_one((), (1.0,), x)
+        assert lhs[2] == rhs[2] == _SUMMED
+        assert lhs[0] == pytest.approx(rhs[0], rel=1e-12)
 
 
 def test_pfq_series_term_budget(monkeypatch):
     monkeypatch.setattr(metrics, "_SERIES_MAX_TERMS", 20)
-    with pytest.raises(ConvergenceError, match="within 20 terms"):
-        _pfq_series((2.0,), (1.0,), 400.0)
-
-
-def test_pfq_series_cancellation_raises():
-    # 0F1(; 1; -x^2/4) = J0(x): at x = 100 the terms peak near 1e42
-    # around a sum of order 0.02
-    with pytest.raises(ConvergenceError, match="cancellation"):
-        _pfq_series((), (1.0,), -2500.0)
+    assert pfq_one((2.0,), (1.0,), 400.0)[2] == metrics._OUT_OF_TERMS
 
 
 def test_pfq_batch_marks_failed_series_without_raising():
+    # 1F2(1; 1, 1; -x^2/4) = 0F1(; 1; -x^2/4) = J0(x): at x = 100 the terms
+    # peak near 1e42 around a sum of order 0.02, so the series cancels;
     # a cancelling series, one that runs out of terms and two that converge,
     # padded to one parameter shape; each converged sum is its single call's
     num = np.array([[1.0], [2.0], [1.3], [1.0]])
@@ -127,7 +122,7 @@ def test_pfq_batch_marks_failed_series_without_raising():
     assert status.tolist() == [metrics._CANCELLED, metrics._OUT_OF_TERMS,
                                metrics._SUMMED, metrics._SUMMED]
     for i in (2, 3):
-        assert (total[i], peak[i]) == _pfq_series(tuple(num[i]), tuple(den[i]), x[i])
+        assert (total[i], peak[i], _SUMMED) == pfq_one(tuple(num[i]), tuple(den[i]), x[i])
 
 
 def test_pfq_batch_matches_the_term_by_term_loop():
@@ -217,6 +212,7 @@ def test_pfq_random_points_against_mpmath():
     for _ in range(120):
         _, z, shapes = capacity_series_point(rng)
         for num, den in shapes:
-            got = _pfq_series(num, den, -0.25 * z)[0]
+            got, _, status = pfq_one(num, den, -0.25 * z)
+            assert status == _SUMMED, (num, den, z)
             want = float(mp.hyper(num, den, -0.25 * z))
             assert got == pytest.approx(want, rel=1e-8), (num, den, z)
