@@ -19,7 +19,7 @@ import argparse
 import dataclasses
 import sys
 
-from .errors import LeorisError
+from .errors import ConfigError, DomainError, LeorisError
 from .runner import run_scenario
 from .scenario import SWEEP_VARIABLES, SweepSpec, load_scenario, parse_grid, sweep_points
 
@@ -64,10 +64,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_scenario(args.config)
         mc = cfg.mc
-        if args.seed is not None:
-            mc = dataclasses.replace(mc, seed=args.seed)
-        if args.workers is not None:
-            mc = dataclasses.replace(mc, workers=args.workers)
+        for name in ("seed", "workers"):
+            if getattr(args, name) is not None:
+                try:
+                    mc = dataclasses.replace(mc, **{name: getattr(args, name)})
+                except DomainError as exc:
+                    raise ConfigError(f"--{name}: {exc}") from None
         cfg = dataclasses.replace(cfg, mc=mc)
         if args.mc is not None:
             cfg = dataclasses.replace(cfg, mc_enabled=args.mc)

@@ -60,6 +60,9 @@ _TAIL = 1e-17
 _MAX_TERMS = 100_000
 # exp() of a log density below this rounds to 0, times any factor <= 1
 _LOG_UNDERFLOW = math.log(np.nextafter(0.0, 1.0)) - 1.0
+# a factor that underflowed to 0 (below the smallest normal float) can hide
+# a density above underflow only where the rest of its log is above this
+_LOG_HIDDEN = _LOG_UNDERFLOW - math.log(np.finfo(float).tiny)
 # elements per slice of a power draw's normals (128 KiB of scratch)
 _SLICE = 16_384
 
@@ -152,7 +155,8 @@ def envelope_pdf(x, p: KappaMuParams):
     from b x = 1 on, is read only where it can lift the density above
     underflow. That keeps it off scipy's ive past an argument of about
     1e9, where ive is NaN, for every law whose kappa * mu is below 5e8;
-    a larger law that needs ive there raises ComputationError.
+    a larger law that needs ive there raises ComputationError, as does a
+    law whose ive underflows to 0 where the density may not.
     """
     k, m = p.kappa, p.mu
     log_coeff = math.log(2.0) + m * (math.log(m) + math.log1p(k)) - m * k - math.lgamma(m)
@@ -178,9 +182,9 @@ def envelope_pdf(x, p: KappaMuParams):
         z = b * xp
         read = (out > _LOG_UNDERFLOW) | (z < 1.0)
         bessel = _ive(m - 1.0, z[read])
-        if np.isnan(bessel).any():
+        if (np.isnan(bessel) | ((bessel == 0.0) & (out[read] > _LOG_HIDDEN))).any():
             raise ComputationError(f"envelope density of kappa = {k:.6g}, mu = {m:.6g} needs "
-                                   "the scaled Bessel function where scipy reads NaN")
+                                   "the scaled Bessel function where scipy reads NaN or 0")
         out[read] += np.log(bessel)
         out[~read] = -np.inf
         return out

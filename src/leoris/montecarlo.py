@@ -31,8 +31,9 @@ threshold and takes the (count, mean, M2) of log2(1 + SNR) once per
 distinct (row, rho0), so extra memory per block is O(points + block).
 
 Determinism contract: identical (config, seed) give bit-identical
-results at any worker count. Trials are cut into fixed blocks of _BLOCK
-trials (only the last may be short); block b draws from SFC64 seeded by
+results at any worker count. Trials are cut into blocks of equal size
+(only the last may be short), set by the full configuration's largest
+RIS alone (_block_size); block b draws from SFC64 seeded by
 SeedSequence(seed, spawn_key=(0, b)), writes its samples into its own
 slice of the output and returns its moments and counts, which merge in
 block order. Workers are threads that run blocks, so the worker count
@@ -73,11 +74,9 @@ __all__ = [
 ]
 
 _BLOCK = 4096
-# elements in one fading array of a chunk; a chunk holds two (both hops'
-# powers of its largest RIS) and, while it draws, fading._SLICE normals
+# most elements in one fading array of a block; a block holds two (both
+# hops' powers of its largest RIS) and, while it draws, fading._SLICE normals
 _CHUNK_ELEMENTS = 8_000_000
-# per-row (count, mean, M2) of no trials
-_NO_MOMENTS = (0, None, None)
 # kept SNR samples of one simulation: its trials
 MAX_KEPT_SAMPLES = 250_000_000
 # fewest trials a simulation that tallies sweep points accepts
@@ -156,14 +155,14 @@ def _row_plan(configs: tuple[LinkConfig, ...]) -> list[tuple[tuple[int, np.ndarr
     return plan
 
 
-def _chunk_cap(cfg: LinkConfig) -> int:
-    """Trials per chunk of a block: the whole block unless the full
-    configuration's largest fading array would pass _CHUNK_ELEMENTS."""
+def _block_size(cfg: LinkConfig) -> int:
+    """Trials per block: _BLOCK unless the full configuration's largest
+    fading array would pass _CHUNK_ELEMENTS."""
     max_elems = max((link.elements for link in cfg.ris), default=1)
     return max(1, min(_BLOCK, _CHUNK_ELEMENTS // max_elems))
 
 
-def _simulate_chunk(cfg: LinkConfig, plan, rows: int, geom: CylinderGeometry,
+def _simulate_block(cfg: LinkConfig, plan, rows: int, geom: CylinderGeometry,
                     con: Constellation, rng: np.random.Generator, count: int,
                     exact: bool) -> np.ndarray:
     """Magnitude of the combined response for `count` trials, one row per
@@ -211,14 +210,12 @@ def _merge_moments(state: tuple[int, np.ndarray, np.ndarray],
     """Chan et al.'s pairwise merge of per-row (count, mean, M2)."""
     n0, mean0, m20 = state
     n1, mean1, m21 = other
-    if n0 == 0:
-        return other
     total = n0 + n1
     delta = mean1 - mean0
     return total, mean0 + delta * n1 / total, m20 + m21 + delta * delta * n0 * n1 / total
 
 
-def _chunk_moments(amp: np.ndarray, taps: list, above: np.ndarray):
+def _block_moments(amp: np.ndarray, taps: list, above: np.ndarray):
     """(count, mean, M2) of each row of ``amp``, then of log2(1 + SNR) of
     each tap: a distinct (row, rho0) with its points' thresholds and
     indices. Adds each point's count of SNRs above its threshold into
@@ -277,7 +274,7 @@ def simulate_snr(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation,
     taps = [(r, rho0, np.array([points[i][2] for i in idx], dtype=float), np.array(idx))
             for (r, rho0), idx in groups.items()]
     start = time.perf_counter()
-    plan, cap, exact = _row_plan((*nested, cfg)), _chunk_cap(cfg), opt.exact_per_ris_sat_distance
+    plan, size, exact = _row_plan((*nested, cfg)), _block_size(cfg), opt.exact_per_ris_sat_distance
     samples = np.empty(opt.trials)
 
     def run_block(b: int):
@@ -285,29 +282,24 @@ def simulate_snr(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation,
         # SeedSequence(opt.seed).spawn(1)[0], without holding every block's
         seq = np.random.SeedSequence(opt.seed, spawn_key=(0, b))
         rng = np.random.Generator(np.random.SFC64(seq))
-        moments, above = _NO_MOMENTS, np.zeros(len(points), dtype=np.int64)
-        lo, hi = b * _BLOCK, min(opt.trials, (b + 1) * _BLOCK)
-        while lo < hi:
-            c = min(cap, hi - lo)
-            amp = _simulate_chunk(cfg, plan, rows, geom, con, rng, c, exact)
-            moments = _merge_moments(moments, _chunk_moments(amp, taps, above))
-            out = samples[lo:lo + c]
-            np.multiply(amp[-1], cfg.transmit_snr, out=out)
-            out *= amp[-1]
-            lo += c
-        return moments, above
+        lo, hi = b * size, min(opt.trials, (b + 1) * size)
+        amp = _simulate_block(cfg, plan, rows, geom, con, rng, hi - lo, exact)
+        above = np.zeros(len(points), dtype=np.int64)
+        out = samples[lo:hi]
+        np.multiply(amp[-1], cfg.transmit_snr, out=out)
+        out *= amp[-1]
+        return _block_moments(amp, taps, above), above
 
     def merge(state, other):
         return _merge_moments(state[0], other[0]), state[1] + other[1]
 
-    blocks = -(-opt.trials // _BLOCK)
+    blocks = -(-opt.trials // size)
     pool_size = min(opt.workers, blocks, os.cpu_count() or 1)
     if pool_size <= 1:
-        (n, mean, m2), above = reduce(merge, map(run_block, range(blocks)), (_NO_MOMENTS, 0))
+        (n, mean, m2), above = reduce(merge, map(run_block, range(blocks)))
     else:
         with ThreadPoolExecutor(max_workers=pool_size) as pool:
-            (n, mean, m2), above = reduce(merge, pool.map(run_block, range(blocks)),
-                                          (_NO_MOMENTS, 0))
+            (n, mean, m2), above = reduce(merge, pool.map(run_block, range(blocks)))
     elapsed = time.perf_counter() - start
     coverage, capacity = [None] * len(points), [None] * len(points)
     for k, (*_, idx) in enumerate(taps):

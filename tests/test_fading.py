@@ -151,6 +151,19 @@ def test_pdf_past_the_bessel_range_raises_naming_the_law(x):
     assert envelope_pdf(np.array([0.5, 2.0]), KappaMuParams(3e8, 2.0)).tolist() == [0.0, 0.0]
 
 
+def test_pdf_raises_where_the_bessel_factor_underflows_under_a_large_density():
+    # ive(mu - 1, b x) underflows to 0 near the peak of this law, where
+    # envelope_cdf climbs 0.41 -> 0.59 and mpmath gives 92.13 at x = 1
+    p = KappaMuParams(1.0, 1e4)
+    for x in (1.0, np.array([0.999, 1.0, 1.001])):
+        with pytest.raises(ComputationError, match="kappa = 1, mu = 10000"):
+            envelope_pdf(x, p)
+    # away from the peak the density itself underflows and still reads 0:
+    # at 0.5 ive is not read, and at 0.68 and 1.25 it reads 0 under a log
+    # prefactor from -745 to -37
+    assert envelope_pdf(np.array([0.5, 0.68, 1.25]), p).tolist() == [0.0, 0.0, 0.0]
+
+
 def test_cdf_matches_pdf():
     p = KappaMuParams(1.5, 1.7)
     for x in (0.3, 0.9, 1.4, 2.2):

@@ -84,9 +84,7 @@ _MODES = {
 }
 
 
-@pytest.mark.parametrize("trials", [1, 4095, 4096, 4097, 3 * montecarlo._BLOCK + 5])
-@pytest.mark.parametrize("mode", sorted(_MODES))
-def test_worker_counts_give_identical_bits(monkeypatch, mode, trials):
+def _assert_worker_counts_give_identical_bits(monkeypatch, mode, trials):
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
     kwargs, nested, points = _MODES[mode]
     if points and trials < montecarlo.MIN_EMPIRICAL_TRIALS:
@@ -105,29 +103,44 @@ def test_worker_counts_give_identical_bits(monkeypatch, mode, trials):
         assert all(sub.snr_samples is None for sub in res.nested)
 
 
-def test_block_b_draws_from_child_b_of_the_simulation_seed():
+@pytest.mark.parametrize("trials", [1, 4095, 4096, 4097, 3 * montecarlo._BLOCK + 5])
+@pytest.mark.parametrize("mode", sorted(_MODES))
+def test_worker_counts_give_identical_bits(monkeypatch, mode, trials):
+    _assert_worker_counts_give_identical_bits(monkeypatch, mode, trials)
+
+
+@pytest.mark.parametrize("mode", sorted(_MODES))
+def test_worker_counts_give_identical_bits_in_smaller_blocks(monkeypatch, mode):
+    # 20-element RISs under a 20 * 1500 element budget: blocks of 1500
+    monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 20 * 1500)
+    _assert_worker_counts_give_identical_bits(monkeypatch, mode, 3 * 1500 + 7)
+
+
+def test_block_b_draws_from_child_b_of_the_simulation_seed(monkeypatch):
     cfg = default_links(2)
-    res = simulate_snr(cfg, GEOM, CON,
-                       SimOptions(trials=2 * montecarlo._BLOCK + 3, seed=12, workers=2))
-    # block 2 draws from SFC64 seeded by child 2 of child 0 of the seed
-    sim_root = np.random.SeedSequence(12).spawn(2)[0]
-    rng = np.random.Generator(np.random.SFC64(sim_root.spawn(3)[2]))
-    amp = montecarlo._simulate_chunk(cfg, montecarlo._row_plan((cfg,)), 1, GEOM, CON,
-                                     rng, 3, False)[0]
-    assert np.array_equal(res.snr_samples[-3:], cfg.transmit_snr * amp * amp)
-    # whole blocks do not depend on the trial count: a run of whole blocks
-    # is a prefix of any longer one
-    short = simulate_snr(cfg, GEOM, CON, SimOptions(trials=montecarlo._BLOCK, seed=12))
-    assert np.array_equal(short.snr_samples, res.snr_samples[:montecarlo._BLOCK])
+    # 20-element RISs: blocks of _BLOCK, then of 1500 under a smaller budget
+    for size in (montecarlo._BLOCK, 1500):
+        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 20 * size)
+        res = simulate_snr(cfg, GEOM, CON, SimOptions(trials=2 * size + 3, seed=12, workers=2))
+        # block 2 draws from SFC64 seeded by child 2 of child 0 of the seed
+        sim_root = np.random.SeedSequence(12).spawn(2)[0]
+        rng = np.random.Generator(np.random.SFC64(sim_root.spawn(3)[2]))
+        amp = montecarlo._simulate_block(cfg, montecarlo._row_plan((cfg,)), 1, GEOM, CON,
+                                         rng, 3, False)[0]
+        assert np.array_equal(res.snr_samples[-3:], cfg.transmit_snr * amp * amp)
+        # whole blocks do not depend on the trial count: a run of whole
+        # blocks is a prefix of any longer one
+        short = simulate_snr(cfg, GEOM, CON, SimOptions(trials=size, seed=12))
+        assert np.array_equal(short.snr_samples, res.snr_samples[:size])
 
 
-def test_chunk_ris_term_is_the_root_of_the_two_hop_powers_times_the_gains():
+def test_block_ris_term_is_the_root_of_the_two_hop_powers_times_the_gains():
     # per element sqrt(W_sat W_user) / sqrt(c_sat c_user), c = 2 mu (1 + kappa),
     # summed over the elements and scaled by the per-trial distance gains,
-    # every variate drawn from the chunk's generator in this order
+    # every variate drawn from the block's generator in this order
     cfg = default_links(1, direct=False)
     link, count = cfg.ris[0], 37
-    amp = montecarlo._simulate_chunk(cfg, montecarlo._row_plan((cfg,)), 1, GEOM, CON,
+    amp = montecarlo._simulate_block(cfg, montecarlo._row_plan((cfg,)), 1, GEOM, CON,
                                      np.random.Generator(np.random.SFC64(4)), count, False)
     rng = np.random.Generator(np.random.SFC64(4))
     r_sat = sample_nearest_sat_distance(CON, rng, count)
@@ -175,30 +188,30 @@ def test_thread_pool_never_outgrows_the_blocks_or_the_cpus(monkeypatch):
     assert runs[0].workers == 1000 and runs[0].trials == 3 * montecarlo._BLOCK
 
 
-def test_chunks_depend_on_neither_the_constellation_nor_the_nesting(monkeypatch):
+def test_blocks_depend_on_neither_the_constellation_nor_the_nesting(monkeypatch):
     sizes = []
-    simulate_chunk = montecarlo._simulate_chunk
+    simulate_block = montecarlo._simulate_block
 
     def recording(cfg, plan, rows, geom, con, rng, count, *args):
         sizes.append(count)
-        return simulate_chunk(cfg, plan, rows, geom, con, rng, count, *args)
+        return simulate_block(cfg, plan, rows, geom, con, rng, count, *args)
 
-    monkeypatch.setattr(montecarlo, "_simulate_chunk", recording)
+    monkeypatch.setattr(montecarlo, "_simulate_block", recording)
     cfg = default_links(2)
     opt = SimOptions(trials=9000, seed=2, exact_per_ris_sat_distance=True)
     for satellites in (1000, 1_000_000):
         sizes.clear()
         simulate_snr(cfg, GEOM, Constellation(satellites, 1.0e6), opt)
         assert sizes == [4096, 4096, 808], satellites
-    # a small element budget splits each block the same way with or
-    # without nested rows, so the full row keeps its bits
+    # a small element budget sizes the blocks by the full configuration's
+    # largest RIS with or without nested rows, so the full row keeps its bits
     monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 20 * 1500)
     nested = tuple(default_links(2, elements=e) for e in range(1, 20))
     runs = []
     for sub in ((), nested):
         sizes.clear()
         runs.append(simulate_snr(cfg, GEOM, CON, opt, nested=sub))
-        assert sizes == [1500, 1500, 1096] * 2 + [808]
+        assert sizes == [1500] * 6
     assert np.array_equal(runs[0].snr_samples, runs[1].snr_samples)
     assert (runs[0].abs_mean, runs[0].abs_var) == (runs[1].abs_mean, runs[1].abs_var)
 
@@ -231,7 +244,7 @@ def test_coverage_above_max_sample_is_zero():
 def _tally_one(amplitude: float, count: int = 1000):
     """The capacity Estimate of ``count`` equal amplitudes at rho0 = 1."""
     amp, above = np.full((1, count), amplitude), np.zeros(1, dtype=np.int64)
-    _, mean, m2 = montecarlo._chunk_moments(amp, [(0, 1.0, np.array([0.0]), np.array([0]))],
+    _, mean, m2 = montecarlo._block_moments(amp, [(0, 1.0, np.array([0.0]), np.array([0]))],
                                             above)
     assert above.tolist() == [count]
     return mean[1], math.sqrt(m2[1] / (count - 1)) / math.sqrt(count)
@@ -252,7 +265,7 @@ def test_capacity_keeps_snrs_far_below_one():
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("exact", [False, True])
 def test_tallies_match_the_estimators_of_each_rows_samples(workers, exact):
-    # one block: its SNRs are those block 0's generator gives _simulate_chunk
+    # one block: its SNRs are those block 0's generator gives _simulate_block
     full, nested = default_links(3), (default_links(1), default_links(2, elements=5))
     trials, seed = 3000, 5
     points = [(r, rho0, th) for r in range(3) for rho0 in (1e14, 1e9)
@@ -261,7 +274,7 @@ def test_tallies_match_the_estimators_of_each_rows_samples(workers, exact):
                                                    exact_per_ris_sat_distance=exact),
                        nested=nested, points=points)
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(0, 0))))
-    amp = montecarlo._simulate_chunk(full, montecarlo._row_plan((*nested, full)), 3, GEOM, CON,
+    amp = montecarlo._simulate_block(full, montecarlo._row_plan((*nested, full)), 3, GEOM, CON,
                                      rng, trials, exact)
     assert np.array_equal(res.snr_samples, full.transmit_snr * amp[-1] * amp[-1])
     for (r, rho0, th), coverage, capacity in zip(points, res.coverage, res.capacity):

@@ -602,7 +602,7 @@ def test_cli_sweep_echo_reproduces_the_run(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv,updates,field", [
-    (["run", "--seed", "-1"], {}, "seed"),
+    (["run", "--seed", "-1"], {}, "--seed: seed must be >= 0"),
     (["sweep", "--var", "rho_th", "--grid", "0,4000"], {}, "--grid"),
     (["sweep", "--var", "rho0", "--grid=0,4000"], {}, "--grid"),
     (["run"], {"metrics": {"coverage_threshold_db": 4000}}, "metrics.coverage_threshold_db"),
@@ -615,10 +615,12 @@ def test_cli_sweep_echo_reproduces_the_run(tmp_path, capsys):
     (["run"], {"geometry": {"height_m": 0.0}}, "sweep.grid[0]: geometry.height_m"),
     (["run"], {"ris": {"user_exponent": 3.5}}, "sweep.grid[0]: ris.user_exponent[0]"),
     (["sweep", "--var", "H", "--grid", "0,60"], {}, "--grid[0]: geometry.height_m"),
+    (["run", "--workers", "0"], {}, "--workers: workers must be >= 1"),
 ])
 def test_cli_rejects_out_of_range_values(tmp_path, capsys, argv, updates, field):
-    # a negative seed, or a dB value or transmit SNR with no finite
-    # positive linear value: exit 2, one error line, nothing written
+    # a negative seed or no workers, a dB value or transmit SNR with no
+    # finite positive linear value, or a divergent variance: exit 2, one
+    # error line naming the option or field, nothing written
     raw = copy.deepcopy(DEFAULT_RAW)
     for section, values in updates.items():
         raw[section].update(values)
