@@ -27,8 +27,10 @@ Only the full configuration keeps its SNR samples; every configuration
 
 A sweep point is tallied inside the simulation, on its row at its
 transmit SNR rho0: each block counts the point's SNRs above its
-threshold and takes the (count, mean, M2) of log2(1 + SNR) once per
-distinct (row, rho0), so extra memory per block is O(points + block).
+threshold and takes the (count, mean, M2) of log2(1 + SNR), in units
+of min(1, rho0), once per distinct (row, rho0), so extra memory per
+block is O(points + block). Each row's amplitudes are sorted once per
+block, which sorts every tap's SNRs on that row.
 
 Determinism contract: identical (config, seed) give bit-identical
 results at any worker count. Trials are cut into blocks of equal size
@@ -217,21 +219,26 @@ def _merge_moments(state: tuple[int, np.ndarray, np.ndarray],
 
 def _block_moments(amp: np.ndarray, taps: list, above: np.ndarray):
     """(count, mean, M2) of each row of ``amp``, then of log2(1 + SNR) of
-    each tap: a distinct (row, rho0) with its points' thresholds and
-    indices. Adds each point's count of SNRs above its threshold into
-    ``above``."""
+    each tap, in units of min(1, rho0): a distinct (row, rho0) with its
+    points' thresholds and indices. Adds each point's count of SNRs above
+    its threshold into ``above``. Sorts the rows that taps read in place."""
     rows, count = amp.shape
     mean, m2 = np.empty(rows + len(taps)), np.empty(rows + len(taps))
     mean[:rows] = amp.mean(axis=1)
     m2[:rows] = ((amp - mean[:rows, None]) ** 2).sum(axis=1)
+    # one sort per row: a -> (a rho0) a is monotone for a >= 0, so every
+    # tap's SNRs come out sorted for searchsorted
+    for r in {tap[0] for tap in taps}:
+        amp[r].sort()
     for k, (r, rho0, thresholds, idx) in enumerate(taps, start=rows):
         snr = amp[r] * rho0
         snr *= amp[r]
-        snr.sort()
         above[idx] += snr.size - np.searchsorted(snr, thresholds, side="right")
-        # log1p keeps the rates of SNRs far below 1, which 1 + SNR rounds away
+        # log1p keeps the rates of SNRs far below 1, which 1 + SNR rounds
+        # away; the unit min(1, rho0) keeps their squared deviations from
+        # underflowing
         rate = np.log1p(snr, out=snr)
-        rate /= _LN2
+        rate /= _LN2 * min(1.0, rho0)
         mean[k] = rate.mean()
         m2[k] = ((rate - mean[k]) ** 2).sum()
     return count, mean, m2
@@ -302,8 +309,10 @@ def simulate_snr(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation,
             (n, mean, m2), above = reduce(merge, pool.map(run_block, range(blocks)))
     elapsed = time.perf_counter() - start
     coverage, capacity = [None] * len(points), [None] * len(points)
-    for k, (*_, idx) in enumerate(taps):
-        rate = Estimate(float(mean[rows + k]), math.sqrt(m2[rows + k] / (n - 1)) / math.sqrt(n))
+    for k, (_, rho0, _, idx) in enumerate(taps):
+        unit = min(1.0, rho0)
+        rate = Estimate(float(mean[rows + k]) * unit,
+                        math.sqrt(m2[rows + k] / (n - 1)) / math.sqrt(n) * unit)
         for i in idx.tolist():
             p = int(above[i]) / n
             coverage[i], capacity[i] = Estimate(p, math.sqrt(p * (1.0 - p) / n)), rate

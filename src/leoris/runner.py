@@ -9,18 +9,19 @@ simulation is off.
 A sweep is one loop over the grid. scenario.VARIABLES says what its
 variable means: the tables to write, and each point's (links, geometry,
 rho0, rho_th) through scenario.sweep_points; nothing here branches on a
-variable's name. Consecutive points with equal links and geometry form a
-run with one Gamma fit. All runs are fitted in one batch
+variable's name. Each run of consecutive points with equal links and
+geometry has one Gamma fit. All fits are made in one batch
 (channel.gamma_fits), and each analytic column is evaluated over every
 point in one array pass (metrics.coverage_probabilities,
 metrics.ergodic_capacities), before any simulation. Threshold and
-transmit-SNR points keep the base links, so those sweeps are one run.
-Consecutive runs on one geometry whose links nest (montecarlo.is_nested),
-as in every ascending N or L sweep, share one simulation of the last
-run's links, which tallies each point's coverage and capacity on its
-run's row at the point's rho0 and rho_th. A group's simulation draws
-from child i of SeedSequence(monte_carlo.seed), i the index of its first
-point, so the resolved echo reproduces the tables.
+transmit-SNR points keep the base links, so those sweeps fit once.
+Consecutive points on one geometry whose links nest
+(montecarlo.is_nested), as in every ascending N or L sweep, share one
+simulation (_groups): its rows are the distinct links in grid order, the
+last one simulated, and it tallies each point's coverage and capacity on
+its row at the point's rho0 and rho_th. A simulation draws from child i
+of SeedSequence(monte_carlo.seed), i the index of its first point, so
+the resolved echo reproduces the tables.
 """
 
 from __future__ import annotations
@@ -28,15 +29,16 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 import yaml
 
 # gamma_approx stays importable here for callers that trace the fit by
 # module attribute, as the benchmark does
-from .channel import LinkConfig, gamma_approx, gamma_fits  # noqa: F401
+from .channel import gamma_approx, gamma_fits  # noqa: F401
 from .errors import ConfigError
 from .metrics import coverage_probabilities, ergodic_capacities
 from .geometry import CylinderGeometry
@@ -69,51 +71,30 @@ class RunSummary:
     resolved_path: Path | None
 
 
-class _Run(NamedTuple):
-    """Consecutive grid points that share links and geometry."""
-
-    first: int  # index of the first point in the grid
-    links: LinkConfig
-    geometry: CylinderGeometry
-    points: list[tuple[float, float, float]]  # (sweep value, rho0, rho_th)
-
-
-def _runs(cfg: ScenarioConfig) -> Iterator[_Run]:
-    run = None
-    for i, (value, (links, geom, rho0, rho_th)) in enumerate(zip(cfg.sweep.grid,
-                                                                 sweep_points(cfg))):
-        if run is None or (links, geom) != (run.links, run.geometry):
-            if run is not None:
-                yield run
-            run = _Run(i, links, geom, [])
-        run.points.append((value, rho0, rho_th))
-    yield run
+def _groups(points: list[tuple]) -> list[tuple[int, CylinderGeometry, list, list]]:
+    """The sweep's simulations, one per run of consecutive points on one
+    geometry whose links nest: the index of its first point, its geometry,
+    its rows (the distinct links in grid order, the last one simulated) and
+    each point's (row, rho0, rho_th)."""
+    groups, geometry, rows = [], None, []
+    for i, (links, geom, rho0, rho_th) in enumerate(points):
+        if not rows or geom != geometry or (links != rows[-1] and not is_nested(rows[-1], links)):
+            geometry, rows, tallies = geom, [links], []
+            groups.append((i, geom, rows, tallies))
+        elif links != rows[-1]:
+            rows.append(links)
+        tallies.append((len(rows) - 1, rho0, rho_th))
+    return groups
 
 
-def _groups(runs: Iterable[_Run]) -> Iterator[list[_Run]]:
-    """Consecutive runs that one simulation can serve: same geometry, each
-    run's links nested in the next run's."""
-    group: list[_Run] = []
-    for run in runs:
-        if group and (run.geometry != group[-1].geometry
-                      or not is_nested(group[-1].links, run.links)):
-            yield group
-            group = []
-        group.append(run)
-    yield group
-
-
-def _simulate(cfg: ScenarioConfig, group: list[_Run]) -> SimResult:
-    """One simulation on the last run's links with the others nested, from
-    child (index of the group's first point) of SeedSequence(cfg.mc.seed),
-    tallying each point of the group on its run's row."""
-    child = np.random.SeedSequence(cfg.mc.seed, spawn_key=(group[0].first,))
+def _simulate(cfg: ScenarioConfig, first: int, geom: CylinderGeometry, rows: list,
+              points: list) -> SimResult:
+    """One simulation of the last row's links with the others nested, from
+    child ``first`` of SeedSequence(cfg.mc.seed), tallying ``points``."""
+    child = np.random.SeedSequence(cfg.mc.seed, spawn_key=(first,))
     opts = dataclasses.replace(cfg.mc, seed=int(child.generate_state(1)[0]))
-    last = group[-1]
-    return simulate_snr(last.links, last.geometry, cfg.constellation, opts,
-                        nested=tuple(run.links for run in group[:-1]),
-                        points=[(row, rho0, rho_th) for row, run in enumerate(group)
-                                for _, rho0, rho_th in run.points])
+    return simulate_snr(rows[-1], geom, cfg.constellation, opts, nested=tuple(rows[:-1]),
+                        points=points)
 
 
 def _analytic(metric: str, models: list, rho0: tuple, rho_th: tuple) -> list[float]:
@@ -128,23 +109,25 @@ def sweep(cfg: ScenarioConfig) -> list[SweepTable]:
     equal links and geometry in one batch, evaluate each metric at every
     point in one batch, all before any simulation (so the first point
     that cannot be fitted raises first), then simulate once per group of
-    nested runs. Too few trials for the Monte Carlo metrics, or more than
-    a simulation keeps samples of, raise before anything is fitted."""
+    points with nested links. Too few trials for the Monte Carlo metrics,
+    or more than a simulation keeps samples of, raise before anything is
+    fitted."""
     if cfg.mc_enabled and not MIN_EMPIRICAL_TRIALS <= cfg.mc.trials <= MAX_KEPT_SAMPLES:
         raise ConfigError(f"monte_carlo.trials: the Monte Carlo metrics need between "
                           f"{MIN_EMPIRICAL_TRIALS} and {MAX_KEPT_SAMPLES}, got {cfg.mc.trials}")
-    runs = list(_runs(cfg))
+    points = sweep_points(cfg)
     variable = cfg.sweep.variable
     metrics = VARIABLES[variable].metrics
-    fits = gamma_fits([(run.links, run.geometry) for run in runs], cfg.constellation)
-    models = [ga for run, ga in zip(runs, fits) for _ in run.points]
-    _, rho0s, rho_ths = zip(*(point for run in runs for point in run.points))
+    runs = [(key, len(list(run))) for key, run in groupby(points, key=itemgetter(0, 1))]
+    fits = gamma_fits([key for key, _ in runs], cfg.constellation)
+    models = [ga for ga, (_, size) in zip(fits, runs) for _ in range(size)]
+    _, _, rho0s, rho_ths = zip(*points)
     analytic = {m: _analytic(m, models, rho0s, rho_ths) for m in metrics}
     # (estimate, stderr) of every simulated point per metric, in grid order;
     # SimResult names its per-point estimates after the metrics
     mc: dict[str, list] = {m: [] for m in metrics}
-    for group in _groups(runs) if cfg.mc_enabled else ():
-        sim = _simulate(cfg, group)
+    for group in _groups(points) if cfg.mc_enabled else ():
+        sim = _simulate(cfg, *group)
         for m in metrics:
             mc[m].extend(getattr(sim, m))
     values = cfg.sweep.grid

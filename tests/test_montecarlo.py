@@ -268,7 +268,9 @@ def test_tallies_match_the_estimators_of_each_rows_samples(workers, exact):
     # one block: its SNRs are those block 0's generator gives _simulate_block
     full, nested = default_links(3), (default_links(1), default_links(2, elements=5))
     trials, seed = 3000, 5
-    points = [(r, rho0, th) for r in range(3) for rho0 in (1e14, 1e9)
+    # at rho0 = 1e-160 the rates' squared deviations underflow unless taken
+    # in units of rho0
+    points = [(r, rho0, th) for r in range(3) for rho0 in (1e14, 1e9, 1e-160)
               for th in (0.0, 1.0, 100.0, 1e4, 1e300)]
     res = simulate_snr(full, GEOM, CON, SimOptions(trials=trials, seed=seed, workers=workers,
                                                    exact_per_ris_sat_distance=exact),
@@ -281,10 +283,12 @@ def test_tallies_match_the_estimators_of_each_rows_samples(workers, exact):
         snr = amp[r] * rho0 * amp[r]
         p = float(np.mean(snr > th))
         assert coverage == (p, math.sqrt(p * (1.0 - p) / trials))
-        rates = np.log1p(snr) / math.log(2.0)
-        assert capacity.value == pytest.approx(float(rates.mean()), rel=1e-12)
-        assert capacity.stderr == pytest.approx(float(rates.std(ddof=1)) / math.sqrt(trials),
-                                                rel=1e-9)
+        unit = min(1.0, rho0)
+        rates = np.log1p(snr) / math.log(2.0) / unit
+        assert capacity.value == pytest.approx(float(rates.mean()) * unit, rel=1e-12)
+        assert capacity.stderr == pytest.approx(
+            float(rates.std(ddof=1)) / math.sqrt(trials) * unit, rel=1e-9)
+        assert capacity.stderr > 0.0
 
 
 def test_a_simulation_keeps_trials_samples_however_many_rows_it_serves():

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import itertools
 import json
+import types
 from pathlib import Path
 
 import numpy as np
@@ -398,6 +399,38 @@ def test_fit_and_simulation_once_per_link_state(monkeypatch, variable, grid, fit
     sweep(_sweep_config(variable, grid, mc=True))
     # every fit of the sweep in one batch
     assert counts == {"gamma_fits": 1, "fits": fits, "simulate_snr": simulations}
+
+
+@pytest.mark.parametrize("variable,grid,calls", [
+    # nested counts share one simulation of the largest; a repeat keeps its row
+    ("N", (4.0, 8.0, 8.0, 16.0), [(0, [0, 1, 1, 2])]),
+    ("R0", (60.0, 120.0, 300.0), [(0, [0]), (1, [0]), (2, [0])]),
+    ("rho_th", (0.0, 20.0, 40.0), [(0, [0, 0, 0])]),
+])
+def test_each_simulation_gets_its_rows_and_points(monkeypatch, variable, grid, calls):
+    cfg = _sweep_config(variable, grid, mc=True)
+    points = sweep_points(cfg)
+    seen = []
+
+    def simulate(links, geom, con, opt, *, nested, points):
+        seen.append((links, geom, opt.seed, nested, points))
+        return types.SimpleNamespace(coverage=[(0.5, 0.1)] * len(points),
+                                     capacity=[(1.0, 0.1)] * len(points))
+
+    monkeypatch.setattr(runner, "simulate_snr", simulate)
+    sweep(cfg)
+    assert len(seen) == len(calls)
+    for (links, geom, seed, nested, tallies), (first, rows) in zip(seen, calls):
+        # rows: the distinct links in grid order, the last one simulated
+        mine = points[first:first + len(rows)]
+        distinct = list(dict.fromkeys(p[0] for p in mine))
+        assert (*nested, links) == tuple(distinct) and geom == mine[0][1]
+        assert tallies == [(r, p[2], p[3]) for r, p in zip(rows, mine)]
+        child = np.random.SeedSequence(cfg.mc.seed, spawn_key=(first,))
+        assert seed == int(child.generate_state(1)[0])
+    if variable == "N":
+        links, _, _, nested, _ = seen[0]
+        assert [len(sub.ris) for sub in (*nested, links)] == [4, 8, 16]
 
 
 # first failing point, its error, and the message its setter or, past
