@@ -2,17 +2,15 @@
 
 Coverage is an incomplete-Gamma tail. Capacity has a closed form in
 generalized hypergeometric functions whose individual terms are singular
-at every positive integer shape (the singularities cancel jointly);
-near-integer shapes take the quadrature oracle's value, flagged as a
-fallback.
+at every positive integer shape (the singularities cancel jointly); near
+them, and where the form overflows or cancels, a ray-rule integral with
+no pole takes over, flagged as a fallback.
 
 Both metrics are array passes over a batch of points, as a sweep
 evaluates all its points: coverage is one incomplete-Gamma call, and
 capacity sums each of its three series for the whole batch in one array
-kernel, then runs the quadrature oracle only on the points it flags.
-The single-point functions are batches of one.
-The oracle imports scipy.integrate on its first call, so importing the
-package loads only scipy.special from scipy.
+kernel, then runs the ray rule once on the points it flags. The
+single-point functions are batches of one.
 """
 
 from __future__ import annotations
@@ -23,12 +21,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import (
-    digamma as _digamma,
-    gammaincc as _gammaincc,
-    gammainccinv as _gammainccinv,
-    gammaincinv as _gammaincinv,
-)
+from scipy.special import digamma as _digamma, gammaincc as _gammaincc
 
 from .channel import GammaApprox
 from .errors import ComputationError, DomainError
@@ -48,15 +41,6 @@ _POLE_WINDOW = 1e-4
 _EPS = sys.float_info.epsilon
 # largest rounding-error bound the closed form may carry, relative to its value
 _CLOSED_FORM_RTOL = 1e-7
-# Gamma mass left outside the quadrature range on each side
-_QUANTILE_TAIL = 1e-30
-# largest shape the quadrature evaluates. Its log density cancels terms of
-# size alpha ln(alpha): against a 40-digit mpmath quadrature over
-# beta = 1/alpha and rho0 from 3e-12 to 3e6, its worst relative error is
-# 3.5e-8 for shapes up to 1e7, then 1.6e-7 at 1e8, 4e-4 at 1e11 and 1.7e-2
-# at 1e13. The closed form gives up on every shape above about 2e4, whose
-# series outrun their term budget, so no capacity is evaluated above it
-_MAX_QUADRATURE_SHAPE = 1e7
 # hypergeometric series: stop once 3 terms in a row fall below this share
 # of the partial sum, give up after this many terms
 _SERIES_RTOL = 1e-12
@@ -67,6 +51,18 @@ _FIRST_CHUNK = 16
 _CHUNK_ELEMENTS = 1 << 16
 # how a series of the kernel ended
 _SUMMED, _OUT_OF_TERMS, _CANCELLED = 0, 1, 2
+# the capacity's ray rule: u = ln r runs from r = 1e-16 / max(alpha b, 1) to
+# r = 60, where e^(-r / sqrt 2) < 4e-19, over two windows at most 45 wide at
+# either end, each of 24 Gauss-Legendre panels of 16 nodes (one window's on [0, 1])
+_RAY_FLOOR, _RAY_TOP, _RAY_WINDOW = math.log(1e-16), math.log(60.0), 45.0
+_RAY_NODES, _RAY_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_RAY_NODES = (np.arange(24)[:, None] + 0.5 * (_RAY_NODES + 1.0)).ravel() / 24.0
+_RAY_WEIGHTS = np.tile(_RAY_WEIGHTS / 48.0, 48)
+_EIGHTH_TURN = complex(math.sqrt(0.5), math.sqrt(0.5))
+# Taylor coefficients of (log1p(z) - z) / z^2 and (expm1(w) - w) / w^2,
+# summed below |z| = 0.1 and |w| = 0.5 to within 1e-17 of their sums
+_LOG1P_TAIL = [(-1.0) ** (k + 1) / (k + 2) for k in range(16)]
+_EXPM1_TAIL = [1.0 / math.factorial(k + 2) for k in range(14)]
 
 
 @dataclass(frozen=True)
@@ -84,7 +80,7 @@ class CoverageQuery:
 
 
 class CapacityResult(NamedTuple):
-    """Capacity in bits/s/Hz plus a flag marking quadrature fallback."""
+    """Capacity in bits/s/Hz plus a flag marking the ray rule's value."""
 
     bits: float
     fallback: bool
@@ -266,82 +262,89 @@ def _capacity_closed_nats(alpha: np.ndarray, z: np.ndarray) -> tuple[np.ndarray,
     return nats, valid
 
 
-def _gain_out_of_range(ga: GammaApprox, rho0: float) -> ComputationError:
-    return ComputationError(
-        f"capacity: beta^2 rho0 leaves the float range for {ga} at rho0 {rho0!r}")
+def _capacity_ray_nats(alpha: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """E[ln(1 + b^2 y^2)] for y ~ Gamma(alpha, 1) at each (alpha[i], b[i] > 0):
+    2 Re int_0^inf e^-t (1 - (1 + i b t)^-alpha) dt / t (Hamdi, IEEE Trans.
+    Commun., 2010), with no pole at any shape, on the ray t = r e^(-i pi/4),
+    where both factors decay without oscillating. With z = b r e^(i pi/4),
+    1 - (1 + z)^-alpha = -expm1(w), w = -alpha log1p(z). Where alpha b < 1
+    its first-order term alpha z, whose integral i alpha b has no real part,
+    is subtracted. Below the rule the integrand's real part is Re(alpha z)
+    to 1e-32, adding 1e-16 cos(pi/4); between its windows it has a closed
+    form. Each value sums its own nodes only, whatever the rest of the batch."""
+    polyval = np.polynomial.polynomial.polyval
+    nats = np.empty(alpha.size)
+    step = max(1, _CHUNK_ELEMENTS // _RAY_WEIGHTS.size)
+    for i in range(0, alpha.size, step):
+        a, log_b = alpha[i:i + step, None], np.log(b[i:i + step, None])
+        log_ab = np.log(a) + log_b
+        sub = log_ab < 0.0
+        lo = _RAY_FLOOR - np.maximum(log_ab, 0.0)
+        half = np.minimum(0.5 * (_RAY_TOP - lo), _RAY_WINDOW)
+        u = np.concatenate((lo + half * _RAY_NODES, _RAY_TOP - half * (1.0 - _RAY_NODES)), axis=1)
+        with np.errstate(all="ignore"):
+            s = np.exp(u + log_b)  # |z|
+            # alpha z, from ln alpha + ln b: normal where z is not
+            v = np.exp(u + log_ab) * _EIGHTH_TURN
+            x = s * math.sqrt(0.5)
+            q = x / (1.0 + x)
+            log1p_z = np.log1p(x) + 0.5 * np.log1p(q * q) + 1j * np.arctan2(x, 1.0 + x)
+            # alpha (log1p(z) - z) where |z| < 0.1
+            tail = v * (s * _EIGHTH_TURN) * polyval(s * _EIGHTH_TURN, _LOG1P_TAIL)
+            w = -np.where(s < 0.1, v + tail, a * log1p_z)
+            # exp(w) is 0 below -800, where w's imaginary part may be infinite
+            expm1_w = np.expm1(np.where(w.real > -800.0, w, w.real))
+            rest = (np.where(s < 0.1, tail, a * log1p_z - v)
+                    - np.where(np.abs(w) < 0.5, w * w * polyval(w, _EXPM1_TAIL), expm1_w - w))
+            g = (np.exp(-np.exp(u) * _EIGHTH_TURN.conjugate())
+                 * np.where(sub, rest, -expm1_w)).real
+            # between the windows e^-t is 1, so the real part is 1 - Re z^-alpha (1 - alpha / z
+            # + ...), whose integral to z^(-alpha-2) is within 1e-14 of the whole where |z| > e^6
+            # there; elsewhere alpha > 8.6 and the real part is 1 to e^-52
+            gap, lz = _RAY_TOP - lo - 2.0 * half, lo + half + log_b + 0.25j * np.pi
+            ag = a * gap
+            part = (np.where(ag < 0.5, ag * ag * polyval(-ag, _EXPM1_TAIL), ag + np.expm1(-ag))
+                    + np.expm1(-ag) * np.expm1(-a * lz).real) / a
+            for k, coeff in ((1, -a), (2, 0.5 * a * (a + 1.0))):
+                part += (coeff * np.exp(-(a + k) * lz) * np.expm1(-(a + k) * gap)).real / (a + k)
+            gap = np.where(lz.real > 6.0, part, gap)
+        total = (g * _RAY_WEIGHTS).sum(axis=1, keepdims=True) * half + gap
+        nats[i:i + step] = 2.0 * (total + np.where(sub, 0.0, 1e-16 * math.sqrt(0.5)))[:, 0]
+    # rounding can leave a tiny negative sum only where the value is subnormal
+    return np.maximum(nats, 0.0)
+
+
+def _capacity_inputs(models: Sequence[GammaApprox], rho0: Sequence[float]):
+    """Shapes, scales and SNRs of a batch; raises where beta^2 rho0 is not a positive float."""
+    (alpha, beta), rho0 = _shapes_scales(models), _positive_snrs(rho0)
+    with np.errstate(over="ignore"):
+        bad = np.flatnonzero(~(beta * beta * rho0 > 0.0) | ~(beta * beta * rho0 < math.inf))
+    if bad.size:
+        raise ComputationError(f"capacity: beta^2 rho0 leaves the float range for "
+                               f"{models[bad[0]]} at rho0 {float(rho0[bad[0]])!r}")
+    return alpha, beta, rho0
 
 
 def capacity_quadrature(ga: GammaApprox, rho0: float) -> float:
-    """Numerical E[log2(1 + rho)] under the Gamma SNR model.
-
-    Integrates in the magnitude variable where the law is a unit-scale
-    Gamma, between its 1e-30 and 1 - 1e-30 quantiles and split at the
-    mode, so the bulk (about sqrt(alpha) wide at distance alpha from the
-    origin) is found at every shape. The sub-unit-shape case substitutes
-    away the endpoint singularity first. Shapes above 1e7, where the log
-    density loses its digits, raise ComputationError.
-    """
-    # scipy.integrate loads scipy.optimize, linalg and sparse with it, so
-    # it is imported on the first quadrature, not with the package
-    from scipy.integrate import quad
-
-    if not rho0 > 0:
-        raise DomainError(f"rho0 must be > 0, got {rho0}")
-    a = ga.alpha
-    if a > _MAX_QUADRATURE_SHAPE:
-        raise ComputationError(
-            f"capacity: the quadrature is not evaluated for shapes above "
-            f"{_MAX_QUADRATURE_SHAPE:g}, where its log density loses its digits: {ga}")
-    c = ga.beta * ga.beta * rho0
-    if not 0.0 < c < math.inf:
-        raise _gain_out_of_range(ga, rho0)
-    lga = math.lgamma(a)
-    hi = float(_gammainccinv(a, _QUANTILE_TAIL))
-
-    def integrand(y: float) -> float:
-        return math.log1p(c * y * y) * math.exp((a - 1.0) * math.log(y) - y - lga)
-
-    def integrate(f, lo: float, up: float) -> float:
-        val, _ = quad(f, lo, up, epsabs=1e-11, epsrel=1e-11, limit=300)
-        return val
-
-    if a >= 1.0:
-        mode = a - 1.0
-        lo = min(float(_gammaincinv(a, _QUANTILE_TAIL)), mode)
-        val = integrate(integrand, lo, mode) + integrate(integrand, mode, hi)
-    else:
-        # y = u^(1/a) flattens the y^(a-1) endpoint singularity on [0,1]
-        def head(u: float) -> float:
-            y = u ** (1.0 / a)
-            return math.log1p(c * y * y) * math.exp(-y - lga) / a
-
-        val = integrate(head, 0.0, 1.0) + integrate(integrand, 1.0, hi)
-    # the integrand is nonnegative; quad's roundoff can leave a tiny
-    # negative sum where the capacity is near zero
-    return max(val, 0.0) / _LN2
+    """E[log2(1 + rho)] under the Gamma SNR model by the ray rule, at any
+    shape: the value ergodic_capacity takes where it flags a fallback."""
+    alpha, beta, rho0 = _capacity_inputs([ga], [rho0])
+    return float(_capacity_ray_nats(alpha, beta * np.sqrt(rho0))[0]) / _LN2
 
 
 def ergodic_capacities(models: Sequence[GammaApprox],
                        rho0: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """Ergodic capacity in bits/s/Hz under models[i] at transmit SNR
-    rho0[i], and a mask of the points that took the quadrature oracle's
-    value.
+    rho0[i], and a mask of the points that took the ray rule's value.
 
-    Closed form when the shape is away from the joint poles at positive
-    integers; within 1e-4 of one, and wherever the form overflows,
-    cancels or goes negative, the quadrature oracle's value. Raises
-    ComputationError where beta^2 rho0 leaves the float range, and where
-    the quadrature runs at a shape above 1e7.
-    """
-    alpha, beta = _shapes_scales(models)
-    rho0 = _positive_snrs(rho0)
+    Closed form away from the joint poles at positive integer shapes;
+    within 1e-4 of one, and wherever the form overflows, cancels or goes
+    negative, the ray rule's value, from one call for all such points.
+    Raises ComputationError where beta^2 rho0 leaves the float range."""
+    alpha, beta, rho0 = _capacity_inputs(models, rho0)
     with np.errstate(over="ignore"):
-        gain = beta * beta * rho0
-        bad = np.flatnonzero(~((gain > 0.0) & (gain < math.inf)))
-        if bad.size:
-            raise _gain_out_of_range(models[bad[0]], float(rho0[bad[0]]))
         # a subnormal gain gives z = inf, where the closed form overflows
-        z = 1.0 / gain
+        z = 1.0 / (beta * beta * rho0)
     nearest = np.rint(alpha)
     fallback = (nearest >= 1) & (np.abs(alpha - nearest) < _POLE_WINDOW)
     closed = np.flatnonzero(~fallback)
@@ -350,17 +353,13 @@ def ergodic_capacities(models: Sequence[GammaApprox],
     bits[closed] = nats / _LN2
     # the closed form only goes negative through roundoff near zero capacity
     fallback[closed] = ~valid | (bits[closed] < 0.0)
-    for i in np.flatnonzero(fallback):
-        bits[i] = capacity_quadrature(models[i], float(rho0[i]))
+    bits[fallback] = _capacity_ray_nats(alpha[fallback],
+                                        beta[fallback] * np.sqrt(rho0[fallback])) / _LN2
     return bits, fallback
 
 
 def ergodic_capacity(ga: GammaApprox, rho0: float) -> CapacityResult:
-    """Ergodic capacity in bits/s/Hz.
-
-    Closed form when the shape is away from the joint poles at positive
-    integers; within 1e-4 of one, and wherever the form overflows or
-    cancels, the quadrature oracle's value, flagged in the result.
-    """
+    """Ergodic capacity in bits/s/Hz at one point, flagged where it is the
+    ray rule's value, as ergodic_capacities."""
     bits, fallback = ergodic_capacities([ga], [rho0])
     return CapacityResult(float(bits[0]), bool(fallback[0]))

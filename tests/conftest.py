@@ -158,6 +158,38 @@ def pfq_series_loop(num: tuple, den: tuple, x: float, max_terms: int = 10_000,
     return total, peak, "out of terms"
 
 
+def capacity_mpmath(alpha: float, c: float) -> float:
+    """E[log2(1 + c Y^2)] for Y ~ Gamma(alpha, 1): quadrature of the
+    density, split near the origin, at 1/sqrt(c) and across the bulk
+    (width sqrt(alpha) at alpha) and at each power of 10 from 1e-4 / sqrt(c)
+    on, where a sub-unit shape's density falls as 1 / y, at 22 digits plus
+    those of alpha, which the log density's terms of size alpha ln(alpha)
+    cancel."""
+    with mp.workdps(22 + max(0, int(math.log10(alpha)))):
+        a, c = mp.mpf(alpha), mp.mpf(c)
+        lg = mp.loggamma(a)
+        # mp.quad stops on an absolute error, so the integrand is scaled to
+        # about 1: the value is about min(alpha, 1) ln(1 + c alpha (alpha + 1))
+        scale = min(a, 1) * mp.log1p(c * a * (a + 1))
+        sd = mp.sqrt(a)
+        pts = {mp.mpf(0), 1 / mp.sqrt(c), *(a + k * sd for k in range(-40, 41, 4)),
+               *(mp.mpf(10) ** k for k in range(min(-12, -int(math.log10(c) / 2) - 4), 3))}
+        pts = sorted(p for p in pts if 0 <= p < a + 41 * sd + 80)
+        val = mp.quad(lambda y: mp.log1p(c * y * y) / scale
+                      * mp.exp((a - 1) * mp.log(y) - y - lg), [*pts, mp.inf])
+        return float(val * scale / mp.log(2))
+
+
+def capacity_second_order(alpha: float, beta: float, rho0: float) -> float:
+    """g(alpha) + alpha g''(alpha) / 2 with g(y) = log2(1 + beta^2 rho0 y^2),
+    at 60 digits: E[g(Y)] for Y ~ Gamma(alpha, 1) up to O(alpha^-2) relative,
+    the reference at shapes too large for capacity_mpmath."""
+    with mp.workdps(60):
+        c = mp.mpf(beta) ** 2 * mp.mpf(rho0)
+        ca2 = c * mp.mpf(alpha) ** 2
+        return float((mp.log1p(ca2) + alpha * c * (1 - ca2) / (1 + ca2) ** 2) / mp.log(2))
+
+
 def envelope_moment_mpmath(t: float, kappa: float, mu: float) -> float:
     """E[|h|^t] from the confluent form at 40 digits, where its
     e^(-kappa mu) 1F1(...; kappa mu) cancellation is harmless."""

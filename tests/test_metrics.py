@@ -1,5 +1,5 @@
 """Coverage and capacity: limits, identities, monotonicity, pole handling
-and agreement between the closed form and the quadrature oracle."""
+and agreement between the closed form, the ray rule and mpmath."""
 
 import json
 import math
@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.special import gammainc
 
+from conftest import capacity_mpmath, capacity_second_order
 from leoris.channel import GammaApprox
 from leoris.errors import ComputationError, DomainError
 from leoris.metrics import (
@@ -89,7 +90,6 @@ def test_capacity_large_shape_oracle(alpha, rho0, bits):
 
 # 40-digit mpmath quadratures of E[log2(1 + rho0 beta^2 y^2)], y ~
 # Gamma(1e7, 1), split at the mode and at multiples of the bulk's width
-@pytest.mark.filterwarnings("ignore:The occurrence of roundoff error")
 @pytest.mark.parametrize("rho0,bits", [
     (3e-6, 4.328079063356807e-06),
     (3.0, 1.999999945898942),
@@ -98,7 +98,7 @@ def test_capacity_large_shape_oracle(alpha, rho0, bits):
 def test_capacity_quadrature_agrees_with_mpmath_at_its_largest_shape(rho0, bits):
     ga = GammaApprox(alpha=1e7, beta=1e-7)
     assert capacity_quadrature(ga, rho0) == pytest.approx(bits, rel=1e-7)
-    # an integer shape: the closed form hands over to the quadrature
+    # an integer shape: the closed form hands over to the ray rule
     assert ergodic_capacity(ga, rho0) == (capacity_quadrature(ga, rho0), True)
 
 
@@ -109,15 +109,36 @@ def test_capacity_quadrature_agrees_with_mpmath_at_its_largest_shape(rho0, bits)
     (1e20, 1e-20, 1.0),
     (1e306, 1e-160, 1.0),
 ])
-def test_capacity_raises_above_the_largest_verified_shape(alpha, beta, rho0):
-    # the quadrature's log density has lost its digits (4e-4 off at 1e11,
-    # 1.7% at 1e13, 51 bits for a true 2 at 1e15); the closed form has
-    # given up on every shape above about 2e4
+def test_capacity_at_huge_shapes_matches_the_second_order_expansion(alpha, beta, rho0):
+    # the closed form gives up on every shape above about 2e4, so these
+    # are the ray rule's values
     ga = GammaApprox(alpha, beta)
-    with pytest.raises(ComputationError, match="shapes above"):
-        capacity_quadrature(ga, rho0)
-    with pytest.raises(ComputationError, match="shapes above"):
-        ergodic_capacity(ga, rho0)
+    res = ergodic_capacity(ga, rho0)
+    assert res.fallback
+    assert res.bits == capacity_quadrature(ga, rho0)
+    assert res.bits == pytest.approx(capacity_second_order(alpha, beta, rho0), rel=1e-12)
+
+
+# (shape, beta^2 rho0) from both sides of the closed form's poles, the
+# sub-unit shapes, low gains where the first-order term is subtracted,
+# large shapes, and high gains whose rule range has a gap between its
+# windows, on both sides of the shape 8.6 above which the integrand is 1 there
+@pytest.mark.parametrize("alpha,gain", [
+    (1e-2, 1e8), (0.37, 1e-30), (1.0, 1.0), (2.0 - 1e-9, 1e4), (3.0 + 5e-5, 1e-12),
+    (17.3, 1e-30), (20.0, 1e-10), (1e4 + 0.5, 1e-6), (1e7, 3e-14), (2.76e7, 1e-13),
+    (1e9, 1e-2), (1e15, 1e-26), (1e-6, 1e60), (1e-6, 1e300), (0.1, 1e120), (0.5, 1e50),
+    (1.0, 1e45), (3.7, 1e100), (9.0, 1e300),
+])
+def test_capacity_ray_rule_agrees_with_mpmath(alpha, gain):
+    assert capacity_quadrature(GammaApprox(alpha, 1.0), gain) == pytest.approx(
+        capacity_mpmath(alpha, gain), rel=1e-12)
+
+
+def test_capacity_in_the_pole_window_at_a_high_gain():
+    # an integer shape takes the ray rule, whose windows a gain of 1e45 parts
+    res = ergodic_capacity(GammaApprox(1.0, 1.0), 1e45)
+    assert res.fallback
+    assert res.bits == pytest.approx(capacity_mpmath(1.0, 1e45), rel=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [1e10, 1e17, 1e20])
@@ -285,17 +306,17 @@ IMPORT_PROBE = textwrap.dedent("""
     sweep(dataclasses.replace(cfg, sweep=SweepSpec("N", (4.0, 8.0)), mc_enabled=True,
                               mc=dataclasses.replace(cfg.mc, trials=5000, workers=2)))
     report["after_sweeps"] = loaded(HEAVY)
-    # inside the pole window, so the quadrature oracle always runs
+    # inside the pole window, so the ray rule runs
     cap = ergodic_capacity(GammaApprox(3.0 + 5e-5, 0.42), 100.0)
-    report["capacity"] = cap.bits
+    report["capacity"] = cap.bits, cap.fallback
     report["after_quadrature"] = loaded(HEAVY)
     print(json.dumps(report))
 """)
 
 
 def test_sweeps_leave_the_quadrature_stack_unloaded():
-    # scipy.integrate drags in scipy.optimize, linalg and sparse; only the
-    # quadrature oracle needs it, and no sweep below reaches quadrature
+    # scipy.integrate drags in scipy.optimize, linalg and sparse; neither
+    # the sweeps nor a capacity that takes the ray rule load it
     import leoris
     root = Path(leoris.__file__).resolve().parents[1]
     config = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
@@ -305,5 +326,6 @@ def test_sweeps_leave_the_quadrature_stack_unloaded():
     report = json.loads(out.stdout)
     assert report["eager"] == ["numpy", "scipy.special", "yaml"]
     assert report["after_sweeps"] == []
-    assert math.isfinite(report["capacity"]) and report["capacity"] > 0.0
-    assert "scipy.integrate" in report["after_quadrature"]
+    bits, fallback = report["capacity"]
+    assert fallback and math.isfinite(bits) and bits > 0.0
+    assert report["after_quadrature"] == []

@@ -6,14 +6,16 @@ hypothesis under a fixed derandomized seed so every run sees the same
 examples."""
 
 import copy
+import dataclasses
 import math
+import re
 import sys
 from pathlib import Path
 from unittest import mock
 
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from leoris import metrics, runner
 from leoris.channel import (
@@ -29,6 +31,7 @@ from leoris.fading import KappaMuParams, envelope_moment
 from leoris.geometry import Constellation, CylinderGeometry, ris_distance_moment
 from leoris.metrics import (
     CoverageQuery,
+    capacity_quadrature,
     coverage_probabilities,
     coverage_probability,
     ergodic_capacities,
@@ -70,9 +73,10 @@ def _log_uniform(lo: float, hi: float):
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
 
 
-# shapes from the fits' range, plus shapes inside the capacity form's
-# pole window at small integers, where the quadrature oracle runs
-shapes = st.one_of(_log_uniform(1.0e-2, 2.0e2),
+# shapes from sub-micro to past the closed form's largest (about 2e4),
+# plus shapes inside its pole window at small integers, where the ray rule
+# runs
+shapes = st.one_of(_log_uniform(1.0e-6, 1.0e15),
                    st.builds(lambda n, d: n + d, st.integers(1, 20), st.floats(-9e-5, 9e-5)))
 gamma_models = st.builds(GammaApprox, alpha=shapes, beta=_log_uniform(1.0e-3, 1.0e1))
 snrs = _log_uniform(1.0e-3, 1.0e6)
@@ -115,7 +119,10 @@ def test_metrics_of_config_fits_are_finite_or_raise(links, geom, con, rho_th, rh
     capacity = _outcome(lambda: ergodic_capacity(ga, rho0).bits)
     if not isinstance(coverage, tuple):
         assert 0.0 <= coverage <= 1.0
-    if not isinstance(capacity, tuple):
+    if isinstance(capacity, tuple):
+        # capacity evaluates at every shape; only its gain can leave the floats
+        assert capacity[0] is ComputationError and "leaves the float range" in capacity[1]
+    else:
         assert math.isfinite(capacity) and capacity >= 0.0
 
 
@@ -216,6 +223,36 @@ def test_resolved_echo_round_trips(raw):
     assert parse_scenario(yaml.safe_load(text)) == cfg
 
 
+# errors that a scenario the parser accepts may still raise in its sweep,
+# each with the reason the parser cannot decide it
+SWEEP_ERRORS = {
+    r"moment E\[R\^-[\d.e+-]+\] leaves the float range for CylinderGeometry":
+        "a finite RIS-distance moment can lie outside the floats (on an annulus it "
+        "grows as inner_radius^(2 - s)); only the fit evaluates the moment",
+    r"capacity: beta\^2 rho0 leaves the float range for GammaApprox":
+        "beta is the fitted scale of |A|, known only once the fit has run",
+}
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(raw_scenarios())
+def test_every_parsed_scenario_sweeps_to_finite_tables_or_names_why(raw):
+    try:
+        cfg = parse_scenario(raw)
+    except ConfigError:
+        return
+    try:
+        tables = runner.sweep(dataclasses.replace(cfg, mc_enabled=False))
+    except ComputationError as exc:
+        assert any(re.match(pattern, str(exc)) for pattern in SWEEP_ERRORS), str(exc)
+        return
+    for table in tables:
+        for _, analytic, _, _, alpha, beta in table.rows:
+            assert math.isfinite(alpha) and math.isfinite(beta)
+            assert math.isfinite(analytic) and analytic >= 0.0
+            assert table.metric == "capacity" or analytic <= 1.0
+
+
 DEFAULT_RAW = yaml.safe_load(
     (Path(__file__).resolve().parents[1] / "configs" / "default.yaml").read_text(encoding="utf-8"))
 _REGIONS = {"3d": {"base_radius_m": 120.0, "height_m": 120.0, "inner_radius_m": 0.0},
@@ -284,17 +321,27 @@ def test_capacity_grows_with_transmit_snr(ga, rho0):
 
 
 # (shape, beta^2 rho0) pairs that reach each path of the capacity: the
-# closed form, the pole window, the overflow of its power terms (e4 > 700),
-# series that cancel, and series whose terms overflow, so their sums run
-# out of terms
+# closed form and the ray rule over the whole domain, the pole window, the
+# overflow of the form's power terms (e4 > 700), series that cancel, and
+# series whose terms overflow, so their sums run out of terms
 capacity_paths = st.one_of(
-    st.tuples(_log_uniform(1.0e-2, 2.0e2), _log_uniform(1.0e-3, 1.0e6)),
+    st.tuples(_log_uniform(1.0e-6, 1.0e15), _log_uniform(1.0e-30, 1.0e8)),
     st.tuples(st.builds(lambda n, d: n + d, st.integers(1, 20), st.floats(-9e-5, 9e-5)),
-              _log_uniform(1.0e-3, 1.0e6)),
+              _log_uniform(1.0e-30, 1.0e8)),
     st.tuples(st.floats(100.0, 200.0), _log_uniform(1.0e-12, 1.0e-10)),
     st.tuples(_log_uniform(1.0e-2, 10.0), _log_uniform(1.0e-5, 1.0e-4)),
     st.tuples(_log_uniform(1.0e-2, 10.0), _log_uniform(1.0e-9, 1.0e-7)),
 )
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_log_uniform(1.0e-2, 2.0e4), _log_uniform(1.0e-30, 1.0e300))
+def test_ray_rule_agrees_with_the_closed_form_where_it_holds(alpha, gain):
+    # gains up to 1e300 part the rule's windows at every shape below 8.6
+    ga = GammaApprox(alpha, 1.0)
+    res = ergodic_capacity(ga, gain)
+    assume(not res.fallback)
+    assert capacity_quadrature(ga, gain) == pytest.approx(res.bits, rel=metrics._CLOSED_FORM_RTOL)
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)

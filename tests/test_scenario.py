@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
+from conftest import capacity_second_order
 from leoris.cli import main as cli_main
 from leoris.errors import ComputationError, ConfigError
 from leoris.metrics import CoverageQuery, coverage_probability, ergodic_capacity
@@ -56,8 +57,8 @@ BASE = {
 }
 
 
-def _variant(**updates):
-    raw = copy.deepcopy(BASE)
+def _variant(base=BASE, /, **updates):
+    raw = copy.deepcopy(base)
     for path, value in updates.items():
         node = raw
         parts = path.split(".")
@@ -325,8 +326,46 @@ def test_sweep_rho0_capacity():
     assert caps == sorted(caps)
 
 
+def _default_variant(**updates):
+    """configs/default.yaml as a mapping with dotted-path updates, sweeping
+    the transmit SNR over 100 and 200 dB without simulation."""
+    return _variant(yaml.safe_load(DEFAULT_CONFIG.read_text(encoding="utf-8")),
+                    **{"direct_path.enabled": False, "sweep.variable": "rho0",
+                       "sweep.grid": [100.0, 200.0], "monte_carlo.enabled": False, **updates})
+
+
+def _capacity_rows(raw):
+    (table,) = [t for t in sweep(parse_scenario(raw)) if t.metric == "capacity"]
+    return table.rows
+
+
+def test_capacity_at_a_sub_micro_shape_matches_mpmath():
+    # one single-element RIS with a near-divergent user hop fits alpha
+    # 1.13e-6; the capacities are 40-digit mpmath values at that fit
+    rows = _capacity_rows(_default_variant(**{"ris.count": 1, "ris.elements": 1,
+                                              "ris.user_exponent": 2.999999}))
+    assert [row[0] for row in rows] == [100.0, 200.0]
+    assert rows[0][4] == pytest.approx(1.13e-6, rel=1e-2)
+    for (_, bits, *_), want in zip(rows, (2.9610460362e-5, 3.9492579319e-4)):
+        assert bits == pytest.approx(want, rel=1e-10)
+
+
+def test_capacity_at_a_giga_shape_matches_the_second_order_expansion():
+    # 1e4 RISs of 1e4 elements on a flat annulus with near-deterministic
+    # fading fit alpha 1.70e9, far above the closed form's largest shape
+    rows = _capacity_rows(_default_variant(**{
+        "constellation.satellites": 1_000_000, "geometry.height_m": 0.0,
+        "geometry.inner_radius_m": 119.0, "ris.count": 10_000, "ris.elements": 10_000,
+        "ris.sat_fading": {"kappa": 0.0, "mu": 1000.0},
+        "ris.user_fading": {"kappa": 0.0, "mu": 1000.0}, "ris.user_exponent": 2.0}))
+    assert rows[0][4] == pytest.approx(1.70e9, rel=1e-2)
+    for db, bits, _, _, alpha, beta in rows:
+        want = capacity_second_order(alpha, beta, 10.0 ** (db / 10.0))
+        assert bits == pytest.approx(want, rel=1e-12)
+
+
 @pytest.mark.parametrize("variable,grid", [("R0", (60.0, 90.0, 120.0, 300.0)),
-                                           # the low SNRs take the quadrature
+                                           # the low SNRs take the ray rule
                                            ("rho0", (60.0, 100.0, 120.0, 140.0))])
 def test_sweep_analytic_cells_equal_per_point_calls(variable, grid):
     # the sweep evaluates each metric for all its points in one batch; every
