@@ -7,6 +7,13 @@ as special cases. The power W = 2*mu*(1 + kappa)*|h|^2 is noncentral
 chi-square with 2*mu degrees of freedom and noncentrality 2*kappa*mu, which
 is what the density (in logarithms), the distribution and the samplers of
 W and of the envelope build on.
+
+A RIS's element sum S = sum_l |h_sat,l| |h_user,l| enters a simulation
+through its law alone, which depends only on the hops' laws and the
+element count. element_sum_tables builds that law's quantile function
+from envelope_pdf, and a SumTable draws S from one logistic variate;
+each table is gated against the exact mean and variance and against
+the same construction at twice the resolution.
 """
 
 from __future__ import annotations
@@ -21,6 +28,8 @@ from .errors import ComputationError, ConvergenceError, DomainError, density, po
 
 __all__ = [
     "KappaMuParams",
+    "SumTable",
+    "element_sum_tables",
     "envelope_moment",
     "envelope_pdf",
     "envelope_cdf",
@@ -231,6 +240,290 @@ def sample_power(p: KappaMuParams, rng: np.random.Generator, out: np.ndarray) ->
         else:
             part[...] = rng.noncentral_chisquare(2.0 * m, 2.0 * k * m, part.size)
     return out
+
+
+class SumTable:
+    """Quantile function of a RIS's element sum S = sum_l |h_sat,l| |h_user,l|
+    over its unit-power envelopes, read at z = logit(u): a cubic Hermite
+    interpolant on nodes dz apart from -_TABLE_Z to _TABLE_Z. Beyond the
+    end nodes, 2^-40 of the mass on each side, it reads the node's value."""
+
+    def __init__(self, z: np.ndarray, q: np.ndarray, slope: np.ndarray):
+        self.z0, self.dz, self.q = float(z[0]), float(z[1] - z[0]), q
+        m0, m1 = slope[:-1] * self.dz, slope[1:] * self.dz
+        d = q[1:] - q[:-1]
+        # per cell, the cubic in s = (z - z_i) / dz, lowest power first
+        self.coef = np.stack([q[:-1], m0, 3.0 * d - 2.0 * m0 - m1, m0 + m1 - 2.0 * d], axis=1)
+
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        """S at each z; a logistic z draws S from the table's law."""
+        cells = self.coef.shape[0]
+        r = np.clip((z - self.z0) / self.dz, 0.0, cells)
+        i = np.minimum(r.astype(np.intp), cells - 1)
+        s = r - i
+        c = self.coef[i]
+        return c[:, 0] + s * (c[:, 1] + s * (c[:, 2] + s * c[:, 3]))
+
+    def cdf(self, x: np.ndarray) -> np.ndarray:
+        """The distribution function of the law the table draws, at x: the
+        cubic of x's cell solved for s by Newton's method."""
+        cells = self.coef.shape[0]
+        i = np.clip(np.searchsorted(self.q, x, side="right") - 1, 0, cells - 1)
+        c = self.coef[i]
+        s = np.clip((x - self.q[i]) / np.maximum(self.q[i + 1] - self.q[i], 1e-300), 0.0, 1.0)
+        for _ in range(8):
+            value = c[:, 0] + s * (c[:, 1] + s * (c[:, 2] + s * c[:, 3])) - x
+            slope = c[:, 1] + s * (2.0 * c[:, 2] + 3.0 * s * c[:, 3])
+            s = np.clip(s - value / np.where(slope > 0.0, slope, np.inf), 0.0, 1.0)
+        u = 1.0 / (1.0 + np.exp(-(self.z0 + self.dz * (i + s))))
+        return np.where(x < self.q[0], 0.0, np.where(x >= self.q[-1], 1.0, u))
+
+    def moments(self, center: float) -> tuple[float, float]:
+        """Mean and variance of the law the table draws, by 4-point
+        Gauss-Legendre in z on each cell; the variance about ``center``."""
+        nodes, weights = np.polynomial.legendre.leggauss(4)
+        s = (nodes + 1.0) / 2.0
+        c = self.coef[:, :, None]
+        q = c[:, 0] + s * (c[:, 1] + s * (c[:, 2] + s * c[:, 3]))
+        u = 1.0 / (1.0 + np.exp(-(self.z0 + self.dz * (np.arange(len(q))[:, None] + s))))
+        du = u * (1.0 - u) * (weights * self.dz / 2.0)
+        tail = 1.0 / (1.0 + math.exp(_TABLE_Z))
+        ends = self.q[[0, -1]]
+        dev = np.square(q - center)
+        return (float((q * du).sum() + ends.sum() * tail),
+                float((dev * du).sum() + np.square(ends - center).sum() * tail))
+
+
+# SumTable nodes span logit(u) for u from 2^-40 to 1 - 2^-40
+_TABLE_Z = 40.0 * math.log(2.0)
+# log-grid floor: the mass of ln|h| below it is taken to sit at |h| = 0,
+# and a pair with more than _MAX_LUMP there, or whose grid would pass
+# _MAX_LOG_NODES at the base resolution, is not tabulated
+_LOG_FLOOR = -36.0
+_MAX_LUMP = 2.0 ** -40
+_MAX_LOG_NODES = 1 << 17
+# a sum's window leaves out at most this mass on each side (Chernoff bound)
+_WINDOW_TAIL = 1e-18
+# frequencies double until |phi|^count falls below this over their top
+# quarter, which bounds the Fourier series' truncation error in the CDF
+_PHI_TAIL = 1e-10
+# most frequencies one table may take at the base resolution
+_MAX_FREQUENCIES = 1 << 14
+# Gaussian spreading half-width of the nonuniform FFT (about 1e-16 accuracy),
+# and the nodes it spreads at a time (128 KiB per array)
+_SPREAD = 16
+_SPREAD_NODES = 512
+# gate on each table: mean, variance and sup CDF distance to the table
+# built with every grid twice as fine
+_GATE = (1e-9, 1e-8, 1e-9)
+
+
+def _log_product_density(sat: KappaMuParams, user: KappaMuParams, fine: int):
+    """(t0, dt, g): the density g of ln(|h_sat| |h_user|) at t0 + dt j, the
+    direct convolution of the hops' log densities g(t) = e^t f(e^t). The
+    step resolves the narrower hop and the span reaches each hop's
+    negligible tails; mass below _LOG_FLOOR is left out. Raises
+    ComputationError where the grid would pass _MAX_LOG_NODES, or more
+    than _MAX_LUMP of the mass lies below the floor, as envelope_pdf does
+    where it cannot evaluate a hop's law."""
+    laws = (sat, user)
+    spread = [math.sqrt(1.0 - m * m) / m for m in (envelope_moment(1.0, p) for p in laws)]
+    lo = min(max(_LOG_FLOOR, -50.0 * s) for s in spread)
+    hi = max(min(0.5 * math.log1p(90.0 / p.mu) + 1.0, 50.0 * s) for p, s in zip(laws, spread))
+    nodes = (hi - lo) * 8.0 / min(spread) if min(spread) > 0.0 else math.inf
+    if nodes > _MAX_LOG_NODES:
+        raise ComputationError(f"the log grid of sat {sat}, user {user} would need "
+                               f"{nodes:.3g} nodes")
+    dt = min(1.0 / 16.0, min(spread) / 8.0) / fine
+    t = lo + dt * np.arange(math.ceil((hi - lo) / dt) + 1)
+    parts = []
+    for p in laws:
+        g = envelope_pdf(np.exp(t), p) * np.exp(t)
+        keep = np.flatnonzero(g > 1e-30 * g.max())
+        parts.append((t[keep[0]], g[keep[0]:keep[-1] + 1]))
+    g = np.convolve(parts[0][1], parts[1][1]) * dt
+    if 1.0 - g.sum() * dt > _MAX_LUMP:
+        raise ComputationError(f"{1.0 - g.sum() * dt:.3g} of the law of sat {sat}, user {user} "
+                               "lies below the log grid")
+    keep = np.flatnonzero(g > 1e-30 * g.max())
+    return parts[0][0] + parts[1][0] + dt * keep[0], dt, g[keep[0]:keep[-1] + 1]
+
+
+def _fourier_cdf(psi: np.ndarray, n: int):
+    """Distribution and density (times the period P) at y = m P / n, m < n,
+    of a law on [0, P) with psi_k = E exp(2 pi i k Y / P), k = 0..K, by its
+    Fourier series (Abate & Whitt 1992) truncated after K."""
+    k = np.arange(1, psi.size)
+    # n irfft(c)[m] = 2 Re sum_k conj(c_k) e^(-2 pi i k m / n) for c_0 = 0
+    c = np.zeros(n // 2 + 1, dtype=complex)
+    c[k] = np.conj(psi[1:] / (2j * math.pi * k))
+    cdf = psi[0].real * np.arange(n) / n + 2.0 * c.sum().real - n * np.fft.irfft(c, n)
+    c[k] = np.conj(psi[1:])
+    return cdf, psi[0].real + n * np.fft.irfft(c, n)
+
+
+def _quantile_table(y: np.ndarray, cdf: np.ndarray, density: np.ndarray, fine: int,
+                    log: bool = False) -> SumTable:
+    """The SumTable of a law with ``cdf`` and ``density`` on the uniform grid
+    y (of ln S where ``log``): each node solves cdf = u on the cubic Hermite
+    interpolant of its grid cell by Newton's method."""
+    cdf, density = np.maximum.accumulate(cdf), np.maximum(density, 0.0)
+    h = y[1] - y[0]
+    z = np.linspace(-_TABLE_Z, _TABLE_Z, 3548 * fine + 1)
+    u = 1.0 / (1.0 + np.exp(-z))
+    i = np.clip(np.searchsorted(cdf, u) - 1, 0, cdf.size - 2)
+    f0, f1, d0, d1 = cdf[i], cdf[i + 1], density[i] * h, density[i + 1] * h
+    s = np.clip((u - f0) / np.maximum(f1 - f0, 1e-300), 0.0, 1.0)
+    for _ in range(8):
+        r = 1.0 - s
+        value = f0 + (f1 - f0) * s * s * (3.0 - 2.0 * s) + s * r * (d0 * r - d1 * s)
+        slope = 6.0 * (f1 - f0) * s * r + d0 * r * (1.0 - 3.0 * s) + d1 * s * (3.0 * s - 2.0)
+        s = np.clip(s - (value - u) / np.where(slope > 0.0, slope, np.inf), 0.0, 1.0)
+    q = y[i] + s * h
+    # dq/dz = u (1 - u) / density
+    dq = u * (1.0 - u) * h / np.where(slope > 0.0, slope, np.inf)
+    if log:
+        q = np.exp(q)
+        dq *= q
+    return SumTable(z, q, dq)
+
+
+def _nufft(weights: np.ndarray, angles: np.ndarray, count: int) -> np.ndarray:
+    """sum_j weights_j exp(i k angles_j) for k = 0..count-1, by Gaussian
+    gridding on 4 count points (Greengard & Lee, SIAM Review 46, 2004)."""
+    grid = 4 * count
+    tau = math.pi * _SPREAD / (12.0 * count * count)
+    offsets = np.arange(1 - _SPREAD, _SPREAD + 1)
+    spread = np.zeros(grid)
+    for lo in range(0, angles.size, _SPREAD_NODES):
+        x = np.mod(-angles[lo:lo + _SPREAD_NODES], 2.0 * math.pi)
+        cells = np.floor(x * grid / (2.0 * math.pi)).astype(np.intp)[:, None] + offsets
+        kernel = np.exp(-np.square(2.0 * math.pi * cells / grid - x[:, None]) / (4.0 * tau))
+        spread += np.bincount((cells % grid).ravel(),
+                              (weights[lo:lo + _SPREAD_NODES, None] * kernel).ravel(), grid)
+    k = np.arange(count)
+    return np.fft.fft(spread)[:count] / grid * math.sqrt(math.pi / tau) * np.exp(k * k * tau)
+
+
+def _characteristic(t0: float, h: float, dense: np.ndarray, lump: float, step: float,
+                    count: int, ds: float) -> np.ndarray:
+    """phi(k step) = E exp(i k step X), k = 0..count-1, where ln X has the
+    density ``dense`` on the grid t0 + h j and X = 0 with probability
+    ``lump``. The trapezoid rule runs in s, x = a ln(1 + e^s): steps ds in
+    ln x near 0 and a ds = pi / 2 / (highest frequency) in x at large x,
+    so nodes resolve both the density and the oscillation."""
+    a = math.pi / 2.0 / (step * count * ds)
+    # s of x = e^t0 to the top of the grid, by s = y + ln(1 - e^-y), y = x / a
+    lo, hi = (y + math.log(-math.expm1(-y))
+              for y in (math.exp(t0) / a, math.exp(t0 + h * (dense.size - 1)) / a))
+    s = np.arange(lo, hi, ds)
+    x = a * np.logaddexp(0.0, s)
+    # 8-point Lagrange interpolation of the density at ln x
+    r = (np.log(x) - t0) / h
+    j = np.clip(np.floor(r).astype(np.intp), 3, dense.size - 5)
+    r -= j
+    value = np.zeros_like(x)
+    for m in range(-3, 5):
+        basis = np.ones_like(x)
+        for l in range(-3, 5):
+            if l != m:
+                basis *= (r - l) / (m - l)
+        value += basis * dense[j + m]
+    # density of ln X times dln x / ds
+    weights = value * (a * ds / x) / (1.0 + np.exp(-s))
+    return _nufft(weights, step * x, count) + lump
+
+
+def _sum_table(t0: float, dt: float, g: np.ndarray, count: int, fine: int,
+               frequencies: int | None = None) -> tuple[SumTable, int]:
+    """The SumTable of the sum S of ``count`` independent copies of X, with
+    ln X of density g at t0 + dt j and X = 0 for the mass below, and the
+    number of frequencies it used.
+
+    One element's table inverts the Fourier series of ln X on the log
+    grid. A sum's window [a, b] holds all but _WINDOW_TAIL on each side by
+    Chernoff bounds, and its Fourier series takes phi^count, phi of X from
+    _characteristic, with the frequencies doubling from 256 until
+    |phi|^count falls below _PHI_TAIL over their top quarter, unless
+    ``frequencies`` fixes them. ``fine`` = 2 doubles the window and halves
+    the table's steps; with the caller's halved log step and 4 times the
+    frequencies, every grid is twice as fine."""
+    w = g * dt
+    lump = max(0.0, 1.0 - w.sum())
+    m = 2 << (g.size - 1).bit_length()
+    if count == 1:
+        psi = np.conj(np.fft.rfft(g, m)) * dt
+        cdf, density = _fourier_cdf(psi, 8 * m)
+        return _quantile_table(t0 + dt / 8.0 * np.arange(8 * m), cdf + lump,
+                               density / (m * dt), fine, log=True), 0
+    x = np.exp(t0 + dt * np.arange(g.size))
+
+    def log_mgf(theta: float) -> float:
+        e = theta * x
+        top = max(float(e.max()), 0.0)
+        return math.log(float(np.exp(e - top) @ w) + lump * math.exp(-top)) + top
+
+    # P(S > b) <= E exp(theta (S - b)) and P(S < a) <= E exp(theta (a - S))
+    thetas, tail = np.geomspace(1e-3, 1e2, 48).tolist(), -math.log(_WINDOW_TAIL)
+    b = min((count * log_mgf(theta) + tail) / theta for theta in thetas)
+    a = max(0.0, max(-(count * log_mgf(-theta) + tail) / theta for theta in thetas))
+    period = (b - a) * fine
+    a -= (fine - 1) * (b - a) / 2.0
+    step = 2.0 * math.pi / period
+    # the density of ln X on a grid 8 times finer, by Fourier interpolation,
+    # for the 8-point Lagrange interpolation that _characteristic reads
+    dense = np.fft.irfft(np.fft.rfft(g, m), 8 * m)[:8 * g.size] * 8.0
+    k = frequencies or 256
+    while True:
+        phi = _characteristic(t0, dt / 8.0, dense, lump, step, k, dt)
+        if frequencies or np.abs(phi[3 * k // 4:]).max() ** count < _PHI_TAIL:
+            break
+        k *= 2
+        if k > _MAX_FREQUENCIES:
+            raise ComputationError(f"its law needs more than {_MAX_FREQUENCIES} frequencies")
+    # phi(0) is 1 up to quadrature error, which the power would amplify
+    psi = (phi / phi[0].real) ** count * np.exp(-1j * step * a * np.arange(phi.size))
+    n = max(1 << (4 * phi.size).bit_length(), 8192 * fine)
+    cdf, density = _fourier_cdf(psi, n)
+    return _quantile_table(a + period / n * np.arange(n), cdf, density / period, fine), phi.size
+
+
+def element_sum_tables(sat: KappaMuParams, user: KappaMuParams,
+                       counts) -> dict[int, SumTable] | None:
+    """SumTables of a RIS's element sum at each element count in ``counts``,
+    or None where the log grid cannot carry the pair's product law:
+    envelope_pdf cannot evaluate a hop's law (kappa > 0 at mu of about 4e3
+    and beyond), a hop is too narrow beside a wide one (mu of about 5e5
+    and beyond) or too wide (mu below about 0.38).
+
+    Each table is checked against the same construction with every grid
+    twice as fine (sup CDF distance 1e-9) and against the exact mean c m1
+    (1e-9 relative) and variance c (1 - m1^2) (1e-8 relative), m1 the
+    product of the hops' first envelope moments; a miss raises
+    ComputationError."""
+    try:
+        laws = [_log_product_density(sat, user, fine) for fine in (1, 2)]
+    except ComputationError:
+        return None
+    m1 = envelope_moment(1.0, sat) * envelope_moment(1.0, user)
+    tables = {}
+    for count in sorted(set(counts)):
+        name = f"the element-sum table of sat {sat}, user {user} at {count} elements"
+        try:
+            table, used = _sum_table(*laws[0], count, 1)
+            check, _ = _sum_table(*laws[1], count, 2, frequencies=4 * used or None)
+        except ComputationError as exc:
+            raise ComputationError(f"{name}: {exc}") from exc
+        mean, var = table.moments(count * m1)
+        u = 1.0 / (1.0 + np.exp(-(table.z0 + table.dz * np.arange(table.q.size))))
+        gap = float(np.max(np.abs(check.cdf(table.q) - u)))
+        misses = (abs(mean / (count * m1) - 1.0), abs(var / (count * (1.0 - m1 * m1)) - 1.0), gap)
+        if not (all(m <= tol for m, tol in zip(misses, _GATE))
+                and (np.diff(table.q) >= 0.0).all()):
+            raise ComputationError(f"{name} misses its gate: mean {misses[0]:.2e}, "
+                                   f"variance {misses[1]:.2e}, CDF {misses[2]:.2e}")
+        tables[count] = table
+    return tables
 
 
 def sample_envelope(p: KappaMuParams, rng: np.random.Generator,

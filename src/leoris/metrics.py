@@ -38,6 +38,8 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _POLE_WINDOW = 1e-4
+# below this shape the closed form's rounding-error estimate misses its loss
+_CLOSED_FORM_MIN_SHAPE = 1e-3
 _EPS = sys.float_info.epsilon
 # largest rounding-error bound the closed form may carry, relative to its value
 _CLOSED_FORM_RTOL = 1e-7
@@ -315,21 +317,25 @@ def _capacity_ray_nats(alpha: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _capacity_inputs(models: Sequence[GammaApprox], rho0: Sequence[float]):
-    """Shapes, scales and SNRs of a batch; raises where beta^2 rho0 is not a positive float."""
+    """Shapes, gains b = beta sqrt(rho0) and squared gains beta^2 rho0 of
+    a batch; raises where b is not a positive float, which the ray rule
+    needs. The squared gain may leave the floats."""
     (alpha, beta), rho0 = _shapes_scales(models), _positive_snrs(rho0)
-    with np.errstate(over="ignore"):
-        bad = np.flatnonzero(~(beta * beta * rho0 > 0.0) | ~(beta * beta * rho0 < math.inf))
+    with np.errstate(over="ignore", under="ignore"):
+        b = beta * np.sqrt(rho0)
+        gain = beta * beta * rho0
+    bad = np.flatnonzero(~(b > 0.0) | ~(b < math.inf))
     if bad.size:
-        raise ComputationError(f"capacity: beta^2 rho0 leaves the float range for "
+        raise ComputationError(f"capacity: beta sqrt(rho0) leaves the float range for "
                                f"{models[bad[0]]} at rho0 {float(rho0[bad[0]])!r}")
-    return alpha, beta, rho0
+    return alpha, b, gain
 
 
 def capacity_quadrature(ga: GammaApprox, rho0: float) -> float:
     """E[log2(1 + rho)] under the Gamma SNR model by the ray rule, at any
     shape: the value ergodic_capacity takes where it flags a fallback."""
-    alpha, beta, rho0 = _capacity_inputs([ga], [rho0])
-    return float(_capacity_ray_nats(alpha, beta * np.sqrt(rho0))[0]) / _LN2
+    alpha, b, _ = _capacity_inputs([ga], [rho0])
+    return float(_capacity_ray_nats(alpha, b)[0]) / _LN2
 
 
 def ergodic_capacities(models: Sequence[GammaApprox],
@@ -337,24 +343,26 @@ def ergodic_capacities(models: Sequence[GammaApprox],
     """Ergodic capacity in bits/s/Hz under models[i] at transmit SNR
     rho0[i], and a mask of the points that took the ray rule's value.
 
-    Closed form away from the joint poles at positive integer shapes;
-    within 1e-4 of one, and wherever the form overflows, cancels or goes
-    negative, the ray rule's value, from one call for all such points.
-    Raises ComputationError where beta^2 rho0 leaves the float range."""
-    alpha, beta, rho0 = _capacity_inputs(models, rho0)
-    with np.errstate(over="ignore"):
-        # a subnormal gain gives z = inf, where the closed form overflows
-        z = 1.0 / (beta * beta * rho0)
+    Closed form away from the joint poles at positive integer shapes and
+    from shapes below 1e-3; within 1e-4 of a pole, below that shape, where
+    beta^2 rho0 leaves the floats, and wherever the form overflows,
+    cancels or goes negative, the ray rule's value, from one call for all
+    such points. Raises ComputationError where beta sqrt(rho0) leaves the
+    float range."""
+    alpha, b, gain = _capacity_inputs(models, rho0)
     nearest = np.rint(alpha)
-    fallback = (nearest >= 1) & (np.abs(alpha - nearest) < _POLE_WINDOW)
+    fallback = (((nearest >= 1) & (np.abs(alpha - nearest) < _POLE_WINDOW))
+                | (alpha < _CLOSED_FORM_MIN_SHAPE) | ~(gain > 0.0) | ~(gain < math.inf))
     closed = np.flatnonzero(~fallback)
     bits = np.empty(alpha.size)
-    nats, valid = _capacity_closed_nats(alpha[closed], z[closed])
+    with np.errstate(over="ignore"):
+        # a subnormal gain gives z = inf, where the closed form overflows
+        z = 1.0 / gain[closed]
+    nats, valid = _capacity_closed_nats(alpha[closed], z)
     bits[closed] = nats / _LN2
     # the closed form only goes negative through roundoff near zero capacity
     fallback[closed] = ~valid | (bits[closed] < 0.0)
-    bits[fallback] = _capacity_ray_nats(alpha[fallback],
-                                        beta[fallback] * np.sqrt(rho0[fallback])) / _LN2
+    bits[fallback] = _capacity_ray_nats(alpha[fallback], b[fallback]) / _LN2
     return bits, fallback
 
 

@@ -2,10 +2,19 @@
 combines the paths coherently (optimal element phases make every term
 add as a nonnegative magnitude), and squares into SNR samples.
 
-Each RIS element's amplitude is sqrt(W_sat W_user), one root of its two
-hops' powers (fading.sample_power); the unit-power scale
-1 / sqrt(c_sat c_user), c = 2 mu (1 + kappa), joins the per-trial
-distance gain. The direct path draws its envelope (sample_envelope).
+Each RIS's element sum S = sum_l |h_sat,l| |h_user,l| is drawn from its
+tabulated law: one logistic variate Z (the logit of one uniform) per
+trial reads S = Q_c(Z) from the fading.SumTable of the RIS's element
+count c, and S joins the per-trial distance gain. Tables are built once
+per (fading pair, element count) before any block runs, and threads
+share them. Where the pair's law cannot be tabulated (element_sum_tables
+gives None: envelope_pdf cannot evaluate a hop's law, or a hop is too
+narrow or too wide for the log grid), the RIS instead draws its
+elements' amplitudes sqrt(W_sat W_user), one root of its two hops'
+powers (fading.sample_power), with the unit-power scale
+1 / sqrt(c_sat c_user), c = 2 mu (1 + kappa), in the gain; the choice
+depends on the pair alone, so a row's path never depends on the nesting.
+The direct path draws its envelope (sample_envelope).
 
 Satellite distances are drawn independently per link by default, which
 is the statistical model the closed-form moments describe. The exact
@@ -19,9 +28,11 @@ so neither mode places the other M - 1 satellites.
 One simulation can serve several nested configurations at once (an
 RIS-count or element-count sweep): each nested configuration keeps a
 prefix of the RIS list, each of its RISs possibly with fewer elements,
-and reads its amplitude from the same draws, summing the leading
-elements of each RIS it holds. The full configuration's draws and
-arithmetic are those of a simulation without nested configurations.
+and reads its amplitude from the same draws. A row holding c elements
+of a tabulated RIS reads Q_c at the RIS's one Z, a comonotone coupling
+that keeps each row's law exact; on the per-element path it sums the
+leading c elements. The full configuration's draws and arithmetic are
+those of a simulation without nested configurations.
 Only the full configuration keeps its SNR samples; every configuration
 (row) keeps the moments of its amplitude.
 
@@ -57,7 +68,7 @@ import numpy as np
 
 from .channel import LinkConfig
 from .errors import ComputationError, DomainError, checked_integer
-from .fading import sample_envelope, sample_power
+from .fading import element_sum_tables, sample_envelope, sample_power
 from .geometry import (
     Constellation,
     CylinderGeometry,
@@ -77,7 +88,8 @@ __all__ = [
 
 _BLOCK = 4096
 # most elements in one fading array of a block; a block holds two (both
-# hops' powers of its largest RIS) and, while it draws, fading._SLICE normals
+# hops' powers of its largest per-element RIS) and, while it draws,
+# fading._SLICE normals
 _CHUNK_ELEMENTS = 8_000_000
 # kept SNR samples of one simulation: its trials
 MAX_KEPT_SAMPLES = 250_000_000
@@ -158,20 +170,36 @@ def _row_plan(configs: tuple[LinkConfig, ...]) -> list[tuple[tuple[int, np.ndarr
 
 
 def _block_size(cfg: LinkConfig) -> int:
-    """Trials per block: _BLOCK unless the full configuration's largest
-    fading array would pass _CHUNK_ELEMENTS."""
+    """Trials per block: _BLOCK unless the fading arrays of the full
+    configuration's largest RIS, drawn per element, would pass
+    _CHUNK_ELEMENTS (whichever path the RIS takes)."""
     max_elems = max((link.elements for link in cfg.ris), default=1)
     return max(1, min(_BLOCK, _CHUNK_ELEMENTS // max_elems))
 
 
+def _sum_tables(cfg: LinkConfig, plan) -> list:
+    """Per RIS of the full configuration, its rows' SumTables by element
+    count, or None where it draws per-element powers; RISs with the same
+    fading pair share one build."""
+    counts: dict[tuple, set] = {}
+    for link, rows in zip(cfg.ris, plan):
+        counts.setdefault((link.sat_fading, link.user_fading), set()).update(c for c, _ in rows)
+    built = {pair: element_sum_tables(*pair, need) for pair, need in counts.items()}
+    return [built[link.sat_fading, link.user_fading] for link in cfg.ris]
+
+
 def _simulate_block(cfg: LinkConfig, plan, rows: int, geom: CylinderGeometry,
                     con: Constellation, rng: np.random.Generator, count: int,
-                    exact: bool) -> np.ndarray:
+                    exact: bool, tables=None) -> np.ndarray:
     """Magnitude of the combined response for `count` trials, one row per
-    configuration of the plan (the full configuration last)."""
+    configuration of the plan (the full configuration last); ``tables`` as
+    _sum_tables gives them, built here if not given."""
+    if tables is None:
+        tables = _sum_tables(cfg, plan)
     amp = np.zeros((rows, count))
-    # both hops' powers, sized for the largest RIS
-    powers = np.empty((2, count * max((link.elements for link in cfg.ris), default=0)))
+    # both hops' powers, sized for the largest per-element RIS
+    powers = np.empty((2, count * max((link.elements for link, table in zip(cfg.ris, tables)
+                                       if table is None), default=0)))
     if exact:
         serving, r_user = sample_serving_satellite(con, rng, count)
     for n, link in enumerate(cfg.ris):
@@ -182,12 +210,17 @@ def _simulate_block(cfg: LinkConfig, plan, rows: int, geom: CylinderGeometry,
         else:
             r_sat = sample_nearest_sat_distance(con, rng, count)
             r_ris = sample_ris_distances(geom, rng, count)
+        gain = r_sat ** (-link.sat_exponent / 2.0) * r_ris ** (-link.user_exponent / 2.0)
+        if tables[n] is not None:
+            z = rng.logistic(size=count)
+            for elements, idx in plan[n]:
+                amp[idx] += tables[n][elements](z) * gain
+            continue
         sat, user = (buf[:count * link.elements].reshape(count, link.elements) for buf in powers)
         # one root per element; the unit-power scale joins the per-trial gain
         q = sample_power(link.sat_fading, rng, sat)
         q *= sample_power(link.user_fading, rng, user)
         np.sqrt(q, out=q)
-        gain = r_sat ** (-link.sat_exponent / 2.0) * r_ris ** (-link.user_exponent / 2.0)
         gain /= math.sqrt(link.sat_fading.power_scale * link.user_fading.power_scale)
         # smaller element counts extend a running sum (the plan is sorted
         # by count); the full count sums q whole, as without nesting
@@ -282,6 +315,7 @@ def simulate_snr(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation,
             for (r, rho0), idx in groups.items()]
     start = time.perf_counter()
     plan, size, exact = _row_plan((*nested, cfg)), _block_size(cfg), opt.exact_per_ris_sat_distance
+    tables = _sum_tables(cfg, plan)
     samples = np.empty(opt.trials)
 
     def run_block(b: int):
@@ -290,7 +324,7 @@ def simulate_snr(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation,
         seq = np.random.SeedSequence(opt.seed, spawn_key=(0, b))
         rng = np.random.Generator(np.random.SFC64(seq))
         lo, hi = b * size, min(opt.trials, (b + 1) * size)
-        amp = _simulate_block(cfg, plan, rows, geom, con, rng, hi - lo, exact)
+        amp = _simulate_block(cfg, plan, rows, geom, con, rng, hi - lo, exact, tables)
         above = np.zeros(len(points), dtype=np.int64)
         out = samples[lo:hi]
         np.multiply(amp[-1], cfg.transmit_snr, out=out)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import iv
-from scipy.stats import kstest
+from scipy.stats import ks_2samp, kstest
 
 from conftest import envelope_moment_mpmath
 from leoris import fading
@@ -262,3 +262,71 @@ def test_moment_rejects_an_infinite_order():
     # up front, not after the term budget as a ConvergenceError
     with pytest.raises(DomainError, match="finite"):
         envelope_moment(math.inf, KappaMuParams(1.0, 1.0))
+
+
+# the element sum S = sum_l |h_sat,l| |h_user,l| of one RIS, tabulated
+
+DEFAULT_PAIR = (KappaMuParams(1.0, 2.0), KappaMuParams(3.0, 3.0))
+
+
+def _criterion5_pairs():
+    from test_acceptance import _criterion5_scenarios
+    pairs = {DEFAULT_PAIR}
+    for cfg, *_ in _criterion5_scenarios():
+        pairs.update((link.sat_fading, link.user_fading) for link in cfg.ris)
+    return sorted(pairs, key=repr)
+
+
+@pytest.mark.parametrize("pair", _criterion5_pairs(), ids=repr)
+def test_sum_tables_meet_their_gate_on_every_criterion_5_law(pair):
+    # element_sum_tables raises unless each table is within 1e-9 (sup CDF)
+    # of the same construction at twice the resolution; the moments are
+    # checked here again against the exact ones
+    m1 = envelope_moment(1.0, pair[0]) * envelope_moment(1.0, pair[1])
+    tables = fading.element_sum_tables(*pair, [1, 20, 50, 2500])
+    for count, table in tables.items():
+        mean, var = table.moments(count * m1)
+        assert mean == pytest.approx(count * m1, rel=1e-9, abs=0.0), count
+        assert var == pytest.approx(count * (1.0 - m1 * m1), rel=1e-8, abs=0.0), count
+        assert (np.diff(table.q) >= 0.0).all()
+
+
+def test_sum_table_gate_names_the_law_and_count(monkeypatch):
+    monkeypatch.setattr(fading, "_GATE", (1e-9, 1e-8, 1e-30))
+    with pytest.raises(ComputationError, match=r"kappa=1.0, mu=2.0\).* at 20 elements misses"):
+        fading.element_sum_tables(*DEFAULT_PAIR, [20])
+
+
+def test_sum_tables_match_per_element_sums_in_a_ks_test():
+    # 4e5 table draws against 4e5 sums of 20 per-element two-hop roots
+    count, draws = 20, 400_000
+    table = fading.element_sum_tables(*DEFAULT_PAIR, [count])[count]
+    rng = np.random.Generator(np.random.SFC64(2024))
+    from_table = table(rng.logistic(size=draws))
+    sat, user = (sample_power(p, rng, np.empty((draws, count))) for p in DEFAULT_PAIR)
+    sat *= user
+    per_element = np.sqrt(sat).sum(axis=1) / math.sqrt(
+        DEFAULT_PAIR[0].power_scale * DEFAULT_PAIR[1].power_scale)
+    result = ks_2samp(from_table, per_element)
+    assert result.pvalue > 0.01, result
+
+
+def test_sum_table_reads_its_end_nodes_beyond_them():
+    table = fading.element_sum_tables(*DEFAULT_PAIR, [3])[3]
+    low, high = table(np.array([-1e3, -np.inf, table.z0])), table(np.array([1e3, np.inf]))
+    assert (low == table.q[0]).all() and high[0] == high[1]
+    assert high[0] == pytest.approx(table.q[-1], rel=1e-13)
+    nodes = table.z0 + table.dz * np.arange(table.q.size)
+    assert np.allclose(table(nodes), table.q, rtol=1e-13, atol=0.0)
+
+
+def test_sum_tables_are_none_where_the_density_cannot_be_evaluated():
+    assert fading.element_sum_tables(KappaMuParams(1.0, 1e4), DEFAULT_PAIR[1], [20]) is None
+
+
+def test_sum_table_past_the_frequency_budget_raises():
+    # a one-sided Gaussian hop leaves the two-element sum a kink at 0, so
+    # its characteristic function falls too slowly for the budget
+    with pytest.raises(ComputationError,
+                       match=r"mu=0.5\), user .* at 2 elements: its law needs more than"):
+        fading.element_sum_tables(KappaMuParams(0.0, 0.5), KappaMuParams(0.0, 2.0), [2])

@@ -245,16 +245,39 @@ def test_capacity_series_runs_past_negative_denominators(alpha, z):
     assert res.bits == pytest.approx(capacity_quadrature(ga, 1.0), rel=1e-7)
 
 
-@pytest.mark.parametrize("alpha,beta", [(2.5, 1e200), (2.5, 1e-200), (3.0, 1e200)])
-def test_capacity_raises_where_beta_squared_rho0_leaves_the_float_range(alpha, beta):
-    # beta^2 rho0 overflows to inf or underflows to 0: the closed form would
-    # take log(0) or divide by zero, and the quadrature integrate log(inf)
+@pytest.mark.parametrize("alpha,beta,bits", [
+    # 2 (ln b + psi(alpha)) / ln 2 at b = beta sqrt(rho0) = 1e200
+    (2.5, 1e200, 1330.80), (3.0, 1e200, 1331.43),
+    # c alpha (alpha + 1) / ln 2, c = beta^2 rho0 below the floats: 1e-340,
+    # and 1e-400, where the capacity itself is below them
+    (1e150, 1e-170, 1.4427e-40), (2.5, 1e-200, 0.0),
+])
+def test_capacity_takes_the_ray_rule_where_beta_squared_rho0_leaves_the_floats(alpha, beta, bits):
+    # the ray rule needs only b = beta sqrt(rho0) as a positive float
     ga = GammaApprox(alpha=alpha, beta=beta)
-    for call in (lambda: ergodic_capacity(ga, 1.0),
-                 lambda: ergodic_capacities([GA, ga], [100.0, 1.0]),
-                 lambda: capacity_quadrature(ga, 1.0)):
-        with pytest.raises(ComputationError, match="leaves the float range"):
+    res = ergodic_capacity(ga, 1.0)
+    assert res.fallback
+    assert res.bits == pytest.approx(bits, rel=1e-5)
+    assert res.bits == capacity_quadrature(ga, 1.0)
+    assert ergodic_capacities([GA, ga], [100.0, 1.0])[0][1] == res.bits
+
+
+@pytest.mark.parametrize("beta, rho0", [(1e200, 1e300), (1e-200, 1e-250)])
+def test_capacity_raises_where_beta_sqrt_rho0_leaves_the_float_range(beta, rho0):
+    ga = GammaApprox(alpha=2.5, beta=beta)
+    for call in (lambda: ergodic_capacity(ga, rho0),
+                 lambda: ergodic_capacities([GA, ga], [100.0, rho0]),
+                 lambda: capacity_quadrature(ga, rho0)):
+        with pytest.raises(ComputationError, match="beta sqrt.rho0. leaves the float range"):
             call()
+
+
+def test_capacity_at_a_sub_micro_shape_takes_the_ray_rule():
+    # the closed form read 1.97e-7 off here, unflagged, past its own 1e-7 bound
+    alpha, gain = 1.16e-6, 5.4e72
+    res = ergodic_capacity(GammaApprox(alpha, 1.0), gain)
+    assert res.fallback
+    assert res.bits == pytest.approx(capacity_mpmath(alpha, gain), rel=1e-12)
 
 
 def test_capacity_at_a_subnormal_gain_falls_back_to_quadrature():

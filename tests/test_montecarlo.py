@@ -11,7 +11,7 @@ import pytest
 from conftest import default_links
 from leoris.channel import DirectPath, LinkConfig, RisLink, gamma_approx, mean_abs_A
 from leoris.errors import ComputationError, DomainError
-from leoris.fading import KappaMuParams, sample_power
+from leoris.fading import KappaMuParams, element_sum_tables, sample_power
 from leoris.geometry import (
     Constellation,
     CylinderGeometry,
@@ -134,11 +134,38 @@ def test_block_b_draws_from_child_b_of_the_simulation_seed(monkeypatch):
         assert np.array_equal(short.snr_samples, res.snr_samples[:size])
 
 
+def test_block_ris_term_is_the_tabulated_element_sum_times_the_gains():
+    # the distances, then one logistic variate Z per trial, whose element
+    # sum Q_L(Z) from the pair's table scales by the per-trial distance gains
+    cfg = default_links(1, direct=False)
+    link, count = cfg.ris[0], 37
+    amp = montecarlo._simulate_block(cfg, montecarlo._row_plan((cfg,)), 1, GEOM, CON,
+                                     np.random.Generator(np.random.SFC64(4)), count, False)
+    rng = np.random.Generator(np.random.SFC64(4))
+    r_sat = sample_nearest_sat_distance(CON, rng, count)
+    r_ris = sample_ris_distances(GEOM, rng, count)
+    z = rng.logistic(size=count)
+    table = element_sum_tables(link.sat_fading, link.user_fading, [link.elements])[link.elements]
+    gain = r_sat ** (-link.sat_exponent / 2.0) * r_ris ** (-link.user_exponent / 2.0)
+    assert amp.shape == (1, count)
+    assert np.array_equal(amp[0], table(z) * gain)
+
+
+# envelope_pdf cannot evaluate kappa > 0 at mu = 1e4, so a RIS with this
+# hop law draws per-element powers
+FALLBACK = KappaMuParams(1.0, 1e4)
+
+
+def _fallback_links(elements: int = 20) -> LinkConfig:
+    cfg = default_links(1, elements=elements, direct=False)
+    return dataclasses.replace(cfg, ris=(dataclasses.replace(cfg.ris[0], sat_fading=FALLBACK),))
+
+
 def test_block_ris_term_is_the_root_of_the_two_hop_powers_times_the_gains():
     # per element sqrt(W_sat W_user) / sqrt(c_sat c_user), c = 2 mu (1 + kappa),
     # summed over the elements and scaled by the per-trial distance gains,
     # every variate drawn from the block's generator in this order
-    cfg = default_links(1, direct=False)
+    cfg = _fallback_links()
     link, count = cfg.ris[0], 37
     amp = montecarlo._simulate_block(cfg, montecarlo._row_plan((cfg,)), 1, GEOM, CON,
                                      np.random.Generator(np.random.SFC64(4)), count, False)
@@ -153,6 +180,30 @@ def test_block_ris_term_is_the_root_of_the_two_hop_powers_times_the_gains():
     gain /= math.sqrt(c_sat * c_user)
     assert amp.shape == (1, count)
     assert np.array_equal(amp[0], np.sqrt(w_sat * w_user).sum(axis=1) * gain)
+
+
+def test_a_law_without_a_density_draws_per_element_and_matches_the_mean():
+    cfg = _fallback_links()
+    assert montecarlo._sum_tables(cfg, montecarlo._row_plan((cfg,))) == [None]
+    res = simulate_snr(cfg, GEOM, CON, SimOptions(trials=20_000, seed=9))
+    want = mean_abs_A(cfg, GEOM, CON)
+    assert abs(res.abs_mean - want) <= 5.0 * math.sqrt(res.abs_var / res.trials)
+
+
+def test_nested_rows_of_one_ris_read_one_variate_comonotonically():
+    # a row of c elements reads Q_c at the RIS's one Z
+    counts = (1, 5, 20, 40)
+    rows = tuple(default_links(1, c, direct=False) for c in counts)
+    link, count = rows[-1].ris[0], 300
+    amp = montecarlo._simulate_block(rows[-1], montecarlo._row_plan(rows), len(rows), GEOM, CON,
+                                     np.random.Generator(np.random.SFC64(3)), count, False)
+    rng = np.random.Generator(np.random.SFC64(3))
+    gain = (sample_nearest_sat_distance(CON, rng, count) ** (-link.sat_exponent / 2.0)
+            * sample_ris_distances(GEOM, rng, count) ** (-link.user_exponent / 2.0))
+    z = rng.logistic(size=count)
+    tables = element_sum_tables(link.sat_fading, link.user_fading, counts)
+    for row, c in zip(amp, counts):
+        assert np.array_equal(row, tables[c](z) * gain), c
 
 
 def test_thread_pool_never_outgrows_the_blocks_or_the_cpus(monkeypatch):

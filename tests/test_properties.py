@@ -229,8 +229,6 @@ SWEEP_ERRORS = {
     r"moment E\[R\^-[\d.e+-]+\] leaves the float range for CylinderGeometry":
         "a finite RIS-distance moment can lie outside the floats (on an annulus it "
         "grows as inner_radius^(2 - s)); only the fit evaluates the moment",
-    r"capacity: beta\^2 rho0 leaves the float range for GammaApprox":
-        "beta is the fitted scale of |A|, known only once the fit has run",
 }
 
 
