@@ -320,8 +320,13 @@ def test_sum_table_reads_its_end_nodes_beyond_them():
     assert np.allclose(table(nodes), table.q, rtol=1e-13, atol=0.0)
 
 
-def test_sum_tables_are_none_where_the_density_cannot_be_evaluated():
-    assert fading.element_sum_tables(KappaMuParams(1.0, 1e4), DEFAULT_PAIR[1], [20]) is None
+@pytest.mark.parametrize("law", [
+    KappaMuParams(1.0, 1e4),  # envelope_pdf cannot evaluate it
+    KappaMuParams(0.0, 1e6),  # so narrow beside a wide hop that the grid would pass 2^17 nodes
+    KappaMuParams(0.0, 0.3),  # more than 2^-40 of the mass below e^-36
+], ids=repr)
+def test_sum_tables_are_none_where_the_log_grid_cannot_carry_the_law(law):
+    assert fading.element_sum_tables(law, KappaMuParams(0.0, 1.0), [20]) is None
 
 
 def test_sum_table_past_the_frequency_budget_raises():

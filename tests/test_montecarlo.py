@@ -156,8 +156,8 @@ def test_block_ris_term_is_the_tabulated_element_sum_times_the_gains():
 FALLBACK = KappaMuParams(1.0, 1e4)
 
 
-def _fallback_links(elements: int = 20) -> LinkConfig:
-    cfg = default_links(1, elements=elements, direct=False)
+def _fallback_links() -> LinkConfig:
+    cfg = default_links(1, direct=False)
     return dataclasses.replace(cfg, ris=(dataclasses.replace(cfg.ris[0], sat_fading=FALLBACK),))
 
 
