@@ -491,10 +491,13 @@ def _sum_table(t0: float, dt: float, g: np.ndarray, count: int, fine: int,
 def element_sum_tables(sat: KappaMuParams, user: KappaMuParams,
                        counts) -> dict[int, SumTable] | None:
     """SumTables of a RIS's element sum at each element count in ``counts``,
-    or None where the log grid cannot carry the pair's product law:
+    or None where the construction cannot carry the pair's law:
     envelope_pdf cannot evaluate a hop's law (kappa > 0 at mu of about 4e3
     and beyond), a hop is too narrow beside a wide one (mu of about 5e5
-    and beyond) or too wide (mu below about 0.38).
+    and beyond) or too wide (mu below about 0.38), or the pair's
+    two-element sum needs more than _MAX_FREQUENCIES (both hops at mu of
+    0.8 or less, or one at 0.6 or less). The answer depends on the pair
+    alone, never on ``counts``.
 
     Each table is checked against the same construction with every grid
     twice as fine (sup CDF distance 1e-9) and against the exact mean c m1
@@ -503,6 +506,10 @@ def element_sum_tables(sat: KappaMuParams, user: KappaMuParams,
     ComputationError."""
     try:
         laws = [_log_product_density(sat, user, fine) for fine in (1, 2)]
+        if min(sat.mu, user.mu) < 1.0:
+            # a sum's density near 0 goes as s^(2 c mu - 1): with a hop below
+            # mu = 1 the two-element sum, the roughest, may pass the budget
+            _sum_table(*laws[0], 2, 1)
     except ComputationError:
         return None
     m1 = envelope_moment(1.0, sat) * envelope_moment(1.0, user)

@@ -8,8 +8,9 @@ trial reads S = Q_c(Z) from the fading.SumTable of the RIS's element
 count c, and S joins the per-trial distance gain. Tables are built once
 per (fading pair, element count) before any block runs, and threads
 share them. Where the pair's law cannot be tabulated (element_sum_tables
-gives None: envelope_pdf cannot evaluate a hop's law, or a hop is too
-narrow or too wide for the log grid), the RIS instead draws its
+gives None: envelope_pdf cannot evaluate a hop's law, a hop is too
+narrow or too wide for the log grid, or the two-element sum needs too
+many frequencies), the RIS instead draws its
 elements' amplitudes sqrt(W_sat W_user), one root of its two hops'
 powers (fading.sample_power), with the unit-power scale
 1 / sqrt(c_sat c_user), c = 2 mu (1 + kappa), in the gain; the choice

@@ -324,14 +324,20 @@ def test_sum_table_reads_its_end_nodes_beyond_them():
     KappaMuParams(1.0, 1e4),  # envelope_pdf cannot evaluate it
     KappaMuParams(0.0, 1e6),  # so narrow beside a wide hop that the grid would pass 2^17 nodes
     KappaMuParams(0.0, 0.3),  # more than 2^-40 of the mass below e^-36
+    KappaMuParams(0.0, 0.5),  # its two-element sum passes the frequency budget
 ], ids=repr)
-def test_sum_tables_are_none_where_the_log_grid_cannot_carry_the_law(law):
-    assert fading.element_sum_tables(law, KappaMuParams(0.0, 1.0), [20]) is None
+def test_sum_tables_are_none_where_the_construction_cannot_carry_the_law(law):
+    # at every count, the roughest or not
+    for counts in ([1], [20], [2, 2500]):
+        assert fading.element_sum_tables(law, KappaMuParams(0.0, 1.0), counts) is None
 
 
 def test_sum_table_past_the_frequency_budget_raises():
     # a one-sided Gaussian hop leaves the two-element sum a kink at 0, so
     # its characteristic function falls too slowly for the budget
-    with pytest.raises(ComputationError,
-                       match=r"mu=0.5\), user .* at 2 elements: its law needs more than"):
-        fading.element_sum_tables(KappaMuParams(0.0, 0.5), KappaMuParams(0.0, 2.0), [2])
+    laws = fading._log_product_density(KappaMuParams(0.0, 0.5), KappaMuParams(0.0, 2.0), 1)
+    with pytest.raises(ComputationError, match="its law needs more than 16384 frequencies"):
+        fading._sum_table(*laws, 2, 1)
+    # a Rayleigh pair's two-element sum fits, with the most frequencies
+    laws = fading._log_product_density(KappaMuParams(0.0, 1.0), KappaMuParams(0.0, 1.0), 1)
+    assert fading._sum_table(*laws, 2, 1)[1] == 16384
