@@ -10,12 +10,12 @@ per (fading pair, element count) before any block runs, and threads
 share them. Where the pair's law cannot be tabulated (element_sum_tables
 gives None: envelope_pdf cannot evaluate a hop's law, a hop is too
 narrow or too wide for the log grid, or the two-element sum needs too
-many frequencies), the RIS instead draws its
-elements' amplitudes sqrt(W_sat W_user), one root of its two hops'
-powers (fading.sample_power), with the unit-power scale
-1 / sqrt(c_sat c_user), c = 2 mu (1 + kappa), in the gain; the choice
-depends on the pair alone, so a row's path never depends on the nesting.
-The direct path draws its envelope (sample_envelope).
+many frequencies), the RIS instead draws its elements' amplitudes
+sqrt(W_sat W_user), one root of its two hops' powers
+(fading.sample_power), with the unit-power scale 1 / sqrt(c_sat c_user),
+c = 2 mu (1 + kappa), in the gain; the choice depends on the pair
+alone, so a row's path never depends on the nesting. The direct path
+draws its envelope (sample_envelope).
 
 Satellite distances are drawn independently per link by default, which
 is the statistical model the closed-form moments describe. The exact
