@@ -30,8 +30,6 @@ from .geometry import (
     ris_distance_moment,
     ris_distance_pdf,
     sample_nearest_sat_distance,
-    sample_ris_positions,
-    sample_serving_satellite,
     sat_distance_cdf,
     sat_distance_moment,
     sat_distance_pdf,

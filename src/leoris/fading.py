@@ -252,28 +252,37 @@ class SumTable:
         self.z0, self.dz, self.q = float(z[0]), float(z[1] - z[0]), q
         m0, m1 = slope[:-1] * self.dz, slope[1:] * self.dz
         d = q[1:] - q[:-1]
-        # per cell, the cubic in s = (z - z_i) / dz, lowest power first
-        self.coef = np.stack([q[:-1], m0, 3.0 * d - 2.0 * m0 - m1, m0 + m1 - 2.0 * d], axis=1)
+        # per cell, the cubic in s = (z - z_i) / dz, one row per power
+        self.coef = np.stack([q[:-1], m0, 3.0 * d - 2.0 * m0 - m1, m0 + m1 - 2.0 * d])
+
+    def cells(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Cell index and fraction of each z, for every table of this grid."""
+        r = np.clip((z - self.z0) / self.dz, 0.0, self.coef.shape[1])
+        i = np.minimum(r.astype(np.intp), self.coef.shape[1] - 1)
+        return i, r - i
+
+    def at(self, i: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """S at the cells and fractions ``cells`` gives (indices in range)."""
+        out = np.take(self.coef[3], i, mode="clip")
+        for row in self.coef[2::-1]:
+            out *= s
+            out += np.take(row, i, mode="clip")
+        return out
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         """S at each z; a logistic z draws S from the table's law."""
-        cells = self.coef.shape[0]
-        r = np.clip((z - self.z0) / self.dz, 0.0, cells)
-        i = np.minimum(r.astype(np.intp), cells - 1)
-        s = r - i
-        c = self.coef[i]
-        return c[:, 0] + s * (c[:, 1] + s * (c[:, 2] + s * c[:, 3]))
+        return self.at(*self.cells(z))
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
         """The distribution function of the law the table draws, at x: the
         cubic of x's cell solved for s by Newton's method."""
-        cells = self.coef.shape[0]
+        cells = self.coef.shape[1]
         i = np.clip(np.searchsorted(self.q, x, side="right") - 1, 0, cells - 1)
-        c = self.coef[i]
+        c = self.coef[:, i]
         s = np.clip((x - self.q[i]) / np.maximum(self.q[i + 1] - self.q[i], 1e-300), 0.0, 1.0)
         for _ in range(8):
-            value = c[:, 0] + s * (c[:, 1] + s * (c[:, 2] + s * c[:, 3])) - x
-            slope = c[:, 1] + s * (2.0 * c[:, 2] + 3.0 * s * c[:, 3])
+            value = c[0] + s * (c[1] + s * (c[2] + s * c[3])) - x
+            slope = c[1] + s * (2.0 * c[2] + 3.0 * s * c[3])
             s = np.clip(s - value / np.where(slope > 0.0, slope, np.inf), 0.0, 1.0)
         u = 1.0 / (1.0 + np.exp(-(self.z0 + self.dz * (i + s))))
         return np.where(x < self.q[0], 0.0, np.where(x >= self.q[-1], 1.0, u))
@@ -284,7 +293,7 @@ class SumTable:
         nodes, weights = np.polynomial.legendre.leggauss(4)
         s = (nodes + 1.0) / 2.0
         c = self.coef[:, :, None]
-        q = c[:, 0] + s * (c[:, 1] + s * (c[:, 2] + s * c[:, 3]))
+        q = c[0] + s * (c[1] + s * (c[2] + s * c[3]))
         u = 1.0 / (1.0 + np.exp(-(self.z0 + self.dz * (np.arange(len(q))[:, None] + s))))
         du = u * (1.0 - u) * (weights * self.dz / 2.0)
         tail = 1.0 / (1.0 + math.exp(_TABLE_Z))

@@ -359,39 +359,49 @@ def sat_distance_moment(t: int, eta: float, con: Constellation) -> float:
     return value
 
 
-def sample_ris_positions(geom: CylinderGeometry, rng: np.random.Generator,
-                         size: int) -> np.ndarray:
-    """Uniform RIS positions in the deployment region, shape (size, 3)."""
-    u = rng.random(size)
-    radial = np.sqrt(geom.inner_radius ** 2
-                     + (geom.base_radius ** 2 - geom.inner_radius ** 2) * u)
-    angle = 2.0 * math.pi * rng.random(size)
-    z = geom.height * rng.random(size) if geom.height > 0 else np.zeros(size)
-    return np.column_stack((radial * np.cos(angle), radial * np.sin(angle), z))
+def ris_squared_distances(geom: CylinderGeometry, u, v=None) -> np.ndarray:
+    """Squared user-to-RIS distances of uniformly placed RISs, from
+    uniforms of one shape: ``u`` the radius, ``v`` the height (None, or a
+    flat region, leaves them on the base). The azimuth does not enter."""
+    c = geom.inner_radius
+    out = c * c + (geom.base_radius ** 2 - c * c) * u
+    if v is not None and geom.height > 0.0:
+        out += np.square(geom.height * v)
+    return out
 
 
 def sample_ris_distances(geom: CylinderGeometry, rng: np.random.Generator,
                          size: int) -> np.ndarray:
-    """User-to-RIS distances for freshly drawn positions.
-
-    Draws radial and height coordinates only; the azimuth does not enter
-    the distance.
-    """
+    """User-to-RIS distances: a radius uniform, then a height uniform
+    unless the region is flat."""
     u = rng.random(size)
-    radial = np.sqrt(geom.inner_radius ** 2
-                     + (geom.base_radius ** 2 - geom.inner_radius ** 2) * u)
-    if geom.height == 0.0:
-        return radial
-    return np.hypot(radial, geom.height * rng.random(size))
+    return np.sqrt(ris_squared_distances(geom, u, rng.random(size) if geom.height > 0.0 else None))
 
 
-def _nearest_sat_uniform(con: Constellation, rng: np.random.Generator,
-                         n: int) -> np.ndarray:
-    """Minimum of M iid U(0,1), one per sample: the nearest satellite's
-    normalized squared slant range (d^2 - h^2) / (4 r_e (r_e + h))."""
-    v = rng.random(n)
-    # 1 - V^(1/M), computed stably for large M
-    return -np.expm1(np.log1p(-v) / con.satellites)
+def nearest_sat_fractions(con: Constellation, u) -> np.ndarray:
+    """Normalized squared slant range (d^2 - h^2) / (4 r_e (r_e + h)) of the
+    nearest satellite, one per uniform in ``u``: the minimum of M iid
+    U(0, 1), 1 - (1 - u)^(1/M), computed stably for large M."""
+    return -np.expm1(np.log1p(-u) / con.satellites)
+
+
+def sat_squared_distances(con: Constellation, s) -> np.ndarray:
+    """Squared ranges of satellites at normalized squared slant range ``s``."""
+    return con.altitude ** 2 + con._scale * s
+
+
+def slant_squared_ranges(con: Constellation, s, radial_sq, height, w) -> np.ndarray:
+    """Squared ranges from the satellite at normalized squared slant range
+    ``s``, rho_s = 2 R sqrt(s (1 - s)) off the user's axis at height
+    R (1 - 2 s) - r_e (R the shell radius), to points rho = sqrt(radial_sq)
+    off it at ``height``, azimuths 2 pi ``w`` apart; the horizontal part
+    (rho_s - rho)^2 + 4 rho_s rho sin^2(pi w) does not cancel."""
+    R = con.shell_radius
+    rho_s, rho = 2.0 * R * np.sqrt(s * (1.0 - s)), np.sqrt(radial_sq)
+    out = 4.0 * rho_s * rho * np.square(np.sin(math.pi * w))
+    out += np.square(rho_s - rho)
+    out += np.square(R * (1.0 - 2.0 * s) - con.earth_radius - height)
+    return out
 
 
 def sample_nearest_sat_distance(con: Constellation, rng: np.random.Generator,
@@ -403,33 +413,8 @@ def sample_nearest_sat_distance(con: Constellation, rng: np.random.Generator,
     is uniform on the slant-range interval, so the minimum over M of them
     is a Beta(1, M) draw mapped back through the distance law (the
     binomial-point-process contact distance). This is distribution-exact
-    and O(1) per sample; sample_serving_satellite draws the same law with
-    the satellite's position.
+    and O(1) per sample.
     """
     n = 1 if size is None else int(size)
-    umin = _nearest_sat_uniform(con, rng, n)
-    d = np.sqrt(con.altitude ** 2 + con._scale * umin)
+    d = np.sqrt(sat_squared_distances(con, nearest_sat_fractions(con, rng.random(n))))
     return float(d[0]) if size is None else d
-
-
-def sample_serving_satellite(con: Constellation, rng: np.random.Generator,
-                             size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Positions, shape (size, 3), and ranges, shape (size,), of the
-    satellite nearest the user, one independent constellation per row.
-
-    The range is the Beta(1, M) order statistic of
-    sample_nearest_sat_distance. A satellite at polar angle theta about
-    the shell center lies at squared range h^2 + 4 r_e (r_e + h) u with
-    cos(theta) = 1 - 2u, so the nearest one's polar angle follows from
-    its range, and its azimuth is uniform and independent.
-    """
-    umin = _nearest_sat_uniform(con, rng, size)
-    azimuth = 2.0 * math.pi * rng.random(size)
-    R = con.shell_radius
-    # sin(theta) = sqrt((1 - cos)(1 + cos)), exact for small u
-    radial = 2.0 * R * np.sqrt(umin * (1.0 - umin))
-    pos = np.column_stack((radial * np.cos(azimuth),
-                           radial * np.sin(azimuth),
-                           R * (1.0 - 2.0 * umin) - con.earth_radius))
-    return pos, np.sqrt(con.altitude ** 2 + con._scale * umin)
-

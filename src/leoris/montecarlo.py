@@ -3,28 +3,36 @@ combines the paths coherently (optimal element phases make every term
 add as a nonnegative magnitude), and squares into SNR samples.
 
 Each RIS's element sum S = sum_l |h_sat,l| |h_user,l| is drawn from its
-tabulated law: one logistic variate Z (the logit of one uniform) per
-trial reads S = Q_c(Z) from the fading.SumTable of the RIS's element
-count c, and S joins the per-trial distance gain. Tables are built once
-per (fading pair, element count) before any block runs, and threads
-share them. Where the pair's law cannot be tabulated (element_sum_tables
-gives None: envelope_pdf cannot evaluate a hop's law, a hop is too
-narrow or too wide for the log grid, or the two-element sum needs too
-many frequencies), the RIS instead draws its elements' amplitudes
-sqrt(W_sat W_user), one root of its two hops' powers
-(fading.sample_power), with the unit-power scale 1 / sqrt(c_sat c_user),
-c = 2 mu (1 + kappa), in the gain; the choice depends on the pair
-alone, so a row's path never depends on the nesting. The direct path
-draws its envelope (sample_envelope).
+tabulated law: the logit Z = ln u - ln(1 - u) of one uniform per trial
+(u = 0 reads the first node) reads S = Q_c(Z) from the fading.SumTable
+of the RIS's element count c, built before any block runs. Where the
+pair's law cannot be tabulated (element_sum_tables gives None), the RIS
+instead draws its elements' amplitudes sqrt(W_sat W_user), one root of
+its two hops' powers (fading.sample_power), with the unit-power scale
+1 / sqrt(c_sat c_user), c = 2 mu (1 + kappa), in the gain; the choice
+depends on the pair alone, so a row's path never depends on the
+nesting. The direct path draws its envelope (sample_envelope).
 
 Satellite distances are drawn independently per link by default, which
 is the statistical model the closed-form moments describe. The exact
 mode instead serves every link of a trial from one satellite, the one
 nearest the user, and measures true per-RIS slant ranges to it; it
 exists to quantify the shared-satellite correlation the analysis
-neglects. The serving satellite's position is drawn directly from its
-law (Beta(1, M) range, polar angle fixed by the range, uniform azimuth),
-so neither mode places the other M - 1 satellites.
+neglects. The serving satellite's Beta(1, M) normalized squared range
+fixes its polar angle, and each RIS's azimuth about it is uniform, so
+neither mode places the other M - 1 satellites.
+
+A block's RISs go through one array pass, in chunks of consecutive RISs
+whose (RIS, trial) arrays keep within _PASS_VALUES at the full
+configuration's block size; each gain d_sat^(-eta/2) r^(-beta/2) is
+exp(-(eta/4) ln d_sat^2 - (beta/4) ln r^2). A block draws, in order: in
+exact mode or with the direct path on, one uniform per trial (the
+serving satellite's, else the direct path's satellite); per chunk, one
+(k, RISs, trials) array of uniforms, by row each RIS's radius, height
+(k = 3 on a flat region, which draws none, else 4), satellite (in exact
+mode its azimuth about the serving one) and element sum, then each
+per-element RIS's sat-hop and user-hop powers; last the direct path's
+envelope.
 
 One simulation can serve several nested configurations at once (an
 RIS-count or element-count sweep): each nested configuration keeps a
@@ -73,10 +81,10 @@ from .fading import element_sum_tables, sample_envelope, sample_power
 from .geometry import (
     Constellation,
     CylinderGeometry,
-    sample_nearest_sat_distance,
-    sample_ris_distances,
-    sample_ris_positions,
-    sample_serving_satellite,
+    nearest_sat_fractions,
+    ris_squared_distances,
+    sat_squared_distances,
+    slant_squared_ranges,
 )
 
 __all__ = [
@@ -92,6 +100,9 @@ _BLOCK = 4096
 # hops' powers of its largest per-element RIS) and, while it draws,
 # fading._SLICE normals
 _CHUNK_ELEMENTS = 8_000_000
+# most (RIS, trial) values per array of a block's pass: at 2^15, glibc
+# returned each block's arrays to the system, to fault them in anew
+_PASS_VALUES = 1 << 13
 # kept SNR samples of one simulation: its trials
 MAX_KEPT_SAMPLES = 250_000_000
 # fewest trials a simulation that tallies sweep points accepts
@@ -178,15 +189,20 @@ def _block_size(cfg: LinkConfig) -> int:
     return max(1, min(_BLOCK, _CHUNK_ELEMENTS // max_elems))
 
 
-def _sum_tables(cfg: LinkConfig, plan) -> list:
+def _sum_tables(cfg: LinkConfig, plan, built: dict | None = None) -> list:
     """Per RIS of the full configuration, its rows' SumTables by element
-    count, or None where it draws per-element powers; RISs with the same
-    fading pair share one build."""
-    counts: dict[tuple, set] = {}
+    count, or None where it draws per-element powers; ``built`` holds the
+    tables by (fading pair, element count), None if untabulated."""
+    built = {} if built is None else built
+    out = []
     for link, rows in zip(cfg.ris, plan):
-        counts.setdefault((link.sat_fading, link.user_fading), set()).update(c for c, _ in rows)
-    built = {pair: element_sum_tables(*pair, need) for pair, need in counts.items()}
-    return [built[link.sat_fading, link.user_fading] for link in cfg.ris]
+        pair = (link.sat_fading, link.user_fading)
+        if need := [c for c, _ in rows if (pair, c) not in built]:
+            new = element_sum_tables(*pair, need)
+            built.update(((pair, c), new and new[c]) for c in need)
+        tables = {c: built[pair, c] for c, _ in rows}
+        out.append(None if None in tables.values() else tables)
+    return out
 
 
 def _simulate_block(cfg: LinkConfig, plan, rows: int, geom: CylinderGeometry,
@@ -201,43 +217,51 @@ def _simulate_block(cfg: LinkConfig, plan, rows: int, geom: CylinderGeometry,
     # both hops' powers, sized for the largest per-element RIS
     powers = np.empty((2, count * max((link.elements for link, table in zip(cfg.ris, tables)
                                        if table is None), default=0)))
-    if exact:
-        serving, r_user = sample_serving_satellite(con, rng, count)
-    for n, link in enumerate(cfg.ris):
-        if exact:
-            pos = sample_ris_positions(geom, rng, count)
-            r_sat = np.linalg.norm(serving - pos, axis=1)
-            r_ris = np.linalg.norm(pos, axis=1)
-        else:
-            r_sat = sample_nearest_sat_distance(con, rng, count)
-            r_ris = sample_ris_distances(geom, rng, count)
-        gain = r_sat ** (-link.sat_exponent / 2.0) * r_ris ** (-link.user_exponent / 2.0)
-        if tables[n] is not None:
-            z = rng.logistic(size=count)
+    if exact or cfg.direct.enabled:
+        s = nearest_sat_fractions(con, rng.random(count))
+    flat = geom.height == 0.0
+    step = max(1, _PASS_VALUES // _block_size(cfg))
+    for lo in range(0, len(cfg.ris), step):
+        links = cfg.ris[lo:lo + step]
+        u = rng.random((4 - flat, len(links), count))
+        r_sq = ris_squared_distances(geom, u[0], u[1])
+        d_sq = (slant_squared_ranges(con, s, ris_squared_distances(geom, u[0]),
+                                     geom.height * u[1], u[-2]) if exact
+                else sat_squared_distances(con, nearest_sat_fractions(con, u[-2])))
+        # d^(-eta/2) r^(-beta/2) from the squared distances' logarithms
+        eta = np.array([[-link.sat_exponent / 4.0] for link in links])
+        beta = np.array([[-link.user_exponent / 4.0] for link in links])
+        gain = np.exp(np.log(d_sq, out=d_sq) * eta + np.log(r_sq, out=r_sq) * beta)
+        with np.errstate(divide="ignore"):  # u = 0: Z = -inf reads the first node
+            z = np.log(u[-1]) - np.log1p(-u[-1])
+        for n, link in enumerate(links, start=lo):
+            g = gain[n - lo]
+            if tables[n] is not None:
+                # one cell per trial, read by every row's table (one z grid)
+                cell = tables[n][plan[n][0][0]].cells(z[n - lo])
+                for elements, idx in plan[n]:
+                    amp[idx] += tables[n][elements].at(*cell) * g
+                continue
+            sat, user = (buf[:count * link.elements].reshape(count, link.elements)
+                         for buf in powers)
+            # one root per element; the unit-power scale joins the per-trial gain
+            q = sample_power(link.sat_fading, rng, sat)
+            q *= sample_power(link.user_fading, rng, user)
+            np.sqrt(q, out=q)
+            g = g / math.sqrt(link.sat_fading.power_scale * link.user_fading.power_scale)
+            # smaller element counts extend a running sum (the plan is sorted
+            # by count); the full count sums q whole, as without nesting
+            head, summed = 0.0, 0
             for elements, idx in plan[n]:
-                amp[idx] += tables[n][elements](z) * gain
-            continue
-        sat, user = (buf[:count * link.elements].reshape(count, link.elements) for buf in powers)
-        # one root per element; the unit-power scale joins the per-trial gain
-        q = sample_power(link.sat_fading, rng, sat)
-        q *= sample_power(link.user_fading, rng, user)
-        np.sqrt(q, out=q)
-        gain /= math.sqrt(link.sat_fading.power_scale * link.user_fading.power_scale)
-        # smaller element counts extend a running sum (the plan is sorted
-        # by count); the full count sums q whole, as without nesting
-        head, summed = 0.0, 0
-        for elements, idx in plan[n]:
-            if elements < link.elements:
-                head = head + q[:, summed:elements].sum(axis=1)
-                summed, total = elements, head
-            else:
-                total = q.sum(axis=1)
-            amp[idx] += total * gain
+                if elements < link.elements:
+                    head = head + q[:, summed:elements].sum(axis=1)
+                    summed, total = elements, head
+                else:
+                    total = q.sum(axis=1)
+                amp[idx] += total * g
     if cfg.direct.enabled:
-        if not exact:
-            r_user = sample_nearest_sat_distance(con, rng, count)
         u = sample_envelope(cfg.direct.fading, rng, count)
-        amp += u * r_user ** (-cfg.direct.exponent / 2.0)
+        amp += u * sat_squared_distances(con, s) ** (-cfg.direct.exponent / 4.0)
     return amp
 
 
@@ -280,7 +304,7 @@ def _block_moments(amp: np.ndarray, taps: list, above: np.ndarray):
 
 def simulate_snr(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation,
                  opt: SimOptions, *, nested: tuple[LinkConfig, ...] = (),
-                 points=()) -> SimResult:
+                 points=(), tables: dict | None = None) -> SimResult:
     """Simulate the received SNR over opt.trials independent trials.
 
     Each configuration in ``nested`` must pass ``is_nested(sub, cfg)``; it
@@ -292,6 +316,9 @@ def simulate_snr(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation,
     cfg). The result's ``coverage`` and ``capacity`` hold, per point and
     with its standard error, the fraction of the row's SNRs at transmit
     SNR rho0 above rho_th and the mean of their log2(1 + SNR).
+
+    ``tables``, a dict a caller keeps across simulations (runner.sweep
+    keeps one per sweep), holds the element-sum tables built so far.
     """
     for sub in nested:
         if not is_nested(sub, cfg):
@@ -316,7 +343,7 @@ def simulate_snr(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation,
             for (r, rho0), idx in groups.items()]
     start = time.perf_counter()
     plan, size, exact = _row_plan((*nested, cfg)), _block_size(cfg), opt.exact_per_ris_sat_distance
-    tables = _sum_tables(cfg, plan)
+    tables = _sum_tables(cfg, plan, tables)
     samples = np.empty(opt.trials)
 
     def run_block(b: int):

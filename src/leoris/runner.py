@@ -87,14 +87,14 @@ def _groups(points: list[tuple]) -> list[tuple[int, CylinderGeometry, list, list
     return groups
 
 
-def _simulate(cfg: ScenarioConfig, first: int, geom: CylinderGeometry, rows: list,
-              points: list) -> SimResult:
+def _simulate(cfg: ScenarioConfig, tables: dict, first: int, geom: CylinderGeometry,
+              rows: list, points: list) -> SimResult:
     """One simulation of the last row's links with the others nested, from
     child ``first`` of SeedSequence(cfg.mc.seed), tallying ``points``."""
     child = np.random.SeedSequence(cfg.mc.seed, spawn_key=(first,))
     opts = dataclasses.replace(cfg.mc, seed=int(child.generate_state(1)[0]))
     return simulate_snr(rows[-1], geom, cfg.constellation, opts, nested=tuple(rows[:-1]),
-                        points=points)
+                        points=points, tables=tables)
 
 
 def _analytic(metric: str, models: list, rho0: tuple, rho_th: tuple) -> list[float]:
@@ -109,9 +109,9 @@ def sweep(cfg: ScenarioConfig) -> list[SweepTable]:
     equal links and geometry in one batch, evaluate each metric at every
     point in one batch, all before any simulation (so the first point
     that cannot be fitted raises first), then simulate once per group of
-    points with nested links. Too few trials for the Monte Carlo metrics,
-    or more than a simulation keeps samples of, raise before anything is
-    fitted."""
+    points with nested links, building each element-sum table once. Too
+    few trials for the Monte Carlo metrics, or more than a simulation
+    keeps samples of, raise before anything is fitted."""
     if cfg.mc_enabled and not MIN_EMPIRICAL_TRIALS <= cfg.mc.trials <= MAX_KEPT_SAMPLES:
         raise ConfigError(f"monte_carlo.trials: the Monte Carlo metrics need between "
                           f"{MIN_EMPIRICAL_TRIALS} and {MAX_KEPT_SAMPLES}, got {cfg.mc.trials}")
@@ -126,8 +126,9 @@ def sweep(cfg: ScenarioConfig) -> list[SweepTable]:
     # (estimate, stderr) of every simulated point per metric, in grid order;
     # SimResult names its per-point estimates after the metrics
     mc: dict[str, list] = {m: [] for m in metrics}
+    tables: dict = {}  # element-sum tables by (fading pair, element count)
     for group in _groups(points) if cfg.mc_enabled else ():
-        sim = _simulate(cfg, *group)
+        sim = _simulate(cfg, tables, *group)
         for m in metrics:
             mc[m].extend(getattr(sim, m))
     values = cfg.sweep.grid

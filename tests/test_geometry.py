@@ -17,9 +17,12 @@ from leoris.geometry import (
     ris_distance_cdf,
     ris_distance_moment,
     ris_distance_pdf,
+    nearest_sat_fractions,
+    ris_squared_distances,
     sample_nearest_sat_distance,
-    sample_ris_positions,
-    sample_serving_satellite,
+    sample_ris_distances,
+    sat_squared_distances,
+    slant_squared_ranges,
     sat_distance_cdf,
     sat_distance_moment,
     sat_distance_pdf,
@@ -102,8 +105,7 @@ def test_cdf_continuity_tall_region():
 def test_cdf_against_position_sampler():
     geom = CylinderGeometry(500.0, 100.0)
     rng = np.random.default_rng(99)
-    pos = sample_ris_positions(geom, rng, 200_000)
-    d = np.linalg.norm(pos, axis=1)
+    d = sample_ris_distances(geom, rng, 200_000)
     emp = np.mean(d <= 450.0)
     assert ris_distance_cdf(450.0, geom) == pytest.approx(emp, abs=3e-3)
 
@@ -396,25 +398,26 @@ def test_sat_moment_against_sampler():
 
 
 def test_ris_sampler_flat_region():
+    # on a flat region the height uniform is neither drawn nor read
     geom = CylinderGeometry(50.0, 0.0)
-    rng = np.random.default_rng(1)
-    pos = sample_ris_positions(geom, rng, 1000)
-    assert np.all(pos[:, 2] == 0.0)
+    u = np.random.default_rng(1).random(1000)
+    d = sample_ris_distances(geom, np.random.default_rng(1), 1000)
+    assert np.array_equal(d, np.sqrt(ris_squared_distances(geom, u)))
+    assert np.array_equal(ris_squared_distances(geom, u, np.ones(1000)),
+                          ris_squared_distances(geom, u))
 
 
 def test_ris_sampler_radial_mean():
     geom = CylinderGeometry(60.0, 30.0)
     rng = np.random.default_rng(2)
-    pos = sample_ris_positions(geom, rng, 400_000)
-    radial = np.hypot(pos[:, 0], pos[:, 1])
+    radial = np.sqrt(ris_squared_distances(geom, rng.random(400_000)))
     assert float(radial.mean()) == pytest.approx(2.0 * geom.base_radius / 3.0, rel=2e-3)
 
 
 def test_ris_sampler_ks_against_cdf():
     geom = CylinderGeometry(500.0, 100.0)
     rng = np.random.default_rng(3)
-    pos = sample_ris_positions(geom, rng, 100_000)
-    d = np.linalg.norm(pos, axis=1)
+    d = sample_ris_distances(geom, rng, 100_000)
     stat = kstest(d, lambda x: ris_distance_cdf(x, geom)).statistic
     assert stat < 0.01
 
@@ -462,22 +465,41 @@ def test_sat_sampler_matches_materialized_constellation():
 def test_serving_satellite_matches_materialized_argmin():
     con = Constellation(satellites=20, altitude=1.0e6)
     rng = np.random.default_rng(9)
-    pos, r_user = sample_serving_satellite(con, rng, 20_000)
-    ref = np.empty_like(pos)
+    s = nearest_sat_fractions(con, rng.random(20_000))
+    ref = np.empty((s.size, 3))
     for i in range(len(ref)):
         sats = sample_constellation(con, rng)
         ref[i] = sats[np.argmin(np.linalg.norm(sats, axis=1))]
-    assert np.allclose(np.linalg.norm(pos, axis=1), r_user, rtol=1e-12)
+    # at the user the slant range is the satellite's range
+    r_user = np.sqrt(sat_squared_distances(con, s))
+    assert np.allclose(np.sqrt(slant_squared_ranges(con, s, 0.0, 0.0, 0.0)), r_user, rtol=1e-12)
     # the user range alone does not see the direction; the range excess to
-    # an off-axis RIS point does
-    ris = np.array([90.0, -40.0, 60.0])
+    # a point above the user sees the satellite's height, to an off-axis
+    # point (at a uniform azimuth about the satellite's) also its
+    # horizontal offset
+    for point in ((0.0, 0.0, 60.0), (90.0, -40.0, 60.0)):
+        radial_sq, height = point[0] ** 2 + point[1] ** 2, point[2]
+        got = np.sqrt(slant_squared_ranges(con, s, radial_sq, height, rng.random(s.size)))
+        want = np.linalg.norm(ref - point, axis=1)
+        assert ks_2samp(got - r_user, want - np.linalg.norm(ref, axis=1)).pvalue > 0.01, point
 
-    def excess(p):
-        return np.linalg.norm(p - ris, axis=1) - np.linalg.norm(p, axis=1)
 
-    for got, want in ((pos[:, 0], ref[:, 0]), (pos[:, 2], ref[:, 2]),
-                      (excess(pos), excess(ref))):
-        assert ks_2samp(got, want).pvalue > 0.01
+def test_slant_ranges_are_the_distances_of_the_placed_points():
+    con = Constellation(satellites=20, altitude=1.0e6)
+    rng = np.random.default_rng(10)
+    s, w, u, v = rng.random((4, 1000))
+    s[:3] = (0.0, 1e-12, 1.0)
+    geom = CylinderGeometry(120.0, 120.0)
+    radial_sq, height = ris_squared_distances(geom, u), geom.height * v
+    # the satellite at azimuth 2 pi w, the point at azimuth 0
+    R = con.shell_radius
+    rho_s = 2.0 * R * np.sqrt(s * (1.0 - s))
+    sat = np.stack([rho_s * np.cos(2.0 * math.pi * w), rho_s * np.sin(2.0 * math.pi * w),
+                    R * (1.0 - 2.0 * s) - con.earth_radius], axis=1)
+    point = np.stack([np.sqrt(radial_sq), np.zeros_like(u), height], axis=1)
+    want = np.sum(np.square(sat - point), axis=1)
+    assert np.allclose(slant_squared_ranges(con, s, radial_sq, height, w), want, rtol=1e-12)
+    assert np.allclose(sat_squared_distances(con, s), np.sum(np.square(sat), axis=1), rtol=1e-12)
 
 
 def test_constellation_properties():

@@ -11,12 +11,17 @@ import pytest
 from conftest import default_links
 from leoris.channel import DirectPath, LinkConfig, RisLink, gamma_approx, mean_abs_A
 from leoris.errors import ComputationError, DomainError
-from leoris.fading import KappaMuParams, element_sum_tables, sample_power
+from scipy.stats import ks_2samp
+
+from leoris.fading import KappaMuParams, element_sum_tables, sample_envelope, sample_power
 from leoris.geometry import (
     Constellation,
     CylinderGeometry,
+    nearest_sat_fractions,
+    ris_squared_distances,
     sample_nearest_sat_distance,
     sample_ris_distances,
+    sat_squared_distances,
 )
 from leoris.metrics import CoverageQuery, coverage_probability
 from leoris import montecarlo
@@ -134,21 +139,51 @@ def test_block_b_draws_from_child_b_of_the_simulation_seed(monkeypatch):
         assert np.array_equal(short.snr_samples, res.snr_samples[:size])
 
 
+def _one_ris_pass(rng: np.random.Generator, link: RisLink, count: int):
+    """(gain, z) of a block's one RIS in independent mode, without a direct
+    path, in the pass's draw order: one (4, 1, count) array of uniforms, by
+    row the RIS's radius, height, satellite and element sum."""
+    u = rng.random((4, 1, count))[:, 0]
+    ln_sat = np.log(sat_squared_distances(CON, nearest_sat_fractions(CON, u[2])))
+    ln_ris = np.log(ris_squared_distances(GEOM, u[0], u[1]))
+    gain = np.exp(ln_sat * (-link.sat_exponent / 4.0) + ln_ris * (-link.user_exponent / 4.0))
+    return gain, np.log(u[3]) - np.log1p(-u[3])
+
+
 def test_block_ris_term_is_the_tabulated_element_sum_times_the_gains():
-    # the distances, then one logistic variate Z per trial, whose element
-    # sum Q_L(Z) from the pair's table scales by the per-trial distance gains
+    # the RIS's uniforms in one draw, then Q_L(Z), Z = ln u - ln(1 - u) the
+    # logit of its element-sum uniform, scaled by the distance gains
     cfg = default_links(1, direct=False)
     link, count = cfg.ris[0], 37
     amp = montecarlo._simulate_block(cfg, montecarlo._row_plan((cfg,)), 1, GEOM, CON,
                                      np.random.Generator(np.random.SFC64(4)), count, False)
-    rng = np.random.Generator(np.random.SFC64(4))
-    r_sat = sample_nearest_sat_distance(CON, rng, count)
-    r_ris = sample_ris_distances(GEOM, rng, count)
-    z = rng.logistic(size=count)
+    gain, z = _one_ris_pass(np.random.Generator(np.random.SFC64(4)), link, count)
     table = element_sum_tables(link.sat_fading, link.user_fading, [link.elements])[link.elements]
-    gain = r_sat ** (-link.sat_exponent / 2.0) * r_ris ** (-link.user_exponent / 2.0)
     assert amp.shape == (1, count)
     assert np.array_equal(amp[0], table(z) * gain)
+
+
+class _HalfAndZero:
+    """A generator stand-in whose uniforms are 1/2, except the last row
+    (the element-sum uniforms of a pass) at 0."""
+
+    def random(self, shape):
+        u = np.full(shape, 0.5)
+        u[-1] = 0.0
+        return u
+
+
+def test_a_zero_element_sum_uniform_reads_the_first_node_without_warnings():
+    cfg = default_links(2, direct=False)
+    plan = montecarlo._row_plan((cfg,))
+    tables = montecarlo._sum_tables(cfg, plan)
+    with np.errstate(all="raise"):
+        amp = montecarlo._simulate_block(cfg, plan, 1, GEOM, CON, _HalfAndZero(), 3, False, tables)
+    with np.errstate(divide="ignore"):
+        (g0, z), (g1, _) = (_one_ris_pass(_HalfAndZero(), link, 3) for link in cfg.ris)
+    first = tables[0][20].q[0]
+    assert z.tolist() == [-math.inf] * 3 and first > 0.0
+    assert np.array_equal(amp[0], first * g0 + first * g1)
 
 
 # envelope_pdf cannot evaluate kappa > 0 at mu = 1e4, so a RIS with this
@@ -163,21 +198,19 @@ def _fallback_links() -> LinkConfig:
 
 def test_block_ris_term_is_the_root_of_the_two_hop_powers_times_the_gains():
     # per element sqrt(W_sat W_user) / sqrt(c_sat c_user), c = 2 mu (1 + kappa),
-    # summed over the elements and scaled by the per-trial distance gains,
-    # every variate drawn from the block's generator in this order
+    # summed over the elements and scaled by the per-trial distance gains:
+    # the pass's uniforms first (the element-sum one unread), then the powers
     cfg = _fallback_links()
     link, count = cfg.ris[0], 37
     amp = montecarlo._simulate_block(cfg, montecarlo._row_plan((cfg,)), 1, GEOM, CON,
                                      np.random.Generator(np.random.SFC64(4)), count, False)
     rng = np.random.Generator(np.random.SFC64(4))
-    r_sat = sample_nearest_sat_distance(CON, rng, count)
-    r_ris = sample_ris_distances(GEOM, rng, count)
+    gain, _ = _one_ris_pass(rng, link, count)
     w_sat, w_user = (sample_power(law, rng, np.empty((count, link.elements)))
                      for law in (link.sat_fading, link.user_fading))
     c_sat, c_user = (2.0 * law.mu * (1.0 + law.kappa)
                      for law in (link.sat_fading, link.user_fading))
-    gain = r_sat ** (-link.sat_exponent / 2.0) * r_ris ** (-link.user_exponent / 2.0)
-    gain /= math.sqrt(c_sat * c_user)
+    gain = gain / math.sqrt(c_sat * c_user)
     assert amp.shape == (1, count)
     assert np.array_equal(amp[0], np.sqrt(w_sat * w_user).sum(axis=1) * gain)
 
@@ -197,13 +230,101 @@ def test_nested_rows_of_one_ris_read_one_variate_comonotonically():
     link, count = rows[-1].ris[0], 300
     amp = montecarlo._simulate_block(rows[-1], montecarlo._row_plan(rows), len(rows), GEOM, CON,
                                      np.random.Generator(np.random.SFC64(3)), count, False)
-    rng = np.random.Generator(np.random.SFC64(3))
-    gain = (sample_nearest_sat_distance(CON, rng, count) ** (-link.sat_exponent / 2.0)
-            * sample_ris_distances(GEOM, rng, count) ** (-link.user_exponent / 2.0))
-    z = rng.logistic(size=count)
+    gain, z = _one_ris_pass(np.random.Generator(np.random.SFC64(3)), link, count)
     tables = element_sum_tables(link.sat_fading, link.user_fading, counts)
     for row, c in zip(amp, counts):
         assert np.array_equal(row, tables[c](z) * gain), c
+
+
+def _reference_block(rows: tuple[LinkConfig, ...], geom: CylinderGeometry,
+                     rng: np.random.Generator, count: int, exact: bool) -> np.ndarray:
+    """|A| of ``count`` trials per row, RIS by RIS from the public samplers:
+    the slow reference the block's one array pass is checked against. A
+    tabulated RIS reads each row's table at one logistic variate; in exact
+    mode the serving satellite and the RISs are placed in space."""
+    cfg, plan = rows[-1], montecarlo._row_plan(rows)
+    tables = montecarlo._sum_tables(cfg, plan)
+    amp = np.zeros((len(rows), count))
+    if exact:
+        s = nearest_sat_fractions(CON, rng.random(count))
+        azimuth = 2.0 * math.pi * rng.random(count)
+        R = CON.shell_radius
+        radial = 2.0 * R * np.sqrt(s * (1.0 - s))
+        serving = np.column_stack((radial * np.cos(azimuth), radial * np.sin(azimuth),
+                                   R * (1.0 - 2.0 * s) - CON.earth_radius))
+        r_user = np.linalg.norm(serving, axis=1)
+    for link, table, entries in zip(cfg.ris, tables, plan):
+        if exact:
+            c = geom.inner_radius
+            radial = np.sqrt(c * c + (geom.base_radius ** 2 - c * c) * rng.random(count))
+            angle = 2.0 * math.pi * rng.random(count)
+            pos = np.column_stack((radial * np.cos(angle), radial * np.sin(angle),
+                                   geom.height * rng.random(count)))
+            r_sat, r_ris = np.linalg.norm(serving - pos, axis=1), np.linalg.norm(pos, axis=1)
+        else:
+            r_sat = sample_nearest_sat_distance(CON, rng, count)
+            r_ris = sample_ris_distances(geom, rng, count)
+        gain = r_sat ** (-link.sat_exponent / 2.0) * r_ris ** (-link.user_exponent / 2.0)
+        if table is not None:
+            z = rng.logistic(size=count)
+            for elements, idx in entries:
+                amp[idx] += table[elements](z) * gain
+            continue
+        q = np.sqrt(sample_power(link.sat_fading, rng, np.empty((count, link.elements)))
+                    * sample_power(link.user_fading, rng, np.empty((count, link.elements))))
+        gain /= math.sqrt(link.sat_fading.power_scale * link.user_fading.power_scale)
+        for elements, idx in entries:
+            amp[idx] += q[:, :elements].sum(axis=1) * gain
+    if cfg.direct.enabled:
+        if not exact:
+            r_user = sample_nearest_sat_distance(CON, rng, count)
+        envelope = sample_envelope(cfg.direct.fading, rng, count)
+        amp += envelope * r_user ** (-cfg.direct.exponent / 2.0)
+    return amp
+
+
+def _mixed_links() -> LinkConfig:
+    """Three RISs, the middle one untabulated (sat hop kappa = 1, mu = 1e4)."""
+    cfg = default_links(3)
+    return dataclasses.replace(cfg, ris=(cfg.ris[0], dataclasses.replace(
+        cfg.ris[1], sat_fading=FALLBACK), cfg.ris[2]))
+
+
+_ANNULUS = CylinderGeometry(120.0, 0.0, inner_radius=30.0)
+# RISs 90 to 100 km from the user, without the direct path that would
+# outweigh them: their slant ranges to the serving satellite differ by
+# several percent, and the closed-form mean, which takes each RIS's
+# satellite independently, no longer holds
+_WIDE = CylinderGeometry(1.0e5, 0.0, inner_radius=9.0e4)
+_ORACLE_CASES = {
+    "independent": ((default_links(3),), GEOM, False),
+    "exact": ((default_links(3),), GEOM, True),
+    "exact_annulus": ((default_links(3),), _ANNULUS, True),
+    "exact_wide": ((default_links(3, direct=False),), _WIDE, True),
+    "nested_L": (tuple(default_links(2, e) for e in (5, 10, 20)), GEOM, False),
+    "mixed": ((_mixed_links(),), GEOM, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_the_array_pass_draws_the_law_of_the_per_ris_reference(case):
+    rows, geom, exact = _ORACLE_CASES[case]
+    trials, block = 200_000, montecarlo._BLOCK
+    plan = montecarlo._row_plan(rows)
+    tables = montecarlo._sum_tables(rows[-1], plan)
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(2024)))
+    amp = np.concatenate([montecarlo._simulate_block(rows[-1], plan, len(rows), geom, CON, rng,
+                                                     min(block, trials - lo), exact, tables)
+                          for lo in range(0, trials, block)], axis=1)
+    ref = _reference_block(rows, geom, np.random.Generator(np.random.SFC64(2025)), trials, exact)
+    for links, got, want in zip(rows, amp, ref):
+        assert ks_2samp(got, want).pvalue > 0.01, (case, links.ris[0].elements)
+        stderr = math.sqrt((got.var() + want.var()) / trials)
+        assert abs(got.mean() - want.mean()) <= 5.0 * stderr
+        if geom is not _WIDE:
+            mean = mean_abs_A(links, geom, CON)
+            for sample in (got, want):
+                assert abs(sample.mean() - mean) <= 5.0 * sample.std() / math.sqrt(trials)
 
 
 def test_thread_pool_never_outgrows_the_blocks_or_the_cpus(monkeypatch):

@@ -19,7 +19,7 @@ from leoris.errors import ComputationError, ConfigError
 from leoris.metrics import CoverageQuery, coverage_probability, ergodic_capacity
 from leoris.montecarlo import MAX_KEPT_SAMPLES, simulate_snr
 from leoris.channel import gamma_approx
-from leoris import runner
+from leoris import montecarlo, runner
 from leoris.runner import run_scenario, sweep
 from leoris.scenario import (
     MAX_ELEMENTS,
@@ -451,7 +451,7 @@ def test_each_simulation_gets_its_rows_and_points(monkeypatch, variable, grid, c
     points = sweep_points(cfg)
     seen = []
 
-    def simulate(links, geom, con, opt, *, nested, points):
+    def simulate(links, geom, con, opt, *, nested, points, tables):
         seen.append((links, geom, opt.seed, nested, points))
         return types.SimpleNamespace(coverage=[(0.5, 0.1)] * len(points),
                                      capacity=[(1.0, 0.1)] * len(points))
@@ -470,6 +470,23 @@ def test_each_simulation_gets_its_rows_and_points(monkeypatch, variable, grid, c
     if variable == "N":
         links, _, _, nested, _ = seen[0]
         assert [len(sub.ris) for sub in (*nested, links)] == [4, 8, 16]
+
+
+def test_a_sweep_builds_each_element_sum_table_once(monkeypatch):
+    builds = []
+
+    def build(sat, user, counts, _fn=montecarlo.element_sum_tables):
+        builds.append((sat, user, tuple(sorted(counts))))
+        return _fn(sat, user, counts)
+
+    monkeypatch.setattr(montecarlo, "element_sum_tables", build)
+    cfg = _sweep_config("R0", tuple(np.linspace(60.0, 300.0, 10).tolist()), mc=True)
+    cfg = dataclasses.replace(cfg, mc=dataclasses.replace(cfg.mc, trials=200))
+    tables = sweep(cfg)
+    assert [row[2] is not None for row in tables[0].rows] == [True] * 10
+    link = cfg.links.ris[0]
+    assert link.elements == 20
+    assert builds == [(link.sat_fading, link.user_fading, (20,))]
 
 
 # first failing point, its error, and the message its setter or, past
