@@ -7,10 +7,11 @@
                         [--format csv|json] [--out DIR]
 
 Grid specs are comma lists ("0,10,20,40") or start:stop:points ("0:40:10"),
-each point checked by its --var's setter in scenario.VARIABLES before
-anything runs. Threshold and transmit-SNR grids are in dB; N and L are
-counts; R0 and H are meters. Every option except --out overrides the
-scenario, so the resolved echo written next to the tables records the run.
+each point checked by its --var's setter in scenario.VARIABLES, and its
+RIS-distance moments, before anything runs. Threshold and transmit-SNR
+grids are in dB; N and L are counts; R0 and H are meters. Every option
+except --out overrides the scenario, so the resolved echo written next
+to the tables records the run.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 
 from .errors import ConfigError, DomainError, LeorisError
 from .runner import run_scenario
-from .scenario import SWEEP_VARIABLES, SweepSpec, load_scenario, parse_grid, sweep_points
+from .scenario import SWEEP_VARIABLES, SweepSpec, load_scenario, parse_grid, validate_sweep
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -78,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
                 cfg, output=dataclasses.replace(cfg.output, format=args.format))
         if args.command == "sweep":
             cfg = dataclasses.replace(cfg, sweep=SweepSpec(args.var, parse_grid(args.grid, "--grid")))
-            sweep_points(cfg, "--grid")
+            validate_sweep(cfg, "--grid")
         summary = run_scenario(cfg, out_dir=args.out)
     except LeorisError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -72,8 +72,6 @@ _LOG_UNDERFLOW = math.log(np.nextafter(0.0, 1.0)) - 1.0
 # a factor that underflowed to 0 (below the smallest normal float) can hide
 # a density above underflow only where the rest of its log is above this
 _LOG_HIDDEN = _LOG_UNDERFLOW - math.log(np.finfo(float).tiny)
-# elements per slice of a power draw's normals (128 KiB of scratch)
-_SLICE = 16_384
 
 
 def _log_gamma_ratio(a: float, s: float) -> float:
@@ -211,35 +209,17 @@ def envelope_cdf(x, p: KappaMuParams):
     return _chdtr(2.0 * m, q) if k == 0.0 else _chndtr(q, 2.0 * m, 2.0 * k * m)
 
 
-def sample_power(p: KappaMuParams, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Exact draws of the power W = 2 mu (1 + kappa) |h|^2 into ``out``, a
-    C-contiguous float64 array of any shape, which is returned.
-
-    numpy's per-element noncentral chi-square recipe, vectorized, so the
-    law is numpy's: W = 2 Gamma(mu) at kappa = 0; 2 Gamma(mu - 1/2) +
-    (Z + sqrt(2 kappa mu))^2 for 2 mu > 1, every gamma drawn before every
-    normal; else numpy's Poisson mixture. Normals and mixture draws go
-    through slices of _SLICE elements, so no second array of out's size is
-    held, and the bits do not depend on the slice.
-    """
-    if out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise DomainError("sample_power needs a C-contiguous float64 output array")
+def sample_power(p: KappaMuParams, rng: np.random.Generator,
+                 size: int | tuple[int, ...] | None = None):
+    """Exact draws of the power W = 2 mu (1 + kappa) |h|^2, numpy's own: 2
+    Gamma(mu) at kappa = 0, else noncentral chi-square with 2 mu degrees
+    of freedom and noncentrality 2 kappa mu; a float for ``size=None``."""
     k, m = p.kappa, p.mu
-    if k == 0.0 or m > 0.5:
-        rng.standard_gamma(m if k == 0.0 else m - 0.5, out=out)
-        out *= 2.0
-        if k == 0.0:
-            return out
-    flat, shift = out.reshape(-1), math.sqrt(2.0 * k * m)
-    for lo in range(0, flat.size, _SLICE):
-        part = flat[lo:lo + _SLICE]
-        if m > 0.5:
-            z = rng.standard_normal(part.size)
-            z += shift
-            part += np.square(z, out=z)
-        else:
-            part[...] = rng.noncentral_chisquare(2.0 * m, 2.0 * k * m, part.size)
-    return out
+    if k > 0.0:
+        return rng.noncentral_chisquare(2.0 * m, 2.0 * k * m, size)
+    w = rng.standard_gamma(m, size)
+    w *= 2.0
+    return w
 
 
 class SumTable:
@@ -546,7 +526,7 @@ def sample_envelope(p: KappaMuParams, rng: np.random.Generator,
                     size: int | tuple[int, ...] | None = None):
     """Exact draws of the unit-power envelope, sqrt(W / (2 mu (1 + kappa)))
     with W from sample_power; a float for ``size=None``."""
-    w = sample_power(p, rng, np.empty(() if size is None else size))
+    w = sample_power(p, rng, () if size is None else size)
     # in place: no scaled copy or root beside the draw
     w /= p.power_scale
     np.sqrt(w, out=w)

@@ -7,11 +7,12 @@ tabulated law: the logit Z = ln u - ln(1 - u) of one uniform per trial
 (u = 0 reads the first node) reads S = Q_c(Z) from the fading.SumTable
 of the RIS's element count c, built before any block runs. Where the
 pair's law cannot be tabulated (element_sum_tables gives None), the RIS
-instead draws its elements' amplitudes sqrt(W_sat W_user), one root of
-its two hops' powers (fading.sample_power), with the unit-power scale
-1 / sqrt(c_sat c_user), c = 2 mu (1 + kappa), in the gain; the choice
-depends on the pair alone, so a row's path never depends on the
-nesting. The direct path draws its envelope (sample_envelope).
+instead draws both hops' powers per element from numpy's own gamma or
+noncentral chi-square sampler (fading.sample_power) and sums the roots
+sqrt(W_sat W_user), with the unit-power scale 1 / sqrt(c_sat c_user),
+c = 2 mu (1 + kappa), in the gain; the choice depends on the pair
+alone, so a row's path never depends on the nesting. The direct path
+draws its envelope (sample_envelope).
 
 Satellite distances are drawn independently per link by default, which
 is the statistical model the closed-form moments describe. The exact
@@ -97,8 +98,7 @@ __all__ = [
 
 _BLOCK = 4096
 # most elements in one fading array of a block; a block holds two (both
-# hops' powers of its largest per-element RIS) and, while it draws,
-# fading._SLICE normals
+# hops' powers of its largest per-element RIS)
 _CHUNK_ELEMENTS = 8_000_000
 # most (RIS, trial) values per array of a block's pass: at 2^15, glibc
 # returned each block's arrays to the system, to fault them in anew
@@ -214,9 +214,6 @@ def _simulate_block(cfg: LinkConfig, plan, rows: int, geom: CylinderGeometry,
     if tables is None:
         tables = _sum_tables(cfg, plan)
     amp = np.zeros((rows, count))
-    # both hops' powers, sized for the largest per-element RIS
-    powers = np.empty((2, count * max((link.elements for link, table in zip(cfg.ris, tables)
-                                       if table is None), default=0)))
     if exact or cfg.direct.enabled:
         s = nearest_sat_fractions(con, rng.random(count))
     flat = geom.height == 0.0
@@ -242,11 +239,9 @@ def _simulate_block(cfg: LinkConfig, plan, rows: int, geom: CylinderGeometry,
                 for elements, idx in plan[n]:
                     amp[idx] += tables[n][elements].at(*cell) * g
                 continue
-            sat, user = (buf[:count * link.elements].reshape(count, link.elements)
-                         for buf in powers)
             # one root per element; the unit-power scale joins the per-trial gain
-            q = sample_power(link.sat_fading, rng, sat)
-            q *= sample_power(link.user_fading, rng, user)
+            q = sample_power(link.sat_fading, rng, (count, link.elements))
+            q *= sample_power(link.user_fading, rng, q.shape)
             np.sqrt(q, out=q)
             g = g / math.sqrt(link.sat_fading.power_scale * link.user_fading.power_scale)
             # smaller element counts extend a running sum (the plan is sorted

@@ -126,9 +126,9 @@ def sweep(cfg: ScenarioConfig) -> list[SweepTable]:
     # (estimate, stderr) of every simulated point per metric, in grid order;
     # SimResult names its per-point estimates after the metrics
     mc: dict[str, list] = {m: [] for m in metrics}
-    tables: dict = {}  # element-sum tables by (fading pair, element count)
+    sum_tables: dict = {}  # element-sum tables by (fading pair, element count)
     for group in _groups(points) if cfg.mc_enabled else ():
-        sim = _simulate(cfg, tables, *group)
+        sim = _simulate(cfg, sum_tables, *group)
         for m in metrics:
             mc[m].extend(getattr(sim, m))
     values = cfg.sweep.grid
@@ -141,29 +141,17 @@ def sweep(cfg: ScenarioConfig) -> list[SweepTable]:
     return tables
 
 
-def _csv_line(row: tuple) -> str:
-    """The format string of a CSV line with ``row``'s cell types, as
-    csv.writer writes the cells' strings: an empty cell for None, .17g for
-    a float, str() otherwise, CRLF at the end. Cells are numbers or None,
-    none of which csv.writer quotes."""
-    cells = ("" if v is None else f"{{{i}:.17g}}" if isinstance(v, float) else f"{{{i}}}"
-             for i, v in enumerate(row))
-    return ",".join(cells) + "\r\n"
-
-
 def write_table(table: SweepTable, directory: Path, fmt: str) -> Path:
     directory.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
         path = directory / f"{table.metric}.csv"
-        formats = {}  # the format string of each row's cell types
-        lines = [",".join(HEADER) + "\r\n"]
-        for row in table.rows:
-            kinds = tuple(map(type, row))
-            line = formats.get(kinds)
-            if line is None:
-                line = formats[kinds] = _csv_line(row)
-            lines.append(line.format(*row))
-        path.write_text("".join(lines), encoding="utf-8", newline="")
+        # what csv.writer writes for cells that are numbers or None, none of
+        # which it quotes: an empty cell for None, .17g for a float, str()
+        # otherwise, CRLF line ends
+        lines = [",".join(HEADER)]
+        lines += (",".join(["" if v is None else f"{v:.17g}" if isinstance(v, float) else str(v)
+                            for v in row]) for row in table.rows)
+        path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8", newline="")
     elif fmt == "json":
         path = directory / f"{table.metric}.json"
         payload = [dict(zip(HEADER, row)) for row in table.rows]

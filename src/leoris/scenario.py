@@ -11,7 +11,9 @@ A sweep variable is one entry of VARIABLES: the field a grid point
 replaces, the tables its sweep writes, and a setter of the point's inputs
 through that field's validators, which parse_scenario runs on every point.
 Every point is also checked for a finite variance of |A|, whose
-RIS-distance moments diverge on some regions and exponents.
+RIS-distance moments diverge on some regions and exponents, and, when
+the file loads or the CLI takes a grid (validate_sweep), for finite
+moments that lie outside the floats.
 
 Kilometers and dBm appear only here; everything downstream runs on meters
 and linear ratios.
@@ -20,7 +22,9 @@ and linear ratios.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -28,10 +32,10 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 import yaml
 
-from .channel import DirectPath, LinkConfig, RisLink
+from .channel import _CHUNK_PATHS, DirectPath, LinkConfig, RisLink
 from .errors import ConfigError, DomainError
 from .fading import KappaMuParams
-from .geometry import _MAX_ASPECT, _TINY, Constellation, CylinderGeometry
+from .geometry import _MAX_ASPECT, _TINY, Constellation, CylinderGeometry, _ris_moment
 from .montecarlo import SimOptions
 
 __all__ = [
@@ -42,6 +46,7 @@ __all__ = [
     "parse_scenario",
     "resolved_mapping",
     "sweep_points",
+    "validate_sweep",
     "VARIABLES",
     "SWEEP_VARIABLES",
 ]
@@ -206,9 +211,11 @@ def _fading_params(node, path: str, laws: dict) -> KappaMuParams:
     RISs with equal laws share one object and compare by identity."""
     if not isinstance(node, dict):
         raise ConfigError(f"{path}: expected a mapping with kappa and mu")
-    kappa = _number(node, "kappa", minimum=0.0)
-    mu = _number(node, "mu", strict_min=0.0)
-    law = KappaMuParams(kappa=kappa, mu=mu)
+    try:
+        law = KappaMuParams(kappa=_number(node, "kappa", minimum=0.0),
+                            mu=_number(node, "mu", strict_min=0.0))
+    except ConfigError as exc:
+        raise ConfigError(f"{path}.{exc}") from None
     return laws.setdefault(law, law)
 
 
@@ -339,7 +346,7 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
         exponent_seed=exponent_seed,
         exponent_range=exponent_range,
     )
-    sweep_points(cfg)
+    validate_sweep(cfg)
     return cfg
 
 
@@ -464,11 +471,61 @@ def sweep_points(cfg: ScenarioConfig, path: str = "sweep.grid") -> list[tuple]:
     return points
 
 
+def validate_sweep(cfg: ScenarioConfig, path: str = "sweep.grid") -> None:
+    """Check every point of the sweep as sweep_points does, then the
+    RIS-distance moments E[R^-s], s = eps/2 and eps, that its fits need,
+    by the fits' kernel over the distinct (region, exponent) pairs: a
+    finite moment can lie outside the floats (on an annulus it grows as
+    inner_radius^(2 - s)). The first such point and RIS raise ConfigError
+    naming ``path``[i] and ris.user_exponent[j]."""
+    # the first point of each distinct (region, user-hop exponents), in grid
+    # order; a point with its predecessor's RISs and region adds nothing
+    ris, region, firsts = None, None, {}
+    for i, (links, geom, _, _) in enumerate(sweep_points(cfg, path)):
+        if links.ris is ris and geom is region:
+            continue
+        if links.ris is not ris:
+            ris, exps = links.ris, tuple(link.user_exponent for link in links.ris)
+        region = geom
+        firsts.setdefault((geom, exps), i)
+    counts = [len(exps) for _, exps in firsts]
+    regions = np.array([(g.base_radius, g.height, g.inner_radius) for g, _ in firsts])
+    R0, H, c = np.repeat(regions.reshape(-1, 3), counts, axis=0).T
+    s = np.multiply.outer((0.5, 1.0), np.fromiter(
+        itertools.chain.from_iterable(exps for _, exps in firsts), dtype=float, count=sum(counts)))
+    # the kernel takes the fits' chunks of pairs, which bound its arrays
+    for lo in range(0, s.shape[1], _CHUNK_PATHS):
+        part = slice(lo, lo + _CHUNK_PATHS)
+        bad = np.isnan(_ris_moment(s[:, part], R0[part], H[part], c[part]))
+        if not bad.any():
+            continue
+        k = int(np.flatnonzero(bad.any(axis=0))[0])  # in grid order, then RIS order
+        order, k = s[np.argmax(bad[:, k]), lo + k], lo + k
+        for (geom, exps), i in firsts.items():
+            if k < len(exps):
+                raise ConfigError(f"{path}[{i}]: ris.user_exponent[{k}]: E[R^-{order:g}] of the "
+                                  "user-to-RIS distance, which the fit needs, leaves the float "
+                                  f"range for {geom}")
+            k -= len(exps)
+
+
+class _Loader(yaml.SafeLoader):
+    """The safe loader, reading an exponent float without a dot or an
+    exponent sign (1e4, 1.0e4) as a float, as YAML 1.2 does, where the
+    YAML 1.1 resolver leaves it a string."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."))
+
+
 def load_scenario(path: str | Path) -> ScenarioConfig:
     """Load and validate a scenario YAML file."""
     text = Path(path).read_text(encoding="utf-8")
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_Loader)
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: integers past 4300 digits
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     return parse_scenario(raw)

@@ -184,27 +184,25 @@ def test_sampler_first_moment_consistency():
     assert float(draws.mean()) == pytest.approx(envelope_moment(1.0, p), rel=5e-3)
 
 
-# one law per branch of sample_power: kappa = 0 (2 mu above and below 1),
-# 2 mu > 1, the 2 mu = 1 boundary, 2 mu < 1, and strong line of sight
+# one law per regime of numpy's samplers: kappa = 0 (2 mu above and below
+# 1), and noncentral chi-square at 2 mu > 1, 2 mu = 1, 2 mu < 1 and with
+# strong line of sight
 _BRANCHES = [(0.0, 1.0), (0.0, 0.3), (1.0, 2.0), (3.0, 3.0), (0.6, 0.75), (2.0, 0.5),
              (1.5, 0.3), (50.0, 7.5)]
 
 
 @pytest.mark.parametrize("kappa,mu", [(0.0, 1.5), (2.0, 0.75), (2.0, 0.5), (1.5, 0.3)])
-@pytest.mark.parametrize("size", [None, 7, (5, 3), fading._SLICE + 3])
+@pytest.mark.parametrize("size", [None, 7, (5, 3), 16_387])
 def test_sampler_scales_in_place_with_the_same_bits(kappa, mu, size):
     """In-place scaling gives the bits of sqrt(W / (2 mu (1 + kappa))), W
-    drawn from the same generator by numpy's per-element noncentral
-    chi-square recipe, vectorized: every gamma, then every normal."""
+    drawn from the same generator by numpy's gamma or noncentral
+    chi-square sampler."""
     p = KappaMuParams(kappa, mu)
     got = sample_envelope(p, np.random.default_rng(15), size)
     rng = np.random.default_rng(15)
     shape = () if size is None else size
     if kappa == 0.0:
         w = 2.0 * rng.standard_gamma(mu, shape)
-    elif 2.0 * mu > 1.0:
-        w = 2.0 * rng.standard_gamma(mu - 0.5, shape)
-        w = w + (rng.standard_normal(shape) + math.sqrt(2.0 * kappa * mu)) ** 2
     else:
         w = rng.noncentral_chisquare(2.0 * mu, 2.0 * kappa * mu, shape)
     want = np.sqrt(w / (2.0 * mu * (1.0 + kappa)))
@@ -214,14 +212,19 @@ def test_sampler_scales_in_place_with_the_same_bits(kappa, mu, size):
         assert got.shape == want.shape and np.array_equal(got, want)
 
 
-def test_sample_power_fills_its_buffer_and_rejects_a_strided_one():
-    p = KappaMuParams(3.0, 3.0)
-    out = np.empty((4, 5))
-    assert sample_power(p, np.random.default_rng(3), out) is out
-    w = np.sqrt(out / p.power_scale)
-    assert np.array_equal(w, sample_envelope(p, np.random.default_rng(3), (4, 5)))
-    with pytest.raises(DomainError, match="C-contiguous"):
-        sample_power(p, np.random.default_rng(3), np.empty((4, 10))[:, ::2])
+@pytest.mark.parametrize("kappa,mu", [(0.0, 1.5), (0.0, 0.3), (3.0, 3.0), (1.5, 0.3)])
+@pytest.mark.parametrize("size", [7, (4, 5)])
+def test_sample_power_is_numpys_draw(kappa, mu, size):
+    # 2 Gamma(mu) at kappa = 0, else noncentral chi-square with 2 mu
+    # degrees of freedom and noncentrality 2 kappa mu, from one generator
+    p = KappaMuParams(kappa, mu)
+    got = sample_power(p, np.random.default_rng(3), size)
+    rng = np.random.default_rng(3)
+    want = (2.0 * rng.standard_gamma(mu, size) if kappa == 0.0
+            else rng.noncentral_chisquare(2.0 * mu, 2.0 * kappa * mu, size))
+    assert got.shape == want.shape and np.array_equal(got, want)
+    envelope = sample_envelope(p, np.random.default_rng(3), size)
+    assert np.array_equal(envelope, np.sqrt(got / p.power_scale))
 
 
 @pytest.mark.parametrize("kappa,mu", _BRANCHES)
@@ -303,7 +306,7 @@ def test_sum_tables_match_per_element_sums_in_a_ks_test():
     table = fading.element_sum_tables(*DEFAULT_PAIR, [count])[count]
     rng = np.random.Generator(np.random.SFC64(2024))
     from_table = table(rng.logistic(size=draws))
-    sat, user = (sample_power(p, rng, np.empty((draws, count))) for p in DEFAULT_PAIR)
+    sat, user = (sample_power(p, rng, (draws, count)) for p in DEFAULT_PAIR)
     sat *= user
     per_element = np.sqrt(sat).sum(axis=1) / math.sqrt(
         DEFAULT_PAIR[0].power_scale * DEFAULT_PAIR[1].power_scale)

@@ -206,7 +206,7 @@ def test_block_ris_term_is_the_root_of_the_two_hop_powers_times_the_gains():
                                      np.random.Generator(np.random.SFC64(4)), count, False)
     rng = np.random.Generator(np.random.SFC64(4))
     gain, _ = _one_ris_pass(rng, link, count)
-    w_sat, w_user = (sample_power(law, rng, np.empty((count, link.elements)))
+    w_sat, w_user = (sample_power(law, rng, (count, link.elements))
                      for law in (link.sat_fading, link.user_fading))
     c_sat, c_user = (2.0 * law.mu * (1.0 + law.kappa)
                      for law in (link.sat_fading, link.user_fading))
@@ -270,8 +270,8 @@ def _reference_block(rows: tuple[LinkConfig, ...], geom: CylinderGeometry,
             for elements, idx in entries:
                 amp[idx] += table[elements](z) * gain
             continue
-        q = np.sqrt(sample_power(link.sat_fading, rng, np.empty((count, link.elements)))
-                    * sample_power(link.user_fading, rng, np.empty((count, link.elements))))
+        q = np.sqrt(sample_power(link.sat_fading, rng, (count, link.elements))
+                    * sample_power(link.user_fading, rng, (count, link.elements)))
         gain /= math.sqrt(link.sat_fading.power_scale * link.user_fading.power_scale)
         for elements, idx in entries:
             amp[idx] += q[:, :elements].sum(axis=1) * gain

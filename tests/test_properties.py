@@ -224,12 +224,9 @@ def test_resolved_echo_round_trips(raw):
 
 
 # errors that a scenario the parser accepts may still raise in its sweep,
-# each with the reason the parser cannot decide it
-SWEEP_ERRORS = {
-    r"moment E\[R\^-[\d.e+-]+\] leaves the float range for CylinderGeometry":
-        "a finite RIS-distance moment can lie outside the floats (on an annulus it "
-        "grows as inner_radius^(2 - s)); only the fit evaluates the moment",
-}
+# each with the reason the parser cannot decide it: none, now that the
+# parser evaluates the RIS-distance moments the fits need
+SWEEP_ERRORS: dict[str, str] = {}
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)

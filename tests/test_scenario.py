@@ -16,10 +16,11 @@ import yaml
 from conftest import capacity_second_order
 from leoris.cli import main as cli_main
 from leoris.errors import ComputationError, ConfigError
+from leoris.geometry import CylinderGeometry, ris_distance_moment
 from leoris.metrics import CoverageQuery, coverage_probability, ergodic_capacity
 from leoris.montecarlo import MAX_KEPT_SAMPLES, simulate_snr
 from leoris.channel import gamma_approx
-from leoris import montecarlo, runner
+from leoris import montecarlo, runner, scenario
 from leoris.runner import run_scenario, sweep
 from leoris.scenario import (
     MAX_ELEMENTS,
@@ -518,11 +519,15 @@ def test_sweep_raises_the_first_failing_point_before_any_output(
         links, geom, _, _ = list(itertools.islice(sweep_points(cfg), bad + 1))[-1]
         gamma_approx(links, geom, cfg.constellation)
     assert str(alone.value) == message
-    # a point its setter rejects does not load either
+    # a point its setter rejects does not load either, nor one whose moment
+    # leaves the floats, whose load error names the point and the RIS
+    with pytest.raises(ConfigError) as loaded:
+        parse_scenario(resolved_mapping(cfg))
     if error is ConfigError:
-        with pytest.raises(ConfigError) as loaded:
-            parse_scenario(resolved_mapping(cfg))
         assert str(loaded.value) == message
+    else:
+        assert str(loaded.value).startswith(f"sweep.grid[{bad}]: ris.user_exponent[")
+        assert message.split()[1] in str(loaded.value)
     simulations = []
     monkeypatch.setattr(runner, "simulate_snr", lambda *a, **k: simulations.append(a))
     out = tmp_path / "out"
@@ -784,6 +789,84 @@ def test_divergent_variance_is_rejected_at_parse_time():
     with pytest.raises(ConfigError) as exc:
         parse_scenario(raw)
     assert str(exc.value).startswith(f"sweep.grid[{first}]: ris.user_exponent[{first}]: ")
+
+
+def test_a_moment_outside_the_floats_is_rejected_at_parse_time(monkeypatch, tmp_path, capsys):
+    # on an annulus the moment grows as inner_radius^(2 - s): E[R^-3.5] is
+    # finite but past the floats, and the error names the point and the RIS
+    tiny_hole = {"geometry.height_m": 0.0, "geometry.inner_radius_m": 1.0e-300}
+    parse_scenario(_variant(**tiny_hole, **{"ris.user_exponent": 2.5}))
+    with pytest.raises(ConfigError) as exc:
+        parse_scenario(_variant(**tiny_hole, **{"ris.user_exponent": [2.5, 3.5, 3.5]}))
+    assert str(exc.value).startswith("sweep.grid[0]: ris.user_exponent[1]: E[R^-3.5] ")
+    assert "inner_radius=1e-300" in str(exc.value)
+    # a count sweep fails at the first count whose drawn exponent leaves them
+    span, seed = (2.0, 3.9), 11
+    geom = CylinderGeometry(120.0, 0.0, 1.0e-300)
+    draws = user_exponent_draws(seed, span, 12)
+    first = next(i for i, e in enumerate(draws) if _past_the_floats(e, geom))
+    assert first > 0
+    raw = _variant(**tiny_hole, **{
+        "ris.user_exponent": {"low": span[0], "high": span[1], "seed": seed},
+        "ris.count": 1, "sweep.variable": "N", "sweep.grid": list(range(1, 13))})
+    with pytest.raises(ConfigError) as exc:
+        parse_scenario(raw)
+    assert str(exc.value).startswith(f"sweep.grid[{first}]: ris.user_exponent[{first}]: ")
+    # the same error when the kernel takes its pairs two at a time
+    with monkeypatch.context() as patched:
+        patched.setattr(scenario, "_CHUNK_PATHS", 2)
+        with pytest.raises(ConfigError) as chunked:
+            parse_scenario(raw)
+    assert str(chunked.value) == str(exc.value)
+    # a --grid point, before any fit or output
+    path = _write_config(tmp_path, _variant(**tiny_hole, **{"ris.user_exponent": 2.5}))
+    assert cli_main(["sweep", str(path), "--var", "R0", "--grid", "1e-290,120", "--no-mc",
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: --grid[0]: ris.user_exponent[0]: ")
+    assert not (tmp_path / "o").exists()
+
+
+def _past_the_floats(eps, geom):
+    try:
+        for t in (1, 2):
+            ris_distance_moment(t, eps, geom)
+    except ComputationError:
+        return True
+    return False
+
+
+def test_exponent_floats_load_as_floats(tmp_path):
+    # YAML 1.1 reads 1e4 and 1.0e4 as strings; the loader reads them as
+    # floats, as YAML 1.2 does, and leaves integers and quoted strings alone
+    text = DEFAULT_CONFIG.read_text(encoding="utf-8")
+    values = {"1e4": 1.0e4, "1.0e4": 1.0e4, "-3E-2": -0.03, ".5e1": 5.0, "42": 42,
+              "1_000": 1000, "'1e4'": "1e4"}
+    path = tmp_path / "values.yaml"
+    path.write_text("".join(f"v{i}: {v}\n" for i, v in enumerate(values)), encoding="utf-8")
+    loaded = yaml.load(path.read_text(encoding="utf-8"), Loader=scenario._Loader)
+    assert list(loaded.values()) == list(values.values())
+    assert [type(v) for v in loaded.values()] == [type(v) for v in values.values()]
+    assert yaml.load(text, Loader=scenario._Loader) == yaml.safe_load(text)
+    # a fading law that cannot be tabulated, written as YAML 1.2 writes it
+    path.write_text(text.replace("sat_fading: {kappa: 1.0, mu: 2.0}",
+                                 "sat_fading: {kappa: 1.0, mu: 1.0e4}"), encoding="utf-8")
+    assert {link.sat_fading.mu for link in load_scenario(path).links.ris} == {1.0e4}
+    path.write_text(text.replace("sat_fading: {kappa: 1.0, mu: 2.0}",
+                                 "sat_fading: {kappa: 1.0, mu: '1e4'}"), encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"^ris\.sat_fading\[0\]\.mu: expected a number"):
+        load_scenario(path)
+
+
+def test_fading_errors_name_the_full_path():
+    with pytest.raises(ConfigError) as exc:
+        parse_scenario(_variant(**{"ris.sat_fading": {"kappa": -1.0, "mu": 2.0}}))
+    assert str(exc.value) == "ris.sat_fading[0].kappa: must be >= 0.0, got -1.0"
+    law = {"kappa": 3.0, "mu": 3.0}
+    with pytest.raises(ConfigError) as exc:
+        parse_scenario(_variant(**{"ris.user_fading": [law, {"kappa": 3.0, "mu": 0.0}, law]}))
+    assert str(exc.value) == "ris.user_fading[1].mu: must be > 0.0, got 0.0"
+    with pytest.raises(ConfigError, match=r"^ris\.sat_fading\[0\]\.mu: required field"):
+        parse_scenario(_variant(**{"ris.sat_fading": {"kappa": 1.0}}))
 
 
 def test_cli_yaml_parse_error(tmp_path, capsys):
