@@ -7,11 +7,12 @@
                         [--format csv|json] [--out DIR]
 
 Grid specs are comma lists ("0,10,20,40") or start:stop:points ("0:40:10"),
-each point checked by its --var's setter in scenario.VARIABLES, and its
-RIS-distance moments, before anything runs. Threshold and transmit-SNR
+each point checked by its --var's setter in scenario.VARIABLES, and by
+its Gamma fit, before anything runs. Threshold and transmit-SNR
 grids are in dB; N and L are counts; R0 and H are meters. Every option
 except --out overrides the scenario, so the resolved echo written next
-to the tables records the run.
+to the tables records the run. A scenario, option or file that cannot be
+used prints one error line and exits with status 2.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg = dataclasses.replace(cfg, sweep=SweepSpec(args.var, parse_grid(args.grid, "--grid")))
             validate_sweep(cfg, "--grid")
         summary = run_scenario(cfg, out_dir=args.out)
-    except LeorisError as exc:
+    except (LeorisError, OSError) as exc:  # OSError: a scenario or output path
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for path in summary.paths:

@@ -207,12 +207,10 @@ def _sum_tables(cfg: LinkConfig, plan, built: dict | None = None) -> list:
 
 def _simulate_block(cfg: LinkConfig, plan, rows: int, geom: CylinderGeometry,
                     con: Constellation, rng: np.random.Generator, count: int,
-                    exact: bool, tables=None) -> np.ndarray:
+                    exact: bool, tables: list) -> np.ndarray:
     """Magnitude of the combined response for `count` trials, one row per
     configuration of the plan (the full configuration last); ``tables`` as
-    _sum_tables gives them, built here if not given."""
-    if tables is None:
-        tables = _sum_tables(cfg, plan)
+    _sum_tables gives them."""
     amp = np.zeros((rows, count))
     if exact or cfg.direct.enabled:
         s = nearest_sat_fractions(con, rng.random(count))

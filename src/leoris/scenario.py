@@ -12,8 +12,8 @@ replaces, the tables its sweep writes, and a setter of the point's inputs
 through that field's validators, which parse_scenario runs on every point.
 Every point is also checked for a finite variance of |A|, whose
 RIS-distance moments diverge on some regions and exponents, and, when
-the file loads or the CLI takes a grid (validate_sweep), for finite
-moments that lie outside the floats.
+the file loads or the CLI takes a grid (validate_sweep), by its Gamma
+fit, so a sweep that loads can be fitted.
 
 Kilometers and dBm appear only here; everything downstream runs on meters
 and linear ratios.
@@ -22,7 +22,6 @@ and linear ratios.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -32,10 +31,10 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 import yaml
 
-from .channel import _CHUNK_PATHS, DirectPath, LinkConfig, RisLink
-from .errors import ConfigError, DomainError
+from .channel import DirectPath, LinkConfig, RisLink, _checked_moments, _gamma_fit
+from .errors import ConfigError, DomainError, LeorisError
 from .fading import KappaMuParams
-from .geometry import _MAX_ASPECT, _TINY, Constellation, CylinderGeometry, _ris_moment
+from .geometry import _MAX_ASPECT, _TINY, Constellation, CylinderGeometry, ris_distance_moment
 from .montecarlo import SimOptions
 
 __all__ = [
@@ -472,41 +471,30 @@ def sweep_points(cfg: ScenarioConfig, path: str = "sweep.grid") -> list[tuple]:
 
 
 def validate_sweep(cfg: ScenarioConfig, path: str = "sweep.grid") -> None:
-    """Check every point of the sweep as sweep_points does, then the
-    RIS-distance moments E[R^-s], s = eps/2 and eps, that its fits need,
-    by the fits' kernel over the distinct (region, exponent) pairs: a
-    finite moment can lie outside the floats (on an annulus it grows as
-    inner_radius^(2 - s)). The first such point and RIS raise ConfigError
-    naming ``path``[i] and ris.user_exponent[j]."""
-    # the first point of each distinct (region, user-hop exponents), in grid
-    # order; a point with its predecessor's RISs and region adds nothing
-    ris, region, firsts = None, None, {}
+    """Check every point of the sweep as sweep_points does, then fit it as
+    the run does: one Gamma fit per run of equal (links, geometry), in one
+    batch of channel's fits. The first run that cannot be fitted raises
+    ConfigError naming ``path``[i], i its first point, and, where one of
+    its RIS-distance moments leaves the floats (on an annulus E[R^-s]
+    grows as inner_radius^(2 - s)), ris.user_exponent[j]."""
+    runs, firsts = [], []
     for i, (links, geom, _, _) in enumerate(sweep_points(cfg, path)):
-        if links.ris is ris and geom is region:
-            continue
-        if links.ris is not ris:
-            ris, exps = links.ris, tuple(link.user_exponent for link in links.ris)
-        region = geom
-        firsts.setdefault((geom, exps), i)
-    counts = [len(exps) for _, exps in firsts]
-    regions = np.array([(g.base_radius, g.height, g.inner_radius) for g, _ in firsts])
-    R0, H, c = np.repeat(regions.reshape(-1, 3), counts, axis=0).T
-    s = np.multiply.outer((0.5, 1.0), np.fromiter(
-        itertools.chain.from_iterable(exps for _, exps in firsts), dtype=float, count=sum(counts)))
-    # the kernel takes the fits' chunks of pairs, which bound its arrays
-    for lo in range(0, s.shape[1], _CHUNK_PATHS):
-        part = slice(lo, lo + _CHUNK_PATHS)
-        bad = np.isnan(_ris_moment(s[:, part], R0[part], H[part], c[part]))
-        if not bad.any():
-            continue
-        k = int(np.flatnonzero(bad.any(axis=0))[0])  # in grid order, then RIS order
-        order, k = s[np.argmax(bad[:, k]), lo + k], lo + k
-        for (geom, exps), i in firsts.items():
-            if k < len(exps):
-                raise ConfigError(f"{path}[{i}]: ris.user_exponent[{k}]: E[R^-{order:g}] of the "
-                                  "user-to-RIS distance, which the fit needs, leaves the float "
-                                  f"range for {geom}")
-            k -= len(exps)
+        if not runs or runs[-1] != (links, geom):
+            runs.append((links, geom))
+            firsts.append(i)
+    fitted: list = []
+    try:
+        _checked_moments(runs, cfg.constellation, (1, 2),
+                         lambda *moments: fitted.append(_gamma_fit(*moments)))
+    except LeorisError as exc:
+        (links, geom), i = runs[len(fitted)], firsts[len(fitted)]
+        for j, link in enumerate(links.ris):
+            for t in (1, 2):
+                try:
+                    ris_distance_moment(t, link.user_exponent, geom)
+                except LeorisError as moment:
+                    raise ConfigError(f"{path}[{i}]: ris.user_exponent[{j}]: {moment}") from None
+        raise ConfigError(f"{path}[{i}]: {exc}") from None
 
 
 class _Loader(yaml.SafeLoader):
@@ -523,10 +511,9 @@ _Loader.add_implicit_resolver(
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
     """Load and validate a scenario YAML file."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        raw = yaml.load(text, Loader=_Loader)
-    except (yaml.YAMLError, ValueError) as exc:  # ValueError: integers past 4300 digits
+        raw = yaml.load(Path(path).read_text(encoding="utf-8"), Loader=_Loader)
+    except (yaml.YAMLError, ValueError) as exc:  # not UTF-8, or an integer past 4300 digits
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     return parse_scenario(raw)
 

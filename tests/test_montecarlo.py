@@ -130,8 +130,9 @@ def test_block_b_draws_from_child_b_of_the_simulation_seed(monkeypatch):
         # block 2 draws from SFC64 seeded by child 2 of child 0 of the seed
         sim_root = np.random.SeedSequence(12).spawn(2)[0]
         rng = np.random.Generator(np.random.SFC64(sim_root.spawn(3)[2]))
-        amp = montecarlo._simulate_block(cfg, montecarlo._row_plan((cfg,)), 1, GEOM, CON,
-                                         rng, 3, False)[0]
+        plan = montecarlo._row_plan((cfg,))
+        amp = montecarlo._simulate_block(cfg, plan, 1, GEOM, CON, rng, 3, False,
+                                         montecarlo._sum_tables(cfg, plan))[0]
         assert np.array_equal(res.snr_samples[-3:], cfg.transmit_snr * amp * amp)
         # whole blocks do not depend on the trial count: a run of whole
         # blocks is a prefix of any longer one
@@ -155,8 +156,9 @@ def test_block_ris_term_is_the_tabulated_element_sum_times_the_gains():
     # logit of its element-sum uniform, scaled by the distance gains
     cfg = default_links(1, direct=False)
     link, count = cfg.ris[0], 37
-    amp = montecarlo._simulate_block(cfg, montecarlo._row_plan((cfg,)), 1, GEOM, CON,
-                                     np.random.Generator(np.random.SFC64(4)), count, False)
+    plan = montecarlo._row_plan((cfg,))
+    amp = montecarlo._simulate_block(cfg, plan, 1, GEOM, CON, np.random.Generator(
+        np.random.SFC64(4)), count, False, montecarlo._sum_tables(cfg, plan))
     gain, z = _one_ris_pass(np.random.Generator(np.random.SFC64(4)), link, count)
     table = element_sum_tables(link.sat_fading, link.user_fading, [link.elements])[link.elements]
     assert amp.shape == (1, count)
@@ -202,8 +204,9 @@ def test_block_ris_term_is_the_root_of_the_two_hop_powers_times_the_gains():
     # the pass's uniforms first (the element-sum one unread), then the powers
     cfg = _fallback_links()
     link, count = cfg.ris[0], 37
-    amp = montecarlo._simulate_block(cfg, montecarlo._row_plan((cfg,)), 1, GEOM, CON,
-                                     np.random.Generator(np.random.SFC64(4)), count, False)
+    plan = montecarlo._row_plan((cfg,))
+    amp = montecarlo._simulate_block(cfg, plan, 1, GEOM, CON, np.random.Generator(
+        np.random.SFC64(4)), count, False, montecarlo._sum_tables(cfg, plan))
     rng = np.random.Generator(np.random.SFC64(4))
     gain, _ = _one_ris_pass(rng, link, count)
     w_sat, w_user = (sample_power(law, rng, (count, link.elements))
@@ -228,8 +231,9 @@ def test_nested_rows_of_one_ris_read_one_variate_comonotonically():
     counts = (1, 5, 20, 40)
     rows = tuple(default_links(1, c, direct=False) for c in counts)
     link, count = rows[-1].ris[0], 300
-    amp = montecarlo._simulate_block(rows[-1], montecarlo._row_plan(rows), len(rows), GEOM, CON,
-                                     np.random.Generator(np.random.SFC64(3)), count, False)
+    plan = montecarlo._row_plan(rows)
+    amp = montecarlo._simulate_block(rows[-1], plan, len(rows), GEOM, CON, np.random.Generator(
+        np.random.SFC64(3)), count, False, montecarlo._sum_tables(rows[-1], plan))
     gain, z = _one_ris_pass(np.random.Generator(np.random.SFC64(3)), link, count)
     tables = element_sum_tables(link.sat_fading, link.user_fading, counts)
     for row, c in zip(amp, counts):
@@ -448,8 +452,9 @@ def test_tallies_match_the_estimators_of_each_rows_samples(workers, exact):
                                                    exact_per_ris_sat_distance=exact),
                        nested=nested, points=points)
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(0, 0))))
-    amp = montecarlo._simulate_block(full, montecarlo._row_plan((*nested, full)), 3, GEOM, CON,
-                                     rng, trials, exact)
+    plan = montecarlo._row_plan((*nested, full))
+    amp = montecarlo._simulate_block(full, plan, 3, GEOM, CON, rng, trials, exact,
+                                     montecarlo._sum_tables(full, plan))
     assert np.array_equal(res.snr_samples, full.transmit_snr * amp[-1] * amp[-1])
     for (r, rho0, th), coverage, capacity in zip(points, res.coverage, res.capacity):
         snr = amp[r] * rho0 * amp[r]

@@ -225,7 +225,7 @@ def test_resolved_echo_round_trips(raw):
 
 # errors that a scenario the parser accepts may still raise in its sweep,
 # each with the reason the parser cannot decide it: none, now that the
-# parser evaluates the RIS-distance moments the fits need
+# parser makes the fits the sweep makes
 SWEEP_ERRORS: dict[str, str] = {}
 
 

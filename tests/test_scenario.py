@@ -15,12 +15,12 @@ import yaml
 
 from conftest import capacity_second_order
 from leoris.cli import main as cli_main
-from leoris.errors import ComputationError, ConfigError
+from leoris.errors import ComputationError, ConfigError, ConvergenceError
 from leoris.geometry import CylinderGeometry, ris_distance_moment
 from leoris.metrics import CoverageQuery, coverage_probability, ergodic_capacity
 from leoris.montecarlo import MAX_KEPT_SAMPLES, simulate_snr
 from leoris.channel import gamma_approx
-from leoris import montecarlo, runner, scenario
+from leoris import channel, montecarlo, runner, scenario
 from leoris.runner import run_scenario, sweep
 from leoris.scenario import (
     MAX_ELEMENTS,
@@ -798,8 +798,9 @@ def test_a_moment_outside_the_floats_is_rejected_at_parse_time(monkeypatch, tmp_
     parse_scenario(_variant(**tiny_hole, **{"ris.user_exponent": 2.5}))
     with pytest.raises(ConfigError) as exc:
         parse_scenario(_variant(**tiny_hole, **{"ris.user_exponent": [2.5, 3.5, 3.5]}))
-    assert str(exc.value).startswith("sweep.grid[0]: ris.user_exponent[1]: E[R^-3.5] ")
-    assert "inner_radius=1e-300" in str(exc.value)
+    assert str(exc.value) == ("sweep.grid[0]: ris.user_exponent[1]: moment E[R^-3.5] leaves "
+                              "the float range for CylinderGeometry(base_radius=120.0, "
+                              "height=0.0, inner_radius=1e-300)")
     # a count sweep fails at the first count whose drawn exponent leaves them
     span, seed = (2.0, 3.9), 11
     geom = CylinderGeometry(120.0, 0.0, 1.0e-300)
@@ -814,7 +815,7 @@ def test_a_moment_outside_the_floats_is_rejected_at_parse_time(monkeypatch, tmp_
     assert str(exc.value).startswith(f"sweep.grid[{first}]: ris.user_exponent[{first}]: ")
     # the same error when the kernel takes its pairs two at a time
     with monkeypatch.context() as patched:
-        patched.setattr(scenario, "_CHUNK_PATHS", 2)
+        patched.setattr(channel, "_CHUNK_PATHS", 2)
         with pytest.raises(ConfigError) as chunked:
             parse_scenario(raw)
     assert str(chunked.value) == str(exc.value)
@@ -823,6 +824,46 @@ def test_a_moment_outside_the_floats_is_rejected_at_parse_time(monkeypatch, tmp_
     assert cli_main(["sweep", str(path), "--var", "R0", "--grid", "1e-290,120", "--no-mc",
                      "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("error: --grid[0]: ris.user_exponent[0]: ")
+    assert not (tmp_path / "o").exists()
+
+
+# configs/default.yaml with a constellation whose satellite-hop moment
+# leaves the floats, or a satellite hop whose envelope moment does not
+# converge: both parse without the fit and fail in it
+_UNFITTABLE = {
+    "altitude": {"constellation.altitude_km": 1.0e+300},
+    "envelope": {"ris.sat_fading": {"kappa": 1.0e+5, "mu": 1.0e+4}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNFITTABLE))
+def test_a_point_that_cannot_be_fitted_is_rejected_at_parse_time(monkeypatch, case):
+    raw = _variant(DEFAULT_RAW, **_UNFITTABLE[case])
+    with monkeypatch.context() as patched:
+        patched.setattr(scenario, "validate_sweep", lambda cfg: None)
+        cfg = parse_scenario(raw)
+    links, geom, _, _ = sweep_points(cfg)[0]
+    with pytest.raises((ComputationError, ConvergenceError)) as alone:
+        gamma_approx(links, geom, cfg.constellation)
+    with pytest.raises(ConfigError) as exc:
+        parse_scenario(raw)
+    assert str(exc.value) == f"sweep.grid[0]: {alone.value}"
+
+
+def test_a_grid_point_that_cannot_be_fitted_is_named_by_the_cli(tmp_path, capsys):
+    # the last of eight RISs has the unconvergent satellite hop: the file's
+    # one-RIS sweep loads, an eight-RIS --grid point does not
+    law, bad = DEFAULT_RAW["ris"]["sat_fading"], _UNFITTABLE["envelope"]["ris.sat_fading"]
+    raw = _variant(DEFAULT_RAW, **{"ris.sat_fading": [law] * 7 + [bad], "sweep.variable": "N",
+                                   "sweep.grid": [1]})
+    cfg = parse_scenario(raw)
+    links, geom, _, _ = VARIABLES["N"].point(cfg, 8)
+    with pytest.raises(ConvergenceError) as alone:
+        gamma_approx(links, geom, cfg.constellation)
+    path = _write_config(tmp_path, raw)
+    assert cli_main(["sweep", str(path), "--var", "N", "--grid", "8,9", "--no-mc",
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: --grid[0]: {alone.value}\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -875,3 +916,26 @@ def test_cli_yaml_parse_error(tmp_path, capsys):
     code = cli_main(["run", str(path)])
     assert code == 2
     assert "YAML" in capsys.readouterr().err
+
+
+def _unreadable(tmp_path, case):
+    """(config, out) of a ``leoris run`` that cannot read its scenario or
+    write its output, and the text its error names."""
+    if case == "missing":
+        return tmp_path / "missing.yaml", tmp_path / "o", "No such file or directory"
+    if case == "directory":
+        return tmp_path, tmp_path / "o", "Is a directory"
+    if case == "not_utf8":
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes("# caf\xe9\n".encode("latin-1") + DEFAULT_CONFIG.read_bytes())
+        return path, tmp_path / "o", f"{path}: invalid YAML: 'utf-8' codec can't decode"
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    return DEFAULT_CONFIG, tmp_path / "file" / "o", "Not a directory"
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "not_utf8", "out_under_a_file"])
+def test_cli_reports_a_file_it_cannot_read_or_write(tmp_path, capsys, case):
+    config, out, reason = _unreadable(tmp_path, case)
+    assert cli_main(["run", str(config), "--no-mc", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and reason in err
