@@ -23,7 +23,7 @@ import sys
 
 from .errors import ConfigError, DomainError, LeorisError
 from .runner import run_scenario
-from .scenario import SWEEP_VARIABLES, SweepSpec, load_scenario, parse_grid, validate_sweep
+from .scenario import SWEEP_VARIABLES, SweepSpec, load_scenario, parse_grid
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -72,15 +72,15 @@ def main(argv: list[str] | None = None) -> int:
                     mc = dataclasses.replace(mc, **{name: getattr(args, name)})
                 except DomainError as exc:
                     raise ConfigError(f"--{name}: {exc}") from None
-        cfg = dataclasses.replace(cfg, mc=mc)
-        if args.mc is not None:
-            cfg = dataclasses.replace(cfg, mc_enabled=args.mc)
+        changes = {"mc": mc, "mc_enabled": args.mc}
         if args.format is not None:
-            cfg = dataclasses.replace(
-                cfg, output=dataclasses.replace(cfg.output, format=args.format))
+            changes["output"] = dataclasses.replace(cfg.output, format=args.format)
         if args.command == "sweep":
-            cfg = dataclasses.replace(cfg, sweep=SweepSpec(args.var, parse_grid(args.grid, "--grid")))
-            validate_sweep(cfg, "--grid")
+            changes["sweep"] = SweepSpec(args.var, parse_grid(args.grid, "--grid"), "--grid")
+        changes = {k: v for k, v in changes.items() if v is not None and v != getattr(cfg, k)}
+        if changes:
+            cfg = dataclasses.replace(cfg, **changes)
+        cfg.plan  # a --grid's points are checked and fitted before anything runs
         summary = run_scenario(cfg, out_dir=args.out)
     except (LeorisError, OSError) as exc:  # OSError: a scenario or output path
         print(f"error: {exc}", file=sys.stderr)

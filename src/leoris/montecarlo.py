@@ -6,13 +6,14 @@ Each RIS's element sum S = sum_l |h_sat,l| |h_user,l| is drawn from its
 tabulated law: the logit Z = ln u - ln(1 - u) of one uniform per trial
 (u = 0 reads the first node) reads S = Q_c(Z) from the fading.SumTable
 of the RIS's element count c, built before any block runs. Where the
-pair's law cannot be tabulated (element_sum_tables gives None), the RIS
-instead draws both hops' powers per element from numpy's own gamma or
-noncentral chi-square sampler (fading.sample_power) and sums the roots
-sqrt(W_sat W_user), with the unit-power scale 1 / sqrt(c_sat c_user),
-c = 2 mu (1 + kappa), in the gain; the choice depends on the pair
-alone, so a row's path never depends on the nesting. The direct path
-draws its envelope (sample_envelope).
+pair's law cannot be tabulated, or a row's count misses its table's gate
+(element_sum_tables gives None), the RIS instead draws both hops' powers
+per element from numpy's own gamma or noncentral chi-square sampler
+(fading.sample_power) and sums the roots sqrt(W_sat W_user), with the
+unit-power scale 1 / sqrt(c_sat c_user), c = 2 mu (1 + kappa), in the
+gain; so a nested simulation whose rows include a count that misses
+draws that RIS per element on every row. The direct path draws its
+envelope (sample_envelope).
 
 Satellite distances are drawn independently per link by default, which
 is the statistical model the closed-form moments describe. The exact

@@ -6,22 +6,15 @@ Table schema (fixed): sweep_value, analytic_metric, mc_metric, mc_stderr,
 alpha, beta. One table per metric; Monte Carlo columns are empty when
 simulation is off.
 
-A sweep is one loop over the grid. scenario.VARIABLES says what its
-variable means: the tables to write, and each point's (links, geometry,
-rho0, rho_th) through scenario.sweep_points; nothing here branches on a
-variable's name. Each run of consecutive points with equal links and
-geometry has one Gamma fit. All fits are made in one batch
-(channel.gamma_fits), and each analytic column is evaluated over every
-point in one array pass (metrics.coverage_probabilities,
-metrics.ergodic_capacities), before any simulation. Threshold and
-transmit-SNR points keep the base links, so those sweeps fit once.
-Consecutive points on one geometry whose links nest
-(montecarlo.is_nested), as in every ascending N or L sweep, share one
-simulation (_groups): its rows are the distinct links in grid order, the
-last one simulated, and it tallies each point's coverage and capacity on
-its row at the point's rho0 and rho_th. A simulation draws from child i
-of SeedSequence(monte_carlo.seed), i the index of its first point, so
-the resolved echo reproduces the tables.
+A sweep runs its scenario's plan (scenario.plan, held as cfg.plan and
+built when the scenario loads): each point's links, geometry, rho0 and
+rho_th, each point's Gamma fit, and the simulations. Nothing here walks
+the grid, fits or groups points, or branches on a variable's name. Each
+analytic column is evaluated over every point in one array pass
+(metrics.coverage_probabilities, metrics.ergodic_capacities) before any
+simulation. A simulation draws from child i of
+SeedSequence(monte_carlo.seed), i the index of its first point, so the
+resolved echo reproduces the tables.
 """
 
 from __future__ import annotations
@@ -29,8 +22,6 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -38,12 +29,12 @@ import yaml
 
 # gamma_approx stays importable here for callers that trace the fit by
 # module attribute, as the benchmark does
-from .channel import gamma_approx, gamma_fits  # noqa: F401
+from .channel import gamma_approx  # noqa: F401
 from .errors import ConfigError
 from .metrics import coverage_probabilities, ergodic_capacities
 from .geometry import CylinderGeometry
-from .montecarlo import MAX_KEPT_SAMPLES, MIN_EMPIRICAL_TRIALS, SimResult, is_nested, simulate_snr
-from .scenario import VARIABLES, ScenarioConfig, load_scenario, resolved_mapping, sweep_points
+from .montecarlo import MAX_KEPT_SAMPLES, MIN_EMPIRICAL_TRIALS, SimResult, simulate_snr
+from .scenario import VARIABLES, ScenarioConfig, load_scenario, resolved_mapping
 
 __all__ = ["SweepTable", "RunSummary", "sweep", "run_scenario", "write_table"]
 
@@ -71,22 +62,6 @@ class RunSummary:
     resolved_path: Path | None
 
 
-def _groups(points: list[tuple]) -> list[tuple[int, CylinderGeometry, list, list]]:
-    """The sweep's simulations, one per run of consecutive points on one
-    geometry whose links nest: the index of its first point, its geometry,
-    its rows (the distinct links in grid order, the last one simulated) and
-    each point's (row, rho0, rho_th)."""
-    groups, geometry, rows = [], None, []
-    for i, (links, geom, rho0, rho_th) in enumerate(points):
-        if not rows or geom != geometry or (links != rows[-1] and not is_nested(rows[-1], links)):
-            geometry, rows, tallies = geom, [links], []
-            groups.append((i, geom, rows, tallies))
-        elif links != rows[-1]:
-            rows.append(links)
-        tallies.append((len(rows) - 1, rho0, rho_th))
-    return groups
-
-
 def _simulate(cfg: ScenarioConfig, tables: dict, first: int, geom: CylinderGeometry,
               rows: list, points: list) -> SimResult:
     """One simulation of the last row's links with the others nested, from
@@ -105,34 +80,31 @@ def _analytic(metric: str, models: list, rho0: tuple, rho_th: tuple) -> list[flo
 
 
 def sweep(cfg: ScenarioConfig) -> list[SweepTable]:
-    """Evaluate the scenario's metrics over its sweep grid: fit every run of
-    equal links and geometry in one batch, evaluate each metric at every
-    point in one batch, all before any simulation (so the first point
-    that cannot be fitted raises first), then simulate once per group of
-    points with nested links, building each element-sum table once. Too
-    few trials for the Monte Carlo metrics, or more than a simulation
-    keeps samples of, raise before anything is fitted."""
+    """Evaluate the scenario's metrics over its plan: each metric at every
+    point in one batch, then each of the plan's simulations, building each
+    element-sum table once. Too few trials for the Monte Carlo metrics, or
+    more than a simulation keeps samples of, raise before any simulation;
+    a config the parser did not build (dataclasses.replace) builds its
+    plan after that check, so a point that cannot be fitted raises the
+    parser's ConfigError before any simulation."""
     if cfg.mc_enabled and not MIN_EMPIRICAL_TRIALS <= cfg.mc.trials <= MAX_KEPT_SAMPLES:
         raise ConfigError(f"monte_carlo.trials: the Monte Carlo metrics need between "
                           f"{MIN_EMPIRICAL_TRIALS} and {MAX_KEPT_SAMPLES}, got {cfg.mc.trials}")
-    points = sweep_points(cfg)
+    points, fits, simulations = cfg.plan
     variable = cfg.sweep.variable
     metrics = VARIABLES[variable].metrics
-    runs = [(key, len(list(run))) for key, run in groupby(points, key=itemgetter(0, 1))]
-    fits = gamma_fits([key for key, _ in runs], cfg.constellation)
-    models = [ga for ga, (_, size) in zip(fits, runs) for _ in range(size)]
     _, _, rho0s, rho_ths = zip(*points)
-    analytic = {m: _analytic(m, models, rho0s, rho_ths) for m in metrics}
+    analytic = {m: _analytic(m, fits, rho0s, rho_ths) for m in metrics}
     # (estimate, stderr) of every simulated point per metric, in grid order;
     # SimResult names its per-point estimates after the metrics
     mc: dict[str, list] = {m: [] for m in metrics}
     sum_tables: dict = {}  # element-sum tables by (fading pair, element count)
-    for group in _groups(points) if cfg.mc_enabled else ():
-        sim = _simulate(cfg, sum_tables, *group)
+    for simulation in simulations if cfg.mc_enabled else ():
+        sim = _simulate(cfg, sum_tables, *simulation)
         for m in metrics:
             mc[m].extend(getattr(sim, m))
     values = cfg.sweep.grid
-    alphas, betas = [ga.alpha for ga in models], [ga.beta for ga in models]
+    alphas, betas = [ga.alpha for ga in fits], [ga.beta for ga in fits]
     tables = []
     for m in metrics:
         estimates, stderrs = zip(*mc[m]) if mc[m] else ((None,) * len(values),) * 2

@@ -9,11 +9,12 @@ values so a re-run reproduces the outputs bit for bit.
 
 A sweep variable is one entry of VARIABLES: the field a grid point
 replaces, the tables its sweep writes, and a setter of the point's inputs
-through that field's validators, which parse_scenario runs on every point.
-Every point is also checked for a finite variance of |A|, whose
-RIS-distance moments diverge on some regions and exponents, and, when
-the file loads or the CLI takes a grid (validate_sweep), by its Gamma
-fit, so a sweep that loads can be fitted.
+through that field's validators. A config holds its sweep's plan
+(ScenarioConfig.plan, from plan): one walk over the grid that runs each
+point's setter, checks that the variance of |A| is finite (its
+RIS-distance moments diverge on some regions and exponents), fits every
+point, and groups the points into simulations. parse_scenario builds it,
+so a sweep that loads can be fitted, and the runner only reads it.
 
 Kilometers and dBm appear only here; everything downstream runs on meters
 and linear ratios.
@@ -22,9 +23,10 @@ and linear ratios.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -35,7 +37,7 @@ from .channel import DirectPath, LinkConfig, RisLink, _checked_moments, _gamma_f
 from .errors import ConfigError, DomainError, LeorisError
 from .fading import KappaMuParams
 from .geometry import _MAX_ASPECT, _TINY, Constellation, CylinderGeometry, ris_distance_moment
-from .montecarlo import SimOptions
+from .montecarlo import SimOptions, is_nested
 
 __all__ = [
     "ScenarioConfig",
@@ -44,8 +46,8 @@ __all__ = [
     "load_scenario",
     "parse_scenario",
     "resolved_mapping",
-    "sweep_points",
-    "validate_sweep",
+    "SweepPlan",
+    "plan",
     "VARIABLES",
     "SWEEP_VARIABLES",
 ]
@@ -79,6 +81,7 @@ def _linear(db: float, path: str, convert=db_to_linear) -> float:
 class SweepSpec:
     variable: str
     grid: tuple[float, ...]
+    path: str = field(default="sweep.grid", compare=False)  # the grid's name in errors
 
 
 @dataclass(frozen=True)
@@ -113,6 +116,11 @@ class ScenarioConfig:
     @property
     def rho_th(self) -> float:
         return db_to_linear(self.coverage_threshold_db)
+
+    @functools.cached_property
+    def plan(self) -> SweepPlan:
+        """plan(self), built once; dataclasses.replace makes a config that builds its own."""
+        return plan(self)
 
 
 _SENTINEL = object()
@@ -345,7 +353,7 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
         exponent_seed=exponent_seed,
         exponent_range=exponent_range,
     )
-    validate_sweep(cfg)
+    cfg.plan  # every point checked and fitted at load
     return cfg
 
 
@@ -353,7 +361,7 @@ def parse_grid(node, path: str) -> tuple[float, ...]:
     """A sweep grid: explicit list, or {start, stop, points} for a
     linspace, or the CLI string forms 'a,b,c' and 'start:stop:points'.
     Values must be finite and sorted ascending, 1 to MAX_GRID_POINTS of
-    them; sweep_points checks each against its variable's field."""
+    them; plan checks each against its variable's field."""
     if isinstance(node, str):
         bits = node.split(":")
         if len(bits) not in (1, 3):
@@ -453,35 +461,49 @@ def _finite_variance(links: LinkConfig, geom: CylinderGeometry) -> None:
                                   "which diverges there for eps >= 3")
 
 
-def sweep_points(cfg: ScenarioConfig, path: str = "sweep.grid") -> list[tuple]:
-    """(links, geometry, rho0, rho_th) at each point of the sweep, from its
-    variable's setter. A point the setter rejects, or whose variance of
-    |A| diverges, raises ConfigError naming ``path``[index] and the field."""
-    if cfg.sweep.variable not in VARIABLES:
+class SweepPlan(NamedTuple):
+    """A sweep as it runs: each point's (links, geometry, rho0, rho_th),
+    each point's Gamma fit, and the simulations as (first point, geometry,
+    rows, each point's (row, rho0, rho_th))."""
+    points: list
+    fits: list
+    simulations: list
+
+
+def plan(cfg: ScenarioConfig) -> SweepPlan:
+    """The sweep's plan, from one walk over its grid. A point its
+    variable's setter rejects, or whose variance of |A| diverges, raises
+    ConfigError naming cfg.sweep.path[i] and the field. Each run of
+    consecutive points with equal (links, geometry) has one Gamma fit, all
+    made in one batch; the first run that cannot be fitted raises
+    ConfigError naming its first point and, where one of its RIS-distance
+    moments leaves the floats (on an annulus E[R^-s] grows as
+    inner_radius^(2 - s)), ris.user_exponent[j]. Consecutive runs on one
+    geometry whose links nest (montecarlo.is_nested), as in every
+    ascending N or L sweep, share one simulation: its rows are their links
+    in grid order, the last one simulated, and it tallies each point on
+    its row at the point's rho0 and rho_th."""
+    spec, path = cfg.sweep, cfg.sweep.path
+    if spec.variable not in VARIABLES:
         raise ConfigError(f"sweep.variable: must be one of {', '.join(SWEEP_VARIABLES)}, "
-                          f"got {cfg.sweep.variable!r}")
-    point, points = VARIABLES[cfg.sweep.variable].point, []
-    for i, value in enumerate(cfg.sweep.grid):
+                          f"got {spec.variable!r}")
+    point = VARIABLES[spec.variable].point
+    points, runs, firsts, simulations = [], [], [], []
+    for i, value in enumerate(spec.grid):
         try:
-            points.append(point(cfg, value))
-            _finite_variance(*points[-1][:2])
+            links, geom, rho0, rho_th = point(cfg, value)
+            _finite_variance(links, geom)
         except ConfigError as exc:
             raise ConfigError(f"{path}[{i}]: {exc}") from None
-    return points
-
-
-def validate_sweep(cfg: ScenarioConfig, path: str = "sweep.grid") -> None:
-    """Check every point of the sweep as sweep_points does, then fit it as
-    the run does: one Gamma fit per run of equal (links, geometry), in one
-    batch of channel's fits. The first run that cannot be fitted raises
-    ConfigError naming ``path``[i], i its first point, and, where one of
-    its RIS-distance moments leaves the floats (on an annulus E[R^-s]
-    grows as inner_radius^(2 - s)), ris.user_exponent[j]."""
-    runs, firsts = [], []
-    for i, (links, geom, _, _) in enumerate(sweep_points(cfg, path)):
+        points.append((links, geom, rho0, rho_th))
         if not runs or runs[-1] != (links, geom):
+            if not runs or geom != runs[-1][1] or not is_nested(runs[-1][0], links):
+                rows, tallies = [], []
+                simulations.append((i, geom, rows, tallies))
+            rows.append(links)
             runs.append((links, geom))
             firsts.append(i)
+        tallies.append((len(rows) - 1, rho0, rho_th))
     fitted: list = []
     try:
         _checked_moments(runs, cfg.constellation, (1, 2),
@@ -495,6 +517,9 @@ def validate_sweep(cfg: ScenarioConfig, path: str = "sweep.grid") -> None:
                 except LeorisError as moment:
                     raise ConfigError(f"{path}[{i}]: ris.user_exponent[{j}]: {moment}") from None
         raise ConfigError(f"{path}[{i}]: {exc}") from None
+    ends = [*firsts[1:], len(points)]
+    fits = [ga for ga, first, end in zip(fitted, firsts, ends) for _ in range(end - first)]
+    return SweepPlan(points, fits, simulations)
 
 
 class _Loader(yaml.SafeLoader):

@@ -248,6 +248,23 @@ def test_every_parsed_scenario_sweeps_to_finite_tables_or_names_why(raw):
             assert table.metric == "capacity" or analytic <= 1.0
 
 
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(raw_scenarios())
+def test_every_parsed_scenario_simulates_to_finite_cells(raw):
+    # the same domain with simulation on, at few trials: every RIS draws
+    # from its table or, where the pair or a count has none, per element
+    raw = copy.deepcopy(raw)
+    raw["monte_carlo"].update(enabled=True, trials=150)
+    try:
+        cfg = parse_scenario(raw)
+    except ConfigError:
+        return
+    for table in runner.sweep(cfg):
+        for _, _, estimate, stderr, _, _ in table.rows:
+            assert math.isfinite(estimate) and math.isfinite(stderr) and stderr >= 0.0
+            assert estimate >= 0.0 and (table.metric == "capacity" or estimate <= 1.0)
+
+
 DEFAULT_RAW = yaml.safe_load(
     (Path(__file__).resolve().parents[1] / "configs" / "default.yaml").read_text(encoding="utf-8"))
 _REGIONS = {"3d": {"base_radius_m": 120.0, "height_m": 120.0, "inner_radius_m": 0.0},

@@ -4,7 +4,6 @@ and sweep/CLI behavior on small grids."""
 import copy
 import csv
 import dataclasses
-import itertools
 import json
 import types
 from pathlib import Path
@@ -32,7 +31,6 @@ from leoris.scenario import (
     parse_grid,
     parse_scenario,
     resolved_mapping,
-    sweep_points,
     user_exponent_draws,
 )
 
@@ -423,22 +421,72 @@ def test_point_draws_from_its_child_seed():
 ])
 def test_fit_and_simulation_once_per_link_state(monkeypatch, variable, grid, fits,
                                                 simulations):
-    counts = {"gamma_fits": 0, "fits": 0, "simulate_snr": 0}
+    counts = {"batches": 0, "fits": 0, "simulate_snr": 0}
 
-    def batch(pairs, con, _fn=runner.gamma_fits):
-        counts["gamma_fits"] += 1
+    def batch(pairs, *args, _fn=scenario._checked_moments):
+        counts["batches"] += 1
         counts["fits"] += len(pairs)
-        return _fn(pairs, con)
+        return _fn(pairs, *args)
 
     def simulate(*args, _fn=runner.simulate_snr, **kwargs):
         counts["simulate_snr"] += 1
         return _fn(*args, **kwargs)
 
-    monkeypatch.setattr(runner, "gamma_fits", batch)
+    monkeypatch.setattr(scenario, "_checked_moments", batch)
     monkeypatch.setattr(runner, "simulate_snr", simulate)
-    sweep(_sweep_config(variable, grid, mc=True))
-    # every fit of the sweep in one batch
-    assert counts == {"gamma_fits": 1, "fits": fits, "simulate_snr": simulations}
+    raw = _variant(**{"sweep.variable": variable, "sweep.grid": list(grid),
+                      "monte_carlo.enabled": True})
+    sweep(parse_scenario(raw))
+    # every fit of the sweep in one batch, made by the parser; the run fits nothing
+    assert counts == {"batches": 1, "fits": fits, "simulate_snr": simulations}
+
+
+def _count_fit_batches(monkeypatch) -> list:
+    """A list that gains an entry per fit batch of a plan."""
+    batches = []
+
+    def batch(pairs, *args, _fn=scenario._checked_moments):
+        batches.append(len(pairs))
+        return _fn(pairs, *args)
+
+    monkeypatch.setattr(scenario, "_checked_moments", batch)
+    return batches
+
+
+def test_a_loaded_scenario_is_fitted_once_however_often_it_runs(monkeypatch, tmp_path):
+    batches = _count_fit_batches(monkeypatch)
+    path = _write_config(tmp_path, _variant(**{"sweep.variable": "R0",
+                                               "sweep.grid": [60.0, 120.0, 300.0]}))
+    cfg = load_scenario(path)
+    first = run_scenario(cfg, out_dir=tmp_path / "a").tables
+    assert run_scenario(cfg, out_dir=tmp_path / "b").tables == first
+    assert batches == [3]
+
+
+def test_a_replaced_config_builds_its_own_plan():
+    cfg = _sweep_config()
+    assert [p[3] for p in cfg.plan.points] == pytest.approx([1.0, 100.0, 1e4])
+    other = dataclasses.replace(cfg, sweep=SweepSpec("R0", (60.0, 120.0)))
+    assert other.plan is not cfg.plan
+    assert [p[1].base_radius for p in other.plan.points] == [60.0, 120.0]
+    assert other.plan.fits[0] != other.plan.fits[1]
+    assert [s[0] for s in other.plan.simulations] == [0, 1]
+    # the plan is kept: a second read makes no new one
+    assert other.plan is other.plan
+
+
+@pytest.mark.parametrize("argv,batches", [
+    (["run"], 1),
+    (["run", "--seed", "7", "--format", "csv"], 1),  # no option changes the config
+    (["run", "--seed", "8"], 2),
+    (["sweep", "--var", "N", "--grid", "1,2,3"], 2),  # the file's plan, then the grid's
+])
+def test_the_cli_fits_the_file_once_and_a_changed_config_once(monkeypatch, tmp_path, argv,
+                                                               batches):
+    fits = _count_fit_batches(monkeypatch)
+    path = _write_config(tmp_path, _variant(**{"monte_carlo.enabled": False}))
+    assert cli_main([argv[0], str(path), *argv[1:], "--out", str(tmp_path / "o")]) == 0
+    assert len(fits) == batches
 
 
 @pytest.mark.parametrize("variable,grid,calls", [
@@ -449,7 +497,7 @@ def test_fit_and_simulation_once_per_link_state(monkeypatch, variable, grid, fit
 ])
 def test_each_simulation_gets_its_rows_and_points(monkeypatch, variable, grid, calls):
     cfg = _sweep_config(variable, grid, mc=True)
-    points = sweep_points(cfg)
+    points = cfg.plan.points
     seen = []
 
     def simulate(links, geom, con, opt, *, nested, points, tables):
@@ -514,9 +562,12 @@ _SWEEP_ERRORS = [
 def test_sweep_raises_the_first_failing_point_before_any_output(
         monkeypatch, tmp_path, variable, grid, bad, error, message):
     cfg = dataclasses.replace(load_scenario(DEFAULT_CONFIG), sweep=SweepSpec(variable, grid))
-    # the failing point alone raises the same
+    # the plan raises what the point's setter or variance check raises, and
+    # past them the point's single fit raises alone
     with pytest.raises(error) as alone:
-        links, geom, _, _ = list(itertools.islice(sweep_points(cfg), bad + 1))[-1]
+        if error is ConfigError:
+            cfg.plan
+        links, geom, _, _ = VARIABLES[variable].point(cfg, grid[bad])
         gamma_approx(links, geom, cfg.constellation)
     assert str(alone.value) == message
     # a point its setter rejects does not load either, nor one whose moment
@@ -531,9 +582,10 @@ def test_sweep_raises_the_first_failing_point_before_any_output(
     simulations = []
     monkeypatch.setattr(runner, "simulate_snr", lambda *a, **k: simulations.append(a))
     out = tmp_path / "out"
-    with pytest.raises(error) as swept:
+    # the run builds the same plan, so it raises what the parser raises
+    with pytest.raises(ConfigError) as swept:
         run_scenario(cfg, out_dir=out)
-    assert str(swept.value) == message
+    assert str(swept.value) == str(loaded.value)
     # every fit comes before the first simulation and the first table
     assert simulations == [] and not out.exists()
 
@@ -726,11 +778,13 @@ def test_cli_rejects_out_of_range_values(tmp_path, capsys, argv, updates, field)
     assert not out.exists()
 
 
-def test_too_few_trials_fail_before_any_fit_or_output(monkeypatch, tmp_path, capsys):
+def test_too_few_trials_fail_before_any_simulation_or_output(monkeypatch, tmp_path, capsys):
     def fail(*args, **kwargs):
         raise AssertionError("called")
 
-    monkeypatch.setattr(runner, "gamma_fits", fail)
+    # the run makes no fit (the config's plan holds them, made before the
+    # run by the parser or, for a config the CLI changes, by the CLI), so
+    # the trial check comes before any simulation and any output
     monkeypatch.setattr(runner, "simulate_snr", fail)
     # simulation is off in the file and switched on from the command line
     out = tmp_path / "o"
@@ -749,6 +803,26 @@ def test_too_few_trials_fail_before_any_fit_or_output(monkeypatch, tmp_path, cap
     path = _write_config(tmp_path, _variant(**{"monte_carlo.trials": 100}))
     assert cli_main(["run", str(path), "--mc", "--out", str(out)]) == 0
     capsys.readouterr()
+
+
+def test_a_table_that_misses_its_gate_leaves_a_run_with_simulation_finite(tmp_path, capsys):
+    # two narrow hops whose two-element table misses its gate: the RIS
+    # draws per element, and the run's Monte Carlo cells are finite and
+    # the same at 1 and 2 workers
+    raw = _variant(DEFAULT_RAW, **{
+        "ris.count": 1, "ris.elements": 2, "monte_carlo.trials": 2000,
+        "ris.sat_fading": {"kappa": 3.927584459821808, "mu": 3530.511444352288},
+        "ris.user_fading": {"kappa": 480.2719033204809, "mu": 1241.7499249417986}})
+    path = _write_config(tmp_path, raw)
+    for w in (1, 2):
+        assert cli_main(["run", str(path), "--mc", "--workers", str(w),
+                         "--out", str(tmp_path / f"o{w}")]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "o1" / "coverage.csv", newline="") as f:
+        cells = [(float(r["mc_metric"]), float(r["mc_stderr"])) for r in csv.DictReader(f)]
+    assert len(cells) == 10 and all(0.0 <= c <= 1.0 and np.isfinite(e) for c, e in cells)
+    assert ((tmp_path / "o1" / "coverage.csv").read_bytes()
+            == (tmp_path / "o2" / "coverage.csv").read_bytes())
 
 
 def test_cli_reports_config_errors(tmp_path, capsys):
@@ -840,9 +914,9 @@ _UNFITTABLE = {
 def test_a_point_that_cannot_be_fitted_is_rejected_at_parse_time(monkeypatch, case):
     raw = _variant(DEFAULT_RAW, **_UNFITTABLE[case])
     with monkeypatch.context() as patched:
-        patched.setattr(scenario, "validate_sweep", lambda cfg: None)
+        patched.setattr(scenario, "plan", lambda cfg: None)
         cfg = parse_scenario(raw)
-    links, geom, _, _ = sweep_points(cfg)[0]
+    links, geom, _, _ = VARIABLES[cfg.sweep.variable].point(cfg, cfg.sweep.grid[0])
     with pytest.raises((ComputationError, ConvergenceError)) as alone:
         gamma_approx(links, geom, cfg.constellation)
     with pytest.raises(ConfigError) as exc:
