@@ -210,14 +210,21 @@ def envelope_cdf(x, p: KappaMuParams):
 
 
 def sample_power(p: KappaMuParams, rng: np.random.Generator,
-                 size: int | tuple[int, ...] | None = None):
+                 size: int | tuple[int, ...] | None = None, out=None):
     """Exact draws of the power W = 2 mu (1 + kappa) |h|^2, numpy's own: 2
     Gamma(mu) at kappa = 0, else noncentral chi-square with 2 mu degrees
-    of freedom and noncentrality 2 kappa mu; a float for ``size=None``."""
+    of freedom and noncentrality 2 kappa mu; a float for ``size=None``.
+    ``out``, a float array that sets the size, receives the draws; numpy's
+    gamma sampler fills it in place, its noncentral chi-square one (which
+    takes no ``out``) through a copy."""
     k, m = p.kappa, p.mu
     if k > 0.0:
-        return rng.noncentral_chisquare(2.0 * m, 2.0 * k * m, size)
-    w = rng.standard_gamma(m, size)
+        w = rng.noncentral_chisquare(2.0 * m, 2.0 * k * m, size if out is None else out.shape)
+        if out is None:
+            return w
+        out[...] = w
+        return out
+    w = rng.standard_gamma(m, size if out is None else None, out=out)
     w *= 2.0
     return w
 
@@ -232,21 +239,34 @@ class SumTable:
         self.z0, self.dz, self.q = float(z[0]), float(z[1] - z[0]), q
         m0, m1 = slope[:-1] * self.dz, slope[1:] * self.dz
         d = q[1:] - q[:-1]
-        # per cell, the cubic in s = (z - z_i) / dz, one row per power
-        self.coef = np.stack([q[:-1], m0, 3.0 * d - 2.0 * m0 - m1, m0 + m1 - 2.0 * d])
+        # per cell, the cubic in s = (z - z_i) / dz: one row per cell, one
+        # column per power, so that one gather reads a cell's four
+        self.coef = np.stack([q[:-1], m0, 3.0 * d - 2.0 * m0 - m1, m0 + m1 - 2.0 * d], axis=1)
 
-    def cells(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Cell index and fraction of each z, for every table of this grid."""
-        r = np.clip((z - self.z0) / self.dz, 0.0, self.coef.shape[1])
-        i = np.minimum(r.astype(np.intp), self.coef.shape[1] - 1)
-        return i, r - i
+    def cells(self, z: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+        """Cell index and fraction of each z, for every table of this grid.
+        ``out``, a pair of an intp and a float array of z's shape (the
+        float one may be z), receives them."""
+        i, r = (np.empty(np.shape(z), np.intp), None) if out is None else out
+        r = np.subtract(z, self.z0, out=r)
+        r /= self.dz
+        cells = len(self.coef)
+        np.clip(r, 0.0, cells, out=r)
+        np.copyto(i, r, casting="unsafe")
+        np.minimum(i, cells - 1, out=i)
+        r -= i
+        return i, r
 
-    def at(self, i: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """S at the cells and fractions ``cells`` gives (indices in range)."""
-        out = np.take(self.coef[3], i, mode="clip")
-        for row in self.coef[2::-1]:
+    def at(self, i: np.ndarray, s: np.ndarray, out=None, work=None) -> np.ndarray:
+        """S at the cells and fractions ``cells`` gives (indices in range),
+        into ``out``; ``work``, a float array of shape (*i.shape, 4),
+        receives their cells' coefficients."""
+        c = self.coef.take(i, axis=0, mode="clip", out=work)
+        out = np.multiply(c[..., 3], s, out=out)
+        for power in (2, 1):
+            out += c[..., power]
             out *= s
-            out += np.take(row, i, mode="clip")
+        out += c[..., 0]
         return out
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
@@ -256,9 +276,9 @@ class SumTable:
     def cdf(self, x: np.ndarray) -> np.ndarray:
         """The distribution function of the law the table draws, at x: the
         cubic of x's cell solved for s by Newton's method."""
-        cells = self.coef.shape[1]
+        cells = len(self.coef)
         i = np.clip(np.searchsorted(self.q, x, side="right") - 1, 0, cells - 1)
-        c = self.coef[:, i]
+        c = self.coef[i].T
         s = np.clip((x - self.q[i]) / np.maximum(self.q[i + 1] - self.q[i], 1e-300), 0.0, 1.0)
         for _ in range(8):
             value = c[0] + s * (c[1] + s * (c[2] + s * c[3])) - x
@@ -272,7 +292,7 @@ class SumTable:
         Gauss-Legendre in z on each cell; the variance about ``center``."""
         nodes, weights = np.polynomial.legendre.leggauss(4)
         s = (nodes + 1.0) / 2.0
-        c = self.coef[:, :, None]
+        c = self.coef.T[:, :, None]
         q = c[0] + s * (c[1] + s * (c[2] + s * c[3]))
         u = 1.0 / (1.0 + np.exp(-(self.z0 + self.dz * (np.arange(len(q))[:, None] + s))))
         du = u * (1.0 - u) * (weights * self.dz / 2.0)
@@ -522,11 +542,12 @@ def element_sum_tables(sat: KappaMuParams, user: KappaMuParams,
 
 
 def sample_envelope(p: KappaMuParams, rng: np.random.Generator,
-                    size: int | tuple[int, ...] | None = None):
+                    size: int | tuple[int, ...] | None = None, out=None):
     """Exact draws of the unit-power envelope, sqrt(W / (2 mu (1 + kappa)))
-    with W from sample_power; a float for ``size=None``."""
-    w = sample_power(p, rng, () if size is None else size)
+    with W from sample_power; a float for ``size=None``. ``out`` as for
+    sample_power."""
+    w = sample_power(p, rng, () if size is None and out is None else size, out=out)
     # in place: no scaled copy or root beside the draw
     w /= p.power_scale
     np.sqrt(w, out=w)
-    return float(w) if size is None else w
+    return float(w) if size is None and out is None else w

@@ -359,12 +359,15 @@ def sat_distance_moment(t: int, eta: float, con: Constellation) -> float:
     return value
 
 
-def ris_squared_distances(geom: CylinderGeometry, u, v=None) -> np.ndarray:
+def ris_squared_distances(geom: CylinderGeometry, u, v=None, out=None) -> np.ndarray:
     """Squared user-to-RIS distances of uniformly placed RISs, from
     uniforms of one shape: ``u`` the radius, ``v`` the height (None, or a
-    flat region, leaves them on the base). The azimuth does not enter."""
+    flat region, leaves them on the base). The azimuth does not enter.
+    ``out``, which may be ``u``, receives the distances; only a height
+    term takes a new array."""
     c = geom.inner_radius
-    out = c * c + (geom.base_radius ** 2 - c * c) * u
+    out = np.multiply(u, geom.base_radius ** 2 - c * c, out=out)
+    out += c * c
     if v is not None and geom.height > 0.0:
         out += np.square(geom.height * v)
     return out
@@ -378,29 +381,49 @@ def sample_ris_distances(geom: CylinderGeometry, rng: np.random.Generator,
     return np.sqrt(ris_squared_distances(geom, u, rng.random(size) if geom.height > 0.0 else None))
 
 
-def nearest_sat_fractions(con: Constellation, u) -> np.ndarray:
+def nearest_sat_fractions(con: Constellation, u, out=None) -> np.ndarray:
     """Normalized squared slant range (d^2 - h^2) / (4 r_e (r_e + h)) of the
     nearest satellite, one per uniform in ``u``: the minimum of M iid
-    U(0, 1), 1 - (1 - u)^(1/M), computed stably for large M."""
-    return -np.expm1(np.log1p(-u) / con.satellites)
+    U(0, 1), 1 - (1 - u)^(1/M), computed stably for large M. ``out`` may
+    be ``u``."""
+    out = np.negative(u, out=np.empty(np.shape(u)) if out is None else out)
+    np.log1p(out, out=out)
+    out /= con.satellites
+    np.expm1(out, out=out)
+    return np.negative(out, out=out)
 
 
-def sat_squared_distances(con: Constellation, s) -> np.ndarray:
-    """Squared ranges of satellites at normalized squared slant range ``s``."""
-    return con.altitude ** 2 + con._scale * s
+def sat_squared_distances(con: Constellation, s, out=None) -> np.ndarray:
+    """Squared ranges of satellites at normalized squared slant range ``s``;
+    ``out`` may be ``s``."""
+    out = np.multiply(s, con._scale, out=out)
+    out += con.altitude ** 2
+    return out
 
 
-def slant_squared_ranges(con: Constellation, s, radial_sq, height, w) -> np.ndarray:
+def slant_squared_ranges(con: Constellation, s, radial_sq, height, w, out=None) -> np.ndarray:
     """Squared ranges from the satellite at normalized squared slant range
     ``s``, rho_s = 2 R sqrt(s (1 - s)) off the user's axis at height
     R (1 - 2 s) - r_e (R the shell radius), to points rho = sqrt(radial_sq)
     off it at ``height``, azimuths 2 pi ``w`` apart; the horizontal part
-    (rho_s - rho)^2 + 4 rho_s rho sin^2(pi w) does not cancel."""
+    (rho_s - rho)^2 + 4 rho_s rho sin^2(pi w) does not cancel.
+
+    Given ``out``, an array of the points' shape apart from the inputs,
+    the ranges go there and ``radial_sq`` and ``w``, of that shape too,
+    serve as its scratch, so no array of that shape is allocated."""
+    if out is None:
+        shape = np.broadcast_shapes(*map(np.shape, (s, radial_sq, height, w)))
+        radial_sq, w = (np.array(np.broadcast_to(a, shape), dtype=float) for a in (radial_sq, w))
+        out = np.empty(shape)
     R = con.shell_radius
-    rho_s, rho = 2.0 * R * np.sqrt(s * (1.0 - s)), np.sqrt(radial_sq)
-    out = 4.0 * rho_s * rho * np.square(np.sin(math.pi * w))
-    out += np.square(rho_s - rho)
-    out += np.square(R * (1.0 - 2.0 * s) - con.earth_radius - height)
+    rho_s = 2.0 * R * np.sqrt(s * (1.0 - s))
+    rho = np.sqrt(radial_sq, out=radial_sq)
+    np.multiply(rho, 4.0 * rho_s, out=out)
+    sin_sq = np.sin(np.multiply(w, math.pi, out=w), out=w)
+    out *= np.square(sin_sq, out=sin_sq)
+    out += np.square(np.subtract(rho_s, rho, out=rho), out=rho)
+    vertical = np.subtract(R * (1.0 - 2.0 * s) - con.earth_radius, height, out=sin_sq)
+    out += np.square(vertical, out=vertical)
     return out
 
 

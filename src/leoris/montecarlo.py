@@ -27,7 +27,12 @@ neither mode places the other M - 1 satellites.
 A block's RISs go through one array pass, in chunks of consecutive RISs
 whose (RIS, trial) arrays keep within _PASS_VALUES at the full
 configuration's block size; each gain d_sat^(-eta/2) r^(-beta/2) is
-exp(-(eta/4) ln d_sat^2 - (beta/4) ln r^2). A block draws, in order: in
+exp(-(eta/4) ln d_sat^2 - (beta/4) ln r^2). Each step of a chunk is one
+numpy call over its (RIS, trial) arrays, written in place into arrays
+made once per thread: the uniforms, squared distances, gains, logits and
+table cells, then one table lookup per element-sum table the chunk's
+RISs read; only each RIS's add into its amplitude rows, in RIS order, is
+a call per RIS. A block draws, in order: in
 exact mode or with the direct path on, one uniform per trial (the
 serving satellite's, else the direct path's satellite); per chunk, one
 (k, RISs, trials) array of uniforms, by row each RIS's radius, height
@@ -61,14 +66,17 @@ RIS alone (_block_size); block b draws from SFC64 seeded by
 SeedSequence(seed, spawn_key=(0, b)), writes its samples into its own
 slice of the output and returns its moments and counts, which merge in
 block order. Workers are threads that run blocks, so the worker count
-only sets the speed. The scenario's exponent draw stays on numpy's
-default_rng (PCG64).
+only sets the speed. Each thread of a simulation has its own scratch
+arrays, which every block it runs overwrites before reading; no two
+threads or simulations share them. The scenario's exponent draw stays
+on numpy's default_rng (PCG64).
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -79,7 +87,7 @@ import numpy as np
 
 from .channel import LinkConfig
 from .errors import ComputationError, DomainError, checked_integer
-from .fading import element_sum_tables, sample_envelope, sample_power
+from .fading import SumTable, element_sum_tables, sample_envelope, sample_power
 from .geometry import (
     Constellation,
     CylinderGeometry,
@@ -101,8 +109,8 @@ _BLOCK = 4096
 # most elements in one fading array of a block; a block holds two (both
 # hops' powers of its largest per-element RIS)
 _CHUNK_ELEMENTS = 8_000_000
-# most (RIS, trial) values per array of a block's pass: at 2^15, glibc
-# returned each block's arrays to the system, to fault them in anew
+# most (RIS, trial) values per array of a block's pass; it fixes the
+# chunks, and so the draw order, of every simulation
 _PASS_VALUES = 1 << 13
 # kept SNR samples of one simulation: its trials
 MAX_KEPT_SAMPLES = 250_000_000
@@ -168,17 +176,19 @@ def is_nested(sub: LinkConfig, links: LinkConfig) -> bool:
                     for s, f in zip(sub.ris, links.ris)))
 
 
-def _row_plan(configs: tuple[LinkConfig, ...]) -> list[tuple[tuple[int, np.ndarray], ...]]:
+def _row_plan(configs: tuple[LinkConfig, ...]) -> list[tuple[tuple[int, slice | np.ndarray], ...]]:
     """For each RIS of the last (full) configuration, the pairs (element
-    count, indices of the amplitude rows that sum that many of its
-    elements)."""
+    count, the amplitude rows that sum that many of its elements: a slice
+    where they are consecutive, which adds in place, else their
+    indices)."""
     plan = []
     for n in range(len(configs[-1].ris)):
         rows: dict[int, list[int]] = {}
         for r, c in enumerate(configs):
             if n < len(c.ris):
                 rows.setdefault(c.ris[n].elements, []).append(r)
-        plan.append(tuple((count, np.array(idx)) for count, idx in sorted(rows.items())))
+        plan.append(tuple((count, slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] < len(idx)
+                           else np.array(idx)) for count, idx in sorted(rows.items())))
     return plan
 
 
@@ -206,56 +216,142 @@ def _sum_tables(cfg: LinkConfig, plan, built: dict | None = None) -> list:
     return out
 
 
+class _Chunk(NamedTuple):
+    """RISs lo:hi of the full configuration, which one array pass takes
+    together: their gain exponents as columns; the element-sum tables
+    they read, in order of first use (all share one z grid), the t-th
+    looked up over every RIS of the chunk into term rows t n to
+    (t + 1) n, n = hi - lo; and per RIS, None where it draws per element,
+    else its (term row, amplitude rows) pairs."""
+
+    lo: int
+    hi: int
+    eta: np.ndarray
+    beta: np.ndarray
+    tables: tuple[SumTable, ...]
+    terms: tuple
+
+
+def _chunks(cfg: LinkConfig, plan, tables: list) -> list[_Chunk]:
+    """The chunks of the full configuration's RISs, each keeping its
+    (RIS, trial) arrays within _PASS_VALUES at the block size."""
+    step = max(1, _PASS_VALUES // _block_size(cfg))
+    exps = np.array([[-link.sat_exponent / 4.0, -link.user_exponent / 4.0]
+                     for link in cfg.ris]).reshape(-1, 2)
+    chunks = []
+    for lo in range(0, len(cfg.ris), step):
+        hi = min(lo + step, len(cfg.ris))
+        read = tuple(dict.fromkeys(tables[n][e] for n in range(lo, hi)
+                                   if tables[n] is not None for e, _ in plan[n]))
+        terms = tuple(None if tables[n] is None else
+                      tuple((read.index(tables[n][e]) * (hi - lo) + n - lo, idx)
+                            for e, idx in plan[n])
+                      for n in range(lo, hi))
+        chunks.append(_Chunk(lo, hi, exps[lo:hi, :1], exps[lo:hi, 1:], read, terms))
+    return chunks
+
+
+class _Scratch:
+    """One thread's arrays for the blocks of one simulation, sized once
+    from the full configuration's block and chunk sizes, and the chunks
+    they serve; every block that thread runs overwrites them."""
+
+    def __init__(self, cfg: LinkConfig, plan, rows: int, tables: list, size: int):
+        self.chunks = _chunks(cfg, plan, tables)
+        width = max((c.hi - c.lo for c in self.chunks), default=0) * size
+        terms = max((len(c.tables) * (c.hi - c.lo) for c in self.chunks), default=0)
+        self.u = np.empty(4 * width)
+        self.r_sq, self.d_sq, self.work = np.empty(width), np.empty(width), np.empty(4 * width)
+        self.cell = np.empty(width, dtype=np.intp)
+        self.terms = np.empty(terms * size)
+        self.sat, self.trial = np.empty(size), np.empty(size)
+        self.amp, self.moments = np.empty(rows * size), np.empty(rows * size)
+
+
+def _view(buf: np.ndarray, *shape: int) -> np.ndarray:
+    """The leading values of a scratch array, as a C-contiguous ``shape``."""
+    return buf[:math.prod(shape)].reshape(shape)
+
+
 def _simulate_block(cfg: LinkConfig, plan, rows: int, geom: CylinderGeometry,
                     con: Constellation, rng: np.random.Generator, count: int,
-                    exact: bool, tables: list) -> np.ndarray:
+                    exact: bool, tables: list, scratch: _Scratch | None = None) -> np.ndarray:
     """Magnitude of the combined response for `count` trials, one row per
-    configuration of the plan (the full configuration last); ``tables`` as
-    _sum_tables gives them."""
-    amp = np.zeros((rows, count))
+    configuration of the plan (the full configuration last), in
+    ``scratch`` (None makes one for this block); ``tables`` as _sum_tables
+    gives them."""
+    if scratch is None:
+        scratch = _Scratch(cfg, plan, rows, tables, count)
+    amp = _view(scratch.amp, rows, count)
+    amp.fill(0.0)
     if exact or cfg.direct.enabled:
-        s = nearest_sat_fractions(con, rng.random(count))
+        s = _view(scratch.sat, count)
+        nearest_sat_fractions(con, rng.random(out=s), out=s)
     flat = geom.height == 0.0
-    step = max(1, _PASS_VALUES // _block_size(cfg))
-    for lo in range(0, len(cfg.ris), step):
-        links = cfg.ris[lo:lo + step]
-        u = rng.random((4 - flat, len(links), count))
-        r_sq = ris_squared_distances(geom, u[0], u[1])
-        d_sq = (slant_squared_ranges(con, s, ris_squared_distances(geom, u[0]),
-                                     geom.height * u[1], u[-2]) if exact
-                else sat_squared_distances(con, nearest_sat_fractions(con, u[-2])))
+    for chunk in scratch.chunks:
+        n = chunk.hi - chunk.lo
+        u = rng.random(out=_view(scratch.u, 4 - flat, n, count))
+        # squared distances in place: the radius row on the base, plus the
+        # squared heights off a flat region
+        radial = ris_squared_distances(geom, u[0], out=u[0])
+        height = 0.0 if flat else np.multiply(u[1], geom.height, out=u[1])
+        if exact:
+            r_sq = np.square(height, out=_view(scratch.r_sq, n, count))
+            r_sq += radial
+            d_sq = slant_squared_ranges(con, s, radial, height, u[-2],
+                                        out=_view(scratch.d_sq, n, count))
+        else:
+            r_sq = radial
+            if not flat:
+                r_sq += np.square(height, out=height)
+            d_sq = sat_squared_distances(con, nearest_sat_fractions(con, u[-2], out=u[-2]),
+                                         out=u[-2])
         # d^(-eta/2) r^(-beta/2) from the squared distances' logarithms
-        eta = np.array([[-link.sat_exponent / 4.0] for link in links])
-        beta = np.array([[-link.user_exponent / 4.0] for link in links])
-        gain = np.exp(np.log(d_sq, out=d_sq) * eta + np.log(r_sq, out=r_sq) * beta)
+        gain = np.log(d_sq, out=d_sq)
+        gain *= chunk.eta
+        gain += np.multiply(np.log(r_sq, out=r_sq), chunk.beta, out=r_sq)
+        np.exp(gain, out=gain)
+        z = u[-1]
         with np.errstate(divide="ignore"):  # u = 0: Z = -inf reads the first node
-            z = np.log(u[-1]) - np.log1p(-u[-1])
-        for n, link in enumerate(links, start=lo):
-            g = gain[n - lo]
-            if tables[n] is not None:
-                # one cell per trial, read by every row's table (one z grid)
-                cell = tables[n][plan[n][0][0]].cells(z[n - lo])
-                for elements, idx in plan[n]:
-                    amp[idx] += tables[n][elements].at(*cell) * g
+            ln1m = np.negative(z, out=_view(scratch.work, n, count))
+            np.subtract(np.log(z, out=z), np.log1p(ln1m, out=ln1m), out=z)
+        if chunk.tables:
+            # one cell per (RIS, trial), read by every table (one z grid),
+            # then one lookup per table
+            cell, frac = chunk.tables[0].cells(z, out=(_view(scratch.cell, n, count), z))
+            terms = _view(scratch.terms, len(chunk.tables) * n, count)
+            for t, table in enumerate(chunk.tables):
+                out = table.at(cell, frac, out=terms[t * n:(t + 1) * n],
+                               work=_view(scratch.work, n, count, 4))
+                out *= gain
+        for j, (link, entries) in enumerate(zip(cfg.ris[chunk.lo:chunk.hi], chunk.terms)):
+            if entries is not None:
+                for row, idx in entries:
+                    amp[idx] += terms[row]
                 continue
             # one root per element; the unit-power scale joins the per-trial gain
             q = sample_power(link.sat_fading, rng, (count, link.elements))
             q *= sample_power(link.user_fading, rng, q.shape)
             np.sqrt(q, out=q)
-            g = g / math.sqrt(link.sat_fading.power_scale * link.user_fading.power_scale)
+            g = np.divide(gain[j], math.sqrt(link.sat_fading.power_scale
+                                             * link.user_fading.power_scale),
+                          out=_view(scratch.trial, count))
             # smaller element counts extend a running sum (the plan is sorted
             # by count); the full count sums q whole, as without nesting
             head, summed = 0.0, 0
-            for elements, idx in plan[n]:
+            for elements, idx in plan[chunk.lo + j]:
                 if elements < link.elements:
                     head = head + q[:, summed:elements].sum(axis=1)
                     summed, total = elements, head
                 else:
                     total = q.sum(axis=1)
-                amp[idx] += total * g
+                amp[idx] += np.multiply(total, g, out=_view(scratch.work, count))
     if cfg.direct.enabled:
-        u = sample_envelope(cfg.direct.fading, rng, count)
-        amp += u * sat_squared_distances(con, s) ** (-cfg.direct.exponent / 4.0)
+        envelope = sample_envelope(cfg.direct.fading, rng, out=_view(scratch.trial, count))
+        d_sq = sat_squared_distances(con, s, out=s)
+        d_sq **= -cfg.direct.exponent / 4.0
+        envelope *= d_sq
+        amp += envelope
     return amp
 
 
@@ -269,21 +365,25 @@ def _merge_moments(state: tuple[int, np.ndarray, np.ndarray],
     return total, mean0 + delta * n1 / total, m20 + m21 + delta * delta * n0 * n1 / total
 
 
-def _block_moments(amp: np.ndarray, taps: list, above: np.ndarray):
+def _block_moments(amp: np.ndarray, taps: list, above: np.ndarray, work: np.ndarray | None = None):
     """(count, mean, M2) of each row of ``amp``, then of log2(1 + SNR) of
     each tap, in units of min(1, rho0): a distinct (row, rho0) with its
     points' thresholds and indices. Adds each point's count of SNRs above
-    its threshold into ``above``. Sorts the rows that taps read in place."""
+    its threshold into ``above``. Sorts the rows that taps read in place;
+    ``work``, a float array of at least amp.size values, holds the
+    deviations and each tap's SNRs."""
     rows, count = amp.shape
+    work = np.empty(amp.size) if work is None else work
     mean, m2 = np.empty(rows + len(taps)), np.empty(rows + len(taps))
-    mean[:rows] = amp.mean(axis=1)
-    m2[:rows] = ((amp - mean[:rows, None]) ** 2).sum(axis=1)
+    amp.mean(axis=1, out=mean[:rows])
+    dev = np.subtract(amp, mean[:rows, None], out=_view(work, rows, count))
+    np.square(dev, out=dev).sum(axis=1, out=m2[:rows])
     # one sort per row: a -> (a rho0) a is monotone for a >= 0, so every
     # tap's SNRs come out sorted for searchsorted
     for r in {tap[0] for tap in taps}:
         amp[r].sort()
     for k, (r, rho0, thresholds, idx) in enumerate(taps, start=rows):
-        snr = amp[r] * rho0
+        snr = np.multiply(amp[r], rho0, out=_view(work, count))
         snr *= amp[r]
         above[idx] += snr.size - np.searchsorted(snr, thresholds, side="right")
         # log1p keeps the rates of SNRs far below 1, which 1 + SNR rounds
@@ -292,7 +392,8 @@ def _block_moments(amp: np.ndarray, taps: list, above: np.ndarray):
         rate = np.log1p(snr, out=snr)
         rate /= _LN2 * min(1.0, rho0)
         mean[k] = rate.mean()
-        m2[k] = ((rate - mean[k]) ** 2).sum()
+        rate -= mean[k]
+        m2[k] = np.square(rate, out=rate).sum()
     return count, mean, m2
 
 
@@ -339,6 +440,8 @@ def simulate_snr(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation,
     plan, size, exact = _row_plan((*nested, cfg)), _block_size(cfg), opt.exact_per_ris_sat_distance
     tables = _sum_tables(cfg, plan, tables)
     samples = np.empty(opt.trials)
+    # each thread's own arrays, made by its first block
+    local = threading.local()
 
     def run_block(b: int):
         # SFC64 (cheaper per draw than PCG64) on child b of
@@ -346,12 +449,15 @@ def simulate_snr(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation,
         seq = np.random.SeedSequence(opt.seed, spawn_key=(0, b))
         rng = np.random.Generator(np.random.SFC64(seq))
         lo, hi = b * size, min(opt.trials, (b + 1) * size)
-        amp = _simulate_block(cfg, plan, rows, geom, con, rng, hi - lo, exact, tables)
+        if not hasattr(local, "scratch"):
+            local.scratch = _Scratch(cfg, plan, rows, tables, min(size, opt.trials))
+        amp = _simulate_block(cfg, plan, rows, geom, con, rng, hi - lo, exact, tables,
+                              local.scratch)
         above = np.zeros(len(points), dtype=np.int64)
         out = samples[lo:hi]
         np.multiply(amp[-1], cfg.transmit_snr, out=out)
         out *= amp[-1]
-        return _block_moments(amp, taps, above), above
+        return _block_moments(amp, taps, above, local.scratch.moments), above
 
     def merge(state, other):
         return _merge_moments(state[0], other[0]), state[1] + other[1]

@@ -331,6 +331,19 @@ def test_sum_table_reads_its_end_nodes_beyond_them():
     assert np.allclose(table(nodes), table.q, rtol=1e-13, atol=0.0)
 
 
+def test_sum_table_reads_into_given_arrays_with_the_bits_of_new_ones():
+    table = fading.element_sum_tables(*DEFAULT_PAIR, [3])[3]
+    z = np.random.default_rng(6).logistic(size=(2, 500))
+    z[0, :4] = (-np.inf, np.inf, table.z0, -table.z0)
+    want, (want_i, want_s) = table(z), table.cells(z)
+    # the fractions overwrite z
+    i, s = table.cells(z, out=(np.empty(z.shape, np.intp), z))
+    assert s is z and np.array_equal(i, want_i) and np.array_equal(s, want_s)
+    out = np.empty(z.shape)
+    assert table.at(i, s, out=out, work=np.empty((*z.shape, 4))) is out
+    assert np.array_equal(out, want)
+
+
 @pytest.mark.parametrize("law", [
     KappaMuParams(1.0, 1e4),  # envelope_pdf cannot evaluate it
     KappaMuParams(0.0, 1e6),  # so narrow beside a wide hop that the grid would pass 2^17 nodes

@@ -502,6 +502,26 @@ def test_slant_ranges_are_the_distances_of_the_placed_points():
     assert np.allclose(sat_squared_distances(con, s), np.sum(np.square(sat), axis=1), rtol=1e-12)
 
 
+def test_distance_maps_write_into_given_arrays_with_the_bits_of_new_ones():
+    con, geom = Constellation(satellites=20, altitude=1.0e6), CylinderGeometry(120.0, 0.0, 10.0)
+    rng = np.random.default_rng(11)
+    u, w = rng.random((2, 3, 200))
+    s = rng.random(200)
+    for fn in (lambda x, out=None: ris_squared_distances(geom, x, out=out),
+               lambda x, out=None: nearest_sat_fractions(con, x, out=out),
+               lambda x, out=None: sat_squared_distances(con, x, out=out)):
+        want, x = fn(u), u.copy()
+        assert fn(x, out=x) is x and np.array_equal(x, want)
+    # without out the inputs stay as they were; with it radial_sq and w are scratch
+    radial_sq, height = ris_squared_distances(geom, u), 40.0 * u
+    inputs = (radial_sq.copy(), w.copy())
+    want = slant_squared_ranges(con, s, radial_sq, height, w)
+    assert np.array_equal(radial_sq, inputs[0]) and np.array_equal(w, inputs[1])
+    out = np.empty(u.shape)
+    assert slant_squared_ranges(con, s, radial_sq, height, w, out=out) is out
+    assert np.array_equal(out, want)
+
+
 def test_constellation_properties():
     con = Constellation(satellites=1000, altitude=1.0e6)
     shell = con.earth_radius + con.altitude

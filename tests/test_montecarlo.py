@@ -169,8 +169,9 @@ class _HalfAndZero:
     """A generator stand-in whose uniforms are 1/2, except the last row
     (the element-sum uniforms of a pass) at 0."""
 
-    def random(self, shape):
-        u = np.full(shape, 0.5)
+    def random(self, size=None, dtype=np.float64, out=None):
+        u = np.empty(size, dtype) if out is None else out
+        u[...] = 0.5
         u[-1] = 0.0
         return u
 
@@ -329,6 +330,50 @@ def test_the_array_pass_draws_the_law_of_the_per_ris_reference(case):
             mean = mean_abs_A(links, geom, CON)
             for sample in (got, want):
                 assert abs(sample.mean() - mean) <= 5.0 * sample.std() / math.sqrt(trials)
+
+
+# (full configuration, nested rows, region, exact mode): 4097 trials give
+# one full block and a short one
+_SEQUENCE = (
+    (default_links(3), (), GEOM, False),
+    (default_links(3), (), GEOM, True),
+    (default_links(3), (), _ANNULUS, False),
+    (default_links(4), tuple(default_links(n) for n in (1, 2, 3)), GEOM, False),
+    (_mixed_links(), (), GEOM, False),
+)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_scratch_arrays_carry_nothing_between_blocks_or_simulations(monkeypatch, workers):
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+
+    def simulate(case):
+        cfg, nested, geom, exact = case
+        points = [(r, rho0, th) for r in range(len(nested) + 1) for rho0 in (1e14, 1e10)
+                  for th in (1.0, 100.0)]
+        return simulate_snr(cfg, geom, CON, SimOptions(
+            trials=4097, seed=31, workers=workers, exact_per_ris_sat_distance=exact),
+            nested=nested, points=points)
+
+    # each case alone, then all of them in one sequence that runs each
+    # after a different case
+    alone = [simulate(case) for case in _SEQUENCE]
+    in_sequence = [simulate(case) for case in _SEQUENCE[::-1]][::-1]
+    for case, first, later in zip(_SEQUENCE, alone, in_sequence):
+        assert np.array_equal(first.snr_samples, later.snr_samples)
+        assert (first.coverage, first.capacity) == (later.coverage, later.capacity)
+        for x, y in zip((*first.nested, first), (*later.nested, later)):
+            assert (x.abs_mean, x.abs_var) == (y.abs_mean, y.abs_var)
+        # every block equals one simulated in arrays of its own
+        cfg, nested, geom, exact = case
+        plan = montecarlo._row_plan((*nested, cfg))
+        tables = montecarlo._sum_tables(cfg, plan)
+        for block, (lo, hi) in enumerate(((0, 4096), (4096, 4097))):
+            seq = np.random.SeedSequence(31, spawn_key=(0, block))
+            rng = np.random.Generator(np.random.SFC64(seq))
+            amp = montecarlo._simulate_block(cfg, plan, len(nested) + 1, geom, CON, rng,
+                                             hi - lo, exact, tables)[-1]
+            assert np.array_equal(first.snr_samples[lo:hi], cfg.transmit_snr * amp * amp)
 
 
 def test_thread_pool_never_outgrows_the_blocks_or_the_cpus(monkeypatch):
