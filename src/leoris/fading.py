@@ -12,8 +12,8 @@ A RIS's element sum S = sum_l |h_sat,l| |h_user,l| enters a simulation
 through its law alone, which depends only on the hops' laws and the
 element count. element_sum_tables builds that law's quantile function
 from envelope_pdf, and a SumTable draws S from one logistic variate;
-each table is gated against the exact mean and variance and against
-the same construction at twice the resolution.
+each table is gated against the exact mean and variance, and its nodes
+against the law of the same construction at twice the resolution.
 """
 
 from __future__ import annotations
@@ -235,26 +235,45 @@ class SumTable:
     interpolant on nodes dz apart from -_TABLE_Z to _TABLE_Z. Beyond the
     end nodes, 2^-40 of the mass on each side, it reads the node's value."""
 
-    def __init__(self, z: np.ndarray, q: np.ndarray, slope: np.ndarray):
+    def __init__(self, law: tuple, log: bool):
+        """The table of ``law`` (y, cdf, density on the uniform grid y, of
+        ln S where ``log``): each node solves cdf = u on the cubic Hermite
+        interpolant of its grid cell by Newton's method."""
+        y, cdf, _ = law
+        z = np.linspace(-_TABLE_Z, _TABLE_Z, 3549)
+        u = 1.0 / (1.0 + np.exp(-z))
+        i = np.clip(np.searchsorted(cdf, u) - 1, 0, cdf.size - 2)
+        s = np.clip((u - cdf[i]) / np.maximum(cdf[i + 1] - cdf[i], 1e-300), 0.0, 1.0)
+        for _ in range(8):
+            value, slope = _hermite(law, i, s)
+            s = np.clip(s - (value - u) / np.where(slope > 0.0, slope, np.inf), 0.0, 1.0)
+        q = y[i] + s * (y[1] - y[0])
+        # dq/dz = u (1 - u) / density
+        dq = u * (1.0 - u) * (y[1] - y[0]) / np.where(slope > 0.0, slope, np.inf)
+        if log:
+            q = np.exp(q)
+            dq *= q
         self.z0, self.dz, self.q = float(z[0]), float(z[1] - z[0]), q
-        m0, m1 = slope[:-1] * self.dz, slope[1:] * self.dz
+        m0, m1 = dq[:-1] * self.dz, dq[1:] * self.dz
         d = q[1:] - q[:-1]
         # per cell, the cubic in s = (z - z_i) / dz: one row per cell, one
         # column per power, so that one gather reads a cell's four
         self.coef = np.stack([q[:-1], m0, 3.0 * d - 2.0 * m0 - m1, m0 + m1 - 2.0 * d], axis=1)
 
-    def cells(self, z: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+    def cells(self, z: np.ndarray, out=None, work=None) -> tuple[np.ndarray, np.ndarray]:
         """Cell index and fraction of each z, for every table of this grid.
         ``out``, a pair of an intp and a float array of z's shape (the
-        float one may be z), receives them."""
+        float one may be z), receives them, and ``work``, of z's shape, the
+        cells as floats."""
         i, r = (np.empty(np.shape(z), np.intp), None) if out is None else out
         r = np.subtract(z, self.z0, out=r)
         r /= self.dz
         cells = len(self.coef)
         np.clip(r, 0.0, cells, out=r)
-        np.copyto(i, r, casting="unsafe")
-        np.minimum(i, cells - 1, out=i)
-        r -= i
+        f = np.floor(r, out=work)
+        np.minimum(f, cells - 1, out=f)
+        r -= f
+        np.copyto(i, f, casting="unsafe")
         return i, r
 
     def at(self, i: np.ndarray, s: np.ndarray, out=None, work=None) -> np.ndarray:
@@ -273,29 +292,13 @@ class SumTable:
         """S at each z; a logistic z draws S from the table's law."""
         return self.at(*self.cells(z))
 
-    def cdf(self, x: np.ndarray) -> np.ndarray:
-        """The distribution function of the law the table draws, at x: the
-        cubic of x's cell solved for s by Newton's method."""
-        cells = len(self.coef)
-        i = np.clip(np.searchsorted(self.q, x, side="right") - 1, 0, cells - 1)
-        c = self.coef[i].T
-        s = np.clip((x - self.q[i]) / np.maximum(self.q[i + 1] - self.q[i], 1e-300), 0.0, 1.0)
-        for _ in range(8):
-            value = c[0] + s * (c[1] + s * (c[2] + s * c[3])) - x
-            slope = c[1] + s * (2.0 * c[2] + 3.0 * s * c[3])
-            s = np.clip(s - value / np.where(slope > 0.0, slope, np.inf), 0.0, 1.0)
-        u = 1.0 / (1.0 + np.exp(-(self.z0 + self.dz * (i + s))))
-        return np.where(x < self.q[0], 0.0, np.where(x >= self.q[-1], 1.0, u))
-
     def moments(self, center: float) -> tuple[float, float]:
         """Mean and variance of the law the table draws, by 4-point
         Gauss-Legendre in z on each cell; the variance about ``center``."""
-        nodes, weights = np.polynomial.legendre.leggauss(4)
-        s = (nodes + 1.0) / 2.0
-        c = self.coef.T[:, :, None]
+        s, c = _CELL_NODES, self.coef.T[:, :, None]
         q = c[0] + s * (c[1] + s * (c[2] + s * c[3]))
         u = 1.0 / (1.0 + np.exp(-(self.z0 + self.dz * (np.arange(len(q))[:, None] + s))))
-        du = u * (1.0 - u) * (weights * self.dz / 2.0)
+        du = u * (1.0 - u) * (_CELL_WEIGHTS * self.dz)
         tail = 1.0 / (1.0 + math.exp(_TABLE_Z))
         ends = self.q[[0, -1]]
         dev = np.square(q - center)
@@ -305,6 +308,9 @@ class SumTable:
 
 # SumTable nodes span logit(u) for u from 2^-40 to 1 - 2^-40
 _TABLE_Z = 40.0 * math.log(2.0)
+# 4-point Gauss-Legendre rule on [0, 1], per cell of a SumTable's moments
+_CELL_NODES, _CELL_WEIGHTS = np.polynomial.legendre.leggauss(4)
+_CELL_NODES, _CELL_WEIGHTS = 0.5 * (_CELL_NODES + 1.0), 0.5 * _CELL_WEIGHTS
 # log-grid floor: the mass of ln|h| below it is taken to sit at |h| = 0,
 # and a pair with more than _MAX_LUMP there, or whose grid would pass
 # _MAX_LOG_NODES at the base resolution, is not tabulated
@@ -322,16 +328,17 @@ _MAX_FREQUENCIES = 1 << 14
 # and the nodes it spreads at a time (128 KiB per array)
 _SPREAD = 16
 _SPREAD_NODES = 512
-# gate on each table: mean, variance and sup CDF distance to the table
-# built with every grid twice as fine
+# gate on each table: mean, variance, and sup CDF distance at its nodes to
+# the law built with every grid twice as fine
 _GATE = (1e-9, 1e-8, 1e-9)
 
 
-def _log_product_density(sat: KappaMuParams, user: KappaMuParams, fine: int):
-    """(t0, dt, g): the density g of ln(|h_sat| |h_user|) at t0 + dt j, the
-    direct convolution of the hops' log densities g(t) = e^t f(e^t). The
-    step resolves the narrower hop and the span reaches each hop's
-    negligible tails; mass below _LOG_FLOOR is left out. Raises
+def _log_product_density(sat: KappaMuParams, user: KappaMuParams):
+    """(t0, dt, g) at the base step and at half of it: the density g of
+    ln(|h_sat| |h_user|) at t0 + dt j, the direct convolution of the hops'
+    log densities g(t) = e^t f(e^t), each evaluated once, on the fine grid.
+    The base step resolves the narrower hop and the span reaches each
+    hop's negligible tails; mass below _LOG_FLOOR is left out. Raises
     ComputationError where the grid would pass _MAX_LOG_NODES, or more
     than _MAX_LUMP of the mass lies below the floor, as envelope_pdf does
     where it cannot evaluate a hop's law."""
@@ -343,58 +350,49 @@ def _log_product_density(sat: KappaMuParams, user: KappaMuParams, fine: int):
     if nodes > _MAX_LOG_NODES:
         raise ComputationError(f"the log grid of sat {sat}, user {user} would need "
                                f"{nodes:.3g} nodes")
-    dt = min(1.0 / 16.0, min(spread) / 8.0) / fine
-    t = lo + dt * np.arange(math.ceil((hi - lo) / dt) + 1)
-    parts = []
-    for p in laws:
-        g = envelope_pdf(np.exp(t), p) * np.exp(t)
+    dt = min(1.0 / 16.0, min(spread) / 8.0)
+    # (dt / 2) (2 j) rounds as dt j: the even nodes are the base grid's
+    x = np.exp(lo + dt / 2.0 * np.arange(2 * math.ceil((hi - lo) / dt) + 1))
+    hops = [envelope_pdf(x, p) * x for p in laws]
+
+    def trim(t0, h, g):  # the nodes above 1e-30 of the peak
         keep = np.flatnonzero(g > 1e-30 * g.max())
-        parts.append((t[keep[0]], g[keep[0]:keep[-1] + 1]))
-    g = np.convolve(parts[0][1], parts[1][1]) * dt
-    if 1.0 - g.sum() * dt > _MAX_LUMP:
-        raise ComputationError(f"{1.0 - g.sum() * dt:.3g} of the law of sat {sat}, user {user} "
-                               "lies below the log grid")
-    keep = np.flatnonzero(g > 1e-30 * g.max())
-    return parts[0][0] + parts[1][0] + dt * keep[0], dt, g[keep[0]:keep[-1] + 1]
+        return t0 + h * keep[0], h, g[keep[0]:keep[-1] + 1]
+
+    out = []
+    for h, step in ((dt, 2), (dt / 2.0, 1)):
+        (t1, _, g1), (t2, _, g2) = (trim(lo, h, g[::step]) for g in hops)
+        g = np.convolve(g1, g2) * h
+        if 1.0 - g.sum() * h > _MAX_LUMP:
+            raise ComputationError(f"{1.0 - g.sum() * h:.3g} of the law of sat {sat}, "
+                                   f"user {user} lies below the log grid")
+        out.append(trim(t1 + t2, h, g))
+    return out
+
+
+def _hermite(law: tuple, i: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cubic Hermite interpolant of the distribution of ``law`` (y, cdf,
+    density on the uniform grid y) at fraction s of cells i, and its slope."""
+    y, cdf, density = law
+    h = y[1] - y[0]
+    f0, f1, d0, d1 = cdf[i], cdf[i + 1], density[i] * h, density[i + 1] * h
+    r = 1.0 - s
+    return (f0 + (f1 - f0) * s * s * (3.0 - 2.0 * s) + s * r * (d0 * r - d1 * s),
+            6.0 * (f1 - f0) * s * r + d0 * r * (1.0 - 3.0 * s) + d1 * s * (3.0 * s - 2.0))
 
 
 def _fourier_cdf(psi: np.ndarray, n: int):
     """Distribution and density (times the period P) at y = m P / n, m < n,
     of a law on [0, P) with psi_k = E exp(2 pi i k Y / P), k = 0..K, by its
-    Fourier series (Abate & Whitt 1992) truncated after K."""
+    Fourier series (Abate & Whitt 1992) truncated after K, made monotone
+    and nonnegative."""
     k = np.arange(1, psi.size)
     # n irfft(c)[m] = 2 Re sum_k conj(c_k) e^(-2 pi i k m / n) for c_0 = 0
     c = np.zeros(n // 2 + 1, dtype=complex)
     c[k] = np.conj(psi[1:] / (2j * math.pi * k))
     cdf = psi[0].real * np.arange(n) / n + 2.0 * c.sum().real - n * np.fft.irfft(c, n)
     c[k] = np.conj(psi[1:])
-    return cdf, psi[0].real + n * np.fft.irfft(c, n)
-
-
-def _quantile_table(y: np.ndarray, cdf: np.ndarray, density: np.ndarray, fine: int,
-                    log: bool = False) -> SumTable:
-    """The SumTable of a law with ``cdf`` and ``density`` on the uniform grid
-    y (of ln S where ``log``): each node solves cdf = u on the cubic Hermite
-    interpolant of its grid cell by Newton's method."""
-    cdf, density = np.maximum.accumulate(cdf), np.maximum(density, 0.0)
-    h = y[1] - y[0]
-    z = np.linspace(-_TABLE_Z, _TABLE_Z, 3548 * fine + 1)
-    u = 1.0 / (1.0 + np.exp(-z))
-    i = np.clip(np.searchsorted(cdf, u) - 1, 0, cdf.size - 2)
-    f0, f1, d0, d1 = cdf[i], cdf[i + 1], density[i] * h, density[i + 1] * h
-    s = np.clip((u - f0) / np.maximum(f1 - f0, 1e-300), 0.0, 1.0)
-    for _ in range(8):
-        r = 1.0 - s
-        value = f0 + (f1 - f0) * s * s * (3.0 - 2.0 * s) + s * r * (d0 * r - d1 * s)
-        slope = 6.0 * (f1 - f0) * s * r + d0 * r * (1.0 - 3.0 * s) + d1 * s * (3.0 * s - 2.0)
-        s = np.clip(s - (value - u) / np.where(slope > 0.0, slope, np.inf), 0.0, 1.0)
-    q = y[i] + s * h
-    # dq/dz = u (1 - u) / density
-    dq = u * (1.0 - u) * h / np.where(slope > 0.0, slope, np.inf)
-    if log:
-        q = np.exp(q)
-        dq *= q
-    return SumTable(z, q, dq)
+    return np.maximum.accumulate(cdf), np.maximum(psi[0].real + n * np.fft.irfft(c, n), 0.0)
 
 
 def _nufft(weights: np.ndarray, angles: np.ndarray, count: int) -> np.ndarray:
@@ -443,19 +441,19 @@ def _characteristic(t0: float, h: float, dense: np.ndarray, lump: float, step: f
     return _nufft(weights, step * x, count) + lump
 
 
-def _sum_table(t0: float, dt: float, g: np.ndarray, count: int, fine: int,
-               frequencies: int | None = None) -> tuple[SumTable, int]:
-    """The SumTable of the sum S of ``count`` independent copies of X, with
-    ln X of density g at t0 + dt j and X = 0 for the mass below, and the
-    number of frequencies it used.
+def _sum_law(t0: float, dt: float, g: np.ndarray, count: int, fine: int,
+             frequencies: int | None = None) -> tuple[tuple, int]:
+    """The law (y, cdf, density on the uniform grid y) of the sum S of
+    ``count`` independent copies of X, with ln X of density g at t0 + dt j
+    and X = 0 for the mass below, and the number of frequencies it used.
 
-    One element's table inverts the Fourier series of ln X on the log
-    grid. A sum's window [a, b] holds all but _WINDOW_TAIL on each side by
+    One element's law is the Fourier series of ln X on the log grid. A
+    sum's window [a, b] holds all but _WINDOW_TAIL on each side by
     Chernoff bounds, and its Fourier series takes phi^count, phi of X from
     _characteristic, with the frequencies doubling from 256 until
     |phi|^count falls below _PHI_TAIL over their top quarter, unless
-    ``frequencies`` fixes them. ``fine`` = 2 doubles the window and halves
-    the table's steps; with the caller's halved log step and 4 times the
+    ``frequencies`` fixes them. ``fine`` = 2 doubles the window and the
+    grid's nodes; with the caller's halved log step and 4 times the
     frequencies, every grid is twice as fine."""
     w = g * dt
     lump = max(0.0, 1.0 - w.sum())
@@ -463,8 +461,7 @@ def _sum_table(t0: float, dt: float, g: np.ndarray, count: int, fine: int,
     if count == 1:
         psi = np.conj(np.fft.rfft(g, m)) * dt
         cdf, density = _fourier_cdf(psi, 8 * m)
-        return _quantile_table(t0 + dt / 8.0 * np.arange(8 * m), cdf + lump,
-                               density / (m * dt), fine, log=True), 0
+        return (t0 + dt / 8.0 * np.arange(8 * m), cdf + lump, density / (m * dt)), 0
     x = np.exp(t0 + dt * np.arange(g.size))
 
     def log_mgf(theta: float) -> float:
@@ -494,7 +491,7 @@ def _sum_table(t0: float, dt: float, g: np.ndarray, count: int, fine: int,
     psi = (phi / phi[0].real) ** count * np.exp(-1j * step * a * np.arange(phi.size))
     n = max(1 << (4 * phi.size).bit_length(), 8192 * fine)
     cdf, density = _fourier_cdf(psi, n)
-    return _quantile_table(a + period / n * np.arange(n), cdf, density / period, fine), phi.size
+    return (a + period / n * np.arange(n), cdf, density / period), phi.size
 
 
 def element_sum_tables(sat: KappaMuParams, user: KappaMuParams,
@@ -508,33 +505,37 @@ def element_sum_tables(sat: KappaMuParams, user: KappaMuParams,
     0.8 or less, or one at 0.6 or less). That answer depends on the pair
     alone, never on ``counts``.
 
-    Each table is checked against the same construction with every grid
-    twice as fine (sup CDF distance 1e-9) and against the exact mean c m1
-    (1e-9 relative) and variance c (1 - m1^2) (1e-8 relative), m1 the
-    product of the hops' first envelope moments. A count whose table
-    cannot be built or misses that gate maps to None, and its RIS draws
-    per element (montecarlo.py), so an element-count sweep whose nested
-    rows include such a count draws that RIS per element on every row."""
+    Each table's nodes are checked against the CDF of the same construction
+    with every grid twice as fine (sup distance 1e-9), and the table against
+    the exact mean c m1 (1e-9 relative) and variance c (1 - m1^2) (1e-8
+    relative), m1 the product of the hops' first envelope moments. A count
+    whose table cannot be built or misses that gate maps to None, and its
+    RIS draws per element (montecarlo.py), so an element-count sweep whose
+    nested rows include such a count draws that RIS per element on every row."""
     try:
-        laws = [_log_product_density(sat, user, fine) for fine in (1, 2)]
+        base, fine = _log_product_density(sat, user)
         if min(sat.mu, user.mu) < 1.0:
             # a sum's density near 0 goes as s^(2 c mu - 1): with a hop below
             # mu = 1 the two-element sum, the roughest, may pass the budget
-            _sum_table(*laws[0], 2, 1)
+            _sum_law(*base, 2, 1)
     except ComputationError:
         return None
     m1 = envelope_moment(1.0, sat) * envelope_moment(1.0, user)
     tables: dict[int, SumTable | None] = {}
     for count in sorted(set(counts)):
         try:
-            table, used = _sum_table(*laws[0], count, 1)
-            check, _ = _sum_table(*laws[1], count, 2, frequencies=4 * used or None)
+            law, used = _sum_law(*base, count, 1)
+            check, _ = _sum_law(*fine, count, 2, frequencies=4 * used or None)
         except ComputationError:
             tables[count] = None
             continue
+        table = SumTable(law, count == 1)
         mean, var = table.moments(count * m1)
+        x, y = np.log(table.q) if count == 1 else table.q, check[0]
+        i = np.clip(np.searchsorted(y, x, side="right") - 1, 0, y.size - 2)
+        cdf = _hermite(check, i, np.clip((x - y[i]) / (y[1] - y[0]), 0.0, 1.0))[0]
         u = 1.0 / (1.0 + np.exp(-(table.z0 + table.dz * np.arange(table.q.size))))
-        gap = float(np.max(np.abs(check.cdf(table.q) - u)))
+        gap = float(np.max(np.abs(cdf - u)))
         misses = (abs(mean / (count * m1) - 1.0), abs(var / (count * (1.0 - m1 * m1)) - 1.0), gap)
         tables[count] = (table if all(m <= tol for m, tol in zip(misses, _GATE))
                          and (np.diff(table.q) >= 0.0).all() else None)

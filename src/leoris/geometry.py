@@ -401,28 +401,35 @@ def sat_squared_distances(con: Constellation, s, out=None) -> np.ndarray:
     return out
 
 
-def slant_squared_ranges(con: Constellation, s, radial_sq, height, w, out=None) -> np.ndarray:
-    """Squared ranges from the satellite at normalized squared slant range
-    ``s``, rho_s = 2 R sqrt(s (1 - s)) off the user's axis at height
-    R (1 - 2 s) - r_e (R the shell radius), to points rho = sqrt(radial_sq)
-    off it at ``height``, azimuths 2 pi ``w`` apart; the horizontal part
+def serving_offsets(con: Constellation, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distance rho_s = 2 R sqrt(s (1 - s)) off the user's axis, 4 rho_s
+    and the height R (1 - 2 s) - r_e over the user (R the shell radius) of
+    satellites at normalized squared slant range ``s``."""
+    R = con.shell_radius
+    rho_s = 2.0 * R * np.sqrt(s * (1.0 - s))
+    return rho_s, 4.0 * rho_s, R * (1.0 - 2.0 * s) - con.earth_radius
+
+
+def slant_squared_ranges(offsets, radial_sq, height, w, out=None) -> np.ndarray:
+    """Squared ranges from the satellites whose serving_offsets are
+    ``offsets`` to points rho = sqrt(radial_sq) off the user's axis at
+    ``height``, azimuths 2 pi ``w`` apart; the horizontal part
     (rho_s - rho)^2 + 4 rho_s rho sin^2(pi w) does not cancel.
 
     Given ``out``, an array of the points' shape apart from the inputs,
     the ranges go there and ``radial_sq`` and ``w``, of that shape too,
     serve as its scratch, so no array of that shape is allocated."""
+    rho_s, four, lift = offsets
     if out is None:
-        shape = np.broadcast_shapes(*map(np.shape, (s, radial_sq, height, w)))
+        shape = np.broadcast_shapes(*map(np.shape, (rho_s, radial_sq, height, w)))
         radial_sq, w = (np.array(np.broadcast_to(a, shape), dtype=float) for a in (radial_sq, w))
         out = np.empty(shape)
-    R = con.shell_radius
-    rho_s = 2.0 * R * np.sqrt(s * (1.0 - s))
     rho = np.sqrt(radial_sq, out=radial_sq)
-    np.multiply(rho, 4.0 * rho_s, out=out)
+    np.multiply(rho, four, out=out)
     sin_sq = np.sin(np.multiply(w, math.pi, out=w), out=w)
     out *= np.square(sin_sq, out=sin_sq)
     out += np.square(np.subtract(rho_s, rho, out=rho), out=rho)
-    vertical = np.subtract(R * (1.0 - 2.0 * s) - con.earth_radius, height, out=sin_sq)
+    vertical = np.subtract(lift, height, out=sin_sq)
     out += np.square(vertical, out=vertical)
     return out
 

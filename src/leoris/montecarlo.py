@@ -94,6 +94,7 @@ from .geometry import (
     nearest_sat_fractions,
     ris_squared_distances,
     sat_squared_distances,
+    serving_offsets,
     slant_squared_ranges,
 )
 
@@ -287,6 +288,7 @@ def _simulate_block(cfg: LinkConfig, plan, rows: int, geom: CylinderGeometry,
     if exact or cfg.direct.enabled:
         s = _view(scratch.sat, count)
         nearest_sat_fractions(con, rng.random(out=s), out=s)
+        offsets = serving_offsets(con, s) if exact else None
     flat = geom.height == 0.0
     for chunk in scratch.chunks:
         n = chunk.hi - chunk.lo
@@ -298,7 +300,7 @@ def _simulate_block(cfg: LinkConfig, plan, rows: int, geom: CylinderGeometry,
         if exact:
             r_sq = np.square(height, out=_view(scratch.r_sq, n, count))
             r_sq += radial
-            d_sq = slant_squared_ranges(con, s, radial, height, u[-2],
+            d_sq = slant_squared_ranges(offsets, radial, height, u[-2],
                                         out=_view(scratch.d_sq, n, count))
         else:
             r_sq = radial
@@ -318,7 +320,8 @@ def _simulate_block(cfg: LinkConfig, plan, rows: int, geom: CylinderGeometry,
         if chunk.tables:
             # one cell per (RIS, trial), read by every table (one z grid),
             # then one lookup per table
-            cell, frac = chunk.tables[0].cells(z, out=(_view(scratch.cell, n, count), z))
+            cell, frac = chunk.tables[0].cells(z, out=(_view(scratch.cell, n, count), z),
+                                               work=_view(scratch.work, n, count))
             terms = _view(scratch.terms, len(chunk.tables) * n, count)
             for t, table in enumerate(chunk.tables):
                 out = table.at(cell, frac, out=terms[t * n:(t + 1) * n],

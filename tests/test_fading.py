@@ -2,6 +2,7 @@
 density, and exactness of the sampler."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -286,7 +287,11 @@ def test_sum_tables_meet_their_gate_on_every_criterion_5_law(pair):
     # 1e-9 (sup CDF) of the same construction at twice the resolution; the
     # moments are checked here again against the exact ones
     m1 = envelope_moment(1.0, pair[0]) * envelope_moment(1.0, pair[1])
-    tables = fading.element_sum_tables(*pair, [1, 20, 50, 2500])
+    # with no warning: no log of 0 or overflow on any path, count 1's log
+    # of the table's nodes included
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tables = fading.element_sum_tables(*pair, [1, 20, 50, 2500])
     for count, table in tables.items():
         assert table is not None, count
         mean, var = table.moments(count * m1)
@@ -295,9 +300,41 @@ def test_sum_tables_meet_their_gate_on_every_criterion_5_law(pair):
         assert (np.diff(table.q) >= 0.0).all()
 
 
+def _direct_log_law(sat, user, fine):
+    # the log law with each hop's density evaluated directly on its own
+    # grid, the base step over ``fine``
+    laws = (sat, user)
+    spread = [math.sqrt(1.0 - m * m) / m for m in (envelope_moment(1.0, p) for p in laws)]
+    lo = min(max(fading._LOG_FLOOR, -50.0 * s) for s in spread)
+    hi = max(min(0.5 * math.log1p(90.0 / p.mu) + 1.0, 50.0 * s) for p, s in zip(laws, spread))
+    dt = min(1.0 / 16.0, min(spread) / 8.0) / fine
+    t = lo + dt * np.arange(math.ceil((hi - lo) / dt) + 1)
+    parts = []
+    for p in laws:
+        g = envelope_pdf(np.exp(t), p) * np.exp(t)
+        keep = np.flatnonzero(g > 1e-30 * g.max())
+        parts.append((t[keep[0]], g[keep[0]:keep[-1] + 1]))
+    g = np.convolve(parts[0][1], parts[1][1]) * dt
+    keep = np.flatnonzero(g > 1e-30 * g.max())
+    return parts[0][0] + parts[1][0] + dt * keep[0], dt, g[keep[0]:keep[-1] + 1]
+
+
+@pytest.mark.parametrize("pair", _criterion5_pairs(), ids=repr)
+def test_log_laws_from_one_density_pass_are_the_direct_ones_bit_for_bit(pair):
+    # the base law reads the fine grid's even nodes, so its tables keep
+    # their bits; the fine grid, which must reach the base grid's last
+    # node, may end one node further out than its own span asks
+    for (t0, dt, g), fine in zip(fading._log_product_density(*pair), (1, 2)):
+        want = _direct_log_law(*pair, fine)
+        assert t0 == want[0] and dt == want[1] and np.array_equal(g, want[2]), fine
+
+
 def test_a_count_whose_table_misses_its_gate_has_no_table(monkeypatch):
     # the RIS then draws per element; the other counts keep their tables
     monkeypatch.setattr(fading, "_GATE", (1e-9, 1e-8, 1e-30))
+    assert fading.element_sum_tables(*DEFAULT_PAIR, [20]) == {20: None}
+    # the CDF distance alone, read on the fine law at the table's nodes
+    monkeypatch.setattr(fading, "_GATE", (1.0, 1.0, 1e-15))
     assert fading.element_sum_tables(*DEFAULT_PAIR, [20]) == {20: None}
     # two narrow hops: 1 - m1^2 is 2.7e-5, and the two-element table's
     # variance and CDF miss the gate by its rounding
@@ -306,6 +343,14 @@ def test_a_count_whose_table_misses_its_gate_has_no_table(monkeypatch):
     monkeypatch.undo()
     tables = fading.element_sum_tables(*narrow, [1, 2])
     assert tables[1] is not None and tables[2] is None
+
+
+def test_the_gate_builds_its_check_in_its_own_chernoff_window():
+    # this two-element table lies 4.2e-9 from the twice-as-fine law; a check
+    # that took the table's window would read 1.1e-11 and let it pass
+    pair = (KappaMuParams(244.9350494313048, 169.1805499630692),
+            KappaMuParams(410.26973665248033, 491.6099669359391))
+    assert fading.element_sum_tables(*pair, [2]) == {2: None}
 
 
 def test_sum_tables_match_per_element_sums_in_a_ks_test():
@@ -329,6 +374,24 @@ def test_sum_table_reads_its_end_nodes_beyond_them():
     assert high[0] == pytest.approx(table.q[-1], rel=1e-13)
     nodes = table.z0 + table.dz * np.arange(table.q.size)
     assert np.allclose(table(nodes), table.q, rtol=1e-13, atol=0.0)
+
+
+def test_sum_table_cells_are_their_direct_definition():
+    # floor of the clipped grid position, capped at the last cell, and the
+    # remainder, at logistic z, +-inf, 1e300 and every node
+    table = fading.element_sum_tables(*DEFAULT_PAIR, [3])[3]
+    cells = len(table.coef)
+    nodes = table.z0 + table.dz * np.arange(cells + 1)
+    z = np.concatenate([np.random.default_rng(7).logistic(size=200_000),
+                        [-np.inf, np.inf, 1e300, -1e300], nodes])
+    r = np.clip((z - table.z0) / table.dz, 0.0, cells)
+    f = np.minimum(np.floor(r), cells - 1)
+    i, s = table.cells(z)
+    assert i.dtype == np.intp and np.array_equal(i, f.astype(np.intp))
+    assert np.array_equal(s, r - f)
+    work = np.empty(z.shape)
+    i2, s2 = table.cells(z.copy(), out=(np.empty(z.shape, np.intp), None), work=work)
+    assert np.array_equal(i2, i) and np.array_equal(s2, s) and np.array_equal(work, f)
 
 
 def test_sum_table_reads_into_given_arrays_with_the_bits_of_new_ones():
@@ -359,9 +422,9 @@ def test_sum_tables_are_none_where_the_construction_cannot_carry_the_law(law):
 def test_sum_table_past_the_frequency_budget_raises():
     # a one-sided Gaussian hop leaves the two-element sum a kink at 0, so
     # its characteristic function falls too slowly for the budget
-    laws = fading._log_product_density(KappaMuParams(0.0, 0.5), KappaMuParams(0.0, 2.0), 1)
+    base, _ = fading._log_product_density(KappaMuParams(0.0, 0.5), KappaMuParams(0.0, 2.0))
     with pytest.raises(ComputationError, match="its law needs more than 16384 frequencies"):
-        fading._sum_table(*laws, 2, 1)
+        fading._sum_law(*base, 2, 1)
     # a Rayleigh pair's two-element sum fits, with the most frequencies
-    laws = fading._log_product_density(KappaMuParams(0.0, 1.0), KappaMuParams(0.0, 1.0), 1)
-    assert fading._sum_table(*laws, 2, 1)[1] == 16384
+    base, _ = fading._log_product_density(KappaMuParams(0.0, 1.0), KappaMuParams(0.0, 1.0))
+    assert fading._sum_law(*base, 2, 1)[1] == 16384

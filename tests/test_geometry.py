@@ -22,6 +22,7 @@ from leoris.geometry import (
     sample_nearest_sat_distance,
     sample_ris_distances,
     sat_squared_distances,
+    serving_offsets,
     slant_squared_ranges,
     sat_distance_cdf,
     sat_distance_moment,
@@ -472,14 +473,15 @@ def test_serving_satellite_matches_materialized_argmin():
         ref[i] = sats[np.argmin(np.linalg.norm(sats, axis=1))]
     # at the user the slant range is the satellite's range
     r_user = np.sqrt(sat_squared_distances(con, s))
-    assert np.allclose(np.sqrt(slant_squared_ranges(con, s, 0.0, 0.0, 0.0)), r_user, rtol=1e-12)
+    offsets = serving_offsets(con, s)
+    assert np.allclose(np.sqrt(slant_squared_ranges(offsets, 0.0, 0.0, 0.0)), r_user, rtol=1e-12)
     # the user range alone does not see the direction; the range excess to
     # a point above the user sees the satellite's height, to an off-axis
     # point (at a uniform azimuth about the satellite's) also its
     # horizontal offset
     for point in ((0.0, 0.0, 60.0), (90.0, -40.0, 60.0)):
         radial_sq, height = point[0] ** 2 + point[1] ** 2, point[2]
-        got = np.sqrt(slant_squared_ranges(con, s, radial_sq, height, rng.random(s.size)))
+        got = np.sqrt(slant_squared_ranges(offsets, radial_sq, height, rng.random(s.size)))
         want = np.linalg.norm(ref - point, axis=1)
         assert ks_2samp(got - r_user, want - np.linalg.norm(ref, axis=1)).pvalue > 0.01, point
 
@@ -498,7 +500,8 @@ def test_slant_ranges_are_the_distances_of_the_placed_points():
                     R * (1.0 - 2.0 * s) - con.earth_radius], axis=1)
     point = np.stack([np.sqrt(radial_sq), np.zeros_like(u), height], axis=1)
     want = np.sum(np.square(sat - point), axis=1)
-    assert np.allclose(slant_squared_ranges(con, s, radial_sq, height, w), want, rtol=1e-12)
+    assert np.allclose(slant_squared_ranges(serving_offsets(con, s), radial_sq, height, w), want,
+                       rtol=1e-12)
     assert np.allclose(sat_squared_distances(con, s), np.sum(np.square(sat), axis=1), rtol=1e-12)
 
 
@@ -515,11 +518,13 @@ def test_distance_maps_write_into_given_arrays_with_the_bits_of_new_ones():
     # without out the inputs stay as they were; with it radial_sq and w are scratch
     radial_sq, height = ris_squared_distances(geom, u), 40.0 * u
     inputs = (radial_sq.copy(), w.copy())
-    want = slant_squared_ranges(con, s, radial_sq, height, w)
+    offsets = serving_offsets(con, s)
+    want = slant_squared_ranges(offsets, radial_sq, height, w)
     assert np.array_equal(radial_sq, inputs[0]) and np.array_equal(w, inputs[1])
     out = np.empty(u.shape)
-    assert slant_squared_ranges(con, s, radial_sq, height, w, out=out) is out
+    assert slant_squared_ranges(offsets, radial_sq, height, w, out=out) is out
     assert np.array_equal(out, want)
+
 
 
 def test_constellation_properties():
