@@ -79,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
             changes["sweep"] = SweepSpec(args.var, parse_grid(args.grid, "--grid"), "--grid")
         changes = {k: v for k, v in changes.items() if v is not None and v != getattr(cfg, k)}
         if changes:
-            cfg = dataclasses.replace(cfg, **changes)
+            cfg = cfg.replace(**changes)
         cfg.plan  # a --grid's points are checked and fitted before anything runs
         summary = run_scenario(cfg, out_dir=args.out)
     except (LeorisError, OSError) as exc:  # OSError: a scenario or output path

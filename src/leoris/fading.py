@@ -256,9 +256,9 @@ class SumTable:
         self.z0, self.dz, self.q = float(z[0]), float(z[1] - z[0]), q
         m0, m1 = dq[:-1] * self.dz, dq[1:] * self.dz
         d = q[1:] - q[:-1]
-        # per cell, the cubic in s = (z - z_i) / dz: one row per cell, one
-        # column per power, so that one gather reads a cell's four
-        self.coef = np.stack([q[:-1], m0, 3.0 * d - 2.0 * m0 - m1, m0 + m1 - 2.0 * d], axis=1)
+        # per cell, the cubic in s = (z - z_i) / dz: one contiguous row per
+        # power, from the constant up, so that each Horner step gathers one
+        self.coef = np.stack([q[:-1], m0, 3.0 * d - 2.0 * m0 - m1, m0 + m1 - 2.0 * d])
 
     def cells(self, z: np.ndarray, out=None, work=None) -> tuple[np.ndarray, np.ndarray]:
         """Cell index and fraction of each z, for every table of this grid.
@@ -268,7 +268,7 @@ class SumTable:
         i, r = (np.empty(np.shape(z), np.intp), None) if out is None else out
         r = np.subtract(z, self.z0, out=r)
         r /= self.dz
-        cells = len(self.coef)
+        cells = self.coef.shape[1]
         np.clip(r, 0.0, cells, out=r)
         f = np.floor(r, out=work)
         np.minimum(f, cells - 1, out=f)
@@ -278,14 +278,12 @@ class SumTable:
 
     def at(self, i: np.ndarray, s: np.ndarray, out=None, work=None) -> np.ndarray:
         """S at the cells and fractions ``cells`` gives (indices in range),
-        into ``out``; ``work``, a float array of shape (*i.shape, 4),
-        receives their cells' coefficients."""
-        c = self.coef.take(i, axis=0, mode="clip", out=work)
-        out = np.multiply(c[..., 3], s, out=out)
-        for power in (2, 1):
-            out += c[..., power]
+        into ``out``; ``work``, a float array of i's shape, receives one
+        power's coefficients of their cells at a time."""
+        out = self.coef[3].take(i, mode="clip", out=out)
+        for power in (2, 1, 0):
             out *= s
-        out += c[..., 0]
+            out += self.coef[power].take(i, mode="clip", out=work)
         return out
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
@@ -295,7 +293,7 @@ class SumTable:
     def moments(self, center: float) -> tuple[float, float]:
         """Mean and variance of the law the table draws, by 4-point
         Gauss-Legendre in z on each cell; the variance about ``center``."""
-        s, c = _CELL_NODES, self.coef.T[:, :, None]
+        s, c = _CELL_NODES, self.coef[:, :, None]
         q = c[0] + s * (c[1] + s * (c[2] + s * c[3]))
         u = 1.0 / (1.0 + np.exp(-(self.z0 + self.dz * (np.arange(len(q))[:, None] + s))))
         du = u * (1.0 - u) * (_CELL_WEIGHTS * self.dz)
@@ -317,8 +315,10 @@ _CELL_NODES, _CELL_WEIGHTS = 0.5 * (_CELL_NODES + 1.0), 0.5 * _CELL_WEIGHTS
 _LOG_FLOOR = -36.0
 _MAX_LUMP = 2.0 ** -40
 _MAX_LOG_NODES = 1 << 17
-# a sum's window leaves out at most this mass on each side (Chernoff bound)
+# a sum's window leaves out at most this mass on each side (Chernoff bound),
+# from exponent arrays of at most _MGF_VALUES values (2 MiB)
 _WINDOW_TAIL = 1e-18
+_MGF_VALUES = 1 << 18
 # frequencies double until |phi|^count falls below this over their top
 # quarter, which bounds the Fourier series' truncation error in the CDF
 _PHI_TAIL = 1e-10
@@ -463,16 +463,22 @@ def _sum_law(t0: float, dt: float, g: np.ndarray, count: int, fine: int,
         cdf, density = _fourier_cdf(psi, 8 * m)
         return (t0 + dt / 8.0 * np.arange(8 * m), cdf + lump, density / (m * dt)), 0
     x = np.exp(t0 + dt * np.arange(g.size))
-
-    def log_mgf(theta: float) -> float:
-        e = theta * x
-        top = max(float(e.max()), 0.0)
-        return math.log(float(np.exp(e - top) @ w) + lump * math.exp(-top)) + top
-
-    # P(S > b) <= E exp(theta (S - b)) and P(S < a) <= E exp(theta (a - S))
+    # P(S > b) <= E exp(theta (S - b)) and P(S < a) <= E exp(theta (a - S)):
+    # ln E exp(theta X) at theta = +-thetas, each row of exponents theta x
+    # shifted by its maximum floored at 0; a dot product per row, as a
+    # matrix-vector product would sum in another order
     thetas, tail = np.geomspace(1e-3, 1e2, 48).tolist(), -math.log(_WINDOW_TAIL)
-    b = min((count * log_mgf(theta) + tail) / theta for theta in thetas)
-    a = max(0.0, max(-(count * log_mgf(-theta) + tail) / theta for theta in thetas))
+    signed, log_mgf = np.array(thetas + [-theta for theta in thetas]), []
+    rows = max(1, _MGF_VALUES // x.size)
+    for lo in range(0, signed.size, rows):
+        e = np.multiply.outer(signed[lo:lo + rows], x)
+        top = np.maximum(e.max(axis=1), 0.0)
+        e -= top[:, None]
+        np.exp(e, out=e)
+        log_mgf += [math.log(float(row @ w) + lump * math.exp(-t)) + t
+                    for row, t in zip(e, top.tolist())]
+    b = min((count * k + tail) / theta for theta, k in zip(thetas, log_mgf[:48]))
+    a = max(0.0, max(-(count * k + tail) / theta for theta, k in zip(thetas, log_mgf[48:])))
     period = (b - a) * fine
     a -= (fine - 1) * (b - a) / 2.0
     step = 2.0 * math.pi / period
@@ -512,19 +518,20 @@ def element_sum_tables(sat: KappaMuParams, user: KappaMuParams,
     whose table cannot be built or misses that gate maps to None, and its
     RIS draws per element (montecarlo.py), so an element-count sweep whose
     nested rows include such a count draws that RIS per element on every row."""
+    built = {}
     try:
         base, fine = _log_product_density(sat, user)
         if min(sat.mu, user.mu) < 1.0:
             # a sum's density near 0 goes as s^(2 c mu - 1): with a hop below
             # mu = 1 the two-element sum, the roughest, may pass the budget
-            _sum_law(*base, 2, 1)
+            built[2] = _sum_law(*base, 2, 1)
     except ComputationError:
         return None
     m1 = envelope_moment(1.0, sat) * envelope_moment(1.0, user)
     tables: dict[int, SumTable | None] = {}
     for count in sorted(set(counts)):
         try:
-            law, used = _sum_law(*base, count, 1)
+            law, used = built.get(count) or _sum_law(*base, count, 1)
             check, _ = _sum_law(*fine, count, 2, frequencies=4 * used or None)
         except ComputationError:
             tables[count] = None

@@ -26,14 +26,21 @@ neither mode places the other M - 1 satellites.
 
 A block's RISs go through one array pass, in chunks of consecutive RISs
 whose (RIS, trial) arrays keep within _PASS_VALUES at the full
-configuration's block size; each gain d_sat^(-eta/2) r^(-beta/2) is
+configuration's block size (the default eight RISs in blocks of 8192
+trials: four chunks of two); each gain d_sat^(-eta/2) r^(-beta/2) is
 exp(-(eta/4) ln d_sat^2 - (beta/4) ln r^2). Each step of a chunk is one
-numpy call over its (RIS, trial) arrays, written in place into arrays
-made once per thread: the uniforms, squared distances, gains, logits and
-table cells, then one table lookup per element-sum table the chunk's
-RISs read; only each RIS's add into its amplitude rows, in RIS order, is
-a call per RIS. A block draws, in order: in
-exact mode or with the direct path on, one uniform per trial (the
+numpy call over its (RIS, trial) arrays, written in place into one
+thread's scratch: the uniforms, squared distances, gains, logits and
+table cells, then per element-sum table the chunk's RISs read one lookup,
+which gathers the cells' cubic coefficients one power at a time into a
+single (RIS, trial) work array; only each RIS's add into its amplitude
+rows, in RIS order, is a call per RIS. The scratch thus holds pass-sized
+arrays (four of uniforms, two of squared distances for exact mode, the
+work array, the cells and each table's terms), two per-trial vectors and
+the (row, trial) amplitudes, whose tallies then take each row's
+deviations in turn in the work array: 1.4 MB per thread at the default
+configuration. A block draws, in order: in exact mode or with the
+direct path on, one uniform per trial (the
 serving satellite's, else the direct path's satellite); per chunk, one
 (k, RISs, trials) array of uniforms, by row each RIS's radius, height
 (k = 3 on a flat region, which draws none, else 4), satellite (in exact
@@ -61,15 +68,16 @@ block, which sorts every tap's SNRs on that row.
 
 Determinism contract: identical (config, seed) give bit-identical
 results at any worker count. Trials are cut into blocks of equal size
-(only the last may be short), set by the full configuration's largest
-RIS alone (_block_size); block b draws from SFC64 seeded by
-SeedSequence(seed, spawn_key=(0, b)), writes its samples into its own
-slice of the output and returns its moments and counts, which merge in
-block order. Workers are threads that run blocks, so the worker count
-only sets the speed. Each thread of a simulation has its own scratch
-arrays, which every block it runs overwrites before reading; no two
-threads or simulations share them. The scenario's exponent draw stays
-on numpy's default_rng (PCG64).
+(only the last may be short), _BLOCK trials unless the full
+configuration's largest RIS sets fewer (_block_size); block b draws from
+SFC64 seeded by SeedSequence(seed, spawn_key=(0, b)), writes its samples
+into its own slice of the output and returns its moments and counts,
+which merge in block order. Workers are threads that run blocks, so the
+worker count only sets the speed, and no more threads than blocks are
+busy (100k trials are 13 blocks). Each thread of a simulation has its
+own scratch arrays, which every block it runs overwrites before reading;
+no two threads or simulations share them. The scenario's exponent draw
+stays on numpy's default_rng (PCG64).
 """
 
 from __future__ import annotations
@@ -106,13 +114,17 @@ __all__ = [
     "is_nested",
 ]
 
-_BLOCK = 4096
+# trials per block: each numpy call of the pass spans a chunk's RISs over
+# a block's trials, so larger blocks pay less call overhead per trial,
+# and smaller ones leave threads more blocks (100k trials are 13)
+_BLOCK = 8192
 # most elements in one fading array of a block; a block holds two (both
 # hops' powers of its largest per-element RIS)
 _CHUNK_ELEMENTS = 8_000_000
-# most (RIS, trial) values per array of a block's pass; it fixes the
-# chunks, and so the draw order, of every simulation
-_PASS_VALUES = 1 << 13
+# most (RIS, trial) values per array of a block's pass (128 KiB); it
+# fixes the chunks, and so the draw order, of every simulation, and with
+# the block size each thread's scratch
+_PASS_VALUES = 1 << 14
 # kept SNR samples of one simulation: its trials
 MAX_KEPT_SAMPLES = 250_000_000
 # fewest trials a simulation that tallies sweep points accepts
@@ -262,11 +274,13 @@ class _Scratch:
         width = max((c.hi - c.lo for c in self.chunks), default=0) * size
         terms = max((len(c.tables) * (c.hi - c.lo) for c in self.chunks), default=0)
         self.u = np.empty(4 * width)
-        self.r_sq, self.d_sq, self.work = np.empty(width), np.empty(width), np.empty(4 * width)
+        self.r_sq, self.d_sq = np.empty(width), np.empty(width)
+        # the pass's, then the tallies' work array
+        self.work = np.empty(max(width, size))
         self.cell = np.empty(width, dtype=np.intp)
         self.terms = np.empty(terms * size)
         self.sat, self.trial = np.empty(size), np.empty(size)
-        self.amp, self.moments = np.empty(rows * size), np.empty(rows * size)
+        self.amp = np.empty(rows * size)
 
 
 def _view(buf: np.ndarray, *shape: int) -> np.ndarray:
@@ -325,7 +339,7 @@ def _simulate_block(cfg: LinkConfig, plan, rows: int, geom: CylinderGeometry,
             terms = _view(scratch.terms, len(chunk.tables) * n, count)
             for t, table in enumerate(chunk.tables):
                 out = table.at(cell, frac, out=terms[t * n:(t + 1) * n],
-                               work=_view(scratch.work, n, count, 4))
+                               work=_view(scratch.work, n, count))
                 out *= gain
         for j, (link, entries) in enumerate(zip(cfg.ris[chunk.lo:chunk.hi], chunk.terms)):
             if entries is not None:
@@ -373,14 +387,15 @@ def _block_moments(amp: np.ndarray, taps: list, above: np.ndarray, work: np.ndar
     each tap, in units of min(1, rho0): a distinct (row, rho0) with its
     points' thresholds and indices. Adds each point's count of SNRs above
     its threshold into ``above``. Sorts the rows that taps read in place;
-    ``work``, a float array of at least amp.size values, holds the
-    deviations and each tap's SNRs."""
+    ``work``, a float array of at least one row's values, holds each row's
+    deviations and each tap's SNRs in turn."""
     rows, count = amp.shape
-    work = np.empty(amp.size) if work is None else work
+    work = np.empty(count) if work is None else work
     mean, m2 = np.empty(rows + len(taps)), np.empty(rows + len(taps))
     amp.mean(axis=1, out=mean[:rows])
-    dev = np.subtract(amp, mean[:rows, None], out=_view(work, rows, count))
-    np.square(dev, out=dev).sum(axis=1, out=m2[:rows])
+    for r in range(rows):
+        dev = np.subtract(amp[r], mean[r], out=_view(work, count))
+        m2[r] = np.square(dev, out=dev).sum()
     # one sort per row: a -> (a rho0) a is monotone for a >= 0, so every
     # tap's SNRs come out sorted for searchsorted
     for r in {tap[0] for tap in taps}:
@@ -460,7 +475,7 @@ def simulate_snr(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation,
         out = samples[lo:hi]
         np.multiply(amp[-1], cfg.transmit_snr, out=out)
         out *= amp[-1]
-        return _block_moments(amp, taps, above, local.scratch.moments), above
+        return _block_moments(amp, taps, above, local.scratch.work), above
 
     def merge(state, other):
         return _merge_moments(state[0], other[0]), state[1] + other[1]

@@ -122,6 +122,18 @@ class ScenarioConfig:
         """plan(self), built once; dataclasses.replace makes a config that builds its own."""
         return plan(self)
 
+    def replace(self, **changes) -> ScenarioConfig:
+        """dataclasses.replace(self, **changes), keeping the plan built so
+        far where the changes touch only fields the plan never reads."""
+        new = dataclasses.replace(self, **changes)
+        if "plan" in self.__dict__ and changes.keys() <= _RUN_SETTINGS:
+            new.__dict__["plan"] = self.plan
+        return new
+
+
+# the Monte Carlo and output settings, which plan reads none of
+_RUN_SETTINGS = {"mc", "mc_enabled", "output"}
+
 
 _SENTINEL = object()
 

@@ -380,7 +380,7 @@ def test_sum_table_cells_are_their_direct_definition():
     # floor of the clipped grid position, capped at the last cell, and the
     # remainder, at logistic z, +-inf, 1e300 and every node
     table = fading.element_sum_tables(*DEFAULT_PAIR, [3])[3]
-    cells = len(table.coef)
+    cells = table.coef.shape[1]
     nodes = table.z0 + table.dz * np.arange(cells + 1)
     z = np.concatenate([np.random.default_rng(7).logistic(size=200_000),
                         [-np.inf, np.inf, 1e300, -1e300], nodes])
@@ -394,6 +394,24 @@ def test_sum_table_cells_are_their_direct_definition():
     assert np.array_equal(i2, i) and np.array_equal(s2, s) and np.array_equal(work, f)
 
 
+def test_sum_table_reads_the_cubic_of_each_cells_gathered_row_bit_for_bit():
+    # one gather per coefficient column takes the Horner steps of a gather
+    # of each cell's four: at every node, past the last node and at +-inf
+    table = fading.element_sum_tables(*DEFAULT_PAIR, [3])[3]
+    cells = table.coef.shape[1]
+    z = np.concatenate([table.z0 + table.dz * np.arange(cells + 1),
+                        table.z0 + table.dz * (cells + np.array([1e-3, 0.5, 1.0, 1e3])),
+                        [-np.inf, np.inf], np.random.default_rng(8).logistic(size=10_000)])
+    i, s = table.cells(z)
+    c = np.ascontiguousarray(table.coef.T).take(i, axis=0)
+    want = c[:, 3] * s
+    for power in (2, 1):
+        want += c[:, power]
+        want *= s
+    want += c[:, 0]
+    assert np.array_equal(table(z), want)
+
+
 def test_sum_table_reads_into_given_arrays_with_the_bits_of_new_ones():
     table = fading.element_sum_tables(*DEFAULT_PAIR, [3])[3]
     z = np.random.default_rng(6).logistic(size=(2, 500))
@@ -403,7 +421,7 @@ def test_sum_table_reads_into_given_arrays_with_the_bits_of_new_ones():
     i, s = table.cells(z, out=(np.empty(z.shape, np.intp), z))
     assert s is z and np.array_equal(i, want_i) and np.array_equal(s, want_s)
     out = np.empty(z.shape)
-    assert table.at(i, s, out=out, work=np.empty((*z.shape, 4))) is out
+    assert table.at(i, s, out=out, work=np.empty(z.shape)) is out
     assert np.array_equal(out, want)
 
 

@@ -325,9 +325,9 @@ IMPORT_PROBE = textwrap.dedent("""
     cfg = load_scenario(sys.argv[1])
     sweep(dataclasses.replace(cfg, sweep=SweepSpec("R0", (60.0, 120.0, 300.0)),
                               mc_enabled=False))
-    # two 4096-trial blocks, so the simulation runs on two worker threads
+    # two blocks (8192 and 1808 trials), so the simulation runs on two worker threads
     sweep(dataclasses.replace(cfg, sweep=SweepSpec("N", (4.0, 8.0)), mc_enabled=True,
-                              mc=dataclasses.replace(cfg.mc, trials=5000, workers=2)))
+                              mc=dataclasses.replace(cfg.mc, trials=10_000, workers=2)))
     report["after_sweeps"] = loaded(HEAVY)
     # inside the pole window, so the ray rule runs
     cap = ergodic_capacity(GammaApprox(3.0 + 5e-5, 0.42), 100.0)

@@ -4,6 +4,7 @@ the statistical contracts of the per-point coverage and capacity tallies."""
 import dataclasses
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,9 +27,11 @@ from leoris.geometry import (
 from leoris.metrics import CoverageQuery, coverage_probability
 from leoris import montecarlo
 from leoris.montecarlo import SimOptions, simulate_snr
+from leoris.scenario import SweepSpec, load_scenario
 
 GEOM = CylinderGeometry(120.0, 120.0)
 CON = Constellation(1000, 1.0e6)
+DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
 
 
 def test_bit_identical_for_same_seed_and_workers():
@@ -108,7 +111,8 @@ def _assert_worker_counts_give_identical_bits(monkeypatch, mode, trials):
         assert all(sub.snr_samples is None for sub in res.nested)
 
 
-@pytest.mark.parametrize("trials", [1, 4095, 4096, 4097, 3 * montecarlo._BLOCK + 5])
+@pytest.mark.parametrize("trials", [1, *(montecarlo._BLOCK + d for d in (-1, 0, 1)),
+                                    3 * montecarlo._BLOCK + 5])
 @pytest.mark.parametrize("mode", sorted(_MODES))
 def test_worker_counts_give_identical_bits(monkeypatch, mode, trials):
     _assert_worker_counts_give_identical_bits(monkeypatch, mode, trials)
@@ -332,8 +336,8 @@ def test_the_array_pass_draws_the_law_of_the_per_ris_reference(case):
                 assert abs(sample.mean() - mean) <= 5.0 * sample.std() / math.sqrt(trials)
 
 
-# (full configuration, nested rows, region, exact mode): 4097 trials give
-# one full block and a short one
+# (full configuration, nested rows, region, exact mode): _BLOCK + 1 trials
+# give one full block and a short one
 _SEQUENCE = (
     (default_links(3), (), GEOM, False),
     (default_links(3), (), GEOM, True),
@@ -352,7 +356,8 @@ def test_scratch_arrays_carry_nothing_between_blocks_or_simulations(monkeypatch,
         points = [(r, rho0, th) for r in range(len(nested) + 1) for rho0 in (1e14, 1e10)
                   for th in (1.0, 100.0)]
         return simulate_snr(cfg, geom, CON, SimOptions(
-            trials=4097, seed=31, workers=workers, exact_per_ris_sat_distance=exact),
+            trials=montecarlo._BLOCK + 1, seed=31, workers=workers,
+            exact_per_ris_sat_distance=exact),
             nested=nested, points=points)
 
     # each case alone, then all of them in one sequence that runs each
@@ -368,12 +373,35 @@ def test_scratch_arrays_carry_nothing_between_blocks_or_simulations(monkeypatch,
         cfg, nested, geom, exact = case
         plan = montecarlo._row_plan((*nested, cfg))
         tables = montecarlo._sum_tables(cfg, plan)
-        for block, (lo, hi) in enumerate(((0, 4096), (4096, 4097))):
+        size = montecarlo._BLOCK
+        for block, (lo, hi) in enumerate(((0, size), (size, size + 1))):
             seq = np.random.SeedSequence(31, spawn_key=(0, block))
             rng = np.random.Generator(np.random.SFC64(seq))
             amp = montecarlo._simulate_block(cfg, plan, len(nested) + 1, geom, CON, rng,
                                              hi - lo, exact, tables)[-1]
             assert np.array_equal(first.snr_samples[lo:hi], cfg.transmit_snr * amp * amp)
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["full_rows", "n_nested_rows"])
+def test_each_threads_scratch_keeps_to_its_pass_and_block_arrays(nested):
+    # configs/default.yaml: eight RISs that read one table, in whole blocks.
+    # Four pass-sized arrays of uniforms and five more (two of squared
+    # distances, the work array, the cells, one table's terms), two
+    # per-trial vectors and a row of amplitudes per configuration: no
+    # (RIS, trial, 4) coefficients and no (row, trial) deviations
+    cfg = load_scenario(DEFAULT_CONFIG)
+    if nested:
+        cfg = dataclasses.replace(cfg, sweep=SweepSpec("N", tuple(range(1, 9))))
+    (_, _, rows, _), = cfg.plan.simulations
+    plan = montecarlo._row_plan(tuple(rows))
+    size = montecarlo._block_size(rows[-1])
+    scratch = montecarlo._Scratch(rows[-1], plan, len(rows),
+                                  montecarlo._sum_tables(rows[-1], plan), size)
+    nbytes = sum(a.nbytes for a in vars(scratch).values() if isinstance(a, np.ndarray))
+    assert size == montecarlo._BLOCK and len(rows) == (8 if nested else 1)
+    assert nbytes <= 8 * (9 * montecarlo._PASS_VALUES + (len(rows) + 2) * size)
+    # 1.4 MB and 1.8 MB at the chosen block and pass sizes
+    assert nbytes <= (1_835_008 if nested else 1_376_256)
 
 
 def test_thread_pool_never_outgrows_the_blocks_or_the_cpus(monkeypatch):
@@ -419,11 +447,12 @@ def test_blocks_depend_on_neither_the_constellation_nor_the_nesting(monkeypatch)
 
     monkeypatch.setattr(montecarlo, "_simulate_block", recording)
     cfg = default_links(2)
-    opt = SimOptions(trials=9000, seed=2, exact_per_ris_sat_distance=True)
+    size = montecarlo._BLOCK
+    opt = SimOptions(trials=2 * size + 808, seed=2, exact_per_ris_sat_distance=True)
     for satellites in (1000, 1_000_000):
         sizes.clear()
         simulate_snr(cfg, GEOM, Constellation(satellites, 1.0e6), opt)
-        assert sizes == [4096, 4096, 808], satellites
+        assert sizes == [size, size, 808], satellites
     # a small element budget sizes the blocks by the full configuration's
     # largest RIS with or without nested rows, so the full row keeps its bits
     monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 20 * 1500)
@@ -431,7 +460,8 @@ def test_blocks_depend_on_neither_the_constellation_nor_the_nesting(monkeypatch)
     runs = []
     for sub in ((), nested):
         sizes.clear()
-        runs.append(simulate_snr(cfg, GEOM, CON, opt, nested=sub))
+        runs.append(simulate_snr(cfg, GEOM, CON, dataclasses.replace(opt, trials=9000),
+                                 nested=sub))
         assert sizes == [1500] * 6
     assert np.array_equal(runs[0].snr_samples, runs[1].snr_samples)
     assert (runs[0].abs_mean, runs[0].abs_var) == (runs[1].abs_mean, runs[1].abs_var)
@@ -526,7 +556,7 @@ def test_a_simulation_keeps_trials_samples_however_many_rows_it_serves():
 
 def test_tallies_add_memory_per_point_not_per_point_and_trial():
     # 2000 points of one block: a (points, block) array of SNRs would take
-    # 2000 * 4096 * 8 bytes = 65 MB
+    # 2000 * 8 bytes per trial, 131 MB at 8192 trials
     cfg = default_links(1)
     points = [(0, rho0, 1.0) for rho0 in np.geomspace(1e10, 1e14, 2000).tolist()]
     opt = SimOptions(trials=montecarlo._BLOCK, seed=0)

@@ -478,8 +478,10 @@ def test_a_replaced_config_builds_its_own_plan():
 @pytest.mark.parametrize("argv,batches", [
     (["run"], 1),
     (["run", "--seed", "7", "--format", "csv"], 1),  # no option changes the config
-    (["run", "--seed", "8"], 2),
+    # Monte Carlo and output settings keep the file's plan
+    (["run", "--seed", "8", "--workers", "2", "--format", "json", "--mc"], 1),
     (["sweep", "--var", "N", "--grid", "1,2,3"], 2),  # the file's plan, then the grid's
+    (["sweep", "--var", "rho_th", "--grid", "0,20", "--seed", "8"], 2),
 ])
 def test_the_cli_fits_the_file_once_and_a_changed_config_once(monkeypatch, tmp_path, argv,
                                                                batches):
@@ -487,6 +489,33 @@ def test_the_cli_fits_the_file_once_and_a_changed_config_once(monkeypatch, tmp_p
     path = _write_config(tmp_path, _variant(**{"monte_carlo.enabled": False}))
     assert cli_main([argv[0], str(path), *argv[1:], "--out", str(tmp_path / "o")]) == 0
     assert len(fits) == batches
+
+
+def test_a_cli_run_at_another_worker_count_fits_once_and_writes_the_same_tables(
+        monkeypatch, tmp_path):
+    fits = _count_fit_batches(monkeypatch)
+    path = _write_config(tmp_path, _variant(**{"monte_carlo.enabled": True,
+                                               "monte_carlo.trials": 20_000}))
+    for out, workers in (("a", []), ("b", ["--workers", "2"])):
+        fits.clear()
+        assert cli_main(["run", str(path), *workers, "--out", str(tmp_path / out)]) == 0
+        assert len(fits) == 1
+    tables = sorted(p.name for p in (tmp_path / "a").glob("*.csv"))
+    assert tables and tables == sorted(p.name for p in (tmp_path / "b").glob("*.csv"))
+    for table in tables:
+        assert (tmp_path / "a" / table).read_bytes() == (tmp_path / "b" / table).read_bytes()
+
+
+def test_a_config_keeps_its_plan_across_run_settings_only():
+    cfg = _sweep_config()
+    settings = {"mc": dataclasses.replace(cfg.mc, seed=9), "mc_enabled": not cfg.mc_enabled,
+                "output": dataclasses.replace(cfg.output, format="json")}
+    built = cfg.plan
+    assert cfg.replace(**settings).plan is built
+    assert cfg.replace(sweep=SweepSpec("R0", (60.0, 120.0)), **settings).plan is not built
+    # a plan not yet built is not built by the replace
+    fresh = dataclasses.replace(cfg, sweep=cfg.sweep)
+    assert "plan" not in fresh.replace(**settings).__dict__
 
 
 @pytest.mark.parametrize("variable,grid,calls", [
