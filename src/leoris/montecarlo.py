@@ -431,7 +431,7 @@ def simulate_snr(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation,
     SNR rho0 above rho_th and the mean of their log2(1 + SNR).
 
     ``tables``, a dict a caller keeps across simulations (runner.sweep
-    keeps one per sweep), holds the element-sum tables built so far.
+    passes its plan's, kept across runs), holds the tables built so far.
     """
     for sub in nested:
         if not is_nested(sub, cfg):

@@ -14,7 +14,10 @@ analytic column is evaluated over every point in one array pass
 (metrics.coverage_probabilities, metrics.ergodic_capacities) before any
 simulation. A simulation draws from child i of
 SeedSequence(monte_carlo.seed), i the index of its first point, so the
-resolved echo reproduces the tables.
+resolved echo reproduces the tables. The plan keeps the element-sum
+tables its simulations build (SweepPlan.tables), so a config's later runs
+and its ScenarioConfig.replace runs build none; SimResult.elapsed counts a
+build only in the run that made it.
 """
 
 from __future__ import annotations
@@ -81,16 +84,16 @@ def _analytic(metric: str, models: list, rho0: tuple, rho_th: tuple) -> list[flo
 
 def sweep(cfg: ScenarioConfig) -> list[SweepTable]:
     """Evaluate the scenario's metrics over its plan: each metric at every
-    point in one batch, then each of the plan's simulations, building each
-    element-sum table once. Too few trials for the Monte Carlo metrics, or
-    more than a simulation keeps samples of, raise before any simulation;
-    a config the parser did not build (dataclasses.replace) builds its
+    point in one batch, then each of the plan's simulations, which add to
+    the plan only the element-sum tables it lacks. Too few trials for the
+    Monte Carlo metrics, or more than a simulation keeps samples of, raise
+    before any simulation; a config made by dataclasses.replace builds its
     plan after that check, so a point that cannot be fitted raises the
     parser's ConfigError before any simulation."""
     if cfg.mc_enabled and not MIN_EMPIRICAL_TRIALS <= cfg.mc.trials <= MAX_KEPT_SAMPLES:
         raise ConfigError(f"monte_carlo.trials: the Monte Carlo metrics need between "
                           f"{MIN_EMPIRICAL_TRIALS} and {MAX_KEPT_SAMPLES}, got {cfg.mc.trials}")
-    points, fits, simulations = cfg.plan
+    points, fits, simulations, sum_tables = cfg.plan
     variable = cfg.sweep.variable
     metrics = VARIABLES[variable].metrics
     _, _, rho0s, rho_ths = zip(*points)
@@ -98,7 +101,6 @@ def sweep(cfg: ScenarioConfig) -> list[SweepTable]:
     # (estimate, stderr) of every simulated point per metric, in grid order;
     # SimResult names its per-point estimates after the metrics
     mc: dict[str, list] = {m: [] for m in metrics}
-    sum_tables: dict = {}  # element-sum tables by (fading pair, element count)
     for simulation in simulations if cfg.mc_enabled else ():
         sim = _simulate(cfg, sum_tables, *simulation)
         for m in metrics:

@@ -14,7 +14,8 @@ through that field's validators. A config holds its sweep's plan
 point's setter, checks that the variance of |A| is finite (its
 RIS-distance moments diverge on some regions and exponents), fits every
 point, and groups the points into simulations. parse_scenario builds it,
-so a sweep that loads can be fitted, and the runner only reads it.
+so a sweep that loads can be fitted; the runner only reads it and adds
+the element-sum tables its simulations build.
 
 Kilometers and dBm appear only here; everything downstream runs on meters
 and linear ratios.
@@ -124,7 +125,8 @@ class ScenarioConfig:
 
     def replace(self, **changes) -> ScenarioConfig:
         """dataclasses.replace(self, **changes), keeping the plan built so
-        far where the changes touch only fields the plan never reads."""
+        far, its element-sum tables included, where the changes touch only
+        fields the plan never reads (mc, mc_enabled, output)."""
         new = dataclasses.replace(self, **changes)
         if "plan" in self.__dict__ and changes.keys() <= _RUN_SETTINGS:
             new.__dict__["plan"] = self.plan
@@ -475,11 +477,16 @@ def _finite_variance(links: LinkConfig, geom: CylinderGeometry) -> None:
 
 class SweepPlan(NamedTuple):
     """A sweep as it runs: each point's (links, geometry, rho0, rho_th),
-    each point's Gamma fit, and the simulations as (first point, geometry,
-    rows, each point's (row, rho0, rho_th))."""
+    each point's Gamma fit, the simulations as (first point, geometry,
+    rows, each point's (row, rho0, rho_th)), and the element-sum tables
+    by (fading pair, element count), None where a RIS draws per element,
+    which start empty and gain those each simulation builds. Each value
+    is a pure function of its key, so two threads running one config may
+    build a table twice but never read a different one."""
     points: list
     fits: list
     simulations: list
+    tables: dict
 
 
 def plan(cfg: ScenarioConfig) -> SweepPlan:
@@ -531,7 +538,7 @@ def plan(cfg: ScenarioConfig) -> SweepPlan:
         raise ConfigError(f"{path}[{i}]: {exc}") from None
     ends = [*firsts[1:], len(points)]
     fits = [ga for ga, first, end in zip(fitted, firsts, ends) for _ in range(end - first)]
-    return SweepPlan(points, fits, simulations)
+    return SweepPlan(points, fits, simulations, {})
 
 
 class _Loader(yaml.SafeLoader):

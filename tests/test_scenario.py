@@ -4,8 +4,12 @@ and sweep/CLI behavior on small grids."""
 import copy
 import csv
 import dataclasses
+import hashlib
 import json
+import sys
+import threading
 import types
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -560,11 +564,76 @@ def test_a_sweep_builds_each_element_sum_table_once(monkeypatch):
     monkeypatch.setattr(montecarlo, "element_sum_tables", build)
     cfg = _sweep_config("R0", tuple(np.linspace(60.0, 300.0, 10).tolist()), mc=True)
     cfg = dataclasses.replace(cfg, mc=dataclasses.replace(cfg.mc, trials=200))
+    link = cfg.links.ris[0]
+    pair = (link.sat_fading, link.user_fading)
+    assert link.elements == 20
     tables = sweep(cfg)
     assert [row[2] is not None for row in tables[0].rows] == [True] * 10
-    link = cfg.links.ris[0]
-    assert link.elements == 20
-    assert builds == [(link.sat_fading, link.user_fading, (20,))]
+    # a second run and a seed replicate read the plan's table
+    sweep(cfg)
+    sweep(cfg.replace(mc=dataclasses.replace(cfg.mc, seed=8)))
+    assert builds == [(*pair, (20,))]
+    assert list(cfg.plan.tables) == [(pair, 20)]
+    # a config dataclasses.replace makes has its own plan, and builds its own
+    other = dataclasses.replace(cfg, sweep=cfg.sweep)
+    assert other.plan.tables == {}
+    sweep(other)
+    assert builds == [(*pair, (20,))] * 2
+    # an element-count sweep holds exactly the counts it read
+    counts = dataclasses.replace(cfg, sweep=SweepSpec("L", parse_grid("5:20:4", "g")))
+    sweep(counts)
+    assert builds[2:] == [(*pair, (5, 10, 15, 20))]
+    assert sorted(counts.plan.tables) == [(pair, c) for c in (5, 10, 15, 20)]
+
+
+def _digests(directory: Path) -> dict:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_held_element_sum_tables_change_no_byte(tmp_path, workers):
+    raw = _variant(**{"monte_carlo.enabled": True, "monte_carlo.trials": 20_000,
+                      "monte_carlo.workers": workers})
+    seed8 = tmp_path / "seed8"
+    seed8.mkdir()
+    fresh = {7: _write_config(tmp_path, raw),
+             8: _write_config(seed8, _variant(raw, **{"monte_carlo.seed": 8}))}
+    for seed, path in fresh.items():
+        run_scenario(load_scenario(path), out_dir=tmp_path / f"fresh{seed}")
+    cfg = load_scenario(fresh[7])
+    run_scenario(cfg, out_dir=tmp_path / "first")
+    assert cfg.plan.tables
+    run_scenario(cfg, out_dir=tmp_path / "second")
+    run_scenario(cfg.replace(mc=dataclasses.replace(cfg.mc, seed=8)), out_dir=tmp_path / "eight")
+    for held, seed in (("first", 7), ("second", 7), ("eight", 8)):
+        assert _digests(tmp_path / held) == _digests(tmp_path / f"fresh{seed}")
+
+
+def test_threads_running_one_loaded_config_at_once_write_the_serial_tables(tmp_path):
+    path = _write_config(tmp_path, _variant(**{"monte_carlo.enabled": True,
+                                               "monte_carlo.trials": 20_000}))
+    run_scenario(load_scenario(path), out_dir=tmp_path / "serial")
+    cfg = load_scenario(path)
+    names = ["a", "b", "c", "d"]  # more threads than the two cores CI has
+    start = threading.Barrier(len(names), timeout=60)
+
+    def run(name):
+        start.wait()
+        return run_scenario(cfg, out_dir=tmp_path / name)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(names)) as pool:
+            for future in [pool.submit(run, name) for name in names]:
+                future.result(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    serial = _digests(tmp_path / "serial")
+    assert [_digests(tmp_path / name) for name in names] == [serial] * len(names)
+    assert list(cfg.plan.tables) == [((cfg.links.ris[0].sat_fading,
+                                       cfg.links.ris[0].user_fading), 20)]
 
 
 # first failing point, its error, and the message its setter or, past
