@@ -505,37 +505,30 @@ def element_sum_tables(sat: KappaMuParams, user: KappaMuParams,
     """SumTables of a RIS's element sum at each element count in ``counts``,
     or None where the construction cannot carry the pair's law:
     envelope_pdf cannot evaluate a hop's law (kappa > 0 at mu of about 4e3
-    and beyond), a hop is too narrow beside a wide one (mu of about 5e5
-    and beyond) or too wide (mu below about 0.38), or the pair's
-    two-element sum needs more than _MAX_FREQUENCIES (both hops at mu of
-    0.8 or less, or one at 0.6 or less). That answer depends on the pair
-    alone, never on ``counts``.
+    and beyond), or a hop is too narrow beside a wide one (mu of about 5e5
+    and beyond) or too wide (mu below about 0.38).
 
-    Each table's nodes are checked against the CDF of the same construction
-    with every grid twice as fine (sup distance 1e-9), and the table against
-    the exact mean c m1 (1e-9 relative) and variance c (1 - m1^2) (1e-8
-    relative), m1 the product of the hops' first envelope moments. A count
-    whose table cannot be built or misses that gate maps to None, and its
-    RIS draws per element (montecarlo.py), so an element-count sweep whose
-    nested rows include such a count draws that RIS per element on every row."""
-    built = {}
+    The counts are built in ascending order, each on its own. A count has
+    no table where its law needs more than _MAX_FREQUENCIES (two elements
+    of a rough pair, whose density rises steeply at 0; up to four when both
+    hops are rough) or its table misses the gate: nodes within 1e-9 (sup)
+    of the CDF of the same construction with every grid twice as fine, and
+    mean and variance within 1e-9 and 1e-8 (relative) of the exact c m1 and
+    c (1 - m1^2), m1 the product of the hops' first envelope moments. That
+    count and every larger one, left unbuilt, map to None: the RIS draws per
+    element (montecarlo.py) on every row of an element-count sweep."""
     try:
         base, fine = _log_product_density(sat, user)
-        if min(sat.mu, user.mu) < 1.0:
-            # a sum's density near 0 goes as s^(2 c mu - 1): with a hop below
-            # mu = 1 the two-element sum, the roughest, may pass the budget
-            built[2] = _sum_law(*base, 2, 1)
     except ComputationError:
         return None
     m1 = envelope_moment(1.0, sat) * envelope_moment(1.0, user)
-    tables: dict[int, SumTable | None] = {}
-    for count in sorted(set(counts)):
+    tables: dict[int, SumTable | None] = dict.fromkeys(sorted(set(counts)))
+    for count in tables:
         try:
-            law, used = built.get(count) or _sum_law(*base, count, 1)
+            law, used = _sum_law(*base, count, 1)
             check, _ = _sum_law(*fine, count, 2, frequencies=4 * used or None)
         except ComputationError:
-            tables[count] = None
-            continue
+            break
         table = SumTable(law, count == 1)
         mean, var = table.moments(count * m1)
         x, y = np.log(table.q) if count == 1 else table.q, check[0]
@@ -544,8 +537,9 @@ def element_sum_tables(sat: KappaMuParams, user: KappaMuParams,
         u = 1.0 / (1.0 + np.exp(-(table.z0 + table.dz * np.arange(table.q.size))))
         gap = float(np.max(np.abs(cdf - u)))
         misses = (abs(mean / (count * m1) - 1.0), abs(var / (count * (1.0 - m1 * m1)) - 1.0), gap)
-        tables[count] = (table if all(m <= tol for m, tol in zip(misses, _GATE))
-                         and (np.diff(table.q) >= 0.0).all() else None)
+        if not (all(m <= tol for m, tol in zip(misses, _GATE)) and (np.diff(table.q) >= 0.0).all()):
+            break
+        tables[count] = table
     return tables
 
 

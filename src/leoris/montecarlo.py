@@ -5,15 +5,16 @@ add as a nonnegative magnitude), and squares into SNR samples.
 Each RIS's element sum S = sum_l |h_sat,l| |h_user,l| is drawn from its
 tabulated law: the logit Z = ln u - ln(1 - u) of one uniform per trial
 (u = 0 reads the first node) reads S = Q_c(Z) from the fading.SumTable
-of the RIS's element count c, built before any block runs. Where the
-pair's law cannot be tabulated, or a row's count misses its table's gate
-(element_sum_tables gives None), the RIS instead draws both hops' powers
-per element from numpy's own gamma or noncentral chi-square sampler
-(fading.sample_power) and sums the roots sqrt(W_sat W_user), with the
-unit-power scale 1 / sqrt(c_sat c_user), c = 2 mu (1 + kappa), in the
-gain; so a nested simulation whose rows include a count that misses
-draws that RIS per element on every row. The direct path draws its
-envelope (sample_envelope).
+of the RIS's element count c, built before any block runs. Where a row's
+count has no table (element_sum_tables gives None: the pair's law cannot
+be tabulated, the count's law needs too many frequencies, as two elements
+of a rough pair do, or its table misses the gate), the RIS instead draws
+both hops' powers per element from numpy's own gamma or noncentral
+chi-square sampler (fading.sample_power) and sums the roots
+sqrt(W_sat W_user), with the unit-power scale 1 / sqrt(c_sat c_user),
+c = 2 mu (1 + kappa), in the gain; so a nested simulation whose rows
+include a count without a table draws that RIS per element on every row.
+The direct path draws its envelope (sample_envelope).
 
 Satellite distances are drawn independently per link by default, which
 is the statistical model the closed-form moments describe. The exact
@@ -216,15 +217,19 @@ def _block_size(cfg: LinkConfig) -> int:
 def _sum_tables(cfg: LinkConfig, plan, built: dict | None = None) -> list:
     """Per RIS of the full configuration, its rows' SumTables by element
     count, or None where it draws per-element powers; ``built`` holds the
-    tables by (fading pair, element count), None if untabulated."""
+    tables by (fading pair, element count), None if untabulated, and gains
+    the counts element_sum_tables decides, not those it leaves unbuilt."""
     built = {} if built is None else built
     out = []
     for link, rows in zip(cfg.ris, plan):
         pair = (link.sat_fading, link.user_fading)
-        if need := [c for c, _ in rows if (pair, c) not in built]:
+        tables = {c: built.get((pair, c), ()) for c, _ in rows}
+        if None not in tables.values() and (need := [c for c in tables if (pair, c) not in built]):
             new = element_sum_tables(*pair, need)
-            built.update(((pair, c), new and new[c]) for c in need)
-        tables = {c: built[pair, c] for c, _ in rows}
+            for c in need:
+                tables[c] = built[pair, c] = new and new[c]
+                if new and new[c] is None:
+                    break
         out.append(None if None in tables.values() else tables)
     return out
 

@@ -330,7 +330,7 @@ def test_log_laws_from_one_density_pass_are_the_direct_ones_bit_for_bit(pair):
 
 
 def test_a_count_whose_table_misses_its_gate_has_no_table(monkeypatch):
-    # the RIS then draws per element; the other counts keep their tables
+    # the RIS then draws per element; the smaller counts keep their tables
     monkeypatch.setattr(fading, "_GATE", (1e-9, 1e-8, 1e-30))
     assert fading.element_sum_tables(*DEFAULT_PAIR, [20]) == {20: None}
     # the CDF distance alone, read on the fine law at the table's nodes
@@ -353,16 +353,19 @@ def test_the_gate_builds_its_check_in_its_own_chernoff_window():
     assert fading.element_sum_tables(*pair, [2]) == {2: None}
 
 
-def test_sum_tables_match_per_element_sums_in_a_ks_test():
+@pytest.mark.parametrize("pair", [
+    DEFAULT_PAIR,
+    (KappaMuParams(0.0, 0.5), KappaMuParams(3.0, 3.0)),  # a one-sided Gaussian sat hop
+], ids=repr)
+def test_sum_tables_match_per_element_sums_in_a_ks_test(pair):
     # 4e5 table draws against 4e5 sums of 20 per-element two-hop roots
     count, draws = 20, 400_000
-    table = fading.element_sum_tables(*DEFAULT_PAIR, [count])[count]
+    table = fading.element_sum_tables(*pair, [count])[count]
     rng = np.random.Generator(np.random.SFC64(2024))
     from_table = table(rng.logistic(size=draws))
-    sat, user = (sample_power(p, rng, (draws, count)) for p in DEFAULT_PAIR)
+    sat, user = (sample_power(p, rng, (draws, count)) for p in pair)
     sat *= user
-    per_element = np.sqrt(sat).sum(axis=1) / math.sqrt(
-        DEFAULT_PAIR[0].power_scale * DEFAULT_PAIR[1].power_scale)
+    per_element = np.sqrt(sat).sum(axis=1) / math.sqrt(pair[0].power_scale * pair[1].power_scale)
     result = ks_2samp(from_table, per_element)
     assert result.pvalue > 0.01, result
 
@@ -429,12 +432,33 @@ def test_sum_table_reads_into_given_arrays_with_the_bits_of_new_ones():
     KappaMuParams(1.0, 1e4),  # envelope_pdf cannot evaluate it
     KappaMuParams(0.0, 1e6),  # so narrow beside a wide hop that the grid would pass 2^17 nodes
     KappaMuParams(0.0, 0.3),  # more than 2^-40 of the mass below e^-36
-    KappaMuParams(0.0, 0.5),  # its two-element sum passes the frequency budget
 ], ids=repr)
 def test_sum_tables_are_none_where_the_construction_cannot_carry_the_law(law):
     # at every count, the roughest or not
     for counts in ([1], [20], [2, 2500]):
         assert fading.element_sum_tables(law, KappaMuParams(0.0, 1.0), counts) is None
+
+
+def test_a_rough_pair_has_no_table_from_its_first_count_past_the_budget_on(monkeypatch):
+    # a one-sided Gaussian sat hop beside a Rayleigh user hop: two elements
+    # need more than 16384 frequencies, one and twenty do not
+    pair = (KappaMuParams(0.0, 0.5), KappaMuParams(0.0, 1.0))
+    m1 = envelope_moment(1.0, pair[0]) * envelope_moment(1.0, pair[1])
+    for count in (1, 20):
+        mean, var = fading.element_sum_tables(*pair, [count])[count].moments(count * m1)
+        assert abs(mean / (count * m1) - 1.0) <= fading._GATE[0], count
+        assert abs(var / (count * (1.0 - m1 * m1)) - 1.0) <= fading._GATE[1], count
+    assert fading.element_sum_tables(*pair, [2]) == {2: None}
+    # every count past the first without a table maps to None unbuilt
+    built = []
+
+    def sum_law(t0, dt, g, count, *args, _fn=fading._sum_law, **kwargs):
+        built.append(count)
+        return _fn(t0, dt, g, count, *args, **kwargs)
+
+    monkeypatch.setattr(fading, "_sum_law", sum_law)
+    assert fading.element_sum_tables(*pair, [20, 2]) == {2: None, 20: None}
+    assert built == [2]
 
 
 def test_sum_table_past_the_frequency_budget_raises():

@@ -231,6 +231,29 @@ def test_a_law_without_a_density_draws_per_element_and_matches_the_mean():
     assert abs(res.abs_mean - want) <= 5.0 * math.sqrt(res.abs_var / res.trials)
 
 
+def test_held_tables_keep_only_the_counts_that_were_decided():
+    # a one-sided Gaussian sat hop: two elements have no table, so a RIS
+    # whose rows hold 2 and 20 draws per element and leaves 20 unbuilt;
+    # a later RIS of 20 elements alone builds and reads its table
+    def links(*counts):
+        cfg = default_links(1, direct=False)
+        rough = dataclasses.replace(cfg.ris[0], sat_fading=KappaMuParams(0.0, 0.5))
+        return tuple(dataclasses.replace(cfg, ris=(dataclasses.replace(rough, elements=c),))
+                     for c in counts)
+
+    built = {}
+    rows = links(2, 20)
+    assert montecarlo._sum_tables(rows[-1], montecarlo._row_plan(rows), built) == [None]
+    pair = (rows[-1].ris[0].sat_fading, rows[-1].ris[0].user_fading)
+    assert built == {(pair, 2): None}
+    (cfg,) = links(20)
+    (tables,) = montecarlo._sum_tables(cfg, montecarlo._row_plan((cfg,)), built)
+    assert tables[20] is built[pair, 20] is not None
+    # rows 2 and 20 now read both held entries, 2's None among them
+    assert montecarlo._sum_tables(rows[-1], montecarlo._row_plan(rows), built) == [None]
+    assert list(built) == [(pair, 2), (pair, 20)]
+
+
 def test_nested_rows_of_one_ris_read_one_variate_comonotonically():
     # a row of c elements reads Q_c at the RIS's one Z
     counts = (1, 5, 20, 40)

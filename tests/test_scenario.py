@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import threading
 import types
@@ -584,6 +585,25 @@ def test_a_sweep_builds_each_element_sum_table_once(monkeypatch):
     sweep(counts)
     assert builds[2:] == [(*pair, (5, 10, 15, 20))]
     assert sorted(counts.plan.tables) == [(pair, c) for c in (5, 10, 15, 20)]
+
+
+def test_a_rough_pair_simulates_from_its_table_as_from_per_element_draws(monkeypatch):
+    # the default config with a one-sided Gaussian sat hop: its 20-element
+    # sum has a table, and the coverage it gives where that is neither 0 nor
+    # 1 agrees with a run that draws every element
+    raw = _variant(DEFAULT_RAW, **{"ris.sat_fading": {"kappa": 0.0, "mu": 0.5},
+                                   "monte_carlo.trials": 20_000})
+    cfg = parse_scenario(copy.deepcopy(raw))
+    (tabulated,) = sweep(cfg)
+    link = cfg.links.ris[0]
+    assert (link.sat_fading.kappa, link.sat_fading.mu, link.elements) == (0.0, 0.5, 20)
+    assert cfg.plan.tables[(link.sat_fading, link.user_fading), 20] is not None
+    monkeypatch.setattr(montecarlo, "element_sum_tables", lambda *args: None)
+    (per_element,) = sweep(parse_scenario(copy.deepcopy(raw)))
+    rows = [(a, b) for a, b in zip(tabulated.rows, per_element.rows) if 20.0 <= a[0] <= 32.0]
+    assert len(rows) == 3
+    for (value, _, mc, se, *_), (_, _, want, want_se, *_) in rows:
+        assert abs(mc - want) <= 3.0 * math.hypot(se, want_se), value
 
 
 def _digests(directory: Path) -> dict:
