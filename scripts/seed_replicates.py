@@ -6,10 +6,11 @@ run reports and to the closed form.
         [--seed S] [--out DIR]
 
 The scenario loads once and runs at seeds S, S + 1, ..., S + K - 1 (S the
-scenario's seed unless given), each as cfg.replace(mc=...), which keeps
-the loaded sweep plan: its points, its fits and its element-sum tables
-serve every replicate, so only the first builds tables. Replicate S + k
-writes to DIR/seed<S+k>/ the bytes `leoris run <config> --mc
+scenario's seed unless given), each as dataclasses.replace(cfg, mc=...).
+A config made from a loaded one keeps its sweep plan while the plan's
+inputs are unchanged, as here: its points, its fits and its element-sum
+tables serve every replicate, so only the first builds tables. Replicate
+S + k writes to DIR/seed<S+k>/ the bytes `leoris run <config> --mc
 --seed <S+k>` writes. DIR/replicates.csv then gives, per metric and sweep
 value, the closed form, the mean of the replicates' estimates, their
 sample standard deviation (mc_spread) and the root mean square of their
@@ -47,8 +48,8 @@ def replicate(config: str | Path, replicates: int, seed: int | None = None,
     except DomainError as exc:
         raise ConfigError(f"--seed: {exc}") from None
     out = Path(out if out is not None else cfg.output.directory)
-    runs = [run_scenario(cfg.replace(mc=dataclasses.replace(mc, seed=mc.seed + k),
-                                     mc_enabled=True),
+    runs = [run_scenario(dataclasses.replace(cfg, mc=dataclasses.replace(mc, seed=mc.seed + k),
+                                             mc_enabled=True),
                          out_dir=out / f"seed{mc.seed + k}").tables
             for k in range(replicates)]
     rows = []

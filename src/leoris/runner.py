@@ -7,7 +7,7 @@ alpha, beta. One table per metric; Monte Carlo columns are empty when
 simulation is off.
 
 A sweep runs its scenario's plan (scenario.plan, held as cfg.plan and
-built when the scenario loads): each point's links, geometry, rho0 and
+built when the config is made): each point's links, geometry, rho0 and
 rho_th, each point's Gamma fit, and the simulations. Nothing here walks
 the grid, fits or groups points, or branches on a variable's name. Each
 analytic column is evaluated over every point in one array pass
@@ -15,9 +15,9 @@ analytic column is evaluated over every point in one array pass
 simulation. A simulation draws from child i of
 SeedSequence(monte_carlo.seed), i the index of its first point, so the
 resolved echo reproduces the tables. The plan keeps the element-sum
-tables its simulations build (SweepPlan.tables), so a config's later runs
-and its ScenarioConfig.replace runs build none; SimResult.elapsed counts a
-build only in the run that made it.
+tables its simulations build (SweepPlan.tables), so a config's later runs,
+and those of every config made from it with the plan's inputs unchanged,
+build none; SimResult.elapsed counts a build only in the run that made it.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .channel import gamma_approx  # noqa: F401
 from .errors import ConfigError
 from .metrics import coverage_probabilities, ergodic_capacities
 from .geometry import CylinderGeometry
-from .montecarlo import MAX_KEPT_SAMPLES, MIN_EMPIRICAL_TRIALS, SimResult, simulate_snr
+from .montecarlo import SimResult, simulate_snr
 from .scenario import VARIABLES, ScenarioConfig, load_scenario, resolved_mapping
 
 __all__ = ["SweepTable", "RunSummary", "sweep", "run_scenario", "write_table"]
@@ -83,17 +83,12 @@ def _analytic(metric: str, models: list, rho0: tuple, rho_th: tuple) -> list[flo
 
 
 def sweep(cfg: ScenarioConfig) -> list[SweepTable]:
-    """Evaluate the scenario's metrics over its plan: each metric at every
-    point in one batch, then each of the plan's simulations, which add to
-    the plan only the element-sum tables it lacks. Too few trials for the
-    Monte Carlo metrics, or more than a simulation keeps samples of, raise
-    before any simulation; a config made by dataclasses.replace builds its
-    plan after that check, so a point that cannot be fitted raises the
-    parser's ConfigError before any simulation."""
-    if cfg.mc_enabled and not MIN_EMPIRICAL_TRIALS <= cfg.mc.trials <= MAX_KEPT_SAMPLES:
-        raise ConfigError(f"monte_carlo.trials: the Monte Carlo metrics need between "
-                          f"{MIN_EMPIRICAL_TRIALS} and {MAX_KEPT_SAMPLES}, got {cfg.mc.trials}")
-    points, fits, simulations, sum_tables = cfg.plan
+    """Evaluate the scenario's metrics over its plan, which a config made
+    from a loaded one shares while the plan's inputs are unchanged: each
+    metric at every point in one batch, then each of the plan's simulations,
+    which add to the plan only the element-sum tables it lacks. The config
+    checked its points and its trial count when it was made."""
+    points, fits, simulations, sum_tables, _ = cfg.plan
     variable = cfg.sweep.variable
     metrics = VARIABLES[variable].metrics
     _, _, rho0s, rho_ths = zip(*points)

@@ -9,13 +9,14 @@ values so a re-run reproduces the outputs bit for bit.
 
 A sweep variable is one entry of VARIABLES: the field a grid point
 replaces, the tables its sweep writes, and a setter of the point's inputs
-through that field's validators. A config holds its sweep's plan
-(ScenarioConfig.plan, from plan): one walk over the grid that runs each
-point's setter, checks that the variance of |A| is finite (its
-RIS-distance moments diverge on some regions and exponents), fits every
-point, and groups the points into simulations. parse_scenario builds it,
-so a sweep that loads can be fitted; the runner only reads it and adds
-the element-sum tables its simulations build.
+through that field's validators. A config builds its sweep's plan
+(ScenarioConfig.plan, from plan) when it is made: one walk over the grid
+that runs each point's setter, checks that the variance of |A| is finite
+(its RIS-distance moments diverge on some regions and exponents), fits
+every point, and groups the points into simulations. A config made from
+another (dataclasses.replace) keeps its plan while the plan's inputs,
+all but the run settings, are unchanged; the runner only reads it and
+adds the element-sum tables its simulations build.
 
 Kilometers and dBm appear only here; everything downstream runs on meters
 and linear ratios.
@@ -24,7 +25,6 @@ and linear ratios.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -38,7 +38,7 @@ from .channel import DirectPath, LinkConfig, RisLink, _checked_moments, _gamma_f
 from .errors import ConfigError, DomainError, LeorisError
 from .fading import KappaMuParams
 from .geometry import _MAX_ASPECT, _TINY, Constellation, CylinderGeometry, ris_distance_moment
-from .montecarlo import SimOptions, is_nested
+from .montecarlo import MAX_KEPT_SAMPLES, MIN_EMPIRICAL_TRIALS, SimOptions, is_nested
 
 __all__ = [
     "ScenarioConfig",
@@ -105,6 +105,7 @@ class ScenarioConfig:
     output: OutputSpec
     exponent_seed: int | None = None
     exponent_range: tuple[float, float] | None = None
+    plan: SweepPlan | None = field(default=None, compare=False, repr=False)
 
     @property
     def rho0(self) -> float:
@@ -118,23 +119,28 @@ class ScenarioConfig:
     def rho_th(self) -> float:
         return db_to_linear(self.coverage_threshold_db)
 
-    @functools.cached_property
-    def plan(self) -> SweepPlan:
-        """plan(self), built once; dataclasses.replace makes a config that builds its own."""
-        return plan(self)
-
-    def replace(self, **changes) -> ScenarioConfig:
-        """dataclasses.replace(self, **changes), keeping the plan built so
-        far, its element-sum tables included, where the changes touch only
-        fields the plan never reads (mc, mc_enabled, output)."""
-        new = dataclasses.replace(self, **changes)
-        if "plan" in self.__dict__ and changes.keys() <= _RUN_SETTINGS:
-            new.__dict__["plan"] = self.plan
-        return new
+    def __post_init__(self):
+        """Check the config, keeping a plan given while its inputs are unchanged."""
+        rho0 = self.symbol_energy_w / _linear(self.noise_dbm, "power.noise_dbm", dbm_to_watts)
+        if rho0 != self.rho0:
+            raise ConfigError(f"power.noise_dbm: {self.noise_dbm:g} dBm gives transmit SNR "
+                              f"{rho0:g}, not links.transmit_snr {self.rho0:g}")
+        if self.plan is None or self.plan.inputs != _plan_inputs(self):
+            object.__setattr__(self, "plan", plan(self))
+        if self.mc_enabled and not MIN_EMPIRICAL_TRIALS <= self.mc.trials <= MAX_KEPT_SAMPLES:
+            raise ConfigError(f"monte_carlo.trials: the Monte Carlo metrics need between "
+                              f"{MIN_EMPIRICAL_TRIALS} and {MAX_KEPT_SAMPLES}, "
+                              f"got {self.mc.trials}")
 
 
 # the Monte Carlo and output settings, which plan reads none of
 _RUN_SETTINGS = {"mc", "mc_enabled", "output"}
+
+
+def _plan_inputs(cfg: ScenarioConfig) -> tuple:
+    """Every field but the run settings and the plan, compared by identity first."""
+    return tuple(getattr(cfg, f.name) for f in dataclasses.fields(cfg)
+                 if f.compare and f.name not in _RUN_SETTINGS)
 
 
 _SENTINEL = object()
@@ -353,7 +359,7 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
         raise ConfigError(f"output.format: must be csv or json, got {fmt!r}")
     output = OutputSpec(directory=str(_get(raw, "output.directory", "out")), format=fmt)
 
-    cfg = ScenarioConfig(
+    return ScenarioConfig(
         constellation=con,
         geometry=geom,
         links=links,
@@ -367,8 +373,6 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
         exponent_seed=exponent_seed,
         exponent_range=exponent_range,
     )
-    cfg.plan  # every point checked and fitted at load
-    return cfg
 
 
 def parse_grid(node, path: str) -> tuple[float, ...]:
@@ -476,17 +480,20 @@ def _finite_variance(links: LinkConfig, geom: CylinderGeometry) -> None:
 
 
 class SweepPlan(NamedTuple):
-    """A sweep as it runs: each point's (links, geometry, rho0, rho_th),
-    each point's Gamma fit, the simulations as (first point, geometry,
-    rows, each point's (row, rho0, rho_th)), and the element-sum tables
-    by (fading pair, element count), None where a RIS draws per element,
-    which start empty and gain those each simulation builds. Each value
-    is a pure function of its key, so two threads running one config may
-    build a table twice but never read a different one."""
+    """A sweep as it runs: each point's (links, geometry, rho0, rho_th) and
+    Gamma fit, the simulations as (first point, geometry, rows, each point's
+    (row, rho0, rho_th)), the element-sum tables by (fading pair, element
+    count), None where a RIS draws per element, which start empty and gain
+    those each simulation builds, and its inputs, the config fields it was
+    built from: a config made from another holds the same plan while they
+    are unchanged. Each table is a pure function of its key, so two threads
+    running one config may build a table twice but never read a different
+    one."""
     points: list
     fits: list
     simulations: list
     tables: dict
+    inputs: tuple
 
 
 def plan(cfg: ScenarioConfig) -> SweepPlan:
@@ -538,7 +545,7 @@ def plan(cfg: ScenarioConfig) -> SweepPlan:
         raise ConfigError(f"{path}[{i}]: {exc}") from None
     ends = [*firsts[1:], len(points)]
     fits = [ga for ga, first, end in zip(fitted, firsts, ends) for _ in range(end - first)]
-    return SweepPlan(points, fits, simulations, {})
+    return SweepPlan(points, fits, simulations, {}, _plan_inputs(cfg))
 
 
 class _Loader(yaml.SafeLoader):

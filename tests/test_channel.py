@@ -164,8 +164,9 @@ def test_each_distinct_moment_evaluated_once(monkeypatch):
 def test_a_sweep_fits_every_point_in_one_batch(monkeypatch, variable, grid, envelope_moments,
                                                ris_moments):
     cfg = load_scenario(DEFAULT_CONFIG)
-    cfg = dataclasses.replace(cfg, sweep=SweepSpec(variable, grid), mc_enabled=False)
+    # the replaced config fits its points when it is made
     counts = _count_moments(monkeypatch)
+    cfg = dataclasses.replace(cfg, sweep=SweepSpec(variable, grid), mc_enabled=False)
     tables = sweep(cfg)
     # link factors once per distinct key and one kernel call for the whole sweep
     assert counts == {"envelope_moment": envelope_moments, "sat_distance_moment": 2,

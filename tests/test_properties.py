@@ -214,9 +214,13 @@ def test_resolved_echo_round_trips(raw):
         # the draws reach grid points their setters reject (H grids on
         # annuli, R0 at or below the inner radius, N grown from no RIS),
         # regions taller than the aspect bound and scenarios with no RIS
-        # and no direct path
+        # and no direct path, and simulation on at too few trials, checked
+        # after every point
+        mc = raw["monte_carlo"]
         assert ("sweep.grid[" in str(exc) or "to 1000 times geometry.base_radius_m" in str(exc)
-                or str(exc) == "ris.count: 0 leaves no signal path with direct_path.enabled false")
+                or str(exc) == "ris.count: 0 leaves no signal path with direct_path.enabled false"
+                or mc["enabled"] and mc["trials"] < 100
+                and str(exc).startswith("monte_carlo.trials: "))
         return
     # through the text the runner writes
     text = yaml.dump(resolved_mapping(cfg), Dumper=runner._DUMPER, sort_keys=False)

@@ -511,16 +511,60 @@ def test_a_cli_run_at_another_worker_count_fits_once_and_writes_the_same_tables(
         assert (tmp_path / "a" / table).read_bytes() == (tmp_path / "b" / table).read_bytes()
 
 
-def test_a_config_keeps_its_plan_across_run_settings_only():
-    cfg = _sweep_config()
-    settings = {"mc": dataclasses.replace(cfg.mc, seed=9), "mc_enabled": not cfg.mc_enabled,
-                "output": dataclasses.replace(cfg.output, format="json")}
+def _unequal(cfg, name):
+    """A change of field ``name`` of cfg to an unequal value that keeps the
+    config consistent: the transmit SNR follows the power fields, so a new
+    symbol energy comes with its links."""
+    power = {"symbol_energy_w": 2.0 * cfg.symbol_energy_w}
+    power["links"] = dataclasses.replace(
+        cfg.links, transmit_snr=power["symbol_energy_w"] / scenario.dbm_to_watts(cfg.noise_dbm))
+    return {
+        "constellation": {"constellation": dataclasses.replace(cfg.constellation,
+                                                               satellites=999)},
+        "geometry": {"geometry": dataclasses.replace(cfg.geometry, base_radius=60.0)},
+        "links": {"links": dataclasses.replace(
+            cfg.links, direct=dataclasses.replace(cfg.links.direct, exponent=2.5))},
+        "symbol_energy_w": power,
+        # the next float down gives the same transmit SNR
+        "noise_dbm": {"noise_dbm": float(np.nextafter(cfg.noise_dbm, 0.0))},
+        "coverage_threshold_db": {"coverage_threshold_db": 10.0},
+        "sweep": {"sweep": SweepSpec("R0", (60.0, 120.0))},
+        "mc_enabled": {"mc_enabled": not cfg.mc_enabled},
+        "mc": {"mc": dataclasses.replace(cfg.mc, seed=9)},
+        "output": {"output": dataclasses.replace(cfg.output, format="json")},
+        "exponent_seed": {"exponent_seed": cfg.exponent_seed + 1},
+        "exponent_range": {"exponent_range": (2.0, 2.5)},
+    }[name]
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(scenario.ScenarioConfig)
+                                  if f.name != "plan"])
+def test_a_config_keeps_its_plan_across_run_settings_only(monkeypatch, name):
+    cfg = _sweep_config(mc=True)
+    sweep(cfg)
     built = cfg.plan
-    assert cfg.replace(**settings).plan is built
-    assert cfg.replace(sweep=SweepSpec("R0", (60.0, 120.0)), **settings).plan is not built
-    # a plan not yet built is not built by the replace
-    fresh = dataclasses.replace(cfg, sweep=cfg.sweep)
-    assert "plan" not in fresh.replace(**settings).__dict__
+    assert built.tables
+    # an equal but new value of any field keeps the plan
+    assert dataclasses.replace(cfg, **{name: copy.deepcopy(getattr(cfg, name))}).plan is built
+    fits = []
+    monkeypatch.setattr(scenario, "_gamma_fit", lambda *args: fits.append(args))
+    changed = dataclasses.replace(cfg, **_unequal(cfg, name))
+    if name in ("mc", "mc_enabled", "output"):
+        # held tables included, and its runs fit nothing again
+        assert changed.plan is built and changed.plan.tables is built.tables
+        monkeypatch.setattr(montecarlo, "element_sum_tables", None)
+        sweep(changed)
+        assert fits == []
+    else:
+        assert changed.plan is not built and changed.plan.tables == {}
+        assert fits
+
+
+def test_an_equal_sweep_from_the_command_line_keeps_the_plan():
+    cfg = _sweep_config()
+    spec = SweepSpec(cfg.sweep.variable, tuple(cfg.sweep.grid), "--grid")
+    assert spec == cfg.sweep and spec is not cfg.sweep
+    assert dataclasses.replace(cfg, sweep=spec).plan is cfg.plan
 
 
 @pytest.mark.parametrize("variable,grid,calls", [
@@ -572,18 +616,19 @@ def test_a_sweep_builds_each_element_sum_table_once(monkeypatch):
     assert [row[2] is not None for row in tables[0].rows] == [True] * 10
     # a second run and a seed replicate read the plan's table
     sweep(cfg)
-    sweep(cfg.replace(mc=dataclasses.replace(cfg.mc, seed=8)))
+    sweep(dataclasses.replace(cfg, mc=dataclasses.replace(cfg.mc, seed=8)))
     assert builds == [(*pair, (20,))]
     assert list(cfg.plan.tables) == [(pair, 20)]
-    # a config dataclasses.replace makes has its own plan, and builds its own
+    # a config made with the plan's inputs unchanged holds the same plan
     other = dataclasses.replace(cfg, sweep=cfg.sweep)
-    assert other.plan.tables == {}
+    assert other.plan is cfg.plan
     sweep(other)
-    assert builds == [(*pair, (20,))] * 2
-    # an element-count sweep holds exactly the counts it read
+    assert builds == [(*pair, (20,))]
+    # an element-count sweep has its own plan, which holds exactly the
+    # counts it read
     counts = dataclasses.replace(cfg, sweep=SweepSpec("L", parse_grid("5:20:4", "g")))
     sweep(counts)
-    assert builds[2:] == [(*pair, (5, 10, 15, 20))]
+    assert builds[1:] == [(*pair, (5, 10, 15, 20))]
     assert sorted(counts.plan.tables) == [(pair, c) for c in (5, 10, 15, 20)]
 
 
@@ -625,7 +670,8 @@ def test_held_element_sum_tables_change_no_byte(tmp_path, workers):
     run_scenario(cfg, out_dir=tmp_path / "first")
     assert cfg.plan.tables
     run_scenario(cfg, out_dir=tmp_path / "second")
-    run_scenario(cfg.replace(mc=dataclasses.replace(cfg.mc, seed=8)), out_dir=tmp_path / "eight")
+    run_scenario(dataclasses.replace(cfg, mc=dataclasses.replace(cfg.mc, seed=8)),
+                 out_dir=tmp_path / "eight")
     for held, seed in (("first", 7), ("second", 7), ("eight", 8)):
         assert _digests(tmp_path / held) == _digests(tmp_path / f"fresh{seed}")
 
@@ -679,32 +725,30 @@ _SWEEP_ERRORS = [
 @pytest.mark.parametrize("variable,grid,bad,error,message", _SWEEP_ERRORS)
 def test_sweep_raises_the_first_failing_point_before_any_output(
         monkeypatch, tmp_path, variable, grid, bad, error, message):
-    cfg = dataclasses.replace(load_scenario(DEFAULT_CONFIG), sweep=SweepSpec(variable, grid))
-    # the plan raises what the point's setter or variance check raises, and
-    # past them the point's single fit raises alone
-    with pytest.raises(error) as alone:
-        if error is ConfigError:
-            cfg.plan
-        links, geom, _, _ = VARIABLES[variable].point(cfg, grid[bad])
-        gamma_approx(links, geom, cfg.constellation)
-    assert str(alone.value) == message
-    # a point its setter rejects does not load either, nor one whose moment
-    # leaves the floats, whose load error names the point and the RIS
-    with pytest.raises(ConfigError) as loaded:
-        parse_scenario(resolved_mapping(cfg))
+    base = load_scenario(DEFAULT_CONFIG)
+    # no config on the grid is made: the replace raises what the point's
+    # setter or variance check raises, and past them what the point's
+    # single fit raises alone, naming the point and the RIS
+    with pytest.raises(ConfigError) as replaced:
+        dataclasses.replace(base, sweep=SweepSpec(variable, grid))
     if error is ConfigError:
-        assert str(loaded.value) == message
+        assert str(replaced.value) == message
     else:
-        assert str(loaded.value).startswith(f"sweep.grid[{bad}]: ris.user_exponent[")
-        assert message.split()[1] in str(loaded.value)
+        links, geom, _, _ = VARIABLES[variable].point(base, grid[bad])
+        with pytest.raises(error) as alone:
+            gamma_approx(links, geom, base.constellation)
+        assert str(alone.value) == message
+        assert str(replaced.value).startswith(f"sweep.grid[{bad}]: ris.user_exponent[")
+        assert message.split()[1] in str(replaced.value)
+    # its file raises the same at load, before any simulation or table
     simulations = []
     monkeypatch.setattr(runner, "simulate_snr", lambda *a, **k: simulations.append(a))
+    path = _write_config(tmp_path, _variant(resolved_mapping(base), **{
+        "sweep.variable": variable, "sweep.grid": list(grid)}))
     out = tmp_path / "out"
-    # the run builds the same plan, so it raises what the parser raises
-    with pytest.raises(ConfigError) as swept:
-        run_scenario(cfg, out_dir=out)
-    assert str(swept.value) == str(loaded.value)
-    # every fit comes before the first simulation and the first table
+    with pytest.raises(ConfigError) as loaded:
+        run_scenario(path, out_dir=out)
+    assert str(loaded.value) == str(replaced.value)
     assert simulations == [] and not out.exists()
 
 
@@ -921,6 +965,49 @@ def test_too_few_trials_fail_before_any_simulation_or_output(monkeypatch, tmp_pa
     path = _write_config(tmp_path, _variant(**{"monte_carlo.trials": 100}))
     assert cli_main(["run", str(path), "--mc", "--out", str(out)]) == 0
     capsys.readouterr()
+
+
+_TRIALS_ERROR = "monte_carlo.trials: the Monte Carlo metrics need between 100 and {}, got {}"
+
+
+def test_a_config_with_simulation_on_needs_a_usable_trial_count(tmp_path):
+    for trials in (99, MAX_KEPT_SAMPLES + 1):
+        path = _write_config(tmp_path, _variant(**{"monte_carlo.enabled": True,
+                                                   "monte_carlo.trials": trials}))
+        with pytest.raises(ConfigError) as loaded:
+            load_scenario(path)
+        assert str(loaded.value) == _TRIALS_ERROR.format(MAX_KEPT_SAMPLES, trials)
+    # off, the count is not used: the file loads and runs, and switching
+    # simulation on raises the load's error
+    path = _write_config(tmp_path, _variant(**{"monte_carlo.trials": 99}))
+    cfg = load_scenario(path)
+    assert run_scenario(cfg, out_dir=tmp_path / "off").paths
+    with pytest.raises(ConfigError) as replaced:
+        dataclasses.replace(cfg, mc_enabled=True)
+    assert str(replaced.value) == _TRIALS_ERROR.format(MAX_KEPT_SAMPLES, 99)
+    # a point that cannot be run is named before the trial count
+    path = _write_config(tmp_path, _variant(**{
+        "monte_carlo.enabled": True, "monte_carlo.trials": 99, "sweep.variable": "H",
+        "sweep.grid": [0.0, 60.0]}))
+    with pytest.raises(ConfigError, match=r"^sweep\.grid\[0\]: geometry\.height_m"):
+        load_scenario(path)
+
+
+def test_a_power_field_replaced_alone_is_rejected(tmp_path):
+    cfg = load_scenario(DEFAULT_CONFIG)
+    for change in ({"noise_dbm": cfg.noise_dbm + 10.0},
+                   {"symbol_energy_w": cfg.symbol_energy_w * 2.0}):
+        with pytest.raises(ConfigError, match=r"^power\.noise_dbm: .* not links\.transmit_snr"):
+            dataclasses.replace(cfg, **change)
+    # both power fields and the links they set run, and the echo reproduces them
+    noise, energy = cfg.noise_dbm + 10.0, cfg.symbol_energy_w * 2.0
+    links = dataclasses.replace(cfg.links, transmit_snr=energy / scenario.dbm_to_watts(noise))
+    moved = dataclasses.replace(cfg, noise_dbm=noise, symbol_energy_w=energy, links=links,
+                                mc_enabled=False)
+    assert moved.rho0_db == pytest.approx(cfg.rho0_db - 10.0 + 10.0 * math.log10(2.0))
+    run_scenario(moved, out_dir=tmp_path / "moved")
+    run_scenario(tmp_path / "moved" / "resolved.yaml", out_dir=tmp_path / "echo")
+    assert _digests(tmp_path / "echo") == _digests(tmp_path / "moved")
 
 
 def test_a_table_that_misses_its_gate_leaves_a_run_with_simulation_finite(tmp_path, capsys):
