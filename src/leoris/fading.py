@@ -254,24 +254,22 @@ class SumTable:
             q = np.exp(q)
             dq *= q
         self.z0, self.dz, self.q = float(z[0]), float(z[1] - z[0]), q
-        m0, m1 = dq[:-1] * self.dz, dq[1:] * self.dz
-        d = q[1:] - q[:-1]
-        # per cell, the cubic in s = (z - z_i) / dz: one contiguous row per
-        # power, from the constant up, so that each Horner step gathers one
-        self.coef = np.stack([q[:-1], m0, 3.0 * d - 2.0 * m0 - m1, m0 + m1 - 2.0 * d])
+        m0, m1, d = dq[:-1] * self.dz, dq[1:] * self.dz, q[1:] - q[:-1]
+        # one contiguous row per power of each cell's cubic in s = (z - z_i) / dz,
+        # from the constant up (a Horner step gathers one); the last cell is constant
+        slopes = np.pad([m0, 3.0 * d - 2.0 * m0 - m1, m0 + m1 - 2.0 * d], ((0, 0), (0, 1)))
+        self.coef = np.vstack([q, slopes])
 
     def cells(self, z: np.ndarray, out=None, work=None) -> tuple[np.ndarray, np.ndarray]:
-        """Cell index and fraction of each z, for every table of this grid.
-        ``out``, a pair of an intp and a float array of z's shape (the
-        float one may be z), receives them, and ``work``, of z's shape, the
-        cells as floats."""
+        """Cell i and fraction r - i of each z for every table of this grid,
+        r = (z - z0) (1 / dz) clamped to the nodes and i its floor (the last
+        node's cell is constant), into ``out``: an intp and a float array of
+        z's shape, the float one possibly z; ``work`` receives the floors."""
         i, r = (np.empty(np.shape(z), np.intp), None) if out is None else out
         r = np.subtract(z, self.z0, out=r)
-        r /= self.dz
-        cells = self.coef.shape[1]
-        np.clip(r, 0.0, cells, out=r)
+        r *= 1.0 / self.dz
+        _clip(r, 0.0, self.q.size - 1, out=r)
         f = np.floor(r, out=work)
-        np.minimum(f, cells - 1, out=f)
         r -= f
         np.copyto(i, f, casting="unsafe")
         return i, r
@@ -293,7 +291,7 @@ class SumTable:
     def moments(self, center: float) -> tuple[float, float]:
         """Mean and variance of the law the table draws, by 4-point
         Gauss-Legendre in z on each cell; the variance about ``center``."""
-        s, c = _CELL_NODES, self.coef[:, :, None]
+        s, c = _CELL_NODES, self.coef[:, :-1, None]
         q = c[0] + s * (c[1] + s * (c[2] + s * c[3]))
         u = 1.0 / (1.0 + np.exp(-(self.z0 + self.dz * (np.arange(len(q))[:, None] + s))))
         du = u * (1.0 - u) * (_CELL_WEIGHTS * self.dz)
@@ -306,6 +304,8 @@ class SumTable:
 
 # SumTable nodes span logit(u) for u from 2^-40 to 1 - 2^-40
 _TABLE_Z = 40.0 * math.log(2.0)
+# SumTable.cells clamps with numpy 2's clip ufunc, skipping np.clip's dispatch
+_clip = getattr(getattr(np, "_core", None), "umath", np).clip
 # 4-point Gauss-Legendre rule on [0, 1], per cell of a SumTable's moments
 _CELL_NODES, _CELL_WEIGHTS = np.polynomial.legendre.leggauss(4)
 _CELL_NODES, _CELL_WEIGHTS = 0.5 * (_CELL_NODES + 1.0), 0.5 * _CELL_WEIGHTS
@@ -508,21 +508,21 @@ def element_sum_tables(sat: KappaMuParams, user: KappaMuParams,
     and beyond), or a hop is too narrow beside a wide one (mu of about 5e5
     and beyond) or too wide (mu below about 0.38).
 
-    The counts are built in ascending order, each on its own. A count has
-    no table where its law needs more than _MAX_FREQUENCIES (two elements
-    of a rough pair, whose density rises steeply at 0; up to four when both
-    hops are rough) or its table misses the gate: nodes within 1e-9 (sup)
-    of the CDF of the same construction with every grid twice as fine, and
-    mean and variance within 1e-9 and 1e-8 (relative) of the exact c m1 and
-    c (1 - m1^2), m1 the product of the hops' first envelope moments. That
-    count and every larger one, left unbuilt, map to None: the RIS draws per
-    element (montecarlo.py) on every row of an element-count sweep."""
+    The counts are built each on its own, those above 1 in ascending order
+    and then 1. A count has no table where its law needs more than
+    _MAX_FREQUENCIES (two elements of a rough pair, whose density rises
+    steeply at 0; up to four when both hops are rough) or its table misses
+    the gate: nodes within 1e-9 (sup) of the CDF of the same construction
+    with every grid twice as fine, and mean and variance within 1e-9 and
+    1e-8 (relative) of the exact c m1 and c (1 - m1^2), m1 the product of
+    the hops' first envelope moments. That count and every later one, left
+    unbuilt, map to None: the RIS draws per element (montecarlo.py)."""
     try:
         base, fine = _log_product_density(sat, user)
     except ComputationError:
         return None
     m1 = envelope_moment(1.0, sat) * envelope_moment(1.0, user)
-    tables: dict[int, SumTable | None] = dict.fromkeys(sorted(set(counts)))
+    tables: dict = dict.fromkeys(sorted(set(counts), key=lambda c: (c == 1, c)))
     for count in tables:
         try:
             law, used = _sum_law(*base, count, 1)

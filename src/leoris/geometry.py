@@ -341,20 +341,20 @@ def sat_distance_moment(t: int, eta: float, con: Constellation) -> float:
     u = min(1, 50/M), beyond which the law holds less than e^-50 of its
     mass. A fixed 48-point Gauss-Legendre rule in y is then accurate to
     about 1e-13 relative for M up to 1e6 and altitudes from 200 km to
-    geostationary. A moment the float range cannot carry (from extreme
-    altitudes) raises ComputationError.
+    geostationary. Where h^2 would overflow, c is (h / S) h. A moment that
+    is not a normal float raises ComputationError.
     """
     s = _moment_exponent(t, eta)
-    M = con.satellites
+    M, h = con.satellites, con.altitude
+    c = h ** 2 / con._scale if h < 1.34e154 else h / con._scale * h
     try:
-        c = con.altitude ** 2 / con._scale
         span = math.log1p(min(1.0, _SAT_TAIL / M) / c)
         y = span * _GL_NODES
         f = np.exp(_xlog1py(M - 1, -c * np.expm1(y)) + (1.0 - 0.5 * s) * y)
-        value = M * c * con.altitude ** (-s) * span * float(_GL_WEIGHTS @ f)
+        value = M * c * h ** (-s) * span * float(_GL_WEIGHTS @ f)
     except (OverflowError, ZeroDivisionError):
         value = math.inf
-    if not math.isfinite(value):
+    if not _TINY <= value < math.inf:
         raise ComputationError(f"moment E[R^-{s:g}] leaves the float range for {con}")
     return value
 
@@ -367,7 +367,8 @@ def ris_squared_distances(geom: CylinderGeometry, u, v=None, out=None) -> np.nda
     term takes a new array."""
     c = geom.inner_radius
     out = np.multiply(u, geom.base_radius ** 2 - c * c, out=out)
-    out += c * c
+    if c > 0.0:
+        out += c * c
     if v is not None and geom.height > 0.0:
         out += np.square(geom.height * v)
     return out
@@ -384,12 +385,11 @@ def sample_ris_distances(geom: CylinderGeometry, rng: np.random.Generator,
 def nearest_sat_fractions(con: Constellation, u, out=None) -> np.ndarray:
     """Normalized squared slant range (d^2 - h^2) / (4 r_e (r_e + h)) of the
     nearest satellite, one per uniform in ``u``: the minimum of M iid
-    U(0, 1), 1 - (1 - u)^(1/M), computed stably for large M. ``out`` may
-    be ``u``."""
-    out = np.negative(u, out=np.empty(np.shape(u)) if out is None else out)
-    np.log1p(out, out=out)
-    out /= con.satellites
-    np.expm1(out, out=out)
+    U(0, 1), 1 - u^(1/M) = -expm1(ln(u) (1 / M)), stable for large M;
+    u = 0 reads 1. ``out`` may be ``u``."""
+    with np.errstate(divide="ignore"):  # u = 0: ln u = -inf
+        out = np.log(u, out=np.empty(np.shape(u)) if out is None else out)
+    np.expm1(np.multiply(out, 1.0 / con.satellites, out=out), out=out)
     return np.negative(out, out=out)
 
 

@@ -3,7 +3,7 @@ combines the paths coherently (optimal element phases make every term
 add as a nonnegative magnitude), and squares into SNR samples.
 
 Each RIS's element sum S = sum_l |h_sat,l| |h_user,l| is drawn from its
-tabulated law: the logit Z = ln u - ln(1 - u) of one uniform per trial
+tabulated law: the logit Z = ln(u / (1 - u)) of one uniform per trial
 (u = 0 reads the first node) reads S = Q_c(Z) from the fading.SumTable
 of the RIS's element count c, built before any block runs. Where a row's
 count has no table (element_sum_tables gives None: the pair's law cannot
@@ -226,7 +226,7 @@ def _sum_tables(cfg: LinkConfig, plan, built: dict | None = None) -> list:
         tables = {c: built.get((pair, c), ()) for c, _ in rows}
         if None not in tables.values() and (need := [c for c in tables if (pair, c) not in built]):
             new = element_sum_tables(*pair, need)
-            for c in need:
+            for c in new or need:
                 tables[c] = built[pair, c] = new and new[c]
                 if new and new[c] is None:
                     break
@@ -334,8 +334,8 @@ def _simulate_block(cfg: LinkConfig, plan, rows: int, geom: CylinderGeometry,
         np.exp(gain, out=gain)
         z = u[-1]
         with np.errstate(divide="ignore"):  # u = 0: Z = -inf reads the first node
-            ln1m = np.negative(z, out=_view(scratch.work, n, count))
-            np.subtract(np.log(z, out=z), np.log1p(ln1m, out=ln1m), out=z)
+            np.divide(z, np.subtract(1.0, z, out=_view(scratch.work, n, count)), out=z)
+            np.log(z, out=z)
         if chunk.tables:
             # one cell per (RIS, trial), read by every table (one z grid),
             # then one lookup per table

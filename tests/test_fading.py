@@ -330,7 +330,8 @@ def test_log_laws_from_one_density_pass_are_the_direct_ones_bit_for_bit(pair):
 
 
 def test_a_count_whose_table_misses_its_gate_has_no_table(monkeypatch):
-    # the RIS then draws per element; the smaller counts keep their tables
+    # the RIS then draws per element; count 1, built after every larger
+    # count, is then left unbuilt, and builds its table when asked alone
     monkeypatch.setattr(fading, "_GATE", (1e-9, 1e-8, 1e-30))
     assert fading.element_sum_tables(*DEFAULT_PAIR, [20]) == {20: None}
     # the CDF distance alone, read on the fine law at the table's nodes
@@ -341,8 +342,8 @@ def test_a_count_whose_table_misses_its_gate_has_no_table(monkeypatch):
     narrow = (KappaMuParams(3.927584459821808, 3530.511444352288),
               KappaMuParams(480.2719033204809, 1241.7499249417986))
     monkeypatch.undo()
-    tables = fading.element_sum_tables(*narrow, [1, 2])
-    assert tables[1] is not None and tables[2] is None
+    assert fading.element_sum_tables(*narrow, [1, 2]) == {2: None, 1: None}
+    assert fading.element_sum_tables(*narrow, [1])[1] is not None
 
 
 def test_the_gate_builds_its_check_in_its_own_chernoff_window():
@@ -372,23 +373,26 @@ def test_sum_tables_match_per_element_sums_in_a_ks_test(pair):
 
 def test_sum_table_reads_its_end_nodes_beyond_them():
     table = fading.element_sum_tables(*DEFAULT_PAIR, [3])[3]
-    low, high = table(np.array([-1e3, -np.inf, table.z0])), table(np.array([1e3, np.inf]))
-    assert (low == table.q[0]).all() and high[0] == high[1]
-    assert high[0] == pytest.approx(table.q[-1], rel=1e-13)
     nodes = table.z0 + table.dz * np.arange(table.q.size)
+    low = table(np.array([-1e3, -np.inf, table.z0]))
+    high = table(np.array([1e3, np.inf, nodes[-1]]))
+    # the end cell is constant: past the last node the table reads it exactly
+    assert (low == table.q[0]).all() and (high == table.q[-1]).all()
     assert np.allclose(table(nodes), table.q, rtol=1e-13, atol=0.0)
 
 
 def test_sum_table_cells_are_their_direct_definition():
-    # floor of the clipped grid position, capped at the last cell, and the
-    # remainder, at logistic z, +-inf, 1e300 and every node
+    # floor of the grid position (times 1 / dz) clipped to the nodes, the
+    # last node's the constant end cell, and the remainder, at logistic z,
+    # +-inf, 1e300 and every node
     table = fading.element_sum_tables(*DEFAULT_PAIR, [3])[3]
     cells = table.coef.shape[1]
-    nodes = table.z0 + table.dz * np.arange(cells + 1)
+    assert cells == table.q.size and (table.coef[1:, -1] == 0.0).all()
+    nodes = table.z0 + table.dz * np.arange(cells)
     z = np.concatenate([np.random.default_rng(7).logistic(size=200_000),
                         [-np.inf, np.inf, 1e300, -1e300], nodes])
-    r = np.clip((z - table.z0) / table.dz, 0.0, cells)
-    f = np.minimum(np.floor(r), cells - 1)
+    r = np.clip((z - table.z0) * (1.0 / table.dz), 0.0, cells - 1)
+    f = np.floor(r)
     i, s = table.cells(z)
     assert i.dtype == np.intp and np.array_equal(i, f.astype(np.intp))
     assert np.array_equal(s, r - f)

@@ -287,6 +287,23 @@ def test_sat_moment_beyond_float_range_raises(altitude):
         sat_distance_moment(2, 3.0, Constellation(1000, altitude))
 
 
+@pytest.mark.parametrize("altitude", [1.4e154, 1.0e155])
+def test_sat_moment_where_the_altitude_squared_overflows_against_mpmath(altitude):
+    # h^2 is past the floats, E[d^-1] a normal float
+    got = sat_distance_moment(1, 2.0, Constellation(1000, altitude))
+    assert got == pytest.approx(sat_moment_mpmath(1000, altitude, 1), rel=1e-12)
+
+
+def test_sat_moment_reads_as_before_below_the_overflow_and_raises_where_subnormal():
+    # h^2 is a float at 1.2e154 m: c = h^2 / S, as before
+    got = sat_distance_moment(1, 2.0, Constellation(1000, 1.2e154))
+    assert got == pytest.approx(8.33e-155, rel=5e-4)
+    # E[d^-2], about 1 / h^2, is below the normal floats on either side
+    for altitude in (1.2e154, 1.4e154):
+        with pytest.raises(ComputationError):
+            sat_distance_moment(2, 2.0, Constellation(1000, altitude))
+
+
 def test_moment_order_validation():
     geom = CylinderGeometry(10.0, 5.0)
     with pytest.raises(DomainError):

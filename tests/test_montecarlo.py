@@ -25,7 +25,7 @@ from leoris.geometry import (
     sat_squared_distances,
 )
 from leoris.metrics import CoverageQuery, coverage_probability
-from leoris import montecarlo
+from leoris import fading, montecarlo
 from leoris.montecarlo import SimOptions, simulate_snr
 from leoris.scenario import SweepSpec, load_scenario
 
@@ -152,11 +152,11 @@ def _one_ris_pass(rng: np.random.Generator, link: RisLink, count: int):
     ln_sat = np.log(sat_squared_distances(CON, nearest_sat_fractions(CON, u[2])))
     ln_ris = np.log(ris_squared_distances(GEOM, u[0], u[1]))
     gain = np.exp(ln_sat * (-link.sat_exponent / 4.0) + ln_ris * (-link.user_exponent / 4.0))
-    return gain, np.log(u[3]) - np.log1p(-u[3])
+    return gain, np.log(u[3] / (1.0 - u[3]))
 
 
 def test_block_ris_term_is_the_tabulated_element_sum_times_the_gains():
-    # the RIS's uniforms in one draw, then Q_L(Z), Z = ln u - ln(1 - u) the
+    # the RIS's uniforms in one draw, then Q_L(Z), Z = ln(u / (1 - u)) the
     # logit of its element-sum uniform, scaled by the distance gains
     cfg = default_links(1, direct=False)
     link, count = cfg.ris[0], 37
@@ -191,6 +191,35 @@ def test_a_zero_element_sum_uniform_reads_the_first_node_without_warnings():
     first = tables[0][20].q[0]
     assert z.tolist() == [-math.inf] * 3 and first > 0.0
     assert np.array_equal(amp[0], first * g0 + first * g1)
+
+
+class _Zeros:
+    """A generator stand-in whose uniforms are all 0, in every row of a
+    pass and for the serving satellite; other draws are a real
+    generator's."""
+
+    def __init__(self):
+        self.rng = np.random.Generator(np.random.SFC64(5))
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        u = np.empty(size, dtype) if out is None else out
+        u[...] = 0.0
+        return u
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_zero_uniforms_in_every_row_give_finite_amplitudes_without_warnings(exact):
+    # u = 0 puts each RIS on the annulus's inner edge, each satellite at
+    # s = 1 (the far edge of the shell) and reads each table's first node
+    cfg, ring = default_links(2), CylinderGeometry(120.0, 0.0, inner_radius=30.0)
+    plan = montecarlo._row_plan((cfg,))
+    tables = montecarlo._sum_tables(cfg, plan)
+    with np.errstate(all="raise"):
+        amp = montecarlo._simulate_block(cfg, plan, 1, ring, CON, _Zeros(), 3, exact, tables)
+    assert np.isfinite(amp).all() and (amp > 0.0).all()
 
 
 # envelope_pdf cannot evaluate kappa > 0 at mu = 1e4, so a RIS with this
@@ -252,6 +281,23 @@ def test_held_tables_keep_only_the_counts_that_were_decided():
     # rows 2 and 20 now read both held entries, 2's None among them
     assert montecarlo._sum_tables(rows[-1], montecarlo._row_plan(rows), built) == [None]
     assert list(built) == [(pair, 2), (pair, 20)]
+
+
+def test_count_1_is_built_only_after_every_larger_count_has_a_table(monkeypatch):
+    # sat {0, 0.5}, user {0, 1}: two elements have no table, so rows of 1, 2
+    # and 20 elements draw per element and never build count 1's table; a
+    # later RIS of one element alone builds and reads it
+    pair = (KappaMuParams(0.0, 0.5), KappaMuParams(0.0, 1.0))
+    rows = tuple(dataclasses.replace(cfg, ris=(dataclasses.replace(
+        cfg.ris[0], sat_fading=pair[0], user_fading=pair[1]),))
+        for cfg in (default_links(1, c, direct=False) for c in (1, 2, 20)))
+    counts, sum_law = [], fading._sum_law
+    monkeypatch.setattr(fading, "_sum_law", lambda *a, **k: counts.append(a[3]) or sum_law(*a, **k))
+    built = {}
+    assert montecarlo._sum_tables(rows[-1], montecarlo._row_plan(rows), built) == [None]
+    assert 1 not in counts and built == {(pair, 2): None}
+    (tables,) = montecarlo._sum_tables(rows[0], montecarlo._row_plan(rows[:1]), built)
+    assert 1 in counts and tables[1] is built[pair, 1] is not None
 
 
 def test_nested_rows_of_one_ris_read_one_variate_comonotonically():
