@@ -25,29 +25,38 @@ neglects. The serving satellite's Beta(1, M) normalized squared range
 fixes its polar angle, and each RIS's azimuth about it is uniform, so
 neither mode places the other M - 1 satellites.
 
-A block's RISs go through one array pass, in chunks of consecutive RISs
-whose (RIS, trial) arrays keep within _PASS_VALUES at the full
-configuration's block size (the default eight RISs in blocks of 8192
-trials: four chunks of two); each gain d_sat^(-eta/2) r^(-beta/2) is
-exp(-(eta/4) ln d_sat^2 - (beta/4) ln r^2). Each step of a chunk is one
-numpy call over its (RIS, trial) arrays, written in place into one
-thread's scratch: the uniforms, squared distances, gains, logits and
-table cells, then per element-sum table the chunk's RISs read one lookup,
-which gathers the cells' cubic coefficients one power at a time into a
-single (RIS, trial) work array; only each RIS's add into its amplitude
-rows, in RIS order, is a call per RIS. The scratch thus holds pass-sized
-arrays (four of uniforms, two of squared distances for exact mode, the
-work array, the cells and each table's terms), two per-trial vectors and
-the (row, trial) amplitudes, whose tallies then take each row's
-deviations in turn in the work array: 1.4 MB per thread at the default
-configuration. A block draws, in order: in exact mode or with the
-direct path on, one uniform per trial (the
-serving satellite's, else the direct path's satellite); per chunk, one
-(k, RISs, trials) array of uniforms, by row each RIS's radius, height
-(k = 3 on a flat region, which draws none, else 4), satellite (in exact
-mode its azimuth about the serving one) and element sum, then each
-per-element RIS's sat-hop and user-hop powers; last the direct path's
-envelope.
+A block's RISs are drawn in chunks of consecutive RISs whose (RIS,
+trial) arrays keep within _PASS_VALUES at the full configuration's block
+size (the default eight RISs in blocks of 8192 trials: four chunks of
+two), and computed in passes; each gain d_sat^(-eta/2) r^(-beta/2) is
+exp(-(eta/4) ln d_sat^2 - (beta/4) ln r^2). A simulation that runs its
+blocks inline (one worker, one CPU or one block) takes one chunk per
+pass. On a pool thread a pass takes as many consecutive chunks of one
+width whose RISs all read one table as keep within _POOL_PASS_VALUES
+(the default eight RISs: all four chunks), and any other chunk alone: a
+numpy call over 2^14 values is so short that two threads spend it
+passing the GIL, while inline, longer passes were slower. Each step of
+a pass is one numpy call over its (RIS, trial) arrays, written in place
+into one thread's scratch: the uniforms, squared distances, gains,
+logits and table cells, then per element-sum table the pass's RISs read
+one lookup, which gathers the cells' cubic coefficients one power at a
+time into a single (RIS, trial) work array; only each RIS's add into its
+amplitude rows, in RIS order, is a call per RIS. Every value comes from
+the same ufunc on the same inputs whichever pass takes it, so the bits
+do not depend on the pass. The scratch thus holds pass-sized arrays
+(four rows of uniforms, the first two of which, once consumed, hold the
+work array and the cells; each table's terms; two of squared distances
+for exact mode), two per-trial vectors and the (row, trial) amplitudes,
+whose tallies then take each row's deviations in turn in a per-trial
+vector: 0.85 MB inline and 2.8 MB on a pool thread at the default
+configuration. A block draws, in order: in exact mode or with the direct
+path on, one uniform per trial (the serving satellite's, else the direct
+path's satellite); per chunk, one (k, RISs, trials) array of uniforms
+(in one call, or on a pool thread's longer pass one call per row, which
+reads the same stream), by row each RIS's radius, height (k = 3 on a
+flat region, which draws none, else 4), satellite (in exact mode its
+azimuth about the serving one) and element sum, then each per-element
+RIS's sat-hop and user-hop powers; last the direct path's envelope.
 
 One simulation can serve several nested configurations at once (an
 RIS-count or element-count sweep): each nested configuration keeps a
@@ -90,6 +99,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import reduce
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -115,17 +125,22 @@ __all__ = [
     "is_nested",
 ]
 
-# trials per block: each numpy call of the pass spans a chunk's RISs over
-# a block's trials, so larger blocks pay less call overhead per trial,
+# trials per block: each numpy call of a pass spans its RISs over a
+# block's trials, so larger blocks pay less call overhead per trial,
 # and smaller ones leave threads more blocks (100k trials are 13)
 _BLOCK = 8192
 # most elements in one fading array of a block; a block holds two (both
 # hops' powers of its largest per-element RIS)
 _CHUNK_ELEMENTS = 8_000_000
-# most (RIS, trial) values per array of a block's pass (128 KiB); it
-# fixes the chunks, and so the draw order, of every simulation, and with
-# the block size each thread's scratch
+# most (RIS, trial) values per chunk (128 KiB): it fixes the chunks, and
+# so the draw order, of every simulation, and bounds each pass of one that
+# runs its blocks inline, where 2^16-value passes were 5-9% slower
 _PASS_VALUES = 1 << 14
+# most (RIS, trial) values per pass on a pool thread (512 KiB), which takes
+# consecutive chunks of one width whose RISs all read one table: two
+# threads ran 2^14-value numpy calls slower than one (they trade the GIL)
+# and 2^16-value ones about 1.7 times as fast
+_POOL_PASS_VALUES = 1 << 16
 # kept SNR samples of one simulation: its trials
 MAX_KEPT_SAMPLES = 250_000_000
 # fewest trials a simulation that tallies sweep points accepts
@@ -180,13 +195,17 @@ class SimResult:
     capacity: tuple[Estimate, ...] = ()
 
 
+# a RIS's fields but its element count, compared as dataclass equality does
+_shared = attrgetter("sat_fading", "user_fading", "sat_exponent", "user_exponent")
+
+
 def is_nested(sub: LinkConfig, links: LinkConfig) -> bool:
     """Whether one simulation of ``links`` can also serve ``sub``: a prefix
     of its RIS list in which each RIS is the same except that it may have
     fewer elements, with the same direct path and transmit SNR."""
     return (sub.direct == links.direct and sub.transmit_snr == links.transmit_snr
             and len(sub.ris) <= len(links.ris)
-            and all(s.elements <= f.elements and replace(s, elements=f.elements) == f
+            and all(s.elements <= f.elements and type(s) is type(f) and _shared(s) == _shared(f)
                     for s, f in zip(sub.ris, links.ris)))
 
 
@@ -234,56 +253,73 @@ def _sum_tables(cfg: LinkConfig, plan, built: dict | None = None) -> list:
     return out
 
 
-class _Chunk(NamedTuple):
+class _Pass(NamedTuple):
     """RISs lo:hi of the full configuration, which one array pass takes
-    together: their gain exponents as columns; the element-sum tables
-    they read, in order of first use (all share one z grid), the t-th
-    looked up over every RIS of the chunk into term rows t n to
-    (t + 1) n, n = hi - lo; and per RIS, None where it draws per element,
-    else its (term row, amplitude rows) pairs."""
+    together, in ``chunks`` chunks of equal width: their gain exponents as
+    columns; the element-sum tables they read, in order of first use (all
+    share one z grid), the t-th looked up over every RIS of the pass into
+    term rows t n to (t + 1) n, n = hi - lo; and per RIS, None where it
+    draws per element, else its (term row, amplitude rows) pairs."""
 
     lo: int
     hi: int
+    chunks: int
     eta: np.ndarray
     beta: np.ndarray
     tables: tuple[SumTable, ...]
     terms: tuple
 
 
-def _chunks(cfg: LinkConfig, plan, tables: list) -> list[_Chunk]:
-    """The chunks of the full configuration's RISs, each keeping its
-    (RIS, trial) arrays within _PASS_VALUES at the block size."""
-    step = max(1, _PASS_VALUES // _block_size(cfg))
+def _passes(cfg: LinkConfig, plan, tables: list, values: int) -> list[_Pass]:
+    """The passes over the full configuration's RISs. A chunk keeps its
+    (RIS, trial) arrays within _PASS_VALUES at the block size; a pass takes
+    as many consecutive chunks of one width whose RISs all read one table
+    as keep within ``values``, else one chunk."""
+    size = _block_size(cfg)
+    step = max(1, _PASS_VALUES // size)
+    most = max(1, values // (step * size))
+    spans = []  # [lo, chunks, width, the one table all their RISs read, or None]
+    for lo in range(0, len(cfg.ris), step):
+        width = min(step, len(cfg.ris) - lo)
+        read = {None if tables[n] is None else tables[n][e]
+                for n in range(lo, lo + width) for e, _ in plan[n]}
+        one = read.pop() if len(read) == 1 else None
+        if one is not None and spans and spans[-1][2:] == [width, one] and spans[-1][1] < most:
+            spans[-1][1] += 1
+        else:
+            spans.append([lo, 1, width, one])
     exps = np.array([[-link.sat_exponent / 4.0, -link.user_exponent / 4.0]
                      for link in cfg.ris]).reshape(-1, 2)
-    chunks = []
-    for lo in range(0, len(cfg.ris), step):
-        hi = min(lo + step, len(cfg.ris))
+    passes = []
+    for lo, chunks, width, _ in spans:
+        hi = lo + chunks * width
         read = tuple(dict.fromkeys(tables[n][e] for n in range(lo, hi)
                                    if tables[n] is not None for e, _ in plan[n]))
         terms = tuple(None if tables[n] is None else
                       tuple((read.index(tables[n][e]) * (hi - lo) + n - lo, idx)
                             for e, idx in plan[n])
                       for n in range(lo, hi))
-        chunks.append(_Chunk(lo, hi, exps[lo:hi, :1], exps[lo:hi, 1:], read, terms))
-    return chunks
+        passes.append(_Pass(lo, hi, chunks, exps[lo:hi, :1], exps[lo:hi, 1:], read, terms))
+    return passes
 
 
 class _Scratch:
     """One thread's arrays for the blocks of one simulation, sized once
-    from the full configuration's block and chunk sizes, and the chunks
-    they serve; every block that thread runs overwrites them."""
+    from the full configuration's block size and its passes of at most
+    ``values`` (RIS, trial) values, and the passes they serve; every
+    block that thread runs overwrites them."""
 
-    def __init__(self, cfg: LinkConfig, plan, rows: int, tables: list, size: int):
-        self.chunks = _chunks(cfg, plan, tables)
-        width = max((c.hi - c.lo for c in self.chunks), default=0) * size
-        terms = max((len(c.tables) * (c.hi - c.lo) for c in self.chunks), default=0)
+    def __init__(self, cfg: LinkConfig, plan, rows: int, tables: list, size: int,
+                 exact: bool, values: int):
+        self.passes = _passes(cfg, plan, tables, values)
+        width = max((p.hi - p.lo for p in self.passes), default=0) * size
+        terms = max((len(p.tables) * (p.hi - p.lo) for p in self.passes), default=0)
+        # four rows of uniforms; once consumed, the first two hold the
+        # pass's work array and its table cells
         self.u = np.empty(4 * width)
-        self.r_sq, self.d_sq = np.empty(width), np.empty(width)
-        # the pass's, then the tallies' work array
-        self.work = np.empty(max(width, size))
-        self.cell = np.empty(width, dtype=np.intp)
         self.terms = np.empty(terms * size)
+        self.r_sq, self.d_sq = (np.empty(width if exact else 0) for _ in range(2))
+        # per-trial vectors; the tallies take each row's deviations in trial
         self.sat, self.trial = np.empty(size), np.empty(size)
         self.amp = np.empty(rows * size)
 
@@ -301,52 +337,59 @@ def _simulate_block(cfg: LinkConfig, plan, rows: int, geom: CylinderGeometry,
     ``scratch`` (None makes one for this block); ``tables`` as _sum_tables
     gives them."""
     if scratch is None:
-        scratch = _Scratch(cfg, plan, rows, tables, count)
+        scratch = _Scratch(cfg, plan, rows, tables, count, exact, _PASS_VALUES)
     amp = _view(scratch.amp, rows, count)
     amp.fill(0.0)
     if exact or cfg.direct.enabled:
         s = _view(scratch.sat, count)
         nearest_sat_fractions(con, rng.random(out=s), out=s)
         offsets = serving_offsets(con, s) if exact else None
-    flat = geom.height == 0.0
-    for chunk in scratch.chunks:
-        n = chunk.hi - chunk.lo
-        u = rng.random(out=_view(scratch.u, 4 - flat, n, count))
+    flat = int(geom.height == 0.0)
+    for p in scratch.passes:
+        m, n = p.hi - p.lo, (p.hi - p.lo) // p.chunks
+        # by row each RIS's radius, height, satellite and element-sum
+        # uniforms (a flat region draws rows 1 to 3: radius, satellite,
+        # element sum). Each chunk's (k, RISs, trials) draw in one call where
+        # it is contiguous, else in one call per row, from the same stream
+        u = _view(scratch.u, 4, m, count)
+        for c in range(p.chunks):
+            draw = u[flat:, c * n:(c + 1) * n]
+            for rows in ((draw,) if p.chunks == 1 else draw):
+                rng.random(out=rows)
         # squared distances in place: the radius row on the base, plus the
         # squared heights off a flat region
-        radial = ris_squared_distances(geom, u[0], out=u[0])
+        radial = ris_squared_distances(geom, u[flat], out=u[flat])
         height = 0.0 if flat else np.multiply(u[1], geom.height, out=u[1])
         if exact:
-            r_sq = np.square(height, out=_view(scratch.r_sq, n, count))
+            r_sq = np.square(height, out=_view(scratch.r_sq, m, count))
             r_sq += radial
-            d_sq = slant_squared_ranges(offsets, radial, height, u[-2],
-                                        out=_view(scratch.d_sq, n, count))
+            d_sq = slant_squared_ranges(offsets, radial, height, u[2],
+                                        out=_view(scratch.d_sq, m, count))
         else:
             r_sq = radial
             if not flat:
                 r_sq += np.square(height, out=height)
-            d_sq = sat_squared_distances(con, nearest_sat_fractions(con, u[-2], out=u[-2]),
-                                         out=u[-2])
+            d_sq = sat_squared_distances(con, nearest_sat_fractions(con, u[2], out=u[2]),
+                                         out=u[2])
         # d^(-eta/2) r^(-beta/2) from the squared distances' logarithms
         gain = np.log(d_sq, out=d_sq)
-        gain *= chunk.eta
-        gain += np.multiply(np.log(r_sq, out=r_sq), chunk.beta, out=r_sq)
+        gain *= p.eta
+        gain += np.multiply(np.log(r_sq, out=r_sq), p.beta, out=r_sq)
         np.exp(gain, out=gain)
-        z = u[-1]
+        # the radius and height rows are consumed: the work array and cells
+        work, z = u[0], u[3]
         with np.errstate(divide="ignore"):  # u = 0: Z = -inf reads the first node
-            np.divide(z, np.subtract(1.0, z, out=_view(scratch.work, n, count)), out=z)
+            np.divide(z, np.subtract(1.0, z, out=work), out=z)
             np.log(z, out=z)
-        if chunk.tables:
+        if p.tables:
             # one cell per (RIS, trial), read by every table (one z grid),
             # then one lookup per table
-            cell, frac = chunk.tables[0].cells(z, out=(_view(scratch.cell, n, count), z),
-                                               work=_view(scratch.work, n, count))
-            terms = _view(scratch.terms, len(chunk.tables) * n, count)
-            for t, table in enumerate(chunk.tables):
-                out = table.at(cell, frac, out=terms[t * n:(t + 1) * n],
-                               work=_view(scratch.work, n, count))
+            cell, frac = p.tables[0].cells(z, out=(u[1].view(np.int64), z), work=work)
+            terms = _view(scratch.terms, len(p.tables) * m, count)
+            for t, table in enumerate(p.tables):
+                out = table.at(cell, frac, out=terms[t * m:(t + 1) * m], work=work)
                 out *= gain
-        for j, (link, entries) in enumerate(zip(cfg.ris[chunk.lo:chunk.hi], chunk.terms)):
+        for j, (link, entries) in enumerate(zip(cfg.ris[p.lo:p.hi], p.terms)):
             if entries is not None:
                 for row, idx in entries:
                     amp[idx] += terms[row]
@@ -361,13 +404,13 @@ def _simulate_block(cfg: LinkConfig, plan, rows: int, geom: CylinderGeometry,
             # smaller element counts extend a running sum (the plan is sorted
             # by count); the full count sums q whole, as without nesting
             head, summed = 0.0, 0
-            for elements, idx in plan[chunk.lo + j]:
+            for elements, idx in plan[p.lo + j]:
                 if elements < link.elements:
                     head = head + q[:, summed:elements].sum(axis=1)
                     summed, total = elements, head
                 else:
                     total = q.sum(axis=1)
-                amp[idx] += np.multiply(total, g, out=_view(scratch.work, count))
+                amp[idx] += np.multiply(total, g, out=work[0])
     if cfg.direct.enabled:
         envelope = sample_envelope(cfg.direct.fading, rng, out=_view(scratch.trial, count))
         d_sq = sat_squared_distances(con, s, out=s)
@@ -463,8 +506,12 @@ def simulate_snr(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation,
     plan, size, exact = _row_plan((*nested, cfg)), _block_size(cfg), opt.exact_per_ris_sat_distance
     tables = _sum_tables(cfg, plan, tables)
     samples = np.empty(opt.trials)
-    # each thread's own arrays, made by its first block
+    blocks = -(-opt.trials // size)
+    pool_size = min(opt.workers, blocks, os.cpu_count() or 1)
+    # each thread's own arrays, made by its first block: pool threads take
+    # longer passes, whose numpy calls two threads overlap
     local = threading.local()
+    values = _POOL_PASS_VALUES if pool_size > 1 else _PASS_VALUES
 
     def run_block(b: int):
         # SFC64 (cheaper per draw than PCG64) on child b of
@@ -473,20 +520,19 @@ def simulate_snr(cfg: LinkConfig, geom: CylinderGeometry, con: Constellation,
         rng = np.random.Generator(np.random.SFC64(seq))
         lo, hi = b * size, min(opt.trials, (b + 1) * size)
         if not hasattr(local, "scratch"):
-            local.scratch = _Scratch(cfg, plan, rows, tables, min(size, opt.trials))
+            local.scratch = _Scratch(cfg, plan, rows, tables, min(size, opt.trials), exact,
+                                     values)
         amp = _simulate_block(cfg, plan, rows, geom, con, rng, hi - lo, exact, tables,
                               local.scratch)
         above = np.zeros(len(points), dtype=np.int64)
         out = samples[lo:hi]
         np.multiply(amp[-1], cfg.transmit_snr, out=out)
         out *= amp[-1]
-        return _block_moments(amp, taps, above, local.scratch.work), above
+        return _block_moments(amp, taps, above, local.scratch.trial), above
 
     def merge(state, other):
         return _merge_moments(state[0], other[0]), state[1] + other[1]
 
-    blocks = -(-opt.trials // size)
-    pool_size = min(opt.workers, blocks, os.cpu_count() or 1)
     if pool_size <= 1:
         (n, mean, m2), above = reduce(merge, map(run_block, range(blocks)))
     else:

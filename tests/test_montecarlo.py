@@ -454,31 +454,38 @@ def test_scratch_arrays_carry_nothing_between_blocks_or_simulations(monkeypatch,
 @pytest.mark.parametrize("nested", [False, True], ids=["full_rows", "n_nested_rows"])
 def test_each_threads_scratch_keeps_to_its_pass_and_block_arrays(nested):
     # configs/default.yaml: eight RISs that read one table, in whole blocks.
-    # Four pass-sized arrays of uniforms and five more (two of squared
-    # distances, the work array, the cells, one table's terms), two
-    # per-trial vectors and a row of amplitudes per configuration: no
-    # (RIS, trial, 4) coefficients and no (row, trial) deviations
+    # Four pass-sized rows of uniforms, which then hold the work array and
+    # the cells, one table's terms, two per-trial vectors and a row of
+    # amplitudes per configuration: no (RIS, trial, 4) coefficients and no
+    # (row, trial) deviations. Inline, a pass is one chunk of two RISs; on
+    # a pool thread it takes all eight
     cfg = load_scenario(DEFAULT_CONFIG)
     if nested:
         cfg = dataclasses.replace(cfg, sweep=SweepSpec("N", tuple(range(1, 9))))
     (_, _, rows, _), = cfg.plan.simulations
     plan = montecarlo._row_plan(tuple(rows))
     size = montecarlo._block_size(rows[-1])
-    scratch = montecarlo._Scratch(rows[-1], plan, len(rows),
-                                  montecarlo._sum_tables(rows[-1], plan), size)
-    nbytes = sum(a.nbytes for a in vars(scratch).values() if isinstance(a, np.ndarray))
+    tables = montecarlo._sum_tables(rows[-1], plan)
+    inline, pool = (montecarlo._Scratch(rows[-1], plan, len(rows), tables, size, False, values)
+                    for values in (montecarlo._PASS_VALUES, montecarlo._POOL_PASS_VALUES))
+    nbytes, pool_nbytes = (sum(a.nbytes for a in vars(s).values() if isinstance(a, np.ndarray))
+                           for s in (inline, pool))
     assert size == montecarlo._BLOCK and len(rows) == (8 if nested else 1)
+    assert [p.hi - p.lo for p in inline.passes] == [2] * 4
+    assert [(p.hi - p.lo, p.chunks) for p in pool.passes] == [(8, 4)]
     assert nbytes <= 8 * (9 * montecarlo._PASS_VALUES + (len(rows) + 2) * size)
     # 1.4 MB and 1.8 MB at the chosen block and pass sizes
     assert nbytes <= (1_835_008 if nested else 1_376_256)
+    assert pool_nbytes <= 8 * (5 * montecarlo._POOL_PASS_VALUES + (len(rows) + 2) * size)
+    # 2.8 MB and 3.3 MB
+    assert pool_nbytes <= (3_276_800 if nested else 2_818_048)
 
 
-def test_thread_pool_never_outgrows_the_blocks_or_the_cpus(monkeypatch):
-    sizes = []
+def _calling_thread_pool(sizes: list):
+    """A ThreadPoolExecutor stand-in that runs the blocks in this thread
+    and records each pool's size in ``sizes``."""
 
     class RecordingPool:
-        """Runs the blocks in this thread and records the pool size."""
-
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
@@ -491,7 +498,12 @@ def test_thread_pool_never_outgrows_the_blocks_or_the_cpus(monkeypatch):
         def map(self, fn, args):
             return map(fn, args)
 
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+    return RecordingPool
+
+
+def test_thread_pool_never_outgrows_the_blocks_or_the_cpus(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _calling_thread_pool(sizes))
     cfg = default_links(1)
     opt = SimOptions(trials=3 * montecarlo._BLOCK, seed=0, workers=1000)
     runs = []
@@ -504,6 +516,59 @@ def test_thread_pool_never_outgrows_the_blocks_or_the_cpus(monkeypatch):
     for res in runs[1:]:
         assert np.array_equal(res.snr_samples, runs[0].snr_samples)
     assert runs[0].workers == 1000 and runs[0].trials == 3 * montecarlo._BLOCK
+
+
+def _with_sat_hops(cfg: LinkConfig, hops: dict) -> LinkConfig:
+    """``cfg`` with the sat hop of each RIS i in ``hops`` replaced by hops[i]."""
+    return dataclasses.replace(cfg, ris=tuple(
+        dataclasses.replace(link, sat_fading=hops[i]) if i in hops else link
+        for i, link in enumerate(cfg.ris)))
+
+
+# (full configuration, nested rows, region, exact mode, trials, the (RISs,
+# chunks) of each pass on a pool thread): chunks of two RISs at 8192
+# trials, four of them in a pass where their RISs read one table
+_POOL_PASS_CASES = {
+    "ragged_last_chunk": (default_links(7), (), GEOM, False, 3 * montecarlo._BLOCK,
+                          [(6, 3), (1, 1)]),
+    "flat_annulus": (default_links(8), (), _ANNULUS, False, 3 * montecarlo._BLOCK, [(8, 4)]),
+    "exact": (default_links(8), (), GEOM, True, 3 * montecarlo._BLOCK, [(8, 4)]),
+    "nested_n_rows": (default_links(16), tuple(default_links(n) for n in range(1, 16)), GEOM,
+                      False, 3 * montecarlo._BLOCK, [(8, 4), (8, 4)]),
+    "short_last_block": (default_links(8), (), GEOM, False, 2 * montecarlo._BLOCK + 77,
+                         [(8, 4)]),
+    "two_fading_pairs": (_with_sat_hops(default_links(8), {i: KappaMuParams(2.0, 2.0)
+                                                           for i in range(1, 8, 2)}),
+                         (), GEOM, False, 3 * montecarlo._BLOCK, [(2, 1)] * 4),
+    "per_element_ris": (_with_sat_hops(default_links(8), {2: FALLBACK}), (), GEOM, False,
+                        3 * montecarlo._BLOCK, [(2, 1), (2, 1), (4, 2)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_POOL_PASS_CASES))
+def test_pool_threads_passes_give_the_inline_bits(monkeypatch, case):
+    # the blocks run in this thread, through pools of 2 and 3 threads'
+    # passes at workers 2 and 4 (three blocks), and inline at workers 1
+    cfg, nested, geom, exact, trials, want = _POOL_PASS_CASES[case]
+    sizes = []
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _calling_thread_pool(sizes))
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+    plan, held = montecarlo._row_plan((*nested, cfg)), {}
+    passes = montecarlo._passes(cfg, plan, montecarlo._sum_tables(cfg, plan, held),
+                                montecarlo._POOL_PASS_VALUES)
+    assert [(p.hi - p.lo, p.chunks) for p in passes] == want
+    points = [(r, rho0, th) for r in range(len(nested) + 1) for rho0 in (1e14, 1e10)
+              for th in (1.0, 100.0)]
+    runs = [simulate_snr(cfg, geom, CON, SimOptions(trials=trials, seed=17, workers=w,
+                                                    exact_per_ris_sat_distance=exact),
+                         nested=nested, points=points, tables=held)
+            for w in (1, 2, 4)]
+    assert sizes == [2, 3]
+    for res in runs[1:]:
+        assert np.array_equal(res.snr_samples, runs[0].snr_samples)
+        assert (res.coverage, res.capacity) == (runs[0].coverage, runs[0].capacity)
+        for a, b in zip((*runs[0].nested, runs[0]), (*res.nested, res)):
+            assert (a.abs_mean, a.abs_var) == (b.abs_mean, b.abs_var)
 
 
 def test_blocks_depend_on_neither_the_constellation_nor_the_nesting(monkeypatch):
@@ -846,6 +911,21 @@ def test_exact_mode_nested_means_match_their_closed_forms():
 def _other_fading(cfg):
     return dataclasses.replace(cfg, ris=(dataclasses.replace(
         cfg.ris[0], user_fading=KappaMuParams(0.0, 1.0)),) + cfg.ris[1:])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("sat_fading", KappaMuParams(1.0, 2.5)),
+    ("user_fading", KappaMuParams(3.0, 3.5)),
+    ("sat_exponent", 2.5),
+    ("user_exponent", 2.75),
+])
+def test_a_ris_differing_in_one_field_but_its_elements_is_not_nested(field, value):
+    cfg = default_links(3)
+    fewer = dataclasses.replace(cfg.ris[1], elements=5)
+    for link, nested in ((fewer, True), (dataclasses.replace(fewer, **{field: value}), False),
+                         (dataclasses.replace(cfg.ris[1], **{field: value}), False)):
+        sub = dataclasses.replace(cfg, ris=(cfg.ris[0], link))
+        assert montecarlo.is_nested(sub, cfg) is nested
 
 
 @pytest.mark.parametrize("make_sub", [
